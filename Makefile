@@ -45,6 +45,11 @@ BENCH_WQ_PATTERN = 'BenchmarkWQ'
 # smoke iterations. Past this the wire hot path started allocating again.
 WQ_MAX_ALLOCS = 8
 
+# The *-smoke targets gate (the suites run, their output parses, the
+# allocs/op ceilings hold) without recording: their -benchtime 1x/1000x
+# numbers go to a temporary file, never over the committed BENCH_*.json.
+SMOKE_OUT = tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT;
+
 .PHONY: all build test race test-live vet bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke short ci clean
 
 all: build
@@ -83,7 +88,7 @@ bench:
 # One-iteration smoke of the same suite, wired into ci so the benchmarks
 # (and the benchfmt pipeline) cannot bit-rot unnoticed.
 bench-smoke:
-	$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out BENCH_sim.json
+	$(SMOKE_OUT) $(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out "$$tmp"
 
 # Full benchmark run of the allocation path: bucketing-core partitions
 # (cold and incremental), the allocator Allocate/Retry/Observe cycle per
@@ -93,7 +98,7 @@ bench-alloc:
 
 # One-iteration smoke of the allocation-path suite, wired into ci.
 bench-alloc-smoke:
-	$(GO) test $(BENCH_ALLOC_PKGS) -run '^$$' -bench $(BENCH_ALLOC_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out BENCH_alloc.json
+	$(SMOKE_OUT) $(GO) test $(BENCH_ALLOC_PKGS) -run '^$$' -bench $(BENCH_ALLOC_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out "$$tmp"
 
 # Full streaming run: the 1M-task and 100k-task Source-driven scenarios plus
 # the 100k-worker placement-index probes, merged into BENCH_sim.json.
@@ -105,7 +110,7 @@ bench-stream:
 # contract cannot regress silently. (The capacity index's query correctness
 # runs under -race via the sim package in the race target.)
 bench-stream-smoke:
-	$(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(STREAM_MAX_ALLOCS) -out BENCH_sim.json
+	$(SMOKE_OUT) $(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -max-allocs $(STREAM_MAX_ALLOCS) -out "$$tmp"
 
 # Full service benchmark: sustained allocation throughput against a live
 # server at 1, 8, and 16 concurrent tenants; records BENCH_serve.json.
@@ -119,7 +124,7 @@ serve-bench:
 # allocs/op — steady state is 0 allocs/op, so the tight ceiling needs the
 # setup noise below ~1/op (still tens of ms per scenario).
 serve-bench-smoke:
-	$(GO) test $(BENCH_SERVE_PKGS) -run '^$$' -bench $(BENCH_SERVE_PATTERN) -benchmem -benchtime 1000x | $(GO) run ./cmd/benchfmt -max-allocs $(SERVE_MAX_ALLOCS) -out BENCH_serve.json
+	$(SMOKE_OUT) $(GO) test $(BENCH_SERVE_PKGS) -run '^$$' -bench $(BENCH_SERVE_PATTERN) -benchmem -benchtime 1000x | $(GO) run ./cmd/benchfmt -max-allocs $(SERVE_MAX_ALLOCS) -out "$$tmp"
 
 # Full live-engine benchmark: sustained dispatch/result round trips through
 # the wq manager and workers over loopback transport, merged into
@@ -132,7 +137,7 @@ wq-bench:
 # enforced so the frame hot path cannot silently start allocating. 2000
 # iterations amortize the driver/executor goroutine spin-up below ~1/op.
 wq-bench-smoke:
-	$(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(WQ_MAX_ALLOCS) -out BENCH_wq.json
+	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
 
 # End-to-end smoke of the record -> replay -> what-if loop: record a small
 # DES run on a churny pool, verify the fidelity replay reproduces the

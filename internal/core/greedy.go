@@ -18,8 +18,8 @@ type GreedyBucketing struct{}
 // Name implements Algorithm.
 func (GreedyBucketing) Name() string { return "greedy" }
 
-// Partition implements Algorithm. The output buffer lives in the scratch,
-// so a warm Partition is allocation-free.
+// Partition implements Algorithm. The output buffer and the sweep's filter
+// buffer live in the scratch, so a warm Partition is allocation-free.
 func (GreedyBucketing) Partition(l *record.List, s *Scratch) []int {
 	n := l.Len()
 	if n == 0 {
@@ -31,62 +31,108 @@ func (GreedyBucketing) Partition(l *record.List, s *Scratch) []int {
 	if cap(s.best) < 8 {
 		s.best = make([]int, 0, 8)
 	}
-	s.best = greedySplit(l.View(), 0, n-1, s.best[:0])
+	if cap(s.f) < n {
+		s.f = make([]float64, n+n/4)
+	}
+	s.best = greedySplit(l.View(), 0, n-1, s.f, s.best[:0])
 	return s.best
 }
 
+// sweepSlack bounds the sweep's filter: every break of [lo, hi] at which
+// greedyCost attains its minimum has f within sweepSlack of the smallest f.
+// It is +Inf (every candidate must be costed) where the bound below does not
+// hold.
+//
+// Take the stored prefix sums as exact reals and write, for a break after i,
+// s1 and s2 for the two buckets' significance, A1 and A2 for their
+// value·significance, T = s1+s2 and K = A1+A2 (both constant over the
+// range). Then greedyCost expands to
+//
+//	cost(i) = f(i)/T² − K/T,   f(i) = T·s1·rep1 + rep2·s2·(T+s1)
+//
+// so the candidates' order under cost is their order under f, which needs no
+// division and no PrefixValSig read. In floating point the two differ by
+// rounding. With non-negative values every term of f is non-negative, so the
+// computed f is within 6u·f ≤ 7.5u·T²·R of the real one (u = 2⁻⁵³, R = the
+// range's largest value, f ≤ 1.25·T²·R). The computed cost is within
+// 34u·(R + K/T) of the real one: its intermediate terms are p·p'·(rep − mean)
+// with p·p'·rep ≤ R and p1·vLo = A1/T ≤ K/T, p2·vHi = A2/T ≤ K/T (prefix
+// sums of non-negative terms are monotone). Hence a minimum of the computed
+// cost has
+//
+//	f(i) ≤ min f + 2·(7.5+34)·u·T²·(R + K/T)  ≈  min f + 1e-14·T²·(R + K/T),
+//
+// and sweepEps leaves ~1000× room over that. The bound needs s1, s2 > 0 over
+// the whole range (they are monotone in i, so the two ends decide), values
+// ≥ 0, and T, R, K/T inside [sweepMin, sweepMax] so that no product
+// overflows and underflow errors (≤ 2⁻¹⁰⁷⁴·(T+R+2) in f) vanish in that room.
+func sweepSlack(v record.View, lo, hi int) float64 {
+	const (
+		sweepEps = 1e-11
+		sweepMin = 1e-100
+		sweepMax = 1e100
+	)
+	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
+	t, r, mean := sigHi-sigLo, v.Sorted[hi].Value, v.WeightedMean(lo, hi)
+	if v.Sorted[lo].Value >= 0 && v.PrefixSig[lo+1] > sigLo && sigHi > v.PrefixSig[hi] &&
+		t >= sweepMin && t <= sweepMax && r >= sweepMin && r <= sweepMax && mean <= sweepMax {
+		return sweepEps * t * t * (r + mean)
+	}
+	return math.Inf(1)
+}
+
 // greedySplit appends the bucket end indices for the sorted range [lo, hi]
-// to out and returns the extended slice. The candidate sweep runs directly
-// over the snapshot's prefix-sum slices with the range-invariant terms
-// (the range's prefix bases and the right bucket's representative) hoisted
-// out of the loop; the per-candidate arithmetic is exactly greedyCost's.
-func greedySplit(v record.View, lo, hi int, out []int) []int {
+// to out and returns the extended slice. The candidate sweep makes two
+// passes: the first computes the division-free f of every candidate (see
+// sweepSlack) into buf (len ≥ hi-lo) and its minimum; the second evaluates
+// greedyCost, in ascending order, on the candidates whose f is within the
+// slack of that minimum. The break chosen is the one a sweep of greedyCost
+// over every candidate would choose.
+func greedySplit(v record.View, lo, hi int, buf []float64, out []int) []int {
 	if lo == hi {
 		return append(out, hi)
 	}
-	pSig, pVS := v.PrefixSig, v.PrefixValSig
-	sigLo, vsLo := pSig[lo], pVS[lo]
-	sigHi, vsHi := pSig[hi+1], pVS[hi+1]
-	rep2 := v.Sorted[hi].Value
-	minCost := math.Inf(1)
-	breakIdx := hi
-	for i := lo; i < hi; i++ {
-		s1 := pSig[i+1] - sigLo
-		s2 := sigHi - pSig[i+1]
-		total := s1 + s2
-		if total <= 0 {
-			continue // +Inf cost can never beat the running minimum
-		}
-		p1 := s1 / total
-		p2 := s2 / total
-		rep1 := v.Sorted[i].Value
-		var vLo, vHi float64
-		if s1 != 0 {
-			vLo = (pVS[i+1] - vsLo) / s1
-		}
-		if s2 != 0 {
-			vHi = (vsHi - pVS[i+1]) / s2
-		}
-		cost := p1*p1*(rep1-vLo) +
-			p1*p2*(rep2-vLo) +
-			p2*p1*(rep1+rep2-vHi) +
-			p2*p2*(rep2-vHi)
-		if cost < minCost {
-			minCost = cost
-			breakIdx = i
+	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
+	t, rep2 := sigHi-sigLo, v.Sorted[hi].Value
+
+	// Resliced so the compiler drops the per-candidate bounds checks.
+	f := buf[:hi-lo]
+	sigs, recs := v.PrefixSig[lo+1 : hi+1][:len(f)], v.Sorted[lo:hi][:len(f)]
+	fmin := math.Inf(1)
+	for k := range f {
+		s1 := sigs[k] - sigLo
+		s2 := sigHi - sigs[k]
+		fi := t*(s1*recs[k].Value) + rep2*(s2*(t+s1))
+		f[k] = fi
+		if fi < fmin {
+			fmin = fi
 		}
 	}
-	// i == hi evaluates the single-bucket configuration last, exactly as the
-	// uniform sweep did: a strict < keeps earlier break points on ties.
-	if singleCost := rep2 - v.WeightedMean(lo, hi); singleCost < minCost {
+	// A NaN limit (fmin not finite) compares false and keeps everything.
+	limit := fmin + sweepSlack(v, lo, hi)
+
+	minCost := math.Inf(1)
+	breakIdx := hi
+	for k, fi := range f {
+		if fi > limit {
+			continue
+		}
+		if cost := greedyCost(v, lo, lo+k, hi); cost < minCost {
+			minCost = cost
+			breakIdx = lo + k
+		}
+	}
+	// i == hi evaluates the single-bucket configuration last: a strict <
+	// keeps earlier break points on ties.
+	if greedyCost(v, lo, hi, hi) < minCost {
 		breakIdx = hi
 	}
 	if breakIdx == hi {
 		// A single bucket over [lo, hi] yields the minimum expected waste.
 		return append(out, hi)
 	}
-	out = greedySplit(v, lo, breakIdx, out)
-	out = greedySplit(v, breakIdx+1, hi, out)
+	out = greedySplit(v, lo, breakIdx, buf, out)
+	out = greedySplit(v, breakIdx+1, hi, buf, out)
 	return out
 }
 
@@ -102,9 +148,8 @@ func greedySplit(v record.View, lo, hi int, out []int) []int {
 //
 // where v_lo and v_hi are the significance-weighted mean values of the
 // respective buckets. i == hi evaluates the single-bucket configuration,
-// whose expected waste is rep - v_mean. greedySplit inlines this arithmetic
-// with the range invariants hoisted; this form is the reference the tests
-// check against.
+// whose expected waste is rep - v_mean. greedySplit calls it on the candidates
+// its filter keeps, and the tests' reference recursion on every candidate.
 func greedyCost(v record.View, lo, i, hi int) float64 {
 	if i == hi {
 		return v.Value(hi) - v.WeightedMean(lo, hi)

@@ -7,75 +7,100 @@ import (
 )
 
 // FuzzRecordListMergeMatchesResort pins the incremental rebuild machinery —
-// the pending-batch merge, the append fast path, the double-buffered sorted
-// view, and the partial prefix-sum recompute — against the obvious oracle: a
-// stable sort of all records from scratch plus freshly summed prefixes.
-// The fuzzer drives random Add/query interleavings, including duplicate
-// values (stability) and monotone runs (the append fast path).
+// the in-place batch insert, the partial prefix-sum recompute and the lazily
+// extended time prefixes — against the obvious oracle: a stable sort of all
+// records from scratch plus prefixes summed left to right from zero, which
+// the list's own sums must equal bit for bit. The fuzzer drives random
+// Add/query interleavings with batches of up to eight records between
+// queries, duplicate values (stability), ascending runs (nothing moves) and
+// descending runs (every record of the batch moves a block of its own).
 func FuzzRecordListMergeMatchesResort(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 4, 5, 0, 6}, uint8(3))
 	f.Add([]byte{9, 9, 9, 9, 0, 1, 1, 0, 255, 0}, uint8(1))
 	f.Add([]byte{0, 0, 0}, uint8(7))
+	f.Add([]byte{40, 80, 120, 160, 200, 0, 190, 150, 110, 70, 30, 20, 10, 0, 5}, uint8(0x87))          // descending batch into an ascending base
+	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 9, 8, 7, 6, 5, 4, 3, 2}, uint8(0x27)) // time sums every fourth query
 	f.Fuzz(func(t *testing.T, vals []byte, mod uint8) {
+		// mod packs three knobs: bits 0-2 the batch size between periodic
+		// queries, bits 3-5 how many rebuilds go by between two reads of the
+		// time-weighted sums (their prefixes trail behind a watermark until
+		// read), bit 7 whether values use the byte's full range or repeat
+		// heavily (mod 16) to exercise tie stability.
+		period := int(mod&7) + 1
+		timeEvery := int(mod>>3&7) + 1
+		wide := mod&0x80 != 0
+
 		l := &List{}
 		var oracle []Record
+		checks := 0
 		check := func() {
 			t.Helper()
+			checks++
 			want := append([]Record(nil), oracle...)
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Value < want[j].Value })
-			got := l.Sorted()
-			if len(got) != len(want) {
-				t.Fatalf("sorted length %d, want %d", len(got), len(want))
-			}
-			var sig, valSig, tm, valT float64
-			for i, w := range want {
-				if got[i] != w {
-					t.Fatalf("sorted[%d] = %+v, want %+v (stability or merge order broken)", i, got[i], w)
-				}
-				sig += w.Sig
-				valSig += w.Value * w.Sig
-				tm += w.Time
-				valT += w.Value * w.Time
-				lo := i / 2 // an arbitrary interior range per position
-				if gotSum, wantSum := l.SigSum(lo, i), prefixOracle(want, lo, i, func(r Record) float64 { return r.Sig }); !close(gotSum, wantSum) {
-					t.Fatalf("SigSum(%d,%d) = %v, want %v", lo, i, gotSum, wantSum)
-				}
-			}
 			n := len(want)
+			sig, valSig := make([]float64, n+1), make([]float64, n+1)
+			tm, valT := make([]float64, n+1), make([]float64, n+1)
+			for i, w := range want {
+				sig[i+1] = sig[i] + w.Sig
+				valSig[i+1] = valSig[i] + w.Value*w.Sig
+				tm[i+1] = tm[i] + w.Time
+				valT[i+1] = valT[i] + w.Value*w.Time
+			}
+
+			v := l.View()
+			if v.Len() != n || len(v.PrefixSig) != n+1 || len(v.PrefixValSig) != n+1 {
+				t.Fatalf("view holds %d records, %d/%d prefix entries, want %d and %d",
+					v.Len(), len(v.PrefixSig), len(v.PrefixValSig), n, n+1)
+			}
+			for i, w := range want {
+				if v.Sorted[i] != w {
+					t.Fatalf("sorted[%d] = %+v, want %+v (stability or insert order broken)", i, v.Sorted[i], w)
+				}
+			}
+			for i := 0; i <= n; i++ {
+				if !sameBits(v.PrefixSig[i], sig[i]) || !sameBits(v.PrefixValSig[i], valSig[i]) {
+					t.Fatalf("prefix[%d] = (%v, %v), want (%v, %v) bit for bit",
+						i, v.PrefixSig[i], v.PrefixValSig[i], sig[i], valSig[i])
+				}
+			}
 			if n == 0 {
 				return
 			}
-			if got, want := l.TotalSig(), sig; !close(got, want) {
-				t.Fatalf("TotalSig = %v, want %v", got, want)
+			if v.MaxValue() != want[n-1].Value || l.MinValue() != want[0].Value {
+				t.Fatalf("min/max = %v/%v, want %v/%v", l.MinValue(), v.MaxValue(), want[0].Value, want[n-1].Value)
 			}
-			if got, want := l.TimeSum(0, n-1), tm; !close(got, want) {
-				t.Fatalf("TimeSum = %v, want %v", got, want)
+			if checks%timeEvery != 0 {
+				return
 			}
-			if got, want := l.ValueTimeSum(0, n-1), valT; !close(got, want) {
-				t.Fatalf("ValueTimeSum = %v, want %v", got, want)
-			}
-			v := l.View()
-			if v.Len() != n || v.MaxValue() != want[n-1].Value {
-				t.Fatalf("View disagrees with oracle: len %d max %v", v.Len(), v.MaxValue())
+			for i := 0; i < n; i++ {
+				lo := i / 2 // an arbitrary interior range per position
+				if got, want := l.TimeSum(lo, i), tm[i+1]-tm[lo]; !sameBits(got, want) {
+					t.Fatalf("TimeSum(%d,%d) = %v, want %v", lo, i, got, want)
+				}
+				if got, want := l.ValueTimeSum(lo, i), valT[i+1]-valT[lo]; !sameBits(got, want) {
+					t.Fatalf("ValueTimeSum(%d,%d) = %v, want %v", lo, i, got, want)
+				}
 			}
 		}
-		period := int(mod%5) + 1
 		for i, b := range vals {
 			// Byte 0 forces an interleaved query; other bytes add a record.
-			// Values repeat heavily (mod 16) to exercise tie stability, and
-			// ascending task IDs double as the paper's significance.
+			// Ascending task IDs double as the paper's significance.
 			if b == 0 {
 				check()
 				continue
 			}
+			value := float64(b % 16)
+			if wide {
+				value = float64(b)
+			}
 			r := Record{
 				TaskID: i + 1,
-				Value:  float64(b % 16),
-				Sig:    float64(i + 1),
-				Time:   float64(b%7) + 0.5,
+				Value:  value,
+				Sig:    float64(i+1) / 3,
+				Time:   float64(b%7) + 0.1,
 			}
 			l.Add(r)
-			r.Sig = math.Max(r.Sig, 1e-9) // mirror the Add clamp
 			oracle = append(oracle, r)
 			if (i+1)%period == 0 {
 				check()
@@ -85,18 +110,4 @@ func FuzzRecordListMergeMatchesResort(f *testing.F) {
 	})
 }
 
-// prefixOracle sums f over want[lo..hi] directly.
-func prefixOracle(want []Record, lo, hi int, f func(Record) float64) float64 {
-	s := 0.0
-	for i := lo; i <= hi; i++ {
-		s += f(want[i])
-	}
-	return s
-}
-
-// close compares the prefix-sum-derived statistic against the direct sum;
-// the two accumulate in different orders, so exact equality is not required
-// here (the golden tests pin the production arithmetic bit-exactly).
-func close(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -8,7 +8,7 @@
 // prefix sums of significance, value·significance, time, and value·time, so
 // that every range statistic the algorithms need (bucket probabilities,
 // significance-weighted means, expected-waste sweeps) is O(1) per query after
-// an O(n log n) rebuild.
+// a rebuild.
 package record
 
 import (
@@ -27,22 +27,25 @@ type Record struct {
 // List accumulates records and serves sorted range statistics.
 // The zero value is an empty, ready-to-use list.
 //
-// Additions between queries are buffered and merged into the sorted view on
-// the next rebuild: sorting only the pending batch and merging it keeps the
-// per-update cost at O(n + k log k) for k new records instead of re-sorting
-// the whole list, which matters when a long workflow recomputes its
-// bucketing state after every completed task.
+// Additions between queries are buffered and inserted into the sorted view
+// on the next rebuild: sorting only the pending batch and moving the records
+// above it keeps the per-update cost at O(moved + k log n) for k new records
+// instead of re-sorting the whole list, which matters when a long workflow
+// recomputes its bucketing state after every completed task.
 type List struct {
 	recs    []Record
 	sorted  []Record
-	spare   []Record // retired sorted view, reused as the next merge target
 	pending []Record
 	dirty   bool
 
 	prefixSig    []float64 // prefixSig[i] = Σ sorted[0..i-1].Sig
 	prefixValSig []float64 // Σ sorted[k].Value * sorted[k].Sig
-	prefixTime   []float64 // Σ sorted[k].Time
-	prefixValT   []float64 // Σ sorted[k].Value * sorted[k].Time
+
+	// Only the Tovar baselines read the time-weighted sums, so they are
+	// extended on demand: they cover sorted[:timeValid].
+	prefixTime []float64 // Σ sorted[k].Time
+	prefixValT []float64 // Σ sorted[k].Value * sorted[k].Time
+	timeValid  int
 }
 
 // Add appends a record. Significance values must be positive for the
@@ -65,84 +68,58 @@ func (l *List) Len() int { return len(l.recs) }
 func (l *List) All() []Record { return l.recs }
 
 func (l *List) rebuild() {
-	if !l.dirty && l.sorted != nil {
+	if !l.dirty && l.prefixSig != nil {
 		return
 	}
 	// Sort the pending batch (stable, preserving insertion order among
-	// equal values) and merge it with the already-sorted view.
+	// equal values) and insert it in place, largest first: each record goes
+	// above every sorted record with a value <= its own (older records first
+	// on ties, matching a stable sort of the full list), and the block above
+	// it moves up once, by the number of pending records still to land
+	// below it.
 	sort.SliceStable(l.pending, func(i, j int) bool {
 		return l.pending[i].Value < l.pending[j].Value
 	})
-	// firstChanged is the first sorted index whose record moved; prefix sums
-	// below it are still valid and are not recomputed.
-	firstChanged := len(l.sorted)
-	switch {
-	case len(l.pending) == 0:
-		// First query on an empty list: materialize the (empty) view.
-		firstChanged = 0
-	case len(l.sorted) == 0:
-		l.sorted = append(l.sorted, l.pending...)
-		firstChanged = 0
-	case l.pending[0].Value >= l.sorted[len(l.sorted)-1].Value:
-		// Append fast path: the whole batch lands at or above the current
-		// maximum, which is the common case for monotone workload phases.
-		// (On ties the merge below would also keep the older records first,
-		// so appending matches it exactly.)
-		l.sorted = append(l.sorted, l.pending...)
-	default:
-		// Merge into the retired buffer of the previous rebuild rather than
-		// a fresh slice; the two views ping-pong so the steady state is
-		// allocation-free.
-		need := len(l.sorted) + len(l.pending)
-		merged := l.spare[:0]
-		if cap(merged) < need {
-			merged = make([]Record, 0, need+need/4)
-		}
-		i, j := 0, 0
-		for i < len(l.sorted) && j < len(l.pending) {
-			// <= keeps earlier-inserted (already sorted) records first on
-			// ties, matching a stable sort of the full list.
-			if l.sorted[i].Value <= l.pending[j].Value {
-				merged = append(merged, l.sorted[i])
-				i++
-			} else {
-				if j == 0 {
-					firstChanged = i
-				}
-				merged = append(merged, l.pending[j])
-				j++
-			}
-		}
-		merged = append(merged, l.sorted[i:]...)
-		merged = append(merged, l.pending[j:]...)
-		l.sorted, l.spare = merged, l.sorted
+	end := len(l.sorted) // sorted[:end] has not moved yet
+	l.sorted = append(l.sorted, l.pending...)
+	for j := len(l.pending) - 1; j >= 0; j-- {
+		p := l.pending[j]
+		pos := sort.Search(end, func(i int) bool { return l.sorted[i].Value > p.Value })
+		copy(l.sorted[pos+j+1:], l.sorted[pos:end])
+		l.sorted[pos+j] = p
+		end = pos
 	}
 	l.pending = l.pending[:0]
+	// end is now the first sorted index whose record changed; prefix sums up
+	// to it are still valid and are not recomputed.
 	n := len(l.sorted)
-	if cap(l.prefixSig) < n+1 {
-		c := n + 1 + (n+1)/4
-		l.prefixSig = make([]float64, n+1, c)
-		l.prefixValSig = make([]float64, n+1, c)
-		l.prefixTime = make([]float64, n+1, c)
-		l.prefixValT = make([]float64, n+1, c)
-		firstChanged = 0
-	} else {
-		l.prefixSig = l.prefixSig[:n+1]
-		l.prefixValSig = l.prefixValSig[:n+1]
-		l.prefixTime = l.prefixTime[:n+1]
-		l.prefixValT = l.prefixValT[:n+1]
-	}
-	if firstChanged == 0 {
-		l.prefixSig[0], l.prefixValSig[0], l.prefixTime[0], l.prefixValT[0] = 0, 0, 0, 0
-	}
-	for i := firstChanged; i < n; i++ {
+	l.prefixSig = append(l.prefixSig, make([]float64, n+1-len(l.prefixSig))...)
+	l.prefixValSig = append(l.prefixValSig, make([]float64, n+1-len(l.prefixValSig))...)
+	for i := end; i < n; i++ {
 		r := l.sorted[i]
 		l.prefixSig[i+1] = l.prefixSig[i] + r.Sig
 		l.prefixValSig[i+1] = l.prefixValSig[i] + r.Value*r.Sig
+	}
+	l.timeValid = min(l.timeValid, end)
+	l.dirty = false
+}
+
+// timePrefixes rebuilds the sorted view if needed and extends the
+// time-weighted prefix sums over all of it.
+func (l *List) timePrefixes() {
+	l.rebuild()
+	n := len(l.sorted)
+	if l.timeValid == n {
+		return
+	}
+	l.prefixTime = append(l.prefixTime, make([]float64, n+1-len(l.prefixTime))...)
+	l.prefixValT = append(l.prefixValT, make([]float64, n+1-len(l.prefixValT))...)
+	for i := l.timeValid; i < n; i++ {
+		r := l.sorted[i]
 		l.prefixTime[i+1] = l.prefixTime[i] + r.Time
 		l.prefixValT[i+1] = l.prefixValT[i] + r.Value*r.Time
 	}
-	l.dirty = false
+	l.timeValid = n
 }
 
 // Sorted returns the records sorted ascending by value. The returned slice
@@ -206,7 +183,7 @@ func (l *List) WeightedMean(lo, hi int) float64 {
 
 // TimeSum returns the total execution time of sorted records in [lo, hi].
 func (l *List) TimeSum(lo, hi int) float64 {
-	l.rebuild()
+	l.timePrefixes()
 	l.checkRange(lo, hi)
 	return l.prefixTime[hi+1] - l.prefixTime[lo]
 }
@@ -214,7 +191,7 @@ func (l *List) TimeSum(lo, hi int) float64 {
 // ValueTimeSum returns Σ value·time over sorted records in [lo, hi]. The
 // Tovar baselines use it to evaluate time-weighted expected waste.
 func (l *List) ValueTimeSum(lo, hi int) float64 {
-	l.rebuild()
+	l.timePrefixes()
 	l.checkRange(lo, hi)
 	return l.prefixValT[hi+1] - l.prefixValT[lo]
 }
@@ -240,8 +217,6 @@ type View struct {
 	Sorted       []Record
 	PrefixSig    []float64
 	PrefixValSig []float64
-	PrefixTime   []float64
-	PrefixValT   []float64
 }
 
 // View rebuilds the sorted view if needed and returns a snapshot of it.
@@ -251,8 +226,6 @@ func (l *List) View() View {
 		Sorted:       l.sorted,
 		PrefixSig:    l.prefixSig,
 		PrefixValSig: l.prefixValSig,
-		PrefixTime:   l.prefixTime,
-		PrefixValT:   l.prefixValT,
 	}
 }
 

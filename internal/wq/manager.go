@@ -447,7 +447,7 @@ func (m *Manager) evict(w *managedWorker) {
 		m.stats.Requeues++
 		m.traceLocked(Event{Type: EventRequeue, TaskID: id, WorkerID: -1})
 	}
-	m.queue = append(requeue, m.queue...)
+	m.requeueFrontLocked(requeue...)
 	m.notePeakQueueLocked()
 	w.running = make(map[int]resources.Vector)
 	w.used = resources.Vector{}
@@ -643,7 +643,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 			m.mu.Lock()
 			if !st.done {
 				st.alloc = next
-				m.queue = append([]int{st.task.ID}, m.queue...)
+				m.requeueFrontLocked(st.task.ID)
 				m.notePeakQueueLocked()
 				m.stats.Requeues++
 				m.traceLocked(Event{Type: EventRequeue, TaskID: st.task.ID, WorkerID: -1})
@@ -655,13 +655,24 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Unlock()
 }
 
+// requeueFrontLocked puts ids, in order, ahead of everything queued, shifting
+// the queue up in place. Callers hold m.mu.
+func (m *Manager) requeueFrontLocked(ids ...int) {
+	queued := len(m.queue)
+	m.queue = append(m.queue, ids...)
+	copy(m.queue[len(ids):], m.queue[:queued])
+	copy(m.queue, ids)
+}
+
 // dispatchLocked places queued tasks onto workers with free capacity. A
 // closed (draining) manager dispatches nothing. Callers hold m.mu.
 func (m *Manager) dispatchLocked() {
 	if m.closed {
 		return
 	}
-	var remaining []int
+	// Tasks left waiting are compacted to the front of the queue as the scan
+	// passes them: the write index never overtakes the read index.
+	remaining := m.queue[:0]
 	for _, id := range m.queue {
 		st := m.tasks[id]
 		if st == nil || st.done {
@@ -670,9 +681,12 @@ func (m *Manager) dispatchLocked() {
 		// Allocation happens at dispatch time: first attempts get a fresh
 		// prediction on every placement try so queued tasks benefit from
 		// records that arrived while they waited; retries keep their
-		// escalated allocation. The policy serializes itself; holding m.mu
-		// here is acceptable because Allocate is cheap relative to the
-		// network round trips it gates.
+		// escalated allocation. The policy serializes itself. Allocate runs
+		// under m.mu, so its cost is paid by every worker waiting on a
+		// dispatch: a bucketing policy recomputes its buckets on the first
+		// call after an Observe, and that is the largest share of the wall
+		// clock on the benchmark's wq-greedy-recompute workload (DESIGN.md
+		// §9).
 		alloc := st.alloc
 		if !st.hasAlloc {
 			alloc = m.policy.Allocate(st.task.Category, st.task.ID)
