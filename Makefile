@@ -50,7 +50,7 @@ WQ_MAX_ALLOCS = 8
 # numbers go to a temporary file, never over the committed BENCH_*.json.
 SMOKE_OUT = tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT;
 
-.PHONY: all build test race test-live vet bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke short ci clean
+.PHONY: all build test race test-live vet bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke bench-test short ci clean
 
 all: build
 
@@ -149,7 +149,14 @@ whatif-smoke:
 		-des -pool churn:8:600:120:2000 -log "$$tmp/rec.jsonl" >/dev/null 2>&1 && \
 	$(GO) run ./cmd/whatif -fidelity -algorithms greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
 
-ci: vet build test race test-live whatif-smoke bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke
+# The end-to-end benchmark (bench/, BENCHMARK.json) is a Go module of its
+# own, so build, vet and test at the root never compile it: a change to
+# Policy, sim.Config or the wq options that breaks it would pass ci and fail
+# only in the benchmark pipeline. Its tests (< 1 s) smoke all five workloads.
+bench-test:
+	cd bench && $(GO) test ./... -count=1
+
+ci: vet build test race test-live whatif-smoke bench-test bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke
 
 clean:
 	rm -rf figures-out

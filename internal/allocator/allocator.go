@@ -154,16 +154,25 @@ func (c Config) kinds() []resources.Kind {
 // wraps each in the exploratory mode, and serves multi-resource allocations
 // clamped to worker capacity. It is safe for concurrent use.
 type Allocator struct {
-	alg   Name
-	cfg   Config
-	kinds []resources.Kind // cfg.kinds(), computed once at construction
-	mu    sync.Mutex
-	rng   *rand.Rand
-	cats  map[string]*categoryState
+	alg    Name
+	cfg    Config
+	kinds  []resources.Kind // cfg.kinds(), computed once at construction
+	stable bool             // the algorithm's Predict draws no randomness
+	mu     sync.Mutex
+	rng    *rand.Rand
+	cats   map[string]*categoryState
+	// last is the state of lastCat, the previous call's category: a dispatch
+	// pass asks for one category many times in a row.
+	lastCat string
+	last    *categoryState
 }
 
 type categoryState struct {
-	est map[resources.Kind]Estimator
+	est [resources.NumKinds]Estimator // nil for kinds not under allocation
+	// first memoises a stable algorithm's clamped first-attempt vector while
+	// hasFirst; Observe drops it, ResetCategory drops the whole state.
+	first    resources.Vector
+	hasFirst bool
 }
 
 // New builds an allocator running the named algorithm.
@@ -173,11 +182,12 @@ func New(alg Name, cfg Config) (*Allocator, error) {
 	}
 	cfg = cfg.withDefaults(alg)
 	return &Allocator{
-		alg:   alg,
-		cfg:   cfg,
-		kinds: cfg.kinds(),
-		rng:   dist.NewRand(cfg.Seed),
-		cats:  make(map[string]*categoryState),
+		alg:    alg,
+		cfg:    cfg,
+		kinds:  cfg.kinds(),
+		stable: alg == WholeMachine || alg == MaxSeen || alg == MinWaste || alg == MaxThroughput || alg == Percentile,
+		rng:    dist.NewRand(cfg.Seed),
+		cats:   make(map[string]*categoryState),
 	}, nil
 }
 
@@ -200,14 +210,18 @@ func (a *Allocator) category(cat string) *categoryState {
 	if a.cfg.IgnoreCategories {
 		cat = ""
 	}
+	if a.last != nil && cat == a.lastCat {
+		return a.last
+	}
 	cs, ok := a.cats[cat]
 	if !ok {
-		cs = &categoryState{est: make(map[resources.Kind]Estimator, resources.NumKinds)}
+		cs = &categoryState{}
 		for _, k := range a.kinds {
 			cs.est[k] = a.newEstimator(k)
 		}
 		a.cats[cat] = cs
 	}
+	a.lastCat, a.last = cat, cs
 	return cs
 }
 
@@ -244,9 +258,21 @@ func (a *Allocator) newEstimator(k resources.Kind) Estimator {
 
 // Allocate implements Policy.
 func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
+	alloc, _ := a.AllocateStable(category, taskID)
+	return alloc
+}
+
+// AllocateStable implements StablePolicy. The algorithms that draw no
+// randomness compute a category's first-attempt vector once per Observe and
+// serve the memo in between; the sampling ones draw per call, in exploratory
+// mode too, so their RNG streams do not depend on who asks.
+func (a *Allocator) AllocateStable(category string, taskID int) (resources.Vector, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cs := a.category(category)
+	if cs.hasFirst {
+		return cs.first, true
+	}
 	alloc := resources.New(0, 0, 0, resources.Unlimited)
 	// Iterate kinds in canonical order so the shared RNG stream, and hence
 	// the whole run, is reproducible from the seed.
@@ -254,7 +280,10 @@ func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
 		v := cs.est[k].Predict(a.rng)
 		alloc = alloc.With(k, a.clamp(k, v))
 	}
-	return alloc
+	if a.stable {
+		cs.first, cs.hasFirst = alloc, true
+	}
+	return alloc, a.stable
 }
 
 // Retry implements Policy: exhausted kinds escalate through the kind's
@@ -265,11 +294,10 @@ func (a *Allocator) Retry(category string, taskID int, prev resources.Vector, ex
 	cs := a.category(category)
 	next := prev
 	for _, k := range exceeded {
-		est, ok := cs.est[k]
-		if !ok {
+		if k < 0 || k >= resources.NumKinds || cs.est[k] == nil {
 			continue // kind not under allocation (e.g. time when disabled)
 		}
-		v := est.Retry(prev.Get(k), a.rng)
+		v := cs.est[k].Retry(prev.Get(k), a.rng)
 		if v <= prev.Get(k) {
 			v = prev.Get(k) * 2 // defensive: keep escalation strictly increasing
 		}
@@ -285,6 +313,7 @@ func (a *Allocator) Observe(category string, taskID int, peak resources.Vector, 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cs := a.category(category)
+	cs.hasFirst = false
 	sig := float64(taskID)
 	if a.cfg.FlatSignificance {
 		sig = 1
@@ -325,12 +354,12 @@ func (a *Allocator) ResetCategory(category string) {
 		category = ""
 	}
 	delete(a.cats, category)
+	a.last = nil
 }
 
 // Records returns the number of records observed for a category. Every kind
 // of a category sees the same observations, so the count is read from the
-// first allocated kind in canonical order — not from a map iteration, whose
-// order would make the answering estimator (though not the count) random.
+// first allocated kind in canonical order.
 func (a *Allocator) Records(category string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -341,10 +370,7 @@ func (a *Allocator) Records(category string) int {
 	if !ok {
 		return 0
 	}
-	if est, ok := cs.est[a.kinds[0]]; ok {
-		return est.Len()
-	}
-	return 0
+	return cs.est[a.kinds[0]].Len()
 }
 
 // BucketStats returns the bucketing telemetry per (category, kind) when the
@@ -354,8 +380,8 @@ func (a *Allocator) BucketStats() map[string]map[resources.Kind]core.Stats {
 	defer a.mu.Unlock()
 	var out map[string]map[resources.Kind]core.Stats
 	for cat, cs := range a.cats {
-		for k, est := range cs.est {
-			ex, ok := est.(*explorer)
+		for _, k := range a.kinds {
+			ex, ok := cs.est[k].(*explorer)
 			if !ok {
 				continue
 			}

@@ -21,23 +21,16 @@ import (
 //
 // over the observed records, where m is the maximum seen value. Candidates
 // are the observed values themselves; prefix sums make the sweep O(n) after
-// sorting.
+// sorting. The Allocator memoises the result until the next Observe, so the
+// sweep runs once per observation however often the scheduler asks.
 type minWaste struct {
 	recs record.List
-	// The sweep result is deterministic for a fixed record list; cache it
-	// until the next observation (the scheduler may ask for thousands of
-	// predictions between completions).
-	cachedAt int
-	cached   float64
 }
 
 func (mw *minWaste) Predict(*rand.Rand) float64 {
 	n := mw.recs.Len()
 	if n == 0 {
 		return 0
-	}
-	if mw.cachedAt == n {
-		return mw.cached
 	}
 	m := mw.recs.MaxValue()
 	tAll := mw.recs.TimeSum(0, n-1)
@@ -61,7 +54,6 @@ func (mw *minWaste) Predict(*rand.Rand) float64 {
 			bestA = a
 		}
 	}
-	mw.cachedAt, mw.cached = n, bestA
 	return bestA
 }
 
@@ -79,18 +71,13 @@ func (mw *minWaste) Len() int { return mw.recs.Len() }
 // probability. Candidates are the observed values; the score is
 // P(v <= a) / a, time-weighted to favour long-running successes.
 type maxThroughput struct {
-	recs     record.List
-	cachedAt int
-	cached   float64
+	recs record.List
 }
 
 func (mt *maxThroughput) Predict(*rand.Rand) float64 {
 	n := mt.recs.Len()
 	if n == 0 {
 		return 0
-	}
-	if mt.cachedAt == n {
-		return mt.cached
 	}
 	tAll := mt.recs.TimeSum(0, n-1)
 	best := math.Inf(-1)
@@ -110,7 +97,6 @@ func (mt *maxThroughput) Predict(*rand.Rand) float64 {
 			bestA = a
 		}
 	}
-	mt.cachedAt, mt.cached = n, bestA
 	return bestA
 }
 

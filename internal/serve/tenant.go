@@ -25,11 +25,11 @@ type tenant struct {
 	name string
 	alg  allocator.Name
 
-	// mu guards the decay bookkeeping and counters. Prediction calls
-	// (Allocate/Retry) deliberately do not take it: they go straight to the
-	// allocator, which serializes itself, so a decay replay on the observe
-	// path delays at most the allocator-internal critical section, never
-	// this tenant's frame routing — and other tenants share nothing at all.
+	// mu guards the decay bookkeeping and counters, and every call into the
+	// allocator runs under it: a decay is ResetCategory plus a window replay,
+	// several allocator calls that must look like one to this tenant's other
+	// connections, or a prediction served between them would be the
+	// exploration vector. Other tenants share nothing at all.
 	mu         sync.Mutex
 	alloc      *allocator.Allocator
 	refs       int       // connections currently registered
@@ -72,22 +72,20 @@ func newTenant(name string, alg allocator.Name, seed uint64, maxRecords, decayWi
 
 // allocate serves a first-attempt prediction.
 func (t *tenant) allocate(category string, taskID int) resources.Vector {
-	v := t.alloc.Allocate(category, taskID)
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.allocates++
 	t.lastActive = time.Now()
-	t.mu.Unlock()
-	return v
+	return t.alloc.Allocate(category, taskID)
 }
 
 // retry serves an escalated prediction after a failed attempt.
 func (t *tenant) retry(category string, taskID int, prev resources.Vector, exceeded []resources.Kind) resources.Vector {
-	v := t.alloc.Retry(category, taskID, prev, exceeded)
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.retries++
 	t.lastActive = time.Now()
-	t.mu.Unlock()
-	return v
+	return t.alloc.Retry(category, taskID, prev, exceeded)
 }
 
 // observe feeds one completed task's record into the tenant's allocator and

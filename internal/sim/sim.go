@@ -221,6 +221,8 @@ type simulator struct {
 	// are nilled so the worker can be collected.
 	byID    []*simWorker
 	victims []int // eviction scratch, reused across onEviction calls
+	// firsts serves first-attempt allocations within one dispatch pass.
+	firsts allocator.PassMemo
 
 	window            int  // submit window (0 = everything released at once)
 	generated         int  // tasks pulled from the source so far
@@ -505,27 +507,39 @@ func (s *simulator) dispatch() {
 	// without rebuilding a `remaining` slice per dispatch pass.
 	n := s.ready.Len()
 	kept, scanned := 0, 0
+	s.firsts.Begin(s.cfg.Policy)
 	for ; scanned < n; scanned++ {
 		if misses >= maxConsecutiveMisses {
 			break
 		}
 		idx := s.ready.At(scanned)
 		st := s.store.get(idx)
-		// Allocation happens at dispatch time (Section II-A): a first
-		// attempt gets a fresh prediction every time placement is tried,
-		// so a task that waited in the queue benefits from everything the
-		// allocator learned meanwhile. Retries keep their escalated
+		// Allocation happens at dispatch time (Section II-A), so a task that
+		// waited in the queue benefits from everything the allocator learned
+		// meanwhile. Nothing is observed during a pass, so a stable category
+		// is predicted once per pass, and once its vector fits no worker
+		// every later first attempt of it is a miss without a policy call or
+		// a probe: capacity only shrinks within a pass and every placement
+		// returns a worker iff one fits. A sampled category draws afresh for
+		// every first attempt on every pass. Retries keep their escalated
 		// allocation (hasAlloc is set on the retry path).
-		alloc := st.alloc
+		alloc, ok := st.alloc, true
 		if !st.hasAlloc {
-			alloc = s.cfg.Policy.Allocate(st.task.Category, st.task.ID)
+			alloc, ok = s.firsts.Allocate(st.task.Category, st.task.ID)
 		}
-		if w := s.pickWorker(alloc, st.task.ID); w != nil {
+		var w *simWorker
+		if ok {
+			w = s.pickWorker(alloc, st.task.ID)
+		}
+		if w != nil {
 			st.alloc = alloc
 			st.hasAlloc = true
 			s.place(w, idx)
 			misses = 0
 		} else {
+			if ok && !st.hasAlloc {
+				s.firsts.Missed(st.task.Category)
+			}
 			s.ready.Set(kept, idx)
 			kept++
 			misses++

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dynalloc/internal/allocator"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
 )
@@ -114,13 +115,19 @@ func (p benchPolicy) Retry(_ string, _ int, prev resources.Vector, _ []resources
 func (p benchPolicy) Observe(string, int, resources.Vector, float64) {}
 func (p benchPolicy) Name() string                                   { return "bench-fixed" }
 
-// benchEngine wires `workers` loopback workers into a fresh manager and
-// waits until they are all registered.
+// benchEngine wires `workers` loopback workers into a fresh manager around
+// the fixed-allocation policy and waits until they are all registered.
 func benchEngine(b *testing.B, workers int) (*Manager, context.CancelFunc) {
 	b.Helper()
-	m := NewManager(benchPolicy{alloc: resources.New(1, 100, 100, 3600)})
+	return benchEngineWith(b, benchPolicy{alloc: resources.New(1, 100, 100, 3600)},
+		resources.New(64, 1<<20, 1<<20, 3600), workers)
+}
+
+// benchEngineWith is benchEngine for a given policy and worker shape.
+func benchEngineWith(b *testing.B, policy allocator.Policy, capacity resources.Vector, workers int) (*Manager, context.CancelFunc) {
+	b.Helper()
+	m := NewManager(policy)
 	ctx, cancel := context.WithCancel(context.Background())
-	capacity := resources.New(64, 1<<20, 1<<20, 3600)
 	cfg := WorkerConfig{Capacity: capacity, TimeScale: 1e-12}
 	for i := 0; i < workers; i++ {
 		mgrSide, wkrSide := loopPipe()
@@ -151,8 +158,12 @@ func benchWQDispatch(b *testing.B, workers int) {
 	m, cancel := benchEngine(b, workers)
 	defer cancel()
 	defer m.Close()
+	benchDrive(b, m, 8*workers)
+}
 
-	depth := 8 * workers
+// benchDrive keeps `depth` tasks in flight through Submit until b.N have
+// completed, and reports the throughput.
+func benchDrive(b *testing.B, m *Manager, depth int) {
 	var remaining atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -182,6 +193,24 @@ func BenchmarkWQDispatch8Workers(b *testing.B) { benchWQDispatch(b, 8) }
 // BenchmarkWQDispatch64Workers stresses the dispatch scan and the result
 // intake under a wide worker fleet.
 func BenchmarkWQDispatch64Workers(b *testing.B) { benchWQDispatch(b, 64) }
+
+// BenchmarkWQDeepQueue256 is the queue-depth scenario the dispatch benchmarks
+// above never reach: a real max-seen allocator, 256 tasks in flight on two
+// workers that hold four steady-state allocations each, so every dispatch
+// pass walks ~248 queued first attempts of one category behind a full fleet.
+func BenchmarkWQDeepQueue256(b *testing.B) {
+	capacity := resources.New(4, 1000, 1000, 3600)
+	pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})
+	// Leave exploratory mode before the clock starts: max-seen explores
+	// with a whole worker, one task at a time.
+	for task := 1; task <= 10; task++ {
+		pol.Observe(benchTask.Category, task, benchTask.Consumption, benchTask.Runtime())
+	}
+	m, cancel := benchEngineWith(b, pol, capacity, 2)
+	defer cancel()
+	defer m.Close()
+	benchDrive(b, m, 256)
+}
 
 // BenchmarkWQChurn8Workers overlays worker churn on the dispatch stream: one
 // of the 8 workers is killed (and replaced) every churnEvery completed

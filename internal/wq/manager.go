@@ -48,6 +48,8 @@ type Manager struct {
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
 	queue   []int // task IDs awaiting placement; retries at the front
+	// firsts serves first-attempt allocations within one dispatch pass.
+	firsts  allocator.PassMemo
 	nextWID int
 	nextTID int // highest task ID ever registered, on any path
 	closed  bool
@@ -673,23 +675,30 @@ func (m *Manager) dispatchLocked() {
 	// Tasks left waiting are compacted to the front of the queue as the scan
 	// passes them: the write index never overtakes the read index.
 	remaining := m.queue[:0]
+	m.firsts.Begin(m.policy)
 	for _, id := range m.queue {
 		st := m.tasks[id]
 		if st == nil || st.done {
 			continue
 		}
-		// Allocation happens at dispatch time: first attempts get a fresh
-		// prediction on every placement try so queued tasks benefit from
+		// Allocation happens at dispatch time, so queued tasks benefit from
 		// records that arrived while they waited; retries keep their
-		// escalated allocation. The policy serializes itself. Allocate runs
-		// under m.mu, so its cost is paid by every worker waiting on a
-		// dispatch: a bucketing policy recomputes its buckets on the first
-		// call after an Observe, and that is the largest share of the wall
-		// clock on the benchmark's wq-greedy-recompute workload (DESIGN.md
-		// §9).
+		// escalated allocation. A stable category is predicted once per pass
+		// and, once its vector fits no worker, its later first attempts stay
+		// queued without a policy call or a worker scan (capacity only
+		// shrinks within a pass); a sampled category draws afresh for every
+		// first attempt on every pass. Allocate runs under m.mu, so every
+		// worker waiting on a dispatch pays for it: a bucketing policy
+		// recomputes its buckets on the first call after an Observe, the
+		// largest share of the wall clock on the benchmark's
+		// wq-greedy-recompute workload (DESIGN.md §9).
 		alloc := st.alloc
 		if !st.hasAlloc {
-			alloc = m.policy.Allocate(st.task.Category, st.task.ID)
+			var ok bool
+			if alloc, ok = m.firsts.Allocate(st.task.Category, st.task.ID); !ok {
+				remaining = append(remaining, id)
+				continue
+			}
 		}
 		placed := false
 		for w := m.aliveHead; w != nil; w = w.next {
@@ -722,6 +731,9 @@ func (m *Manager) dispatchLocked() {
 			break
 		}
 		if !placed {
+			if !st.hasAlloc {
+				m.firsts.Missed(st.task.Category)
+			}
 			remaining = append(remaining, id)
 		}
 	}
