@@ -44,6 +44,13 @@ BENCH_WQ_PATTERN = 'BenchmarkWQ'
 # headroom covers driver/executor goroutine spin-up amortized across the
 # smoke iterations. Past this the wire hot path started allocating again.
 WQ_MAX_ALLOCS = 8
+# BenchmarkWQGreedyBurst is judged apart: its bimodal tasks exhaust ~1.3
+# attempts each, and every exhaustion pays the retry path's allocations on top
+# of the round trip's (exceeded-kind slices on both ends, the attempt ledger
+# outgrowing its inline slot): 11-13 allocs/op measured. Its ceiling catches
+# per-dispatch-pass or per-recompute allocation, which would add tens.
+WQ_BURST = BenchmarkWQGreedyBurst
+WQ_BURST_MAX_ALLOCS = 20
 
 # The *-smoke targets gate (the suites run, their output parses, the
 # allocs/op ceilings hold) without recording: their -benchtime 1x/1000x
@@ -69,9 +76,13 @@ race:
 	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/serve/... ./internal/runlog/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
-# retry, drain-under-load, ID-collision regressions) under the race detector.
+# retry, drain-under-load, ID-collision regressions, the pipelined stress
+# suite) under the race detector, with the line reader the manager's intake
+# rests on; then the result-intake tests ten times over, since the drainer's
+# early Observe shares task state with evictions on other goroutines.
 test-live:
-	$(GO) test -race ./internal/wq/... -count=1
+	$(GO) test -race ./internal/wq/... ./internal/jsonwire/... -count=1
+	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle' -count=10
 
 vet:
 	$(GO) vet ./...
@@ -137,7 +148,8 @@ wq-bench:
 # enforced so the frame hot path cannot silently start allocating. 2000
 # iterations amortize the driver/executor goroutine spin-up below ~1/op.
 wq-bench-smoke:
-	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
+	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -skip $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
+	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_BURST_MAX_ALLOCS) -out "$$tmp"
 
 # End-to-end smoke of the record -> replay -> what-if loop: record a small
 # DES run on a churny pool, verify the fidelity replay reproduces the

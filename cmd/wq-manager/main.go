@@ -117,6 +117,8 @@ func main() {
 		st.HeartbeatTimeouts, st.WorkersLost, st.PeakQueue, st.PeakWorkers)
 	fmt.Printf("        frames_sent=%d flush_batches=%d decode_errors=%d\n",
 		st.FramesSent, st.FlushBatches, st.DecodeErrors)
+	fmt.Printf("        frames_per_flush=%.2f results_per_batch=%.2f\n",
+		ratio(st.FramesSent, st.FlushBatches), ratio(st.ResultsStaged, st.ResultBatches))
 	wtab := report.New("per-worker utilization",
 		"worker", "connected", "dispatched", "successes", "exhaustions", "evictions", "busy (virtual s)")
 	for _, ws := range st.Workers {
@@ -138,4 +140,12 @@ func fatalIf(err error) {
 		fmt.Fprintln(os.Stderr, "wq-manager:", err)
 		os.Exit(1)
 	}
+}
+
+// ratio is n/d, or 0 when nothing was counted.
+func ratio(n, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }

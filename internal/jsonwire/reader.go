@@ -54,14 +54,26 @@ func (fr *Reader) Next() ([]byte, error) {
 }
 
 // Buffered reports whether a complete frame line is already in memory, i.e.
-// whether Next can return without touching the connection.
+// whether Next can return without touching the connection. Next skips blank
+// lines, so a buffered blank line is not a frame: Buffered consumes it —
+// otherwise a caller that defers its flush while Buffered is true would call
+// Next, which skips the blank and blocks on the connection with the flush
+// still owed.
 func (fr *Reader) Buffered() bool {
-	window := fr.buf[fr.start:fr.end]
-	if i := bytes.IndexByte(window[fr.scanned:], '\n'); i >= 0 {
-		return true
+	for {
+		window := fr.buf[fr.start:fr.end]
+		i := bytes.IndexByte(window[fr.scanned:], '\n')
+		if i < 0 {
+			fr.scanned = len(window)
+			return false
+		}
+		if !isBlank(window[:fr.scanned+i]) {
+			fr.scanned += i
+			return true
+		}
+		fr.start += fr.scanned + i + 1
+		fr.scanned = 0
 	}
-	fr.scanned = len(window)
-	return false
 }
 
 // fill compacts the window to the front of the buffer, growing it when a

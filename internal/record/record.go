@@ -95,10 +95,19 @@ func (l *List) rebuild() {
 	n := len(l.sorted)
 	l.prefixSig = append(l.prefixSig, make([]float64, n+1-len(l.prefixSig))...)
 	l.prefixValSig = append(l.prefixValSig, make([]float64, n+1-len(l.prefixValSig))...)
-	for i := end; i < n; i++ {
-		r := l.sorted[i]
-		l.prefixSig[i+1] = l.prefixSig[i] + r.Sig
-		l.prefixValSig[i+1] = l.prefixValSig[i] + r.Value*r.Sig
+	// The running sums are carried in locals and written through tails cut to
+	// the records' length: the same additions in the same order as
+	// prefix[i+1] = prefix[i] + x, without the store-to-load round trip on the
+	// dependency chain or a bounds check per store.
+	sig, valSig := l.prefixSig[end], l.prefixValSig[end]
+	tail := l.sorted[end:]
+	sigOut := l.prefixSig[end+1:][:len(tail)]
+	valSigOut := l.prefixValSig[end+1:][:len(tail)]
+	for i, r := range tail {
+		sig = sig + r.Sig
+		valSig = valSig + r.Value*r.Sig
+		sigOut[i] = sig
+		valSigOut[i] = valSig
 	}
 	l.timeValid = min(l.timeValid, end)
 	l.dirty = false

@@ -114,6 +114,29 @@ func TestServeDecodeErrorsCounted(t *testing.T) {
 	rc3.register("garbage-b")
 }
 
+// TestServeBlankLineAfterFrameStillReplies pins the flush rule against a
+// frame followed by a blank line in the same write: the server defers its
+// flush while the reader says a frame is buffered, so a reader that counts the
+// blank line as a frame withholds the reply and then blocks on the socket.
+func TestServeBlankLineAfterFrameStillReplies(t *testing.T) {
+	_, addr := startServer(t)
+	rc := rawDial(t, addr)
+	rc.register("blank-line")
+	if _, err := rc.conn.Write([]byte("{\"type\":\"ping\",\"seq\":2}\n\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := rc.readFrame()
+	if err != nil {
+		t.Fatalf("no reply to a ping followed by a blank line: %v", err)
+	}
+	if f.Type != TypePong || f.Seq != 2 {
+		t.Fatalf("got %+v, want pong seq 2", f)
+	}
+}
+
 // TestServeInteropWithEncodingJSON drives a full request/retry/observe/stats
 // exchange through encoding/json on the client side, proving the hand-rolled
 // server codec interoperates with stock-JSON third-party clients.

@@ -161,9 +161,14 @@ func benchWQDispatch(b *testing.B, workers int) {
 	benchDrive(b, m, 8*workers)
 }
 
-// benchDrive keeps `depth` tasks in flight through Submit until b.N have
-// completed, and reports the throughput.
+// benchDrive keeps `depth` copies of benchTask in flight through Submit until
+// b.N have completed, and reports the throughput.
 func benchDrive(b *testing.B, m *Manager, depth int) {
+	benchDriveTasks(b, m, depth, func(int64) workflow.Task { return benchTask })
+}
+
+// benchDriveTasks is benchDrive over task(n), n counting down from b.N-1.
+func benchDriveTasks(b *testing.B, m *Manager, depth int, task func(n int64) workflow.Task) {
 	var remaining atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,8 +178,8 @@ func benchDrive(b *testing.B, m *Manager, depth int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for remaining.Add(-1) >= 0 {
-				<-m.Submit(benchTask)
+			for n := remaining.Add(-1); n >= 0; n = remaining.Add(-1) {
+				<-m.Submit(task(n))
 			}
 		}()
 	}
@@ -210,6 +215,36 @@ func BenchmarkWQDeepQueue256(b *testing.B) {
 	defer cancel()
 	defer m.Close()
 	benchDrive(b, m, 256)
+}
+
+// BenchmarkWQGreedyBurst is the recompute-bound scenario: a real
+// greedy-bucketing allocator whose records grow with every completion,
+// bimodal tasks, 32 in flight on two paper workers that run about half of
+// them, so results come back in bursts and every dispatch pass re-predicts a
+// standing queue. recomputes/op is the bucketing recomputes (all kinds) per
+// completed task: 3 when every Observe is followed by a pass, 3/k when the
+// manager observes a burst of k before the first of its passes. Bursts need
+// a second P here: on one, a loopPipe write hands the P straight to the
+// woken reader, so results arrive one at a time (a real socket batches them
+// in the kernel buffer instead).
+func BenchmarkWQGreedyBurst(b *testing.B) {
+	wf, err := workflow.Synthetic("bimodal", 4096, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	capacity := resources.PaperWorker()
+	pol := allocator.MustNew(allocator.Greedy, allocator.Config{Capacity: capacity, Seed: 1})
+	m, cancel := benchEngineWith(b, pol, capacity, 2)
+	defer cancel()
+	defer m.Close()
+	benchDriveTasks(b, m, 32, func(n int64) workflow.Task { return wf.Tasks[n%int64(len(wf.Tasks))] })
+	recomputes := 0
+	for _, kinds := range pol.BucketStats() {
+		for _, s := range kinds {
+			recomputes += s.Recomputes
+		}
+	}
+	b.ReportMetric(float64(recomputes)/float64(b.N), "recomputes/op")
 }
 
 // BenchmarkWQChurn8Workers overlays worker churn on the dispatch stream: one

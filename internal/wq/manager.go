@@ -79,13 +79,18 @@ type Manager struct {
 
 	// intake stages completed results decoded by worker reader goroutines
 	// (guarded by intakeMu, deliberately separate from mu): readers never
-	// contend on the manager lock just to hand a result over, and whichever
-	// goroutine finds the intake idle drains the whole backlog in batches —
+	// contend on the manager lock just to hand a result over. A reader stages
+	// every result frame of one socket read and then kicks; whichever kick
+	// finds the intake idle drains the whole backlog in batches — the batch's
+	// successes observed first, then one settle and dispatch pass per result,
 	// one flushPending per batch — while later readers stage and move on.
 	intakeMu    sync.Mutex
 	intake      []stagedResult
 	intakeSpare []stagedResult
 	intakeBusy  bool
+
+	resultBatches atomic.Int64
+	resultsStaged atomic.Int64
 
 	// options
 	hbInterval   time.Duration
@@ -149,6 +154,13 @@ type taskState struct {
 	// attemptsBuf inlines the first attempt record so the common
 	// one-attempt-and-done task never heap-allocates its attempts slice.
 	attemptsBuf [1]metrics.Attempt
+
+	// observed is set, under Manager.mu, once the task's success has been
+	// handed to policy.Observe — by the drainer's early loop or by
+	// processResult, whichever sees it first — and never cleared: a success
+	// observed early and then lost to an eviction is not observed again when
+	// the task re-runs.
+	observed bool
 
 	// owner is the ID of the worker currently running the task, or -1 when
 	// the task is queued, finished, or was never dispatched. A result frame
@@ -283,6 +295,12 @@ func (m *Manager) serveWorker(conn net.Conn) {
 
 	var res Message
 	for {
+		// Stage every result frame the last socket read brought in and hand
+		// the burst over exactly when the reader is about to block, so the
+		// drainer can observe all of it before the first re-prediction.
+		if !mr.buffered() {
+			m.kickIntake()
+		}
 		if err := mr.next(&res); err != nil {
 			m.noteDecodeError(w.id, err)
 			break
@@ -295,6 +313,9 @@ func (m *Manager) serveWorker(conn net.Conn) {
 			// lastSeen is already refreshed; nothing else to do.
 		}
 	}
+	// Results staged ahead of a malformed frame are settled before the
+	// eviction would make them stale.
+	m.kickIntake()
 	m.evict(w)
 }
 
@@ -498,12 +519,11 @@ func (m *Manager) failIfOverLimitLocked(st *taskState) bool {
 	return true
 }
 
-// enqueueResult hands a completed-task frame from a worker reader goroutine
-// to the intake drainer: the result is staged under intakeMu (never the
-// manager lock), and whichever goroutine finds the intake idle becomes the
-// drainer for the whole backlog. Hot-path readers therefore stop contending
-// on m.mu for result ingestion — the old design's worst contention point,
-// where every reader serialized against dispatch.
+// enqueueResult stages a completed-task frame from a worker reader goroutine
+// for the intake drainer, under intakeMu and never the manager lock: hot-path
+// readers do not contend on m.mu for result ingestion — the old design's
+// worst contention point, where every reader serialized against dispatch.
+// Nothing is processed until the reader's next kickIntake.
 func (m *Manager) enqueueResult(w *managedWorker, res Message) {
 	if res.Exceeded != nil {
 		// The decoded slice aliases the reader's scratch and dies at the next
@@ -512,6 +532,14 @@ func (m *Manager) enqueueResult(w *managedWorker, res Message) {
 	}
 	m.intakeMu.Lock()
 	m.intake = append(m.intake, stagedResult{w: w, res: res})
+	m.intakeMu.Unlock()
+}
+
+// kickIntake makes the caller the drainer of the whole backlog unless one is
+// already running; the active drainer re-checks the intake before it stands
+// down, so nothing staged before a kick is left behind.
+func (m *Manager) kickIntake() {
+	m.intakeMu.Lock()
 	if m.intakeBusy {
 		m.intakeMu.Unlock()
 		return
@@ -523,8 +551,8 @@ func (m *Manager) enqueueResult(w *managedWorker, res Message) {
 
 // drainIntake processes staged results in batches until the intake is empty,
 // delivering the dispatches each batch produced with one coalesced flush.
-// Exactly one drainer runs at a time (intakeBusy), so the two staging slices
-// can ping-pong without copying.
+// Exactly one drainer runs at a time (the caller has set intakeBusy), so the
+// two staging slices can ping-pong without copying.
 func (m *Manager) drainIntake() {
 	for {
 		m.intakeMu.Lock()
@@ -537,6 +565,9 @@ func (m *Manager) drainIntake() {
 		m.intake = m.intakeSpare[:0]
 		m.intakeSpare = batch
 		m.intakeMu.Unlock()
+		m.resultBatches.Add(1)
+		m.resultsStaged.Add(int64(len(batch)))
+		m.observeBatch(batch)
 		for i := range batch {
 			m.processResult(batch[i].w, batch[i].res)
 		}
@@ -544,10 +575,41 @@ func (m *Manager) drainIntake() {
 	}
 }
 
+// observeBatch hands every success of the batch that processResult will
+// honour to policy.Observe before the first result is settled, so the lazy
+// bucketing state sees the k records of a burst in a row and the dispatch
+// passes that follow pay one recompute per resource kind, not k (the paper's
+// §V-C batching rule). Only the records move forward: each result still
+// frees its own capacity right before its own pass, so placement sees what
+// it saw before. The admission test is processResult's own, under m.mu; the
+// Observe calls run outside the lock, as they always have.
+func (m *Manager) observeBatch(batch []stagedResult) {
+	var buf [32]*taskState // one reader window holds ~20 result frames
+	early := buf[:0]
+	m.mu.Lock()
+	for i := range batch {
+		r := &batch[i]
+		if r.res.Status != StatusSuccess {
+			continue
+		}
+		st, ok := m.tasks[r.res.TaskID]
+		if !ok || st.done || st.owner != r.w.id || st.observed {
+			continue
+		}
+		st.observed = true
+		early = append(early, st)
+	}
+	m.mu.Unlock()
+	for _, st := range early {
+		m.policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+	}
+}
+
 // handleResult ingests one result synchronously: process it, then deliver any
-// dispatches it unlocked. The live path goes through enqueueResult instead so
-// concurrent results batch; this entry point keeps single-result semantics
-// for direct callers (tests pinning the stale-result and parity behavior).
+// dispatches it unlocked. The live path goes through the intake instead, so
+// the results of one socket read batch; this entry point keeps single-result
+// semantics for direct callers (tests pinning the stale-result and parity
+// behavior).
 func (m *Manager) handleResult(w *managedWorker, res Message) {
 	m.processResult(w, res)
 	m.flushPending()
@@ -555,7 +617,8 @@ func (m *Manager) handleResult(w *managedWorker, res Message) {
 
 // processResult applies one result frame to the engine state: release the
 // worker's capacity, honor the frame only if the worker still owns the task,
-// record the attempt, escalate or complete, and stage follow-on dispatches
+// record the attempt, escalate or complete (observing a success unless the
+// drainer's early loop already has), and stage follow-on dispatches
 // (delivered later by the caller's flushPending).
 func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Lock()
@@ -608,6 +671,8 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		notify := st.notify
 		st.notify = nil
 		outcome := st.outcome
+		observed := st.observed
+		st.observed = true
 		if st.ephemeral {
 			// Terminal and delivered below: drop the state so the task map
 			// stays bounded by live work instead of growing per submission.
@@ -616,7 +681,9 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		m.mu.Unlock()
 		// Observe outside the lock: the policy has its own lock and the
 		// bucketing recomputation can be slow.
-		m.policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+		if !observed {
+			m.policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+		}
 		if notify != nil {
 			notify <- outcome
 		}
@@ -689,9 +756,9 @@ func (m *Manager) dispatchLocked() {
 		// shrinks within a pass); a sampled category draws afresh for every
 		// first attempt on every pass. Allocate runs under m.mu, so every
 		// worker waiting on a dispatch pays for it: a bucketing policy
-		// recomputes its buckets on the first call after an Observe, the
-		// largest share of the wall clock on the benchmark's
-		// wq-greedy-recompute workload (DESIGN.md §9).
+		// recomputes its buckets on the first call after a run of Observes —
+		// once per result batch, because the drainer observes a batch's
+		// successes before the first of its passes (DESIGN.md §9, §16).
 		alloc := st.alloc
 		if !st.hasAlloc {
 			var ok bool
@@ -1004,6 +1071,8 @@ func (m *Manager) Stats() Stats {
 	s.InFlight = m.inFlightLocked()
 	s.FlushBatches = m.flushBatches.Load()
 	s.FramesSent = m.framesSent.Load()
+	s.ResultBatches = m.resultBatches.Load()
+	s.ResultsStaged = m.resultsStaged.Load()
 	ids := make([]int, 0, len(m.perWorker))
 	for id := range m.perWorker {
 		ids = append(ids, id)

@@ -170,5 +170,12 @@ type Stats struct {
 	// is the realized dispatch coalescing factor.
 	FramesSent   int64
 	FlushBatches int64
-	Workers      []WorkerStats // sorted by worker ID
+	// ResultsStaged counts result frames taken in from workers; ResultBatches
+	// counts the intake batches that carried them, each observed as a whole
+	// before its first dispatch pass. ResultsStaged/ResultBatches is the
+	// realized result batching: the successes a bucketing policy sees between
+	// two recomputes.
+	ResultsStaged int64
+	ResultBatches int64
+	Workers       []WorkerStats // sorted by worker ID
 }
