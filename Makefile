@@ -12,9 +12,9 @@ BENCH_ALLOC_PKGS = ./internal/core ./internal/allocator ./internal/sim
 BENCH_ALLOC_PATTERN = 'BenchmarkCore|BenchmarkAlloc|BenchmarkSimPaperPool1k'
 
 # The streaming macro-scenarios: million-task Source-driven runs and the
-# capacity-index placement probes. Merged into BENCH_sim.json rather than
-# rewriting it, since the full Stream1M run takes about a minute.
-BENCH_STREAM_PKGS = ./internal/sim
+# scheduler core's capacity-index placement probes. Merged into BENCH_sim.json
+# rather than rewriting it, since the full Stream1M run takes about a minute.
+BENCH_STREAM_PKGS = ./internal/sim ./internal/sched
 BENCH_STREAM_PATTERN = 'BenchmarkStream|BenchmarkPlacementIndex'
 
 # The allocator-service throughput scenarios (sustained allocs/sec across
@@ -35,8 +35,7 @@ STREAM_MAX_ALLOCS = 200000
 
 # The live work-queue engine scenarios: full manager->worker->manager round
 # trips over in-memory loopback connections at 1/8/64 workers plus the
-# worker-churn overlay; these feed BENCH_wq.json (which also keeps the
-# pre-codec encoding/json baseline entries for the before/after pair).
+# worker-churn overlay; these feed BENCH_wq.json.
 BENCH_WQ_PKGS = ./internal/wq
 BENCH_WQ_PATTERN = 'BenchmarkWQ'
 # Ceiling for the live-engine smoke run: a steady-state round trip costs 4
@@ -57,7 +56,7 @@ WQ_BURST_MAX_ALLOCS = 20
 # numbers go to a temporary file, never over the committed BENCH_*.json.
 SMOKE_OUT = tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT;
 
-.PHONY: all build test race test-live vet bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke bench-test short ci clean
+.PHONY: all build test race test-live vet loc bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke bench-test short ci clean
 
 all: build
 
@@ -70,22 +69,31 @@ test:
 # The parallel experiment harness is the concurrency-heavy package; run it
 # (and the public facade that drives it) under the race detector, together
 # with the pooled event engine, the simulator that recycles its
-# slots/handles (harness workers run simulations concurrently), and the
-# runlog package whose Writer is shared across engine and tracer goroutines.
+# slots/handles (harness workers run simulations concurrently), the scheduler
+# core under it, and the runlog package whose Writer is shared across engine
+# and tracer goroutines.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/serve/... ./internal/runlog/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/runlog/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
-# suite) under the race detector, with the line reader the manager's intake
-# rests on; then the result-intake tests ten times over, since the drainer's
-# early Observe shares task state with evictions on other goroutines.
+# suite) under the race detector, with the scheduler core the manager drives
+# under its lock and the line reader its intake rests on; then the
+# result-intake tests ten times over, since the drainer's early Observe shares
+# task state with evictions on other goroutines.
 test-live:
-	$(GO) test -race ./internal/wq/... ./internal/jsonwire/... -count=1
+	$(GO) test -race ./internal/wq/... ./internal/sched/... ./internal/jsonwire/... -count=1
 	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle' -count=10
 
 vet:
 	$(GO) vet ./...
+
+# Non-test, non-blank Go lines per internal package: the size side of a
+# refactor's before/after, one command on either commit.
+loc:
+	@for d in internal/*/; do \
+		printf '%-14s %5d\n' "$$(basename $$d)" "$$(cat $$(ls $$d*.go | grep -v _test.go) | grep -cv '^[[:space:]]*$$')"; \
+	done
 
 short:
 	$(GO) test ./... -short -count=1
@@ -119,7 +127,7 @@ bench-stream:
 # ci smoke of the streaming path: the 100k-task scenario and the index
 # probes, with the allocs/op ceiling enforced so the window-bounded memory
 # contract cannot regress silently. (The capacity index's query correctness
-# runs under -race via the sim package in the race target.)
+# runs under -race via the sched package in the race target.)
 bench-stream-smoke:
 	$(SMOKE_OUT) $(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -max-allocs $(STREAM_MAX_ALLOCS) -out "$$tmp"
 
@@ -138,11 +146,9 @@ serve-bench-smoke:
 	$(SMOKE_OUT) $(GO) test $(BENCH_SERVE_PKGS) -run '^$$' -bench $(BENCH_SERVE_PATTERN) -benchmem -benchtime 1000x | $(GO) run ./cmd/benchfmt -max-allocs $(SERVE_MAX_ALLOCS) -out "$$tmp"
 
 # Full live-engine benchmark: sustained dispatch/result round trips through
-# the wq manager and workers over loopback transport, merged into
-# BENCH_wq.json so the recorded encoding/json baseline entries survive as
-# the comparison point.
+# the wq manager and workers over loopback transport; records BENCH_wq.json.
 wq-bench:
-	$(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem | $(GO) run ./cmd/benchfmt -merge -out BENCH_wq.json
+	$(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem | $(GO) run ./cmd/benchfmt -out BENCH_wq.json
 
 # ci smoke of the live engine, with the per-round-trip allocs/op ceiling
 # enforced so the frame hot path cannot silently start allocating. 2000

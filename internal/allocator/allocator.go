@@ -73,6 +73,19 @@ type Policy interface {
 	Name() string
 }
 
+// StablePolicy is an optional capability of a Policy. AllocateStable has the
+// result and effects of Allocate; stable reports that every further Allocate
+// for this category returns this vector, for any task, and consumes no
+// randomness, until the policy's next Observe or reset. The dispatch pass
+// (internal/sched) finds it by type assertion on the Policy it was given: a
+// wrapper that embeds the Policy interface hides it and sees every call, one
+// that embeds the concrete *Allocator and overrides Allocate has
+// AllocateStable promoted past its override and is bypassed. Embed the
+// interface.
+type StablePolicy interface {
+	AllocateStable(category string, taskID int) (alloc resources.Vector, stable bool)
+}
+
 // Config tunes an Allocator. The zero value plus Capacity is usable;
 // defaults follow Section V-A.
 type Config struct {

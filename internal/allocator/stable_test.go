@@ -101,93 +101,3 @@ func TestSamplingAllocatorsAreNeverStable(t *testing.T) {
 		}
 	}
 }
-
-// scriptedPolicy is a StablePolicy whose vectors and stability the test sets
-// per category; it logs which entry point served which category.
-type scriptedPolicy struct {
-	Policy // nil: only the two allocation entry points are called
-	alloc  map[string]resources.Vector
-	stable map[string]bool
-	log    []string
-}
-
-func (p *scriptedPolicy) Allocate(cat string, id int) resources.Vector {
-	p.log = append(p.log, "allocate:"+cat)
-	return p.alloc[cat]
-}
-
-func (p *scriptedPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
-	p.log = append(p.log, "stable:"+cat)
-	return p.alloc[cat], p.stable[cat]
-}
-
-// plainPolicy hides scriptedPolicy's capability.
-type plainPolicy struct{ Policy }
-
-func TestPassMemo(t *testing.T) {
-	small, big := resources.New(1, 100, 100, 0), resources.New(8, 8000, 800, 0)
-	p := &scriptedPolicy{
-		alloc:  map[string]resources.Vector{"s": small, "b": big, "u": small},
-		stable: map[string]bool{"s": true, "b": true},
-	}
-	var m PassMemo
-	ask := func(cat string, wantAlloc resources.Vector, wantOK bool) {
-		t.Helper()
-		got, ok := m.Allocate(cat, 0)
-		if ok != wantOK || (ok && got != wantAlloc) {
-			t.Fatalf("Allocate(%s) = %v, %v; want %v, %v", cat, got, ok, wantAlloc, wantOK)
-		}
-	}
-	wantLog := func(want ...string) {
-		t.Helper()
-		if fmt.Sprint(p.log) != fmt.Sprint(want) {
-			t.Fatalf("policy calls %v, want %v", p.log, want)
-		}
-		p.log = p.log[:0]
-	}
-
-	// Stable categories interleaved: one policy call each, however many
-	// tasks ask; a miss on one does not touch the other.
-	m.Begin(p)
-	ask("s", small, true)
-	ask("b", big, true)
-	ask("s", small, true)
-	m.Missed("b")
-	ask("b", big, false)
-	ask("s", small, true)
-	ask("b", big, false)
-	wantLog("stable:s", "stable:b")
-
-	// An unstable category is asked every time and a miss does not stick.
-	ask("u", small, true)
-	m.Missed("u")
-	ask("u", small, true)
-	wantLog("stable:u", "stable:u")
-
-	// Nothing survives Begin.
-	m.Begin(p)
-	ask("b", big, true)
-	wantLog("stable:b")
-
-	// A category past the memo's capacity is asked every time, like an
-	// unstable one.
-	m.Begin(p)
-	for i := range m.entries {
-		c := fmt.Sprint("c", i)
-		p.alloc[c], p.stable[c] = small, true
-		ask(c, small, true)
-	}
-	p.log = p.log[:0]
-	ask("b", big, true)
-	m.Missed("b")
-	ask("b", big, true)
-	ask("c0", small, true)
-	wantLog("stable:b", "stable:b")
-
-	// Without the capability every call goes to Allocate.
-	m.Begin(plainPolicy{p})
-	ask("s", small, true)
-	m.Missed("s")
-	ask("s", small, true)
-	wantLog("allocate:s", "allocate:s")
-}

@@ -10,16 +10,9 @@
 // never be cancelled through a stale handle. The future-event list is a
 // specialized 4-ary min-heap over inline (time, seq, slot) entries — no
 // container/heap, no interface boxing, swap-free sifts — with an O(n)
-// heapify bulk-load (Preload) for up-front schedules.
-//
-// Two scheduling paths share the queue:
-//
-//   - Typed events (Schedule/ScheduleAfter/Preload) carry a Kind tag and a
-//     small inline Payload, dispatched through the single owner callback
-//     registered with SetHandler. This path allocates nothing per event.
-//   - Closure events (At/After) carry a func(). This path keeps the original
-//     API shape for callers that schedule rarely, at the cost of one closure
-//     allocation per call site.
+// heapify bulk-load (Preload) for up-front schedules. Events carry a Kind tag
+// and a small inline Payload, dispatched through the single owner callback
+// registered with SetHandler, so scheduling allocates nothing per event.
 package devent
 
 import "fmt"
@@ -60,7 +53,6 @@ type Scheduled struct {
 // event is one pooled event slot.
 type event struct {
 	at      float64
-	fn      func() // closure path; nil for typed events
 	a, b    int
 	f       float64
 	heapIdx int32 // index into Engine.heap, -1 while the slot is free
@@ -112,23 +104,9 @@ func (e *Engine) Cancels() int { return e.cancels }
 // be set before any typed event is scheduled.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently corrupt causality.
-func (e *Engine) At(t float64, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("devent: scheduling at %v before now %v", t, e.now))
-	}
-	return e.push(t, 0, Payload{}, fn)
-}
-
-// After schedules fn to run d virtual seconds from now.
-func (e *Engine) After(d float64, fn func()) Handle {
-	return e.At(e.now+d, fn)
-}
-
-// Schedule schedules a typed event at absolute virtual time t. Like At it
-// panics when t is in the past, and it panics when no handler is registered
-// (the event could never be delivered).
+// Schedule schedules a typed event at absolute virtual time t. Scheduling in
+// the past panics: it would silently corrupt causality. So does scheduling
+// with no handler registered (the event could never be delivered).
 func (e *Engine) Schedule(t float64, kind Kind, p Payload) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("devent: scheduling at %v before now %v", t, e.now))
@@ -136,7 +114,7 @@ func (e *Engine) Schedule(t float64, kind Kind, p Payload) Handle {
 	if e.handler == nil {
 		panic("devent: Schedule before SetHandler")
 	}
-	return e.push(t, kind, p, nil)
+	return e.push(t, kind, p)
 }
 
 // ScheduleAfter schedules a typed event d virtual seconds from now.
@@ -167,7 +145,7 @@ func (e *Engine) Preload(items []Scheduled) {
 		if n := len(e.heap); n > 0 && it.At < e.heap[n-1].at {
 			sorted = false
 		}
-		slot := e.allocSlot(it.At, it.Kind, it.P, nil)
+		slot := e.allocSlot(it.At, it.Kind, it.P)
 		e.heap = append(e.heap, heapEntry{at: it.At, seq: e.seq, slot: slot})
 		e.events[slot].heapIdx = int32(len(e.heap) - 1)
 		e.seq++
@@ -241,14 +219,10 @@ func (e *Engine) Step() bool {
 	}
 	ev := &e.events[top.slot]
 	e.now = top.at
-	fn, kind, p := ev.fn, ev.kind, Payload{A: ev.a, B: ev.b, F: ev.f, Flag: ev.flag}
+	kind, p := ev.kind, Payload{A: ev.a, B: ev.b, F: ev.f, Flag: ev.flag}
 	ev.heapIdx = -1
 	e.freeSlot(top.slot)
-	if fn != nil {
-		fn()
-	} else {
-		e.handler(kind, p)
-	}
+	e.handler(kind, p)
 	return true
 }
 
@@ -269,9 +243,9 @@ func (e *Engine) RunUntil(deadline float64) {
 	}
 }
 
-// push schedules one event (either path) and returns its handle.
-func (e *Engine) push(t float64, kind Kind, p Payload, fn func()) Handle {
-	slot := e.allocSlot(t, kind, p, fn)
+// push schedules one event and returns its handle.
+func (e *Engine) push(t float64, kind Kind, p Payload) Handle {
+	slot := e.allocSlot(t, kind, p)
 	gen := e.events[slot].gen
 	entry := heapEntry{at: t, seq: e.seq, slot: slot}
 	e.seq++
@@ -282,7 +256,7 @@ func (e *Engine) push(t float64, kind Kind, p Payload, fn func()) Handle {
 
 // allocSlot takes a slot off the free list (or grows the pool) and fills it.
 // The slot's heapIdx is set by the caller once its heap position is known.
-func (e *Engine) allocSlot(at float64, kind Kind, p Payload, fn func()) int32 {
+func (e *Engine) allocSlot(at float64, kind Kind, p Payload) int32 {
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -293,7 +267,6 @@ func (e *Engine) allocSlot(at float64, kind Kind, p Payload, fn func()) int32 {
 	}
 	ev := &e.events[slot]
 	ev.at = at
-	ev.fn = fn
 	ev.a, ev.b, ev.f, ev.flag = p.A, p.B, p.F, p.Flag
 	ev.kind = kind
 	return slot
@@ -303,7 +276,6 @@ func (e *Engine) allocSlot(at float64, kind Kind, p Payload, fn func()) int32 {
 // invalidates every outstanding Handle to the old occupant.
 func (e *Engine) freeSlot(slot int32) {
 	ev := &e.events[slot]
-	ev.fn = nil // release the closure for GC
 	ev.heapIdx = -1
 	ev.gen++
 	e.free = append(e.free, slot)

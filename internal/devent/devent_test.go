@@ -7,12 +7,36 @@ import (
 	"testing/quick"
 )
 
+// funcs lets a test schedule a func() as a typed event: the engine's handler
+// looks the payload's A up in the table.
+type funcs struct {
+	e     *Engine
+	table []func()
+}
+
+func newFuncs(e *Engine) *funcs {
+	f := &funcs{e: e}
+	e.SetHandler(func(_ Kind, p Payload) { f.table[p.A]() })
+	return f
+}
+
+func (f *funcs) at(t float64, fn func()) Handle {
+	f.table = append(f.table, fn)
+	return f.e.Schedule(t, 0, Payload{A: len(f.table) - 1})
+}
+
+func (f *funcs) after(d float64, fn func()) Handle {
+	f.table = append(f.table, fn)
+	return f.e.ScheduleAfter(d, 0, Payload{A: len(f.table) - 1})
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []float64
 	for _, at := range []float64{5, 1, 3, 2, 4} {
 		at := at
-		e.At(at, func() { order = append(order, at) })
+		f.at(at, func() { order = append(order, at) })
 	}
 	e.Run()
 	if !sort.Float64sAreSorted(order) {
@@ -28,10 +52,11 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestSimultaneousEventsFireInSchedulingOrder(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(7, func() { order = append(order, i) })
+		f.at(7, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, got := range order {
@@ -43,10 +68,11 @@ func TestSimultaneousEventsFireInSchedulingOrder(t *testing.T) {
 
 func TestAfterAndNestedScheduling(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var times []float64
-	e.At(10, func() {
+	f.at(10, func() {
 		times = append(times, e.Now())
-		e.After(5, func() { times = append(times, e.Now()) })
+		f.after(5, func() { times = append(times, e.Now()) })
 	})
 	e.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
@@ -56,8 +82,9 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	fired := false
-	ev := e.At(1, func() { fired = true })
+	ev := f.at(1, func() { fired = true })
 	if !e.Cancel(ev) {
 		t.Error("Cancel on a live event should report true")
 	}
@@ -78,13 +105,14 @@ func TestCancel(t *testing.T) {
 
 func TestCancelInterleaved(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var fired []string
-	a := e.At(1, func() { fired = append(fired, "a") })
-	e.At(2, func() { fired = append(fired, "b") })
-	c := e.At(3, func() { fired = append(fired, "c") })
+	a := f.at(1, func() { fired = append(fired, "a") })
+	f.at(2, func() { fired = append(fired, "b") })
+	c := f.at(3, func() { fired = append(fired, "c") })
 	_ = a
 	// Cancel c from within b.
-	e.At(2.5, func() { e.Cancel(c) })
+	f.at(2.5, func() { e.Cancel(c) })
 	e.Run()
 	want := []string{"a", "b"}
 	if len(fired) != len(want) {
@@ -94,22 +122,24 @@ func TestCancelInterleaved(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(5, func() {})
+	f := newFuncs(&e)
+	f.at(5, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past should panic")
 		}
 	}()
-	e.At(1, func() {})
+	f.at(1, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var fired []float64
 	for _, at := range []float64{1, 2, 3, 4, 5} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		f.at(at, func() { fired = append(fired, at) })
 	}
 	e.RunUntil(3)
 	if len(fired) != 3 {
@@ -139,9 +169,10 @@ func TestStepOnEmptyQueue(t *testing.T) {
 // engine counted cancelled-but-unreaped events).
 func TestPendingExcludesCancelled(t *testing.T) {
 	var e Engine
-	h1 := e.At(1, func() {})
-	e.At(2, func() {})
-	e.At(3, func() {})
+	f := newFuncs(&e)
+	h1 := f.at(1, func() {})
+	f.at(2, func() {})
+	f.at(3, func() {})
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
@@ -232,10 +263,11 @@ func TestPreloadOnNonEmptyQueuePanics(t *testing.T) {
 // handle must not touch the new occupant.
 func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	var e Engine
-	first := e.At(1, func() {})
+	f := newFuncs(&e)
+	first := f.at(1, func() {})
 	e.Run() // fires; slot 0 is recycled
 	secondFired := false
-	second := e.At(2, func() { secondFired = true })
+	second := f.at(2, func() { secondFired = true })
 	if second.slot != first.slot {
 		t.Fatalf("test premise broken: slot not recycled (first %d, second %d)", first.slot, second.slot)
 	}
@@ -252,10 +284,10 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 
 	// Same via the cancellation path: a handle whose event was *cancelled*
 	// (not fired) must also go stale once the slot is reused.
-	third := e.At(3, func() {})
+	third := f.at(3, func() {})
 	e.Cancel(third)
 	fourthFired := false
-	fourth := e.At(4, func() { fourthFired = true })
+	fourth := f.at(4, func() { fourthFired = true })
 	if fourth.slot != third.slot {
 		t.Fatalf("test premise broken: slot not recycled (third %d, fourth %d)", third.slot, fourth.slot)
 	}
@@ -270,7 +302,8 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 
 func TestTimeOf(t *testing.T) {
 	var e Engine
-	h := e.At(4.5, func() {})
+	f := newFuncs(&e)
+	h := f.at(4.5, func() {})
 	if at, ok := e.TimeOf(h); !ok || at != 4.5 {
 		t.Errorf("TimeOf = (%v, %v), want (4.5, true)", at, ok)
 	}
@@ -290,11 +323,12 @@ func TestMonotonicClock(t *testing.T) {
 		n := int(nRaw%100) + 1
 		r := rand.New(rand.NewPCG(seed, 3))
 		var e Engine
+		fns := newFuncs(&e)
 		last := -1.0
 		ok := true
 		var schedule func(depth int)
 		schedule = func(depth int) {
-			e.After(r.Float64()*10, func() {
+			fns.after(r.Float64()*10, func() {
 				if e.Now() < last {
 					ok = false
 				}

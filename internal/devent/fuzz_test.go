@@ -35,9 +35,8 @@ func oracleNext(events []oracleEvent) int {
 // FuzzEngineMatchesOracle drives random schedule/cancel/fire sequences
 // through the 4-ary indexed heap and checks every observable — firing
 // order (including same-instant ties), Cancel results, Pending counts —
-// against the brute-force sort-by-(time,seq) oracle. Both the typed and
-// the closure scheduling path are exercised, so the event pool recycles
-// slots across paths under fuzz.
+// against the brute-force sort-by-(time,seq) oracle. Both the absolute and
+// the relative scheduling entry point are exercised.
 func FuzzEngineMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 3})
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 2, 1, 3, 3, 3})
@@ -92,21 +91,22 @@ func FuzzEngineMatchesOracle(f *testing.F) {
 		for pos := 0; pos < len(data); pos++ {
 			op := data[pos] % 4
 			switch op {
-			case 0, 1: // schedule (typed on op 0, closure on op 1)
+			case 0, 1: // schedule (absolute on op 0, relative on op 1)
 				pos++
 				if pos >= len(data) {
 					break
 				}
 				// Quantized deltas make same-instant ties common; delta 0
 				// schedules at the current instant.
-				at := e.Now() + float64(data[pos]%8)*0.5
+				delta := float64(data[pos]%8) * 0.5
+				at := e.Now() + delta
 				id := nextID
 				nextID++
 				var h Handle
 				if op == 0 {
 					h = e.Schedule(at, Kind(id%3), Payload{A: id})
 				} else {
-					h = e.At(at, func() { fired = append(fired, id) })
+					h = e.ScheduleAfter(delta, Kind(id%3), Payload{A: id})
 				}
 				handles = append(handles, h)
 				oracle = append(oracle, oracleEvent{at: at, seq: len(oracle), id: id})

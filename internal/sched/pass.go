@@ -1,0 +1,171 @@
+package sched
+
+import (
+	"dynalloc/internal/allocator"
+	"dynalloc/internal/resources"
+)
+
+// Task is the scheduling header of one task, embedded in the driver's own
+// per-task state. A task is queued under a driver-chosen key (the simulator's
+// window index, the manager's task ID); ID and Category are what the policy
+// sees.
+type Task struct {
+	ID       int
+	Category string
+	// Alloc is the allocation the task last ran with or, after a retry
+	// escalation, will run with next. HasAlloc is false until the first
+	// placement: allocation happens at dispatch time (PAPER.md §II-A), so a
+	// task that waits in the queue benefits from everything the allocator
+	// learns meanwhile, while evictions and retries keep what they hold.
+	Alloc    resources.Vector
+	HasAlloc bool
+}
+
+// Driver is how a pass reaches the engine that owns the tasks.
+type Driver struct {
+	// Lookup resolves a queued key. A nil header drops the key from the
+	// queue (the task finished or vanished while it waited).
+	Lookup func(key int) *Task
+	// Start runs after t has been charged to w: the driver starts the
+	// attempt. It must not touch the ready queue.
+	Start func(key int, t *Task, w *Worker)
+	// Score ranks workers for the Locality placement; see Pool.Pick.
+	Score func(workerID, taskID int) float64
+}
+
+// Core is the scheduler state one engine drives: the capacity ledger, the
+// ready queue, and the dispatch pass over both.
+type Core struct {
+	Pool
+	// Ready holds the keys of tasks awaiting placement, in dispatch priority
+	// order: retries and eviction victims at the front.
+	Ready Queue
+
+	place     Placement
+	maxMisses int
+	driver    Driver
+	firsts    passMemo
+}
+
+// New builds a scheduler core. maxMisses bounds the backfilling depth of a
+// pass: after that many consecutive placement failures the rest of the queue
+// waits for the next pass; zero scans the whole queue every time.
+func New(place Placement, maxMisses int, d Driver) *Core {
+	return &Core{place: place, maxMisses: maxMisses, driver: d}
+}
+
+// Dispatch runs one pass: it walks the ready queue in order, placing every
+// task that fits some worker and skipping those that fit none right now (Work
+// Queue-style backfilling avoids head-of-line blocking). Nothing is observed
+// during a pass, so a stable category is predicted once per pass, and once its
+// vector fits no worker every later first attempt of it is a miss without a
+// policy call or a probe: capacity only shrinks within a pass and Pick returns
+// a worker iff one fits. A sampled category draws afresh for every first
+// attempt on every pass.
+func (c *Core) Dispatch(policy allocator.Policy) {
+	// The scan compacts the ring in place: unplaced keys slide down to
+	// position `kept` as the read cursor advances, preserving queue order.
+	n := c.Ready.Len()
+	kept, scanned, misses := 0, 0, 0
+	c.firsts.begin(policy)
+	for ; scanned < n; scanned++ {
+		if c.maxMisses > 0 && misses >= c.maxMisses {
+			break
+		}
+		key := c.Ready.At(scanned)
+		t := c.driver.Lookup(key)
+		if t == nil {
+			continue
+		}
+		alloc, ok := t.Alloc, true
+		if !t.HasAlloc {
+			alloc, ok = c.firsts.allocate(t.Category, t.ID)
+		}
+		var w *Worker
+		if ok {
+			w = c.Pick(c.place, alloc, t.ID, c.driver.Score)
+		}
+		if w == nil {
+			if ok && !t.HasAlloc {
+				c.firsts.missed(t.Category)
+			}
+			c.Ready.Set(kept, key)
+			kept++
+			misses++
+			continue
+		}
+		t.Alloc, t.HasAlloc = alloc, true
+		c.Place(w, key, alloc)
+		c.driver.Start(key, t, w)
+		misses = 0
+	}
+	// Slide any unscanned tail (miss-bound bailout) down behind the kept
+	// prefix, keeping the original relative order.
+	for ; scanned < n; scanned++ {
+		c.Ready.Set(kept, c.Ready.At(scanned))
+		kept++
+	}
+	c.Ready.Truncate(kept)
+}
+
+// passMemo serves the first-attempt allocations of one dispatch pass. A pass
+// places queued tasks in order against capacity that only shrinks, so a
+// stable category needs one policy call per pass, and once its vector has fit
+// no worker no later first attempt of the category can be placed either. The
+// memo is a handful of per-category entries searched linearly, emptied by
+// begin; categories past its capacity get one policy call per task, as do
+// unstable ones.
+type passMemo struct {
+	policy  allocator.Policy
+	stable  allocator.StablePolicy // nil when policy lacks the capability
+	entries [8]passEntry
+	n       int // entries in use
+}
+
+type passEntry struct {
+	category string
+	alloc    resources.Vector
+	missed   bool
+}
+
+// begin starts a new pass over the policy the engine dispatches with.
+func (m *passMemo) begin(p allocator.Policy) {
+	m.policy = p
+	m.stable, _ = p.(allocator.StablePolicy)
+	m.n = 0
+}
+
+func (m *passMemo) find(category string) *passEntry {
+	for i := range m.entries[:m.n] {
+		if m.entries[i].category == category {
+			return &m.entries[i]
+		}
+	}
+	return nil
+}
+
+// allocate returns the first-attempt allocation for a task. ok is false when
+// the category is stable and its vector already failed to place in this pass:
+// the task stays queued without a policy call or a placement probe.
+func (m *passMemo) allocate(category string, taskID int) (alloc resources.Vector, ok bool) {
+	if m.stable == nil {
+		return m.policy.Allocate(category, taskID), true
+	}
+	if e := m.find(category); e != nil {
+		return e.alloc, !e.missed
+	}
+	alloc, stable := m.stable.AllocateStable(category, taskID)
+	if stable && m.n < len(m.entries) {
+		m.entries[m.n] = passEntry{category: category, alloc: alloc}
+		m.n++
+	}
+	return alloc, true
+}
+
+// missed records that the vector allocate returned for category fit no
+// worker; it does nothing for a category that is not stable.
+func (m *passMemo) missed(category string) {
+	if e := m.find(category); e != nil {
+		e.missed = true
+	}
+}

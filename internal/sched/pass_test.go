@@ -1,0 +1,328 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+
+	"dynalloc/internal/allocator"
+	"dynalloc/internal/resources"
+)
+
+// scriptedPolicy is a StablePolicy whose vectors and stability the test sets
+// per category; it logs which entry point served which category. A category
+// with a seq hands out those vectors in turn before falling back to alloc.
+type scriptedPolicy struct {
+	allocator.Policy // nil: only the two allocation entry points are called
+	alloc            map[string]resources.Vector
+	seq              map[string][]resources.Vector
+	stable           map[string]bool
+	log              []string
+}
+
+func (p *scriptedPolicy) next(cat string) resources.Vector {
+	if s := p.seq[cat]; len(s) > 0 {
+		p.seq[cat] = s[1:]
+		return s[0]
+	}
+	return p.alloc[cat]
+}
+
+func (p *scriptedPolicy) Allocate(cat string, id int) resources.Vector {
+	p.log = append(p.log, "allocate:"+cat)
+	return p.next(cat)
+}
+
+func (p *scriptedPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
+	p.log = append(p.log, "stable:"+cat)
+	return p.next(cat), p.stable[cat]
+}
+
+// plainPolicy hides scriptedPolicy's capability.
+type plainPolicy struct{ allocator.Policy }
+
+func TestPassMemo(t *testing.T) {
+	small, big := resources.New(1, 100, 100, 0), resources.New(8, 8000, 800, 0)
+	p := &scriptedPolicy{
+		alloc:  map[string]resources.Vector{"s": small, "b": big, "u": small},
+		stable: map[string]bool{"s": true, "b": true},
+	}
+	var m passMemo
+	ask := func(cat string, wantAlloc resources.Vector, wantOK bool) {
+		t.Helper()
+		got, ok := m.allocate(cat, 0)
+		if ok != wantOK || (ok && got != wantAlloc) {
+			t.Fatalf("allocate(%s) = %v, %v; want %v, %v", cat, got, ok, wantAlloc, wantOK)
+		}
+	}
+	wantLog := func(want ...string) {
+		t.Helper()
+		if fmt.Sprint(p.log) != fmt.Sprint(want) {
+			t.Fatalf("policy calls %v, want %v", p.log, want)
+		}
+		p.log = p.log[:0]
+	}
+
+	// Stable categories interleaved: one policy call each, however many
+	// tasks ask; a miss on one does not touch the other.
+	m.begin(p)
+	ask("s", small, true)
+	ask("b", big, true)
+	ask("s", small, true)
+	m.missed("b")
+	ask("b", big, false)
+	ask("s", small, true)
+	ask("b", big, false)
+	wantLog("stable:s", "stable:b")
+
+	// An unstable category is asked every time and a miss does not stick.
+	ask("u", small, true)
+	m.missed("u")
+	ask("u", small, true)
+	wantLog("stable:u", "stable:u")
+
+	// Nothing survives begin.
+	m.begin(p)
+	ask("b", big, true)
+	wantLog("stable:b")
+
+	// A category past the memo's capacity is asked every time, like an
+	// unstable one.
+	m.begin(p)
+	for i := range m.entries {
+		c := fmt.Sprint("c", i)
+		p.alloc[c], p.stable[c] = small, true
+		ask(c, small, true)
+	}
+	p.log = p.log[:0]
+	ask("b", big, true)
+	m.missed("b")
+	ask("b", big, true)
+	ask("c0", small, true)
+	wantLog("stable:b", "stable:b")
+
+	// Without the capability every call goes to Allocate.
+	m.begin(plainPolicy{p})
+	ask("s", small, true)
+	m.missed("s")
+	ask("s", small, true)
+	wantLog("allocate:s", "allocate:s")
+}
+
+// TestDispatchPass drives whole passes over a scripted queue and pool and
+// checks, per scenario, which policy entry point was asked for which category
+// in what order, which (key, worker) pairs were started in what order, and
+// what stayed queued. Every started task must have been charged to its worker
+// under its key with the vector its header now holds.
+func TestDispatchPass(t *testing.T) {
+	wide := resources.New(8, 1000, 1000, resources.Unlimited)
+	narrow := resources.New(3, 1000, 1000, resources.Unlimited)
+	tiny := resources.New(0.5, 10, 10, resources.Unlimited)
+	paper := resources.PaperWorker() // 16 cores
+	type queued struct {
+		key  int
+		cat  string
+		held *resources.Vector // an allocation kept from an earlier attempt
+	}
+	first := func(cats ...string) (q []queued) {
+		for i, c := range cats {
+			q = append(q, queued{key: i + 1, cat: c})
+		}
+		return q
+	}
+	var memoFull []queued
+	for i := 0; i < 8; i++ {
+		memoFull = append(memoFull, queued{key: 100 + i, cat: fmt.Sprint("c", i)})
+	}
+	memoFull = append(memoFull, queued{key: 1, cat: "huge"}, queued{key: 2, cat: "huge"}, queued{key: 3, cat: "c0"}, queued{key: 4, cat: "huge"})
+
+	for _, tc := range []struct {
+		name      string
+		maxMisses int
+		hide      bool // wrap the policy so its capability is invisible
+		passes    int  // default 1
+		workers   []resources.Vector
+		queue     []queued
+		seq       map[string][]resources.Vector
+		unstable  []string
+		wantLog   string
+		wantStart string // (key, worker) pairs
+		wantQueue string
+	}{
+		{
+			// The narrow ones backfill past a wide one that does not fit;
+			// once wide has missed, its later first attempts cost nothing.
+			name:      "one policy call per stable category per pass",
+			workers:   []resources.Vector{paper},
+			queue:     first("wide", "narrow", "wide", "narrow", "wide", "narrow", "wide", "narrow"),
+			wantLog:   "[stable:wide stable:narrow]",
+			wantStart: "[[1 0] [2 0] [4 0]]",
+			wantQueue: "[3 5 6 7 8]",
+		},
+		{
+			name:      "capability hidden: one call per queued first attempt, same placements",
+			hide:      true,
+			workers:   []resources.Vector{paper},
+			queue:     first("wide", "narrow", "wide", "narrow", "wide", "narrow", "wide", "narrow"),
+			wantLog:   "[allocate:wide allocate:narrow allocate:wide allocate:narrow allocate:wide allocate:narrow allocate:wide allocate:narrow]",
+			wantStart: "[[1 0] [2 0] [4 0]]",
+			wantQueue: "[3 5 6 7 8]",
+		},
+		{
+			name:      "nothing is remembered from one pass to the next",
+			passes:    2,
+			workers:   []resources.Vector{paper},
+			queue:     first("wide", "wide", "wide"),
+			wantLog:   "[stable:wide stable:wide]",
+			wantStart: "[[1 0] [2 0]]",
+			wantQueue: "[3]",
+		},
+		{
+			name:      "an unstable category draws per task and a miss does not stick",
+			workers:   []resources.Vector{paper},
+			queue:     first("u", "u", "u"),
+			unstable:  []string{"u"},
+			seq:       map[string][]resources.Vector{"u": {paper.Scale(2), narrow, paper.Scale(2)}},
+			wantLog:   "[stable:u stable:u stable:u]",
+			wantStart: "[[2 0]]",
+			wantQueue: "[1 3]",
+		},
+		{
+			// Eight stable categories fill the memo; the ninth is asked for
+			// every task and its misses are not remembered. A memoised one
+			// is still served without a call.
+			name:      "a ninth category falls back to one call per task",
+			workers:   []resources.Vector{paper},
+			queue:     memoFull,
+			wantLog:   "[stable:c0 stable:c1 stable:c2 stable:c3 stable:c4 stable:c5 stable:c6 stable:c7 stable:huge stable:huge stable:huge]",
+			wantStart: "[[100 0] [101 0] [102 0] [103 0] [104 0] [105 0] [106 0] [107 0] [3 0]]",
+			wantQueue: "[1 2 4]",
+		},
+		{
+			// A retry or an eviction victim keeps its vector: no policy call,
+			// and its miss says nothing about its category's first attempts.
+			name:      "a held allocation is placed as is",
+			workers:   []resources.Vector{narrow, paper},
+			queue:     []queued{{key: 7, cat: "narrow", held: &wide}, {key: 8, cat: "narrow", held: ptr(paper.Scale(2))}, {key: 9, cat: "narrow"}},
+			wantLog:   "[stable:narrow]",
+			wantStart: "[[7 1] [9 0]]",
+			wantQueue: "[8]",
+		},
+		{
+			name:      "a key the driver no longer knows is dropped",
+			workers:   []resources.Vector{paper},
+			queue:     []queued{{key: 1, cat: "wide"}, {key: 2, cat: ""}, {key: 3, cat: "huge"}},
+			wantLog:   "[stable:wide stable:huge]",
+			wantStart: "[[1 0]]",
+			wantQueue: "[3]",
+		},
+		{
+			name:      "the miss bound ends the pass and keeps the unscanned tail in order",
+			maxMisses: 2,
+			workers:   []resources.Vector{paper},
+			queue:     []queued{{key: 1, cat: "huge"}, {key: 2, cat: "wide"}, {key: 3, cat: "huge"}, {key: 4, cat: "huge"}, {key: 5, cat: "wide"}, {key: 6, cat: "huge"}},
+			wantLog:   "[stable:huge stable:wide]",
+			wantStart: "[[2 0]]",
+			wantQueue: "[1 3 4 5 6]",
+		},
+		{
+			name:      "without a bound the whole queue is scanned",
+			workers:   []resources.Vector{paper},
+			queue:     []queued{{key: 1, cat: "huge"}, {key: 2, cat: "wide"}, {key: 3, cat: "huge"}, {key: 4, cat: "huge"}, {key: 5, cat: "wide"}, {key: 6, cat: "huge"}},
+			wantLog:   "[stable:huge stable:wide]",
+			wantStart: "[[2 0] [5 0]]",
+			wantQueue: "[1 3 4 6]",
+		},
+		{
+			name:      "no workers: everything waits",
+			queue:     first("wide", "narrow"),
+			wantLog:   "[stable:wide stable:narrow]",
+			wantQueue: "[1 2]",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &scriptedPolicy{
+				alloc:  map[string]resources.Vector{"wide": wide, "narrow": narrow, "huge": paper.Scale(2)},
+				seq:    tc.seq,
+				stable: map[string]bool{"wide": true, "narrow": true, "huge": true},
+			}
+			for i := 0; i < 8; i++ {
+				c := fmt.Sprint("c", i)
+				pol.alloc[c], pol.stable[c] = tiny, true
+			}
+			for _, c := range tc.unstable {
+				pol.stable[c] = false
+			}
+			tasks := map[int]*Task{}
+			var started [][2]int
+			c := New(FirstFit, tc.maxMisses, Driver{
+				Lookup: func(key int) *Task { return tasks[key] },
+				Start: func(key int, task *Task, w *Worker) {
+					if held, ok := w.running[key]; !ok || !task.HasAlloc || held != task.Alloc || task != tasks[key] {
+						t.Errorf("key %d started on worker %d holding %v %v, header %+v", key, w.ID(), held, ok, task)
+					}
+					started = append(started, [2]int{key, w.ID()})
+				},
+			})
+			for id, shape := range tc.workers {
+				c.Add(id, shape)
+			}
+			for _, q := range tc.queue {
+				if q.cat != "" {
+					tasks[q.key] = &Task{ID: q.key, Category: q.cat}
+					if q.held != nil {
+						tasks[q.key].Alloc, tasks[q.key].HasAlloc = *q.held, true
+					}
+				}
+				c.Ready.PushBack(q.key)
+			}
+			var policy allocator.Policy = pol
+			if tc.hide {
+				policy = plainPolicy{pol}
+			}
+			for pass := 0; pass < max(tc.passes, 1); pass++ {
+				c.Dispatch(policy)
+			}
+			if got := fmt.Sprint(pol.log); got != tc.wantLog {
+				t.Errorf("policy calls %s, want %s", got, tc.wantLog)
+			}
+			if tc.wantStart == "" {
+				tc.wantStart = "[]"
+			}
+			if got := fmt.Sprint(started); got != tc.wantStart {
+				t.Errorf("started %s, want %s", got, tc.wantStart)
+			}
+			if got := fmt.Sprint(queueContents(&c.Ready)); got != tc.wantQueue {
+				t.Errorf("left queued %s, want %s", got, tc.wantQueue)
+			}
+			if c.InFlight() != len(started) {
+				t.Errorf("ledger holds %d tasks, %d were started", c.InFlight(), len(started))
+			}
+		})
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// TestEvictedTasksRequeueAsAscendingBlock pins the recovery order both
+// engines get from the core: the tasks an evicted worker held come back in
+// ascending key order whatever order they were placed in, and PushFrontAll
+// puts them ahead of what was already waiting as one block — not prepended
+// one at a time, which would leave the queue front in descending order.
+func TestEvictedTasksRequeueAsAscendingBlock(t *testing.T) {
+	for trial := 0; trial < 20; trial++ { // map iteration order varies per run
+		c := New(FirstFit, 0, Driver{})
+		w, other := c.Add(0, resources.PaperWorker()), c.Add(1, resources.PaperWorker())
+		for _, key := range []int{7, 3, 5, 11, 2} { // deliberately unsorted
+			c.Place(w, key, resources.New(1, 100, 100, 60))
+		}
+		c.Place(other, 4, resources.New(1, 100, 100, 60))
+		c.Ready.PushBack(9) // already waiting before the eviction
+		c.Ready.PushFrontAll(c.Evict(w, nil))
+		if got, want := queueContents(&c.Ready), []int{2, 3, 5, 7, 11, 9}; !equalInts(got, want) {
+			t.Fatalf("trial %d: ready queue after eviction = %v, want %v", trial, got, want)
+		}
+		if c.Alive() != 1 || c.First() != other || other.Next() != nil || c.InFlight() != 1 {
+			t.Fatalf("trial %d: evicted worker still in the alive chain (%d workers, %d in flight)", trial, c.Alive(), c.InFlight())
+		}
+	}
+}

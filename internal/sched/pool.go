@@ -1,0 +1,174 @@
+// Package sched is the scheduler core both engines drive: the worker capacity
+// ledger, the placement index over it, the ready queue, and the dispatch pass
+// that allocates at dispatch time and places what fits. It is deterministic
+// and does no I/O: for the same sequence of calls it makes the same decisions.
+// The drivers own time and transport — internal/sim calls it from discrete
+// events, internal/wq under the manager lock from decoded frames — and keep
+// the settle side (attempt records, Observe, Retry, the retry limit).
+package sched
+
+import (
+	"fmt"
+	"sort"
+
+	"dynalloc/internal/resources"
+)
+
+// capacitySlack is the relative tolerance applied to worker capacity when
+// deciding whether an allocation fits.
+const capacitySlack = 1e-9
+
+// Worker is one worker's row in the capacity ledger.
+type Worker struct {
+	id       int
+	capacity resources.Vector
+	// limit is capacity scaled by (1 + capacitySlack), precomputed once at
+	// Add so admission is three comparisons instead of re-deriving the slack
+	// product per kind on every Fits probe.
+	limit   resources.Vector
+	used    resources.Vector
+	running map[int]resources.Vector // task key -> allocation held
+	// slot is the worker's leaf in the placement index, -1 once evicted.
+	slot int
+	// prev/next link the alive chain in ascending-ID (= join) order;
+	// eviction unlinks in O(1).
+	prev, next *Worker
+}
+
+// ID returns the worker's driver-assigned ID.
+func (w *Worker) ID() int { return w.id }
+
+// Alive reports whether the worker is still in the ledger.
+func (w *Worker) Alive() bool { return w.slot >= 0 }
+
+// Next returns the next alive worker in ascending-ID order, or nil.
+func (w *Worker) Next() *Worker { return w.next }
+
+// Running returns the number of tasks the worker holds.
+func (w *Worker) Running() int { return len(w.running) }
+
+// Keys appends the keys of the tasks the worker holds to buf in ascending
+// order: map iteration order would make the requeue order after an eviction —
+// and hence a whole simulated run — nondeterministic.
+func (w *Worker) Keys(buf []int) []int {
+	n := len(buf)
+	for key := range w.running {
+		buf = append(buf, key)
+	}
+	sort.Ints(buf[n:])
+	return buf
+}
+
+// Fits reports whether alloc fits into the worker's free capacity. The
+// comparisons are bit-identical to `used+alloc > capacity*(1+capacitySlack)`
+// with the product precomputed, and unrolled over the allocated kinds so the
+// hot path performs no slice allocation.
+func (w *Worker) Fits(alloc resources.Vector) bool {
+	return w.used[resources.Cores]+alloc[resources.Cores] <= w.limit[resources.Cores] &&
+		w.used[resources.Memory]+alloc[resources.Memory] <= w.limit[resources.Memory] &&
+		w.used[resources.Disk]+alloc[resources.Disk] <= w.limit[resources.Disk]
+}
+
+// freeMemory is the worst-fit / best-fit placement score.
+func (w *Worker) freeMemory() float64 {
+	return w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
+}
+
+// Pool is the capacity ledger: the alive workers in ascending-ID order, what
+// each holds, and the placement index over their free capacity. The zero
+// value is an empty pool.
+type Pool struct {
+	head, tail *Worker
+	alive      int
+	inFlight   int
+	idx        capIndex
+}
+
+// Alive returns the number of workers in the ledger.
+func (p *Pool) Alive() int { return p.alive }
+
+// InFlight returns the number of tasks held across all alive workers.
+func (p *Pool) InFlight() int { return p.inFlight }
+
+// First returns the lowest-ID alive worker, or nil; follow Worker.Next for
+// the rest of the chain.
+func (p *Pool) First() *Worker { return p.head }
+
+// Add enters a worker of the given capacity. IDs must ascend from one Add to
+// the next (both drivers issue them in join order), so appending keeps the
+// chain and the index slots sorted by ID without an insertion search.
+func (p *Pool) Add(id int, capacity resources.Vector) *Worker {
+	w := &Worker{id: id, capacity: capacity, running: make(map[int]resources.Vector)}
+	for k := range capacity {
+		w.limit[k] = capacity[k] * (1 + capacitySlack)
+	}
+	if p.tail == nil {
+		p.head, p.tail = w, w
+	} else {
+		p.tail.next, w.prev = w, p.tail
+		p.tail = w
+	}
+	p.alive++
+	p.idx.insert(w)
+	return w
+}
+
+// Place charges alloc to w under key. The caller has established that it
+// fits (Pick returns only workers that do); over-packing a worker is a bug.
+func (p *Pool) Place(w *Worker, key int, alloc resources.Vector) {
+	if !w.Fits(alloc) {
+		panic(fmt.Sprintf("sched: worker %d over-packed: used %v + alloc %v > capacity %v", w.id, w.used, alloc, w.capacity))
+	}
+	w.used = w.used.Add(alloc.With(resources.Time, 0))
+	w.running[key] = alloc
+	p.inFlight++
+	p.idx.update(w)
+}
+
+// Release frees what w holds for key; it reports false when w holds nothing
+// for key (a duplicate result, or a worker already evicted).
+func (p *Pool) Release(w *Worker, key int) bool {
+	alloc, ok := w.running[key]
+	if !ok {
+		return false
+	}
+	delete(w.running, key)
+	p.inFlight--
+	w.used = w.used.Sub(alloc.With(resources.Time, 0))
+	// Guard against float drift accumulating below zero.
+	for k := range w.used {
+		if w.used[k] < 0 && w.used[k] > -1e-6 {
+			w.used[k] = 0
+		}
+	}
+	p.idx.update(w)
+	return true
+}
+
+// Evict removes w from the ledger and appends the keys of the tasks it held
+// to buf in ascending order. Unlinking shrinks the scan set instead of
+// accumulating tombstones that every placement probe would skip. Evicting a
+// worker twice is a no-op returning buf unchanged.
+func (p *Pool) Evict(w *Worker, buf []int) []int {
+	if !w.Alive() {
+		return buf
+	}
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		p.head = w.next
+	}
+	if w.next != nil {
+		w.next.prev = w.prev
+	} else {
+		p.tail = w.prev
+	}
+	w.prev, w.next = nil, nil
+	p.alive--
+	p.idx.remove(w)
+	buf = w.Keys(buf)
+	p.inFlight -= len(w.running)
+	w.running = nil // the worker is gone; release its map
+	w.used = resources.Vector{}
+	return buf
+}

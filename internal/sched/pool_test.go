@@ -1,0 +1,249 @@
+package sched
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"dynalloc/internal/resources"
+)
+
+// pickLinear returns the worker place chooses among those that fit, or nil,
+// by a linear scan over the pool's alive chain. It is the reference semantics
+// for the capacity-indexed Pool.Pick: the property tests assert that every
+// query returns exactly the worker this scan picks.
+func pickLinear(p *Pool, place Placement, alloc resources.Vector, taskID int, score func(workerID, taskID int) float64) *Worker {
+	var chosen *Worker
+	var chosenScore float64
+	for w := p.First(); w != nil; w = w.Next() {
+		if !w.Fits(alloc) {
+			continue
+		}
+		var s float64
+		switch place {
+		case FirstFit:
+			return w
+		case WorstFit:
+			s = w.freeMemory()
+		case BestFit:
+			s = -w.freeMemory()
+		case Locality:
+			if score != nil {
+				s = score(w.id, taskID)
+			}
+		}
+		if chosen == nil || s > chosenScore {
+			chosen, chosenScore = w, s
+		}
+	}
+	return chosen
+}
+
+func workerID(w *Worker) int {
+	if w == nil {
+		return -1
+	}
+	return w.id
+}
+
+// checkPicks asserts index and linear scan agree for alloc under every
+// indexed placement — same pointer, including nil, including ties.
+func checkPicks(t *testing.T, p *Pool, alloc resources.Vector, when string) {
+	t.Helper()
+	for _, place := range []Placement{FirstFit, WorstFit, BestFit} {
+		got, want := p.Pick(place, alloc, 0, nil), pickLinear(p, place, alloc, 0, nil)
+		if got != want {
+			t.Fatalf("%s: %s diverged for alloc %v: index=%d linear=%d",
+				when, place, alloc, workerID(got), workerID(want))
+		}
+	}
+}
+
+// TestIndexMatchesLinearScan is the equivalence property behind the O(log W)
+// placement path: under an arbitrary churn of joins, evictions, placements and
+// releases, every first/worst/best-fit query on the capacity index must return
+// exactly the worker the reference linear scan over the alive chain returns.
+// The live engine adds two things the simulator's fixed schedule never had:
+// workers of different shapes in one pool, and worker IDs that keep growing
+// while the alive set stays small, so the index must renumber its slots —
+// the run has to cross that more than once.
+func TestIndexMatchesLinearScan(t *testing.T) {
+	shapes := []resources.Vector{
+		resources.PaperWorker(),
+		resources.New(4, 8*1024, 200*1024, resources.Unlimited),
+		resources.New(64, 16*1024, 16*1024, resources.Unlimited),
+		resources.New(1, 256*1024, 1024, resources.Unlimited),
+	}
+	r := rand.New(rand.NewPCG(11, 17))
+	var p Pool
+	var alive []*Worker
+	nextID, nextKey := 0, 0
+	rebuilds, grows := 0, 0
+
+	randAlloc := func(shape resources.Vector) resources.Vector {
+		// Mix tiny, mid, and near-capacity allocations so probes regularly
+		// straddle the fits boundary.
+		f := []float64{0.01, 0.1, 0.3, 0.5, 0.9, 1.0}[r.IntN(6)]
+		return resources.New(
+			shape.Get(resources.Cores)*f,
+			shape.Get(resources.Memory)*f,
+			shape.Get(resources.Disk)*f,
+			resources.Unlimited)
+	}
+
+	for step := 0; step < 6000; step++ {
+		switch op := r.IntN(10); {
+		case op < 3 && len(alive) < 40: // join
+			n, size := p.idx.n, p.idx.size
+			alive = append(alive, p.Add(nextID, shapes[r.IntN(len(shapes))]))
+			nextID += 1 + r.IntN(3) // IDs ascend, not necessarily densely
+			if n == size {
+				rebuilds++
+				if p.idx.size > size {
+					grows++
+				}
+			}
+		case op < 5 && len(alive) > 0: // eviction
+			i := r.IntN(len(alive))
+			held := alive[i].Keys(nil)
+			if got := p.Evict(alive[i], nil); !equalInts(got, held) {
+				t.Fatalf("step %d: Evict returned %v, worker held %v", step, got, held)
+			}
+			alive = append(alive[:i], alive[i+1:]...)
+		case len(alive) > 0: // place or release on a random worker
+			w := alive[r.IntN(len(alive))]
+			alloc := randAlloc(w.capacity)
+			if r.IntN(2) == 0 && w.Fits(alloc) {
+				p.Place(w, nextKey, alloc)
+				nextKey++
+			} else {
+				for _, key := range w.Keys(nil) { // drain the worker
+					p.Release(w, key)
+				}
+			}
+		}
+		if p.Alive() != len(alive) {
+			t.Fatalf("step %d: Alive() = %d, want %d", step, p.Alive(), len(alive))
+		}
+		i := 0
+		for w := p.First(); w != nil; w = w.Next() {
+			if w != alive[i] || w.slot < 0 || p.idx.ws[w.slot] != w || (i > 0 && w.slot <= alive[i-1].slot) {
+				t.Fatalf("step %d: chain position %d holds worker %d in slot %d", step, i, w.id, w.slot)
+			}
+			i++
+		}
+		checkPicks(t, &p, randAlloc(shapes[r.IntN(len(shapes))]), fmt.Sprint("step ", step))
+	}
+	if compactions := rebuilds - grows; compactions < 2 || grows < 1 {
+		t.Fatalf("run crossed %d slot compactions and %d doublings; want at least 2 and 1", compactions, grows)
+	}
+	if p.idx.size > 128 {
+		t.Errorf("index grew to %d leaves for at most 40 alive workers out of %d IDs", p.idx.size, nextID)
+	}
+}
+
+// TestIndexBoundaryAllocations drives allocations right at the slack
+// boundary, where conservative pruning and the exact leaf check may
+// disagree transiently: the index must still agree with the linear scan.
+func TestIndexBoundaryAllocations(t *testing.T) {
+	shape := resources.New(16, 64000, 64000, resources.Unlimited)
+	var p Pool
+	var ws []*Worker
+	for i := 0; i < 4; i++ {
+		ws = append(ws, p.Add(i, shape))
+	}
+	// Fill worker 0 to exactly capacity, worker 1 to capacity*(1+slack)
+	// (the admission limit), worker 2 just beyond it.
+	ws[0].used = shape.With(resources.Time, 0)
+	ws[1].used = ws[1].limit.With(resources.Time, 0)
+	ws[2].used = ws[2].limit.Scale(1+1e-9).With(resources.Time, 0)
+	for _, w := range ws {
+		p.idx.update(w)
+	}
+	for _, alloc := range []resources.Vector{
+		resources.New(0, 0, 0, 0),
+		resources.New(1e-12, 1e-12, 1e-12, 0),
+		resources.New(0.5, 2000, 2000, resources.Unlimited),
+		shape.With(resources.Time, resources.Unlimited),
+	} {
+		checkPicks(t, &p, alloc, "boundary")
+	}
+}
+
+// TestPickPolicies pins what each placement means on a pool small enough to
+// read: worker 0 moderately loaded, 1 nearly full, 2 nearly empty.
+func TestPickPolicies(t *testing.T) {
+	shape := resources.New(16, 64*1024, 64*1024, resources.Unlimited)
+	var p Pool
+	var ws []*Worker
+	for id, usedMem := range []float64{30000, 60000, 1000} {
+		w := p.Add(id, shape)
+		p.Place(w, id, resources.New(0, usedMem, 0, 0))
+		ws = append(ws, w)
+	}
+	alloc := resources.New(1, 2000, 100, resources.Unlimited)
+	cached := func(workerID, taskID int) float64 { return map[int]float64{1: 400}[workerID] }
+	for _, tc := range []struct {
+		place Placement
+		want  int
+	}{{FirstFit, 0}, {WorstFit, 2}, {BestFit, 1}, {Locality, 1}} {
+		got := p.Pick(tc.place, alloc, 7, cached)
+		if workerID(got) != tc.want || got != pickLinear(&p, tc.place, alloc, 7, cached) {
+			t.Errorf("%s chose %d, want %d", tc.place, workerID(got), tc.want)
+		}
+	}
+	if w := p.Pick(Locality, alloc, 7, nil); workerID(w) != 0 {
+		t.Errorf("locality without a score chose %d, want first-fit order", workerID(w))
+	}
+	// Nothing fits: nil.
+	huge := resources.New(1, 65000, 100, resources.Unlimited)
+	for _, place := range []Placement{FirstFit, WorstFit, BestFit, Locality} {
+		if w := p.Pick(place, huge, 7, cached); w != nil {
+			t.Errorf("%s placed an impossible allocation on %d", place, w.id)
+		}
+	}
+	// An evicted worker leaves the scan set entirely.
+	p.Evict(ws[2], nil)
+	if w := p.Pick(WorstFit, alloc, 7, nil); workerID(w) != 0 {
+		t.Errorf("worst-fit after evicting the emptiest worker chose %d, want 0", workerID(w))
+	}
+	if Placement(99).String() == "" || p.Pick(Placement(99), alloc, 7, nil) != nil {
+		t.Error("an unknown placement should stringify and place nothing")
+	}
+}
+
+// TestLedgerReleaseAndEvict pins the ledger's edge cases: a release of
+// something not held is refused, used capacity that drifts a hair below zero
+// is clamped, and an evicted worker holds nothing and cannot be evicted again.
+func TestLedgerReleaseAndEvict(t *testing.T) {
+	var p Pool
+	w := p.Add(3, resources.PaperWorker())
+	a := resources.New(0.1, 100, 100, 60)
+	p.Place(w, 1, a)
+	p.Place(w, 2, a.Scale(2))
+	if held, ok := w.running[2]; !ok || held != a.Scale(2) || p.InFlight() != 2 || w.Running() != 2 {
+		t.Fatalf("after two placements: holds %v %v, in flight %d", held, ok, p.InFlight())
+	}
+	if p.Release(w, 9) {
+		t.Error("released a key the worker does not hold")
+	}
+	w.used[resources.Cores] -= 1e-9 // as if earlier float sums had drifted
+	p.Release(w, 1)
+	p.Release(w, 2)
+	if w.used != (resources.Vector{}) {
+		t.Errorf("used after releasing everything = %v, want zero (drift clamped)", w.used)
+	}
+	p.Place(w, 5, a)
+	if got := p.Evict(w, []int{42}); !equalInts(got, []int{42, 5}) {
+		t.Errorf("Evict appended %v, want [42 5]", got)
+	}
+	if w.Alive() || p.Alive() != 0 || p.InFlight() != 0 || p.First() != nil {
+		t.Error("evicted worker still in the ledger")
+	}
+	if p.Release(w, 5) {
+		t.Error("released from an evicted worker")
+	}
+	if got := p.Evict(w, nil); got != nil {
+		t.Errorf("second Evict returned %v", got)
+	}
+}

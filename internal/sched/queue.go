@@ -1,37 +1,37 @@
-package sim
+package sched
 
-// taskQueue is the simulator's ready queue: a growable ring buffer of task
-// indices with O(1) push at either end. The eviction and retry paths push
-// blocks onto the front (retries jump the queue), which on a plain slice
-// cost a full copy per requeued task; dispatch compacts the queue in place
-// through At/Set/Truncate instead of rebuilding a `remaining` slice per
-// scan, so the steady-state hot path allocates nothing.
+// Queue is the ready queue: a growable ring buffer of task keys with O(1)
+// push at either end. The eviction and retry paths push blocks onto the front
+// (retries jump the queue), which on a plain slice cost a full copy per
+// requeued task; Dispatch compacts the queue in place through At/Set/Truncate
+// instead of rebuilding a `remaining` slice per scan, so the steady-state hot
+// path allocates nothing.
 //
 // The zero value is an empty queue ready for use.
-type taskQueue struct {
+type Queue struct {
 	buf  []int // ring storage; len(buf) is a power of two (or zero)
 	head int   // index of element 0 within buf
 	n    int   // number of live elements
 }
 
 // Len returns the number of queued indices.
-func (q *taskQueue) Len() int { return q.n }
+func (q *Queue) Len() int { return q.n }
 
 // At returns the i-th queued index (0 = front). i must be in [0, Len()).
-func (q *taskQueue) At(i int) int { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+func (q *Queue) At(i int) int { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 // Set overwrites the i-th queued index. i must be in [0, Len()).
-func (q *taskQueue) Set(i, v int) { q.buf[(q.head+i)&(len(q.buf)-1)] = v }
+func (q *Queue) Set(i, v int) { q.buf[(q.head+i)&(len(q.buf)-1)] = v }
 
 // PushBack appends v to the back of the queue.
-func (q *taskQueue) PushBack(v int) {
+func (q *Queue) PushBack(v int) {
 	q.grow(1)
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
 // PushFront prepends v to the front of the queue.
-func (q *taskQueue) PushFront(v int) {
+func (q *Queue) PushFront(v int) {
 	q.grow(1)
 	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = v
@@ -42,7 +42,7 @@ func (q *taskQueue) PushFront(v int) {
 // vs[0], vs[1], ..., then the previous contents. This is the multi-victim
 // eviction requeue — the whole block jumps the queue while its internal
 // (ascending task ID) order is preserved.
-func (q *taskQueue) PushFrontAll(vs []int) {
+func (q *Queue) PushFrontAll(vs []int) {
 	q.grow(len(vs))
 	for i := len(vs) - 1; i >= 0; i-- {
 		q.head = (q.head - 1) & (len(q.buf) - 1)
@@ -51,30 +51,18 @@ func (q *taskQueue) PushFrontAll(vs []int) {
 	}
 }
 
-// PopFront removes and returns the front index. The queue must not be
-// empty.
-func (q *taskQueue) PopFront() int {
-	if q.n == 0 {
-		panic("sim: PopFront on empty taskQueue")
-	}
-	v := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v
-}
-
 // Truncate shrinks the queue to its first n elements. n must be in
 // [0, Len()]; growing through Truncate is not allowed.
-func (q *taskQueue) Truncate(n int) {
+func (q *Queue) Truncate(n int) {
 	if n < 0 || n > q.n {
-		panic("sim: Truncate out of range")
+		panic("sched: Truncate out of range")
 	}
 	q.n = n
 }
 
 // grow ensures capacity for k more elements, doubling the ring (and
 // re-linearizing it) as needed.
-func (q *taskQueue) grow(k int) {
+func (q *Queue) grow(k int) {
 	need := q.n + k
 	if need <= len(q.buf) {
 		return

@@ -1,11 +1,11 @@
-package sim
+package sched
 
 import (
 	"math/rand/v2"
 	"testing"
 )
 
-func queueContents(q *taskQueue) []int {
+func queueContents(q *Queue) []int {
 	out := make([]int, 0, q.Len())
 	for i := 0; i < q.Len(); i++ {
 		out = append(out, q.At(i))
@@ -25,8 +25,8 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func TestTaskQueueBasics(t *testing.T) {
-	var q taskQueue
+func TestQueueBasics(t *testing.T) {
+	var q Queue
 	if q.Len() != 0 {
 		t.Fatal("zero value not empty")
 	}
@@ -41,21 +41,18 @@ func TestTaskQueueBasics(t *testing.T) {
 	if got := queueContents(&q); !equalInts(got, want) {
 		t.Fatalf("contents = %v, want %v", got, want)
 	}
-	if v := q.PopFront(); v != -1 {
-		t.Fatalf("PopFront = %d, want -1", v)
-	}
 	q.Set(0, 99)
 	if q.At(0) != 99 {
 		t.Fatal("Set/At disagree")
 	}
 	q.Truncate(3)
-	if got := queueContents(&q); !equalInts(got, []int{99, 1, 2}) {
+	if got := queueContents(&q); !equalInts(got, []int{99, 0, 1}) {
 		t.Fatalf("after truncate: %v", got)
 	}
 }
 
-func TestTaskQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
-	var q taskQueue
+func TestQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
+	var q Queue
 	q.PushBack(10)
 	q.PushBack(11)
 	q.PushFrontAll([]int{1, 2, 3})
@@ -74,8 +71,8 @@ func TestTaskQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
 	}
 }
 
-func TestTaskQueuePanics(t *testing.T) {
-	var q taskQueue
+func TestQueuePanics(t *testing.T) {
+	var q Queue
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -85,21 +82,20 @@ func TestTaskQueuePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("PopFront", func() { q.PopFront() })
 	mustPanic("Truncate", func() { q.Truncate(1) })
 }
 
-// TestTaskQueueMatchesSlice drives the ring buffer and a plain-slice model
+// TestQueueMatchesSlice drives the ring buffer and a plain-slice model
 // through the same randomized operation sequence — including the in-place
 // compaction pattern dispatch uses — and demands identical contents at
 // every step.
-func TestTaskQueueMatchesSlice(t *testing.T) {
+func TestQueueMatchesSlice(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
-	var q taskQueue
+	var q Queue
 	var model []int
 	next := 0
 	for step := 0; step < 5000; step++ {
-		switch op := r.IntN(5); {
+		switch op := r.IntN(4); {
 		case op == 0: // push back
 			q.PushBack(next)
 			model = append(model, next)
@@ -108,18 +104,12 @@ func TestTaskQueueMatchesSlice(t *testing.T) {
 			q.PushFront(next)
 			model = append([]int{next}, model...)
 			next++
-		case op == 2 && len(model) > 0: // pop front
-			got, want := q.PopFront(), model[0]
-			model = model[1:]
-			if got != want {
-				t.Fatalf("step %d: PopFront = %d, want %d", step, got, want)
-			}
-		case op == 3: // block prepend, eviction-style
+		case op == 2: // block prepend, eviction-style
 			block := []int{next, next + 1, next + 2}
 			next += 3
 			q.PushFrontAll(block)
 			model = append(append([]int{}, block...), model...)
-		case op == 4 && len(model) > 0: // dispatch-style compaction
+		case op == 3 && len(model) > 0: // dispatch-style compaction
 			kept := 0
 			var keptModel []int
 			for i := 0; i < q.Len(); i++ {

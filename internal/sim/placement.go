@@ -2,50 +2,24 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"dynalloc/internal/names"
-	"dynalloc/internal/resources"
-	"dynalloc/internal/vine"
+	"dynalloc/internal/sched"
 )
 
-// Placement selects which worker a dispatchable task lands on. The paper's
-// Section II-D1 names scheduling-induced ordering (data locality, worker
-// capacity, priorities) as a source of internal stochasticity that a robust
-// allocator must tolerate; making placement pluggable lets the test suite
-// and the robustness experiments vary exactly that.
-type Placement int
+// Placement selects which worker a dispatchable task lands on; the policies
+// are implemented by the scheduler core (see sched.Placement).
+type Placement = sched.Placement
 
+// The placement policies, under the names the simulator has always exported.
 const (
-	// FirstFit places a task on the first alive worker with room — Work
-	// Queue's default greedy behaviour.
-	FirstFit Placement = iota
-	// WorstFit places a task on the worker with the most free memory,
-	// spreading load across the pool.
-	WorstFit
-	// BestFit places a task on the worker whose free memory is tightest,
-	// packing the pool densely.
-	BestFit
-	// Locality places a task on the worker already caching the most of its
-	// input data (requires Config.Data); ties and cache-less pools fall
-	// back to first-fit order. This is TaskVine's scheduling preference.
-	Locality
+	FirstFit = sched.FirstFit
+	WorstFit = sched.WorstFit
+	BestFit  = sched.BestFit
+	// Locality requires Config.Data to score workers; without it every worker
+	// ties and placement falls back to first-fit order.
+	Locality = sched.Locality
 )
-
-func (p Placement) String() string {
-	switch p {
-	case FirstFit:
-		return "first-fit"
-	case WorstFit:
-		return "worst-fit"
-	case BestFit:
-		return "best-fit"
-	case Locality:
-		return "locality"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
 
 // Placements returns all placement policies.
 func Placements() []Placement { return []Placement{FirstFit, WorstFit, BestFit, Locality} }
@@ -61,43 +35,4 @@ var ErrUnknownPlacement = errors.New("sim: unknown placement policy")
 // ErrUnknownPlacement and lists the valid names.
 func ParsePlacement(s string) (Placement, error) {
 	return names.Parse(s, Placements(), Placement.String, ErrUnknownPlacement)
-}
-
-// pickLinear returns the chosen worker among those that fit, or nil, by a
-// linear scan over workers in slice order. It is the reference semantics
-// for the capacity-indexed path (simulator.pickWorker): the property tests
-// assert that capIndex queries return exactly the worker this scan picks.
-// workers holds only alive workers; data and taskID feed the Locality
-// policy and may be nil/zero for the others.
-func (p Placement) pickLinear(workers []*simWorker, alloc resources.Vector, data *vine.Layer, taskID int) *simWorker {
-	var chosen *simWorker
-	var chosenScore float64
-	for _, w := range workers {
-		if !w.fits(alloc) {
-			continue
-		}
-		switch p {
-		case FirstFit:
-			return w
-		case WorstFit:
-			free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-			if chosen == nil || free > chosenScore {
-				chosen, chosenScore = w, free
-			}
-		case BestFit:
-			free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-			if chosen == nil || free < chosenScore {
-				chosen, chosenScore = w, free
-			}
-		case Locality:
-			score := 0.0
-			if data != nil {
-				score = data.CachedMB(w.id, taskID)
-			}
-			if chosen == nil || score > chosenScore {
-				chosen, chosenScore = w, score
-			}
-		}
-	}
-	return chosen
 }

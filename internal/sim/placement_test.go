@@ -25,42 +25,6 @@ func TestPlacementParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPickPolicies(t *testing.T) {
-	shape := resources.New(16, 64*1024, 64*1024, resources.Unlimited)
-	mkWorker := func(id int, usedMem float64) *simWorker {
-		w := newSimWorker(id, shape)
-		w.used = resources.New(0, usedMem, 0, 0)
-		return w
-	}
-	workers := []*simWorker{
-		mkWorker(0, 30000), // moderately loaded
-		mkWorker(1, 60000), // nearly full
-		mkWorker(2, 1000),  // nearly empty
-	}
-	alloc := resources.New(1, 2000, 100, resources.Unlimited)
-
-	if w := FirstFit.pickLinear(workers, alloc, nil, 0); w.id != 0 {
-		t.Errorf("first-fit chose %d, want 0", w.id)
-	}
-	if w := WorstFit.pickLinear(workers, alloc, nil, 0); w.id != 2 {
-		t.Errorf("worst-fit chose %d, want 2 (most free memory)", w.id)
-	}
-	if w := BestFit.pickLinear(workers, alloc, nil, 0); w.id != 1 {
-		t.Errorf("best-fit chose %d, want 1 (tightest fit)", w.id)
-	}
-
-	// Nothing fits: nil.
-	huge := resources.New(1, 65000, 100, resources.Unlimited)
-	if w := BestFit.pickLinear(workers, huge, nil, 0); w != nil {
-		t.Errorf("impossible allocation placed on %d", w.id)
-	}
-	// Evicted workers leave the scan set entirely (the simulator removes
-	// them from the alive index), so pick never sees them.
-	if w := WorstFit.pickLinear(workers[:2], alloc, nil, 0); w.id != 0 {
-		t.Errorf("worst-fit with evicted worker chose %d, want 0", w.id)
-	}
-}
-
 // The robustness claim: the allocator's efficiency is insensitive to the
 // placement policy (which only permutes completion order), so AWE across
 // policies stays within a few points.

@@ -1,61 +1,77 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
-	"dynalloc/internal/metrics"
+	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
 )
 
-// TestEvictionRequeueAscendingBlock is the regression for the eviction
-// requeue ordering bug: victims were sorted ascending but prepended one at
-// a time, leaving the queue front in *descending* task order. The whole
-// sorted block must jump the queue as a unit, ahead of previously queued
-// work, matching the live wq engine's recovery order.
-func TestEvictionRequeueAscendingBlock(t *testing.T) {
-	s := &simulator{cfg: Config{
-		Workflow: &workflow.Workflow{},
-		Policy:   stubbornPolicy{},
-	}.withDefaults()}
-	s.src = (&workflow.Workflow{}).Stream()
-	s.drained = true // nothing left to generate; the 12 tasks below are the window
-	for i := 0; i < 12; i++ {
-		*s.store.pushBack() = simTask{}
-	}
-	s.generated = 12
-	s.futureArrivals = 1 // a worker is still due, so dispatch won't declare the queue stranded
-	s.capIdx = newCapIndex(1)
+// scriptPool is an opportunistic.Model that replays a fixed arrival script,
+// letting a test stage an exact eviction scenario.
+type scriptPool []opportunistic.Arrival
 
-	w := newSimWorker(0, resources.PaperWorker())
-	for _, idx := range []int{9, 3, 5} { // deliberately unsorted
-		s.store.get(idx).hasAlloc = true
-		w.running[idx] = runningTask{endEv: s.engine.After(100, func() {})}
-	}
-	s.aliveHead, s.aliveTail, s.alive = w, w, 1
-	s.byID = []*simWorker{w}
-	s.capIdx.update(0, w)
-	s.ready.PushBack(11) // already waiting before the eviction
+func (p scriptPool) Schedule(uint64) []opportunistic.Arrival { return p }
+func (p scriptPool) Name() string                            { return "script" }
 
-	s.onEviction(w.id)
+// orderPolicy hands out a fixed allocation and records the order in which
+// task completions are observed.
+type orderPolicy struct {
+	alloc    resources.Vector
+	observed []int
+}
 
-	if s.err != nil {
-		t.Fatal(s.err)
+func (p *orderPolicy) Allocate(string, int) resources.Vector { return p.alloc }
+func (p *orderPolicy) Retry(_ string, _ int, _ resources.Vector, _ []resources.Kind) resources.Vector {
+	return p.alloc
+}
+func (p *orderPolicy) Observe(_ string, id int, _ resources.Vector, _ float64) {
+	p.observed = append(p.observed, id)
+}
+func (p *orderPolicy) Name() string { return "order" }
+
+// TestEvictionRequeuesThroughSchedulerCore is the simulator's half of the
+// recovery contract sched.TestEvictedTasksRequeueAsAscendingBlock pins: when
+// a worker carrying several tasks is evicted, the victims go back to the
+// queue front in ascending task order, ahead of what was already waiting
+// (wq's half is TestEvictionRequeueDeterministic).
+//
+// Worker 0 (3 cores) runs tasks 1-3 and is evicted at t=50 while tasks 4-6
+// wait. Worker 1 arrives at t=60 and never leaves. The three replayed
+// victims share one completion timestamp, and the event engine fires
+// same-time events in scheduling order, so the observed completion order is
+// exactly the post-eviction queue order.
+func TestEvictionRequeuesThroughSchedulerCore(t *testing.T) {
+	w := &workflow.Workflow{Name: "parity"}
+	for i := 1; i <= 6; i++ {
+		w.Tasks = append(w.Tasks, workflow.Task{
+			ID:          i,
+			Category:    "parity",
+			Consumption: resources.New(1, 100, 10, 100),
+		})
 	}
-	want := []int{3, 5, 9, 11}
-	if got := queueContents(&s.ready); !equalInts(got, want) {
-		t.Errorf("ready queue after eviction = %v, want %v", got, want)
+	pol := &orderPolicy{alloc: resources.New(1, 200, 50, resources.Unlimited)}
+	res, err := Run(Config{
+		Workflow:    w,
+		Policy:      pol,
+		Pool:        scriptPool{{At: 0, Lifetime: 50}, {At: 60}},
+		WorkerShape: resources.New(3, 1024, 1024, resources.Unlimited),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.alive != 0 || s.aliveHead != nil || s.aliveTail != nil {
-		t.Errorf("evicted worker still in the alive chain (%d workers)", s.alive)
+	if res.Evictions != 1 {
+		t.Fatalf("staged scenario produced %d evictions, want 1", res.Evictions)
 	}
-	if s.evictions != 1 {
-		t.Errorf("evictions = %d, want 1", s.evictions)
-	}
-	for _, idx := range []int{3, 5, 9} {
-		a := s.store.get(idx).outcome.Attempts
-		if len(a) != 1 || a[0].Status != metrics.Evicted {
-			t.Errorf("task %d attempts = %+v, want one evicted attempt", idx, a)
+	for _, id := range []int{1, 2, 3} {
+		o := res.Outcomes[id-1]
+		if o.EvictedTime() <= 0 {
+			t.Fatalf("task %d was not interrupted by the eviction: %+v", id, o.Attempts)
 		}
+	}
+	if got, want := pol.observed, []int{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("completion order = %v, want %v", got, want)
 	}
 }

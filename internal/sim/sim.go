@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/devent"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/vine"
 	"dynalloc/internal/workflow"
 )
@@ -26,13 +26,6 @@ var ErrCanceled = errors.New("sim: run canceled")
 // stdlib context types); checking every 64th event keeps cancellation
 // latency well under a millisecond of wall time at negligible cost.
 const ctxCheckInterval = 64
-
-// capacitySlack is the relative tolerance applied to worker capacity when
-// deciding whether an allocation fits. Admission (simWorker.fits) and the
-// over-pack invariant check (simulator.place) share this one constant so
-// they can never disagree: an allocation admitted at capacity*(1+slack)
-// is, by the same comparison, never reported as over-packing.
-const capacitySlack = 1e-9
 
 // DefaultMaxAttempts bounds the retry chain of a single task. With doubling
 // escalation a task reaches worker capacity from the 1-unit floor in well
@@ -132,18 +125,22 @@ type Result struct {
 // Summary returns the metric summary of the run.
 func (r *Result) Summary() metrics.Summary { return r.Acc.Summarize() }
 
+// simTask is one task's state in the in-flight window. The embedded header is
+// what the scheduler core reads and writes at dispatch; start, exceeded and
+// endEv describe the attempt in progress, if any.
 type simTask struct {
-	task     workflow.Task
-	outcome  metrics.TaskOutcome
-	alloc    resources.Vector
-	hasAlloc bool
+	sched.Task
+	outcome  metrics.TaskOutcome // Peak and Runtime are the task's consumption
+	start    float64
+	exceeded []resources.Kind
+	endEv    devent.Handle
 	done     bool
 }
 
-// Simulator event kinds for the typed devent path. Payload layout per kind:
-// evArrival carries the arrival index in A; evEviction the worker id in A;
-// evTaskEnd the worker id in A, the task index in B, and the attempt
-// duration in F; evDispatch carries nothing.
+// Simulator event kinds. Payload layout per kind: evArrival carries the
+// arrival index in A; evEviction the worker id in A; evTaskEnd the worker id
+// in A, the task index in B, and the attempt duration in F; evDispatch
+// carries nothing.
 const (
 	evDispatch devent.Kind = iota
 	evArrival
@@ -151,54 +148,11 @@ const (
 	evTaskEnd
 )
 
-// runningTask is a value (stored by value in simWorker.running): the typed
-// event path addresses attempts by (worker id, task index), so nothing
-// needs a stable pointer and placing a task allocates nothing.
-type runningTask struct {
-	start    float64
-	exceeded []resources.Kind
-	endEv    devent.Handle
-}
-
-type simWorker struct {
-	id       int
-	capacity resources.Vector
-	// limit is capacity scaled by (1 + capacitySlack), precomputed once at
-	// arrival so admission is three comparisons instead of re-deriving the
-	// slack product per kind on every fits probe.
-	limit   resources.Vector
-	used    resources.Vector
-	running map[int]runningTask
-	alive   bool
-	// prev/next link the alive list in ascending-id (= arrival) order;
-	// eviction unlinks in O(1) instead of splicing a slice.
-	prev, next *simWorker
-}
-
-// newSimWorker builds an alive worker of the given shape with its admission
-// limits precomputed.
-func newSimWorker(id int, shape resources.Vector) *simWorker {
-	w := &simWorker{
-		id:       id,
-		capacity: shape,
-		running:  make(map[int]runningTask),
-		alive:    true,
-	}
-	for k := range shape {
-		w.limit[k] = shape[k] * (1 + capacitySlack)
-	}
-	return w
-}
-
-// fits reports whether alloc fits into the worker's free capacity. The
-// comparisons are bit-identical to `used+alloc > capacity*(1+capacitySlack)`
-// with the product precomputed, and unrolled over the allocated kinds so
-// the hot path performs no slice allocation.
-func (w *simWorker) fits(alloc resources.Vector) bool {
-	return w.used[resources.Cores]+alloc[resources.Cores] <= w.limit[resources.Cores] &&
-		w.used[resources.Memory]+alloc[resources.Memory] <= w.limit[resources.Memory] &&
-		w.used[resources.Disk]+alloc[resources.Disk] <= w.limit[resources.Disk]
-}
+// maxConsecutiveMisses bounds the backfilling depth of a dispatch pass: after
+// this many consecutive placement failures the pool is effectively full for
+// this batch's allocation sizes and the rest of the queue is left for the next
+// event (real managers bound their dispatch scans the same way).
+const maxConsecutiveMisses = 256
 
 // unreleased marks simulator.released when no barrier gates task
 // generation: every task the source produces may start.
@@ -209,20 +163,14 @@ type simulator struct {
 	src      workflow.Source
 	engine   devent.Engine
 	store    taskStore               // in-flight window of per-task state, keyed by task index
-	ready    taskQueue               // task indices awaiting placement, in dispatch priority order
 	arrivals []opportunistic.Arrival // pool schedule, indexed by worker id
-	capIdx   *capIndex               // capacity index over worker slots for O(log W) placement
-	// aliveHead/aliveTail chain alive workers in arrival (ascending-id)
-	// order; the Locality placement scans the chain and eviction unlinks
-	// in O(1).
-	aliveHead, aliveTail *simWorker
-	alive                int
+	// sched owns the ready queue (task indices awaiting placement), the
+	// worker capacity ledger and the dispatch pass.
+	sched *sched.Core
 	// byID resolves the worker id carried in event payloads; evicted slots
 	// are nilled so the worker can be collected.
-	byID    []*simWorker
+	byID    []*sched.Worker
 	victims []int // eviction scratch, reused across onEviction calls
-	// firsts serves first-attempt allocations within one dispatch pass.
-	firsts allocator.PassMemo
 
 	window            int  // submit window (0 = everything released at once)
 	generated         int  // tasks pulled from the source so far
@@ -281,8 +229,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: pool model %s provided no workers", cfg.Pool.Name())
 	}
 	s.arrivals = arrivals
-	s.byID = make([]*simWorker, len(arrivals))
-	s.capIdx = newCapIndex(len(arrivals))
+	s.byID = make([]*sched.Worker, len(arrivals))
+	driver := sched.Driver{Lookup: s.lookup, Start: s.start}
+	if cfg.Data != nil {
+		driver.Score = cfg.Data.CachedMB
+	}
+	s.sched = sched.New(cfg.Place, maxConsecutiveMisses, driver)
 	s.futureArrivals = len(arrivals)
 	s.engine.SetHandler(s.handleEvent)
 	// Bulk-load the whole arrival schedule: one O(n) heapify instead of n
@@ -349,22 +301,12 @@ func (s *simulator) onArrival(id int) {
 	if s.err != nil {
 		return
 	}
-	w := newSimWorker(id, s.cfg.WorkerShape)
-	s.byID[id] = w
-	// Append to the alive-list tail: ids arrive in ascending order (pool
-	// schedules are time-sorted, ties fire in preload order), so the chain
-	// stays sorted by id without insertion search.
-	if s.aliveTail == nil {
-		s.aliveHead, s.aliveTail = w, w
-	} else {
-		s.aliveTail.next, w.prev = w, s.aliveTail
-		s.aliveTail = w
-	}
-	s.alive++
-	s.capIdx.update(id, w)
+	// Ids arrive in ascending order: pool schedules are time-sorted and ties
+	// fire in preload order.
+	s.byID[id] = s.sched.Add(id, s.cfg.WorkerShape)
 	s.futureArrivals--
-	if s.alive > s.peakWorkers {
-		s.peakWorkers = s.alive
+	if alive := s.sched.Alive(); alive > s.peakWorkers {
+		s.peakWorkers = alive
 	}
 	if lt := s.arrivals[id].Lifetime; lt > 0 {
 		s.engine.ScheduleAfter(lt, evEviction, devent.Payload{A: id})
@@ -374,56 +316,29 @@ func (s *simulator) onArrival(id int) {
 
 func (s *simulator) onEviction(id int) {
 	w := s.byID[id]
-	if s.err != nil || w == nil || !w.alive {
+	if s.err != nil || w == nil {
 		return
 	}
-	w.alive = false
 	s.byID[id] = nil
-	// Unlink from the alive chain: the scan set shrinks instead of
-	// accumulating tombstones that every placement probe would skip.
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else {
-		s.aliveHead = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else {
-		s.aliveTail = w.prev
-	}
-	w.prev, w.next = nil, nil
-	s.alive--
-	s.capIdx.update(id, nil)
 	s.evictions++
 	if s.cfg.Data != nil {
-		s.cfg.Data.DropWorker(w.id)
+		s.cfg.Data.DropWorker(id)
 	}
 	now := s.engine.Now()
-	// Iterate the victims in task order: map iteration order would make
-	// the requeue order — and hence the whole run — nondeterministic.
-	victims := s.victims[:0]
-	for idx := range w.running {
-		victims = append(victims, idx)
-	}
-	sort.Ints(victims)
-	for _, idx := range victims {
-		rt := w.running[idx]
-		s.engine.Cancel(rt.endEv)
+	s.victims = s.sched.Evict(w, s.victims[:0])
+	for _, idx := range s.victims {
 		st := s.store.get(idx)
+		s.engine.Cancel(st.endEv)
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.alloc,
-			Duration: now - rt.start,
+			Alloc:    st.Alloc,
+			Duration: now - st.start,
 			Status:   metrics.Evicted,
 		})
 	}
 	// The tasks keep their allocations: eviction says nothing about the
 	// allocation's adequacy. Retries jump the queue as one block, so the
-	// queue front stays in ascending task-ID order — the same recovery
-	// order the live wq engine uses.
-	s.ready.PushFrontAll(victims)
-	s.victims = victims
-	w.running = nil // the worker is dead; release its attempt map
-	w.used = resources.Vector{}
+	// queue front stays in ascending task order.
+	s.sched.Ready.PushFrontAll(s.victims)
 	s.dispatch()
 }
 
@@ -453,7 +368,7 @@ func (s *simulator) generate() {
 			// read again; recycle its attempts capacity.
 			attempts = e.outcome.Attempts[:0]
 		}
-		*e = simTask{task: t, outcome: metrics.TaskOutcome{
+		*e = simTask{Task: sched.Task{ID: t.ID, Category: t.Category}, outcome: metrics.TaskOutcome{
 			TaskID:     t.ID,
 			Category:   t.Category,
 			Peak:       t.Consumption,
@@ -461,7 +376,7 @@ func (s *simulator) generate() {
 			Attempts:   attempts,
 			SubmitTime: s.engine.Now(),
 		}}
-		s.ready.PushBack(s.generated)
+		s.sched.Ready.PushBack(s.generated)
 		s.generated++
 	}
 }
@@ -488,131 +403,33 @@ func (s *simulator) emit() {
 	}
 }
 
-// dispatch greedily places ready tasks onto alive workers, in queue order,
-// skipping tasks that fit no worker right now (Work Queue-style in-manager
-// backfilling avoids head-of-line blocking).
+// dispatch releases what the barrier and the submit window allow and runs one
+// scheduler pass over the ready queue.
 func (s *simulator) dispatch() {
 	if s.err != nil {
 		return
 	}
 	s.generate()
-	// Bound the backfilling depth: after this many consecutive placement
-	// failures the pool is effectively full for this batch's allocation
-	// sizes and the rest of the queue is left for the next event (real
-	// managers bound their dispatch scans the same way).
-	const maxConsecutiveMisses = 256
-	misses := 0
-	// The scan compacts the ring in place: unplaced indices slide down to
-	// position `kept` as the read cursor advances, preserving queue order
-	// without rebuilding a `remaining` slice per dispatch pass.
-	n := s.ready.Len()
-	kept, scanned := 0, 0
-	s.firsts.Begin(s.cfg.Policy)
-	for ; scanned < n; scanned++ {
-		if misses >= maxConsecutiveMisses {
-			break
-		}
-		idx := s.ready.At(scanned)
-		st := s.store.get(idx)
-		// Allocation happens at dispatch time (Section II-A), so a task that
-		// waited in the queue benefits from everything the allocator learned
-		// meanwhile. Nothing is observed during a pass, so a stable category
-		// is predicted once per pass, and once its vector fits no worker
-		// every later first attempt of it is a miss without a policy call or
-		// a probe: capacity only shrinks within a pass and every placement
-		// returns a worker iff one fits. A sampled category draws afresh for
-		// every first attempt on every pass. Retries keep their escalated
-		// allocation (hasAlloc is set on the retry path).
-		alloc, ok := st.alloc, true
-		if !st.hasAlloc {
-			alloc, ok = s.firsts.Allocate(st.task.Category, st.task.ID)
-		}
-		var w *simWorker
-		if ok {
-			w = s.pickWorker(alloc, st.task.ID)
-		}
-		if w != nil {
-			st.alloc = alloc
-			st.hasAlloc = true
-			s.place(w, idx)
-			misses = 0
-		} else {
-			if ok && !st.hasAlloc {
-				s.firsts.Missed(st.task.Category)
-			}
-			s.ready.Set(kept, idx)
-			kept++
-			misses++
-		}
-	}
-	// Slide any unscanned tail (miss-bound bailout) down behind the kept
-	// prefix, keeping the original relative order.
-	for ; scanned < n; scanned++ {
-		s.ready.Set(kept, s.ready.At(scanned))
-		kept++
-	}
-	s.ready.Truncate(kept)
-	if s.alive == 0 && s.futureArrivals == 0 && (s.ready.Len() > 0 || !s.drained) {
-		s.fail(fmt.Errorf("sim: %d tasks stranded with no workers left", s.ready.Len()))
+	s.sched.Dispatch(s.cfg.Policy)
+	if s.sched.Alive() == 0 && s.futureArrivals == 0 && (s.sched.Ready.Len() > 0 || !s.drained) {
+		s.fail(fmt.Errorf("sim: %d tasks stranded with no workers left", s.sched.Ready.Len()))
 	}
 }
 
-// pickWorker routes a placement probe to the capacity index (first/worst/
-// best fit, O(log W)) or, for Locality, to a scan of the alive chain in
-// arrival order.
-func (s *simulator) pickWorker(alloc resources.Vector, taskID int) *simWorker {
-	switch s.cfg.Place {
-	case FirstFit:
-		return s.capIdx.firstFit(alloc)
-	case WorstFit:
-		return s.capIdx.worstFit(alloc)
-	case BestFit:
-		return s.capIdx.bestFit(alloc)
-	case Locality:
-		var chosen *simWorker
-		var chosenScore float64
-		for w := s.aliveHead; w != nil; w = w.next {
-			if !w.fits(alloc) {
-				continue
-			}
-			score := 0.0
-			if s.cfg.Data != nil {
-				score = s.cfg.Data.CachedMB(w.id, taskID)
-			}
-			if chosen == nil || score > chosenScore {
-				chosen, chosenScore = w, score
-			}
-		}
-		return chosen
-	default:
-		return nil
-	}
-}
+// lookup is the pass's view of a queued task index.
+func (s *simulator) lookup(idx int) *sched.Task { return &s.store.get(idx).Task }
 
-func (s *simulator) place(w *simWorker, idx int) {
+// start begins the attempt the pass just placed on w and schedules its end.
+func (s *simulator) start(idx int, t *sched.Task, w *sched.Worker) {
 	st := s.store.get(idx)
-	w.used = w.used.Add(st.alloc.With(resources.Time, 0))
-	for _, k := range [...]resources.Kind{resources.Cores, resources.Memory, resources.Disk} {
-		if w.used.Get(k) > w.limit.Get(k) {
-			s.fail(fmt.Errorf("sim: worker %d over-packed on %s: %v > %v",
-				w.id, k, w.used.Get(k), w.capacity.Get(k)))
-			return
-		}
-	}
-	s.capIdx.update(w.id, w)
-	now := s.engine.Now()
-	duration, exceeded := EvaluateAttempt(s.cfg.Model, st.task.Consumption, st.task.Runtime(), st.alloc)
+	duration, exceeded := EvaluateAttempt(s.cfg.Model, st.outcome.Peak, st.outcome.Runtime, t.Alloc)
 	if s.cfg.Data != nil {
 		// Staging a task's missing inputs holds the allocation before the
 		// payload starts; the transfer time extends the attempt.
-		duration += s.cfg.Data.Stage(w.id, st.task.ID)
+		duration += s.cfg.Data.Stage(w.ID(), t.ID)
 	}
-	w.running[idx] = runningTask{
-		start:    now,
-		exceeded: exceeded,
-		endEv: s.engine.ScheduleAfter(duration, evTaskEnd,
-			devent.Payload{A: w.id, B: idx, F: duration}),
-	}
+	st.start, st.exceeded = s.engine.Now(), exceeded
+	st.endEv = s.engine.ScheduleAfter(duration, evTaskEnd, devent.Payload{A: w.ID(), B: idx, F: duration})
 }
 
 func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
@@ -621,22 +438,13 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 	}
 	// The end event is cancelled on eviction, so the worker is always alive
 	// (and registered) when it fires.
-	w := s.byID[workerID]
+	s.sched.Release(s.byID[workerID], idx)
 	st := s.store.get(idx)
-	exceeded := w.running[idx].exceeded
-	delete(w.running, idx)
-	w.used = w.used.Sub(st.alloc.With(resources.Time, 0))
-	// Guard against float drift accumulating below zero.
-	for k := range w.used {
-		if w.used[k] < 0 && w.used[k] > -1e-6 {
-			w.used[k] = 0
-		}
-	}
-	s.capIdx.update(w.id, w)
+	exceeded := st.exceeded
 
 	if len(exceeded) == 0 {
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.alloc,
+			Alloc:    st.Alloc,
 			Duration: duration,
 			Status:   metrics.Success,
 		})
@@ -644,7 +452,7 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 		st.outcome.DoneTime = s.engine.Now()
 		s.completed++
 		s.makespan = s.engine.Now()
-		s.cfg.Policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+		s.cfg.Policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
 		s.advanceBarrier(idx)
 		s.emit()
 		s.dispatch()
@@ -652,17 +460,17 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 	}
 
 	st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-		Alloc:    st.alloc,
+		Alloc:    st.Alloc,
 		Duration: duration,
 		Status:   metrics.Exhausted,
 	})
 	if st.outcome.Retries() >= s.cfg.MaxAttempts {
 		s.fail(fmt.Errorf("sim: task %d exceeded %d attempts under %s (alloc %v, peak %v)",
-			st.task.ID, s.cfg.MaxAttempts, s.cfg.Policy.Name(), st.alloc, st.task.Consumption))
+			st.ID, s.cfg.MaxAttempts, s.cfg.Policy.Name(), st.Alloc, st.outcome.Peak))
 		return
 	}
-	st.alloc = s.cfg.Policy.Retry(st.task.Category, st.task.ID, st.alloc, exceeded)
-	s.ready.PushFront(idx)
+	st.Alloc = s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, exceeded)
+	s.sched.Ready.PushFront(idx)
 	s.dispatch()
 }
 

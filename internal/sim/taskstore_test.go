@@ -14,12 +14,12 @@ func TestTaskStoreWindowSemantics(t *testing.T) {
 	for next < 1000 || ts.len() > 0 {
 		for ts.len() < 5 && next < 1000 {
 			e := ts.pushBack()
-			e.task.ID = next + 1
+			e.ID = next + 1
 			e.done = false
 			next++
 		}
 		for i := ts.lo(); i < ts.hi(); i++ {
-			if got := ts.get(i).task.ID; got != i+1 {
+			if got := ts.get(i).ID; got != i+1 {
 				t.Fatalf("get(%d).ID = %d, want %d", i, got, i+1)
 			}
 		}
@@ -46,16 +46,16 @@ func TestTaskStoreGrowPreservesOrder(t *testing.T) {
 	var ts taskStore
 	// Interleave pushes and pops so the ring wraps before growing.
 	for i := 0; i < 12; i++ {
-		ts.pushBack().task.ID = i + 1
+		ts.pushBack().ID = i + 1
 	}
 	for i := 0; i < 10; i++ {
 		ts.popFront()
 	}
 	for i := 12; i < 200; i++ { // forces several doublings across the wrap
-		ts.pushBack().task.ID = i + 1
+		ts.pushBack().ID = i + 1
 	}
 	for i := ts.lo(); i < ts.hi(); i++ {
-		if got := ts.get(i).task.ID; got != i+1 {
+		if got := ts.get(i).ID; got != i+1 {
 			t.Fatalf("after grow: get(%d).ID = %d, want %d", i, got, i+1)
 		}
 	}

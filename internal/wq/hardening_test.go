@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/runlog"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/sim"
 	"dynalloc/internal/workflow"
 )
@@ -97,28 +99,24 @@ func TestSubmitRunWorkflowIDCollision(t *testing.T) {
 func TestEvictionRequeueDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := NewManager(nil)
-		for _, id := range []int{7, 3, 5, 11, 2} {
+		m.mu.Lock()
+		w := stageWorker(m, resources.PaperWorker())
+		for _, id := range []int{7, 3, 5, 11, 2, 9} {
 			m.tasks[id] = &taskState{
-				task:     workflow.Task{ID: id},
-				hasAlloc: true,
-				outcome:  metrics.TaskOutcome{TaskID: id},
+				Task:    sched.Task{ID: id, HasAlloc: true},
+				outcome: metrics.TaskOutcome{TaskID: id},
 			}
-			m.nextTID = 11
+			if id != 9 {
+				m.sched.Place(w.Worker, id, resources.Vector{})
+			}
 		}
-		m.tasks[9] = &taskState{task: workflow.Task{ID: 9}, hasAlloc: true, outcome: metrics.TaskOutcome{TaskID: 9}}
-		m.queue = []int{9} // already waiting before the eviction
-		w := &managedWorker{id: 0, alive: true, running: map[int]resources.Vector{
-			7: {}, 3: {}, 5: {}, 11: {}, 2: {},
-		}}
+		m.nextTID = 11
+		m.sched.Ready.PushBack(9) // already waiting before the eviction
+		m.mu.Unlock()
 		m.evict(w)
 		want := []int{2, 3, 5, 7, 11, 9}
-		if len(m.queue) != len(want) {
-			t.Fatalf("queue = %v, want %v", m.queue, want)
-		}
-		for i, id := range want {
-			if m.queue[i] != id {
-				t.Fatalf("trial %d: queue = %v, want %v", trial, m.queue, want)
-			}
+		if got := queued(m); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: queue = %v, want %v", trial, got, want)
 		}
 	}
 }

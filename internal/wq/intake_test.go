@@ -3,7 +3,6 @@ package wq
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -291,12 +290,8 @@ func TestBurstDispatchesLikeSingleResults(t *testing.T) {
 		var round [2][]int
 		for wi, w := range staged {
 			ms.mu.Lock()
-			ids := make([]int, 0, len(w.running))
-			for id := range w.running {
-				ids = append(ids, id)
-			}
+			ids := w.Keys(nil)
 			ms.mu.Unlock()
-			sort.Ints(ids)
 			for _, res := range successes(ids...) {
 				ms.handleResult(w, *res)
 			}
@@ -403,5 +398,35 @@ func TestEvictionBetweenEarlyObserveAndSettle(t *testing.T) {
 	if s := m.Stats(); s.Dispatches != len(got.Attempts) || s.Successes != 1 || s.Evictions != 1 {
 		t.Errorf("dispatches=%d successes=%d evictions=%d, want %d, 1, 1",
 			s.Dispatches, s.Successes, s.Evictions, len(got.Attempts))
+	}
+}
+
+// sizedPolicy allocates a fixed vector per category, reports every category
+// stable, and counts first-attempt calls per category on either entry point.
+type sizedPolicy struct {
+	sizes map[string]resources.Vector
+	calls map[string]int
+}
+
+func (p *sizedPolicy) Allocate(cat string, _ int) resources.Vector {
+	p.calls[cat]++
+	return p.sizes[cat]
+}
+
+func (p *sizedPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
+	return p.Allocate(cat, id), true
+}
+
+func (p *sizedPolicy) Retry(_ string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {
+	return prev
+}
+func (p *sizedPolicy) Observe(string, int, resources.Vector, float64) {}
+func (p *sizedPolicy) Name() string                                   { return "sized" }
+
+type dispatchLog [][2]int // (task, worker) in dispatch order
+
+func (d *dispatchLog) Trace(ev Event) {
+	if ev.Type == EventDispatch {
+		*d = append(*d, [2]int{ev.TaskID, ev.WorkerID})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"dynalloc/internal/jsonwire"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/sim"
 	"dynalloc/internal/workflow"
 )
@@ -47,17 +48,12 @@ type Manager struct {
 	ln      net.Listener
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
-	queue   []int // task IDs awaiting placement; retries at the front
-	// firsts serves first-attempt allocations within one dispatch pass.
-	firsts  allocator.PassMemo
+	// sched owns the ready queue (task IDs awaiting placement), the worker
+	// capacity ledger and the dispatch pass; the manager drives it under mu.
+	sched   *sched.Core
 	nextWID int
 	nextTID int // highest task ID ever registered, on any path
 	closed  bool
-
-	// aliveHead/aliveTail chain connected workers in ascending-ID (= join)
-	// order, so dispatch scans only live workers instead of every ID ever
-	// issued — the scan set shrinks with churn instead of growing with it.
-	aliveHead, aliveTail *managedWorker
 
 	stats     Stats
 	perWorker map[int]*WorkerStats
@@ -103,21 +99,15 @@ type Manager struct {
 	sweepWG   sync.WaitGroup
 }
 
+// managedWorker is a connected worker: its row in the scheduler's capacity
+// ledger (guarded by Manager.mu) and its connection.
 type managedWorker struct {
-	id       int
-	conn     net.Conn
-	out      *frameWriter
-	capacity resources.Vector
-	used     resources.Vector
-	running  map[int]resources.Vector // task ID -> allocation held
-	alive    bool
+	*sched.Worker
+	conn net.Conn
+	out  *frameWriter
 	// lastSeen is the UnixNano of the last frame from this worker. Atomic so
 	// the reader goroutine refreshes it per frame without touching any lock.
 	lastSeen atomic.Int64
-
-	// prev/next link the alive-worker chain in ascending-ID order; nil for a
-	// worker that has been evicted (or never joined). Guarded by Manager.mu.
-	prev, next *managedWorker
 }
 
 func (w *managedWorker) send(m Message) error {
@@ -139,13 +129,11 @@ type stagedResult struct {
 }
 
 type taskState struct {
-	task     workflow.Task
-	alloc    resources.Vector
-	hasAlloc bool
-	outcome  metrics.TaskOutcome
-	done     bool
-	failed   bool                     // done because the retry budget ran out
-	notify   chan metrics.TaskOutcome // non-nil for Submit-ted tasks
+	sched.Task                     // the scheduling header the dispatch pass reads and writes
+	outcome    metrics.TaskOutcome // Peak and Runtime are the task's consumption
+	done       bool
+	failed     bool                     // done because the retry budget ran out
+	notify     chan metrics.TaskOutcome // non-nil for Submit-ted tasks
 	// ephemeral marks a Submit-ted task: its outcome leaves through notify,
 	// so its state is deleted from m.tasks at the terminal transition and the
 	// live set stays bounded by in-flight work. RunWorkflow tasks stay until
@@ -186,21 +174,6 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 	}
 }
 
-// WithTaskTimeout is the legacy knob from the per-dispatch watchdog era; it
-// now configures the heartbeat sweeper: the manager pings every worker each
-// d/4, any frame from the worker (pong or result) refreshes its last-seen
-// time, and a worker whose last frame is older than d at a sweep tick is
-// declared lost — so detection lands between d and d+d/4 after the last
-// frame, not per task. Unlike the old watchdog, a healthy worker running a
-// task longer than d is never reaped — only silence kills, and its
-// in-flight tasks requeue through the eviction path.
-func WithTaskTimeout(d time.Duration) Option {
-	return func(m *Manager) {
-		m.hbInterval = d / 4
-		m.hbTimeout = d
-	}
-}
-
 // WithRetryLimit bounds per-task setbacks: a task evicted or exhausted more
 // than n times is abandoned with a recorded metrics.Failed attempt instead
 // of looping forever on a doomed allocation or a flapping pool. Zero (the
@@ -233,6 +206,9 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 		sweepDone:    make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	// The live engine scans the whole queue on every pass; the simulator
+	// stops after 256 consecutive misses (DESIGN.md §8).
+	m.sched = sched.New(sched.FirstFit, 0, sched.Driver{Lookup: m.lookupLocked, Start: m.startLocked})
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -302,7 +278,7 @@ func (m *Manager) serveWorker(conn net.Conn) {
 			m.kickIntake()
 		}
 		if err := mr.next(&res); err != nil {
-			m.noteDecodeError(w.id, err)
+			m.noteDecodeError(w.ID(), err)
 			break
 		}
 		w.lastSeen.Store(time.Now().UnixNano())
@@ -333,32 +309,22 @@ func (m *Manager) noteDecodeError(workerID int, err error) {
 	m.mu.Unlock()
 }
 
-// addWorkerLocked registers a connected worker under the next worker ID and
-// appends it to the alive chain (IDs are monotonic, so appending keeps the
-// chain in ascending-ID order). Callers hold m.mu.
+// addWorkerLocked registers a connected worker under the next worker ID (IDs
+// are monotonic, which is the join order the ledger wants). Callers hold m.mu.
 func (m *Manager) addWorkerLocked(conn net.Conn, out io.Writer, capacity resources.Vector) *managedWorker {
 	w := &managedWorker{
-		id:       m.nextWID,
-		conn:     conn,
-		out:      newFrameWriter(out),
-		capacity: capacity,
-		running:  make(map[int]resources.Vector),
-		alive:    true,
+		Worker: m.sched.Add(m.nextWID, capacity),
+		conn:   conn,
+		out:    newFrameWriter(out),
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	m.nextWID++
-	m.workers[w.id] = w
-	if m.aliveTail == nil {
-		m.aliveHead, m.aliveTail = w, w
-	} else {
-		m.aliveTail.next, w.prev = w, m.aliveTail
-		m.aliveTail = w
-	}
-	m.perWorker[w.id] = &WorkerStats{ID: w.id, Connected: true}
+	m.workers[w.ID()] = w
+	m.perWorker[w.ID()] = &WorkerStats{ID: w.ID(), Connected: true}
 	if len(m.workers) > m.stats.PeakWorkers {
 		m.stats.PeakWorkers = len(m.workers)
 	}
-	m.traceLocked(Event{Type: EventWorkerJoin, TaskID: -1, WorkerID: w.id})
+	m.traceLocked(Event{Type: EventWorkerJoin, TaskID: -1, WorkerID: w.ID()})
 	return w
 }
 
@@ -387,7 +353,7 @@ func (m *Manager) sweep(now time.Time) {
 		if now.UnixNano()-w.lastSeen.Load() > int64(m.hbTimeout) {
 			lost = append(lost, w)
 			m.stats.HeartbeatTimeouts++
-			m.traceLocked(Event{Type: EventHeartbeatTimeout, TaskID: -1, WorkerID: w.id})
+			m.traceLocked(Event{Type: EventHeartbeatTimeout, TaskID: -1, WorkerID: w.ID()})
 		} else {
 			live = append(live, w)
 		}
@@ -414,55 +380,37 @@ func (m *Manager) sweep(now time.Time) {
 // ascending task ID so multi-task evictions replay deterministically.
 func (m *Manager) evict(w *managedWorker) {
 	m.mu.Lock()
-	if !w.alive {
+	if !w.Alive() {
 		m.mu.Unlock()
 		return
 	}
-	w.alive = false
-	delete(m.workers, w.id)
-	// Unlink from the alive chain; a worker staged by a test without joining
-	// has nil links and a head that isn't it, so this is a no-op for it.
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else if m.aliveHead == w {
-		m.aliveHead = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else if m.aliveTail == w {
-		m.aliveTail = w.prev
-	}
-	w.prev, w.next = nil, nil
-	ws := m.perWorker[w.id]
+	delete(m.workers, w.ID())
+	ws := m.perWorker[w.ID()]
 	if ws != nil {
 		ws.Connected = false
 	}
 	if !m.closed {
 		m.stats.WorkersLost++
-		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.id,
-			Detail: fmt.Sprintf("in_flight=%d", len(w.running))})
+		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.ID(),
+			Detail: fmt.Sprintf("in_flight=%d", w.Running())})
 	}
-	ids := make([]int, 0, len(w.running))
-	for id := range w.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var requeue []int
-	for _, id := range ids {
+	victims := m.sched.Evict(w.Worker, nil)
+	requeue := victims[:0]
+	for _, id := range victims {
 		st, ok := m.tasks[id]
 		if !ok {
 			continue
 		}
 		st.owner = -1 // any later result from w for this task is stale
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:  w.running[id],
+			Alloc:  st.Alloc,
 			Status: metrics.Evicted,
 		})
 		m.stats.Evictions++
 		if ws != nil {
 			ws.Evictions++
 		}
-		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.id})
+		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.ID()})
 		if m.failIfOverLimitLocked(st) {
 			continue
 		}
@@ -470,10 +418,8 @@ func (m *Manager) evict(w *managedWorker) {
 		m.stats.Requeues++
 		m.traceLocked(Event{Type: EventRequeue, TaskID: id, WorkerID: -1})
 	}
-	m.requeueFrontLocked(requeue...)
+	m.sched.Ready.PushFrontAll(requeue)
 	m.notePeakQueueLocked()
-	w.running = make(map[int]resources.Vector)
-	w.used = resources.Vector{}
 	m.dispatchLocked()
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -498,14 +444,14 @@ func (m *Manager) failIfOverLimitLocked(st *taskState) bool {
 		return false
 	}
 	st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-		Alloc:  st.alloc,
+		Alloc:  st.Alloc,
 		Status: metrics.Failed,
 	})
 	st.done = true
 	st.failed = true
 	st.outcome.DoneTime = m.sinceStart()
 	m.stats.Failures++
-	m.traceLocked(Event{Type: EventTaskFailed, TaskID: st.task.ID, WorkerID: -1})
+	m.traceLocked(Event{Type: EventTaskFailed, TaskID: st.ID, WorkerID: -1})
 	if st.notify != nil {
 		st.notify <- st.outcome // buffered; at most one terminal send per task
 		st.notify = nil
@@ -514,7 +460,7 @@ func (m *Manager) failIfOverLimitLocked(st *taskState) bool {
 		// The outcome is delivered; drop the state so the task map stays
 		// bounded by live work. A late stale result for this ID takes the
 		// unknown-task path, exactly as it would for a done-but-retained one.
-		delete(m.tasks, st.task.ID)
+		delete(m.tasks, st.ID)
 	}
 	return true
 }
@@ -593,7 +539,7 @@ func (m *Manager) observeBatch(batch []stagedResult) {
 			continue
 		}
 		st, ok := m.tasks[r.res.TaskID]
-		if !ok || st.done || st.owner != r.w.id || st.observed {
+		if !ok || st.done || st.owner != r.w.ID() || st.observed {
 			continue
 		}
 		st.observed = true
@@ -601,7 +547,7 @@ func (m *Manager) observeBatch(batch []stagedResult) {
 	}
 	m.mu.Unlock()
 	for _, st := range early {
-		m.policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+		m.policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
 	}
 }
 
@@ -622,11 +568,7 @@ func (m *Manager) handleResult(w *managedWorker, res Message) {
 // (delivered later by the caller's flushPending).
 func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Lock()
-	alloc, wasRunning := w.running[res.TaskID]
-	if wasRunning {
-		delete(w.running, res.TaskID)
-		w.used = w.used.Sub(alloc.With(resources.Time, 0))
-	}
+	m.sched.Release(w.Worker, res.TaskID)
 	st, ok := m.tasks[res.TaskID]
 	if !ok || st.done {
 		// Unknown or already-terminal task (e.g. a duplicate result after
@@ -637,27 +579,27 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		m.mu.Unlock()
 		return
 	}
-	if st.owner != w.id {
+	if st.owner != w.ID() {
 		// Stale result: the task is live but this worker no longer owns it —
 		// it was evicted and the task requeued (and possibly re-dispatched
 		// elsewhere). Honoring the frame would append a phantom attempt,
 		// escalate through policy.Retry, and requeue a task that may already
 		// be running on another worker — a double dispatch. Drop it.
 		m.stats.StaleResults++
-		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.id, Status: res.Status})
+		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
 		m.dispatchLocked()
 		m.cond.Broadcast()
 		m.mu.Unlock()
 		return
 	}
 	st.owner = -1
-	ws := m.perWorker[w.id]
-	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.id, Status: res.Status})
+	ws := m.perWorker[w.ID()]
+	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
 
 	switch res.Status {
 	case StatusSuccess:
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.alloc,
+			Alloc:    st.Alloc,
 			Duration: res.Duration,
 			Status:   metrics.Success,
 		})
@@ -682,7 +624,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		// Observe outside the lock: the policy has its own lock and the
 		// bucketing recomputation can be slow.
 		if !observed {
-			m.policy.Observe(st.task.Category, st.task.ID, st.task.Consumption, st.task.Runtime())
+			m.policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
 		}
 		if notify != nil {
 			notify <- outcome
@@ -690,7 +632,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		m.mu.Lock()
 	case StatusExhausted:
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.alloc,
+			Alloc:    st.Alloc,
 			Duration: res.Duration,
 			Status:   metrics.Exhausted,
 		})
@@ -706,16 +648,16 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 					exceeded = append(exceeded, k)
 				}
 			}
-			prev := st.alloc
+			prev := st.Alloc
 			m.mu.Unlock()
-			next := m.policy.Retry(st.task.Category, st.task.ID, prev, exceeded)
+			next := m.policy.Retry(st.Category, st.ID, prev, exceeded)
 			m.mu.Lock()
 			if !st.done {
-				st.alloc = next
-				m.requeueFrontLocked(st.task.ID)
+				st.Alloc = next
+				m.sched.Ready.PushFront(st.ID)
 				m.notePeakQueueLocked()
 				m.stats.Requeues++
-				m.traceLocked(Event{Type: EventRequeue, TaskID: st.task.ID, WorkerID: -1})
+				m.traceLocked(Event{Type: EventRequeue, TaskID: st.ID, WorkerID: -1})
 			}
 		}
 	}
@@ -724,87 +666,50 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Unlock()
 }
 
-// requeueFrontLocked puts ids, in order, ahead of everything queued, shifting
-// the queue up in place. Callers hold m.mu.
-func (m *Manager) requeueFrontLocked(ids ...int) {
-	queued := len(m.queue)
-	m.queue = append(m.queue, ids...)
-	copy(m.queue[len(ids):], m.queue[:queued])
-	copy(m.queue, ids)
+// dispatchLocked runs one scheduler pass: queued tasks are allocated and
+// placed onto workers with free capacity, and startLocked stages a frame for
+// each. A closed (draining) manager dispatches nothing. Allocate runs under
+// m.mu, so every worker waiting on a dispatch pays for it: a bucketing policy
+// recomputes its buckets on the first call after a run of Observes — once per
+// result batch, because the drainer observes a batch's successes before the
+// first of its passes (DESIGN.md §9, §16). Callers hold m.mu.
+func (m *Manager) dispatchLocked() {
+	if !m.closed {
+		m.sched.Dispatch(m.policy)
+	}
 }
 
-// dispatchLocked places queued tasks onto workers with free capacity. A
-// closed (draining) manager dispatches nothing. Callers hold m.mu.
-func (m *Manager) dispatchLocked() {
-	if m.closed {
-		return
+// lookupLocked is the pass's view of a queued task ID; a task that finished
+// or was dropped while queued leaves the queue.
+func (m *Manager) lookupLocked(id int) *sched.Task {
+	st := m.tasks[id]
+	if st == nil || st.done {
+		return nil
 	}
-	// Tasks left waiting are compacted to the front of the queue as the scan
-	// passes them: the write index never overtakes the read index.
-	remaining := m.queue[:0]
-	m.firsts.Begin(m.policy)
-	for _, id := range m.queue {
-		st := m.tasks[id]
-		if st == nil || st.done {
-			continue
-		}
-		// Allocation happens at dispatch time, so queued tasks benefit from
-		// records that arrived while they waited; retries keep their
-		// escalated allocation. A stable category is predicted once per pass
-		// and, once its vector fits no worker, its later first attempts stay
-		// queued without a policy call or a worker scan (capacity only
-		// shrinks within a pass); a sampled category draws afresh for every
-		// first attempt on every pass. Allocate runs under m.mu, so every
-		// worker waiting on a dispatch pays for it: a bucketing policy
-		// recomputes its buckets on the first call after a run of Observes —
-		// once per result batch, because the drainer observes a batch's
-		// successes before the first of its passes (DESIGN.md §9, §16).
-		alloc := st.alloc
-		if !st.hasAlloc {
-			var ok bool
-			if alloc, ok = m.firsts.Allocate(st.task.Category, st.task.ID); !ok {
-				remaining = append(remaining, id)
-				continue
-			}
-		}
-		placed := false
-		for w := m.aliveHead; w != nil; w = w.next {
-			if !fits(w, alloc) {
-				continue
-			}
-			st.alloc = alloc
-			st.hasAlloc = true
-			st.owner = w.id
-			w.used = w.used.Add(st.alloc.With(resources.Time, 0))
-			w.running[id] = st.alloc
-			m.stats.Dispatches++
-			if ws := m.perWorker[w.id]; ws != nil {
-				ws.Dispatched++
-			}
-			m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.id})
-			// Stage the frame; encoding and I/O happen in flushPending after
-			// the caller releases m.mu, so the lock guards only state
-			// transitions. Every path that can stage (Submit, results,
-			// evictions, registration, RunWorkflow) flushes on the way out.
-			m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
-				Type:     MsgTask,
-				TaskID:   st.task.ID,
-				Category: st.task.Category,
-				Alloc:    st.alloc,
-				Peak:     st.task.Consumption,
-				Runtime:  st.task.Runtime(),
-			}})
-			placed = true
-			break
-		}
-		if !placed {
-			if !st.hasAlloc {
-				m.firsts.Missed(st.task.Category)
-			}
-			remaining = append(remaining, id)
-		}
+	return &st.Task
+}
+
+// startLocked records the placement the pass just made and stages the task
+// frame; encoding and I/O happen in flushPending after the caller releases
+// m.mu, so the lock guards only state transitions. Every path that can stage
+// (Submit, results, evictions, registration, RunWorkflow) flushes on the way
+// out.
+func (m *Manager) startLocked(id int, t *sched.Task, sw *sched.Worker) {
+	st, w := m.tasks[id], m.workers[sw.ID()]
+	st.owner = w.ID()
+	m.stats.Dispatches++
+	if ws := m.perWorker[w.ID()]; ws != nil {
+		ws.Dispatched++
 	}
-	m.queue = remaining
+	m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.ID()})
+	m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
+		Type:     MsgTask,
+		TaskID:   id,
+		Category: t.Category,
+		Alloc:    t.Alloc,
+		Peak:     st.outcome.Peak,
+		Runtime:  st.outcome.Runtime,
+	}})
 }
 
 // flushPending delivers every frame dispatchLocked has staged since the last
@@ -869,33 +774,12 @@ func (m *Manager) deliver(batch []pendingSend) {
 	}
 }
 
-func fits(w *managedWorker, alloc resources.Vector) bool {
-	for _, k := range resources.AllocatedKinds() {
-		if w.used.Get(k)+alloc.Get(k) > w.capacity.Get(k)*(1+1e-9) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedWorkers snapshots the alive chain in ascending-ID order. Cost is
-// O(connected workers); workers that ever connected but left cost nothing,
-// which matters under opportunistic churn where the set of IDs ever issued
-// dwarfs the live pool.
-func (m *Manager) sortedWorkers() []*managedWorker {
-	out := make([]*managedWorker, 0, len(m.workers))
-	for w := m.aliveHead; w != nil; w = w.next {
-		out = append(out, w)
-	}
-	return out
-}
-
 // registerTaskLocked registers one task under a collision-free ID drawn from
 // the single monotonic counter and enqueues it. When fresh is true (Submit)
 // the caller's ID is always replaced; otherwise (RunWorkflow) the declared
 // ID is kept unless it is non-positive or already taken, in which case the
 // task is transparently renumbered. The assigned ID is in the returned
-// state's task.ID and outcome.TaskID.
+// state's ID and outcome.TaskID.
 func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOutcome, fresh bool) *taskState {
 	id := t.ID
 	if fresh || id <= 0 {
@@ -908,8 +792,7 @@ func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOu
 	if id > m.nextTID {
 		m.nextTID = id
 	}
-	t.ID = id
-	st := &taskState{task: t, owner: -1, outcome: metrics.TaskOutcome{
+	st := &taskState{Task: sched.Task{ID: id, Category: t.Category}, owner: -1, outcome: metrics.TaskOutcome{
 		TaskID:     id,
 		Category:   t.Category,
 		Peak:       t.Consumption,
@@ -918,23 +801,15 @@ func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOu
 	}, notify: notify, ephemeral: notify != nil}
 	st.outcome.Attempts = st.attemptsBuf[:0]
 	m.tasks[id] = st
-	m.queue = append(m.queue, id)
+	m.sched.Ready.PushBack(id)
 	m.notePeakQueueLocked()
 	return st
 }
 
 func (m *Manager) notePeakQueueLocked() {
-	if len(m.queue) > m.stats.PeakQueue {
-		m.stats.PeakQueue = len(m.queue)
+	if n := m.sched.Ready.Len(); n > m.stats.PeakQueue {
+		m.stats.PeakQueue = n
 	}
-}
-
-func (m *Manager) inFlightLocked() int {
-	n := 0
-	for _, w := range m.workers {
-		n += len(w.running)
-	}
-	return n
 }
 
 // sinceStart returns seconds of wall time since the manager was created —
@@ -975,7 +850,7 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 		}
 		for i, t := range w.Tasks[from:until] {
 			st := m.registerTaskLocked(t, nil, false)
-			ids[from+i] = st.task.ID
+			ids[from+i] = st.ID
 		}
 		m.dispatchLocked()
 		m.mu.Unlock()
@@ -1067,8 +942,8 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	s := m.stats
 	s.ConnectedWorkers = len(m.workers)
-	s.QueueDepth = len(m.queue)
-	s.InFlight = m.inFlightLocked()
+	s.QueueDepth = m.sched.Ready.Len()
+	s.InFlight = m.sched.InFlight()
 	s.FlushBatches = m.flushBatches.Load()
 	s.FramesSent = m.framesSent.Load()
 	s.ResultBatches = m.resultBatches.Load()
@@ -1115,12 +990,15 @@ func (m *Manager) Close() {
 		m.mu.Unlock()
 	})
 	m.mu.Lock()
-	for m.inFlightLocked() > 0 && !expired {
+	for m.sched.InFlight() > 0 && !expired {
 		m.cond.Wait()
 	}
 	m.traceLocked(Event{Type: EventDrainEnd, TaskID: -1, WorkerID: -1,
-		Detail: fmt.Sprintf("in_flight=%d", m.inFlightLocked())})
-	workers := m.sortedWorkers()
+		Detail: fmt.Sprintf("in_flight=%d", m.sched.InFlight())})
+	workers := make([]*managedWorker, 0, len(m.workers))
+	for w := m.sched.First(); w != nil; w = w.Next() {
+		workers = append(workers, m.workers[w.ID()])
+	}
 	m.mu.Unlock()
 	timer.Stop()
 

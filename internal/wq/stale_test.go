@@ -6,6 +6,7 @@ import (
 
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/workflow"
 )
 
@@ -32,6 +33,17 @@ func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
 	return m.addWorkerLocked(nil, io.Discard, capacity)
 }
 
+// queued snapshots the ready queue, front first.
+func queued(m *Manager) []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]int, 0, m.sched.Ready.Len())
+	for i := 0; i < m.sched.Ready.Len(); i++ {
+		out = append(out, m.sched.Ready.At(i))
+	}
+	return out
+}
+
 // TestStaleResultFromEvictedWorkerDropped is the regression for the
 // stale-result race: a slow worker is evicted mid-task, the task requeues
 // and re-dispatches to another worker, and then the evicted worker's late
@@ -51,21 +63,21 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 		Category:    "stale",
 		Consumption: resources.New(1, 100, 100, 10),
 	}, nil, true)
-	id := st.task.ID
+	id := st.ID
 	m.dispatchLocked()
 	m.mu.Unlock()
 
-	if st.owner != slow.id {
-		t.Fatalf("task dispatched to worker %d, want %d", st.owner, slow.id)
+	if st.owner != slow.ID() {
+		t.Fatalf("task dispatched to worker %d, want %d", st.owner, slow.ID())
 	}
 
 	// The slow worker goes silent and is evicted; the task requeues and
 	// re-dispatches onto the other worker.
 	m.evict(slow)
-	if st.owner != other.id {
-		t.Fatalf("after eviction, owner = %d, want re-dispatch to %d", st.owner, other.id)
+	if st.owner != other.ID() {
+		t.Fatalf("after eviction, owner = %d, want re-dispatch to %d", st.owner, other.ID())
 	}
-	if _, running := other.running[id]; !running {
+	if keys := other.Keys(nil); len(keys) != 1 || keys[0] != id {
 		t.Fatal("task not running on the surviving worker after requeue")
 	}
 	if got := len(st.outcome.Attempts); got != 1 || st.outcome.Attempts[0].Status != metrics.Evicted {
@@ -84,8 +96,8 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	if pol.retries != 0 {
 		t.Fatalf("stale result escalated through policy.Retry %d times", pol.retries)
 	}
-	if len(m.queue) != 0 {
-		t.Fatalf("stale result requeued a running task: queue = %v", m.queue)
+	if q := queued(m); len(q) != 0 {
+		t.Fatalf("stale result requeued a running task: queue = %v", q)
 	}
 
 	// A late success from the evicted worker is just as stale: it must not
@@ -137,7 +149,7 @@ func TestStaleResultTracing(t *testing.T) {
 	m.mu.Unlock()
 
 	m.evict(w)
-	m.handleResult(w, Message{Type: MsgResult, TaskID: st.task.ID, Status: StatusSuccess})
+	m.handleResult(w, Message{Type: MsgResult, TaskID: st.ID, Status: StatusSuccess})
 
 	var stale []Event
 	for _, ev := range events {
@@ -148,7 +160,7 @@ func TestStaleResultTracing(t *testing.T) {
 	if len(stale) != 1 {
 		t.Fatalf("stale-result events = %d, want 1", len(stale))
 	}
-	if stale[0].TaskID != st.task.ID || stale[0].WorkerID != w.id || stale[0].Status != StatusSuccess {
+	if stale[0].TaskID != st.ID || stale[0].WorkerID != w.ID() || stale[0].Status != StatusSuccess {
 		t.Errorf("stale event = %+v", stale[0])
 	}
 }
@@ -209,8 +221,11 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 	m.mu.Lock()
 	stageWorker(m, oneCore)
 	m.dispatchLocked()
-	queueLen := len(m.queue)
-	alive := m.sortedWorkers()
+	queueLen := m.sched.Ready.Len()
+	var alive []*sched.Worker
+	for w := m.sched.First(); w != nil; w = w.Next() {
+		alive = append(alive, w)
+	}
 	m.mu.Unlock()
 	want = append(want, [2]int{1, 5})
 	assertDispatches(t, "late joiner", dispatches, want)
@@ -224,8 +239,8 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 		t.Fatalf("alive workers = %d, want %d", len(alive), len(wantAlive))
 	}
 	for i, w := range alive {
-		if w.id != wantAlive[i] {
-			t.Fatalf("alive worker order: got id %d at %d, want %d", w.id, i, wantAlive[i])
+		if w.ID() != wantAlive[i] {
+			t.Fatalf("alive worker order: got id %d at %d, want %d", w.ID(), i, wantAlive[i])
 		}
 	}
 }
