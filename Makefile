@@ -46,7 +46,7 @@ WQ_MAX_ALLOCS = 8
 # BenchmarkWQGreedyBurst is judged apart: its bimodal tasks exhaust ~1.3
 # attempts each, and every exhaustion pays the retry path's allocations on top
 # of the round trip's (exceeded-kind slices on both ends, the attempt ledger
-# outgrowing its inline slot): 11-13 allocs/op measured. Its ceiling catches
+# outgrowing its inline slot): 11-14 allocs/op measured. Its ceiling catches
 # per-dispatch-pass or per-recompute allocation, which would add tens.
 WQ_BURST = BenchmarkWQGreedyBurst
 WQ_BURST_MAX_ALLOCS = 20
@@ -79,11 +79,12 @@ race:
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
 # suite) under the race detector, with the scheduler core the manager drives
 # under its lock and the line reader its intake rests on; then the
-# result-intake tests ten times over, since the drainer's early Observe shares
-# task state with evictions on other goroutines.
+# result-intake and write-coalescing tests ten times over, since the drainer's
+# early Observe shares task state with evictions on other goroutines and the
+# yielding flushers share their stages with every stager.
 test-live:
 	$(GO) test -race ./internal/wq/... ./internal/sched/... ./internal/jsonwire/... -count=1
-	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle' -count=10
+	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult' -count=10
 
 vet:
 	$(GO) vet ./...

@@ -54,8 +54,11 @@ func AppendFloat(dst []byte, v float64) ([]byte, error) {
 	}
 	// Fast path: integral values in the exact-int64 range format as plain
 	// digits under shortest-'f' anyway, and AppendInt is much cheaper than
-	// the shortest-float search. v != 0 keeps negative zero ("-0") on the
-	// slow path.
+	// the shortest-float search; positive zero, most of every frame's three
+	// vectors, is one byte. Negative zero ("-0") stays on the slow path.
+	if v == 0 && !math.Signbit(v) {
+		return append(dst, '0'), nil
+	}
 	if v == math.Trunc(v) && v >= -1e15 && v <= 1e15 && v != 0 {
 		return strconv.AppendInt(dst, int64(v), 10), nil
 	}

@@ -201,8 +201,14 @@ func BenchmarkWQDispatch64Workers(b *testing.B) { benchWQDispatch(b, 64) }
 
 // BenchmarkWQDeepQueue256 is the queue-depth scenario the dispatch benchmarks
 // above never reach: a real max-seen allocator, 256 tasks in flight on two
-// workers that hold four steady-state allocations each, so every dispatch
-// pass walks ~248 queued first attempts of one category behind a full fleet.
+// workers that hold four steady-state allocations each, so a dispatch pass
+// can walk up to ~248 queued first attempts of one category behind a full
+// fleet. How many it does walk is the scheduler's doing, so the benchmark
+// reports it: queued/pass is the mean ready-queue length a driver finds as it
+// submits (its own pass scans one more). Read ns/op beside it, never alone —
+// before the flusher yielded, the 256 drivers starved behind manager<->worker
+// hand-offs on one P and a pass saw ~3 entries; with the queue full a pass
+// costs more while the workload as a whole runs faster (DESIGN.md §16).
 func BenchmarkWQDeepQueue256(b *testing.B) {
 	capacity := resources.New(4, 1000, 1000, 3600)
 	pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})
@@ -214,7 +220,14 @@ func BenchmarkWQDeepQueue256(b *testing.B) {
 	m, cancel := benchEngineWith(b, pol, capacity, 2)
 	defer cancel()
 	defer m.Close()
-	benchDrive(b, m, 256)
+	var queued atomic.Int64
+	benchDriveTasks(b, m, 256, func(int64) workflow.Task {
+		m.mu.Lock()
+		queued.Add(int64(m.sched.Ready.Len()))
+		m.mu.Unlock()
+		return benchTask
+	})
+	b.ReportMetric(float64(queued.Load())/float64(b.N), "queued/pass")
 }
 
 // BenchmarkWQGreedyBurst is the recompute-bound scenario: a real
@@ -223,10 +236,9 @@ func BenchmarkWQDeepQueue256(b *testing.B) {
 // them, so results come back in bursts and every dispatch pass re-predicts a
 // standing queue. recomputes/op is the bucketing recomputes (all kinds) per
 // completed task: 3 when every Observe is followed by a pass, 3/k when the
-// manager observes a burst of k before the first of its passes. Bursts need
-// a second P here: on one, a loopPipe write hands the P straight to the
-// woken reader, so results arrive one at a time (a real socket batches them
-// in the kernel buffer instead).
+// manager observes a burst of k before the first of its passes. The bursts
+// are the worker's doing: executors that finish together share one write
+// (frameWriter.send), which the manager's reader takes in as one read.
 func BenchmarkWQGreedyBurst(b *testing.B) {
 	wf, err := workflow.Synthetic("bimodal", 4096, 1)
 	if err != nil {

@@ -1,0 +1,324 @@
+package wq
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"dynalloc/internal/metrics"
+	"dynalloc/internal/resources"
+)
+
+// writeLog is a connection that records what every Write carried, so a test
+// can count the writes a burst cost and see which frames shared one. With
+// hold set, the first Write announces itself on held and parks until hold is
+// closed — the flusher caught inside its write.
+type writeLog struct {
+	net.Conn
+	mu         sync.Mutex
+	writes     [][]byte
+	hold, held chan struct{}
+}
+
+func (c *writeLog) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	first := len(c.writes) == 1
+	c.mu.Unlock()
+	if first && c.hold != nil {
+		close(c.held)
+		<-c.hold
+	}
+	return c.Conn.Write(p)
+}
+
+// frames returns, for every recorded Write that carried frames of the given
+// type, how many it carried.
+func (c *writeLog) frames(t *testing.T, typ string) []int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var counts []int
+	var dec messageDecoder
+	for _, w := range c.writes {
+		n := 0
+		for _, line := range bytes.Split(bytes.TrimSuffix(w, []byte("\n")), []byte("\n")) {
+			var msg Message
+			if err := dec.decode(line, &msg); err != nil {
+				t.Fatalf("write %q: %v", w, err)
+			}
+			if msg.Type == typ {
+				n++
+			}
+		}
+		if n > 0 {
+			counts = append(counts, n)
+		}
+	}
+	return counts
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// onOneP runs the rest of the test on a single P: a yield then runs every
+// runnable goroutine before the yielder resumes, so which frames share a
+// write does not depend on the machine. One exception remains — every 61st
+// scheduling decision looks at the global queue, where a yielded goroutine
+// waits, first — so a burst can split once, and the tests allow for that.
+func onOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// joinLoggedWorker registers a worker over a buffered in-memory connection
+// whose manager-side writes are logged. Nothing reads the task frames: the
+// tests look at the log.
+func joinLoggedWorker(t *testing.T, m *Manager, log *writeLog) {
+	t.Helper()
+	mgrSide, wkrSide := loopPipe()
+	t.Cleanup(func() { wkrSide.Close() })
+	log.Conn = mgrSide
+	before := m.Workers()
+	go m.serveWorker(log)
+	writeFrames(t, wkrSide, &Message{Type: MsgRegister, Capacity: resources.New(64, 1e6, 1e6, resources.Unlimited)})
+	waitFor(t, "worker registration", func() bool { return m.Workers() == before+1 })
+}
+
+// TestCoalesceSubmitsWokenTogetherShareOneWrite makes k submitters runnable
+// at once. The first to stage becomes the flusher and yields; the others
+// stage behind it and return at the busy check; the worker's socket sees one
+// write holding all k task frames where it used to see k. A lone Submit, with
+// nothing to wait for, is written just the same.
+func TestCoalesceSubmitsWokenTogetherShareOneWrite(t *testing.T) {
+	onOneP(t)
+	for _, k := range []int{1, 16} {
+		m := NewManager(fixedPolicy{alloc: resources.New(1, 100, 100, resources.Unlimited)})
+		log := &writeLog{}
+		joinLoggedWorker(t, m, log)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				m.Submit(burstTask)
+			}()
+		}
+		close(start)
+		wg.Wait() // every Submit has returned, the flusher's included
+		writes := log.frames(t, MsgTask)
+		if sum(writes) != k || len(writes) > 2 {
+			t.Errorf("%d submitters: task frames per write = %v, want all %d in one write (two at most)", k, writes, k)
+		}
+		if s := m.Stats(); s.FramesSent != int64(k) || s.FlushBatches != int64(len(writes)) {
+			t.Errorf("%d submitters: FramesSent=%d FlushBatches=%d, want %d and %d",
+				k, s.FramesSent, s.FlushBatches, k, len(writes))
+		}
+	}
+}
+
+// TestCoalesceFramesStagedDuringWriteGoOut catches the flusher inside its
+// write, stages two more frames behind it, and makes no further call after
+// letting it go: the flusher's own re-check must deliver them, in one write.
+func TestCoalesceFramesStagedDuringWriteGoOut(t *testing.T) {
+	m := NewManager(fixedPolicy{alloc: resources.New(1, 100, 100, resources.Unlimited)})
+	log := &writeLog{hold: make(chan struct{}), held: make(chan struct{})}
+	joinLoggedWorker(t, m, log)
+	flusherDone := make(chan struct{})
+	go func() {
+		m.Submit(burstTask)
+		close(flusherDone)
+	}()
+	<-log.held
+	// These return without I/O: the busy flusher owns the delivery.
+	m.Submit(burstTask)
+	m.Submit(burstTask)
+	close(log.hold)
+	<-flusherDone
+	if writes := log.frames(t, MsgTask); !reflect.DeepEqual(writes, []int{1, 2}) {
+		t.Errorf("task frames per write = %v, want [1 2]", writes)
+	}
+}
+
+// TestCoalesceResultsOfOneReadShareWrites plays the manager to a real worker:
+// k task frames arrive in one write, the executors that run them finish in
+// the same scheduling round, and their results come back in fewer writes
+// than frames — carrying the task ID and the verdict, not the task.
+func TestCoalesceResultsOfOneReadShareWrites(t *testing.T) {
+	onOneP(t)
+	const k = 16
+	mgrSide, wkrSide := loopPipe()
+	log := &writeLog{Conn: wkrSide}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- runWorkerConn(ctx, log, WorkerConfig{TimeScale: 1e-12}) }()
+
+	mr := newMsgReader(mgrSide)
+	var msg Message
+	if err := mr.next(&msg); err != nil || msg.Type != MsgRegister {
+		t.Fatalf("first frame = %+v, %v; want the registration", msg, err)
+	}
+	burst := make([]*Message, k)
+	for i := range burst {
+		burst[i] = &Message{Type: MsgTask, TaskID: i + 1, Category: "burst",
+			Alloc: resources.New(1, 1000, 1000, 100), Peak: resources.New(1, 500, 500, 10), Runtime: 10}
+	}
+	writeFrames(t, mgrSide, burst...)
+	seen := map[int]bool{}
+	for i := 0; i < k; i++ {
+		if err := mr.next(&msg); err != nil {
+			t.Fatalf("result %d: %v", i, err)
+		}
+		want := Message{Type: MsgResult, TaskID: msg.TaskID, Status: StatusSuccess, Duration: 10}
+		if !reflect.DeepEqual(msg, want) || seen[msg.TaskID] {
+			t.Errorf("result %d = %+v, want %+v once", i, msg, want)
+		}
+		seen[msg.TaskID] = true
+	}
+	writeFrames(t, mgrSide, &Message{Type: MsgShutdown})
+	if err := <-done; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	if writes := log.frames(t, MsgResult); sum(writes) != k || len(writes) >= k/2 {
+		t.Errorf("result frames per write = %v, want %d results in far fewer writes", writes, k)
+	}
+}
+
+// settleLog is a fixed-allocation policy that records what the manager fed
+// back, task IDs aside.
+type settleLog struct {
+	alloc resources.Vector
+	mu    sync.Mutex
+	calls []string
+}
+
+func (p *settleLog) Allocate(string, int) resources.Vector { return p.alloc }
+func (p *settleLog) Retry(cat string, _ int, prev resources.Vector, exceeded []resources.Kind) resources.Vector {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls = append(p.calls, fmt.Sprint("retry ", cat, prev, exceeded))
+	return prev.Scale(2)
+}
+func (p *settleLog) Observe(cat string, _ int, peak resources.Vector, runtime float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls = append(p.calls, fmt.Sprint("observe ", cat, peak, runtime))
+}
+func (p *settleLog) Name() string { return "settle-log" }
+
+// TestLeanResultSettlesLikeLegacy runs one task through an exhaustion and a
+// success twice: answered by result frames that carry only what the manager
+// reads, and by the frames older workers send, which echo the task back. The
+// attempts ledger and what the policy is told must be the same — one Retry,
+// one Observe, fed from the manager's own copy of the task.
+func TestLeanResultSettlesLikeLegacy(t *testing.T) {
+	run := func(echo bool) ([]metrics.Attempt, []string) {
+		pol := &settleLog{alloc: resources.New(1, 500, 1000, resources.Unlimited)}
+		m := NewManager(pol)
+		pw := joinPipeWorker(t, m, resources.PaperWorker())
+		outcome := m.Submit(burstTask)
+		answer := func(res Message) {
+			task := pw.take(1)[0]
+			res.Type, res.TaskID = MsgResult, task.TaskID
+			if echo {
+				res.Category, res.Alloc, res.Peak, res.Runtime = task.Category, task.Alloc, task.Peak, task.Runtime
+			}
+			pw.write(&res)
+		}
+		answer(Message{Status: StatusExhausted, Duration: 4, Exceeded: []string{"memory"}})
+		answer(Message{Status: StatusSuccess, Duration: 10})
+		select {
+		case o := <-outcome:
+			waitIntake(t, m, 2)
+			pol.mu.Lock()
+			defer pol.mu.Unlock()
+			return o.Attempts, pol.calls
+		case <-time.After(5 * time.Second):
+			t.Fatal("the task never completed")
+			return nil, nil
+		}
+	}
+	leanAttempts, leanCalls := run(false)
+	legacyAttempts, legacyCalls := run(true)
+	if !reflect.DeepEqual(leanAttempts, legacyAttempts) || len(leanAttempts) != 2 {
+		t.Errorf("attempts differ:\n lean   %+v\n legacy %+v", leanAttempts, legacyAttempts)
+	}
+	want := []string{
+		fmt.Sprint("retry ", burstTask.Category, resources.New(1, 500, 1000, resources.Unlimited), []resources.Kind{resources.Memory}),
+		fmt.Sprint("observe ", burstTask.Category, burstTask.Consumption, burstTask.Runtime()),
+	}
+	if !reflect.DeepEqual(leanCalls, want) || !reflect.DeepEqual(legacyCalls, want) {
+		t.Errorf("policy calls:\n lean   %v\n legacy %v\n want   %v", leanCalls, legacyCalls, want)
+	}
+}
+
+// TestWedgedWorkerIsEvictedOnWriteTimeout joins a worker that registers and
+// then never reads again, with heartbeats off. The flusher's write to it must
+// fail at the write deadline instead of holding the delivery slot for good:
+// the other worker then gets its dispatch, the wedged one is evicted, and its
+// task requeues and completes elsewhere.
+func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out writeTimeout")
+	}
+	one := resources.New(1, 1000, 1000, resources.Unlimited)
+	m := NewManager(fixedPolicy{alloc: one})
+	mgrSide, wedged := net.Pipe()
+	t.Cleanup(func() { wedged.Close() })
+	go m.serveWorker(mgrSide)
+	writeFrames(t, wedged, &Message{Type: MsgRegister, Capacity: one})
+	waitFor(t, "the wedged worker's registration", func() bool { return m.Workers() == 1 })
+	healthy := joinPipeWorker(t, m, one)
+
+	// First fit puts the first task on the wedged worker (the lower ID); its
+	// Submit becomes the flusher and blocks in the write nobody reads.
+	stuck := make(chan (<-chan metrics.TaskOutcome), 1)
+	go func() { stuck <- m.Submit(burstTask) }()
+	waitFor(t, "the first dispatch", func() bool { return m.Stats().Dispatches == 1 })
+	second := m.Submit(burstTask) // staged for the healthy worker behind the stuck flusher
+
+	next := func(what string) Message {
+		select {
+		case msg, ok := <-healthy.tasks:
+			if !ok {
+				t.Fatalf("healthy worker's connection closed waiting for %s", what)
+			}
+			return msg
+		case <-time.After(writeTimeout + 5*time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+			return Message{}
+		}
+	}
+	began := time.Now()
+	b := next("the dispatch staged behind the wedged write")
+	if waited := time.Since(began); waited > writeTimeout+2*time.Second {
+		t.Errorf("healthy worker waited %v for its dispatch, write deadline is %v", waited, writeTimeout)
+	}
+	healthy.write(successes(b.TaskID)...)
+	if o := <-second; len(o.Attempts) != 1 || o.Attempts[0].Status != metrics.Success {
+		t.Errorf("second task attempts = %+v, want one success", o.Attempts)
+	}
+	a := next("the wedged worker's task, requeued")
+	healthy.write(successes(a.TaskID)...)
+	o := <-<-stuck
+	if len(o.Attempts) != 2 || o.Attempts[0].Status != metrics.Evicted || o.Attempts[1].Status != metrics.Success {
+		t.Errorf("first task attempts = %+v, want Evicted then Success", o.Attempts)
+	}
+	if s := m.Stats(); s.WorkersLost != 1 || s.Evictions != 1 || s.ConnectedWorkers != 1 {
+		t.Errorf("lost=%d evictions=%d connected=%d, want 1, 1, 1", s.WorkersLost, s.Evictions, s.ConnectedWorkers)
+	}
+}

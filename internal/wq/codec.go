@@ -3,8 +3,11 @@ package wq
 import (
 	"bufio"
 	"io"
+	"net"
+	"runtime"
 	"strconv"
 	"sync"
+	"time"
 
 	"dynalloc/internal/jsonwire"
 )
@@ -200,18 +203,41 @@ func (mr *msgReader) next(m *Message) error {
 // buffered reports whether a complete frame line is already in memory.
 func (mr *msgReader) buffered() bool { return mr.r.Buffered() }
 
+// writeTimeout bounds every write to a peer: one that stopped reading gets its
+// connection closed (the normal eviction path) when its socket buffer is full,
+// where the write used to block for good and, heartbeats off, pin the flusher.
+const writeTimeout = 5 * time.Second
+
+// deadlineWriter arms the deadline before each write to the connection,
+// flushes and the buffered writer's own overflow writes alike.
+type deadlineWriter struct{ conn net.Conn }
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		return 0, err
+	}
+	return d.conn.Write(p)
+}
+
 // frameWriter serializes Message frames onto a connection with a reused
 // encode buffer behind a buffered writer. queue stages a frame without
 // flushing (the manager's coalesced dispatch delivery flushes once per
-// batch); send is queue+flush for lockstep frames (register, pong, results,
-// pings, shutdown). A frameWriter is safe for concurrent use.
+// batch); send is queue+flush, at once for lockstep frames (register, pong,
+// pings, shutdown) and after one yield for results. A frameWriter is safe for
+// concurrent use.
 type frameWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	enc []byte // appendMessage scratch
+	// yielded marks a send that has queued its frame and stepped aside before
+	// flushing; sends that queue meanwhile leave the flush to it.
+	yielded bool
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
+	if conn, ok := w.(net.Conn); ok {
+		w = deadlineWriter{conn}
+	}
 	return &frameWriter{bw: bufio.NewWriterSize(w, 16*1024)}
 }
 
@@ -239,12 +265,25 @@ func (fw *frameWriter) flush() error {
 	return fw.bw.Flush()
 }
 
-// send encodes m and flushes it immediately.
-func (fw *frameWriter) send(m *Message) error {
+// send encodes m and flushes it: at once, or with yield after every goroutine
+// already runnable has had its turn to queue behind it — the first yielding
+// sender flushes for all, the others return as soon as they have queued, and
+// a burst costs one write. With nothing else runnable the yield returns at once.
+func (fw *frameWriter) send(m *Message, yield bool) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if err := fw.queueLocked(m); err != nil {
 		return err
+	}
+	if yield {
+		if fw.yielded {
+			return nil
+		}
+		fw.yielded = true
+		fw.mu.Unlock()
+		runtime.Gosched()
+		fw.mu.Lock()
+		fw.yielded = false
 	}
 	return fw.bw.Flush()
 }

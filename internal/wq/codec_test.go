@@ -41,6 +41,10 @@ func TestAppendMessageMatchesEncodingJSON(t *testing.T) {
 		{Type: "", Category: "control:\x01\x1f del:\x7f unicode:\u00e9\u2028\u2029 bad:\xff\xfe"},
 		{Type: MsgResult, Duration: -0.0},       // negative zero is ==0: omitted
 		{Type: MsgResult, Exceeded: []string{}}, // empty-but-non-nil list still omitted
+		// A result as the worker sends it: three all-zero vectors, one byte
+		// per element; negative zero keeps its sign as it does in encoding/json.
+		{Type: MsgResult, TaskID: 9, Status: StatusSuccess, Duration: 2.5},
+		{Type: MsgResult, Peak: resources.Vector{0, math.Copysign(0, -1), 0, 1}},
 	}
 	for i, m := range msgs {
 		want, werr := encodeStdMsg(t, &m)
@@ -196,6 +200,8 @@ func FuzzWQMessageCodec(f *testing.F) {
 	f.Add("result", "x", "exhausted", "memory", 9, 1e-7, 1e21, -0.0, 12.5)
 	f.Add("result", "a<b>&c\u2028", "success", "", 0, math.MaxFloat64, 5e-324, 0.1, 1e-9)
 	f.Add("register", "oom \xff\xfe", "tab\t\"q\"", "time", 12, math.NaN(), 0.0, 0.0, 99.0)
+	f.Add("result", "", "success", "", 7, 0.0, 0.0, 0.0, 2.5) // all-zero vectors, with -a a negative zero
+	f.Add("task", "z", "", "", 1, math.Copysign(0, -1), 0.0, math.Copysign(0, -1), 0.0)
 	f.Fuzz(func(t *testing.T, typ, category, status, exc string,
 		taskID int, a, b, rt, dur float64) {
 		msg := Message{

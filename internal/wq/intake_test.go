@@ -2,6 +2,7 @@ package wq
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -54,15 +55,21 @@ func joinPipeWorker(t *testing.T, m *Manager, capacity resources.Vector) *pipeWo
 // write sends the frames in a single Write.
 func (pw *pipeWorker) write(frames ...*Message) {
 	pw.t.Helper()
+	writeFrames(pw.t, pw.conn, frames...)
+}
+
+// writeFrames encodes the frames and hands them to w in a single Write.
+func writeFrames(t *testing.T, w io.Writer, frames ...*Message) {
+	t.Helper()
 	var buf []byte
 	for _, f := range frames {
 		var err error
 		if buf, err = appendMessage(buf, f); err != nil {
-			pw.t.Fatal(err)
+			t.Fatal(err)
 		}
 	}
-	if _, err := pw.conn.Write(buf); err != nil {
-		pw.t.Fatal(err)
+	if _, err := w.Write(buf); err != nil {
+		t.Fatal(err)
 	}
 }
 

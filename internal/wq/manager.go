@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,8 +66,8 @@ type Manager struct {
 	// held, flushing each touched worker once per batch instead of once per
 	// frame. At most one delivery runs at a time (flushBusy), so the two
 	// staging slices ping-pong without copying and concurrent stagers never
-	// block on I/O — the active flusher re-checks for frames staged while it
-	// was writing.
+	// block on I/O — the active flusher yields once before it swaps, then keeps
+	// delivering until nothing is staged (flushPending).
 	flushBusy    bool
 	pendingSends []pendingSend
 	sendSpare    []pendingSend
@@ -105,13 +106,14 @@ type managedWorker struct {
 	*sched.Worker
 	conn net.Conn
 	out  *frameWriter
-	// lastSeen is the UnixNano of the last frame from this worker. Atomic so
-	// the reader goroutine refreshes it per frame without touching any lock.
+	// lastSeen is the UnixNano of the last socket read that brought a frame
+	// from this worker. Atomic so the reader goroutine refreshes it without
+	// touching any lock.
 	lastSeen atomic.Int64
 }
 
 func (w *managedWorker) send(m Message) error {
-	return w.out.send(&m)
+	return w.out.send(&m, false)
 }
 
 // pendingSend is one outbound frame staged by dispatchLocked for delivery
@@ -274,19 +276,18 @@ func (m *Manager) serveWorker(conn net.Conn) {
 		// Stage every result frame the last socket read brought in and hand
 		// the burst over exactly when the reader is about to block, so the
 		// drainer can observe all of it before the first re-prediction.
+		// Liveness is stamped there too: every frame decoded since the last
+		// stamp, result or pong, arrived in that one read.
 		if !mr.buffered() {
+			w.lastSeen.Store(time.Now().UnixNano())
 			m.kickIntake()
 		}
 		if err := mr.next(&res); err != nil {
 			m.noteDecodeError(w.ID(), err)
 			break
 		}
-		w.lastSeen.Store(time.Now().UnixNano())
-		switch res.Type {
-		case MsgResult:
+		if res.Type == MsgResult {
 			m.enqueueResult(w, res)
-		case MsgPong:
-			// lastSeen is already refreshed; nothing else to do.
 		}
 	}
 	// Results staged ahead of a malformed frame are settled before the
@@ -713,26 +714,33 @@ func (m *Manager) startLocked(id int, t *sched.Task, sw *sched.Worker) {
 }
 
 // flushPending delivers every frame dispatchLocked has staged since the last
-// flush. Callers must NOT hold m.mu. If a delivery is already in flight the
-// call returns immediately — the active flusher re-checks after writing, so
-// frames staged during its delivery still go out (and batch up with their
-// neighbors).
+// flush. Callers must NOT hold m.mu. A frame is written when nothing already
+// runnable has anything to add to it: the caller that finds no delivery in
+// flight becomes the flusher and yields once before it takes the stage, so
+// the submitters and drainers one result burst woke stage behind it and
+// return at the flushBusy check — one write per touched worker, not one each.
+// With nothing else runnable the yield returns at once. The flusher delivers
+// until the stage is empty, so frames staged while it wrote still go out.
 func (m *Manager) flushPending() {
 	m.mu.Lock()
-	for {
-		if len(m.pendingSends) == 0 || m.flushBusy {
-			m.mu.Unlock()
-			return
-		}
-		m.flushBusy = true
+	if len(m.pendingSends) == 0 || m.flushBusy {
+		m.mu.Unlock()
+		return
+	}
+	m.flushBusy = true
+	m.mu.Unlock()
+	runtime.Gosched()
+	m.mu.Lock()
+	for len(m.pendingSends) > 0 {
 		batch := m.pendingSends
 		m.pendingSends = m.sendSpare[:0]
 		m.sendSpare = batch
 		m.mu.Unlock()
 		m.deliver(batch)
 		m.mu.Lock()
-		m.flushBusy = false
 	}
+	m.flushBusy = false
+	m.mu.Unlock()
 }
 
 // deliver encodes and writes one staged batch: frames are queued per worker
