@@ -70,10 +70,11 @@ test:
 # (and the public facade that drives it) under the race detector, together
 # with the pooled event engine, the simulator that recycles its
 # slots/handles (harness workers run simulations concurrently), the scheduler
-# core under it, and the runlog package whose Writer is shared across engine
-# and tracer goroutines.
+# core under it, the runlog package whose Writer is shared across engine and
+# tracer goroutines, and the flow layer whose LocalExecutor is documented safe
+# for concurrent submissions.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/runlog/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/runlog/... ./internal/flow/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
@@ -89,12 +90,14 @@ test-live:
 vet:
 	$(GO) vet ./...
 
-# Non-test, non-blank Go lines per internal package: the size side of a
-# refactor's before/after, one command on either commit.
+# Non-test, non-blank Go lines per internal package and in total: the size
+# side of a refactor's before/after, one command on either commit.
 loc:
-	@for d in internal/*/; do \
-		printf '%-14s %5d\n' "$$(basename $$d)" "$$(cat $$(ls $$d*.go | grep -v _test.go) | grep -cv '^[[:space:]]*$$')"; \
-	done
+	@total=0; for d in internal/*/; do \
+		n=$$(cat $$(ls $$d*.go | grep -v _test.go) | grep -cv '^[[:space:]]*$$'); \
+		total=$$((total + n)); \
+		printf '%-14s %5d\n' "$$(basename $$d)" "$$n"; \
+	done; printf '%-14s %5d\n' total "$$total"
 
 short:
 	$(GO) test ./... -short -count=1

@@ -42,7 +42,7 @@ func main() {
 		logPath    = flag.String("log", "", "write a replayable run log (with lifecycle events) to this file")
 		hbInterval = flag.Duration("heartbeat", 2*time.Second, "worker ping interval (0 disables liveness sweeping)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "declare a worker lost after this much silence (0 = 4x heartbeat)")
-		retryLimit = flag.Int("retry-limit", 0, "abandon a task after this many evictions/exhaustions (0 = unbounded)")
+		retryLimit = flag.Int("retry-limit", 0, "retry limit: abandon a task evicted or exhausted more than this many times (0 = unbounded)")
 		drain      = flag.Duration("drain-timeout", 5*time.Second, "how long Close waits for in-flight results")
 	)
 	flag.Parse()

@@ -18,6 +18,8 @@ import (
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/metrics"
+	"dynalloc/internal/resources"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/sim"
 	"dynalloc/internal/workflow"
 )
@@ -61,13 +63,8 @@ func New(exec Executor) *Flow {
 // computation, consumption is its hidden resource behaviour (cores, memory
 // MB, disk MB, runtime s).
 func (f *Flow) Submit(category string, consumption workflow.Task) *Future {
-	t := consumption
-	t.Category = category
-	fut := &Future{ch: f.exec.Submit(t)}
-	f.mu.Lock()
-	f.futures = append(f.futures, fut)
-	f.mu.Unlock()
-	return fut
+	consumption.Category = category
+	return f.SubmitTask(consumption)
 }
 
 // SubmitTask submits a fully specified task.
@@ -116,7 +113,8 @@ func (f *Flow) Metrics() *metrics.Accumulator {
 type LocalExecutor struct {
 	Policy allocator.Policy
 	Model  sim.ConsumptionModel
-	// MaxAttempts bounds the retry chain (0 = sim.DefaultMaxAttempts).
+	// MaxAttempts is the retry limit: a task exhausted more often is abandoned,
+	// its outcome ending in a metrics.Failed attempt (0 = sim.DefaultMaxAttempts).
 	MaxAttempts int
 
 	mu     sync.Mutex
@@ -129,38 +127,14 @@ func (e *LocalExecutor) Submit(t workflow.Task) <-chan metrics.TaskOutcome {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.nextID++
-	t.ID = e.nextID
-	maxAttempts := e.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = sim.DefaultMaxAttempts
+	limit := e.MaxAttempts
+	if limit <= 0 {
+		limit = sim.DefaultMaxAttempts
 	}
-	outcome := metrics.TaskOutcome{
-		TaskID:   t.ID,
-		Category: t.Category,
-		Peak:     t.Consumption,
-		Runtime:  t.Runtime(),
-	}
-	alloc := e.Policy.Allocate(t.Category, t.ID)
-	for {
-		duration, exceeded := sim.EvaluateAttempt(e.Model, t.Consumption, t.Runtime(), alloc)
-		if len(exceeded) == 0 {
-			outcome.Attempts = append(outcome.Attempts, metrics.Attempt{
-				Alloc: alloc, Duration: duration, Status: metrics.Success,
-			})
-			break
-		}
-		outcome.Attempts = append(outcome.Attempts, metrics.Attempt{
-			Alloc: alloc, Duration: duration, Status: metrics.Exhausted,
-		})
-		if outcome.Retries() >= maxAttempts {
-			// Deliver the partial outcome; the caller sees no success
-			// attempt. This mirrors a task abandoned by the manager.
-			ch <- outcome
-			return ch
-		}
-		alloc = e.Policy.Retry(t.Category, t.ID, alloc, exceeded)
-	}
-	e.Policy.Observe(t.Category, t.ID, t.Consumption, t.Runtime())
-	ch <- outcome
+	st := sched.NewTask(e.nextID, t.Category, t.Consumption, t.Runtime(), 0)
+	st.RunAlone(e.Policy, limit, func(alloc resources.Vector) (float64, []resources.Kind) {
+		return sim.EvaluateAttempt(e.Model, t.Consumption, t.Runtime(), alloc)
+	})
+	ch <- st.Outcome
 	return ch
 }

@@ -95,14 +95,24 @@ func TestWaitAllCountsEachOutcomeOnce(t *testing.T) {
 }
 
 func TestLocalExecutorAbandonsAfterMaxAttempts(t *testing.T) {
-	// A policy that never escalates forces abandonment.
-	f := New(&LocalExecutor{Policy: stuck{}, MaxAttempts: 3})
-	o := f.Submit("w", task(1, 500, 10, 10)).Wait()
-	if o.Retries() != 3 {
-		t.Errorf("retries = %d, want 3", o.Retries())
+	// A policy that never escalates forces abandonment: the task is given up
+	// once it has been exhausted more than MaxAttempts times, and delivered
+	// the way the live manager delivers an abandoned task.
+	const limit = 3
+	f := New(&LocalExecutor{Policy: stuck{}, MaxAttempts: limit})
+	f.Submit("w", task(1, 500, 10, 10))
+	o := f.WaitAll()[0]
+	if o.Retries() != limit+1 {
+		t.Errorf("retries = %d, want %d (limit+1)", o.Retries(), limit+1)
 	}
 	if !o.FinalAlloc().IsZero() {
 		t.Error("abandoned task should have no successful attempt")
+	}
+	if last := o.Attempts[len(o.Attempts)-1]; last.Status != metrics.Failed {
+		t.Errorf("last attempt status = %v, want failed", last.Status)
+	}
+	if got := f.Metrics().Failures(); got != 1 {
+		t.Errorf("accumulator failures = %d, want 1", got)
 	}
 }
 

@@ -90,7 +90,7 @@ type Header struct {
 	// barriers (workflow.Source contract).
 	Window   int   `json:"window,omitempty"`
 	Barriers []int `json:"barriers,omitempty"`
-	// MaxAttempts is the per-task attempt bound (0 = engine default).
+	// MaxAttempts is the run's retry limit, sched.Core.RetryLimit (0 = engine default).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// IncludeEvictions records whether eviction-lost allocations were
 	// charged to the waste metrics.
@@ -178,8 +178,8 @@ type TaskRecord struct {
 type WorkerRecord struct {
 	Kind      string  `json:"kind"` // always "worker"
 	ID        int     `json:"worker_id"`
-	AtS       float64 `json:"at_s"`                  // join time
-	LifetimeS float64 `json:"lifetime_s,omitempty"`  // seconds until eviction; <= 0 means never evicted
+	AtS       float64 `json:"at_s"`                 // join time
+	LifetimeS float64 `json:"lifetime_s,omitempty"` // seconds until eviction; <= 0 means never evicted
 }
 
 // Footer carries the run summary.

@@ -2,13 +2,14 @@ package sched
 
 import (
 	"dynalloc/internal/allocator"
+	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 )
 
-// Task is the scheduling header of one task, embedded in the driver's own
-// per-task state. A task is queued under a driver-chosen key (the simulator's
-// window index, the manager's task ID); ID and Category are what the policy
-// sees.
+// Task is the scheduler's record of one task, embedded in the driver's own
+// per-task state: the header the dispatch pass reads and writes and the ledger
+// the settle transitions (settle.go) append to. A task is queued under a
+// driver-chosen key (window index, task ID); the policy sees ID and Category.
 type Task struct {
 	ID       int
 	Category string
@@ -19,12 +20,35 @@ type Task struct {
 	// learns meanwhile, while evictions and retries keep what they hold.
 	Alloc    resources.Vector
 	HasAlloc bool
+	// Started is when the attempt in progress began, on the driver's clock;
+	// Core.Evicted charges the time since then to a lost attempt.
+	Started float64
+	// Outcome is the attempt ledger: one record per ended attempt, closed by
+	// a Success or, when the retry limit abandoned the task, a Failed marker.
+	// Peak and Runtime are the task's consumption; DoneTime is the driver's.
+	Outcome metrics.TaskOutcome
+
+	terminal   bool // succeeded or abandoned: no attempt will follow
+	failed     bool // terminal because the retry limit ran out
+	observed   bool // the success record has been claimed for policy.Observe
+	escalating bool // exhausted within the limit: the driver owes Retried
+}
+
+// NewTask returns a task submitted at time now with an empty ledger.
+func NewTask(id int, category string, peak resources.Vector, runtime, now float64) Task {
+	return Task{ID: id, Category: category, Outcome: metrics.TaskOutcome{
+		TaskID:     id,
+		Category:   category,
+		Peak:       peak,
+		Runtime:    runtime,
+		SubmitTime: now,
+	}}
 }
 
 // Driver is how a pass reaches the engine that owns the tasks.
 type Driver struct {
-	// Lookup resolves a queued key. A nil header drops the key from the
-	// queue (the task finished or vanished while it waited).
+	// Lookup resolves a key to its live task; nil (terminal or unknown)
+	// drops a queued key from the queue.
 	Lookup func(key int) *Task
 	// Start runs after t has been charged to w: the driver starts the
 	// attempt. It must not touch the ready queue.
@@ -34,17 +58,21 @@ type Driver struct {
 }
 
 // Core is the scheduler state one engine drives: the capacity ledger, the
-// ready queue, and the dispatch pass over both.
+// ready queue, and the dispatch pass and settle transitions over both.
 type Core struct {
 	Pool
 	// Ready holds the keys of tasks awaiting placement, in dispatch priority
 	// order: retries and eviction victims at the front.
 	Ready Queue
+	// RetryLimit is the retry limit (Task.Exhausted) of every task this core
+	// settles; zero retries without bound.
+	RetryLimit int
 
 	place     Placement
 	maxMisses int
 	driver    Driver
 	firsts    passMemo
+	requeue   []int // Evicted's scratch: the survivors of one eviction
 }
 
 // New builds a scheduler core. maxMisses bounds the backfilling depth of a

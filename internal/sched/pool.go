@@ -1,10 +1,12 @@
-// Package sched is the scheduler core both engines drive: the worker capacity
-// ledger, the placement index over it, the ready queue, and the dispatch pass
-// that allocates at dispatch time and places what fits. It is deterministic
+// Package sched is the scheduler core every engine drives: the worker capacity
+// ledger, the placement index over it, the ready queue, the dispatch pass that
+// allocates at dispatch time and places what fits, and the settle transitions
+// that end an attempt and keep each task's attempt ledger. It is deterministic
 // and does no I/O: for the same sequence of calls it makes the same decisions.
-// The drivers own time and transport — internal/sim calls it from discrete
-// events, internal/wq under the manager lock from decoded frames — and keep
-// the settle side (attempt records, Observe, Retry, the retry limit).
+// The drivers own time, transport, task storage and the policy calls a
+// transition owes — internal/sim calls it from discrete events, internal/wq
+// under the manager lock from decoded frames, the sequential drivers through
+// Task.RunAlone.
 package sched
 
 import (
@@ -46,6 +48,13 @@ func (w *Worker) Next() *Worker { return w.next }
 
 // Running returns the number of tasks the worker holds.
 func (w *Worker) Running() int { return len(w.running) }
+
+// Holds reports whether the worker holds an allocation for key: whether a
+// result it sends for key would be honoured rather than dropped as stale.
+func (w *Worker) Holds(key int) bool {
+	_, ok := w.running[key]
+	return ok
+}
 
 // Keys appends the keys of the tasks the worker holds to buf in ascending
 // order: map iteration order would make the requeue order after an eviction —

@@ -1,0 +1,435 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"dynalloc/internal/metrics"
+	"dynalloc/internal/resources"
+)
+
+// checkInvariants verifies what must hold between any two calls into a core,
+// for the tasks a driver has registered with it (key -> task) and the number
+// of times the pass has started each:
+//
+//   - every live task is in exactly one place: once in the ready queue, held
+//     by exactly one worker, escalating, or terminal;
+//   - the queue and the workers hold no key of a terminal or unknown task;
+//   - each worker's used capacity is the sum of the allocations it holds, and
+//     the in-flight count is the number of held keys;
+//   - a task's ledger has one record per dispatch that has ended, plus the
+//     Failed marker of an abandoned task, and is closed (Success or Failed)
+//     iff the task is terminal.
+//
+// It is written once here for the lifecycle explorer (ROADMAP) to reuse.
+func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error {
+	queued, held := map[int]int{}, map[int]int{}
+	for i := 0; i < c.Ready.Len(); i++ {
+		queued[c.Ready.At(i)]++
+	}
+	inFlight := 0
+	for w := c.First(); w != nil; w = w.Next() {
+		var used resources.Vector
+		for key, alloc := range w.running {
+			held[key]++
+			used = used.Add(alloc.With(resources.Time, 0))
+		}
+		inFlight += len(w.running)
+		for k := range used {
+			if math.Abs(used[k]-w.used[k]) > 1e-6 {
+				return fmt.Errorf("worker %d: used %v, holds allocations summing to %v", w.ID(), w.used, used)
+			}
+		}
+	}
+	if inFlight != c.InFlight() {
+		return fmt.Errorf("InFlight() = %d, workers hold %d keys", c.InFlight(), inFlight)
+	}
+	for key := range queued {
+		if tasks[key] == nil {
+			return fmt.Errorf("unknown key %d queued", key)
+		}
+	}
+	for key := range held {
+		if tasks[key] == nil {
+			return fmt.Errorf("unknown key %d held", key)
+		}
+	}
+	for key, t := range tasks {
+		places := queued[key] + held[key]
+		if t.escalating {
+			places++
+		}
+		if t.terminal {
+			places++
+		}
+		if places != 1 {
+			return fmt.Errorf("task %d is in %d places (queued %d, held by %d, escalating %v, terminal %v), want exactly one",
+				key, places, queued[key], held[key], t.escalating, t.terminal)
+		}
+		ended, closed := len(t.Outcome.Attempts), false
+		if n := len(t.Outcome.Attempts); n > 0 {
+			switch t.Outcome.Attempts[n-1].Status {
+			case metrics.Failed:
+				ended--
+				closed = true
+				if !t.failed {
+					return fmt.Errorf("task %d: ledger ends in Failed, Failed() = false", key)
+				}
+			case metrics.Success:
+				closed = true
+			}
+		}
+		if closed != t.terminal || (t.failed && !t.terminal) {
+			return fmt.Errorf("task %d: terminal %v, failed %v, ledger %s", key, t.terminal, t.failed, ledger(t))
+		}
+		if ended+held[key] != dispatches[key] {
+			return fmt.Errorf("task %d: %d attempts ended and %d running after %d dispatches", key, ended, held[key], dispatches[key])
+		}
+	}
+	return nil
+}
+
+// ledger renders a task's attempt statuses, one letter each: S(uccess),
+// X (exhausted), E(victed), F(ailed).
+func ledger(t *Task) string {
+	var b strings.Builder
+	for _, a := range t.Outcome.Attempts {
+		b.WriteByte("SXEF"[a.Status])
+	}
+	return b.String()
+}
+
+// lifecyclePolicy allocates 100 MB on one core, doubles the memory on every
+// retry, and counts the calls.
+type lifecyclePolicy struct{ retries, observes int }
+
+func (p *lifecyclePolicy) Allocate(string, int) resources.Vector {
+	return resources.New(1, 100, 100, resources.Unlimited)
+}
+func (p *lifecyclePolicy) Retry(_ string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {
+	p.retries++
+	return prev.With(resources.Memory, 2*prev.Get(resources.Memory))
+}
+func (p *lifecyclePolicy) Observe(string, int, resources.Vector, float64) { p.observes++ }
+func (p *lifecyclePolicy) Name() string                                   { return "lifecycle" }
+
+// world is a core, the tasks registered with it and a policy, driven one
+// transition at a time; every step re-checks the invariants.
+type world struct {
+	t          *testing.T
+	c          *Core
+	pol        lifecyclePolicy
+	tasks      map[int]*Task
+	workers    []*Worker
+	dispatches map[int]int
+	clock      float64
+}
+
+// newWorld builds a core with the given retry limit, workers of the given
+// core counts (each task takes one core), and the given task keys queued in
+// that order.
+func newWorld(t *testing.T, limit int, cores []float64, keys ...int) *world {
+	w := &world{t: t, tasks: map[int]*Task{}, dispatches: map[int]int{}}
+	w.c = New(FirstFit, 0, Driver{
+		Lookup: func(key int) *Task {
+			if task := w.tasks[key]; task != nil && !task.Terminal() {
+				return task
+			}
+			return nil
+		},
+		Start: func(key int, task *Task, _ *Worker) {
+			w.dispatches[key]++
+			task.Started = w.clock
+		},
+	})
+	w.c.RetryLimit = limit
+	for id, n := range cores {
+		w.workers = append(w.workers, w.c.Add(id, resources.New(n, 1e6, 1e6, resources.Unlimited)))
+	}
+	for _, key := range keys {
+		task := NewTask(key, "c", resources.New(1, 500, 10, 10), 10, 0)
+		w.tasks[key] = &task
+		w.c.Ready.PushBack(key)
+	}
+	w.check("setup")
+	return w
+}
+
+func (w *world) check(step string) {
+	w.t.Helper()
+	if err := checkInvariants(w.c, w.tasks, w.dispatches); err != nil {
+		w.t.Fatalf("after %s: %v", step, err)
+	}
+}
+
+func (w *world) dispatch() {
+	w.t.Helper()
+	w.c.Dispatch(&w.pol)
+	w.check("dispatch")
+}
+
+// settle reports the end of key's attempt on worker id and checks what the
+// transition says the driver owes: "stale", "observe", "observed" (a success
+// with no Observe owed), "retry" or "abandoned".
+func (w *world) settle(id, key int, exceeded bool, want string) {
+	w.t.Helper()
+	task, owed := w.c.Settle(w.workers[id], key, 1, exceeded)
+	var got string
+	switch {
+	case task == nil:
+		got = "stale"
+	case task != w.tasks[key]:
+		w.t.Fatalf("Settle(%d, %d) returned another task", id, key)
+	case exceeded && owed:
+		got = "retry"
+	case exceeded:
+		got = "abandoned"
+	case owed:
+		got = "observe"
+	default:
+		got = "observed"
+	}
+	if got != want {
+		w.t.Fatalf("Settle(worker %d, key %d, exceeded %v) says %s, want %s", id, key, exceeded, got, want)
+	}
+	w.check(fmt.Sprintf("settle(%d, %d)", id, key))
+}
+
+// escalate plays the driver's half of a retry: ask the policy, report back.
+func (w *world) escalate(key int, want bool) {
+	w.t.Helper()
+	task := w.tasks[key]
+	next := w.pol.Retry(task.Category, task.ID, task.Alloc, nil)
+	if got := w.c.Retried(key, next); got != want {
+		w.t.Fatalf("Retried(%d) = %v, want %v", key, got, want)
+	}
+	if want && task.Alloc != next {
+		w.t.Fatalf("Retried(%d) left alloc %v, want %v", key, task.Alloc, next)
+	}
+	w.check(fmt.Sprintf("retried(%d)", key))
+}
+
+func (w *world) evict(id int, wantVictims ...int) {
+	w.t.Helper()
+	if got := w.c.Evicted(w.workers[id], w.clock, nil); !equalInts(got, wantVictims) {
+		w.t.Fatalf("Evicted(worker %d) = %v, want %v", id, got, wantVictims)
+	}
+	w.check(fmt.Sprintf("evict(%d)", id))
+}
+
+// TestSettleTransitions drives every way an attempt can end through the core
+// and checks, per scenario, what each transition told the driver, the final
+// ledgers, the ready queue and the policy calls; checkInvariants runs after
+// every step.
+func TestSettleTransitions(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		limit   int
+		cores   []float64
+		keys    []int
+		run     func(w *world)
+		ledgers map[int]string
+		queue   string
+		retries int
+	}{
+		{
+			name:  "a success closes the ledger and owes one Observe",
+			cores: []float64{1}, keys: []int{1},
+			run: func(w *world) {
+				w.dispatch()
+				w.settle(0, 1, false, "observe")
+			},
+			ledgers: map[int]string{1: "S"},
+			queue:   "[]",
+		},
+		{
+			// Between Settle and Retried the task is in no queue and on no
+			// worker; Retried puts it ahead of what was already waiting.
+			name:  "an overrun within the limit escalates and jumps the queue",
+			cores: []float64{1}, keys: []int{1, 2},
+			run: func(w *world) {
+				w.dispatch()
+				w.settle(0, 1, true, "retry")
+				if got := fmt.Sprint(queueContents(&w.c.Ready)); got != "[2]" {
+					w.t.Fatalf("queue while escalating = %s, want [2]", got)
+				}
+				w.escalate(1, true)
+				if got := fmt.Sprint(queueContents(&w.c.Ready)); got != "[1 2]" {
+					w.t.Fatalf("queue after Retried = %s, want [1 2]", got)
+				}
+				w.escalate(1, false) // nothing is owed twice
+				w.dispatch()
+				if got := w.workers[0].running[1].Get(resources.Memory); got != 200 {
+					w.t.Fatalf("retry placed with %v MB, want the escalated 200", got)
+				}
+				w.settle(0, 1, false, "observe")
+			},
+			ledgers: map[int]string{1: "XS", 2: ""},
+			queue:   "[2]",
+			retries: 2,
+		},
+		{
+			name:  "more setbacks than the limit abandon the task",
+			limit: 2, cores: []float64{1}, keys: []int{1},
+			run: func(w *world) {
+				for i := 0; i < 2; i++ {
+					w.dispatch()
+					w.settle(0, 1, true, "retry")
+					w.escalate(1, true)
+				}
+				w.dispatch()
+				w.settle(0, 1, true, "abandoned")
+				w.escalate(1, false) // the policy answered too late: a no-op
+			},
+			ledgers: map[int]string{1: "XXXF"},
+			queue:   "[]",
+			retries: 3,
+		},
+		{
+			name:  "a stale result from a former owner releases nothing and appends nothing",
+			cores: []float64{1, 1}, keys: []int{1},
+			run: func(w *world) {
+				w.dispatch()
+				w.evict(0, 1)
+				w.dispatch()
+				if !w.workers[1].Holds(1) || w.workers[0].Holds(1) {
+					w.t.Fatal("task not re-dispatched to worker 1 alone")
+				}
+				w.settle(0, 1, true, "stale")
+				w.settle(0, 1, false, "stale")
+				if !w.workers[1].Holds(1) || ledger(w.tasks[1]) != "E" {
+					w.t.Fatalf("stale results changed the task: ledger %s", ledger(w.tasks[1]))
+				}
+				w.settle(1, 1, false, "observe")
+				w.settle(1, 1, false, "stale") // a duplicate from the owner
+			},
+			ledgers: map[int]string{1: "ES"},
+			queue:   "[]",
+		},
+		{
+			name:  "a success observed early and lost to an eviction owes no second Observe",
+			cores: []float64{1, 1}, keys: []int{1},
+			run: func(w *world) {
+				w.dispatch()
+				if !w.tasks[1].ClaimObserve() {
+					w.t.Fatal("the first claim must be owed")
+				}
+				w.evict(0, 1)
+				w.dispatch()
+				w.settle(1, 1, false, "observed")
+			},
+			ledgers: map[int]string{1: "ES"},
+			queue:   "[]",
+		},
+		{
+			// Keys are placed unsorted; 3 and 11 already lost an attempt, so
+			// this eviction puts them over the limit.
+			name:  "abandoned victims are not requeued and the survivors stay one ascending block",
+			limit: 1, cores: []float64{5, 1}, keys: []int{7, 3, 5, 11, 2, 4, 9},
+			run: func(w *world) {
+				for _, key := range []int{3, 11} {
+					w.tasks[key].Outcome.Attempts = []metrics.Attempt{{Status: metrics.Evicted}}
+					w.dispatches[key] = 1
+				}
+				w.dispatch() // 7 3 5 11 2 on worker 0, 4 on worker 1, 9 waits
+				w.clock = 30
+				w.evict(0, 2, 3, 5, 7, 11)
+				for _, key := range []int{3, 11} {
+					if !w.tasks[key].Failed() {
+						w.t.Fatalf("task %d not abandoned", key)
+					}
+				}
+				if got := w.tasks[5].Outcome.Attempts[0].Duration; got != 30 {
+					w.t.Fatalf("lost attempt charged %v s, want the 30 since it started", got)
+				}
+			},
+			ledgers: map[int]string{2: "E", 3: "EEF", 5: "E", 7: "E", 11: "EEF", 4: "", 9: ""},
+			queue:   "[2 5 7 9]",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, tc.limit, tc.cores, tc.keys...)
+			tc.run(w)
+			for key, want := range tc.ledgers {
+				if got := ledger(w.tasks[key]); got != want {
+					t.Errorf("task %d ledger %q, want %q", key, got, want)
+				}
+			}
+			if got := fmt.Sprint(queueContents(&w.c.Ready)); got != tc.queue {
+				t.Errorf("ready queue %s, want %s", got, tc.queue)
+			}
+			if w.pol.retries != tc.retries {
+				t.Errorf("policy.Retry called %d times, want %d", w.pol.retries, tc.retries)
+			}
+		})
+	}
+}
+
+// TestTaskTransitions covers the task-level lifecycle a driver with no pool
+// and no queue uses: the limit rule's count, Retried's guards, and RunAlone.
+func TestTaskTransitions(t *testing.T) {
+	t.Run("setbacks are exhausted plus evicted attempts; zero is unbounded", func(t *testing.T) {
+		task := NewTask(1, "c", resources.Vector{}, 0, 0)
+		for i := 0; i < 100; i++ {
+			if !task.Exhausted(1, 0) || !task.Retried(task.Alloc) || !task.Evicted(1, 0) {
+				t.Fatalf("unbounded task abandoned after %s", ledger(&task))
+			}
+		}
+		task = NewTask(2, "c", resources.Vector{}, 0, 0)
+		if !task.Evicted(1, 3) || !task.Exhausted(1, 3) || !task.Retried(task.Alloc) || !task.Evicted(1, 3) {
+			t.Fatalf("abandoned within the limit: %s", ledger(&task))
+		}
+		if task.Exhausted(1, 3) || !task.Terminal() || !task.Failed() || ledger(&task) != "EXEXF" {
+			t.Fatalf("fourth setback under limit 3: terminal %v, failed %v, ledger %s", task.Terminal(), task.Failed(), ledger(&task))
+		}
+	})
+	t.Run("Retried is a no-op unless an escalation is owed", func(t *testing.T) {
+		bigger := resources.New(2, 2, 2, 2)
+		task := NewTask(1, "c", resources.Vector{}, 0, 0)
+		if task.Retried(bigger) {
+			t.Error("a task never exhausted accepted an escalation")
+		}
+		// Exhausted, then abandoned (here: by an eviction) before the policy
+		// call returned.
+		if !task.Exhausted(1, 1) || task.Evicted(1, 1) {
+			t.Fatalf("setup: ledger %s", ledger(&task))
+		}
+		if task.Retried(bigger) || !task.Alloc.IsZero() {
+			t.Errorf("a terminal task accepted an escalation: alloc %v", task.Alloc)
+		}
+	})
+	t.Run("RunAlone", func(t *testing.T) {
+		for _, tc := range []struct {
+			limit, overruns       int // the attempt func exceeds this many times, then succeeds
+			wantLedger            string
+			wantObserves, wantMem int
+		}{
+			{limit: 3, overruns: 0, wantLedger: "S", wantObserves: 1, wantMem: 100},
+			{limit: 3, overruns: 3, wantLedger: "XXXS", wantObserves: 1, wantMem: 800},
+			{limit: 3, overruns: 9, wantLedger: "XXXXF", wantObserves: 0, wantMem: 800},
+			{limit: 0, overruns: 9, wantLedger: "XXXXXXXXXS", wantObserves: 1, wantMem: 51200},
+		} {
+			var pol lifecyclePolicy
+			task := NewTask(1, "c", resources.New(1, 500, 10, 10), 10, 0)
+			calls := 0
+			task.RunAlone(&pol, tc.limit, func(alloc resources.Vector) (float64, []resources.Kind) {
+				calls++
+				if calls <= tc.overruns {
+					return 1, []resources.Kind{resources.Memory}
+				}
+				return 10, nil
+			})
+			attempts := len(strings.TrimSuffix(tc.wantLedger, "F"))
+			if got := ledger(&task); got != tc.wantLedger || calls != attempts || !task.Terminal() || task.Failed() != strings.HasSuffix(got, "F") {
+				t.Errorf("limit %d, %d overruns: ledger %s after %d attempts (terminal %v, failed %v), want %s",
+					tc.limit, tc.overruns, got, calls, task.Terminal(), task.Failed(), tc.wantLedger)
+			}
+			if pol.observes != tc.wantObserves || int(task.Alloc.Get(resources.Memory)) != tc.wantMem {
+				t.Errorf("limit %d, %d overruns: %d observes, final %v MB; want %d, %d",
+					tc.limit, tc.overruns, pol.observes, task.Alloc.Get(resources.Memory), tc.wantObserves, tc.wantMem)
+			}
+		}
+	})
+}

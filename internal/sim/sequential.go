@@ -5,15 +5,17 @@ import (
 	"fmt"
 
 	"dynalloc/internal/allocator"
-	"dynalloc/internal/metrics"
+	"dynalloc/internal/resources"
+	"dynalloc/internal/sched"
 	"dynalloc/internal/workflow"
 )
 
 // RunSequential evaluates a policy on a workflow without a worker pool:
 // tasks execute one at a time in submission order, each retried until it
-// succeeds, and every completion feeds the policy before the next task is
-// allocated. Because the AWE metric is independent of the worker pool
-// (Section II-C), this fast path produces efficiency and waste numbers of
+// succeeds (a task exhausted more than maxAttempts times fails the run; zero
+// means DefaultMaxAttempts), and every completion feeds the policy before the
+// next task is allocated. Because the AWE metric is independent of the worker
+// pool (Section II-C), this fast path produces efficiency and waste numbers of
 // the same nature as the full simulation — with completion order equal to
 // submission order — at a fraction of the cost. Benchmarks and parameter
 // sweeps use it; the discrete-event Run exercises realistic interleavings.
@@ -42,36 +44,19 @@ func RunSequentialContext(ctx context.Context, w *workflow.Workflow, policy allo
 				return nil, fmt.Errorf("%w after %d/%d tasks: %w", ErrCanceled, i, len(w.Tasks), err)
 			}
 		}
-		outcome := metrics.TaskOutcome{
-			TaskID:     t.ID,
-			Category:   t.Category,
-			Peak:       t.Consumption,
-			Runtime:    t.Runtime(),
-			SubmitTime: clock,
-		}
-		alloc := policy.Allocate(t.Category, t.ID)
-		for {
+		st := sched.NewTask(t.ID, t.Category, t.Consumption, t.Runtime(), clock)
+		st.RunAlone(policy, maxAttempts, func(alloc resources.Vector) (float64, []resources.Kind) {
 			duration, exceeded := EvaluateAttempt(model, t.Consumption, t.Runtime(), alloc)
 			clock += duration
-			if len(exceeded) == 0 {
-				outcome.Attempts = append(outcome.Attempts, metrics.Attempt{
-					Alloc: alloc, Duration: duration, Status: metrics.Success,
-				})
-				break
-			}
-			outcome.Attempts = append(outcome.Attempts, metrics.Attempt{
-				Alloc: alloc, Duration: duration, Status: metrics.Exhausted,
-			})
-			if outcome.Retries() >= maxAttempts {
-				return nil, fmt.Errorf("sim: task %d exceeded %d attempts under %s",
-					t.ID, maxAttempts, policy.Name())
-			}
-			alloc = policy.Retry(t.Category, t.ID, alloc, exceeded)
+			return duration, exceeded
+		})
+		if st.Failed() {
+			return nil, fmt.Errorf("sim: task %d exceeded %d attempts under %s",
+				t.ID, maxAttempts, policy.Name())
 		}
-		outcome.DoneTime = clock
-		policy.Observe(t.Category, t.ID, t.Consumption, t.Runtime())
-		res.Outcomes = append(res.Outcomes, outcome)
-		res.Acc.Add(outcome)
+		st.Outcome.DoneTime = clock
+		res.Outcomes = append(res.Outcomes, st.Outcome)
+		res.Acc.Add(st.Outcome)
 	}
 	res.Makespan = clock
 	return res, nil

@@ -27,10 +27,10 @@ var ErrCanceled = errors.New("sim: run canceled")
 // latency well under a millisecond of wall time at negligible cost.
 const ctxCheckInterval = 64
 
-// DefaultMaxAttempts bounds the retry chain of a single task. With doubling
-// escalation a task reaches worker capacity from the 1-unit floor in well
-// under 64 attempts, so hitting the bound indicates a logic error rather
-// than an unlucky run.
+// DefaultMaxAttempts is the default retry limit of a single task (see
+// Config.MaxAttempts). With doubling escalation a task reaches worker capacity
+// from the 1-unit floor in well under 64 attempts, so hitting the bound
+// indicates a logic error rather than an unlucky run.
 const DefaultMaxAttempts = 64
 
 // Config describes one simulation run.
@@ -63,7 +63,8 @@ type Config struct {
 	// allocation meanwhile), workers cache files, evictions lose caches,
 	// and the Locality placement prefers workers holding a task's inputs.
 	Data *vine.Layer
-	// MaxAttempts bounds per-task attempts (default DefaultMaxAttempts).
+	// MaxAttempts is the retry limit: a task evicted or exhausted more than
+	// MaxAttempts times fails the run. Zero means DefaultMaxAttempts.
 	MaxAttempts int
 	// IncludeEvictions charges eviction-lost allocations to the AWE metric.
 	IncludeEvictions bool
@@ -112,8 +113,8 @@ type Result struct {
 	// Evictions counts worker evictions. Every eviction is counted,
 	// whether it interrupted running tasks or hit an idle worker.
 	Evictions int
-	// Failed counts tasks abandoned permanently after exceeding a retry
-	// bound (live engine only; the simulator retries without bound).
+	// Failed counts tasks abandoned permanently by the retry limit (live
+	// engine only; the simulators fail the whole run instead).
 	Failed int
 	// Arrivals is the realized worker arrival schedule the run executed
 	// against (DES runs only; nil under the sequential driver). Recording it
@@ -125,16 +126,13 @@ type Result struct {
 // Summary returns the metric summary of the run.
 func (r *Result) Summary() metrics.Summary { return r.Acc.Summarize() }
 
-// simTask is one task's state in the in-flight window. The embedded header is
-// what the scheduler core reads and writes at dispatch; start, exceeded and
-// endEv describe the attempt in progress, if any.
+// simTask is one task's state in the in-flight window. The embedded task is
+// the scheduler core's record (dispatch header and attempt ledger); exceeded
+// and endEv describe the attempt in progress, if any.
 type simTask struct {
 	sched.Task
-	outcome  metrics.TaskOutcome // Peak and Runtime are the task's consumption
-	start    float64
 	exceeded []resources.Kind
 	endEv    devent.Handle
-	done     bool
 }
 
 // Simulator event kinds. Payload layout per kind: evArrival carries the
@@ -235,6 +233,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		driver.Score = cfg.Data.CachedMB
 	}
 	s.sched = sched.New(cfg.Place, maxConsecutiveMisses, driver)
+	s.sched.RetryLimit = cfg.MaxAttempts
 	s.futureArrivals = len(arrivals)
 	s.engine.SetHandler(s.handleEvent)
 	// Bulk-load the whole arrival schedule: one O(n) heapify instead of n
@@ -324,22 +323,21 @@ func (s *simulator) onEviction(id int) {
 	if s.cfg.Data != nil {
 		s.cfg.Data.DropWorker(id)
 	}
-	now := s.engine.Now()
-	s.victims = s.sched.Evict(w, s.victims[:0])
+	s.victims = s.sched.Evicted(w, s.engine.Now(), s.victims[:0])
 	for _, idx := range s.victims {
 		st := s.store.get(idx)
 		s.engine.Cancel(st.endEv)
-		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.Alloc,
-			Duration: now - st.start,
-			Status:   metrics.Evicted,
-		})
+		if st.Terminal() {
+			s.failAbandoned(st)
+		}
 	}
-	// The tasks keep their allocations: eviction says nothing about the
-	// allocation's adequacy. Retries jump the queue as one block, so the
-	// queue front stays in ascending task order.
-	s.sched.Ready.PushFrontAll(s.victims)
 	s.dispatch()
+}
+
+// failAbandoned fails the run over a task the retry limit abandoned.
+func (s *simulator) failAbandoned(st *simTask) {
+	s.fail(fmt.Errorf("sim: task %d exceeded %d attempts under %s (alloc %v, peak %v)",
+		st.ID, s.cfg.MaxAttempts, s.cfg.Policy.Name(), st.Alloc, st.Outcome.Peak))
 }
 
 // generate pulls tasks from the source into the store and the ready queue,
@@ -366,16 +364,10 @@ func (s *simulator) generate() {
 		if !s.retain {
 			// The slot's previous occupant was emitted and will never be
 			// read again; recycle its attempts capacity.
-			attempts = e.outcome.Attempts[:0]
+			attempts = e.Outcome.Attempts[:0]
 		}
-		*e = simTask{Task: sched.Task{ID: t.ID, Category: t.Category}, outcome: metrics.TaskOutcome{
-			TaskID:     t.ID,
-			Category:   t.Category,
-			Peak:       t.Consumption,
-			Runtime:    t.Runtime(),
-			Attempts:   attempts,
-			SubmitTime: s.engine.Now(),
-		}}
+		*e = simTask{Task: sched.NewTask(t.ID, t.Category, t.Consumption, t.Runtime(), s.engine.Now())}
+		e.Outcome.Attempts = attempts
 		s.sched.Ready.PushBack(s.generated)
 		s.generated++
 	}
@@ -387,17 +379,17 @@ func (s *simulator) generate() {
 // keeps the accumulator's floating-point sums bit-identical to the old
 // end-of-run fold.
 func (s *simulator) emit() {
-	for s.store.len() > 0 && s.store.front().done {
+	for s.store.len() > 0 && s.store.front().Terminal() {
 		st := s.store.front()
-		s.acc.Add(st.outcome)
+		s.acc.Add(st.Outcome)
 		if s.cfg.Categories != nil {
-			s.cfg.Categories.Add(&st.outcome)
+			s.cfg.Categories.Add(&st.Outcome)
 		}
 		if s.cfg.OnOutcome != nil {
-			s.cfg.OnOutcome(&st.outcome)
+			s.cfg.OnOutcome(&st.Outcome)
 		}
 		if s.retain {
-			s.outcomes = append(s.outcomes, st.outcome)
+			s.outcomes = append(s.outcomes, st.Outcome)
 		}
 		s.store.popFront()
 	}
@@ -422,13 +414,13 @@ func (s *simulator) lookup(idx int) *sched.Task { return &s.store.get(idx).Task 
 // start begins the attempt the pass just placed on w and schedules its end.
 func (s *simulator) start(idx int, t *sched.Task, w *sched.Worker) {
 	st := s.store.get(idx)
-	duration, exceeded := EvaluateAttempt(s.cfg.Model, st.outcome.Peak, st.outcome.Runtime, t.Alloc)
+	duration, exceeded := EvaluateAttempt(s.cfg.Model, t.Outcome.Peak, t.Outcome.Runtime, t.Alloc)
 	if s.cfg.Data != nil {
 		// Staging a task's missing inputs holds the allocation before the
 		// payload starts; the transfer time extends the attempt.
 		duration += s.cfg.Data.Stage(w.ID(), t.ID)
 	}
-	st.start, st.exceeded = s.engine.Now(), exceeded
+	t.Started, st.exceeded = s.engine.Now(), exceeded
 	st.endEv = s.engine.ScheduleAfter(duration, evTaskEnd, devent.Payload{A: w.ID(), B: idx, F: duration})
 }
 
@@ -437,40 +429,25 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 		return
 	}
 	// The end event is cancelled on eviction, so the worker is always alive
-	// (and registered) when it fires.
-	s.sched.Release(s.byID[workerID], idx)
+	// (and registered) and still holds the task when it fires.
 	st := s.store.get(idx)
-	exceeded := st.exceeded
-
-	if len(exceeded) == 0 {
-		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.Alloc,
-			Duration: duration,
-			Status:   metrics.Success,
-		})
-		st.done = true
-		st.outcome.DoneTime = s.engine.Now()
+	exceeded := len(st.exceeded) > 0
+	_, owed := s.sched.Settle(s.byID[workerID], idx, duration, exceeded)
+	switch {
+	case !exceeded:
+		st.Outcome.DoneTime = s.engine.Now()
 		s.completed++
 		s.makespan = s.engine.Now()
-		s.cfg.Policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
+		if owed {
+			s.cfg.Policy.Observe(st.Category, st.ID, st.Outcome.Peak, st.Outcome.Runtime)
+		}
 		s.advanceBarrier(idx)
 		s.emit()
-		s.dispatch()
-		return
+	case owed:
+		s.sched.Retried(idx, s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, st.exceeded))
+	default:
+		s.failAbandoned(st)
 	}
-
-	st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-		Alloc:    st.Alloc,
-		Duration: duration,
-		Status:   metrics.Exhausted,
-	})
-	if st.outcome.Retries() >= s.cfg.MaxAttempts {
-		s.fail(fmt.Errorf("sim: task %d exceeded %d attempts under %s (alloc %v, peak %v)",
-			st.ID, s.cfg.MaxAttempts, s.cfg.Policy.Name(), st.Alloc, st.outcome.Peak))
-		return
-	}
-	st.Alloc = s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, exceeded)
-	s.sched.Ready.PushFront(idx)
 	s.dispatch()
 }
 

@@ -15,7 +15,6 @@ func TestTaskStoreWindowSemantics(t *testing.T) {
 		for ts.len() < 5 && next < 1000 {
 			e := ts.pushBack()
 			e.ID = next + 1
-			e.done = false
 			next++
 		}
 		for i := ts.lo(); i < ts.hi(); i++ {

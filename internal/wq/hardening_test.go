@@ -102,10 +102,11 @@ func TestEvictionRequeueDeterministic(t *testing.T) {
 		m.mu.Lock()
 		w := stageWorker(m, resources.PaperWorker())
 		for _, id := range []int{7, 3, 5, 11, 2, 9} {
-			m.tasks[id] = &taskState{
-				Task:    sched.Task{ID: id, HasAlloc: true},
-				outcome: metrics.TaskOutcome{TaskID: id},
-			}
+			m.tasks[id] = &taskState{Task: sched.Task{
+				ID:       id,
+				HasAlloc: true,
+				Outcome:  metrics.TaskOutcome{TaskID: id},
+			}}
 			if id != 9 {
 				m.sched.Place(w.Worker, id, resources.Vector{})
 			}
@@ -413,5 +414,74 @@ func TestRunlogTracerReplay(t *testing.T) {
 		if log.Events[i].TimeNS < log.Events[i-1].TimeNS {
 			t.Fatalf("event %d out of order", i)
 		}
+	}
+}
+
+// doublingPolicy starts every task at a fixed vector and doubles the exceeded
+// kinds on each retry: deterministic, so a replay repeats the recorded run.
+type doublingPolicy struct{ first resources.Vector }
+
+func (p doublingPolicy) Allocate(string, int) resources.Vector { return p.first }
+func (p doublingPolicy) Retry(_ string, _ int, prev resources.Vector, exceeded []resources.Kind) resources.Vector {
+	for _, k := range exceeded {
+		prev = prev.With(k, 2*prev.Get(k))
+	}
+	return prev
+}
+func (p doublingPolicy) Observe(string, int, resources.Vector, float64) {}
+func (p doublingPolicy) Name() string                                   { return "doubling" }
+
+// TestRunlogReplayAtRetryLimit: cmd/wq-manager writes -retry-limit N into the
+// run log header's max_attempts and the replay hands it to the simulator, so
+// both must count the same way. A task that succeeded after exactly N
+// exhaustions is within the limit live and must be within it on replay (the
+// simulator used to allow one exhaustion fewer and abort).
+func TestRunlogReplayAtRetryLimit(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const limit = 3
+	// 100 MB doubling towards a 500 MB peak: exhausted at 100, 200 and 400.
+	pol := doublingPolicy{first: resources.New(2, 100, 2000, resources.Unlimited)}
+	var buf bytes.Buffer
+	lw, err := runlog.NewWriter(&buf, runlog.Header{
+		Workload: "edge", Algorithm: pol.Name(), Driver: runlog.DriverWQ, MaxAttempts: limit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(pol, WithRetryLimit(limit), WithTracer(NewRunlogTracer(lw)))
+	addr, err := m.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg := startWorkers(t, ctx, addr, 1, WorkerConfig{})
+	defer wg.Wait()
+	defer m.Close()
+
+	res, err := m.RunWorkflow(ctx, &workflow.Workflow{Name: "edge", Tasks: []workflow.Task{{
+		ID: 1, Category: "edge", Consumption: resources.New(1, 500, 100, 10),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := res.Outcomes[0]; !o.Succeeded() || o.Retries() != limit {
+		t.Fatalf("live run: succeeded=%v after %d exhaustions, want success after %d", o.Succeeded(), o.Retries(), limit)
+	}
+	m.Close()
+	if err := lw.Finish(res); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := runlog.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := runlog.Resimulate(ctx, log, pol)
+	if err != nil {
+		t.Fatalf("replaying a run that stayed within its retry limit: %v", err)
+	}
+	if o := replay.Outcomes[0]; !o.Succeeded() || o.Retries() != limit {
+		t.Errorf("replay: succeeded=%v after %d exhaustions, want success after %d", o.Succeeded(), o.Retries(), limit)
 	}
 }

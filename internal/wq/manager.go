@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +33,7 @@ var ErrManagerClosed = errors.New("wq: manager closed")
 //
 // Robustness model: worker loss is detected by a heartbeat sweeper (see
 // WithHeartbeat) rather than per-dispatch watchdog timers; every eviction or
-// exhaustion counts against an optional per-task retry budget (see
+// exhaustion counts against an optional per-task retry limit (see
 // WithRetryLimit); and Close drains in-flight work before waking blocked
 // RunWorkflow callers with ErrManagerClosed.
 type Manager struct {
@@ -49,15 +48,15 @@ type Manager struct {
 	ln      net.Listener
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
-	// sched owns the ready queue (task IDs awaiting placement), the worker
-	// capacity ledger and the dispatch pass; the manager drives it under mu.
+	// sched owns the ready queue (task IDs awaiting placement), the capacity
+	// ledger, the dispatch pass and the settle transitions; driven under mu.
 	sched   *sched.Core
 	nextWID int
 	nextTID int // highest task ID ever registered, on any path
 	closed  bool
 
 	stats     Stats
-	perWorker map[int]*WorkerStats
+	perWorker []*WorkerStats // every worker that ever connected, indexed by ID
 
 	// pendingSends stages outbound task frames produced by dispatchLocked
 	// (guarded by mu, like flushBusy and sendSpare). Encoding and I/O happen
@@ -92,7 +91,6 @@ type Manager struct {
 	// options
 	hbInterval   time.Duration
 	hbTimeout    time.Duration
-	retryLimit   int
 	drainTimeout time.Duration
 	tracer       Tracer
 
@@ -101,11 +99,12 @@ type Manager struct {
 }
 
 // managedWorker is a connected worker: its row in the scheduler's capacity
-// ledger (guarded by Manager.mu) and its connection.
+// ledger and its counters (both guarded by Manager.mu), and its connection.
 type managedWorker struct {
 	*sched.Worker
-	conn net.Conn
-	out  *frameWriter
+	stats *WorkerStats
+	conn  net.Conn
+	out   *frameWriter
 	// lastSeen is the UnixNano of the last socket read that brought a frame
 	// from this worker. Atomic so the reader goroutine refreshes it without
 	// touching any lock.
@@ -131,34 +130,17 @@ type stagedResult struct {
 }
 
 type taskState struct {
-	sched.Task                     // the scheduling header the dispatch pass reads and writes
-	outcome    metrics.TaskOutcome // Peak and Runtime are the task's consumption
-	done       bool
-	failed     bool                     // done because the retry budget ran out
-	notify     chan metrics.TaskOutcome // non-nil for Submit-ted tasks
-	// ephemeral marks a Submit-ted task: its outcome leaves through notify,
+	// Task is the scheduler core's record: dispatch header, attempt ledger,
+	// terminal state. Which worker runs it is the capacity ledger's to say.
+	sched.Task
+	// notify is non-nil for a Submit-ted task: its outcome leaves through it,
 	// so its state is deleted from m.tasks at the terminal transition and the
 	// live set stays bounded by in-flight work. RunWorkflow tasks stay until
 	// their outcomes are collected.
-	ephemeral bool
+	notify chan metrics.TaskOutcome
 	// attemptsBuf inlines the first attempt record so the common
 	// one-attempt-and-done task never heap-allocates its attempts slice.
 	attemptsBuf [1]metrics.Attempt
-
-	// observed is set, under Manager.mu, once the task's success has been
-	// handed to policy.Observe — by the drainer's early loop or by
-	// processResult, whichever sees it first — and never cleared: a success
-	// observed early and then lost to an eviction is not observed again when
-	// the task re-runs.
-	observed bool
-
-	// owner is the ID of the worker currently running the task, or -1 when
-	// the task is queued, finished, or was never dispatched. A result frame
-	// is honored only when it comes from the owning worker: after an
-	// eviction requeues a task, a late result from the evicted worker must
-	// not append a phantom attempt or requeue a task that is already
-	// running elsewhere (which would double-dispatch it).
-	owner int
 }
 
 // Option configures a Manager.
@@ -176,12 +158,12 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 	}
 }
 
-// WithRetryLimit bounds per-task setbacks: a task evicted or exhausted more
-// than n times is abandoned with a recorded metrics.Failed attempt instead
-// of looping forever on a doomed allocation or a flapping pool. Zero (the
-// default) retries without bound, matching the simulator.
+// WithRetryLimit sets the retry limit (sched.Core.RetryLimit): a task evicted
+// or exhausted more than n times is abandoned, its outcome ending in a
+// metrics.Failed attempt, instead of looping forever on a doomed allocation or
+// a flapping pool. Zero (the default) retries without bound.
 func WithRetryLimit(n int) Option {
-	return func(m *Manager) { m.retryLimit = n }
+	return func(m *Manager) { m.sched.RetryLimit = n }
 }
 
 // WithDrainTimeout bounds how long Close waits for in-flight results before
@@ -203,7 +185,6 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 		start:        time.Now(),
 		workers:      make(map[int]*managedWorker),
 		tasks:        make(map[int]*taskState),
-		perWorker:    make(map[int]*WorkerStats),
 		drainTimeout: 5 * time.Second,
 		sweepDone:    make(chan struct{}),
 	}
@@ -315,13 +296,14 @@ func (m *Manager) noteDecodeError(workerID int, err error) {
 func (m *Manager) addWorkerLocked(conn net.Conn, out io.Writer, capacity resources.Vector) *managedWorker {
 	w := &managedWorker{
 		Worker: m.sched.Add(m.nextWID, capacity),
+		stats:  &WorkerStats{ID: m.nextWID, Connected: true},
 		conn:   conn,
 		out:    newFrameWriter(out),
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	m.nextWID++
 	m.workers[w.ID()] = w
-	m.perWorker[w.ID()] = &WorkerStats{ID: w.ID(), Connected: true}
+	m.perWorker = append(m.perWorker, w.stats)
 	if len(m.workers) > m.stats.PeakWorkers {
 		m.stats.PeakWorkers = len(m.workers)
 	}
@@ -375,10 +357,10 @@ func (m *Manager) sweep(now time.Time) {
 	}
 }
 
-// evict handles a worker disappearing: its in-flight tasks are requeued with
-// their allocations intact (an eviction says nothing about allocation
-// adequacy) and recorded as eviction-lost attempts. Requeue order is
-// ascending task ID so multi-task evictions replay deterministically.
+// evict handles a worker disappearing: the attempts it held are recorded as
+// eviction-lost and their tasks requeued with their allocations intact, in
+// ascending task ID order (sched.Core.Evicted); a task the retry limit
+// abandons instead is delivered as failed.
 func (m *Manager) evict(w *managedWorker) {
 	m.mu.Lock()
 	if !w.Alive() {
@@ -386,40 +368,24 @@ func (m *Manager) evict(w *managedWorker) {
 		return
 	}
 	delete(m.workers, w.ID())
-	ws := m.perWorker[w.ID()]
-	if ws != nil {
-		ws.Connected = false
-	}
+	w.stats.Connected = false
 	if !m.closed {
 		m.stats.WorkersLost++
 		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.ID(),
 			Detail: fmt.Sprintf("in_flight=%d", w.Running())})
 	}
-	victims := m.sched.Evict(w.Worker, nil)
-	requeue := victims[:0]
-	for _, id := range victims {
-		st, ok := m.tasks[id]
-		if !ok {
-			continue
-		}
-		st.owner = -1 // any later result from w for this task is stale
-		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:  st.Alloc,
-			Status: metrics.Evicted,
-		})
+	// The live engine does not time lost attempts: Started and now stay zero.
+	for _, id := range m.sched.Evicted(w.Worker, 0, nil) {
 		m.stats.Evictions++
-		if ws != nil {
-			ws.Evictions++
-		}
+		w.stats.Evictions++
 		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.ID()})
-		if m.failIfOverLimitLocked(st) {
+		if st := m.tasks[id]; st.Terminal() {
+			m.abandonLocked(st)
 			continue
 		}
-		requeue = append(requeue, id)
 		m.stats.Requeues++
 		m.traceLocked(Event{Type: EventRequeue, TaskID: id, WorkerID: -1})
 	}
-	m.sched.Ready.PushFrontAll(requeue)
 	m.notePeakQueueLocked()
 	m.dispatchLocked()
 	m.cond.Broadcast()
@@ -427,43 +393,24 @@ func (m *Manager) evict(w *managedWorker) {
 	m.flushPending()
 }
 
-// failIfOverLimitLocked enforces the retry budget: once a task has more
-// setbacks (evicted or exhausted attempts) than the limit allows, it is
-// marked done with a terminal metrics.Failed attempt and its submitter (if
-// any) is notified. Returns true when the task was abandoned.
-func (m *Manager) failIfOverLimitLocked(st *taskState) bool {
-	if m.retryLimit <= 0 || st.done {
-		return false
-	}
-	setbacks := 0
-	for _, a := range st.outcome.Attempts {
-		if a.Status == metrics.Evicted || a.Status == metrics.Exhausted {
-			setbacks++
-		}
-	}
-	if setbacks <= m.retryLimit {
-		return false
-	}
-	st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-		Alloc:  st.Alloc,
-		Status: metrics.Failed,
-	})
-	st.done = true
-	st.failed = true
-	st.outcome.DoneTime = m.sinceStart()
-	m.stats.Failures++
-	m.traceLocked(Event{Type: EventTaskFailed, TaskID: st.ID, WorkerID: -1})
+// retireLocked closes the books on a task that just went terminal and returns
+// the channel its outcome is owed to, if any. A Submit-ted task's state is
+// dropped, so the task map stays bounded by live work.
+func (m *Manager) retireLocked(st *taskState) chan metrics.TaskOutcome {
+	st.Outcome.DoneTime = m.sinceStart()
 	if st.notify != nil {
-		st.notify <- st.outcome // buffered; at most one terminal send per task
-		st.notify = nil
-	}
-	if st.ephemeral {
-		// The outcome is delivered; drop the state so the task map stays
-		// bounded by live work. A late stale result for this ID takes the
-		// unknown-task path, exactly as it would for a done-but-retained one.
 		delete(m.tasks, st.ID)
 	}
-	return true
+	return st.notify
+}
+
+// abandonLocked delivers a task the retry limit gave up on.
+func (m *Manager) abandonLocked(st *taskState) {
+	m.stats.Failures++
+	m.traceLocked(Event{Type: EventTaskFailed, TaskID: st.ID, WorkerID: -1})
+	if notify := m.retireLocked(st); notify != nil {
+		notify <- st.Outcome // buffered; at most one terminal send per task
+	}
 }
 
 // enqueueResult stages a completed-task frame from a worker reader goroutine
@@ -528,139 +475,85 @@ func (m *Manager) drainIntake() {
 // passes that follow pay one recompute per resource kind, not k (the paper's
 // §V-C batching rule). Only the records move forward: each result still
 // frees its own capacity right before its own pass, so placement sees what
-// it saw before. The admission test is processResult's own, under m.mu; the
-// Observe calls run outside the lock, as they always have.
+// it saw before. The admission test is Settle's own (the worker holds the
+// task), under m.mu; the Observe calls run outside the lock, as they always have.
 func (m *Manager) observeBatch(batch []stagedResult) {
-	var buf [32]*taskState // one reader window holds ~20 result frames
+	var buf [32]*sched.Task // one reader window holds ~20 result frames
 	early := buf[:0]
 	m.mu.Lock()
 	for i := range batch {
 		r := &batch[i]
-		if r.res.Status != StatusSuccess {
-			continue
+		if r.res.Status == StatusSuccess && r.w.Holds(r.res.TaskID) {
+			if t := &m.tasks[r.res.TaskID].Task; t.ClaimObserve() {
+				early = append(early, t)
+			}
 		}
-		st, ok := m.tasks[r.res.TaskID]
-		if !ok || st.done || st.owner != r.w.ID() || st.observed {
-			continue
-		}
-		st.observed = true
-		early = append(early, st)
 	}
 	m.mu.Unlock()
-	for _, st := range early {
-		m.policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
+	for _, t := range early {
+		m.policy.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
 	}
 }
 
-// handleResult ingests one result synchronously: process it, then deliver any
-// dispatches it unlocked. The live path goes through the intake instead, so
-// the results of one socket read batch; this entry point keeps single-result
-// semantics for direct callers (tests pinning the stale-result and parity
-// behavior).
-func (m *Manager) handleResult(w *managedWorker, res Message) {
-	m.processResult(w, res)
-	m.flushPending()
-}
-
-// processResult applies one result frame to the engine state: release the
-// worker's capacity, honor the frame only if the worker still owns the task,
-// record the attempt, escalate or complete (observing a success unless the
-// drainer's early loop already has), and stage follow-on dispatches
-// (delivered later by the caller's flushPending).
+// processResult applies one result frame: the scheduler core settles it
+// (sched.Core.Settle) and the manager does what the transition says is owed —
+// Observe a success unless the drainer's early loop already has, ask the policy
+// for the escalated vector, or deliver the outcome — and stages follow-on
+// dispatches (delivered later by the caller's flushPending). Any status but
+// success is an overrun.
 func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Lock()
-	m.sched.Release(w.Worker, res.TaskID)
-	st, ok := m.tasks[res.TaskID]
-	if !ok || st.done {
-		// Unknown or already-terminal task (e.g. a duplicate result after
-		// an eviction raced a slow worker): the capacity release above is
-		// all that matters.
-		m.dispatchLocked()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		return
-	}
-	if st.owner != w.ID() {
-		// Stale result: the task is live but this worker no longer owns it —
-		// it was evicted and the task requeued (and possibly re-dispatched
-		// elsewhere). Honoring the frame would append a phantom attempt,
-		// escalate through policy.Retry, and requeue a task that may already
-		// be running on another worker — a double dispatch. Drop it.
+	success := res.Status == StatusSuccess
+	t, owed := m.sched.Settle(w.Worker, res.TaskID, res.Duration, !success)
+	if t == nil {
+		// Stale, and dropped: honouring it would append a phantom attempt and
+		// requeue a task that may already be running elsewhere.
 		m.stats.StaleResults++
 		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
-		m.dispatchLocked()
-		m.cond.Broadcast()
 		m.mu.Unlock()
 		return
 	}
-	st.owner = -1
-	ws := m.perWorker[w.ID()]
+	st := m.tasks[res.TaskID]
 	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
-
-	switch res.Status {
-	case StatusSuccess:
-		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.Alloc,
-			Duration: res.Duration,
-			Status:   metrics.Success,
-		})
-		st.done = true
-		st.outcome.DoneTime = m.sinceStart()
+	w.stats.BusySeconds += res.Duration
+	if !success {
+		m.stats.Exhaustions++
+		w.stats.Exhaustions++
+	}
+	switch {
+	case success:
 		m.stats.Successes++
-		if ws != nil {
-			ws.Successes++
-			ws.BusySeconds += res.Duration
-		}
-		notify := st.notify
-		st.notify = nil
-		outcome := st.outcome
-		observed := st.observed
-		st.observed = true
-		if st.ephemeral {
-			// Terminal and delivered below: drop the state so the task map
-			// stays bounded by live work instead of growing per submission.
-			delete(m.tasks, res.TaskID)
-		}
+		w.stats.Successes++
+		notify := m.retireLocked(st)
+		outcome := st.Outcome
 		m.mu.Unlock()
 		// Observe outside the lock: the policy has its own lock and the
 		// bucketing recomputation can be slow.
-		if !observed {
-			m.policy.Observe(st.Category, st.ID, st.outcome.Peak, st.outcome.Runtime)
+		if owed {
+			m.policy.Observe(t.Category, t.ID, outcome.Peak, outcome.Runtime)
 		}
 		if notify != nil {
 			notify <- outcome
 		}
 		m.mu.Lock()
-	case StatusExhausted:
-		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:    st.Alloc,
-			Duration: res.Duration,
-			Status:   metrics.Exhausted,
-		})
-		m.stats.Exhaustions++
-		if ws != nil {
-			ws.Exhaustions++
-			ws.BusySeconds += res.Duration
-		}
-		if !m.failIfOverLimitLocked(st) {
-			var exceeded []resources.Kind
-			for _, name := range res.Exceeded {
-				if k, err := resources.ParseKind(name); err == nil {
-					exceeded = append(exceeded, k)
-				}
-			}
-			prev := st.Alloc
-			m.mu.Unlock()
-			next := m.policy.Retry(st.Category, st.ID, prev, exceeded)
-			m.mu.Lock()
-			if !st.done {
-				st.Alloc = next
-				m.sched.Ready.PushFront(st.ID)
-				m.notePeakQueueLocked()
-				m.stats.Requeues++
-				m.traceLocked(Event{Type: EventRequeue, TaskID: st.ID, WorkerID: -1})
+	case owed:
+		var exceeded []resources.Kind
+		for _, name := range res.Exceeded {
+			if k, err := resources.ParseKind(name); err == nil {
+				exceeded = append(exceeded, k)
 			}
 		}
+		prev := t.Alloc
+		m.mu.Unlock()
+		next := m.policy.Retry(t.Category, t.ID, prev, exceeded)
+		m.mu.Lock()
+		if m.sched.Retried(res.TaskID, next) {
+			m.notePeakQueueLocked()
+			m.stats.Requeues++
+			m.traceLocked(Event{Type: EventRequeue, TaskID: res.TaskID, WorkerID: -1})
+		}
+	default:
+		m.abandonLocked(st)
 	}
 	m.dispatchLocked()
 	m.cond.Broadcast()
@@ -680,14 +573,13 @@ func (m *Manager) dispatchLocked() {
 	}
 }
 
-// lookupLocked is the pass's view of a queued task ID; a task that finished
-// or was dropped while queued leaves the queue.
+// lookupLocked is the scheduler core's view of a task ID: the task while it is
+// live, nil once it is terminal or dropped.
 func (m *Manager) lookupLocked(id int) *sched.Task {
-	st := m.tasks[id]
-	if st == nil || st.done {
-		return nil
+	if st := m.tasks[id]; st != nil && !st.Terminal() {
+		return &st.Task
 	}
-	return &st.Task
+	return nil
 }
 
 // startLocked records the placement the pass just made and stages the task
@@ -696,20 +588,17 @@ func (m *Manager) lookupLocked(id int) *sched.Task {
 // (Submit, results, evictions, registration, RunWorkflow) flushes on the way
 // out.
 func (m *Manager) startLocked(id int, t *sched.Task, sw *sched.Worker) {
-	st, w := m.tasks[id], m.workers[sw.ID()]
-	st.owner = w.ID()
+	w := m.workers[sw.ID()]
 	m.stats.Dispatches++
-	if ws := m.perWorker[w.ID()]; ws != nil {
-		ws.Dispatched++
-	}
+	w.stats.Dispatched++
 	m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.ID()})
 	m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
 		Type:     MsgTask,
 		TaskID:   id,
 		Category: t.Category,
 		Alloc:    t.Alloc,
-		Peak:     st.outcome.Peak,
-		Runtime:  st.outcome.Runtime,
+		Peak:     t.Outcome.Peak,
+		Runtime:  t.Outcome.Runtime,
 	}})
 }
 
@@ -787,7 +676,7 @@ func (m *Manager) deliver(batch []pendingSend) {
 // the caller's ID is always replaced; otherwise (RunWorkflow) the declared
 // ID is kept unless it is non-positive or already taken, in which case the
 // task is transparently renumbered. The assigned ID is in the returned
-// state's ID and outcome.TaskID.
+// state's ID and Outcome.TaskID.
 func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOutcome, fresh bool) *taskState {
 	id := t.ID
 	if fresh || id <= 0 {
@@ -800,14 +689,11 @@ func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOu
 	if id > m.nextTID {
 		m.nextTID = id
 	}
-	st := &taskState{Task: sched.Task{ID: id, Category: t.Category}, owner: -1, outcome: metrics.TaskOutcome{
-		TaskID:     id,
-		Category:   t.Category,
-		Peak:       t.Consumption,
-		Runtime:    t.Runtime(),
-		SubmitTime: m.sinceStart(),
-	}, notify: notify, ephemeral: notify != nil}
-	st.outcome.Attempts = st.attemptsBuf[:0]
+	st := &taskState{
+		Task:   sched.NewTask(id, t.Category, t.Consumption, t.Runtime(), m.sinceStart()),
+		notify: notify,
+	}
+	st.Outcome.Attempts = st.attemptsBuf[:0]
 	m.tasks[id] = st
 	m.sched.Ready.PushBack(id)
 	m.notePeakQueueLocked()
@@ -890,19 +776,16 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 	}
 	for _, id := range ids {
 		st := m.tasks[id]
-		res.Outcomes = append(res.Outcomes, st.outcome)
-		res.Acc.Add(st.outcome)
-		if st.failed {
-			res.Failed++
-		}
+		res.Outcomes = append(res.Outcomes, st.Outcome)
+		res.Acc.Add(st.Outcome)
 	}
+	res.Failed = res.Acc.Failures()
 	return res, nil
 }
 
 func (m *Manager) tasksDoneLocked(ids []int) bool {
 	for _, id := range ids {
-		st, ok := m.tasks[id]
-		if !ok || !st.done {
+		if m.lookupLocked(id) != nil {
 			return false
 		}
 	}
@@ -956,14 +839,9 @@ func (m *Manager) Stats() Stats {
 	s.FramesSent = m.framesSent.Load()
 	s.ResultBatches = m.resultBatches.Load()
 	s.ResultsStaged = m.resultsStaged.Load()
-	ids := make([]int, 0, len(m.perWorker))
-	for id := range m.perWorker {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s.Workers = make([]WorkerStats, 0, len(ids))
-	for _, id := range ids {
-		s.Workers = append(s.Workers, *m.perWorker[id])
+	s.Workers = make([]WorkerStats, len(m.perWorker))
+	for id, ws := range m.perWorker {
+		s.Workers[id] = *ws
 	}
 	return s
 }

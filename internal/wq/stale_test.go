@@ -33,6 +33,13 @@ func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
 	return m.addWorkerLocked(nil, io.Discard, capacity)
 }
 
+// handleResult ingests one result synchronously, outside the intake: settle
+// it, then deliver any dispatches it unlocked.
+func (m *Manager) handleResult(w *managedWorker, res Message) {
+	m.processResult(w, res)
+	m.flushPending()
+}
+
 // queued snapshots the ready queue, front first.
 func queued(m *Manager) []int {
 	m.mu.Lock()
@@ -67,21 +74,21 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	m.dispatchLocked()
 	m.mu.Unlock()
 
-	if st.owner != slow.ID() {
-		t.Fatalf("task dispatched to worker %d, want %d", st.owner, slow.ID())
+	if !slow.Holds(id) || other.Holds(id) {
+		t.Fatalf("task not dispatched to worker %d alone", slow.ID())
 	}
 
 	// The slow worker goes silent and is evicted; the task requeues and
 	// re-dispatches onto the other worker.
 	m.evict(slow)
-	if st.owner != other.ID() {
-		t.Fatalf("after eviction, owner = %d, want re-dispatch to %d", st.owner, other.ID())
+	if !other.Holds(id) || slow.Holds(id) {
+		t.Fatalf("after eviction, task not re-dispatched to worker %d alone", other.ID())
 	}
 	if keys := other.Keys(nil); len(keys) != 1 || keys[0] != id {
 		t.Fatal("task not running on the surviving worker after requeue")
 	}
-	if got := len(st.outcome.Attempts); got != 1 || st.outcome.Attempts[0].Status != metrics.Evicted {
-		t.Fatalf("attempts after eviction = %+v, want one Evicted", st.outcome.Attempts)
+	if got := len(st.Outcome.Attempts); got != 1 || st.Outcome.Attempts[0].Status != metrics.Evicted {
+		t.Fatalf("attempts after eviction = %+v, want one Evicted", st.Outcome.Attempts)
 	}
 
 	// The evicted worker's late exhausted result replays. It must not append
@@ -90,8 +97,8 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 		Type: MsgResult, TaskID: id, Status: StatusExhausted,
 		Duration: 5, Exceeded: []string{"memory"},
 	})
-	if got := len(st.outcome.Attempts); got != 1 {
-		t.Fatalf("stale exhausted result appended a phantom attempt: %+v", st.outcome.Attempts)
+	if got := len(st.Outcome.Attempts); got != 1 {
+		t.Fatalf("stale exhausted result appended a phantom attempt: %+v", st.Outcome.Attempts)
 	}
 	if pol.retries != 0 {
 		t.Fatalf("stale result escalated through policy.Retry %d times", pol.retries)
@@ -103,7 +110,7 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	// A late success from the evicted worker is just as stale: it must not
 	// terminate the task or feed a phantom record to the policy.
 	m.handleResult(slow, Message{Type: MsgResult, TaskID: id, Status: StatusSuccess, Duration: 5})
-	if st.done {
+	if st.Terminal() {
 		t.Fatal("stale success terminated a task still running elsewhere")
 	}
 	if pol.observes != 0 {
@@ -120,7 +127,7 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 
 	// The owning worker's genuine result still lands normally.
 	m.handleResult(other, Message{Type: MsgResult, TaskID: id, Status: StatusSuccess, Duration: 7})
-	if !st.done {
+	if !st.Terminal() {
 		t.Fatal("genuine result from the owning worker was not accepted")
 	}
 	if pol.observes != 1 {

@@ -179,7 +179,7 @@ func TestHeartbeatOptions(t *testing.T) {
 		t.Errorf("default heartbeat timeout = %v, want 4x interval", m3.hbTimeout)
 	}
 	m4 := NewManager(nil, WithRetryLimit(3), WithDrainTimeout(time.Minute))
-	if m4.retryLimit != 3 || m4.drainTimeout != time.Minute {
+	if m4.sched.RetryLimit != 3 || m4.drainTimeout != time.Minute {
 		t.Error("retry limit / drain timeout options not applied")
 	}
 }

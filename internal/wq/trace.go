@@ -153,7 +153,7 @@ type Stats struct {
 	Evictions         int // eviction-lost attempts
 	Failures          int // tasks abandoned at the retry limit
 	Requeues          int
-	StaleResults      int // dropped results from workers that lost ownership
+	StaleResults      int // dropped results from workers not holding the task
 	HeartbeatTimeouts int
 	WorkersLost       int // worker connections lost before Close
 	PeakQueue         int // deepest the ready queue ever got
