@@ -45,18 +45,24 @@ BENCH_WQ_PATTERN = 'BenchmarkWQ'
 WQ_MAX_ALLOCS = 8
 # BenchmarkWQGreedyBurst is judged apart: its bimodal tasks exhaust ~1.3
 # attempts each, and every exhaustion pays the retry path's allocations on top
-# of the round trip's (exceeded-kind slices on both ends, the attempt ledger
-# outgrowing its inline slot): 11-14 allocs/op measured. Its ceiling catches
-# per-dispatch-pass or per-recompute allocation, which would add tens.
+# of the round trip's (the exceeded-kind slice handed to Retry, the attempt
+# ledger outgrowing its inline slot): 10-11 allocs/op measured. Its ceiling
+# catches per-dispatch-pass or per-recompute allocation, which would add tens.
 WQ_BURST = BenchmarkWQGreedyBurst
-WQ_BURST_MAX_ALLOCS = 20
+WQ_BURST_MAX_ALLOCS = 16
+
+# The wq wire fuzz targets, each run for FUZZ_TIME by fuzz-smoke. New inputs go
+# to the go command's own cache, not the tree; the minimizer's default budget
+# (60s an input) would eat a run this short on the 64 KiB-category seeds.
+WQ_FUZZ_TARGETS = FuzzWQMessageCodec FuzzWQMessageDecode
+FUZZ_TIME = 5s
 
 # The *-smoke targets gate (the suites run, their output parses, the
 # allocs/op ceilings hold) without recording: their -benchtime 1x/1000x
 # numbers go to a temporary file, never over the committed BENCH_*.json.
 SMOKE_OUT = tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT;
 
-.PHONY: all build test race test-live vet loc bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke bench-test short ci clean
+.PHONY: all build test race test-live vet loc bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean
 
 all: build
 
@@ -71,21 +77,23 @@ test:
 # with the pooled event engine, the simulator that recycles its
 # slots/handles (harness workers run simulations concurrently), the scheduler
 # core under it, the runlog package whose Writer is shared across engine and
-# tracer goroutines, and the flow layer whose LocalExecutor is documented safe
-# for concurrent submissions.
+# tracer goroutines, the flow layer whose LocalExecutor is documented safe
+# for concurrent submissions, and the allocator service with the line codec
+# its connections rest on.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/runlog/... ./internal/flow/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/jsonwire/... ./internal/runlog/... ./internal/flow/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
 # suite) under the race detector, with the scheduler core the manager drives
-# under its lock and the line reader its intake rests on; then the
-# result-intake and write-coalescing tests ten times over, since the drainer's
-# early Observe shares task state with evictions on other goroutines and the
-# yielding flushers share their stages with every stager.
+# under its lock; then the result-intake and write-coalescing tests ten times
+# over, since the drainer's early Observe shares task state with evictions on
+# other goroutines and the yielding flushers share their stages with every
+# stager, and with them the frame reader's split-boundary and bad-frame tests,
+# whose evictions race the results staged just ahead of them.
 test-live:
-	$(GO) test -race ./internal/wq/... ./internal/sched/... ./internal/jsonwire/... -count=1
-	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult' -count=10
+	$(GO) test -race ./internal/wq/... ./internal/sched/... -count=1
+	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
 
 vet:
 	$(GO) vet ./...
@@ -161,6 +169,13 @@ wq-bench-smoke:
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -skip $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_BURST_MAX_ALLOCS) -out "$$tmp"
 
+# Each wq wire fuzz target for a few seconds beyond its committed seeds:
+# offline, nothing downloaded, nothing written to the tree.
+fuzz-smoke:
+	@for f in $(WQ_FUZZ_TARGETS); do \
+		$(GO) test ./internal/wq -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s || exit 1; \
+	done
+
 # End-to-end smoke of the record -> replay -> what-if loop: record a small
 # DES run on a churny pool, verify the fidelity replay reproduces the
 # recorded footer bit-identically, and rank two counterfactual allocators
@@ -178,7 +193,7 @@ whatif-smoke:
 bench-test:
 	cd bench && $(GO) test ./... -count=1
 
-ci: vet build test race test-live whatif-smoke bench-test bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke
+ci: vet build test race test-live whatif-smoke bench-test bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke fuzz-smoke
 
 clean:
 	rm -rf figures-out

@@ -3,13 +3,15 @@
 // executes tasks under a virtual resource monitor until the manager shuts it
 // down. With -reconnect the worker re-dials after a lost connection (a
 // manager restart, or being declared lost by the heartbeat sweeper during a
-// stall), which is how an opportunistic node rejoins the pool.
+// stall), which is how an opportunistic node rejoins the pool. A manager that
+// speaks another wire protocol is not worth a second dial: the worker exits.
 //
 //	wq-worker -addr 127.0.0.1:9123 -cores 16 -memory 65536 -disk 65536 -reconnect 5
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +49,7 @@ func main() {
 		if err == nil || ctx.Err() != nil {
 			break
 		}
-		if attempts <= 0 {
+		if attempts <= 0 || errors.Is(err, wq.ErrProtocolMismatch) {
 			fmt.Fprintln(os.Stderr, "wq-worker:", err)
 			os.Exit(1)
 		}

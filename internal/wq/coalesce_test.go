@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -40,18 +41,22 @@ func (c *writeLog) Write(p []byte) (int, error) {
 
 // frames returns, for every recorded Write that carried frames of the given
 // type, how many it carried.
-func (c *writeLog) frames(t *testing.T, typ string) []int {
+func (c *writeLog) frames(t *testing.T, typ MsgType) []int {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var counts []int
-	var dec messageDecoder
 	for _, w := range c.writes {
 		n := 0
-		for _, line := range bytes.Split(bytes.TrimSuffix(w, []byte("\n")), []byte("\n")) {
+		mr := newMsgReader(bytes.NewReader(w))
+		for {
 			var msg Message
-			if err := dec.decode(line, &msg); err != nil {
-				t.Fatalf("write %q: %v", w, err)
+			err := mr.next(&msg)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("write %x: %v", w, err)
 			}
 			if msg.Type == typ {
 				n++
@@ -184,7 +189,7 @@ func TestCoalesceResultsOfOneReadShareWrites(t *testing.T) {
 			t.Fatalf("result %d: %v", i, err)
 		}
 		want := Message{Type: MsgResult, TaskID: msg.TaskID, Status: StatusSuccess, Duration: 10}
-		if !reflect.DeepEqual(msg, want) || seen[msg.TaskID] {
+		if msg != want || seen[msg.TaskID] {
 			t.Errorf("result %d = %+v, want %+v once", i, msg, want)
 		}
 		seen[msg.TaskID] = true
@@ -221,48 +226,46 @@ func (p *settleLog) Observe(cat string, _ int, peak resources.Vector, runtime fl
 func (p *settleLog) Name() string { return "settle-log" }
 
 // TestLeanResultSettlesLikeLegacy runs one task through an exhaustion and a
-// success twice: answered by result frames that carry only what the manager
-// reads, and by the frames older workers send, which echo the task back. The
-// attempts ledger and what the policy is told must be the same — one Retry,
-// one Observe, fed from the manager's own copy of the task.
+// success, answered by result frames that carry only what the manager reads:
+// the task ID, the verdict, the exceeded kinds and the duration (the frames
+// that echoed the task back are gone with the JSON wire). The attempts ledger
+// and what the policy is told — one Retry, one Observe — are fed from the
+// manager's own copy of the task.
 func TestLeanResultSettlesLikeLegacy(t *testing.T) {
-	run := func(echo bool) ([]metrics.Attempt, []string) {
-		pol := &settleLog{alloc: resources.New(1, 500, 1000, resources.Unlimited)}
-		m := NewManager(pol)
-		pw := joinPipeWorker(t, m, resources.PaperWorker())
-		outcome := m.Submit(burstTask)
-		answer := func(res Message) {
-			task := pw.take(1)[0]
-			res.Type, res.TaskID = MsgResult, task.TaskID
-			if echo {
-				res.Category, res.Alloc, res.Peak, res.Runtime = task.Category, task.Alloc, task.Peak, task.Runtime
-			}
-			pw.write(&res)
-		}
-		answer(Message{Status: StatusExhausted, Duration: 4, Exceeded: []string{"memory"}})
-		answer(Message{Status: StatusSuccess, Duration: 10})
-		select {
-		case o := <-outcome:
-			waitIntake(t, m, 2)
-			pol.mu.Lock()
-			defer pol.mu.Unlock()
-			return o.Attempts, pol.calls
-		case <-time.After(5 * time.Second):
-			t.Fatal("the task never completed")
-			return nil, nil
-		}
+	alloc := resources.New(1, 500, 1000, resources.Unlimited)
+	pol := &settleLog{alloc: alloc}
+	m := NewManager(pol)
+	pw := joinPipeWorker(t, m, resources.PaperWorker())
+	outcome := m.Submit(burstTask)
+	answer := func(res Message) {
+		res.Type, res.TaskID = MsgResult, pw.take(1)[0].TaskID
+		pw.write(&res)
 	}
-	leanAttempts, leanCalls := run(false)
-	legacyAttempts, legacyCalls := run(true)
-	if !reflect.DeepEqual(leanAttempts, legacyAttempts) || len(leanAttempts) != 2 {
-		t.Errorf("attempts differ:\n lean   %+v\n legacy %+v", leanAttempts, legacyAttempts)
+	answer(Message{Status: StatusExhausted, Duration: 4, Exceeded: kindSetOf([]resources.Kind{resources.Memory})})
+	answer(Message{Status: StatusSuccess, Duration: 10})
+	var attempts []metrics.Attempt
+	select {
+	case o := <-outcome:
+		attempts = o.Attempts
+	case <-time.After(5 * time.Second):
+		t.Fatal("the task never completed")
+	}
+	waitIntake(t, m, 2)
+	wantAttempts := []metrics.Attempt{
+		{Alloc: alloc, Duration: 4, Status: metrics.Exhausted},
+		{Alloc: alloc.Scale(2), Duration: 10, Status: metrics.Success},
+	}
+	if !reflect.DeepEqual(attempts, wantAttempts) {
+		t.Errorf("attempts = %+v, want %+v", attempts, wantAttempts)
 	}
 	want := []string{
-		fmt.Sprint("retry ", burstTask.Category, resources.New(1, 500, 1000, resources.Unlimited), []resources.Kind{resources.Memory}),
+		fmt.Sprint("retry ", burstTask.Category, alloc, []resources.Kind{resources.Memory}),
 		fmt.Sprint("observe ", burstTask.Category, burstTask.Consumption, burstTask.Runtime()),
 	}
-	if !reflect.DeepEqual(leanCalls, want) || !reflect.DeepEqual(legacyCalls, want) {
-		t.Errorf("policy calls:\n lean   %v\n legacy %v\n want   %v", leanCalls, legacyCalls, want)
+	pol.mu.Lock()
+	defer pol.mu.Unlock()
+	if !reflect.DeepEqual(pol.calls, want) {
+		t.Errorf("policy calls = %v, want %v", pol.calls, want)
 	}
 }
 

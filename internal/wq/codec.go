@@ -2,206 +2,320 @@ package wq
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
-	"dynalloc/internal/jsonwire"
+	"dynalloc/internal/resources"
 )
 
-// This file is the live engine's frame layout on top of the shared wire
-// codec in internal/jsonwire. Every hot-path frame (task dispatch, result,
-// ping/pong) used to take an encoding/json reflection round trip on each
-// side; now both manager and worker encode by appending into a reused buffer
-// and decode with a scratch-reusing scanner. The encoding is pinned
-// byte-compatible with json.Encoder.Encode(Message) and the decoder
-// value-compatible with json.Unmarshal — FuzzWQMessageCodec and
-// FuzzWQMessageDecode enforce both — so stock encoding/json peers (older
-// workers, test harnesses, other-language clients) interoperate unchanged.
+// This file is the live engine's wire format: length-prefixed binary frames
+// of fixed layout, little-endian throughout, floats as their IEEE 754 bits.
+//
+//	frame     u32 payload length | u8 type | payload
+//	register  u32 wireMagic | capacity 4 x f64                        (36 B)
+//	task      u64 id | u16 n | category n B | alloc 4 x f64 |
+//	          peak 4 x f64 | runtime f64                          (82 + n B)
+//	result    u64 id | u8 status | u8 exceeded KindSet | duration f64 (18 B)
+//	shutdown, ping, pong: empty
+//
+// Both ends ship from this tree, so there is one layout and no negotiation: a
+// register frame carries wireMagic, and a peer that opens with anything else
+// is turned away with ErrProtocolMismatch. The framing (length prefix, bound,
+// buffered) knows nothing of the Message layout below it.
 
-// appendMessage appends the JSON encoding of m plus a trailing newline to
-// dst, producing exactly the bytes json.Encoder.Encode(*m) would: same field
-// order, same omitempty behavior, same HTML-escaped strings, same float
-// formatting. It errors (like json.Marshal) on non-finite floats.
-func appendMessage(dst []byte, m *Message) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"type":`...)
-	dst = jsonwire.AppendString(dst, m.Type)
-	// Fixed-size arrays are never "empty", so despite the omitempty tags the
-	// three vectors appear in every frame — preserved for byte parity.
-	if dst, err = jsonwire.AppendVector(append(dst, `,"capacity":`...), m.Capacity); err != nil {
-		return dst, err
-	}
-	if m.TaskID != 0 {
-		dst = append(dst, `,"task_id":`...)
-		dst = strconv.AppendInt(dst, int64(m.TaskID), 10)
-	}
-	if m.Category != "" {
-		dst = append(dst, `,"category":`...)
-		dst = jsonwire.AppendString(dst, m.Category)
-	}
-	if dst, err = jsonwire.AppendVector(append(dst, `,"alloc":`...), m.Alloc); err != nil {
-		return dst, err
-	}
-	if dst, err = jsonwire.AppendVector(append(dst, `,"peak":`...), m.Peak); err != nil {
-		return dst, err
-	}
-	if m.Runtime != 0 {
-		dst = append(dst, `,"runtime":`...)
-		if dst, err = jsonwire.AppendFloat(dst, m.Runtime); err != nil {
-			return dst, err
-		}
-	}
-	if m.Status != "" {
-		dst = append(dst, `,"status":`...)
-		dst = jsonwire.AppendString(dst, m.Status)
-	}
-	if m.Duration != 0 {
-		dst = append(dst, `,"duration":`...)
-		if dst, err = jsonwire.AppendFloat(dst, m.Duration); err != nil {
-			return dst, err
-		}
-	}
-	if len(m.Exceeded) > 0 {
-		dst = append(dst, `,"exceeded":[`...)
-		for i, s := range m.Exceeded {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = jsonwire.AppendString(dst, s)
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}', '\n'), nil
-}
-
-// Message field identifiers, in struct declaration order (the fold-match
-// tie-break order encoding/json uses).
 const (
-	mdType = iota
-	mdCapacity
-	mdTaskID
-	mdCategory
-	mdAlloc
-	mdPeak
-	mdRuntime
-	mdStatus
-	mdDuration
-	mdExceeded
-	mdUnknown
+	frameHeader = 5 // u32 payload length, u8 type
+	// maxFrame bounds a payload: the largest legal one (a task with a
+	// maxCategory name) is under 64 KiB + 100 B, and a reader is never made to
+	// buffer more than this on a peer's say-so.
+	maxFrame    = 1 << 20
+	maxCategory = math.MaxUint16
+	// readWindow is the reader's standing buffer: ~40 task or ~170 result
+	// frames per socket read.
+	readWindow = 4096
+
+	wireVersion = 1
+	// wireMagic opens a register payload: "WQ", then the version.
+	wireMagic uint32 = 'W' | 'Q'<<8 | wireVersion<<16
+
+	vectorSize = 8 * int(resources.NumKinds)
+	taskFixed  = 8 + 2 + 2*vectorSize + 8 // a task payload without its category
+	resultSize = 8 + 1 + 1 + 8
 )
 
-var messageFieldNames = [...]string{
-	"type", "capacity", "task_id", "category", "alloc",
-	"peak", "runtime", "status", "duration", "exceeded",
+// ErrFrameTooLarge reports a length prefix above maxFrame.
+var ErrFrameTooLarge = errors.New("frame exceeds the 1 MiB limit")
+
+// ErrProtocolMismatch reports a peer that does not speak this wire format:
+// its first frame is malformed, or is a registration under another magic or
+// version. Retrying the connection cannot help.
+var ErrProtocolMismatch = errors.New("protocol mismatch")
+
+// FrameError marks a malformed frame, as opposed to an I/O error on the
+// connection: the manager counts these in Stats.DecodeErrors before it drops
+// the peer.
+type FrameError struct{ Cause error }
+
+func (e *FrameError) Error() string { return "malformed frame: " + e.Cause.Error() }
+func (e *FrameError) Unwrap() error { return e.Cause }
+
+func malformed(format string, args ...any) error {
+	return &FrameError{Cause: fmt.Errorf(format, args...)}
 }
 
-// messageField resolves a decoded key to a Message field: exact match first,
-// then (like encoding/json) the first field equal under Unicode case
-// folding.
-func messageField(key []byte) int {
-	switch string(key) { // no-alloc comparison
-	case "type":
-		return mdType
-	case "capacity":
-		return mdCapacity
-	case "task_id":
-		return mdTaskID
-	case "category":
-		return mdCategory
-	case "alloc":
-		return mdAlloc
-	case "peak":
-		return mdPeak
-	case "runtime":
-		return mdRuntime
-	case "status":
-		return mdStatus
-	case "duration":
-		return mdDuration
-	case "exceeded":
-		return mdExceeded
+// asMismatch turns a malformed first frame of a connection into what it most
+// likely is, a peer on another protocol; transport errors pass through.
+func asMismatch(err error) error {
+	var ferr *FrameError
+	if errors.As(err, &ferr) && !errors.Is(err, ErrProtocolMismatch) {
+		return &FrameError{Cause: fmt.Errorf("%w: %v", ErrProtocolMismatch, ferr.Cause)}
 	}
-	for i, name := range messageFieldNames {
-		if jsonwire.FoldEqual(key, name) {
-			return i
+	return err
+}
+
+// validCategory reports whether a task frame can carry s.
+func validCategory(s string) bool { return len(s) <= maxCategory && utf8.ValidString(s) }
+
+func appendVector(dst []byte, v resources.Vector) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// appendMessage appends m as one frame to dst: the fields its type carries,
+// nothing else. What it wrote goes through the decoder's own checkPayload, so
+// it refuses exactly what the peer would — a non-finite float, a negative task
+// ID, a category too long or not UTF-8, an unknown type, status or resource
+// kind — and a bad field costs the sender an error, not the peer its
+// connection. On error dst is returned as it was.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(m.Type))
+	switch m.Type {
+	case MsgRegister:
+		dst = appendVector(binary.LittleEndian.AppendUint32(dst, wireMagic), m.Capacity)
+	case MsgTask:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.TaskID))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Category))) // a wrapped length fails the check
+		dst = append(dst, m.Category...)
+		dst = appendVector(appendVector(dst, m.Alloc), m.Peak)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Runtime))
+	case MsgResult:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.TaskID))
+		dst = append(dst, byte(m.Status), byte(m.Exceeded))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Duration))
+	}
+	if err := checkPayload(m.Type, dst[start+frameHeader:]); err != nil {
+		return dst[:start], fmt.Errorf("wq: encode frame: %v", errors.Unwrap(err))
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader))
+	return dst, nil
+}
+
+// frameReader cuts a byte stream into frames. Its standing buffer is
+// readWindow bytes; a larger frame gets a buffer of exactly its size, dropped
+// again once the stream has drained out of it, and no length prefix above
+// maxFrame is believed.
+type frameReader struct {
+	r     io.Reader
+	small []byte // the standing buffer
+	buf   []byte // small, or one outsized frame's buffer
+	start int    // unconsumed window
+	end   int
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	small := make([]byte, readWindow)
+	return &frameReader{r: r, small: small, buf: small}
+}
+
+// next returns the type byte and the payload of the next frame. The payload
+// aliases the reader's buffer and is valid only until the next call. An
+// oversize length prefix is a *FrameError; a stream that ends inside a frame
+// is io.ErrUnexpectedEOF, between frames io.EOF.
+func (fr *frameReader) next() (byte, []byte, error) {
+	for {
+		need := frameHeader
+		if win := fr.buf[fr.start:fr.end]; len(win) >= frameHeader {
+			n := binary.LittleEndian.Uint32(win)
+			if n > maxFrame {
+				return 0, nil, &FrameError{Cause: fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)}
+			}
+			need += int(n)
+			if len(win) >= need {
+				fr.start += need
+				return win[4], win[frameHeader:need], nil
+			}
+		}
+		if err := fr.fill(need); err != nil {
+			if err == io.EOF && fr.end > fr.start {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
 	}
-	return mdUnknown
 }
 
-// messageDecoder parses one newline-delimited frame per call on a shared
-// jsonwire.Decoder, reusing all scratch (string intern table, Exceeded
-// backing array, unescape buffer) across frames so the steady-state decode
-// path allocates nothing. Semantics match json.Unmarshal into a fresh
-// Message; the decoded Exceeded slice aliases decoder scratch and is valid
-// only until the next decode — callers that retain the message copy it.
-type messageDecoder struct {
-	d jsonwire.Decoder
+// buffered reports whether next can return without touching the connection:
+// a complete frame is in memory, or a header next will refuse. (Saying false
+// for the latter would have the manager hold back a kick or a flush while it
+// blocks for a frame that can never become valid.)
+func (fr *frameReader) buffered() bool {
+	win := fr.buf[fr.start:fr.end]
+	if len(win) < frameHeader {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(win)
+	return n > maxFrame || len(win)-frameHeader >= int(n)
 }
 
-// decode parses line (one JSON document, no trailing newline) into m,
-// resetting m first. A bare "null" document leaves m zeroed, as
-// json.Unmarshal would leave a fresh Message.
-func (dec *messageDecoder) decode(line []byte, m *Message) error {
-	*m = Message{}
-	d := &dec.d
-	return d.DecodeObject(line, func(key []byte) error {
-		switch messageField(key) {
-		case mdType:
-			return d.String(&m.Type)
-		case mdCapacity:
-			return d.Vector(&m.Capacity)
-		case mdTaskID:
-			return d.Int(&m.TaskID)
-		case mdCategory:
-			return d.String(&m.Category)
-		case mdAlloc:
-			return d.Vector(&m.Alloc)
-		case mdPeak:
-			return d.Vector(&m.Peak)
-		case mdRuntime:
-			return d.Float(&m.Runtime)
-		case mdStatus:
-			return d.String(&m.Status)
-		case mdDuration:
-			return d.Float(&m.Duration)
-		case mdExceeded:
-			return d.Strings(&m.Exceeded)
-		default:
-			return d.Skip()
-		}
-	})
+// fill makes room for a frame of need bytes at the front of the buffer and
+// reads more of the stream.
+func (fr *frameReader) fill(need int) error {
+	live := fr.end - fr.start
+	switch {
+	case need > len(fr.buf):
+		grown := make([]byte, need)
+		copy(grown, fr.buf[fr.start:fr.end])
+		fr.buf = grown
+	case live == 0:
+		fr.buf = fr.small
+	case fr.start > 0:
+		copy(fr.buf, fr.buf[fr.start:fr.end])
+	}
+	fr.start, fr.end = 0, live
+	n, err := fr.r.Read(fr.buf[fr.end:])
+	fr.end += n
+	if n > 0 {
+		return nil
+	}
+	if err == nil {
+		err = io.ErrNoProgress
+	}
+	return err
 }
 
-// msgReader reads newline-delimited frames from a connection through the
-// shared grow-on-demand line reader, decoding each into a reused Message —
-// so a frame bigger than the initial buffer grows the window instead of
-// killing the connection (the old bufio.Scanner framing died at its token
-// cap). Malformed frames return a *jsonwire.DecodeError; transport failures
-// return the underlying error.
+// maxInterned and maxInternedLen bound the category intern table of one
+// connection (16 KiB at worst); past either a category is allocated per frame.
+const (
+	maxInterned    = 64
+	maxInternedLen = 256
+)
+
+// msgReader decodes the frames of one connection into a reused Message.
+// Category names repeat, so they are interned and the steady-state decode
+// allocates nothing. Malformed frames return a *FrameError; transport
+// failures return the underlying error.
 type msgReader struct {
-	r   *jsonwire.Reader
-	dec messageDecoder
+	fr         *frameReader
+	categories map[string]string
 }
 
 func newMsgReader(r io.Reader) *msgReader {
-	return &msgReader{r: jsonwire.NewReader(r)}
+	return &msgReader{fr: newFrameReader(r), categories: map[string]string{}}
 }
 
 func (mr *msgReader) next(m *Message) error {
-	line, err := mr.r.Next()
+	typ, payload, err := mr.fr.next()
 	if err != nil {
 		return err
 	}
-	return mr.dec.decode(line, m)
+	return mr.decode(typ, payload, m)
 }
 
-// buffered reports whether a complete frame line is already in memory.
-func (mr *msgReader) buffered() bool { return mr.r.Buffered() }
+// buffered reports whether next can return without touching the connection.
+func (mr *msgReader) buffered() bool { return mr.fr.buffered() }
+
+// checkPayload is every check a payload must pass, for the decoder before it
+// reads the fields out and for the encoder on what it just wrote: the exact
+// length its type's layout says, the magic, a task ID that fits int, a UTF-8
+// category, a known status and kinds, and no NaN or infinity in any float.
+func checkPayload(typ MsgType, p []byte) error {
+	floats := 0 // the payload ends in this many f64s
+	switch {
+	case typ == MsgRegister && len(p) == 4+vectorSize:
+		if magic := binary.LittleEndian.Uint32(p); magic != wireMagic {
+			return &FrameError{Cause: fmt.Errorf("%w: registration magic %#x, want %#x", ErrProtocolMismatch, magic, wireMagic)}
+		}
+		floats = int(resources.NumKinds)
+	case typ == MsgTask && len(p) >= taskFixed && len(p) == taskFixed+int(binary.LittleEndian.Uint16(p[8:])):
+		if !utf8.Valid(p[10 : len(p)-taskFixed+10]) {
+			return malformed("task category is not UTF-8")
+		}
+		floats = 2*int(resources.NumKinds) + 1
+	case typ == MsgResult && len(p) == resultSize:
+		if s := Status(p[8]); s != StatusSuccess && s != StatusExhausted || KindSet(p[9])&^allKinds != 0 {
+			return malformed("unknown result status %d or resource kind in %#b", p[8], p[9])
+		}
+		floats = 1
+	case typ >= MsgShutdown && typ <= MsgPong && len(p) == 0:
+		return nil
+	case typ == 0 || typ > MsgPong:
+		return malformed("unknown frame type %d", typ)
+	default:
+		return malformed("type %d frame with a %d-byte payload", typ, len(p))
+	}
+	if typ != MsgRegister && binary.LittleEndian.Uint64(p) > math.MaxInt {
+		return malformed("task ID overflows int")
+	}
+	for q := p[len(p)-8*floats:]; len(q) > 0; q = q[8:] {
+		if binary.LittleEndian.Uint64(q)&(0x7ff<<52) == 0x7ff<<52 {
+			return malformed("non-finite value in a type %d frame", typ)
+		}
+	}
+	return nil
+}
+
+func getFloat(p []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(p)) }
+
+func getVector(p []byte) (v resources.Vector) {
+	for k := range v {
+		v[k] = getFloat(p[8*k:])
+	}
+	return v
+}
+
+// decode parses one payload into m, resetting m first.
+func (mr *msgReader) decode(typ byte, p []byte, m *Message) error {
+	*m = Message{Type: MsgType(typ)}
+	if err := checkPayload(m.Type, p); err != nil {
+		return err
+	}
+	switch m.Type {
+	case MsgRegister:
+		m.Capacity = getVector(p[4:])
+	case MsgTask:
+		floats := p[len(p)-taskFixed+10:]
+		m.TaskID = int(binary.LittleEndian.Uint64(p))
+		m.Category = mr.intern(p[10 : len(p)-len(floats)])
+		m.Alloc, m.Peak = getVector(floats), getVector(floats[vectorSize:])
+		m.Runtime = getFloat(floats[2*vectorSize:])
+	case MsgResult:
+		m.TaskID = int(binary.LittleEndian.Uint64(p))
+		m.Status, m.Exceeded, m.Duration = Status(p[8]), KindSet(p[9]), getFloat(p[10:])
+	}
+	return nil
+}
+
+func (mr *msgReader) intern(b []byte) string {
+	if s, ok := mr.categories[string(b)]; ok || len(b) == 0 { // no-alloc lookup
+		return s
+	}
+	s := string(b)
+	if len(mr.categories) < maxInterned && len(s) <= maxInternedLen {
+		mr.categories[s] = s
+	}
+	return s
+}
 
 // writeTimeout bounds every write to a peer: one that stopped reading gets its
 // connection closed (the normal eviction path) when its socket buffer is full,

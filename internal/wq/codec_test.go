@@ -2,158 +2,207 @@ package wq
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
 
-	"dynalloc/internal/jsonwire"
 	"dynalloc/internal/resources"
 )
 
-// encodeStdMsg is the reference encoding: exactly what the original engine
-// put on the wire via json.Encoder (compact JSON, HTML escaping, trailing
-// newline).
-func encodeStdMsg(t testing.TB, m *Message) ([]byte, error) {
+// unhex decodes a hex dump; spaces and newlines are for the reader.
+func unhex(t testing.TB, s string) []byte {
 	t.Helper()
-	b, err := json.Marshal(m)
+	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return append(b, '\n'), nil
+	return b
 }
 
-func TestAppendMessageMatchesEncodingJSON(t *testing.T) {
-	msgs := []Message{
-		{},
-		{Type: MsgRegister, Capacity: resources.New(16, 64000, 64000, 3600)},
-		{Type: MsgTask, TaskID: 42, Category: "fit", Alloc: resources.New(4, 2000, 500, 3600),
-			Peak: resources.Vector{1.5, 2048, 0.001, 1e21}, Runtime: 30.25},
-		{Type: MsgResult, TaskID: 3, Category: "x", Status: StatusExhausted,
-			Duration: 12.5, Exceeded: []string{"memory", "time"}},
-		{Type: MsgResult, TaskID: 1, Status: StatusSuccess, Duration: 1e-9,
-			Peak: resources.Vector{-1e-7, 9.999999999999999e20, 1e-6, math.MaxFloat64}},
-		{Type: MsgPing},
-		{Type: MsgShutdown, Category: "a<b>&c"},
-		{Type: "", Category: "control:\x01\x1f del:\x7f unicode:\u00e9\u2028\u2029 bad:\xff\xfe"},
-		{Type: MsgResult, Duration: -0.0},       // negative zero is ==0: omitted
-		{Type: MsgResult, Exceeded: []string{}}, // empty-but-non-nil list still omitted
-		// A result as the worker sends it: three all-zero vectors, one byte
-		// per element; negative zero keeps its sign as it does in encoding/json.
-		{Type: MsgResult, TaskID: 9, Status: StatusSuccess, Duration: 2.5},
-		{Type: MsgResult, Peak: resources.Vector{0, math.Copysign(0, -1), 0, 1}},
-	}
-	for i, m := range msgs {
-		want, werr := encodeStdMsg(t, &m)
-		got, gerr := appendMessage(nil, &m)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("message %d: error mismatch: json=%v codec=%v", i, werr, gerr)
+// decodeAll reads frames from wire until the stream ends, returning the
+// messages and the error that ended it (io.EOF for a clean end).
+func decodeAll(wire []byte) ([]Message, error) {
+	mr := newMsgReader(bytes.NewReader(wire))
+	var out []Message
+	for {
+		var m Message
+		if err := mr.next(&m); err != nil {
+			return out, err
 		}
-		if werr != nil {
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("message %d encoding mismatch:\n codec: %s\n  json: %s", i, got, want)
-		}
+		out = append(out, m)
 	}
 }
 
+// TestFrameGolden pins the wire layout, one hand-written frame per type:
+// changing a byte on the wire means editing this table on purpose. The floats
+// are 1 = 3ff0…, 2 = 4000…, 0.5 = 3fe0…, 2.5 = 4004…, 1024 = 4090…, all
+// little-endian like every integer.
+func TestFrameGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		msg  Message
+		hex  string
+	}{
+		{"register", Message{Type: MsgRegister, Capacity: resources.New(1, 1024, 2, 0)}, `
+			24000000 01
+			57510100
+			000000000000f03f 0000000000009040 0000000000000040 0000000000000000`},
+		{"task", Message{Type: MsgTask, TaskID: 258, Category: "fit",
+			Alloc: resources.New(2, 1024, 1, 0), Peak: resources.New(0.5, 1, 1, 2.5), Runtime: 2.5}, `
+			55000000 02
+			0201000000000000
+			0300 666974
+			0000000000000040 0000000000009040 000000000000f03f 0000000000000000
+			000000000000e03f 000000000000f03f 000000000000f03f 0000000000000440
+			0000000000000440`},
+		{"result success", Message{Type: MsgResult, TaskID: 258, Status: StatusSuccess, Duration: 2.5}, `
+			12000000 03
+			0201000000000000 01 00 0000000000000440`},
+		{"result exhausted", Message{Type: MsgResult, TaskID: 1, Status: StatusExhausted,
+			Exceeded: 1<<resources.Memory | 1<<resources.Time, Duration: 0.5}, `
+			12000000 03
+			0100000000000000 02 0a 000000000000e03f`},
+		{"shutdown", Message{Type: MsgShutdown}, `00000000 04`},
+		{"ping", Message{Type: MsgPing}, `00000000 05`},
+		{"pong", Message{Type: MsgPong}, `00000000 06`},
+	}
+	var stream []byte
+	for _, c := range cases {
+		want := unhex(t, c.hex)
+		got, err := appendMessage(nil, &c.msg)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded\n %x (%v), want\n %x", c.name, got, err, want)
+		}
+		stream = append(stream, want...)
+	}
+	msgs, err := decodeAll(stream)
+	if err != io.EOF || len(msgs) != len(cases) {
+		t.Fatalf("decoded %d of %d golden frames: %v", len(msgs), len(cases), err)
+	}
+	for i, c := range cases {
+		if msgs[i] != c.msg {
+			t.Errorf("%s: decoded %+v, want %+v", c.name, msgs[i], c.msg)
+		}
+	}
+}
+
+// TestAppendMessageNonFiniteFloat: no float field of any frame type carries a
+// NaN or an infinity onto the wire, and none is taken off it.
 func TestAppendMessageNonFiniteFloat(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		m := Message{Type: MsgResult, Duration: v}
-		if _, err := appendMessage(nil, &m); err == nil {
-			t.Errorf("appendMessage accepted non-finite duration %v", v)
+		task := Message{Type: MsgTask, TaskID: 1, Category: "c"}
+		for name, m := range map[string]Message{
+			"capacity": {Type: MsgRegister, Capacity: resources.Vector{1, v, 1, 1}},
+			"alloc":    {Type: MsgTask, Alloc: resources.Vector{v, 0, 0, 0}},
+			"peak":     {Type: MsgTask, Peak: resources.Vector{0, 0, 0, v}},
+			"runtime":  {Type: MsgTask, Runtime: v},
+			"duration": {Type: MsgResult, Status: StatusSuccess, Duration: v},
+		} {
+			if got, err := appendMessage([]byte("kept"), &m); err == nil || string(got) != "kept" {
+				t.Errorf("appendMessage took a %s of %v (left %q)", name, v, got)
+			}
 		}
-		m = Message{Type: MsgResult, Peak: resources.Vector{0, v, 0, 0}}
-		if _, err := appendMessage(nil, &m); err == nil {
-			t.Errorf("appendMessage accepted non-finite vector element %v", v)
-		}
-	}
-}
-
-// TestDecodeMessageMatchesEncodingJSON pins the decoder to json.Unmarshal
-// semantics on hand-picked tricky documents: duplicate keys, case-folded
-// field names, unknown fields, nulls, short/long arrays, escapes.
-func TestDecodeMessageMatchesEncodingJSON(t *testing.T) {
-	docs := []string{
-		`{"type":"task","task_id":3,"category":"fit","capacity":[0,0,0,0],"alloc":[0,0,0,0],"peak":[0,0,0,0]}`,
-		`null`,
-		`{}`,
-		` { "type" : "ping" } `,
-		`{"TYPE":"task","Task_ID":9}`, // case-folded field match
-		`{"type":"a","type":"b"}`,     // last duplicate wins
-		`{"task_id":null,"status":null,"alloc":null}`, // null leaves zero values
-		`{"alloc":[1,2]}`,                                // short array zero-pads
-		`{"alloc":[1,2,3,4,5,6]}`,                        // long array: extras validated, discarded
-		`{"alloc":[1,2,3,4],"alloc":[9]}`,                // duplicate array re-zeroes tail
-		`{"exceeded":[]}`,                                // empty list decodes non-nil
-		`{"exceeded":["memory","time"],"exceeded":null}`, // null resets to nil
-		`{"exceeded":["a",null,"b"]}`,                    // null element -> ""
-		`{"unknown":{"deep":[1,{"x":null}]},"task_id":2}`,
-		`{"status":"\u0041\u00e9\ud83d\ude00\t\\\" \ud800 \u2028"}`, // escapes incl. lone surrogate
-		`{"category":"caf\u00e9 ` + "\xc3\xa9 \xff" + `"}`,          // raw UTF-8 + invalid byte
-		`{"runtime":1e-9,"duration":-0.5e+3}`,
-		`{"task_id":-7,"duration":0.125}`,
-	}
-	for _, doc := range docs {
-		var dec messageDecoder
-		var mine, std Message
-		merr := dec.decode([]byte(doc), &mine)
-		serr := json.Unmarshal([]byte(doc), &std)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("doc %q: error mismatch: codec=%v json=%v", doc, merr, serr)
-		}
-		if merr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(mine, std) {
-			t.Errorf("doc %q:\n codec: %+v\n  json: %+v", doc, mine, std)
+		// The same values patched into otherwise valid frames.
+		frame := encodeFrames(t, &task)
+		for off := len(frame) - 8; off >= frameHeader+8+2+len(task.Category); off -= 8 {
+			bad := append([]byte(nil), frame...)
+			binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(v))
+			var ferr *FrameError
+			if _, err := decodeAll(bad); !errors.As(err, &ferr) {
+				t.Errorf("task frame with %v at offset %d: %v, want a *FrameError", v, off, err)
+			}
 		}
 	}
 }
 
-// TestDecodeMessageRejects pins decode failures (and that they are reported
-// as *jsonwire.DecodeError, which the manager counts in Stats.DecodeErrors):
-// every document here must fail both decoders.
+// TestAppendMessageRefuses: the encoder refuses what the decoder on the other
+// end would, so a bad field costs the sender an error, not the peer its
+// connection.
+func TestAppendMessageRefuses(t *testing.T) {
+	for name, m := range map[string]Message{
+		"zero message":         {},
+		"unknown type":         {Type: MsgPong + 1},
+		"negative task ID":     {Type: MsgTask, TaskID: -1},
+		"negative result ID":   {Type: MsgResult, TaskID: -1, Status: StatusSuccess},
+		"category too long":    {Type: MsgTask, Category: strings.Repeat("x", maxCategory+1)},
+		"category not UTF-8":   {Type: MsgTask, Category: "a\xffb"},
+		"result sans status":   {Type: MsgResult},
+		"unknown status":       {Type: MsgResult, Status: StatusExhausted + 1},
+		"unknown kind in mask": {Type: MsgResult, Status: StatusExhausted, Exceeded: 1 << resources.NumKinds},
+	} {
+		if got, err := appendMessage(nil, &m); err == nil {
+			t.Errorf("%s: encoded as %x", name, got)
+		}
+	}
+}
+
+// TestDecodeMessageRejects: every frame here is malformed — a *FrameError,
+// which the manager counts in Stats.DecodeErrors — and none is an I/O error.
 func TestDecodeMessageRejects(t *testing.T) {
-	docs := []string{
-		``, `   `, `not json`, `{`, `{"type"}`, `{"type":}`, `{"type":"a"`,
-		`{"type":"a"} trailing`, `[1,2]`, `"frame"`, `123`, `true`,
-		`{"task_id":"x"}`, `{"task_id":1.5}`, `{"task_id":1e3}`,
-		`{"runtime":01}`, `{"runtime":+1}`, `{"runtime":.5}`, `{"runtime":1.}`,
-		`{"alloc":[1,}`, `{"alloc":{"0":1}}`, `{"exceeded":[5]}`,
-		`{"type":"bad \u12 escape"}`, `{"type":"bad \q"}`, "{\"type\":\"ctl \x01\"}",
+	f64 := strings.Repeat("00", 8)
+	vec := strings.Repeat(f64, 4)
+	for name, c := range map[string]struct {
+		hex string
+		is  error
+	}{
+		"type 0":                     {hex: "00000000 00"},
+		"type 7":                     {hex: "00000000 07"},
+		"ping with a payload":        {hex: "01000000 05 00"},
+		"register short":             {hex: "23000000 01 57510100" + vec[2:]},
+		"register long":              {hex: "25000000 01 57510100" + vec + "00"},
+		"register other magic":       {hex: "24000000 01 58510100" + vec, is: ErrProtocolMismatch},
+		"register version 2":         {hex: "24000000 01 57510200" + vec, is: ErrProtocolMismatch},
+		"register NaN capacity":      {hex: "24000000 01 57510100" + vec[16:] + "000000000000f87f"},
+		"task shorter than fixed":    {hex: "10000000 02" + f64 + f64},
+		"task category overruns":     {hex: "52000000 02" + f64 + "0100" + vec + vec + f64},
+		"task category underruns":    {hex: "54000000 02" + f64 + "0100 6162" + vec + vec + f64},
+		"task category not UTF-8":    {hex: "53000000 02" + f64 + "0100 ff" + vec + vec + f64},
+		"task ID past MaxInt":        {hex: "52000000 02 0000000000000080 0000" + vec + vec + f64},
+		"task +Inf runtime":          {hex: "52000000 02" + f64 + "0000" + vec + vec + "000000000000f07f"},
+		"result short":               {hex: "11000000 03" + f64 + "01 00" + f64[2:]},
+		"result long":                {hex: "13000000 03" + f64 + "01 00" + f64 + "00"},
+		"result status 0":            {hex: "12000000 03" + f64 + "00 00" + f64},
+		"result status 3":            {hex: "12000000 03" + f64 + "03 00" + f64},
+		"result exceeded bit 4":      {hex: "12000000 03" + f64 + "02 10" + f64},
+		"result ID past MaxInt":      {hex: "12000000 03 ffffffffffffffff 01 00" + f64},
+		"result -Inf duration":       {hex: "12000000 03" + f64 + "01 00 000000000000f0ff"},
+		"length prefix past the cap": {hex: "01001000 05", is: ErrFrameTooLarge},
+		"JSON":                       {hex: hex.EncodeToString([]byte(`{"type":"ping"}` + "\n")), is: ErrFrameTooLarge},
+	} {
+		msgs, err := decodeAll(unhex(t, c.hex))
+		var ferr *FrameError
+		if len(msgs) != 0 || !errors.As(err, &ferr) {
+			t.Errorf("%s: decoded %+v, error %v; want no frame and a *FrameError", name, msgs, err)
+		} else if c.is != nil && !errors.Is(err, c.is) {
+			t.Errorf("%s: error %v does not wrap %v", name, err, c.is)
+		}
 	}
-	for _, doc := range docs {
-		var dec messageDecoder
-		var mine, std Message
-		merr := dec.decode([]byte(doc), &mine)
-		serr := json.Unmarshal([]byte(doc), &std)
-		if serr == nil {
-			t.Fatalf("doc %q: expected json.Unmarshal to fail too; fix the test", doc)
-		}
-		if merr == nil {
-			t.Errorf("doc %q: codec accepted a document json rejects", doc)
-			continue
-		}
-		if _, ok := merr.(*jsonwire.DecodeError); !ok {
-			t.Errorf("doc %q: error %v is not a *jsonwire.DecodeError", doc, merr)
+	// A stream that ends inside a frame is the connection's failure, not the
+	// frame's: nothing to count as a decode error.
+	whole := encodeFrames(t, &Message{Type: MsgResult, TaskID: 1, Status: StatusSuccess})
+	for cut := 1; cut < len(whole); cut++ {
+		if _, err := decodeAll(whole[:cut]); err != io.ErrUnexpectedEOF {
+			t.Errorf("stream cut at byte %d of %d: %v, want io.ErrUnexpectedEOF", cut, len(whole), err)
 		}
 	}
 }
 
-// TestMsgReaderLargeFrame is the regression for the old bufio.Scanner
-// framing, which died at its 1 MiB token cap (and defaulted to 64 KiB before
-// Buffer was set): a 2 MiB frame must round-trip through frameWriter and
-// msgReader on both one-byte and single reads.
+// TestMsgReaderLargeFrame carries the largest legal frame — sixteen times the
+// standing buffer — through frameWriter and msgReader on one-byte and single
+// reads, with small frames around it, and checks that the reader gives the
+// outsized buffer back once the stream has drained out of it.
 func TestMsgReaderLargeFrame(t *testing.T) {
-	big := strings.Repeat("x", 2<<20) // 2 MiB, beyond the old scanner cap
+	big := strings.Repeat("x", maxCategory)
 	msgs := []Message{
+		{Type: MsgPing},
 		{Type: MsgTask, TaskID: 1, Category: big, Alloc: resources.New(1, 2, 3, 4), Runtime: 5},
-		{Type: MsgResult, TaskID: 1, Category: big, Status: StatusSuccess, Duration: 5},
+		{Type: MsgResult, TaskID: 1, Status: StatusSuccess, Duration: 5},
 		{Type: MsgPong},
 	}
 	var wire bytes.Buffer
@@ -172,111 +221,273 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 	} {
 		mr := newMsgReader(r)
 		var got Message
+		peak := 0
 		for i, want := range msgs {
 			if err := mr.next(&got); err != nil {
 				t.Fatalf("%s: frame %d: %v", name, i, err)
 			}
-			if got.Exceeded != nil {
-				got.Exceeded = append([]string(nil), got.Exceeded...)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got != want {
 				t.Fatalf("%s: frame %d mismatch (category len %d vs %d)",
 					name, i, len(got.Category), len(want.Category))
 			}
+			peak = max(peak, len(mr.fr.buf))
 		}
 		if err := mr.next(&got); err != io.EOF {
 			t.Fatalf("%s: expected EOF after last frame, got %v", name, err)
 		}
+		if want := frameHeader + taskFixed + maxCategory; peak != want {
+			t.Errorf("%s: buffer grew to %d bytes, want exactly the frame's %d", name, peak, want)
+		}
+		if len(mr.fr.buf) != readWindow {
+			t.Errorf("%s: buffer is %d bytes after the stream drained, want %d again", name, len(mr.fr.buf), readWindow)
+		}
 	}
 }
 
-// FuzzWQMessageCodec is the byte-compatibility pin for the encoder and the
-// value-compatibility pin for the decoder: for any message, appendMessage
-// must produce exactly json.Encoder's bytes, and decoding those bytes must
-// match json.Unmarshal field for field (twice, to prove scratch reuse is
-// sound).
+// TestFrameReaderBound hits maxFrame from both sides at the framing layer: a
+// payload of exactly maxFrame bytes is a frame, one byte more is refused from
+// its header alone — buffered says so without waiting for a payload that will
+// never be read — and nothing near 1 MiB is allocated for it.
+func TestFrameReaderBound(t *testing.T) {
+	atLimit := make([]byte, frameHeader+maxFrame)
+	binary.LittleEndian.PutUint32(atLimit, maxFrame)
+	atLimit[4] = 0x2a
+	fr := newFrameReader(bytes.NewReader(atLimit))
+	typ, payload, err := fr.next()
+	if err != nil || typ != 0x2a || len(payload) != maxFrame {
+		t.Fatalf("frame at the limit: type %#x, %d bytes, %v", typ, len(payload), err)
+	}
+
+	over := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
+	fr = newFrameReader(bytes.NewReader(append(over, 0x2a)))
+	if fr.buffered() {
+		t.Error("buffered before anything was read")
+	}
+	_, _, err = fr.next()
+	var ferr *FrameError
+	if !errors.As(err, &ferr) || !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("frame over the limit: %v, want a *FrameError wrapping ErrFrameTooLarge", err)
+	}
+	if !fr.buffered() {
+		t.Error("buffered is false for a header next refuses without reading")
+	}
+	if len(fr.buf) != readWindow {
+		t.Errorf("buffer grew to %d bytes for a refused frame", len(fr.buf))
+	}
+}
+
+// chunkReader hands out its chunks one Read each and counts what it gave.
+type chunkReader struct {
+	chunks [][]byte
+	given  int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	for len(c.chunks) > 0 && len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	c.chunks[0] = c.chunks[0][n:]
+	c.given += n
+	return n, nil
+}
+
+// TestFrameReaderSplitEveryBoundary feeds one multi-frame stream in two reads,
+// split at every byte, and byte by byte: the same frames come out, and
+// buffered is true exactly when the next whole frame has already been read
+// off the connection — the contract the manager's burst staging (kick and
+// flush only when about to block) rests on.
+func TestFrameReaderSplitEveryBoundary(t *testing.T) {
+	msgs := []Message{
+		{Type: MsgRegister, Capacity: resources.New(16, 64000, 64000, 3600)},
+		{Type: MsgResult, TaskID: 7, Status: StatusSuccess, Duration: 1.5},
+		{Type: MsgPong},
+		{Type: MsgTask, TaskID: 8, Category: "split", Alloc: resources.New(1, 2, 3, 4), Peak: resources.New(4, 3, 2, 1), Runtime: 9},
+		{Type: MsgResult, TaskID: 8, Status: StatusExhausted, Exceeded: allKinds, Duration: math.Copysign(0, -1)},
+		{Type: MsgPing},
+	}
+	var stream []byte
+	var ends []int // ends[i]: stream offset just past frame i
+	for i := range msgs {
+		stream = append(stream, encodeFrames(t, &msgs[i])...)
+		ends = append(ends, len(stream))
+	}
+	check := func(name string, src *chunkReader) {
+		mr := newMsgReader(src)
+		for i, want := range msgs {
+			if got, want := mr.buffered(), src.given >= ends[i]; got != want {
+				t.Fatalf("%s: before frame %d, %d bytes read: buffered = %v, want %v", name, i, src.given, got, want)
+			}
+			var got Message
+			if err := mr.next(&got); err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if got != want || math.Signbit(got.Duration) != math.Signbit(want.Duration) {
+				t.Fatalf("%s: frame %d = %+v, want %+v", name, i, got, want)
+			}
+		}
+		var m Message
+		if mr.buffered() {
+			t.Fatalf("%s: buffered after the last frame", name)
+		}
+		if err := mr.next(&m); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		check(fmt.Sprint("split at byte ", cut), &chunkReader{chunks: [][]byte{stream[:cut], stream[cut:]}})
+	}
+	single := make([][]byte, len(stream))
+	for i := range stream {
+		single[i] = stream[i : i+1]
+	}
+	check("byte by byte", &chunkReader{chunks: single})
+}
+
+// TestDecodeAllocatesNothing: category names are interned, so a connection's
+// steady-state decode is allocation-free; the table stops growing at
+// maxInterned names and never takes a long one.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	frames := encodeFrames(t,
+		&Message{Type: MsgTask, TaskID: 1, Category: "fit", Alloc: resources.New(1, 2, 3, 4), Runtime: 1},
+		&Message{Type: MsgResult, TaskID: 1, Status: StatusExhausted, Exceeded: 1 << resources.Disk, Duration: 1},
+		&Message{Type: MsgPong})
+	src := bytes.NewReader(nil)
+	mr := newMsgReader(src)
+	var m Message
+	round := func() {
+		src.Reset(frames)
+		for i := 0; i < 3; i++ {
+			if err := mr.next(&m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("steady-state decode of three frames allocates %v times", n)
+	}
+	for i := 0; i < 2*maxInterned; i++ {
+		mr.intern([]byte{'c', byte('0' + i/64), byte('0' + i%64)})
+	}
+	mr.intern(bytes.Repeat([]byte("x"), maxInternedLen+1))
+	if len(mr.categories) != maxInterned {
+		t.Errorf("intern table holds %d names, want the bound %d", len(mr.categories), maxInterned)
+	}
+}
+
+// fuzzMessage builds a message of the type typ selects out of the fuzzer's
+// values, only the fields that type carries set.
+func fuzzMessage(typ uint8, id uint64, category string, status, mask uint8, a, b, c, d float64) Message {
+	m := Message{Type: MsgType(typ%uint8(MsgPong)) + 1}
+	switch m.Type {
+	case MsgRegister:
+		m.Capacity = resources.Vector{a, b, c, d}
+	case MsgTask:
+		m.TaskID, m.Category = int(id), category
+		m.Alloc, m.Peak, m.Runtime = resources.Vector{a, b, c, d}, resources.Vector{d, c, -b, -a}, c
+	case MsgResult:
+		m.TaskID, m.Status, m.Exceeded, m.Duration = int(id), Status(status), KindSet(mask), a
+	}
+	return m
+}
+
+// FuzzWQMessageCodec is the round-trip pin: a message either is refused by the
+// encoder — exactly when it holds something the wire cannot carry — or
+// encodes to one frame that decodes back to the same message, bit for bit
+// (negative zeros, denormals, the longest category, every exceeded mask).
 func FuzzWQMessageCodec(f *testing.F) {
-	f.Add("task", "fit", "", "", 3, 1.5, 2048.0, 30.25, 0.0)
-	f.Add("result", "x", "exhausted", "memory", 9, 1e-7, 1e21, -0.0, 12.5)
-	f.Add("result", "a<b>&c\u2028", "success", "", 0, math.MaxFloat64, 5e-324, 0.1, 1e-9)
-	f.Add("register", "oom \xff\xfe", "tab\t\"q\"", "time", 12, math.NaN(), 0.0, 0.0, 99.0)
-	f.Add("result", "", "success", "", 7, 0.0, 0.0, 0.0, 2.5) // all-zero vectors, with -a a negative zero
-	f.Add("task", "z", "", "", 1, math.Copysign(0, -1), 0.0, math.Copysign(0, -1), 0.0)
-	f.Fuzz(func(t *testing.T, typ, category, status, exc string,
-		taskID int, a, b, rt, dur float64) {
-		msg := Message{
-			Type:     typ,
-			Capacity: resources.Vector{a, b, -a, a + b},
-			TaskID:   taskID,
-			Category: category,
-			Alloc:    resources.Vector{b, rt, a * 2, -b},
-			Peak:     resources.Vector{-rt, a, b, rt},
-			Runtime:  rt,
-			Status:   status,
-			Duration: dur,
+	denormal := math.Float64frombits(1)
+	f.Add(uint8(0), uint64(0), "", uint8(0), uint8(0), 16.0, 64000.0, 64000.0, 3600.0)
+	f.Add(uint8(1), uint64(3), "fit", uint8(0), uint8(0), 1.5, 2048.0, 30.25, 0.0)
+	f.Add(uint8(1), uint64(math.MaxInt), strings.Repeat("é", maxCategory/2), uint8(0), uint8(0), math.Copysign(0, -1), denormal, math.MaxFloat64, -denormal)
+	f.Add(uint8(1), uint64(1), "oom \xff\xfe", uint8(0), uint8(0), 1.0, 1.0, 1.0, 1.0)
+	f.Add(uint8(1), uint64(1)<<63, "z", uint8(0), uint8(0), 1.0, 1.0, 1.0, 1.0)
+	f.Add(uint8(1), uint64(1), strings.Repeat("x", maxCategory+1), uint8(0), uint8(0), 1.0, 1.0, 1.0, 1.0)
+	f.Add(uint8(1), uint64(12), "nan", uint8(0), uint8(0), 1.0, math.NaN(), 0.0, 99.0)
+	f.Add(uint8(2), uint64(9), "", uint8(StatusSuccess), uint8(0), 2.5, 0.0, 0.0, 0.0)
+	for mask := uint8(0); mask <= uint8(allKinds)+1; mask++ { // every set of kinds, and one bit too many
+		f.Add(uint8(2), uint64(9), "", uint8(StatusExhausted), mask, math.Copysign(0, -1), 0.0, 0.0, 0.0)
+	}
+	f.Add(uint8(2), uint64(9), "", uint8(3), uint8(0), 1.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(2), uint64(9), "", uint8(StatusSuccess), uint8(0), math.Inf(-1), 0.0, 0.0, 0.0)
+	f.Add(uint8(4), uint64(0), "", uint8(0), uint8(0), 0.0, 0.0, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, typ uint8, id uint64, category string, status, mask uint8, a, b, c, d float64) {
+		msg := fuzzMessage(typ, id, category, status, mask, a, b, c, d)
+		sendable := true
+		for _, v := range append(append(msg.Capacity[:], msg.Alloc[:]...), append(msg.Peak[:], msg.Runtime, msg.Duration)...) {
+			sendable = sendable && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
-		if exc != "" {
-			msg.Exceeded = []string{exc, "memory"}
+		switch msg.Type {
+		case MsgTask:
+			sendable = sendable && msg.TaskID >= 0 && validCategory(category)
+		case MsgResult:
+			sendable = sendable && msg.TaskID >= 0 && (status == 1 || status == 2) && KindSet(mask)&^allKinds == 0
 		}
-		want, werr := encodeStdMsg(t, &msg)
-		got, gerr := appendMessage(nil, &msg)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error mismatch: json=%v codec=%v (message %+v)", werr, gerr, msg)
+		wire, err := appendMessage(nil, &msg)
+		if (err == nil) != sendable {
+			t.Fatalf("message %+v: sendable %v, but encoding says %v", msg, sendable, err)
 		}
-		if werr != nil {
-			return // non-finite float; both reject
+		if err != nil {
+			return
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encoding mismatch:\n codec: %s\n  json: %s", got, want)
+		if n := binary.LittleEndian.Uint32(wire); int(n) != len(wire)-frameHeader || n > maxFrame {
+			t.Fatalf("length prefix %d on a %d-byte frame", n, len(wire))
 		}
-		line := got[:len(got)-1]
-		var dec messageDecoder
-		var mine, std Message
-		if err := dec.decode(line, &mine); err != nil {
-			t.Fatalf("codec rejected its own encoding %s: %v", line, err)
+		// Through one reader twice: its scratch must not leak between frames.
+		msgs, err := decodeAll(append(wire, wire...))
+		if err != io.EOF || len(msgs) != 2 || msgs[0] != msgs[1] {
+			t.Fatalf("decoding %x twice: %+v, %v", wire, msgs, err)
 		}
-		if err := json.Unmarshal(line, &std); err != nil {
-			t.Fatalf("json rejected codec encoding %s: %v", line, err)
-		}
-		if !reflect.DeepEqual(mine, std) {
-			t.Fatalf("decode mismatch:\n codec: %+v\n  json: %+v", mine, std)
-		}
-		// Second decode through the same decoder: the reused scratch (intern
-		// table, exceeded backing array, string buffer) must not leak state.
-		var again Message
-		if err := dec.decode(line, &again); err != nil {
-			t.Fatalf("second decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(again, std) {
-			t.Fatalf("second decode diverged:\n codec: %+v\n  json: %+v", again, std)
+		// Struct equality calls -0 and 0 the same; the bytes do not.
+		again, err := appendMessage(nil, &msgs[0])
+		if err != nil || msgs[0] != msg || !bytes.Equal(again, wire) {
+			t.Fatalf("round trip of %+v:\n got %+v (%v)\n %x\n %x", msg, msgs[0], err, wire, again)
 		}
 	})
 }
 
-// FuzzWQMessageDecode feeds arbitrary bytes to the decoder and requires
-// exact agreement with json.Unmarshal: same accept/reject verdict, and
-// identical Message values on accept.
+// FuzzWQMessageDecode feeds arbitrary bytes to a reader: it never panics or
+// reads past a frame, every frame it accepts re-encodes to exactly the bytes
+// it came from, and the stream ends in EOF, a truncation, or a *FrameError.
 func FuzzWQMessageDecode(f *testing.F) {
-	f.Add([]byte(`{"type":"task","task_id":1,"alloc":[1,2,3,4]}`))
-	f.Add([]byte(`{"TYPE":"x","capacity":[1],"capacity":null}`))
-	f.Add([]byte(`{"exceeded":["a",null],"unknown":[{"k":[true,false,null]}]}`))
-	f.Add([]byte(`{"status":"\ud83d\ude00\ud800\u2028"}`))
-	f.Add([]byte(` null `))
-	f.Add([]byte(`{"task_id":1e3}`))
-	f.Add([]byte("{\"category\":\"\xc3\xa9\xff\"}"))
+	valid := encodeFrames(f,
+		&Message{Type: MsgRegister, Capacity: resources.PaperWorker()},
+		&Message{Type: MsgTask, TaskID: 1, Category: "fit", Alloc: resources.New(1, 2, 3, 4), Peak: resources.New(1, 1, 1, 1), Runtime: 1},
+		&Message{Type: MsgResult, TaskID: 1, Status: StatusExhausted, Exceeded: 1 << resources.Memory, Duration: 0.5},
+		&Message{Type: MsgPing}, &Message{Type: MsgPong}, &Message{Type: MsgShutdown})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-7])
+	f.Add([]byte(`{"type":"register","capacity":[16,64000,64000,3600]}` + "\n"))
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 5, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 2})
+	f.Add(unhex(f, "12000000 03 0100000000000000 03 10 000000000000f87f"))
+	f.Add(unhex(f, "53000000 02 0100000000000000 0100 ff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec messageDecoder
-		var mine, std Message
-		merr := dec.decode(data, &mine)
-		serr := json.Unmarshal(data, &std)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("verdict mismatch on %q: codec=%v json=%v", data, merr, serr)
-		}
-		if merr != nil {
-			return
-		}
-		if !reflect.DeepEqual(mine, std) {
-			t.Fatalf("decode mismatch on %q:\n codec: %+v\n  json: %+v", data, mine, std)
+		mr := newMsgReader(bytes.NewReader(data))
+		off := 0
+		for {
+			var m Message
+			err := mr.next(&m)
+			if err != nil {
+				var ferr *FrameError
+				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &ferr) {
+					t.Fatalf("stream ended in %v", err)
+				}
+				if err == io.EOF && off != len(data) {
+					t.Fatalf("clean end at byte %d of %d", off, len(data))
+				}
+				return
+			}
+			again, err := appendMessage(nil, &m)
+			if err != nil || off+len(again) > len(data) || !bytes.Equal(again, data[off:off+len(again)]) {
+				t.Fatalf("accepted %+v at byte %d, which re-encodes to %x (%v); the stream is %x", m, off, again, err, data[off:])
+			}
+			off += len(again)
 		}
 	})
 }

@@ -58,8 +58,8 @@ func (pw *pipeWorker) write(frames ...*Message) {
 	writeFrames(pw.t, pw.conn, frames...)
 }
 
-// writeFrames encodes the frames and hands them to w in a single Write.
-func writeFrames(t *testing.T, w io.Writer, frames ...*Message) {
+// encodeFrames is the frames' bytes on the wire, back to back.
+func encodeFrames(t testing.TB, frames ...*Message) []byte {
 	t.Helper()
 	var buf []byte
 	for _, f := range frames {
@@ -68,7 +68,13 @@ func writeFrames(t *testing.T, w io.Writer, frames ...*Message) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Write(buf); err != nil {
+	return buf
+}
+
+// writeFrames encodes the frames and hands them to w in a single Write.
+func writeFrames(t *testing.T, w io.Writer, frames ...*Message) {
+	t.Helper()
+	if _, err := w.Write(encodeFrames(t, frames...)); err != nil {
 		t.Fatal(err)
 	}
 }

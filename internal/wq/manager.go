@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynalloc/internal/allocator"
-	"dynalloc/internal/jsonwire"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sched"
@@ -234,8 +233,12 @@ func (m *Manager) serveWorker(conn net.Conn) {
 	defer conn.Close()
 	mr := newMsgReader(conn)
 	var reg Message
-	if err := mr.next(&reg); err != nil || reg.Type != MsgRegister {
-		m.noteDecodeError(-1, err)
+	err := mr.next(&reg)
+	if err == nil && reg.Type != MsgRegister {
+		err = malformed("connection opened with a type %d frame", reg.Type)
+	}
+	if err != nil {
+		m.noteDecodeError(-1, asMismatch(err))
 		return
 	}
 	capacity := reg.Capacity
@@ -281,13 +284,13 @@ func (m *Manager) serveWorker(conn net.Conn) {
 // stats and the trace before the connection is dropped; transport errors
 // (including clean EOFs) pass through silently.
 func (m *Manager) noteDecodeError(workerID int, err error) {
-	var derr *jsonwire.DecodeError
-	if !errors.As(err, &derr) {
+	var ferr *FrameError
+	if !errors.As(err, &ferr) {
 		return
 	}
 	m.mu.Lock()
 	m.stats.DecodeErrors++
-	m.traceLocked(Event{Type: EventDecodeError, TaskID: -1, WorkerID: workerID, Detail: derr.Error()})
+	m.traceLocked(Event{Type: EventDecodeError, TaskID: -1, WorkerID: workerID, Detail: ferr.Error()})
 	m.mu.Unlock()
 }
 
@@ -419,11 +422,6 @@ func (m *Manager) abandonLocked(st *taskState) {
 // worst contention point, where every reader serialized against dispatch.
 // Nothing is processed until the reader's next kickIntake.
 func (m *Manager) enqueueResult(w *managedWorker, res Message) {
-	if res.Exceeded != nil {
-		// The decoded slice aliases the reader's scratch and dies at the next
-		// frame; results outlive it, so copy (exhaustions are the cold path).
-		res.Exceeded = append([]string(nil), res.Exceeded...)
-	}
 	m.intakeMu.Lock()
 	m.intake = append(m.intake, stagedResult{w: w, res: res})
 	m.intakeMu.Unlock()
@@ -478,7 +476,7 @@ func (m *Manager) drainIntake() {
 // it saw before. The admission test is Settle's own (the worker holds the
 // task), under m.mu; the Observe calls run outside the lock, as they always have.
 func (m *Manager) observeBatch(batch []stagedResult) {
-	var buf [32]*sched.Task // one reader window holds ~20 result frames
+	var buf [32]*sched.Task // a larger burst spills to the heap
 	early := buf[:0]
 	m.mu.Lock()
 	for i := range batch {
@@ -499,8 +497,7 @@ func (m *Manager) observeBatch(batch []stagedResult) {
 // (sched.Core.Settle) and the manager does what the transition says is owed —
 // Observe a success unless the drainer's early loop already has, ask the policy
 // for the escalated vector, or deliver the outcome — and stages follow-on
-// dispatches (delivered later by the caller's flushPending). Any status but
-// success is an overrun.
+// dispatches (delivered later by the caller's flushPending).
 func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Lock()
 	success := res.Status == StatusSuccess
@@ -509,12 +506,12 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		// Stale, and dropped: honouring it would append a phantom attempt and
 		// requeue a task that may already be running elsewhere.
 		m.stats.StaleResults++
-		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
+		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status.String()})
 		m.mu.Unlock()
 		return
 	}
 	st := m.tasks[res.TaskID]
-	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status})
+	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status.String()})
 	w.stats.BusySeconds += res.Duration
 	if !success {
 		m.stats.Exhaustions++
@@ -537,15 +534,9 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		}
 		m.mu.Lock()
 	case owed:
-		var exceeded []resources.Kind
-		for _, name := range res.Exceeded {
-			if k, err := resources.ParseKind(name); err == nil {
-				exceeded = append(exceeded, k)
-			}
-		}
 		prev := t.Alloc
 		m.mu.Unlock()
-		next := m.policy.Retry(t.Category, t.ID, prev, exceeded)
+		next := m.policy.Retry(t.Category, t.ID, prev, res.Exceeded.Kinds())
 		m.mu.Lock()
 		if m.sched.Retried(res.TaskID, next) {
 			m.notePeakQueueLocked()
@@ -723,7 +714,8 @@ func (m *Manager) traceLocked(ev Event) {
 // permanent failure under WithRetryLimit), ctx is cancelled, or the manager
 // is closed (ErrManagerClosed). Declared task IDs that collide with
 // already-registered tasks are transparently renumbered; the result's
-// outcomes follow the workflow's task order either way.
+// outcomes follow the workflow's task order either way. A workflow with a
+// category no task frame can carry (over 64 KiB or not UTF-8) is refused whole.
 func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.Result, error) {
 	stop := context.AfterFunc(ctx, func() {
 		m.mu.Lock()
@@ -732,6 +724,11 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 	})
 	defer stop()
 
+	for _, t := range w.Tasks {
+		if !validCategory(t.Category) {
+			return nil, fmt.Errorf("wq: task %d: its %d-byte category is over 64 KiB or not UTF-8", t.ID, len(t.Category))
+		}
+	}
 	start := time.Now()
 	ids := make([]int, len(w.Tasks)) // workflow position -> engine task ID
 	phases := append(append([]int{}, w.Barriers...), len(w.Tasks))
@@ -797,12 +794,14 @@ func (m *Manager) tasksDoneLocked(ids []int) bool {
 // assigns the task a fresh submission ID from the same monotonic counter
 // every registration path shares (preserving the
 // significance-equals-submission-order convention); the caller's ID field is
-// ignored. Submitting to a closed manager delivers an immediate
+// ignored. Submitting to a closed manager, or a task whose category no task
+// frame can carry (over 64 KiB or not UTF-8), delivers an immediate
 // metrics.Failed outcome.
 func (m *Manager) Submit(t workflow.Task) <-chan metrics.TaskOutcome {
 	ch := make(chan metrics.TaskOutcome, 1)
+	sendable := validCategory(t.Category)
 	m.mu.Lock()
-	if m.closed {
+	if m.closed || !sendable {
 		m.mu.Unlock()
 		ch <- metrics.TaskOutcome{
 			Category: t.Category,

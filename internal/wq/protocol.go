@@ -15,32 +15,31 @@
 // dispatch-time allocation, failure/retry round trips, and concurrent
 // workers.
 //
-// The wire protocol is JSON objects, one per line.
+// The wire protocol is length-prefixed binary frames of fixed layout (see
+// codec.go); both ends ship from this tree and speak exactly one version.
 package wq
 
-import (
-	"dynalloc/internal/resources"
-)
+import "dynalloc/internal/resources"
 
 // Message is the single frame type of the protocol; Type selects which
-// fields are meaningful.
+// fields are meaningful (and the only ones the wire carries).
 type Message struct {
-	Type string `json:"type"`
+	Type MsgType
 
 	// register (worker -> manager)
-	Capacity resources.Vector `json:"capacity,omitempty"`
+	Capacity resources.Vector
 
 	// task (manager -> worker)
-	TaskID   int              `json:"task_id,omitempty"`
-	Category string           `json:"category,omitempty"`
-	Alloc    resources.Vector `json:"alloc,omitempty"`
-	Peak     resources.Vector `json:"peak,omitempty"`
-	Runtime  float64          `json:"runtime,omitempty"`
+	TaskID   int
+	Category string
+	Alloc    resources.Vector
+	Peak     resources.Vector
+	Runtime  float64
 
-	// result (worker -> manager)
-	Status   string   `json:"status,omitempty"` // "success" or "exhausted"
-	Duration float64  `json:"duration,omitempty"`
-	Exceeded []string `json:"exceeded,omitempty"`
+	// result (worker -> manager): TaskID, and
+	Status   Status
+	Duration float64
+	Exceeded KindSet
 
 	// shutdown (manager -> worker)
 
@@ -51,18 +50,59 @@ type Message struct {
 	// declared lost and its tasks requeued.
 }
 
+// MsgType is the type byte of a frame. Zero is not a frame type.
+type MsgType uint8
+
 // Message types.
 const (
-	MsgRegister = "register"
-	MsgTask     = "task"
-	MsgResult   = "result"
-	MsgShutdown = "shutdown"
-	MsgPing     = "ping"
-	MsgPong     = "pong"
+	MsgRegister MsgType = iota + 1
+	MsgTask
+	MsgResult
+	MsgShutdown
+	MsgPing
+	MsgPong
 )
+
+// Status is how an attempt ended, as a result frame carries it. Zero is not a
+// status.
+type Status uint8
 
 // Statuses carried by result messages.
 const (
-	StatusSuccess   = "success"
-	StatusExhausted = "exhausted"
+	StatusSuccess Status = iota + 1
+	StatusExhausted
 )
+
+// String is the status as traces and run logs spell it.
+func (s Status) String() string {
+	if s == StatusSuccess {
+		return "success"
+	}
+	return "exhausted"
+}
+
+// KindSet is a set of resource kinds, bit k standing for resources.Kind(k):
+// the kinds an exhausted attempt was caught over-consuming.
+type KindSet uint8
+
+// allKinds is the set of every resource kind; a bit outside it names none.
+const allKinds KindSet = 1<<resources.NumKinds - 1
+
+func kindSetOf(kinds []resources.Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Kinds lists the set in canonical order, nil when it is empty.
+func (s KindSet) Kinds() []resources.Kind {
+	var out []resources.Kind
+	for k := resources.Kind(0); k < resources.NumKinds; k++ {
+		if s&(1<<k) != 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}

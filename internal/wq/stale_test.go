@@ -95,7 +95,7 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	// an attempt, must not reach policy.Retry, and must not requeue the task.
 	m.handleResult(slow, Message{
 		Type: MsgResult, TaskID: id, Status: StatusExhausted,
-		Duration: 5, Exceeded: []string{"memory"},
+		Duration: 5, Exceeded: kindSetOf([]resources.Kind{resources.Memory}),
 	})
 	if got := len(st.Outcome.Attempts); got != 1 {
 		t.Fatalf("stale exhausted result appended a phantom attempt: %+v", st.Outcome.Attempts)
@@ -167,7 +167,7 @@ func TestStaleResultTracing(t *testing.T) {
 	if len(stale) != 1 {
 		t.Fatalf("stale-result events = %d, want 1", len(stale))
 	}
-	if stale[0].TaskID != st.ID || stale[0].WorkerID != w.ID() || stale[0].Status != StatusSuccess {
+	if stale[0].TaskID != st.ID || stale[0].WorkerID != w.ID() || stale[0].Status != StatusSuccess.String() {
 		t.Errorf("stale event = %+v", stale[0])
 	}
 }

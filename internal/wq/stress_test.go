@@ -164,11 +164,11 @@ func TestPipelinedStress(t *testing.T) {
 	}
 }
 
-// TestLargeFrameRoundTrip pushes a task whose category alone is 2 MiB
-// through the full manager->worker->manager loop. The old engine framed
-// worker-side reads with a bufio.Scanner capped at 1 MiB (64 KiB before its
-// Buffer call), so a frame this size killed the connection; the shared
-// grow-on-demand reader must carry it on both sides.
+// TestLargeFrameRoundTrip pushes the largest task frame there is — a category
+// of maxCategory bytes, sixteen times the reader's standing buffer — through
+// the full manager->worker->manager loop, and then a category one byte past
+// what a task frame can carry: that task fails at Submit, where a frame no
+// worker can be sent used to cost every worker it was tried on its connection.
 func TestLargeFrameRoundTrip(t *testing.T) {
 	m := NewManager(stressPolicy{})
 	defer m.Close()
@@ -186,16 +186,27 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	big := make([]byte, 2<<20)
+	big := make([]byte, maxCategory+1)
 	for i := range big {
 		big[i] = 'a' + byte(i%26)
 	}
-	out := <-m.Submit(workflow.Task{Category: "easy" + string(big), Consumption: resources.New(0.5, 50, 50, 1)})
+	out := <-m.Submit(workflow.Task{Category: string(big[1:]), Consumption: resources.New(0.5, 50, 50, 1)})
 	if len(out.Attempts) != 1 || out.Attempts[0].Status != metrics.Success {
 		t.Fatalf("large-frame task did not succeed in one attempt: %+v", out.Attempts)
 	}
-	if got := m.Stats(); got.DecodeErrors != 0 {
-		t.Fatalf("DecodeErrors = %d, want 0", got.DecodeErrors)
+	for _, category := range []string{string(big), "not utf-8 \xff"} {
+		out = <-m.Submit(workflow.Task{Category: category, Consumption: resources.New(0.5, 50, 50, 1)})
+		if len(out.Attempts) != 1 || out.Attempts[0].Status != metrics.Failed {
+			t.Errorf("task with an unsendable %d-byte category: attempts %+v, want one Failed", len(category), out.Attempts)
+		}
+		w := &workflow.Workflow{Tasks: []workflow.Task{{ID: 1, Category: category}}}
+		if _, err := m.RunWorkflow(ctx, w); err == nil {
+			t.Errorf("RunWorkflow took a task with an unsendable %d-byte category", len(category))
+		}
+	}
+	if got := m.Stats(); got.DecodeErrors != 0 || got.Dispatches != 1 || got.ConnectedWorkers != 1 {
+		t.Fatalf("decode errors %d, dispatches %d, connected workers %d; want 0, 1, 1",
+			got.DecodeErrors, got.Dispatches, got.ConnectedWorkers)
 	}
 }
 
@@ -204,13 +215,8 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 // event (instead of silently dropping the connection), both before and after
 // registration.
 func TestDecodeErrorSurfaced(t *testing.T) {
-	var traceMu sync.Mutex
-	var events []Event
-	m := NewManager(stressPolicy{}, WithTracer(FuncTracer(func(ev Event) {
-		traceMu.Lock()
-		events = append(events, ev)
-		traceMu.Unlock()
-	})))
+	traced, events := collectEvents()
+	m := NewManager(stressPolicy{}, traced)
 	addr, err := m.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +228,7 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(pre, "{not json}\n")
+	fmt.Fprintf(pre, "{not a frame}\n")
 	pre.Close()
 
 	// Garbage after a valid registration: counted against the worker.
@@ -230,7 +236,7 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(post, `{"type":"register","capacity":[1,100,100,3600]}`+"\n")
+	writeFrames(t, post, &Message{Type: MsgRegister, Capacity: resources.New(1, 100, 100, 3600)})
 	deadline := time.Now().Add(5 * time.Second)
 	for m.Workers() < 1 {
 		if time.Now().After(deadline) {
@@ -238,7 +244,9 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Fprintf(post, "[1,2,3]\n")
+	if _, err := post.Write([]byte{0, 0, 0, 0, 0x7f}); err != nil { // a frame of no known type
+		t.Fatal(err)
+	}
 	defer post.Close()
 
 	for {
@@ -250,10 +258,8 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	traceMu.Lock()
-	defer traceMu.Unlock()
 	var pref, postf bool
-	for _, ev := range events {
+	for _, ev := range events() {
 		if ev.Type == EventDecodeError {
 			if ev.WorkerID == -1 {
 				pref = true

@@ -1,9 +1,8 @@
 package wq
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -27,14 +26,12 @@ func blackHoleWorker(t *testing.T, ctx context.Context, addr string) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(Message{Type: MsgRegister, Capacity: resources.PaperWorker()}); err != nil {
+	// Not writeFrames: this is not the test's goroutine, and a write that
+	// fails because the test is over is no failure.
+	if _, err := conn.Write(encodeFrames(t, &Message{Type: MsgRegister, Capacity: resources.PaperWorker()})); err != nil {
 		return
 	}
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		// Swallow every frame silently.
-	}
+	_, _ = io.Copy(io.Discard, conn) // swallow every frame silently
 }
 
 func TestTaskTimeoutReapsHungWorker(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"dynalloc/internal/jsonwire"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sim"
 )
@@ -38,8 +37,10 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // RunWorker connects to the manager at addr, registers, and executes tasks
 // until the manager shuts it down, the connection drops, or ctx is
-// cancelled. Tasks run concurrently; the manager is responsible for not
-// over-committing the advertised capacity (as in Work Queue).
+// cancelled. A manager whose first bytes are not a frame of this protocol
+// gets ErrProtocolMismatch. Tasks run concurrently; the manager is
+// responsible for not over-committing the advertised capacity (as in Work
+// Queue).
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -84,14 +85,17 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	defer close(wc.taskCh)
 	mr := newMsgReader(conn)
 	var m Message
-	for {
+	for first := true; ; first = false {
 		if err := mr.next(&m); err != nil {
 			if ctx.Err() != nil || err == io.EOF {
 				// Cancelled, or the manager hung up cleanly.
 				return nil
 			}
-			var derr *jsonwire.DecodeError
-			if errors.As(err, &derr) {
+			if first {
+				err = asMismatch(err)
+			}
+			var ferr *FrameError
+			if errors.As(err, &ferr) {
 				return fmt.Errorf("wq: worker decoding frame: %w", err)
 			}
 			return fmt.Errorf("wq: worker connection: %w", err)
@@ -117,7 +121,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 		case MsgShutdown:
 			return nil
 		default:
-			return fmt.Errorf("wq: worker received unexpected frame %q", m.Type)
+			return fmt.Errorf("wq: worker received unexpected frame type %d", m.Type)
 		}
 	}
 }
@@ -153,12 +157,10 @@ func executeTask(ctx context.Context, cfg WorkerConfig, m Message) Message {
 		TaskID:   m.TaskID,
 		Duration: duration,
 		Status:   StatusSuccess,
+		Exceeded: kindSetOf(exceeded),
 	}
-	if len(exceeded) > 0 {
+	if out.Exceeded != 0 {
 		out.Status = StatusExhausted
-		for _, k := range exceeded {
-			out.Exceeded = append(out.Exceeded, k.String())
-		}
 	}
 	return out
 }

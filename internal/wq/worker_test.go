@@ -43,8 +43,8 @@ func TestExecuteTaskSuccess(t *testing.T) {
 	if res.Duration != 30 {
 		t.Errorf("duration = %v, want the runtime", res.Duration)
 	}
-	if len(res.Exceeded) != 0 {
-		t.Errorf("exceeded = %v", res.Exceeded)
+	if res.Exceeded != 0 {
+		t.Errorf("exceeded = %v", res.Exceeded.Kinds())
 	}
 }
 
@@ -66,8 +66,8 @@ func TestExecuteTaskExhaustion(t *testing.T) {
 	if res.Duration != 50 {
 		t.Errorf("kill time = %v, want 50 (linear ramp crosses at a/c)", res.Duration)
 	}
-	if len(res.Exceeded) != 1 || res.Exceeded[0] != "memory" {
-		t.Errorf("exceeded = %v, want [memory]", res.Exceeded)
+	if res.Exceeded != 1<<resources.Memory {
+		t.Errorf("exceeded = %v, want [memory]", res.Exceeded.Kinds())
 	}
 }
 
