@@ -21,7 +21,7 @@ BENCH_STREAM_PATTERN = 'BenchmarkStream|BenchmarkPlacementIndex'
 # concurrent tenants over real TCP connections); these feed BENCH_serve.json.
 BENCH_SERVE_PKGS = ./internal/serve
 BENCH_SERVE_PATTERN = 'BenchmarkServe'
-# Ceiling for the service smoke run: the hand-rolled frame codec and the
+# Ceiling for the service smoke run: the binary frame layout and the
 # pooled call slots make a steady-state round-trip allocation-free (0
 # allocs/op measured; the budget covers goroutine spin-up amortized across
 # the 100-iteration smoke). Anything past this means the frame hot path
@@ -51,10 +51,11 @@ WQ_MAX_ALLOCS = 8
 WQ_BURST = BenchmarkWQGreedyBurst
 WQ_BURST_MAX_ALLOCS = 16
 
-# The wq wire fuzz targets, each run for FUZZ_TIME by fuzz-smoke. New inputs go
-# to the go command's own cache, not the tree; the minimizer's default budget
-# (60s an input) would eat a run this short on the 64 KiB-category seeds.
-WQ_FUZZ_TARGETS = FuzzWQMessageCodec FuzzWQMessageDecode
+# The wire fuzz targets of both protocols, as package:target, each run for
+# FUZZ_TIME by fuzz-smoke. New inputs go to the go command's own cache, not
+# the tree; the minimizer's default budget (60s an input) would eat a run this
+# short on the 64 KiB-string seeds.
+FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode
 FUZZ_TIME = 5s
 
 # The *-smoke targets gate (the suites run, their output parses, the
@@ -78,10 +79,10 @@ test:
 # slots/handles (harness workers run simulations concurrently), the scheduler
 # core under it, the runlog package whose Writer is shared across engine and
 # tracer goroutines, the flow layer whose LocalExecutor is documented safe
-# for concurrent submissions, and the allocator service with the line codec
+# for concurrent submissions, and the allocator service with the wire layer
 # its connections rest on.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/jsonwire/... ./internal/runlog/... ./internal/flow/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/wire/... ./internal/runlog/... ./internal/flow/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
@@ -89,11 +90,11 @@ race:
 # under its lock; then the result-intake and write-coalescing tests ten times
 # over, since the drainer's early Observe shares task state with evictions on
 # other goroutines and the yielding flushers share their stages with every
-# stager, and with them the frame reader's split-boundary and bad-frame tests,
-# whose evictions race the results staged just ahead of them.
+# stager, and with them the bad-frame tests, whose evictions race the results
+# staged just ahead of them, and internal/wire's frame-reader tests.
 test-live:
 	$(GO) test -race ./internal/wq/... ./internal/sched/... -count=1
-	$(GO) test -race ./internal/wq -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
+	$(GO) test -race ./internal/wq ./internal/wire -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
 
 vet:
 	$(GO) vet ./...
@@ -169,11 +170,11 @@ wq-bench-smoke:
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -skip $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_BURST_MAX_ALLOCS) -out "$$tmp"
 
-# Each wq wire fuzz target for a few seconds beyond its committed seeds:
+# Each wire fuzz target for a few seconds beyond its committed seeds:
 # offline, nothing downloaded, nothing written to the tree.
 fuzz-smoke:
-	@for f in $(WQ_FUZZ_TARGETS); do \
-		$(GO) test ./internal/wq -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s || exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s || exit 1; \
 	done
 
 # End-to-end smoke of the record -> replay -> what-if loop: record a small

@@ -1,9 +1,9 @@
 // Command allocd runs the multi-tenant allocator service: a long-lived TCP
 // daemon that serves resource predictions to many independent workflows at
 // once, each behind its own isolated allocator state. Clients speak the
-// JSON-line protocol of internal/serve (register, then
-// request/retry/observe/ping/stats frames); cmd/allocbench is a ready-made
-// load generator against it.
+// binary-frame protocol of internal/serve (register, then
+// request/retry/observe/ping/stats frames) through serve.Client;
+// cmd/allocbench is a ready-made load generator against it.
 //
 //	allocd -addr 127.0.0.1:9200 -max-records 4096 -tenant-ttl 1h &
 //	allocbench -addr 127.0.0.1:9200 -tenants 8

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 	"dynalloc/internal/wq"
 )
 
@@ -49,7 +50,7 @@ func main() {
 		if err == nil || ctx.Err() != nil {
 			break
 		}
-		if attempts <= 0 || errors.Is(err, wq.ErrProtocolMismatch) {
+		if attempts <= 0 || errors.Is(err, wire.ErrProtocolMismatch) {
 			fmt.Fprintln(os.Stderr, "wq-worker:", err)
 			os.Exit(1)
 		}

@@ -71,6 +71,38 @@ func AllocatedKinds() []Kind {
 	return []Kind{Cores, Memory, Disk}
 }
 
+// KindSet is a set of resource kinds, bit k standing for Kind(k): the kinds
+// an exhausted attempt was caught over-consuming, as both wire layouts carry
+// them.
+type KindSet uint8
+
+// AllKinds is the set of every kind; a bit outside it names none.
+const AllKinds KindSet = 1<<NumKinds - 1
+
+// KindSetOf returns the set of kinds. A value that is no kind sets bits
+// outside AllKinds, which no wire layout accepts.
+func KindSetOf(kinds []Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		if k < 0 || k >= NumKinds {
+			s |= ^AllKinds
+			continue
+		}
+		s |= 1 << k
+	}
+	return s
+}
+
+// AppendKinds appends the set's kinds to dst in canonical order.
+func (s KindSet) AppendKinds(dst []Kind) []Kind {
+	for k := Kind(0); k < NumKinds; k++ {
+		if s&(1<<k) != 0 {
+			dst = append(dst, k)
+		}
+	}
+	return dst
+}
+
 // Vector holds one value per resource kind. The zero value is the all-zero
 // vector and is ready to use.
 type Vector [NumKinds]float64

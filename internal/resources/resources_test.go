@@ -66,6 +66,26 @@ func TestKindsOrder(t *testing.T) {
 	}
 }
 
+// TestKindSet: a set lists its kinds in canonical order whatever order they
+// were given in, and a value that is no kind leaves the set outside AllKinds.
+func TestKindSet(t *testing.T) {
+	s := KindSetOf([]Kind{Time, Cores, Time})
+	if s != 1<<Cores|1<<Time || s&^AllKinds != 0 {
+		t.Errorf("KindSetOf(time, cores, time) = %#b", s)
+	}
+	if got := s.AppendKinds([]Kind{Disk}); len(got) != 3 || got[1] != Cores || got[2] != Time {
+		t.Errorf("AppendKinds = %v, want [disk cores time]", got)
+	}
+	if AllKinds.AppendKinds(nil) == nil || KindSet(0).AppendKinds(nil) != nil {
+		t.Error("AllKinds lists nothing, or the empty set lists something")
+	}
+	for _, bad := range []Kind{-1, NumKinds, 64} {
+		if s := KindSetOf([]Kind{Memory, bad}); s&^AllKinds == 0 {
+			t.Errorf("KindSetOf(memory, %d) = %#b, inside AllKinds", bad, s)
+		}
+	}
+}
+
 func TestVectorBasics(t *testing.T) {
 	v := New(2, 1024, 2048, 60)
 	if v.Get(Cores) != 2 || v.Get(Memory) != 1024 || v.Get(Disk) != 2048 || v.Get(Time) != 60 {

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
 // ErrDraining reports that the server announced shutdown; no further frames
@@ -38,15 +39,13 @@ const (
 type Client struct {
 	conn net.Conn
 
-	// Write side. sendMu guards the buffered writer and its bookkeeping.
-	// Frames accumulate in bw and are flushed by whichever comes first: an
+	// Write side. The writer's lock guards it and the bookkeeping below.
+	// Frames accumulate in out and are flushed by whichever comes first: an
 	// inline flush (lockstep calls with nothing else in flight), the flusher
 	// goroutine (pipelined bursts), or the flush timer (idle one-way frames).
-	sendMu     sync.Mutex
-	bw         *bufio.Writer
-	enc        []byte // appendFrame scratch
-	needFlush  bool   // a reply-bearing frame is buffered unflushed
-	unflushed  int    // one-way frames buffered since the last flush
+	out        *wire.Writer
+	needFlush  bool // a reply-bearing frame is buffered unflushed
+	unflushed  int  // one-way frames buffered since the last flush
 	flushArmed bool
 	flushTimer *time.Timer
 	flushWake  chan struct{} // signals the flusher goroutine; buffered(1)
@@ -121,7 +120,8 @@ func WithObserveBurst(n int) ClientOption {
 // Dial connects to an allocator service at addr and registers tenant with
 // the given algorithm (empty = the service default) and seed. If the tenant
 // already exists on the server, the connection attaches to its live state
-// and algorithm/seed are ignored.
+// and algorithm/seed are ignored. A peer that does not answer the
+// registration as an allocator service does returns wire.ErrProtocolMismatch.
 func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -129,7 +129,7 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 	}
 	c := &Client{
 		conn:          conn,
-		bw:            bufio.NewWriterSize(conn, 16<<10),
+		out:           wire.NewWriter(conn),
 		done:          make(chan struct{}),
 		mask:          defaultPipelineWindow - 1,
 		flushInterval: defaultFlushInterval,
@@ -144,8 +144,8 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 	c.free = make(chan uint32, window)
 	for i := range c.slots {
 		c.slots[i].ready = make(chan struct{}, 1)
-		// Generations start at 1 so no live call ever uses seq 0, which the
-		// wire format cannot distinguish from an absent seq.
+		// Generations start at 1 so no live call ever uses seq 0, the seq an
+		// error answering a frame that carries none (a register) echoes.
 		c.slots[i].seq = uint64(i)
 		c.free <- uint32(i)
 	}
@@ -163,16 +163,24 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 	var ack Frame
 	if err := fr.next(&ack); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("serve: register: %w", err)
+		if err == io.EOF {
+			// An allocator service answers every registration, with an ack,
+			// an error or a drain; a wq manager hangs up instead.
+			err = fmt.Errorf("%w: the peer hung up on the registration", wire.ErrProtocolMismatch)
+		}
+		return nil, fmt.Errorf("serve: register: %w", wire.AsMismatch(err))
 	}
 	switch ack.Type {
 	case TypeAck:
 	case TypeError:
 		conn.Close()
 		return nil, fmt.Errorf("serve: register rejected: %s", ack.Error)
+	case TypeDrain:
+		conn.Close()
+		return nil, ErrDraining
 	default:
 		conn.Close()
-		return nil, fmt.Errorf("serve: unexpected register response %q", ack.Type)
+		return nil, fmt.Errorf("serve: register: %w: answered with a type %d frame", wire.ErrProtocolMismatch, ack.Type)
 	}
 	go c.readLoop(fr)
 	go c.flushLoop()
@@ -181,7 +189,7 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 
 // readLoop routes response frames to waiting callers until the connection
 // dies or the server drains.
-func (c *Client) readLoop(fr *frameReader) {
+func (c *Client) readLoop(fr frameReader) {
 	var f Frame
 	for {
 		if err := fr.next(&f); err != nil {
@@ -196,11 +204,6 @@ func (c *Client) readLoop(fr *frameReader) {
 		slot := &c.slots[f.Seq&c.mask]
 		if slot.state == slotArmed && slot.seq == f.Seq {
 			slot.resp = f
-			if f.Exceeded != nil {
-				// The decoder reuses the Exceeded backing array across
-				// frames; a retained response needs its own copy.
-				slot.resp.Exceeded = append([]string(nil), f.Exceeded...)
-			}
 			slot.state = slotDone
 			slot.ready <- struct{}{}
 		}
@@ -245,17 +248,17 @@ const (
 )
 
 // send encodes f into the write buffer and applies the coalescing flush
-// policy. On a write error the client is failed so all callers agree on the
+// policy. A frame the wire cannot carry is refused before anything is
+// written; on a write error the client is failed so all callers agree on the
 // terminal error.
 func (c *Client) send(f *Frame, mode sendMode) error {
-	c.sendMu.Lock()
-	c.enc = c.enc[:0]
-	var err error
-	c.enc, err = appendFrame(c.enc, f)
-	if err == nil {
-		_, err = c.bw.Write(c.enc)
+	c.out.Lock()
+	frame, err := appendFrame(c.out.Buf(), f)
+	if err != nil {
+		c.out.Unlock()
+		return err
 	}
-	if err == nil {
+	if err = c.out.Queue(frame); err == nil {
 		switch mode {
 		case sendCall:
 			c.needFlush = true
@@ -287,7 +290,7 @@ func (c *Client) send(f *Frame, mode sendMode) error {
 			c.flushTimer.Reset(c.flushInterval)
 		}
 	}
-	c.sendMu.Unlock()
+	c.out.Unlock()
 	if err != nil {
 		c.fail(err)
 		return c.terminal(err)
@@ -308,12 +311,12 @@ func (c *Client) flushLoop() {
 			return
 		}
 		runtime.Gosched() // let runnable senders buffer their frames first
-		c.sendMu.Lock()
+		c.out.Lock()
 		var err error
-		if c.bw.Buffered() > 0 {
+		if c.out.Buffered() > 0 {
 			err = c.flushLocked()
 		}
-		c.sendMu.Unlock()
+		c.out.Unlock()
 		if err != nil {
 			c.fail(err)
 			return
@@ -324,17 +327,17 @@ func (c *Client) flushLoop() {
 func (c *Client) flushLocked() error {
 	c.needFlush = false
 	c.unflushed = 0
-	return c.bw.Flush()
+	return c.out.Flush()
 }
 
 // flushNow forces buffered frames onto the wire; used by batch senders.
 func (c *Client) flushNow() error {
-	c.sendMu.Lock()
+	c.out.Lock()
 	var err error
-	if c.bw.Buffered() > 0 {
+	if c.out.Buffered() > 0 {
 		err = c.flushLocked()
 	}
-	c.sendMu.Unlock()
+	c.out.Unlock()
 	if err != nil {
 		c.fail(err)
 		return c.terminal(err)
@@ -345,13 +348,13 @@ func (c *Client) flushNow() error {
 // backgroundFlush runs on the flush timer: it pushes out one-way frames
 // that no later call flushed within the latency bound.
 func (c *Client) backgroundFlush() {
-	c.sendMu.Lock()
+	c.out.Lock()
 	c.flushArmed = false
 	var err error
-	if c.bw.Buffered() > 0 {
+	if c.out.Buffered() > 0 {
 		err = c.flushLocked()
 	}
-	c.sendMu.Unlock()
+	c.out.Unlock()
 	if err != nil {
 		c.fail(err)
 	}
@@ -528,13 +531,11 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 }
 
 // Retry requests an escalated prediction after an attempt that exhausted the
-// given resource kinds under allocation prev.
+// given resource kinds under allocation prev. A kind outside
+// resources.NumKinds is refused before anything is sent.
 func (c *Client) Retry(category string, taskID int, prev resources.Vector, exceeded []resources.Kind) (resources.Vector, error) {
-	names := make([]string, len(exceeded))
-	for i, k := range exceeded {
-		names[i] = k.String()
-	}
-	resp, err := c.call(Frame{Type: TypeRetry, Category: category, TaskID: taskID, Prev: prev, Exceeded: names})
+	resp, err := c.call(Frame{Type: TypeRetry, Category: category, TaskID: taskID, Prev: prev,
+		Exceeded: resources.KindSetOf(exceeded)})
 	if err != nil {
 		return resources.Vector{}, err
 	}
@@ -573,10 +574,7 @@ func (c *Client) Stats() (TenantStats, error) {
 	if err != nil {
 		return TenantStats{}, err
 	}
-	if resp.Stats == nil {
-		return TenantStats{}, fmt.Errorf("serve: stats response missing payload")
-	}
-	return *resp.Stats, nil
+	return resp.Stats, nil
 }
 
 // Close hangs up. Pending calls fail with a connection-lost error.

@@ -1,363 +1,223 @@
 package serve
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
-	"strconv"
+	"unicode/utf8"
 
-	"dynalloc/internal/jsonwire"
+	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
-// This file is the service's frame layout on top of the shared wire codec in
-// internal/jsonwire (which started life here and was extracted so the live
-// wq engine could share it). The reflection-based encoding/json round trip
-// was the service's dominant cost (~10 allocs and most of the CPU per frame
-// on each side), so frames are encoded by appending into a reused buffer and
-// decoded by a hand-written scanner into a reused Frame. The encoding is
-// pinned byte-compatible with json.Encoder.Encode(Frame) and the decoder
-// value-compatible with json.Unmarshal — FuzzFrameCodec and FuzzFrameDecode
-// enforce both — so clients built on encoding/json interoperate unchanged
-// and the golden parity tests hold bit-identically.
-
-// errNonFiniteFloat mirrors json.Marshal's refusal to encode NaN or ±Inf.
-var errNonFiniteFloat = jsonwire.ErrNonFiniteFloat
-
-// decodeError marks a malformed frame, as opposed to an I/O error on the
-// underlying connection. The server counts these in Server.DecodeErrors and
-// reports them to the peer before hanging up.
-type decodeError = jsonwire.DecodeError
-
-// ---------------------------------------------------------------------------
-// Encoding
-
-// appendFrame appends the JSON encoding of f plus a trailing newline to dst,
-// producing exactly the bytes json.Encoder.Encode(*f) would: same field
-// order, same omitempty behavior, same HTML-escaped strings, same float
-// formatting. It errors (like json.Marshal) on non-finite floats.
-func appendFrame(dst []byte, f *Frame) ([]byte, error) {
-	var err error
-	dst = append(dst, `{"type":`...)
-	dst = jsonwire.AppendString(dst, f.Type)
-	if f.Seq != 0 {
-		dst = append(dst, `,"seq":`...)
-		dst = strconv.AppendUint(dst, f.Seq, 10)
-	}
-	if f.Tenant != "" {
-		dst = append(dst, `,"tenant":`...)
-		dst = jsonwire.AppendString(dst, f.Tenant)
-	}
-	if f.Algorithm != "" {
-		dst = append(dst, `,"algorithm":`...)
-		dst = jsonwire.AppendString(dst, f.Algorithm)
-	}
-	if f.Seed != 0 {
-		dst = append(dst, `,"seed":`...)
-		dst = strconv.AppendUint(dst, f.Seed, 10)
-	}
-	if f.Category != "" {
-		dst = append(dst, `,"category":`...)
-		dst = jsonwire.AppendString(dst, f.Category)
-	}
-	if f.TaskID != 0 {
-		dst = append(dst, `,"task_id":`...)
-		dst = strconv.AppendInt(dst, int64(f.TaskID), 10)
-	}
-	// Fixed-size arrays are never "empty", so despite the omitempty tags the
-	// three vectors appear in every frame — preserved for byte parity.
-	if dst, err = jsonwire.AppendVector(append(dst, `,"prev":`...), f.Prev); err != nil {
-		return dst, err
-	}
-	if len(f.Exceeded) > 0 {
-		dst = append(dst, `,"exceeded":[`...)
-		for i, s := range f.Exceeded {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = jsonwire.AppendString(dst, s)
-		}
-		dst = append(dst, ']')
-	}
-	if dst, err = jsonwire.AppendVector(append(dst, `,"peak":`...), f.Peak); err != nil {
-		return dst, err
-	}
-	if f.Runtime != 0 {
-		dst = append(dst, `,"runtime":`...)
-		if dst, err = jsonwire.AppendFloat(dst, f.Runtime); err != nil {
-			return dst, err
-		}
-	}
-	if dst, err = jsonwire.AppendVector(append(dst, `,"alloc":`...), f.Alloc); err != nil {
-		return dst, err
-	}
-	if f.Stats != nil {
-		dst = append(dst, `,"stats":`...)
-		dst = appendStats(dst, f.Stats)
-	}
-	if f.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = jsonwire.AppendString(dst, f.Error)
-	}
-	return append(dst, '}', '\n'), nil
-}
-
-func appendStats(dst []byte, st *TenantStats) []byte {
-	dst = append(dst, `{"tenant":`...)
-	dst = jsonwire.AppendString(dst, st.Tenant)
-	dst = append(dst, `,"connections":`...)
-	dst = strconv.AppendInt(dst, int64(st.Connections), 10)
-	dst = append(dst, `,"allocates":`...)
-	dst = strconv.AppendInt(dst, st.Allocates, 10)
-	dst = append(dst, `,"retries":`...)
-	dst = strconv.AppendInt(dst, st.Retries, 10)
-	dst = append(dst, `,"observes":`...)
-	dst = strconv.AppendInt(dst, st.Observes, 10)
-	dst = append(dst, `,"decays":`...)
-	dst = strconv.AppendInt(dst, st.Decays, 10)
-	dst = append(dst, `,"categories":`...)
-	dst = strconv.AppendInt(dst, int64(st.Categories), 10)
-	dst = append(dst, `,"records":`...)
-	dst = strconv.AppendInt(dst, int64(st.Records), 10)
-	return append(dst, '}')
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-
-// Frame field identifiers, in struct declaration order (the fold-match
-// tie-break order encoding/json uses).
-const (
-	fdType = iota
-	fdSeq
-	fdTenant
-	fdAlgorithm
-	fdSeed
-	fdCategory
-	fdTaskID
-	fdPrev
-	fdExceeded
-	fdPeak
-	fdRuntime
-	fdAlloc
-	fdStats
-	fdError
-	fdUnknown
-)
-
-var frameFieldNames = [...]string{
-	"type", "seq", "tenant", "algorithm", "seed", "category",
-	"task_id", "prev", "exceeded", "peak", "runtime", "alloc",
-	"stats", "error",
-}
-
-const (
-	sdTenant = iota
-	sdConnections
-	sdAllocates
-	sdRetries
-	sdObserves
-	sdDecays
-	sdCategories
-	sdRecords
-	sdUnknown
-)
-
-var statsFieldNames = [...]string{
-	"tenant", "connections", "allocates", "retries",
-	"observes", "decays", "categories", "records",
-}
-
-// frameDecoder parses one newline-delimited frame per call on a shared
-// jsonwire.Decoder, reusing all of its scratch (string intern table,
-// Exceeded backing array, unescape buffer) across frames so the steady-state
-// decode path allocates nothing.
+// This file is the service's payload layout on internal/wire's frames,
+// little-endian throughout, floats as their IEEE 754 bits. A payload is a
+// fixed part, then a u16 length per string, then the strings' UTF-8 bytes:
 //
-// Semantics match json.Unmarshal into a fresh Frame: case-folded field
-// matching, last-duplicate-wins, null leaves fields at their zero value,
-// short vectors zero-pad, unknown fields are skipped after validation.
-type frameDecoder struct {
-	d jsonwire.Decoder
+//	register  u32 serveMagic | u64 seed | u16 n1, n2 | tenant | algorithm
+//	request   u64 seq | i64 task_id | u16 n | category
+//	retry     u64 seq | i64 task_id | u8 exceeded KindSet | prev 4 x f64 |
+//	          u16 n | category
+//	observe   i64 task_id | peak 4 x f64 | runtime f64 | u16 n | category
+//	ping      u64 seq
+//	stats     u64 seq | connections, allocates, retries, observes, decays,
+//	          categories, records 7 x i64 | u16 n | tenant
+//	ack       u16 n1, n2 | tenant | algorithm
+//	alloc     u64 seq | alloc 4 x f64
+//	pong      u64 seq
+//	error     u64 seq | u16 n | message
+//	drain     empty
+//
+// task_id is signed because it is the record's significance value. A stats
+// request sends the counters zeroed. The lengths come before all of the
+// strings, so a length that wrapped its u16 can never add up to the payload.
+// A peer whose first frame is not a register frame under serveMagic is on
+// another protocol.
+
+const (
+	wireVersion = 1
+	// serveMagic opens a register payload: "AD" (allocd), then the version.
+	serveMagic uint32 = 'A' | 'D'<<8 | wireVersion<<16
+
+	statsCounters = 7
+)
+
+// layout is one frame type's payload: fixed bytes, the last 8×floats of
+// them f64s, then strs u16 lengths, then the strings.
+type layout struct{ fixed, floats, strs int }
+
+var layouts = [...]layout{
+	TypeRegister: {fixed: 4 + 8, strs: 2},
+	TypeRequest:  {fixed: 8 + 8, strs: 1},
+	TypeRetry:    {fixed: 8 + 8 + 1 + wire.VectorSize, floats: 4, strs: 1},
+	TypeObserve:  {fixed: 8 + wire.VectorSize + 8, floats: 5, strs: 1},
+	TypePing:     {fixed: 8},
+	TypeStats:    {fixed: 8 + 8*statsCounters, strs: 1},
+	TypeAck:      {strs: 2},
+	TypeAlloc:    {fixed: 8 + wire.VectorSize, floats: 4},
+	TypePong:     {fixed: 8},
+	TypeError:    {fixed: 8, strs: 1},
+	TypeDrain:    {},
 }
 
-// decode parses line (one JSON document, no trailing newline) into f,
-// resetting f first. A bare "null" document leaves f zeroed, as
-// json.Unmarshal would leave a fresh Frame.
-func (dec *frameDecoder) decode(line []byte, f *Frame) error {
-	*f = Frame{}
-	d := &dec.d
-	return d.DecodeObject(line, func(key []byte) error {
-		switch frameField(key) {
-		case fdType:
-			return d.String(&f.Type)
-		case fdSeq:
-			return d.Uint(&f.Seq)
-		case fdTenant:
-			return d.String(&f.Tenant)
-		case fdAlgorithm:
-			return d.String(&f.Algorithm)
-		case fdSeed:
-			return d.Uint(&f.Seed)
-		case fdCategory:
-			return d.String(&f.Category)
-		case fdTaskID:
-			return d.Int(&f.TaskID)
-		case fdPrev:
-			return d.Vector(&f.Prev)
-		case fdExceeded:
-			return d.Strings(&f.Exceeded)
-		case fdPeak:
-			return d.Vector(&f.Peak)
-		case fdRuntime:
-			return d.Float(&f.Runtime)
-		case fdAlloc:
-			return d.Vector(&f.Alloc)
-		case fdStats:
-			return dec.statsField(f)
-		case fdError:
-			return d.String(&f.Error)
-		default:
-			return d.Skip()
-		}
-	})
-}
-
-// frameField resolves a decoded key to a Frame field: exact match first,
-// then (like encoding/json) the first field equal under Unicode case
-// folding.
-func frameField(key []byte) int {
-	// Exact matches: string(key) in a comparison does not allocate.
-	switch string(key) {
-	case "type":
-		return fdType
-	case "seq":
-		return fdSeq
-	case "tenant":
-		return fdTenant
-	case "algorithm":
-		return fdAlgorithm
-	case "seed":
-		return fdSeed
-	case "category":
-		return fdCategory
-	case "task_id":
-		return fdTaskID
-	case "prev":
-		return fdPrev
-	case "exceeded":
-		return fdExceeded
-	case "peak":
-		return fdPeak
-	case "runtime":
-		return fdRuntime
-	case "alloc":
-		return fdAlloc
-	case "stats":
-		return fdStats
-	case "error":
-		return fdError
+// strings cuts the (at most two) strings out of p, a payload at least as
+// long as the layout's fixed part and lengths; ok says whether the rest of p
+// is exactly what those lengths add up to.
+func (l layout) strings(p []byte) (a, b []byte, ok bool) {
+	var n [2]int
+	for i := 0; i < l.strs; i++ {
+		n[i] = int(binary.LittleEndian.Uint16(p[l.fixed+2*i:]))
 	}
-	for i, name := range frameFieldNames {
-		if jsonwire.FoldEqual(key, name) {
-			return i
+	tail := p[l.fixed+2*l.strs:]
+	if len(tail) != n[0]+n[1] {
+		return nil, nil, false
+	}
+	return tail[:n[0]], tail[n[0]:], true
+}
+
+// checkPayload is every check a payload must pass, for the decoder before it
+// reads the fields out and for the encoder on what it just wrote: a known
+// type, the register magic, the exact length its layout and string lengths
+// say, UTF-8 strings, known resource kinds, and no NaN or infinity in any
+// float.
+func checkPayload(typ FrameType, p []byte) error {
+	if typ == 0 || int(typ) >= len(layouts) {
+		return wire.Malformed("unknown frame type %d", typ)
+	}
+	if typ == TypeRegister && len(p) >= 4 {
+		if magic := binary.LittleEndian.Uint32(p); magic != serveMagic {
+			return &wire.FrameError{Cause: fmt.Errorf("%w: registration magic %#x, want %#x", wire.ErrProtocolMismatch, magic, serveMagic)}
 		}
 	}
-	return fdUnknown
+	l := layouts[typ]
+	if len(p) < l.fixed+2*l.strs {
+		return wire.Malformed("type %d frame with a %d-byte payload", typ, len(p))
+	}
+	a, b, ok := l.strings(p)
+	switch {
+	case !ok:
+		return wire.Malformed("type %d frame with a %d-byte payload", typ, len(p))
+	case !utf8.Valid(a) || !utf8.Valid(b):
+		return wire.Malformed("string in a type %d frame is not UTF-8", typ)
+	case typ == TypeRetry && resources.KindSet(p[16])&^resources.AllKinds != 0:
+		return wire.Malformed("unknown resource kind in %#b", p[16])
+	case !wire.Finite(p[l.fixed-8*l.floats : l.fixed]):
+		return wire.Malformed("non-finite value in a type %d frame", typ)
+	}
+	return nil
 }
 
-func statsField(key []byte) int {
-	switch string(key) {
-	case "tenant":
-		return sdTenant
-	case "connections":
-		return sdConnections
-	case "allocates":
-		return sdAllocates
-	case "retries":
-		return sdRetries
-	case "observes":
-		return sdObserves
-	case "decays":
-		return sdDecays
-	case "categories":
-		return sdCategories
-	case "records":
-		return sdRecords
-	}
-	for i, name := range statsFieldNames {
-		if jsonwire.FoldEqual(key, name) {
-			return i
+// appendFrame appends f as one frame to dst: the fields its type carries,
+// nothing else. What it wrote goes through the decoder's own checkPayload,
+// so it refuses exactly what the peer would — a string over 64 KiB or not
+// UTF-8, a non-finite float, an unknown type or resource kind — and a bad
+// field costs the sender an error, not its connection. On error dst is
+// returned as it was.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	le := binary.LittleEndian
+	start := len(dst)
+	dst = wire.AppendHeader(dst, byte(f.Type))
+	switch f.Type {
+	case TypeRegister:
+		dst = le.AppendUint64(le.AppendUint32(dst, serveMagic), f.Seed)
+		dst = appendStrings(dst, f.Tenant, f.Algorithm)
+	case TypeRequest, TypeRetry:
+		dst = le.AppendUint64(le.AppendUint64(dst, f.Seq), uint64(f.TaskID))
+		if f.Type == TypeRetry {
+			dst = wire.AppendVector(append(dst, byte(f.Exceeded)), f.Prev)
 		}
-	}
-	return sdUnknown
-}
-
-// statsField decodes the stats payload. This is the cold path (one frame
-// per Stats call), so the TenantStats may allocate; like encoding/json, a
-// duplicate key reuses the struct allocated by the first.
-func (dec *frameDecoder) statsField(f *Frame) error {
-	d := &dec.d
-	if null, err := d.Null(); null || err != nil {
-		if err == nil {
-			f.Stats = nil
+		dst = appendStrings(dst, f.Category)
+	case TypeObserve:
+		dst = wire.AppendVector(le.AppendUint64(dst, uint64(f.TaskID)), f.Peak)
+		dst = appendStrings(wire.AppendFloat(dst, f.Runtime), f.Category)
+	case TypePing, TypePong:
+		dst = le.AppendUint64(dst, f.Seq)
+	case TypeStats:
+		st := &f.Stats
+		dst = le.AppendUint64(dst, f.Seq)
+		for _, n := range [statsCounters]int64{int64(st.Connections), st.Allocates, st.Retries,
+			st.Observes, st.Decays, int64(st.Categories), int64(st.Records)} {
+			dst = le.AppendUint64(dst, uint64(n))
 		}
-		return err
+		dst = appendStrings(dst, st.Tenant)
+	case TypeAck:
+		dst = appendStrings(dst, f.Tenant, f.Algorithm)
+	case TypeAlloc:
+		dst = wire.AppendVector(le.AppendUint64(dst, f.Seq), f.Alloc)
+	case TypeError:
+		dst = appendStrings(le.AppendUint64(dst, f.Seq), f.Error)
 	}
-	if f.Stats == nil {
-		f.Stats = new(TenantStats)
+	if err := checkPayload(f.Type, dst[start+wire.Header:]); err != nil {
+		return dst[:start], fmt.Errorf("serve: encode frame: %v", errors.Unwrap(err))
 	}
-	st := f.Stats
-	return d.Object(func(key []byte) error {
-		switch statsField(key) {
-		case sdTenant:
-			return d.String(&st.Tenant)
-		case sdConnections:
-			return d.Int(&st.Connections)
-		case sdAllocates:
-			return d.Int64(&st.Allocates)
-		case sdRetries:
-			return d.Int64(&st.Retries)
-		case sdObserves:
-			return d.Int64(&st.Observes)
-		case sdDecays:
-			return d.Int64(&st.Decays)
-		case sdCategories:
-			return d.Int(&st.Categories)
-		case sdRecords:
-			return d.Int(&st.Records)
-		default:
-			return d.Skip()
-		}
-	})
+	wire.SetLength(dst[start:])
+	return dst, nil
 }
 
-// ---------------------------------------------------------------------------
-// Stream framing
-
-// frameReader reads newline-delimited frames from a connection through the
-// shared grow-on-demand line reader, decoding each into a reused Frame. Its
-// buffered method lets the server flush coalesced replies exactly when it is
-// about to block for more input.
-type frameReader struct {
-	r   *jsonwire.Reader
-	dec frameDecoder
+// appendStrings appends the strings' u16 lengths, then their bytes.
+func appendStrings(dst []byte, strs ...string) []byte {
+	for _, s := range strs {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	}
+	for _, s := range strs {
+		dst = append(dst, s...)
+	}
+	return dst
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: jsonwire.NewReader(r)}
-}
+// frameReader decodes the frames of one connection into a reused Frame.
+// Malformed frames return a *wire.FrameError; transport failures return the
+// underlying error.
+type frameReader struct{ fr *wire.Reader }
 
-// next reads the next frame into f. Whitespace-only lines are skipped (the
-// old stream decoder treated newlines as inter-frame whitespace); a final
-// unterminated line at EOF is parsed as a frame. Malformed frames return a
-// *decodeError; transport failures return the underlying error.
-func (fr *frameReader) next(f *Frame) error {
-	line, err := fr.r.Next()
+func newFrameReader(r io.Reader) frameReader { return frameReader{wire.NewReader(r)} }
+
+// buffered reports whether next can return without touching the connection.
+func (r frameReader) buffered() bool { return r.fr.Buffered() }
+
+// next reads the next frame into f, resetting f first.
+func (r frameReader) next(f *Frame) error {
+	typ, p, err := r.fr.Next()
 	if err != nil {
 		return err
 	}
-	return fr.dec.decode(line, f)
+	*f = Frame{Type: FrameType(typ)}
+	if err := checkPayload(f.Type, p); err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	a, b, _ := layouts[f.Type].strings(p)
+	switch f.Type {
+	case TypeRegister:
+		f.Seed = le.Uint64(p[4:])
+		f.Tenant, f.Algorithm = r.fr.Intern(a), r.fr.Intern(b)
+	case TypeRequest, TypeRetry:
+		f.Seq, f.TaskID = le.Uint64(p), int(int64(le.Uint64(p[8:])))
+		if f.Type == TypeRetry {
+			f.Exceeded, f.Prev = resources.KindSet(p[16]), wire.Vector(p[17:])
+		}
+		f.Category = r.fr.Intern(a)
+	case TypeObserve:
+		f.TaskID = int(int64(le.Uint64(p)))
+		f.Peak, f.Runtime = wire.Vector(p[8:]), wire.Float(p[8+wire.VectorSize:])
+		f.Category = r.fr.Intern(a)
+	case TypePing, TypePong:
+		f.Seq = le.Uint64(p)
+	case TypeStats:
+		f.Seq = le.Uint64(p)
+		f.Stats = TenantStats{Tenant: r.fr.Intern(a),
+			Connections: int(counter(p, 0)), Allocates: counter(p, 1), Retries: counter(p, 2),
+			Observes: counter(p, 3), Decays: counter(p, 4), Categories: int(counter(p, 5)), Records: int(counter(p, 6))}
+	case TypeAck:
+		f.Tenant, f.Algorithm = r.fr.Intern(a), r.fr.Intern(b)
+	case TypeAlloc:
+		f.Seq, f.Alloc = le.Uint64(p), wire.Vector(p[8:])
+	case TypeError:
+		f.Seq, f.Error = le.Uint64(p), r.fr.Intern(a)
+	}
+	return nil
 }
 
-// buffered reports whether a complete frame line is already in memory, i.e.
-// whether next can return without touching the connection.
-func (fr *frameReader) buffered() bool {
-	return fr.r.Buffered()
-}
+// counter reads the i-th stats counter of a stats payload.
+func counter(p []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(p[8+8*i:])) }

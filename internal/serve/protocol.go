@@ -11,24 +11,26 @@
 // recent DecayWindow records (Section V-A's recency weighting makes the old
 // tail nearly weightless anyway).
 //
-// The wire protocol follows internal/wq's style: one JSON object per line
-// over TCP. A connection registers a tenant first, then streams
-// request/retry/observe/ping/stats frames; request, retry, ping, and stats
-// carry a client-chosen Seq echoed in the response. Observations are
-// one-way — the per-connection ordering guarantees they are applied before
-// any later request on the same connection. The server's Close mirrors
-// wq.Manager.Close: stop accepting, notify every client with a drain frame,
-// and give in-flight connections a bounded grace period to finish.
+// The wire is internal/wire's, the one the wq engine runs on too:
+// length-prefixed binary frames, each carrying the fixed payload layout of
+// codec.go, read through a bounded reader and written through a buffered
+// writer whose every write carries a deadline. A connection registers a
+// tenant first, then streams request/retry/observe/ping/stats frames;
+// request, retry, ping, and stats carry a client-chosen Seq echoed in the
+// response. Observations are one-way — the per-connection ordering
+// guarantees they are applied before any later request on the same
+// connection. Both ends ship from this tree: a peer on another protocol is
+// refused with wire.ErrProtocolMismatch, and a malformed frame is counted
+// (Server.DecodeErrors) and costs its sender the connection. The server's
+// Close mirrors wq.Manager.Close: stop accepting, notify every client with a
+// drain frame, and give in-flight connections a bounded grace period to
+// finish.
 //
-// The frames are ordinary JSON on the wire but never touch encoding/json on
-// the hot path: both sides use the hand-rolled codec in codec.go (pinned
-// byte- and value-compatible with encoding/json by fuzz tests, so stock-JSON
-// clients interoperate unchanged), buffer their writes, and flush on a
-// coalescing policy rather than per frame. The Client pipelines — many
-// goroutines can have calls in flight on one connection, bounded by
-// WithPipelineWindow, with AllocateBatch for bulk request streams — and a
-// steady-state round trip allocates nothing on either side. See DESIGN.md
-// §15 for the full wire performance model.
+// Writes flush on a coalescing policy rather than per frame. The Client
+// pipelines — many goroutines can have calls in flight on one connection,
+// bounded by WithPipelineWindow, with AllocateBatch for bulk request streams
+// — and a steady-state round trip allocates nothing on either side. See
+// DESIGN.md §15 for the wire and its performance model.
 package serve
 
 import (
@@ -36,78 +38,82 @@ import (
 )
 
 // Frame is the single message type of the service protocol; Type selects
-// which fields are meaningful.
+// which fields are meaningful (and the only ones the wire carries).
 type Frame struct {
-	Type string `json:"type"`
+	Type FrameType
 
 	// Seq correlates a request with its response on frames that have one
-	// (request, retry, ping, stats). Chosen by the client, echoed verbatim.
-	Seq uint64 `json:"seq,omitempty"`
+	// (request, retry, ping, stats, and the alloc, pong, stats or error
+	// answering them). Chosen by the client, echoed verbatim.
+	Seq uint64
 
-	// register (client -> server)
-	Tenant    string `json:"tenant,omitempty"`
-	Algorithm string `json:"algorithm,omitempty"` // empty = exhaustive-bucketing
-	Seed      uint64 `json:"seed,omitempty"`
+	// register (client -> server), ack (server -> client)
+	Tenant    string
+	Algorithm string // empty = exhaustive-bucketing
+	Seed      uint64 // register only
 
 	// request / retry / observe (client -> server)
-	Category string `json:"category,omitempty"`
-	TaskID   int    `json:"task_id,omitempty"`
+	Category string
+	TaskID   int
 
 	// retry (client -> server)
-	Prev     resources.Vector `json:"prev,omitempty"`
-	Exceeded []string         `json:"exceeded,omitempty"`
+	Prev     resources.Vector
+	Exceeded resources.KindSet
 
 	// observe (client -> server)
-	Peak    resources.Vector `json:"peak,omitempty"`
-	Runtime float64          `json:"runtime,omitempty"`
+	Peak    resources.Vector
+	Runtime float64
 
 	// alloc (server -> client): the prediction for a request or retry.
-	Alloc resources.Vector `json:"alloc,omitempty"`
+	Alloc resources.Vector
 
-	// stats (server -> client)
-	Stats *TenantStats `json:"stats,omitempty"`
+	// stats (server -> client); a stats request carries it zeroed.
+	Stats TenantStats
 
 	// error (server -> client): a failed frame; Seq echoes the offender
 	// when it carried one.
-	Error string `json:"error,omitempty"`
+	Error string
 }
+
+// FrameType is the type byte of a frame. Zero is not a frame type.
+type FrameType uint8
 
 // Frame types. Client to server: register, request, retry, observe, ping,
 // stats. Server to client: ack (register accepted), alloc, pong, stats,
 // error, drain.
 const (
-	TypeRegister = "register"
-	TypeRequest  = "request"
-	TypeRetry    = "retry"
-	TypeObserve  = "observe"
-	TypePing     = "ping"
-	TypeStats    = "stats"
+	TypeRegister FrameType = iota + 1
+	TypeRequest
+	TypeRetry
+	TypeObserve
+	TypePing
+	TypeStats
 
-	TypeAck   = "ack"
-	TypeAlloc = "alloc"
-	TypePong  = "pong"
-	TypeError = "error"
+	TypeAck
+	TypeAlloc
+	TypePong
+	TypeError
 	// TypeDrain tells the client the server is closing: no further frames
 	// will be answered, finish up and disconnect.
-	TypeDrain = "drain"
+	TypeDrain
 )
 
 // TenantStats is a point-in-time snapshot of one tenant's service counters,
 // returned by the stats frame and by Server.Stats.
 type TenantStats struct {
-	Tenant string `json:"tenant"`
+	Tenant string
 	// Connections currently registered to this tenant.
-	Connections int `json:"connections"`
+	Connections int
 	// Allocates / Retries / Observes count frames served over the tenant's
 	// lifetime (across connections, surviving reconnects).
-	Allocates int64 `json:"allocates"`
-	Retries   int64 `json:"retries"`
-	Observes  int64 `json:"observes"`
+	Allocates int64
+	Retries   int64
+	Observes  int64
 	// Decays counts category resets performed by the record-decay policy.
-	Decays int64 `json:"decays"`
+	Decays int64
 	// Categories is the number of distinct task categories observed.
-	Categories int `json:"categories"`
+	Categories int
 	// Records is the current record count summed over categories — bounded
 	// by categories × MaxRecords when decay is enabled.
-	Records int `json:"records"`
+	Records int
 }

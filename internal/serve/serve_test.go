@@ -311,9 +311,11 @@ func TestServeDrain(t *testing.T) {
 }
 
 // TestServeProtocolErrors covers the error frames: bad algorithm, missing
-// tenant, double register, unknown type, and non-register first frame.
+// tenant, double register, a server-to-client frame sent by a client, and a
+// non-register first frame. None of them is malformed: each is answered, and
+// only the last costs the connection.
 func TestServeProtocolErrors(t *testing.T) {
-	_, addr := startServer(t)
+	s, addr := startServer(t)
 
 	if _, err := Dial(addr, "bad-alg", "no-such-algorithm", 0); err == nil {
 		t.Error("register with unknown algorithm succeeded")
@@ -323,18 +325,29 @@ func TestServeProtocolErrors(t *testing.T) {
 	}
 
 	c := dial(t, addr, "proto", "", 0)
-	if _, err := c.call(Frame{Type: TypeRegister, Tenant: "again"}); err == nil {
-		t.Error("double register succeeded")
-	}
-	if _, err := c.call(Frame{Type: "bogus"}); err == nil {
-		t.Error("unknown frame type succeeded")
-	}
-	if _, err := c.call(Frame{Type: TypeRetry, Category: "c", Exceeded: []string{"plutonium"}}); err == nil {
-		t.Error("retry with unknown resource kind succeeded")
+	if _, err := c.call(Frame{Type: TypeAlloc}); err == nil {
+		t.Error("a client sending an alloc frame succeeded")
 	}
 	// The connection survives protocol errors.
 	if err := c.Ping(); err != nil {
 		t.Errorf("connection died after error frames: %v", err)
+	}
+
+	rc := rawDial(t, addr)
+	rc.register("proto-raw")
+	rc.write(rawRegister("again"), rawPing(5))
+	if f, err := rc.readFrame(); err != nil || f.Type != TypeError || !strings.Contains(f.Error, "already registered") {
+		t.Errorf("double register: frame %+v err %v, want an error frame", f, err)
+	}
+	if f, err := rc.readFrame(); err != nil || f.Type != TypePong || f.Seq != 5 {
+		t.Errorf("after a double register: frame %+v err %v, want pong 5", f, err)
+	}
+
+	first := rawDial(t, addr)
+	first.write(rawPing(1))
+	first.refused("first frame must be a register frame")
+	if n := s.DecodeErrors(); n != 0 {
+		t.Errorf("DecodeErrors = %d, want 0", n)
 	}
 }
 

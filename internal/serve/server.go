@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +11,7 @@ import (
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
 // ErrServerClosed reports that the server was (or is being) closed.
@@ -44,14 +44,12 @@ type Server struct {
 }
 
 // serverConn is one client connection. All of its frame scratch (the decoded
-// request, the reply under construction, the encode buffer, the parsed
-// exceeded-kind list) is connection-owned and reused across frames, so the
-// steady-state request path performs no per-frame allocation.
+// request, the reply under construction, the writer's encode buffer, the
+// expanded exceeded-kind list) is connection-owned and reused across frames,
+// so the steady-state request path performs no per-frame allocation.
 type serverConn struct {
 	conn   net.Conn
-	sendMu sync.Mutex // guards bw and enc (drain frames arrive off-goroutine)
-	bw     *bufio.Writer
-	enc    []byte // appendFrame scratch
+	out    *wire.Writer // locked per frame: drain frames arrive off-goroutine
 	tenant *tenant
 
 	// Scratch owned by the serveConn goroutine.
@@ -65,27 +63,22 @@ type serverConn struct {
 // block (or when flush is forced, e.g. for drain and pre-hangup error
 // frames), so N pipelined requests cost one write syscall.
 func (c *serverConn) send(f *Frame, flush bool) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.enc = c.enc[:0]
-	var err error
-	c.enc, err = appendFrame(c.enc, f)
+	c.out.Lock()
+	defer c.out.Unlock()
+	frame, err := appendFrame(c.out.Buf(), f)
 	if err == nil {
-		_, err = c.bw.Write(c.enc)
+		err = c.out.Queue(frame)
 	}
 	if err == nil && flush {
-		err = c.bw.Flush()
+		err = c.out.Flush()
 	}
 	return err
 }
 
 func (c *serverConn) flush() error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if c.bw.Buffered() == 0 {
-		return nil
-	}
-	return c.bw.Flush()
+	c.out.Lock()
+	defer c.out.Unlock()
+	return c.out.Flush()
 }
 
 // ServerOption configures a Server.
@@ -166,13 +159,16 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
+		c := &serverConn{conn: conn, out: wire.NewWriter(conn)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
+			// Answer the registration with the drain it would have got a
+			// moment earlier: a hangup alone reads as another protocol.
+			_ = c.send(&Frame{Type: TypeDrain}, true)
 			conn.Close()
 			return
 		}
-		c := &serverConn{conn: conn, bw: bufio.NewWriterSize(conn, 16<<10)}
 		s.conns[c] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
@@ -260,7 +256,6 @@ func (s *Server) serveConn(c *serverConn) {
 	}()
 
 	fr := newFrameReader(c.conn)
-	var derr *decodeError
 	for {
 		// Flush coalesced replies exactly when the reader is about to block:
 		// while a pipelining client keeps complete frames buffered, replies
@@ -271,12 +266,16 @@ func (s *Server) serveConn(c *serverConn) {
 			}
 		}
 		if err := fr.next(&c.req); err != nil {
-			if errors.As(err, &derr) {
+			if c.tenant == nil {
+				err = wire.AsMismatch(err)
+			}
+			var ferr *wire.FrameError
+			if errors.As(err, &ferr) {
 				// A malformed frame poisons the stream (framing can no
 				// longer be trusted): count it, tell the client why, and
 				// hang up.
 				s.decodeErrors.Add(1)
-				c.reply = Frame{Type: TypeError, Error: derr.Error()}
+				c.reply = Frame{Type: TypeError, Error: ferr.Error()}
 				_ = c.send(&c.reply, true)
 			}
 			return
@@ -287,7 +286,7 @@ func (s *Server) serveConn(c *serverConn) {
 			// protocol error the client can read before we hang up.
 			if f.Type != TypeRegister {
 				c.reply = Frame{Type: TypeError, Seq: f.Seq,
-					Error: fmt.Sprintf("first frame must be %q, got %q", TypeRegister, f.Type)}
+					Error: fmt.Sprintf("first frame must be a register frame, got type %d", f.Type)}
 				_ = c.send(&c.reply, true)
 				return
 			}
@@ -321,15 +320,7 @@ func (s *Server) handleFrame(c *serverConn, f *Frame) error {
 		c.reply = Frame{Type: TypeAlloc, Seq: f.Seq, Alloc: t.allocate(f.Category, f.TaskID)}
 		return c.send(&c.reply, false)
 	case TypeRetry:
-		c.exceeded = c.exceeded[:0]
-		for _, name := range f.Exceeded {
-			k, err := resources.ParseKind(name)
-			if err != nil {
-				c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: err.Error()}
-				return c.send(&c.reply, false)
-			}
-			c.exceeded = append(c.exceeded, k)
-		}
+		c.exceeded = f.Exceeded.AppendKinds(c.exceeded[:0])
 		c.reply = Frame{Type: TypeAlloc, Seq: f.Seq, Alloc: t.retry(f.Category, f.TaskID, f.Prev, c.exceeded)}
 		return c.send(&c.reply, false)
 	case TypeObserve:
@@ -339,14 +330,13 @@ func (s *Server) handleFrame(c *serverConn, f *Frame) error {
 		c.reply = Frame{Type: TypePong, Seq: f.Seq}
 		return c.send(&c.reply, false)
 	case TypeStats:
-		snap := t.snapshot()
-		c.reply = Frame{Type: TypeStats, Seq: f.Seq, Stats: &snap}
+		c.reply = Frame{Type: TypeStats, Seq: f.Seq, Stats: t.snapshot()}
 		return c.send(&c.reply, false)
 	case TypeRegister:
 		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: "connection already registered"}
 		return c.send(&c.reply, false)
 	default:
-		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: fmt.Sprintf("unknown frame type %q", f.Type)}
+		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: fmt.Sprintf("unexpected frame type %d", f.Type)}
 		return c.send(&c.reply, false)
 	}
 }
@@ -367,9 +357,9 @@ func (s *Server) TenantsEvicted() int64 {
 
 // DecodeErrors returns how many malformed frames the server has rejected
 // across all connections. A nonzero count means some peer is sending
-// garbage: each such frame is answered with an error frame, counted here,
-// and its connection closed (a malformed line means the stream's framing
-// can no longer be trusted).
+// garbage or speaking another protocol: each such frame is answered with an
+// error frame, counted here, and its connection closed (past a malformed
+// frame the stream's framing can no longer be trusted).
 func (s *Server) DecodeErrors() int64 {
 	return s.decodeErrors.Load()
 }

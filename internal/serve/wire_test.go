@@ -1,26 +1,32 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dynalloc/internal/allocator"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
+	"dynalloc/internal/wq"
 )
 
-// rawConn speaks the wire protocol with encoding/json primitives only, so
-// these tests exercise the server against a third-party-style client rather
-// than our own codec.
+// rawConn is an outside peer: it builds the frames it sends by hand from the
+// layout in codec.go, not through appendFrame, so these tests pin the bytes
+// a client written elsewhere would put on the wire. Replies are read through
+// the package's decoder.
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
-	r    *bufio.Reader
+	fr   frameReader
 }
 
 func rawDial(t *testing.T, addr string) *rawConn {
@@ -30,37 +36,72 @@ func rawDial(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawConn{t: t, conn: conn, r: bufio.NewReader(conn)}
+	return &rawConn{t: t, conn: conn, fr: newFrameReader(conn)}
 }
 
-func (rc *rawConn) writeLine(line string) {
+// raw is one frame: the payload length, the type byte, then the parts.
+func raw(typ FrameType, parts ...[]byte) []byte {
+	payload := bytes.Join(parts, nil)
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), append([]byte{byte(typ)}, payload...)...)
+}
+
+func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+func u16(n int) []byte    { return binary.LittleEndian.AppendUint16(nil, uint16(n)) }
+
+func f64s(v resources.Vector) []byte {
+	var b []byte
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// rawRegister registers tenant under magic "AD", version 1, seed 0 and the
+// default algorithm.
+func rawRegister(tenant string) []byte {
+	return raw(TypeRegister, []byte("AD\x01\x00"), u64(0), u16(len(tenant)), u16(0), []byte(tenant))
+}
+
+func rawPing(seq uint64) []byte { return raw(TypePing, u64(seq)) }
+
+// write hands the frames to the connection in one Write.
+func (rc *rawConn) write(frames ...[]byte) {
 	rc.t.Helper()
-	if _, err := rc.conn.Write([]byte(line + "\n")); err != nil {
+	if _, err := rc.conn.Write(bytes.Join(frames, nil)); err != nil {
 		rc.t.Fatal(err)
 	}
 }
 
 func (rc *rawConn) readFrame() (Frame, error) {
-	line, err := rc.r.ReadBytes('\n')
-	if err != nil {
-		return Frame{}, err
-	}
 	var f Frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
+	err := rc.fr.next(&f)
+	return f, err
 }
 
 func (rc *rawConn) register(tenant string) {
 	rc.t.Helper()
-	rc.writeLine(fmt.Sprintf(`{"type":"register","tenant":%q}`, tenant))
+	rc.write(rawRegister(tenant))
 	ack, err := rc.readFrame()
 	if err != nil {
 		rc.t.Fatalf("register: %v", err)
 	}
-	if ack.Type != TypeAck {
-		rc.t.Fatalf("register: got %q frame, want ack", ack.Type)
+	if ack.Type != TypeAck || ack.Tenant != tenant {
+		rc.t.Fatalf("register: got %+v, want an ack for %q", ack, tenant)
+	}
+}
+
+// refused reads the error frame a refused peer gets, then the hangup.
+func (rc *rawConn) refused(want string) {
+	rc.t.Helper()
+	f, err := rc.readFrame()
+	if err != nil {
+		rc.t.Fatalf("expected an error frame before hangup, got %v", err)
+	}
+	if f.Type != TypeError || !strings.Contains(f.Error, want) {
+		rc.t.Fatalf("got %+v, want an error frame naming %q", f, want)
+	}
+	if _, err := rc.readFrame(); err == nil {
+		rc.t.Fatal("connection stayed open after the error frame")
 	}
 }
 
@@ -73,38 +114,20 @@ func TestServeDecodeErrorsCounted(t *testing.T) {
 	// Garbage after a valid registration.
 	rc := rawDial(t, addr)
 	rc.register("garbage-a")
-	rc.writeLine(`{"type":"request","seq":1,"category":"ok","task_id":1}`)
-	if f, err := rc.readFrame(); err != nil || f.Type != TypeAlloc {
+	rc.write(raw(TypeRequest, u64(1), u64(1), u16(2), []byte("ok")))
+	if f, err := rc.readFrame(); err != nil || f.Type != TypeAlloc || f.Seq != 1 {
 		t.Fatalf("valid request: frame %+v err %v", f, err)
 	}
-	rc.writeLine(`this is not json`)
-	f, err := rc.readFrame()
-	if err != nil {
-		t.Fatalf("expected an error frame before hangup, got %v", err)
-	}
-	if f.Type != TypeError || !strings.Contains(f.Error, "decode frame") {
-		t.Fatalf("got %+v, want a decode-frame error frame", f)
-	}
-	if _, err := rc.readFrame(); err == nil {
-		t.Fatal("connection stayed open after a malformed frame")
-	}
+	rc.write([]byte{0, 0, 0, 0, 0x7f}) // a frame of no known type
+	rc.refused("malformed frame: unknown frame type")
 	if n := s.DecodeErrors(); n != 1 {
 		t.Fatalf("DecodeErrors = %d, want 1", n)
 	}
 
-	// Garbage as the very first line.
+	// Garbage as the very first frame: a register cut short.
 	rc2 := rawDial(t, addr)
-	rc2.writeLine(`{"seq":`)
-	f, err = rc2.readFrame()
-	if err != nil {
-		t.Fatalf("expected an error frame before hangup, got %v", err)
-	}
-	if f.Type != TypeError {
-		t.Fatalf("got %+v, want an error frame", f)
-	}
-	if _, err := rc2.readFrame(); err == nil {
-		t.Fatal("connection stayed open after a malformed first frame")
-	}
+	rc2.write(raw(TypeRegister, []byte("AD\x01\x00")))
+	rc2.refused(wire.ErrProtocolMismatch.Error())
 	if n := s.DecodeErrors(); n != 2 {
 		t.Fatalf("DecodeErrors = %d, want 2", n)
 	}
@@ -114,59 +137,201 @@ func TestServeDecodeErrorsCounted(t *testing.T) {
 	rc3.register("garbage-b")
 }
 
-// TestServeBlankLineAfterFrameStillReplies pins the flush rule against a
-// frame followed by a blank line in the same write: the server defers its
-// flush while the reader says a frame is buffered, so a reader that counts the
-// blank line as a frame withholds the reply and then blocks on the socket.
+// TestServeOversizeFrame: a length prefix past wire.MaxFrame is refused from
+// the header alone — nothing is buffered for it — answered with an error
+// frame, counted once, and the connection closed.
+func TestServeOversizeFrame(t *testing.T) {
+	s, addr := startServer(t)
+	rc := rawDial(t, addr)
+	rc.register("oversize")
+	rc.write(append(binary.LittleEndian.AppendUint32(nil, wire.MaxFrame+1), byte(TypeRequest)))
+	rc.refused(wire.ErrFrameTooLarge.Error())
+	if n := s.DecodeErrors(); n != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", n)
+	}
+}
+
+// TestServeRefusesOtherProtocols: a peer that opens with another protocol's
+// bytes is refused with wire.ErrProtocolMismatch and counted — a wq worker
+// dialling allocd (whose register frame carries the wq magic), and a client
+// of the JSON-line protocol allocd spoke before it.
+func TestServeRefusesOtherProtocols(t *testing.T) {
+	t.Run("wq worker", func(t *testing.T) {
+		s, addr := startServer(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err := wq.RunWorker(ctx, addr, wq.WorkerConfig{})
+		if !errors.Is(err, wire.ErrProtocolMismatch) {
+			t.Errorf("wq worker against allocd returned %v, want a protocol mismatch", err)
+		}
+		if n := s.DecodeErrors(); n != 1 {
+			t.Errorf("DecodeErrors = %d, want 1", n)
+		}
+	})
+	t.Run("JSON register line", func(t *testing.T) {
+		s, addr := startServer(t)
+		rc := rawDial(t, addr)
+		rc.write([]byte(`{"type":"register","tenant":"json"}` + "\n"))
+		rc.refused(wire.ErrProtocolMismatch.Error())
+		if n := s.DecodeErrors(); n != 1 {
+			t.Errorf("DecodeErrors = %d, want 1", n)
+		}
+	})
+}
+
+// TestDialWQManager: serve.Dial against a wq manager returns the same
+// sentinel — the manager hangs up on a registration it cannot read, and an
+// allocator service never does.
+func TestDialWQManager(t *testing.T) {
+	m := wq.NewManager(allocator.MustNew(allocator.MaxSeen, allocator.Config{}))
+	addr, err := m.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if c, err := Dial(addr, "t", "", 0); !errors.Is(err, wire.ErrProtocolMismatch) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Dial against a wq manager: %v, want a protocol mismatch", err)
+	}
+	if n := m.Stats().DecodeErrors; n != 1 {
+		t.Errorf("manager counted %d decode errors, want 1", n)
+	}
+}
+
+// TestClientRefusesUnsendable: a frame the wire cannot carry fails in the
+// client before anything is sent — a tenant or category over 64 KiB or not
+// UTF-8, a non-finite float, a kind that is no resources.Kind — and costs
+// neither the connection nor a decode error on the server.
+func TestClientRefusesUnsendable(t *testing.T) {
+	s, addr := startServer(t)
+	long := strings.Repeat("x", math.MaxUint16+1)
+	for _, tenant := range []string{long, "a\xffb"} {
+		if c, err := Dial(addr, tenant, "", 0); err == nil {
+			c.Close()
+			t.Errorf("Dial registered a %d-byte tenant", len(tenant))
+		}
+	}
+	c := dial(t, addr, "refuse", "", 0)
+	one := resources.New(1, 1, 1, 1)
+	for name, call := range map[string]func() error{
+		"category over 64 KiB": func() error { _, err := c.Allocate(long, 1); return err },
+		"category not UTF-8":   func() error { return c.Observe("\xc3", 1, one, 1) },
+		"NaN peak":             func() error { return c.Observe("c", 1, resources.Vector{1, math.NaN(), 1, 1}, 1) },
+		"infinite runtime":     func() error { return c.Observe("c", 1, one, math.Inf(1)) },
+		"infinite prev": func() error {
+			_, err := c.Retry("c", 1, resources.Vector{math.Inf(-1), 1, 1, 1}, []resources.Kind{resources.Memory})
+			return err
+		},
+		"kind past NumKinds": func() error {
+			_, err := c.Retry("c", 1, one, []resources.Kind{resources.Memory, resources.NumKinds})
+			return err
+		},
+		"negative kind": func() error { _, err := c.Retry("c", 1, one, []resources.Kind{-1}); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: sent", name)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("connection lost to a refused frame: %v", err)
+	}
+	if st.Allocates+st.Retries+st.Observes != 0 || s.DecodeErrors() != 0 || s.Tenants() != 1 {
+		t.Errorf("server saw %+v, %d decode errors, %d tenants; want nothing, 0, 1", st, s.DecodeErrors(), s.Tenants())
+	}
+}
+
+// TestServeBlankLineAfterFrameStillReplies is the binary twin of the
+// blank-line liveness bug it is named for (PR 15): the server defers its
+// flush while the reader says a frame is buffered, so a reader that counted
+// the bytes behind a frame as a frame of their own withheld the reply and
+// blocked on the socket. A ping and the first bytes of the next frame in one
+// write must still get their pong.
 func TestServeBlankLineAfterFrameStillReplies(t *testing.T) {
 	_, addr := startServer(t)
 	rc := rawDial(t, addr)
-	rc.register("blank-line")
-	if _, err := rc.conn.Write([]byte("{\"type\":\"ping\",\"seq\":2}\n\n")); err != nil {
-		t.Fatal(err)
-	}
+	rc.register("partial-frame")
+	rc.write(rawPing(2), rawPing(3)[:wire.Header+2])
 	if err := rc.conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := rc.readFrame()
 	if err != nil {
-		t.Fatalf("no reply to a ping followed by a blank line: %v", err)
+		t.Fatalf("no reply to a ping followed by part of a frame: %v", err)
 	}
 	if f.Type != TypePong || f.Seq != 2 {
 		t.Fatalf("got %+v, want pong seq 2", f)
 	}
 }
 
-// TestServeInteropWithEncodingJSON drives a full request/retry/observe/stats
-// exchange through encoding/json on the client side, proving the hand-rolled
-// server codec interoperates with stock-JSON third-party clients.
-func TestServeInteropWithEncodingJSON(t *testing.T) {
+// TestServeInteropWithRawFrames drives a full request/retry/observe/stats
+// exchange from hand-built frames, so the server is pinned against a client
+// that shares none of this package's encoder.
+func TestServeInteropWithRawFrames(t *testing.T) {
 	_, addr := startServer(t)
 	rc := rawDial(t, addr)
 	rc.register("interop")
 
-	rc.writeLine(`{"type":"request","seq":1,"category":"c","task_id":1}`)
+	cat := []byte("c")
+	rc.write(raw(TypeRequest, u64(1), u64(1), u16(len(cat)), cat))
 	alloc, err := rc.readFrame()
-	if err != nil || alloc.Type != TypeAlloc || alloc.Alloc == (resources.Vector{}) {
+	if err != nil || alloc.Type != TypeAlloc || alloc.Seq != 1 || alloc.Alloc == (resources.Vector{}) {
 		t.Fatalf("request: frame %+v err %v", alloc, err)
 	}
-	prev, _ := json.Marshal(alloc.Alloc)
-	rc.writeLine(fmt.Sprintf(`{"type":"retry","seq":2,"category":"c","task_id":1,"prev":%s,"exceeded":["memory"]}`, prev))
+	rc.write(raw(TypeRetry, u64(2), u64(1), []byte{1 << resources.Memory}, f64s(alloc.Alloc), u16(len(cat)), cat))
 	retry, err := rc.readFrame()
-	if err != nil || retry.Type != TypeAlloc {
+	if err != nil || retry.Type != TypeAlloc || retry.Seq != 2 {
 		t.Fatalf("retry: frame %+v err %v", retry, err)
 	}
 	if retry.Alloc[resources.Memory] <= alloc.Alloc[resources.Memory] {
 		t.Fatalf("retry did not escalate memory: %v -> %v", alloc.Alloc, retry.Alloc)
 	}
-	rc.writeLine(`{"type":"observe","category":"c","task_id":1,"peak":[1,100,10,5],"runtime":5}`)
-	rc.writeLine(`{"type":"stats","seq":3}`)
+	rc.write(raw(TypeObserve, u64(1), f64s(resources.New(1, 100, 10, 5)), f64s(resources.Vector{5})[:8], u16(len(cat)), cat),
+		raw(TypeStats, u64(3), make([]byte, 8*statsCounters), u16(0)))
 	st, err := rc.readFrame()
-	if err != nil || st.Type != TypeStats || st.Stats == nil {
+	if err != nil || st.Type != TypeStats || st.Seq != 3 {
 		t.Fatalf("stats: frame %+v err %v", st, err)
 	}
-	if st.Stats.Allocates != 1 || st.Stats.Retries != 1 || st.Stats.Observes != 1 {
-		t.Fatalf("stats counters %+v, want 1/1/1", *st.Stats)
+	if st.Stats.Tenant != "interop" || st.Stats.Allocates != 1 || st.Stats.Retries != 1 || st.Stats.Observes != 1 {
+		t.Fatalf("stats %+v, want interop with 1/1/1", st.Stats)
+	}
+}
+
+// TestServeCloseWithAPeerThatStoppedReading: a client that registers, streams
+// pings and never reads a pong fills both socket buffers until the server's
+// write blocks — with the connection's writer locked, where Close must take
+// it to send the drain frame. The write deadline ends that write, so Close
+// returns within it; without one Close waited for good.
+func TestServeCloseWithAPeerThatStoppedReading(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out wire.WriteTimeout")
+	}
+	s := NewServer(WithServerDrainTimeout(200 * time.Millisecond))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := rawDial(t, addr)
+	rc.register("stopped-reading")
+	pings := bytes.Repeat(rawPing(1), 4096)
+	for {
+		// Our own writes stall once the server has stopped reading, which it
+		// does only while it is blocked writing pongs.
+		if err := rc.conn.SetWriteDeadline(time.Now().Add(500 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.conn.Write(pings); err != nil {
+			break
+		}
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(wire.WriteTimeout + 5*time.Second):
+		t.Fatal("Close still blocked on a peer that stopped reading")
 	}
 }
 
@@ -187,9 +352,9 @@ func TestObserveReturnsTerminalError(t *testing.T) {
 		if err != nil {
 			return
 		}
-		r := bufio.NewReader(conn)
-		if _, err := r.ReadBytes('\n'); err == nil {
-			conn.Write([]byte(`{"type":"ack","seq":0}` + "\n"))
+		var reg Frame
+		if newFrameReader(conn).next(&reg) == nil {
+			conn.Write(raw(TypeAck, u16(1), u16(0), []byte("t")))
 		}
 		time.Sleep(20 * time.Millisecond)
 		conn.Close()

@@ -13,11 +13,12 @@ import (
 
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
-// oversizeHeader is the header of a frame one byte past maxFrame: all a peer
+// oversizeHeader is the header of a frame one byte past wire.MaxFrame: all a peer
 // needs to send to be refused.
-var oversizeHeader = append(binary.LittleEndian.AppendUint32(nil, maxFrame+1), byte(MsgResult))
+var oversizeHeader = append(binary.LittleEndian.AppendUint32(nil, wire.MaxFrame+1), byte(MsgResult))
 
 // collectEvents returns a tracer option and a snapshot function for it.
 func collectEvents() (Option, func() []Event) {
@@ -34,7 +35,7 @@ func collectEvents() (Option, func() []Event) {
 		}
 }
 
-// TestOversizeFrameEvictsWorker has a worker announce a frame past maxFrame
+// TestOversizeFrameEvictsWorker has a worker announce a frame past wire.MaxFrame
 // while it holds a task: the manager refuses the length prefix without
 // buffering for it, counts one decode error, evicts the worker, and the task
 // requeues and completes on the other worker.
@@ -117,7 +118,7 @@ func TestBadFrameBehindResultsSettlesThenEvicts(t *testing.T) {
 // against no worker, and closed.
 func TestProtocolMismatchRejectsPeer(t *testing.T) {
 	v2 := encodeFrames(t, &Message{Type: MsgRegister, Capacity: resources.PaperWorker()})
-	v2[frameHeader+2]++ // the version byte of wireMagic
+	v2[wire.Header+2]++ // the version byte of wireMagic
 	for name, opening := range map[string][]byte{
 		"JSON worker":     []byte(`{"type":"register","capacity":[16,64000,64000,3600]}` + "\n"),
 		"version 2":       v2,
@@ -143,7 +144,7 @@ func TestProtocolMismatchRejectsPeer(t *testing.T) {
 			}
 			evs := events()
 			if len(evs) != 1 || evs[0].Type != EventDecodeError || evs[0].WorkerID != -1 ||
-				!strings.Contains(evs[0].Detail, ErrProtocolMismatch.Error()) {
+				!strings.Contains(evs[0].Detail, wire.ErrProtocolMismatch.Error()) {
 				t.Errorf("trace = %+v, want one decode-error for worker -1 naming the protocol mismatch", evs)
 			}
 		})
@@ -151,9 +152,9 @@ func TestProtocolMismatchRejectsPeer(t *testing.T) {
 }
 
 // TestWorkerProtocolMismatch: a worker whose manager answers the registration
-// with bytes that are no frame returns ErrProtocolMismatch, which tells
+// with bytes that are no frame returns wire.ErrProtocolMismatch, which tells
 // cmd/wq-worker not to reconnect; a malformed frame later in the stream (here
-// past maxFrame, the bound hit from the worker's end) is a *FrameError but no
+// past wire.MaxFrame, the bound hit from the worker's end) is a *wire.FrameError but no
 // mismatch.
 func TestWorkerProtocolMismatch(t *testing.T) {
 	for name, c := range map[string]struct {
@@ -178,16 +179,16 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			err := <-done
-			var ferr *FrameError
+			var ferr *wire.FrameError
 			switch {
 			case name == "register from the peer":
 				if err == nil || errors.As(err, &ferr) {
 					t.Errorf("worker sent a register frame returned %v, want an unexpected-frame error", err)
 				}
-			case !errors.As(err, &ferr) || errors.Is(err, ErrProtocolMismatch) != c.mismatch:
-				t.Errorf("worker returned %v; want a *FrameError, protocol mismatch: %v", err, c.mismatch)
-			case name == "oversize frame later" && !errors.Is(err, ErrFrameTooLarge):
-				t.Errorf("worker returned %v, want it to wrap ErrFrameTooLarge", err)
+			case !errors.As(err, &ferr) || errors.Is(err, wire.ErrProtocolMismatch) != c.mismatch:
+				t.Errorf("worker returned %v; want a *wire.FrameError, protocol mismatch: %v", err, c.mismatch)
+			case name == "oversize frame later" && !errors.Is(err, wire.ErrFrameTooLarge):
+				t.Errorf("worker returned %v, want it to wrap wire.ErrFrameTooLarge", err)
 			}
 		})
 	}

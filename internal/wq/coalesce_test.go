@@ -14,6 +14,7 @@ import (
 
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
 // writeLog is a connection that records what every Write carried, so a test
@@ -241,7 +242,7 @@ func TestLeanResultSettlesLikeLegacy(t *testing.T) {
 		res.Type, res.TaskID = MsgResult, pw.take(1)[0].TaskID
 		pw.write(&res)
 	}
-	answer(Message{Status: StatusExhausted, Duration: 4, Exceeded: kindSetOf([]resources.Kind{resources.Memory})})
+	answer(Message{Status: StatusExhausted, Duration: 4, Exceeded: resources.KindSetOf([]resources.Kind{resources.Memory})})
 	answer(Message{Status: StatusSuccess, Duration: 10})
 	var attempts []metrics.Attempt
 	select {
@@ -276,7 +277,7 @@ func TestLeanResultSettlesLikeLegacy(t *testing.T) {
 // task requeues and completes elsewhere.
 func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 	if testing.Short() {
-		t.Skip("waits out writeTimeout")
+		t.Skip("waits out wire.WriteTimeout")
 	}
 	one := resources.New(1, 1000, 1000, resources.Unlimited)
 	m := NewManager(fixedPolicy{alloc: one})
@@ -301,15 +302,15 @@ func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 				t.Fatalf("healthy worker's connection closed waiting for %s", what)
 			}
 			return msg
-		case <-time.After(writeTimeout + 5*time.Second):
+		case <-time.After(wire.WriteTimeout + 5*time.Second):
 			t.Fatalf("timed out waiting for %s", what)
 			return Message{}
 		}
 	}
 	began := time.Now()
 	b := next("the dispatch staged behind the wedged write")
-	if waited := time.Since(began); waited > writeTimeout+2*time.Second {
-		t.Errorf("healthy worker waited %v for its dispatch, write deadline is %v", waited, writeTimeout)
+	if waited := time.Since(began); waited > wire.WriteTimeout+2*time.Second {
+		t.Errorf("healthy worker waited %v for its dispatch, write deadline is %v", waited, wire.WriteTimeout)
 	}
 	healthy.write(successes(b.TaskID)...)
 	if o := <-second; len(o.Attempts) != 1 || o.Attempts[0].Status != metrics.Success {

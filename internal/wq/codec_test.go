@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"testing/iotest"
 
 	"dynalloc/internal/resources"
+	"dynalloc/internal/wire"
 )
 
 // unhex decodes a hex dump; spaces and newlines are for the reader.
@@ -110,12 +110,12 @@ func TestAppendMessageNonFiniteFloat(t *testing.T) {
 		}
 		// The same values patched into otherwise valid frames.
 		frame := encodeFrames(t, &task)
-		for off := len(frame) - 8; off >= frameHeader+8+2+len(task.Category); off -= 8 {
+		for off := len(frame) - 8; off >= wire.Header+8+2+len(task.Category); off -= 8 {
 			bad := append([]byte(nil), frame...)
 			binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(v))
-			var ferr *FrameError
+			var ferr *wire.FrameError
 			if _, err := decodeAll(bad); !errors.As(err, &ferr) {
-				t.Errorf("task frame with %v at offset %d: %v, want a *FrameError", v, off, err)
+				t.Errorf("task frame with %v at offset %d: %v, want a *wire.FrameError", v, off, err)
 			}
 		}
 	}
@@ -142,7 +142,7 @@ func TestAppendMessageRefuses(t *testing.T) {
 	}
 }
 
-// TestDecodeMessageRejects: every frame here is malformed — a *FrameError,
+// TestDecodeMessageRejects: every frame here is malformed — a *wire.FrameError,
 // which the manager counts in Stats.DecodeErrors — and none is an I/O error.
 func TestDecodeMessageRejects(t *testing.T) {
 	f64 := strings.Repeat("00", 8)
@@ -156,8 +156,8 @@ func TestDecodeMessageRejects(t *testing.T) {
 		"ping with a payload":        {hex: "01000000 05 00"},
 		"register short":             {hex: "23000000 01 57510100" + vec[2:]},
 		"register long":              {hex: "25000000 01 57510100" + vec + "00"},
-		"register other magic":       {hex: "24000000 01 58510100" + vec, is: ErrProtocolMismatch},
-		"register version 2":         {hex: "24000000 01 57510200" + vec, is: ErrProtocolMismatch},
+		"register other magic":       {hex: "24000000 01 58510100" + vec, is: wire.ErrProtocolMismatch},
+		"register version 2":         {hex: "24000000 01 57510200" + vec, is: wire.ErrProtocolMismatch},
 		"register NaN capacity":      {hex: "24000000 01 57510100" + vec[16:] + "000000000000f87f"},
 		"task shorter than fixed":    {hex: "10000000 02" + f64 + f64},
 		"task category overruns":     {hex: "52000000 02" + f64 + "0100" + vec + vec + f64},
@@ -172,13 +172,13 @@ func TestDecodeMessageRejects(t *testing.T) {
 		"result exceeded bit 4":      {hex: "12000000 03" + f64 + "02 10" + f64},
 		"result ID past MaxInt":      {hex: "12000000 03 ffffffffffffffff 01 00" + f64},
 		"result -Inf duration":       {hex: "12000000 03" + f64 + "01 00 000000000000f0ff"},
-		"length prefix past the cap": {hex: "01001000 05", is: ErrFrameTooLarge},
-		"JSON":                       {hex: hex.EncodeToString([]byte(`{"type":"ping"}` + "\n")), is: ErrFrameTooLarge},
+		"length prefix past the cap": {hex: "01001000 05", is: wire.ErrFrameTooLarge},
+		"JSON":                       {hex: hex.EncodeToString([]byte(`{"type":"ping"}` + "\n")), is: wire.ErrFrameTooLarge},
 	} {
 		msgs, err := decodeAll(unhex(t, c.hex))
-		var ferr *FrameError
+		var ferr *wire.FrameError
 		if len(msgs) != 0 || !errors.As(err, &ferr) {
-			t.Errorf("%s: decoded %+v, error %v; want no frame and a *FrameError", name, msgs, err)
+			t.Errorf("%s: decoded %+v, error %v; want no frame and a *wire.FrameError", name, msgs, err)
 		} else if c.is != nil && !errors.Is(err, c.is) {
 			t.Errorf("%s: error %v does not wrap %v", name, err, c.is)
 		}
@@ -194,9 +194,9 @@ func TestDecodeMessageRejects(t *testing.T) {
 }
 
 // TestMsgReaderLargeFrame carries the largest legal frame — sixteen times the
-// standing buffer — through frameWriter and msgReader on one-byte and single
-// reads, with small frames around it, and checks that the reader gives the
-// outsized buffer back once the stream has drained out of it.
+// reader's standing buffer — through frameWriter and msgReader on one-byte and
+// single reads, with small frames around it. (How the buffer grows for it and
+// shrinks back is wire's TestReaderLargeFrameShrinksBack.)
 func TestMsgReaderLargeFrame(t *testing.T) {
 	big := strings.Repeat("x", maxCategory)
 	msgs := []Message{
@@ -205,8 +205,8 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 		{Type: MsgResult, TaskID: 1, Status: StatusSuccess, Duration: 5},
 		{Type: MsgPong},
 	}
-	var wire bytes.Buffer
-	fw := newFrameWriter(&wire)
+	var stream bytes.Buffer
+	fw := newFrameWriter(&stream)
 	for i := range msgs {
 		if err := fw.queue(&msgs[i]); err != nil {
 			t.Fatal(err)
@@ -216,12 +216,11 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]io.Reader{
-		"one-byte-reads": iotest.OneByteReader(bytes.NewReader(wire.Bytes())),
-		"single-read":    bytes.NewReader(wire.Bytes()),
+		"one-byte-reads": iotest.OneByteReader(bytes.NewReader(stream.Bytes())),
+		"single-read":    bytes.NewReader(stream.Bytes()),
 	} {
 		mr := newMsgReader(r)
 		var got Message
-		peak := 0
 		for i, want := range msgs {
 			if err := mr.next(&got); err != nil {
 				t.Fatalf("%s: frame %d: %v", name, i, err)
@@ -230,126 +229,15 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 				t.Fatalf("%s: frame %d mismatch (category len %d vs %d)",
 					name, i, len(got.Category), len(want.Category))
 			}
-			peak = max(peak, len(mr.fr.buf))
 		}
 		if err := mr.next(&got); err != io.EOF {
 			t.Fatalf("%s: expected EOF after last frame, got %v", name, err)
 		}
-		if want := frameHeader + taskFixed + maxCategory; peak != want {
-			t.Errorf("%s: buffer grew to %d bytes, want exactly the frame's %d", name, peak, want)
-		}
-		if len(mr.fr.buf) != readWindow {
-			t.Errorf("%s: buffer is %d bytes after the stream drained, want %d again", name, len(mr.fr.buf), readWindow)
-		}
 	}
-}
-
-// TestFrameReaderBound hits maxFrame from both sides at the framing layer: a
-// payload of exactly maxFrame bytes is a frame, one byte more is refused from
-// its header alone — buffered says so without waiting for a payload that will
-// never be read — and nothing near 1 MiB is allocated for it.
-func TestFrameReaderBound(t *testing.T) {
-	atLimit := make([]byte, frameHeader+maxFrame)
-	binary.LittleEndian.PutUint32(atLimit, maxFrame)
-	atLimit[4] = 0x2a
-	fr := newFrameReader(bytes.NewReader(atLimit))
-	typ, payload, err := fr.next()
-	if err != nil || typ != 0x2a || len(payload) != maxFrame {
-		t.Fatalf("frame at the limit: type %#x, %d bytes, %v", typ, len(payload), err)
-	}
-
-	over := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
-	fr = newFrameReader(bytes.NewReader(append(over, 0x2a)))
-	if fr.buffered() {
-		t.Error("buffered before anything was read")
-	}
-	_, _, err = fr.next()
-	var ferr *FrameError
-	if !errors.As(err, &ferr) || !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("frame over the limit: %v, want a *FrameError wrapping ErrFrameTooLarge", err)
-	}
-	if !fr.buffered() {
-		t.Error("buffered is false for a header next refuses without reading")
-	}
-	if len(fr.buf) != readWindow {
-		t.Errorf("buffer grew to %d bytes for a refused frame", len(fr.buf))
-	}
-}
-
-// chunkReader hands out its chunks one Read each and counts what it gave.
-type chunkReader struct {
-	chunks [][]byte
-	given  int
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	for len(c.chunks) > 0 && len(c.chunks[0]) == 0 {
-		c.chunks = c.chunks[1:]
-	}
-	if len(c.chunks) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.chunks[0])
-	c.chunks[0] = c.chunks[0][n:]
-	c.given += n
-	return n, nil
-}
-
-// TestFrameReaderSplitEveryBoundary feeds one multi-frame stream in two reads,
-// split at every byte, and byte by byte: the same frames come out, and
-// buffered is true exactly when the next whole frame has already been read
-// off the connection — the contract the manager's burst staging (kick and
-// flush only when about to block) rests on.
-func TestFrameReaderSplitEveryBoundary(t *testing.T) {
-	msgs := []Message{
-		{Type: MsgRegister, Capacity: resources.New(16, 64000, 64000, 3600)},
-		{Type: MsgResult, TaskID: 7, Status: StatusSuccess, Duration: 1.5},
-		{Type: MsgPong},
-		{Type: MsgTask, TaskID: 8, Category: "split", Alloc: resources.New(1, 2, 3, 4), Peak: resources.New(4, 3, 2, 1), Runtime: 9},
-		{Type: MsgResult, TaskID: 8, Status: StatusExhausted, Exceeded: allKinds, Duration: math.Copysign(0, -1)},
-		{Type: MsgPing},
-	}
-	var stream []byte
-	var ends []int // ends[i]: stream offset just past frame i
-	for i := range msgs {
-		stream = append(stream, encodeFrames(t, &msgs[i])...)
-		ends = append(ends, len(stream))
-	}
-	check := func(name string, src *chunkReader) {
-		mr := newMsgReader(src)
-		for i, want := range msgs {
-			if got, want := mr.buffered(), src.given >= ends[i]; got != want {
-				t.Fatalf("%s: before frame %d, %d bytes read: buffered = %v, want %v", name, i, src.given, got, want)
-			}
-			var got Message
-			if err := mr.next(&got); err != nil {
-				t.Fatalf("%s: frame %d: %v", name, i, err)
-			}
-			if got != want || math.Signbit(got.Duration) != math.Signbit(want.Duration) {
-				t.Fatalf("%s: frame %d = %+v, want %+v", name, i, got, want)
-			}
-		}
-		var m Message
-		if mr.buffered() {
-			t.Fatalf("%s: buffered after the last frame", name)
-		}
-		if err := mr.next(&m); err != io.EOF {
-			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
-		}
-	}
-	for cut := 0; cut <= len(stream); cut++ {
-		check(fmt.Sprint("split at byte ", cut), &chunkReader{chunks: [][]byte{stream[:cut], stream[cut:]}})
-	}
-	single := make([][]byte, len(stream))
-	for i := range stream {
-		single[i] = stream[i : i+1]
-	}
-	check("byte by byte", &chunkReader{chunks: single})
 }
 
 // TestDecodeAllocatesNothing: category names are interned, so a connection's
-// steady-state decode is allocation-free; the table stops growing at
-// maxInterned names and never takes a long one.
+// steady-state decode is allocation-free.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	frames := encodeFrames(t,
 		&Message{Type: MsgTask, TaskID: 1, Category: "fit", Alloc: resources.New(1, 2, 3, 4), Runtime: 1},
@@ -370,13 +258,6 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("steady-state decode of three frames allocates %v times", n)
 	}
-	for i := 0; i < 2*maxInterned; i++ {
-		mr.intern([]byte{'c', byte('0' + i/64), byte('0' + i%64)})
-	}
-	mr.intern(bytes.Repeat([]byte("x"), maxInternedLen+1))
-	if len(mr.categories) != maxInterned {
-		t.Errorf("intern table holds %d names, want the bound %d", len(mr.categories), maxInterned)
-	}
 }
 
 // fuzzMessage builds a message of the type typ selects out of the fuzzer's
@@ -390,7 +271,7 @@ func fuzzMessage(typ uint8, id uint64, category string, status, mask uint8, a, b
 		m.TaskID, m.Category = int(id), category
 		m.Alloc, m.Peak, m.Runtime = resources.Vector{a, b, c, d}, resources.Vector{d, c, -b, -a}, c
 	case MsgResult:
-		m.TaskID, m.Status, m.Exceeded, m.Duration = int(id), Status(status), KindSet(mask), a
+		m.TaskID, m.Status, m.Exceeded, m.Duration = int(id), Status(status), resources.KindSet(mask), a
 	}
 	return m
 }
@@ -409,7 +290,7 @@ func FuzzWQMessageCodec(f *testing.F) {
 	f.Add(uint8(1), uint64(1), strings.Repeat("x", maxCategory+1), uint8(0), uint8(0), 1.0, 1.0, 1.0, 1.0)
 	f.Add(uint8(1), uint64(12), "nan", uint8(0), uint8(0), 1.0, math.NaN(), 0.0, 99.0)
 	f.Add(uint8(2), uint64(9), "", uint8(StatusSuccess), uint8(0), 2.5, 0.0, 0.0, 0.0)
-	for mask := uint8(0); mask <= uint8(allKinds)+1; mask++ { // every set of kinds, and one bit too many
+	for mask := uint8(0); mask <= uint8(resources.AllKinds)+1; mask++ { // every set of kinds, and one bit too many
 		f.Add(uint8(2), uint64(9), "", uint8(StatusExhausted), mask, math.Copysign(0, -1), 0.0, 0.0, 0.0)
 	}
 	f.Add(uint8(2), uint64(9), "", uint8(3), uint8(0), 1.0, 0.0, 0.0, 0.0)
@@ -425,34 +306,34 @@ func FuzzWQMessageCodec(f *testing.F) {
 		case MsgTask:
 			sendable = sendable && msg.TaskID >= 0 && validCategory(category)
 		case MsgResult:
-			sendable = sendable && msg.TaskID >= 0 && (status == 1 || status == 2) && KindSet(mask)&^allKinds == 0
+			sendable = sendable && msg.TaskID >= 0 && (status == 1 || status == 2) && resources.KindSet(mask)&^resources.AllKinds == 0
 		}
-		wire, err := appendMessage(nil, &msg)
+		frame, err := appendMessage(nil, &msg)
 		if (err == nil) != sendable {
 			t.Fatalf("message %+v: sendable %v, but encoding says %v", msg, sendable, err)
 		}
 		if err != nil {
 			return
 		}
-		if n := binary.LittleEndian.Uint32(wire); int(n) != len(wire)-frameHeader || n > maxFrame {
-			t.Fatalf("length prefix %d on a %d-byte frame", n, len(wire))
+		if n := binary.LittleEndian.Uint32(frame); int(n) != len(frame)-wire.Header || n > wire.MaxFrame {
+			t.Fatalf("length prefix %d on a %d-byte frame", n, len(frame))
 		}
 		// Through one reader twice: its scratch must not leak between frames.
-		msgs, err := decodeAll(append(wire, wire...))
+		msgs, err := decodeAll(append(frame, frame...))
 		if err != io.EOF || len(msgs) != 2 || msgs[0] != msgs[1] {
-			t.Fatalf("decoding %x twice: %+v, %v", wire, msgs, err)
+			t.Fatalf("decoding %x twice: %+v, %v", frame, msgs, err)
 		}
 		// Struct equality calls -0 and 0 the same; the bytes do not.
 		again, err := appendMessage(nil, &msgs[0])
-		if err != nil || msgs[0] != msg || !bytes.Equal(again, wire) {
-			t.Fatalf("round trip of %+v:\n got %+v (%v)\n %x\n %x", msg, msgs[0], err, wire, again)
+		if err != nil || msgs[0] != msg || !bytes.Equal(again, frame) {
+			t.Fatalf("round trip of %+v:\n got %+v (%v)\n %x\n %x", msg, msgs[0], err, frame, again)
 		}
 	})
 }
 
 // FuzzWQMessageDecode feeds arbitrary bytes to a reader: it never panics or
 // reads past a frame, every frame it accepts re-encodes to exactly the bytes
-// it came from, and the stream ends in EOF, a truncation, or a *FrameError.
+// it came from, and the stream ends in EOF, a truncation, or a *wire.FrameError.
 func FuzzWQMessageDecode(f *testing.F) {
 	valid := encodeFrames(f,
 		&Message{Type: MsgRegister, Capacity: resources.PaperWorker()},
@@ -474,7 +355,7 @@ func FuzzWQMessageDecode(f *testing.F) {
 			var m Message
 			err := mr.next(&m)
 			if err != nil {
-				var ferr *FrameError
+				var ferr *wire.FrameError
 				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &ferr) {
 					t.Fatalf("stream ended in %v", err)
 				}

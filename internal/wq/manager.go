@@ -16,6 +16,7 @@ import (
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sched"
 	"dynalloc/internal/sim"
+	"dynalloc/internal/wire"
 	"dynalloc/internal/workflow"
 )
 
@@ -103,7 +104,7 @@ type managedWorker struct {
 	*sched.Worker
 	stats *WorkerStats
 	conn  net.Conn
-	out   *frameWriter
+	out   frameWriter
 	// lastSeen is the UnixNano of the last socket read that brought a frame
 	// from this worker. Atomic so the reader goroutine refreshes it without
 	// touching any lock.
@@ -235,10 +236,10 @@ func (m *Manager) serveWorker(conn net.Conn) {
 	var reg Message
 	err := mr.next(&reg)
 	if err == nil && reg.Type != MsgRegister {
-		err = malformed("connection opened with a type %d frame", reg.Type)
+		err = wire.Malformed("connection opened with a type %d frame", reg.Type)
 	}
 	if err != nil {
-		m.noteDecodeError(-1, asMismatch(err))
+		m.noteDecodeError(-1, wire.AsMismatch(err))
 		return
 	}
 	capacity := reg.Capacity
@@ -284,7 +285,7 @@ func (m *Manager) serveWorker(conn net.Conn) {
 // stats and the trace before the connection is dropped; transport errors
 // (including clean EOFs) pass through silently.
 func (m *Manager) noteDecodeError(workerID int, err error) {
-	var ferr *FrameError
+	var ferr *wire.FrameError
 	if !errors.As(err, &ferr) {
 		return
 	}
@@ -536,7 +537,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 	case owed:
 		prev := t.Alloc
 		m.mu.Unlock()
-		next := m.policy.Retry(t.Category, t.ID, prev, res.Exceeded.Kinds())
+		next := m.policy.Retry(t.Category, t.ID, prev, res.Exceeded.AppendKinds(nil))
 		m.mu.Lock()
 		if m.sched.Retried(res.TaskID, next) {
 			m.notePeakQueueLocked()
@@ -633,7 +634,7 @@ func (m *Manager) deliver(batch []pendingSend) {
 	touched := touchedArr[:0]
 	for i := range batch {
 		s := &batch[i]
-		if s.w.out == nil {
+		if s.w.out.Writer == nil {
 			continue
 		}
 		if err := s.w.out.queue(&s.msg); err != nil {

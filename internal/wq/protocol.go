@@ -15,8 +15,9 @@
 // dispatch-time allocation, failure/retry round trips, and concurrent
 // workers.
 //
-// The wire protocol is length-prefixed binary frames of fixed layout (see
-// codec.go); both ends ship from this tree and speak exactly one version.
+// The wire protocol is internal/wire's length-prefixed binary frames with
+// the fixed payload layout of codec.go; both ends ship from this tree and
+// speak exactly one version.
 package wq
 
 import "dynalloc/internal/resources"
@@ -39,7 +40,7 @@ type Message struct {
 	// result (worker -> manager): TaskID, and
 	Status   Status
 	Duration float64
-	Exceeded KindSet
+	Exceeded resources.KindSet
 
 	// shutdown (manager -> worker)
 
@@ -79,30 +80,4 @@ func (s Status) String() string {
 		return "success"
 	}
 	return "exhausted"
-}
-
-// KindSet is a set of resource kinds, bit k standing for resources.Kind(k):
-// the kinds an exhausted attempt was caught over-consuming.
-type KindSet uint8
-
-// allKinds is the set of every resource kind; a bit outside it names none.
-const allKinds KindSet = 1<<resources.NumKinds - 1
-
-func kindSetOf(kinds []resources.Kind) KindSet {
-	var s KindSet
-	for _, k := range kinds {
-		s |= 1 << k
-	}
-	return s
-}
-
-// Kinds lists the set in canonical order, nil when it is empty.
-func (s KindSet) Kinds() []resources.Kind {
-	var out []resources.Kind
-	for k := resources.Kind(0); k < resources.NumKinds; k++ {
-		if s&(1<<k) != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
 }

@@ -95,7 +95,7 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	// an attempt, must not reach policy.Retry, and must not requeue the task.
 	m.handleResult(slow, Message{
 		Type: MsgResult, TaskID: id, Status: StatusExhausted,
-		Duration: 5, Exceeded: kindSetOf([]resources.Kind{resources.Memory}),
+		Duration: 5, Exceeded: resources.KindSetOf([]resources.Kind{resources.Memory}),
 	})
 	if got := len(st.Outcome.Attempts); got != 1 {
 		t.Fatalf("stale exhausted result appended a phantom attempt: %+v", st.Outcome.Attempts)

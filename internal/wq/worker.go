@@ -11,6 +11,7 @@ import (
 
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sim"
+	"dynalloc/internal/wire"
 )
 
 // WorkerConfig configures a worker process.
@@ -38,7 +39,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // RunWorker connects to the manager at addr, registers, and executes tasks
 // until the manager shuts it down, the connection drops, or ctx is
 // cancelled. A manager whose first bytes are not a frame of this protocol
-// gets ErrProtocolMismatch. Tasks run concurrently; the manager is
+// gets wire.ErrProtocolMismatch. Tasks run concurrently; the manager is
 // responsible for not over-committing the advertised capacity (as in Work
 // Queue).
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
@@ -59,7 +60,7 @@ type workerConn struct {
 	ctx    context.Context
 	cfg    WorkerConfig
 	conn   net.Conn
-	out    *frameWriter
+	out    frameWriter
 	taskCh chan Message
 	wg     sync.WaitGroup
 }
@@ -92,9 +93,9 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 				return nil
 			}
 			if first {
-				err = asMismatch(err)
+				err = wire.AsMismatch(err)
 			}
-			var ferr *FrameError
+			var ferr *wire.FrameError
 			if errors.As(err, &ferr) {
 				return fmt.Errorf("wq: worker decoding frame: %w", err)
 			}
@@ -157,7 +158,7 @@ func executeTask(ctx context.Context, cfg WorkerConfig, m Message) Message {
 		TaskID:   m.TaskID,
 		Duration: duration,
 		Status:   StatusSuccess,
-		Exceeded: kindSetOf(exceeded),
+		Exceeded: resources.KindSetOf(exceeded),
 	}
 	if out.Exceeded != 0 {
 		out.Status = StatusExhausted

@@ -44,7 +44,7 @@ func TestExecuteTaskSuccess(t *testing.T) {
 		t.Errorf("duration = %v, want the runtime", res.Duration)
 	}
 	if res.Exceeded != 0 {
-		t.Errorf("exceeded = %v", res.Exceeded.Kinds())
+		t.Errorf("exceeded = %v", res.Exceeded.AppendKinds(nil))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestExecuteTaskExhaustion(t *testing.T) {
 		t.Errorf("kill time = %v, want 50 (linear ramp crosses at a/c)", res.Duration)
 	}
 	if res.Exceeded != 1<<resources.Memory {
-		t.Errorf("exceeded = %v, want [memory]", res.Exceeded.Kinds())
+		t.Errorf("exceeded = %v, want [memory]", res.Exceeded.AppendKinds(nil))
 	}
 }
 
