@@ -11,11 +11,12 @@ BENCH_PATTERN = 'BenchmarkSim|BenchmarkDevent|BenchmarkRunGrid'
 BENCH_ALLOC_PKGS = ./internal/core ./internal/allocator ./internal/sim
 BENCH_ALLOC_PATTERN = 'BenchmarkCore|BenchmarkAlloc|BenchmarkSimPaperPool1k'
 
-# The streaming macro-scenarios: million-task Source-driven runs and the
-# scheduler core's capacity-index placement probes. Merged into BENCH_sim.json
-# rather than rewriting it, since the full Stream1M run takes about a minute.
+# The streaming macro-scenarios: million-task Source-driven runs, the
+# scheduler core's capacity-index placement probes and its dispatch pass over a
+# deep queue. Merged into BENCH_sim.json rather than rewriting it, since the
+# full Stream1M run takes about a minute.
 BENCH_STREAM_PKGS = ./internal/sim ./internal/sched
-BENCH_STREAM_PATTERN = 'BenchmarkStream|BenchmarkPlacementIndex'
+BENCH_STREAM_PATTERN = 'BenchmarkStream|BenchmarkPlacementIndex|BenchmarkDispatchDeepQueue'
 
 # The allocator-service throughput scenarios (sustained allocs/sec across
 # concurrent tenants over real TCP connections); these feed BENCH_serve.json.
@@ -51,11 +52,12 @@ WQ_MAX_ALLOCS = 8
 WQ_BURST = BenchmarkWQGreedyBurst
 WQ_BURST_MAX_ALLOCS = 16
 
-# The wire fuzz targets of both protocols, as package:target, each run for
-# FUZZ_TIME by fuzz-smoke. New inputs go to the go command's own cache, not
+# The wire fuzz targets of both protocols and the scheduler core's
+# early-ending dispatch pass against a full walk, as package:target, each run
+# for FUZZ_TIME by fuzz-smoke. New inputs go to the go command's own cache, not
 # the tree; the minimizer's default budget (60s an input) would eat a run this
 # short on the 64 KiB-string seeds.
-FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode
+FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode sched:FuzzDispatchMatchesFullScan
 FUZZ_TIME = 5s
 
 # The *-smoke targets gate (the suites run, their output parses, the
@@ -142,7 +144,7 @@ bench-stream:
 # contract cannot regress silently. (The capacity index's query correctness
 # runs under -race via the sched package in the race target.)
 bench-stream-smoke:
-	$(SMOKE_OUT) $(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -max-allocs $(STREAM_MAX_ALLOCS) -out "$$tmp"
+	$(SMOKE_OUT) $(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex|BenchmarkDispatchDeepQueue' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -max-allocs $(STREAM_MAX_ALLOCS) -out "$$tmp"
 
 # Full service benchmark: sustained allocation throughput against a live
 # server at 1, 8, and 16 concurrent tenants; records BENCH_serve.json.
@@ -170,7 +172,7 @@ wq-bench-smoke:
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -skip $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
 	$(SMOKE_OUT) $(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(WQ_BURST) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -max-allocs $(WQ_BURST_MAX_ALLOCS) -out "$$tmp"
 
-# Each wire fuzz target for a few seconds beyond its committed seeds:
+# Each fuzz target for a few seconds beyond its committed seeds:
 # offline, nothing downloaded, nothing written to the tree.
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

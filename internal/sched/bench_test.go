@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"dynalloc/internal/allocator"
 	"dynalloc/internal/dist"
 	"dynalloc/internal/resources"
 )
@@ -49,4 +50,90 @@ func BenchmarkPlacementIndex100k(b *testing.B) {
 	b.Run("first-fit", probe(ci.firstFit))
 	b.Run("worst-fit", probe(ci.worstFit))
 	b.Run("best-fit", probe(ci.bestFit))
+}
+
+// oneCore is a stable policy that gives every task one core.
+type oneCore struct{ allocator.Policy }
+
+func (oneCore) Allocate(string, int) resources.Vector {
+	return resources.New(1, 100, 100, resources.Unlimited)
+}
+
+func (p oneCore) AllocateStable(cat string, id int) (resources.Vector, bool) {
+	return p.Allocate(cat, id), true
+}
+
+// deepQueue is wq-maxseen-deepq-churn's steady state in miniature: one
+// 16-core worker kept full and 256 first attempts of one stable category
+// queued behind it. Each step ends the oldest attempt, which frees one slot,
+// resubmits its task as a fresh first attempt at the back, and runs a pass.
+type deepQueue struct {
+	c       *Core
+	w       *Worker
+	policy  allocator.Policy
+	tasks   []Task
+	running Queue // keys on the worker, oldest first
+	scanned int   // queued keys the passes resolved
+}
+
+func newDeepQueue() *deepQueue {
+	const slots, queued = 16, 256
+	d := &deepQueue{policy: oneCore{}, tasks: make([]Task, slots+queued)}
+	d.c = New(FirstFit, 0, Driver{
+		Lookup: func(key int) *Task {
+			d.scanned++
+			return &d.tasks[key]
+		},
+		Start: func(key int, _ *Task, _ *Worker) { d.running.PushBack(key) },
+	})
+	d.w = d.c.Add(0, resources.New(slots, 1e6, 1e6, resources.Unlimited))
+	for key := range d.tasks {
+		d.tasks[key] = Task{ID: key, Category: "deep"}
+		d.c.Submit(key, &d.tasks[key])
+	}
+	d.c.Dispatch(d.policy)
+	return d
+}
+
+func (d *deepQueue) step() {
+	key := d.running.At(0)
+	d.running.Cut(0, 1)
+	d.c.Release(d.w, key)
+	d.tasks[key] = Task{ID: key, Category: "deep"}
+	d.c.Submit(key, &d.tasks[key])
+	d.c.Dispatch(d.policy)
+}
+
+// BenchmarkDispatchDeepQueue measures one dispatch pass over a deep queue of
+// one stable category with one slot free. scanned/pass is how many queued
+// keys a pass resolves: it places the head and stops at the next entry's
+// miss, so it reads 2 (held + placed + categories, with nothing held) however
+// deep the queue.
+func BenchmarkDispatchDeepQueue(b *testing.B) {
+	d := newDeepQueue()
+	d.scanned = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.step()
+	}
+	b.ReportMetric(float64(d.scanned)/float64(b.N), "scanned/pass")
+}
+
+// TestDispatchDeepQueueSteadyState pins what BenchmarkDispatchDeepQueue
+// measures: each pass places exactly the freed slot's worth, resolves two
+// queued keys, leaves the queue as deep as it found it, and allocates nothing.
+func TestDispatchDeepQueueSteadyState(t *testing.T) {
+	d := newDeepQueue()
+	d.scanned = 0
+	allocs := testing.AllocsPerRun(100, d.step)
+	if allocs != 0 {
+		t.Errorf("a steady-state pass allocates %v times, want 0", allocs)
+	}
+	if passes := 101; d.scanned != 2*passes { // AllocsPerRun warms up once
+		t.Errorf("%d passes resolved %d queued keys, want 2 each", passes, d.scanned)
+	}
+	if d.c.Ready.Len() != 256 || d.c.InFlight() != 16 {
+		t.Errorf("after the passes: %d queued, %d in flight; want 256, 16", d.c.Ready.Len(), d.c.InFlight())
+	}
 }

@@ -1,0 +1,249 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+
+	"dynalloc/internal/allocator"
+	"dynalloc/internal/resources"
+)
+
+// fullScanDispatch is the dispatch pass without its early end: it walks the
+// ready queue to the end or the miss bound and slides the unscanned tail down
+// entry by entry. FuzzDispatchMatchesFullScan holds Core.Dispatch to it.
+func fullScanDispatch(c *Core, policy allocator.Policy) {
+	n := c.Ready.Len()
+	kept, scanned, misses := 0, 0, 0
+	c.firsts.begin(policy)
+	for ; scanned < n; scanned++ {
+		if c.maxMisses > 0 && misses >= c.maxMisses {
+			break
+		}
+		key := c.Ready.At(scanned)
+		t := c.driver.Lookup(key)
+		alloc, ok := t.Alloc, true
+		if !t.HasAlloc {
+			alloc, ok = c.firsts.allocate(t.Category, t.ID)
+		}
+		var w *Worker
+		if ok {
+			w = c.Pick(c.place, alloc, t.ID, c.driver.Score)
+		}
+		if w == nil {
+			if ok && !t.HasAlloc {
+				c.firsts.missed(t.Category)
+			}
+			c.Ready.Set(kept, key)
+			kept++
+			misses++
+			continue
+		}
+		t.Alloc, t.HasAlloc = alloc, true
+		c.Place(w, key, alloc)
+		c.driver.Start(key, t, w)
+		misses = 0
+	}
+	for ; scanned < n; scanned++ {
+		c.Ready.Set(kept, c.Ready.At(scanned))
+		kept++
+	}
+	c.Ready.Cut(kept, n)
+}
+
+// fuzzPolicy serves categories a and b a stable vector that moves with every
+// Observe of the category, and draws c's from a deterministic stream; Allocate
+// (what a pass calls when the capability is hidden) draws every category from
+// that stream, like a sampling allocator. Every call is logged.
+type fuzzPolicy struct {
+	gen   map[string]int
+	draws int
+	log   []string
+}
+
+func (p *fuzzPolicy) draw(id int) resources.Vector {
+	p.draws++
+	return resources.New(float64(1+(7*p.draws+id)%12), 100, 100, resources.Unlimited)
+}
+
+func (p *fuzzPolicy) Allocate(cat string, id int) resources.Vector {
+	p.log = append(p.log, "allocate:"+cat)
+	return p.draw(id)
+}
+
+func (p *fuzzPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
+	p.log = append(p.log, "stable:"+cat)
+	if cat == "c" {
+		return p.draw(id), false
+	}
+	base := map[string]int{"a": 1, "b": 5}[cat]
+	return resources.New(float64(base+3*(p.gen[cat]%3)), 100, 100, resources.Unlimited), true
+}
+
+func (p *fuzzPolicy) Retry(cat string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {
+	p.log = append(p.log, "retry:"+cat)
+	return prev.With(resources.Cores, 2*prev.Get(resources.Cores))
+}
+
+func (p *fuzzPolicy) Observe(cat string, _ int, _ resources.Vector, _ float64) {
+	p.log = append(p.log, "observe:"+cat)
+	p.gen[cat]++
+}
+
+func (p *fuzzPolicy) Name() string { return "fuzz" }
+
+// fuzzWorld is one core and the driver around it, fed one op at a time.
+type fuzzWorld struct {
+	c          *Core
+	pol        *fuzzPolicy
+	policy     allocator.Policy // pol, or pol with its capability hidden
+	tasks      map[int]*Task
+	dispatches map[int]int
+	owner      map[int]*Worker
+	running    []int // keys on workers, in start order
+	escalating []int // keys owed a Retried, in settle order
+	started    [][2]int
+	nextKey    int
+	nextWorker int
+}
+
+func newFuzzWorld(maxMisses int, sampling bool) *fuzzWorld {
+	w := &fuzzWorld{
+		pol:        &fuzzPolicy{gen: map[string]int{}},
+		tasks:      map[int]*Task{},
+		dispatches: map[int]int{},
+		owner:      map[int]*Worker{},
+	}
+	w.policy = w.pol
+	if sampling {
+		w.policy = plainPolicy{w.pol}
+	}
+	w.c = New(FirstFit, maxMisses, Driver{
+		Lookup: func(key int) *Task {
+			if t := w.tasks[key]; t != nil && !t.Terminal() {
+				return t
+			}
+			return nil
+		},
+		Start: func(key int, _ *Task, worker *Worker) {
+			w.dispatches[key]++
+			w.owner[key] = worker
+			w.running = append(w.running, key)
+			w.started = append(w.started, [2]int{key, worker.ID()})
+		},
+	})
+	w.c.RetryLimit = 2
+	return w
+}
+
+func without(keys []int, key int) []int {
+	for i, k := range keys {
+		if k == key {
+			return append(keys[:i], keys[i+1:]...)
+		}
+	}
+	return keys
+}
+
+// step applies op, with arg choosing among the candidates, and reports
+// whether it was a dispatch pass (run by pass).
+func (w *fuzzWorld) step(op, arg byte, pass func(*Core, allocator.Policy)) bool {
+	switch op % 6 {
+	case 0: // submit a first attempt of a, b or c
+		w.nextKey++
+		t := NewTask(w.nextKey, string(rune('a'+arg%3)), resources.Vector{}, 1, 0)
+		w.tasks[w.nextKey] = &t
+		w.c.Submit(w.nextKey, &t)
+	case 1: // a worker joins: 4 or 16 cores
+		w.c.Add(w.nextWorker, resources.New(float64(4+12*(arg%2)), 1e6, 1e6, resources.Unlimited))
+		w.nextWorker++
+	case 2: // the arg-th alive worker is evicted
+		alive := 0
+		for v := w.c.First(); v != nil; v = v.Next() {
+			alive++
+		}
+		if alive == 0 {
+			return false
+		}
+		v := w.c.First()
+		for i := 0; i < int(arg)%alive; i++ {
+			v = v.Next()
+		}
+		for _, key := range w.c.Evicted(v, 0, nil) {
+			w.running = without(w.running, key)
+		}
+	case 3: // a running attempt ends: success, or an overrun owing a retry
+		if len(w.running) == 0 {
+			return false
+		}
+		key := w.running[int(arg>>1)%len(w.running)]
+		w.running = without(w.running, key)
+		t, owed := w.c.Settle(w.owner[key], key, 1, arg&1 == 1)
+		switch {
+		case arg&1 == 1 && owed:
+			w.escalating = append(w.escalating, key)
+		case owed:
+			w.pol.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
+		}
+	case 4: // the policy answers an owed retry with a doubled vector
+		if len(w.escalating) == 0 {
+			return false
+		}
+		key := w.escalating[int(arg)%len(w.escalating)]
+		w.escalating = without(w.escalating, key)
+		t := w.tasks[key]
+		w.c.Retried(key, w.pol.Retry(t.Category, t.ID, t.Alloc, nil))
+	case 5:
+		w.started = w.started[:0]
+		pass(w.c, w.policy)
+		return true
+	}
+	return false
+}
+
+// FuzzDispatchMatchesFullScan drives two cores through the same byte-coded
+// stream of submits, joins, evictions, settles, retries and passes — one
+// dispatching with Core.Dispatch, one with fullScanDispatch — under a stable
+// and a sampling policy, each with and without a miss bound. After every pass
+// the started (key, worker) pairs, the ready queue in order and the policy-call
+// log must be identical, and the early-ending core must satisfy
+// checkInvariants.
+func FuzzDispatchMatchesFullScan(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x05\x00\x03\x00\x05\x00",
+		"\x00\x00\x00\x01\x00\x02\x01\x01\x05\x00\x03\x01\x04\x00\x05\x00\x02\x00\x05\x00",
+		"\x00\x00\x00\x01\x00\x00\x00\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00\x07\x01\x00\x05\x00\x00\x00\x05\x00",
+		"\x01\x00\x00\x01\x00\x00\x00\x00\x05\x00\x03\x03\x03\x02\x04\x00\x04\x00\x00\x01\x05\x00\x02\x00\x05\x00\x01\x01\x05\x00",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		for _, sampling := range []bool{false, true} {
+			for _, maxMisses := range []int{0, 3} {
+				got, want := newFuzzWorld(maxMisses, sampling), newFuzzWorld(maxMisses, sampling)
+				for i := 0; i+1 < len(ops); i += 2 {
+					passed := got.step(ops[i], ops[i+1], (*Core).Dispatch)
+					want.step(ops[i], ops[i+1], fullScanDispatch)
+					if err := checkInvariants(got.c, got.tasks, got.dispatches); err != nil {
+						t.Fatalf("sampling %v, maxMisses %d, op %d: %v", sampling, maxMisses, i/2, err)
+					}
+					if !passed {
+						continue
+					}
+					for _, cmp := range [][2]string{
+						{fmt.Sprint(got.started), fmt.Sprint(want.started)},
+						{fmt.Sprint(queueContents(&got.c.Ready)), fmt.Sprint(queueContents(&want.c.Ready))},
+						{fmt.Sprint(got.pol.log), fmt.Sprint(want.pol.log)},
+					} {
+						if cmp[0] != cmp[1] {
+							t.Fatalf("sampling %v, maxMisses %d, pass at op %d: early end %s, full scan %s",
+								sampling, maxMisses, i/2, cmp[0], cmp[1])
+						}
+					}
+				}
+			}
+		}
+	})
+}

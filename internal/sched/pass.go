@@ -47,8 +47,10 @@ func NewTask(id int, category string, peak resources.Vector, runtime, now float6
 
 // Driver is how a pass reaches the engine that owns the tasks.
 type Driver struct {
-	// Lookup resolves a key to its live task; nil (terminal or unknown)
-	// drops a queued key from the queue.
+	// Lookup resolves a key to its live task, nil when it is terminal or
+	// unknown. A key the core holds, queued or on a worker, always resolves:
+	// a task goes terminal only from a running attempt, so Dispatch panics on
+	// a queued key that does not.
 	Lookup func(key int) *Task
 	// Start runs after t has been charged to w: the driver starts the
 	// attempt. It must not touch the ready queue.
@@ -62,7 +64,9 @@ type Driver struct {
 type Core struct {
 	Pool
 	// Ready holds the keys of tasks awaiting placement, in dispatch priority
-	// order: retries and eviction victims at the front.
+	// order, as two blocks: the entries that hold an allocation (retries and
+	// eviction victims, pushed at the front by Retried and Evicted), then the
+	// first attempts (pushed at the back by Submit). Drivers only read it.
 	Ready Queue
 	// RetryLimit is the retry limit (Task.Exhausted) of every task this core
 	// settles; zero retries without bound.
@@ -72,7 +76,9 @@ type Core struct {
 	maxMisses int
 	driver    Driver
 	firsts    passMemo
-	requeue   []int // Evicted's scratch: the survivors of one eviction
+	held      int         // entries of Ready that hold an allocation: its front block
+	queued    firstCounts // the first attempts in Ready, per category
+	requeue   []int       // Evicted's scratch: the survivors of one eviction
 }
 
 // New builds a scheduler core. maxMisses bounds the backfilling depth of a
@@ -80,6 +86,16 @@ type Core struct {
 // waits for the next pass; zero scans the whole queue every time.
 func New(place Placement, maxMisses int, d Driver) *Core {
 	return &Core{place: place, maxMisses: maxMisses, driver: d}
+}
+
+// Submit queues key's first attempt behind everything waiting; t is the task
+// key resolves to, and holds no allocation yet.
+func (c *Core) Submit(key int, t *Task) {
+	if t.HasAlloc {
+		panic("sched: Submit of a task that holds an allocation")
+	}
+	c.queued.add(t.Category)
+	c.Ready.PushBack(key)
 }
 
 // Dispatch runs one pass: it walks the ready queue in order, placing every
@@ -90,20 +106,26 @@ func New(place Placement, maxMisses int, d Driver) *Core {
 // policy call or a probe: capacity only shrinks within a pass and Pick returns
 // a worker iff one fits. A sampled category draws afresh for every first
 // attempt on every pass.
+//
+// The pass ends as soon as nothing unscanned can place: every held entry has
+// been scanned (they lead the queue) and every category with a first attempt
+// queued has missed. What it leaves unscanned would all have been such misses,
+// so the early end changes no placement, policy call or queue order.
 func (c *Core) Dispatch(policy allocator.Policy) {
 	// The scan compacts the ring in place: unplaced keys slide down to
 	// position `kept` as the read cursor advances, preserving queue order.
-	n := c.Ready.Len()
+	n, held := c.Ready.Len(), c.held
 	kept, scanned, misses := 0, 0, 0
 	c.firsts.begin(policy)
 	for ; scanned < n; scanned++ {
-		if c.maxMisses > 0 && misses >= c.maxMisses {
+		if c.maxMisses > 0 && misses >= c.maxMisses ||
+			scanned >= held && c.queued.overflow == 0 && c.firsts.misses == c.queued.live {
 			break
 		}
 		key := c.Ready.At(scanned)
 		t := c.driver.Lookup(key)
 		if t == nil {
-			continue
+			panic("sched: a queued key has no live task")
 		}
 		alloc, ok := t.Alloc, true
 		if !t.HasAlloc {
@@ -122,18 +144,17 @@ func (c *Core) Dispatch(policy allocator.Policy) {
 			misses++
 			continue
 		}
+		if t.HasAlloc {
+			c.held--
+		} else {
+			c.queued.remove(t.Category)
+		}
 		t.Alloc, t.HasAlloc = alloc, true
 		c.Place(w, key, alloc)
 		c.driver.Start(key, t, w)
 		misses = 0
 	}
-	// Slide any unscanned tail (miss-bound bailout) down behind the kept
-	// prefix, keeping the original relative order.
-	for ; scanned < n; scanned++ {
-		c.Ready.Set(kept, c.Ready.At(scanned))
-		kept++
-	}
-	c.Ready.Truncate(kept)
+	c.Ready.Cut(kept, scanned)
 }
 
 // passMemo serves the first-attempt allocations of one dispatch pass. A pass
@@ -146,9 +167,13 @@ func (c *Core) Dispatch(policy allocator.Policy) {
 type passMemo struct {
 	policy  allocator.Policy
 	stable  allocator.StablePolicy // nil when policy lacks the capability
-	entries [8]passEntry
+	entries [memoSize]passEntry
 	n       int // entries in use
+	misses  int // entries marked missed
 }
+
+// memoSize is how many categories a pass memoises and firstCounts tracks.
+const memoSize = 8
 
 type passEntry struct {
 	category string
@@ -160,7 +185,7 @@ type passEntry struct {
 func (m *passMemo) begin(p allocator.Policy) {
 	m.policy = p
 	m.stable, _ = p.(allocator.StablePolicy)
-	m.n = 0
+	m.n, m.misses = 0, 0
 }
 
 func (m *passMemo) find(category string) *passEntry {
@@ -193,7 +218,52 @@ func (m *passMemo) allocate(category string, taskID int) (alloc resources.Vector
 // missed records that the vector allocate returned for category fit no
 // worker; it does nothing for a category that is not stable.
 func (m *passMemo) missed(category string) {
-	if e := m.find(category); e != nil {
+	if e := m.find(category); e != nil && !e.missed {
 		e.missed = true
+		m.misses++
 	}
+}
+
+// firstCounts counts the queued first attempts per category in a table the
+// size of the memo. A category that finds the table full is counted in
+// overflow, which turns the pass's early end off until it drains. With no
+// overflow, a missed memo entry is a live slot (its miss is still queued), so
+// the pass has seen every queued category miss exactly when the memo's misses
+// equal live.
+type firstCounts struct {
+	cats     [memoSize]string
+	n        [memoSize]int
+	live     int // slots with n > 0; one per category at most
+	overflow int
+}
+
+func (f *firstCounts) add(category string) {
+	free := -1
+	for i := range f.cats {
+		if f.n[i] > 0 && f.cats[i] == category {
+			f.n[i]++
+			return
+		}
+		if f.n[i] == 0 && free < 0 {
+			free = i
+		}
+	}
+	if free < 0 {
+		f.overflow++
+		return
+	}
+	f.cats[free], f.n[free] = category, 1
+	f.live++
+}
+
+func (f *firstCounts) remove(category string) {
+	for i := range f.cats {
+		if f.n[i] > 0 && f.cats[i] == category {
+			if f.n[i]--; f.n[i] == 0 {
+				f.live--
+			}
+			return
+		}
+	}
+	f.overflow--
 }

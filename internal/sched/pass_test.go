@@ -147,6 +147,9 @@ func TestDispatchPass(t *testing.T) {
 		wantLog   string
 		wantStart string // (key, worker) pairs
 		wantQueue string
+		wantPanic bool // the pass panics; the log and the starts before it are checked
+		// wantScanned, when set, is how many queued keys the pass resolved.
+		wantScanned int
 	}{
 		{
 			// The narrow ones backfill past a wide one that does not fit;
@@ -208,12 +211,14 @@ func TestDispatchPass(t *testing.T) {
 			wantQueue: "[8]",
 		},
 		{
-			name:      "a key the driver no longer knows is dropped",
+			// Only a bug reaches it: a task goes terminal from a running
+			// attempt, never from the queue.
+			name:      "a queued key the driver cannot resolve panics",
 			workers:   []resources.Vector{paper},
 			queue:     []queued{{key: 1, cat: "wide"}, {key: 2, cat: ""}, {key: 3, cat: "huge"}},
-			wantLog:   "[stable:wide stable:huge]",
+			wantPanic: true,
+			wantLog:   "[stable:wide]",
 			wantStart: "[[1 0]]",
-			wantQueue: "[3]",
 		},
 		{
 			name:      "the miss bound ends the pass and keeps the unscanned tail in order",
@@ -238,6 +243,59 @@ func TestDispatchPass(t *testing.T) {
 			wantLog:   "[stable:wide stable:narrow]",
 			wantQueue: "[1 2]",
 		},
+		{
+			// Nothing behind the first miss can place: the pass ends there
+			// and the unscanned rest stays queued in order.
+			name:        "one stable category: the pass stops at its first miss",
+			workers:     []resources.Vector{paper},
+			queue:       first("wide", "wide", "wide", "wide", "wide", "wide"),
+			wantLog:     "[stable:wide]",
+			wantStart:   "[[1 0] [2 0]]",
+			wantQueue:   "[3 4 5 6]",
+			wantScanned: 3,
+		},
+		{
+			name:        "the miss bound and the early end stop at the same entry",
+			maxMisses:   1,
+			workers:     []resources.Vector{paper},
+			queue:       first("wide", "wide", "wide", "wide", "wide", "wide"),
+			wantLog:     "[stable:wide]",
+			wantStart:   "[[1 0] [2 0]]",
+			wantQueue:   "[3 4 5 6]",
+			wantScanned: 3,
+		},
+		{
+			// wide misses at key 3, but narrow still places at key 4 on the
+			// small worker; once narrow has nothing queued, the last wide
+			// is left unscanned.
+			name:        "two categories: no early end while one has not missed",
+			workers:     []resources.Vector{paper, narrow},
+			queue:       first("wide", "wide", "wide", "narrow", "wide"),
+			wantLog:     "[stable:wide stable:narrow]",
+			wantStart:   "[[1 0] [2 0] [4 1]]",
+			wantQueue:   "[3 5]",
+			wantScanned: 4,
+		},
+		{
+			// The ninth category overflows the table, so the pass cannot
+			// know that every category has missed and walks the queue.
+			name:        "a ninth category: no early end",
+			queue:       append(append([]queued{{key: 1, cat: "huge"}}, memoFull[:8]...), queued{key: 2, cat: "huge"}, queued{key: 3, cat: "huge"}),
+			wantLog:     "[stable:huge stable:c0 stable:c1 stable:c2 stable:c3 stable:c4 stable:c5 stable:c6 stable:c7]",
+			wantQueue:   "[1 100 101 102 103 104 105 106 107 2 3]",
+			wantScanned: 11,
+		},
+		{
+			// No first attempt is queued, yet the held entry behind the
+			// first miss still places.
+			name:        "an unscanned held entry: no early end",
+			workers:     []resources.Vector{paper},
+			queue:       []queued{{key: 7, cat: "wide", held: ptr(paper.Scale(2))}, {key: 8, cat: "wide", held: &wide}},
+			wantLog:     "[]",
+			wantStart:   "[[8 0]]",
+			wantQueue:   "[7]",
+			wantScanned: 2,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pol := &scriptedPolicy{
@@ -254,8 +312,12 @@ func TestDispatchPass(t *testing.T) {
 			}
 			tasks := map[int]*Task{}
 			var started [][2]int
+			scanned := 0
 			c := New(FirstFit, tc.maxMisses, Driver{
-				Lookup: func(key int) *Task { return tasks[key] },
+				Lookup: func(key int) *Task {
+					scanned++
+					return tasks[key]
+				},
 				Start: func(key int, task *Task, w *Worker) {
 					if held, ok := w.running[key]; !ok || !task.HasAlloc || held != task.Alloc || task != tasks[key] {
 						t.Errorf("key %d started on worker %d holding %v %v, header %+v", key, w.ID(), held, ok, task)
@@ -267,20 +329,28 @@ func TestDispatchPass(t *testing.T) {
 				c.Add(id, shape)
 			}
 			for _, q := range tc.queue {
-				if q.cat != "" {
-					tasks[q.key] = &Task{ID: q.key, Category: q.cat}
-					if q.held != nil {
-						tasks[q.key].Alloc, tasks[q.key].HasAlloc = *q.held, true
-					}
+				task := &Task{ID: q.key, Category: q.cat}
+				if q.cat != "" { // an empty category is a key the driver cannot resolve
+					tasks[q.key] = task
 				}
-				c.Ready.PushBack(q.key)
+				enqueue(c, q.key, task, q.held)
 			}
 			var policy allocator.Policy = pol
 			if tc.hide {
 				policy = plainPolicy{pol}
 			}
-			for pass := 0; pass < max(tc.passes, 1); pass++ {
-				c.Dispatch(policy)
+			panicked := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				for pass := 0; pass < max(tc.passes, 1); pass++ {
+					c.Dispatch(policy)
+				}
+				return false
+			}()
+			if panicked != tc.wantPanic {
+				t.Fatalf("pass panicked %v, want %v", panicked, tc.wantPanic)
+			}
+			if tc.wantScanned != 0 && scanned != tc.wantScanned {
+				t.Errorf("the pass resolved %d queued keys, want %d", scanned, tc.wantScanned)
 			}
 			if got := fmt.Sprint(pol.log); got != tc.wantLog {
 				t.Errorf("policy calls %s, want %s", got, tc.wantLog)
@@ -290,6 +360,12 @@ func TestDispatchPass(t *testing.T) {
 			}
 			if got := fmt.Sprint(started); got != tc.wantStart {
 				t.Errorf("started %s, want %s", got, tc.wantStart)
+			}
+			if tc.wantPanic {
+				return
+			}
+			if err := checkQueueCounts(c, tasks); err != nil {
+				t.Error(err)
 			}
 			if got := fmt.Sprint(queueContents(&c.Ready)); got != tc.wantQueue {
 				t.Errorf("left queued %s, want %s", got, tc.wantQueue)
@@ -302,6 +378,19 @@ func TestDispatchPass(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// enqueue puts key on c's ready queue the way the settle transitions and
+// Submit do: with held set the task keeps that allocation and joins the held
+// block (the table lists those first); otherwise it is a first attempt.
+func enqueue(c *Core, key int, t *Task, held *resources.Vector) {
+	if held == nil {
+		c.Submit(key, t)
+		return
+	}
+	t.Alloc, t.HasAlloc = *held, true
+	c.Ready.PushBack(key)
+	c.held++
+}
 
 // TestEvictedTasksRequeueAsAscendingBlock pins the recovery order both
 // engines get from the core: the tasks an evicted worker held come back in

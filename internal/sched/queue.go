@@ -3,9 +3,10 @@ package sched
 // Queue is the ready queue: a growable ring buffer of task keys with O(1)
 // push at either end. The eviction and retry paths push blocks onto the front
 // (retries jump the queue), which on a plain slice cost a full copy per
-// requeued task; Dispatch compacts the queue in place through At/Set/Truncate
-// instead of rebuilding a `remaining` slice per scan, so the steady-state hot
-// path allocates nothing.
+// requeued task; Dispatch compacts the part it scanned in place through
+// At/Set and closes the gap to the unscanned rest with Cut, instead of
+// rebuilding a `remaining` slice per scan, so the steady-state hot path
+// allocates nothing.
 //
 // The zero value is an empty queue ready for use.
 type Queue struct {
@@ -51,13 +52,25 @@ func (q *Queue) PushFrontAll(vs []int) {
 	}
 }
 
-// Truncate shrinks the queue to its first n elements. n must be in
-// [0, Len()]; growing through Truncate is not allowed.
-func (q *Queue) Truncate(n int) {
-	if n < 0 || n > q.n {
-		panic("sched: Truncate out of range")
+// Cut removes the elements in [from, to), keeping the order of the rest, by
+// moving whichever side of the gap is shorter: the front forward or the back
+// down. It requires 0 <= from <= to <= Len().
+func (q *Queue) Cut(from, to int) {
+	if from < 0 || from > to || to > q.n {
+		panic("sched: Cut out of range")
 	}
-	q.n = n
+	gap := to - from
+	if from < q.n-to {
+		for i := from - 1; i >= 0; i-- {
+			q.Set(i+gap, q.At(i))
+		}
+		q.head = (q.head + gap) & (len(q.buf) - 1)
+	} else {
+		for i := to; i < q.n; i++ {
+			q.Set(i-gap, q.At(i))
+		}
+	}
+	q.n -= gap
 }
 
 // grow ensures capacity for k more elements, doubling the ring (and

@@ -45,7 +45,7 @@ func TestQueueBasics(t *testing.T) {
 	if q.At(0) != 99 {
 		t.Fatal("Set/At disagree")
 	}
-	q.Truncate(3)
+	q.Cut(3, q.Len())
 	if got := queueContents(&q); !equalInts(got, []int{99, 0, 1}) {
 		t.Fatalf("after truncate: %v", got)
 	}
@@ -71,6 +71,39 @@ func TestQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
 	}
 }
 
+// TestQueueCut removes every gap [from, to) of a ten-element queue, empty gaps
+// and the whole queue included, with the ring's contents starting at every
+// offset of a 16-slot buffer, so both moves cross the wrap point: the front
+// moves forward when it is the shorter side, the back moves down otherwise.
+func TestQueueCut(t *testing.T) {
+	const n = 10
+	for offset := 0; offset < 16; offset++ {
+		for from := 0; from <= n; from++ {
+			for to := from; to <= n; to++ {
+				q := Queue{buf: make([]int, 16), head: offset}
+				var want []int
+				for i := 0; i < n; i++ {
+					q.PushBack(i)
+					if i < from || i >= to {
+						want = append(want, i)
+					}
+				}
+				q.Cut(from, to)
+				if got := queueContents(&q); !equalInts(got, want) {
+					t.Fatalf("offset %d: Cut(%d, %d) left %v, want %v", offset, from, to, got, want)
+				}
+				head := offset
+				if from < n-to {
+					head = (offset + to - from) % 16
+				}
+				if q.head != head {
+					t.Fatalf("offset %d: Cut(%d, %d) moved the head to %d, want %d", offset, from, to, q.head, head)
+				}
+			}
+		}
+	}
+}
+
 func TestQueuePanics(t *testing.T) {
 	var q Queue
 	mustPanic := func(name string, fn func()) {
@@ -82,7 +115,8 @@ func TestQueuePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Truncate", func() { q.Truncate(1) })
+	mustPanic("Cut past the end", func() { q.Cut(0, 1) })
+	mustPanic("Cut backwards", func() { q.Cut(1, 0) })
 }
 
 // TestQueueMatchesSlice drives the ring buffer and a plain-slice model
@@ -120,7 +154,7 @@ func TestQueueMatchesSlice(t *testing.T) {
 				kept++
 				keptModel = append(keptModel, model[i])
 			}
-			q.Truncate(kept)
+			q.Cut(kept, q.Len())
 			model = keptModel
 		}
 		if got := queueContents(&q); !equalInts(got, model) {

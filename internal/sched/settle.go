@@ -139,6 +139,7 @@ func (c *Core) Retried(key int, next resources.Vector) bool {
 		return false
 	}
 	c.Ready.PushFront(key)
+	c.held++
 	return true
 }
 
@@ -158,5 +159,6 @@ func (c *Core) Evicted(w *Worker, now float64, buf []int) []int {
 		}
 	}
 	c.Ready.PushFrontAll(c.requeue)
+	c.held += len(c.requeue)
 	return buf
 }

@@ -17,6 +17,8 @@ import (
 //   - every live task is in exactly one place: once in the ready queue, held
 //     by exactly one worker, escalating, or terminal;
 //   - the queue and the workers hold no key of a terminal or unknown task;
+//   - the queue is its two blocks, held entries first, and the core's counts
+//     of both match it (checkQueueCounts);
 //   - each worker's used capacity is the sum of the allocations it holds, and
 //     the in-flight count is the number of held keys;
 //   - a task's ledger has one record per dispatch that has ended, plus the
@@ -50,6 +52,9 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 		if tasks[key] == nil {
 			return fmt.Errorf("unknown key %d queued", key)
 		}
+	}
+	if err := checkQueueCounts(c, tasks); err != nil {
+		return err
 	}
 	for key := range held {
 		if tasks[key] == nil {
@@ -86,6 +91,56 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 		}
 		if ended+held[key] != dispatches[key] {
 			return fmt.Errorf("task %d: %d attempts ended and %d running after %d dispatches", key, ended, held[key], dispatches[key])
+		}
+	}
+	return nil
+}
+
+// checkQueueCounts verifies the ready queue's two blocks and the counts the
+// pass's early end reads: every entry holding an allocation precedes every
+// first attempt, held is the number of the former, and the per-category table
+// plus its overflow count exactly the latter — each category in at most one
+// live slot, and in its slot with its full count when nothing overflowed.
+func checkQueueCounts(c *Core, tasks map[int]*Task) error {
+	held, firsts, perCat := 0, 0, map[string]int{}
+	for i := 0; i < c.Ready.Len(); i++ {
+		t := tasks[c.Ready.At(i)]
+		if t.HasAlloc {
+			if firsts > 0 {
+				return fmt.Errorf("queue position %d holds an allocation behind %d first attempts", i, firsts)
+			}
+			held++
+			continue
+		}
+		firsts++
+		perCat[t.Category]++
+	}
+	if c.held != held {
+		return fmt.Errorf("held = %d, the queue leads with %d entries holding an allocation", c.held, held)
+	}
+	q := &c.queued
+	live, inSlots, slot := 0, 0, map[string]int{}
+	for i, n := range q.n {
+		if n == 0 {
+			continue
+		}
+		if _, dup := slot[q.cats[i]]; dup {
+			return fmt.Errorf("category %q has two live slots", q.cats[i])
+		}
+		live, inSlots, slot[q.cats[i]] = live+1, inSlots+n, n
+	}
+	if live != q.live || inSlots+q.overflow != firsts {
+		return fmt.Errorf("first-attempt table: live %d (want %d), %d in slots + %d overflow, queue holds %d",
+			q.live, live, inSlots, q.overflow, firsts)
+	}
+	for cat, n := range slot {
+		if n > perCat[cat] {
+			return fmt.Errorf("category %q: slot counts %d, %d first attempts queued", cat, n, perCat[cat])
+		}
+	}
+	for cat, n := range perCat {
+		if q.overflow == 0 && slot[cat] != n {
+			return fmt.Errorf("category %q: %d first attempts queued, slot counts %d, nothing overflowed", cat, n, slot[cat])
 		}
 	}
 	return nil
@@ -151,7 +206,7 @@ func newWorld(t *testing.T, limit int, cores []float64, keys ...int) *world {
 	for _, key := range keys {
 		task := NewTask(key, "c", resources.New(1, 500, 10, 10), 10, 0)
 		w.tasks[key] = &task
-		w.c.Ready.PushBack(key)
+		w.c.Submit(key, &task)
 	}
 	w.check("setup")
 	return w

@@ -368,7 +368,7 @@ func (s *simulator) generate() {
 		}
 		*e = simTask{Task: sched.NewTask(t.ID, t.Category, t.Consumption, t.Runtime(), s.engine.Now())}
 		e.Outcome.Attempts = attempts
-		s.sched.Ready.PushBack(s.generated)
+		s.sched.Submit(s.generated, &e.Task)
 		s.generated++
 	}
 }

@@ -202,13 +202,15 @@ func BenchmarkWQDispatch64Workers(b *testing.B) { benchWQDispatch(b, 64) }
 // BenchmarkWQDeepQueue256 is the queue-depth scenario the dispatch benchmarks
 // above never reach: a real max-seen allocator, 256 tasks in flight on two
 // workers that hold four steady-state allocations each, so a dispatch pass
-// can walk up to ~248 queued first attempts of one category behind a full
-// fleet. How many it does walk is the scheduler's doing, so the benchmark
-// reports it: queued/pass is the mean ready-queue length a driver finds as it
-// submits (its own pass scans one more). Read ns/op beside it, never alone —
-// before the flusher yielded, the 256 drivers starved behind manager<->worker
-// hand-offs on one P and a pass saw ~3 entries; with the queue full a pass
-// costs more while the workload as a whole runs faster (DESIGN.md §16).
+// finds up to ~248 queued first attempts of one category behind a full fleet.
+// How deep the queue gets is the scheduler's doing, so the benchmark reports
+// it: queued/pass is the mean ready-queue length a driver finds as it submits.
+// That is not what a pass walks: a pass ends at the category's first miss,
+// so it resolves the keys it places plus one (sched's
+// BenchmarkDispatchDeepQueue measures that pass alone). Read ns/op beside
+// queued/pass, never alone — before the flusher yielded, the 256 drivers
+// starved behind manager<->worker hand-offs on one P and the queue held ~3
+// entries (DESIGN.md §16).
 func BenchmarkWQDeepQueue256(b *testing.B) {
 	capacity := resources.New(4, 1000, 1000, 3600)
 	pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})

@@ -98,13 +98,13 @@ func TestSubmitRunWorkflowIDCollision(t *testing.T) {
 // ascending task-ID order regardless of map iteration order.
 func TestEvictionRequeueDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		m := NewManager(nil)
+		m := NewManager(fixedPolicy{}) // asked for task 9 once the fleet is gone
 		m.mu.Lock()
 		w := stageWorker(m, resources.PaperWorker())
 		for _, id := range []int{7, 3, 5, 11, 2, 9} {
 			m.tasks[id] = &taskState{Task: sched.Task{
 				ID:       id,
-				HasAlloc: true,
+				HasAlloc: id != 9,
 				Outcome:  metrics.TaskOutcome{TaskID: id},
 			}}
 			if id != 9 {
@@ -112,7 +112,7 @@ func TestEvictionRequeueDeterministic(t *testing.T) {
 			}
 		}
 		m.nextTID = 11
-		m.sched.Ready.PushBack(9) // already waiting before the eviction
+		m.sched.Submit(9, &m.tasks[9].Task) // already waiting before the eviction
 		m.mu.Unlock()
 		m.evict(w)
 		want := []int{2, 3, 5, 7, 11, 9}

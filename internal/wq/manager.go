@@ -687,7 +687,7 @@ func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOu
 	}
 	st.Outcome.Attempts = st.attemptsBuf[:0]
 	m.tasks[id] = st
-	m.sched.Ready.PushBack(id)
+	m.sched.Submit(id, &st.Task)
 	m.notePeakQueueLocked()
 	return st
 }
