@@ -52,12 +52,13 @@ WQ_MAX_ALLOCS = 8
 WQ_BURST = BenchmarkWQGreedyBurst
 WQ_BURST_MAX_ALLOCS = 16
 
-# The wire fuzz targets of both protocols and the scheduler core's
-# early-ending dispatch pass against a full walk, as package:target, each run
-# for FUZZ_TIME by fuzz-smoke. New inputs go to the go command's own cache, not
+# The wire fuzz targets of both protocols, the scheduler core's early-ending
+# dispatch pass against a full walk, and the block-pruned greedy sweep against
+# the recursion that costs every break, as package:target, each run for
+# FUZZ_TIME by fuzz-smoke. New inputs go to the go command's own cache, not
 # the tree; the minimizer's default budget (60s an input) would eat a run this
 # short on the 64 KiB-string seeds.
-FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode sched:FuzzDispatchMatchesFullScan
+FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode sched:FuzzDispatchMatchesFullScan core:FuzzGreedySplitMatchesReference
 FUZZ_TIME = 5s
 
 # The *-smoke targets gate (the suites run, their output parses, the

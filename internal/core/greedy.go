@@ -19,7 +19,8 @@ type GreedyBucketing struct{}
 func (GreedyBucketing) Name() string { return "greedy" }
 
 // Partition implements Algorithm. The output buffer and the sweep's filter
-// buffer live in the scratch, so a warm Partition is allocation-free.
+// and bound buffer live in the scratch, so a warm Partition is
+// allocation-free.
 func (GreedyBucketing) Partition(l *record.List, s *Scratch) []int {
 	n := l.Len()
 	if n == 0 {
@@ -31,8 +32,9 @@ func (GreedyBucketing) Partition(l *record.List, s *Scratch) []int {
 	if cap(s.best) < 8 {
 		s.best = make([]int, 0, 8)
 	}
-	if cap(s.f) < n {
-		s.f = make([]float64, n+n/4)
+	// greedySplit needs hi-lo candidates plus one bound per started block.
+	if need := n + n/sweepBlock; len(s.f) < need {
+		s.f = make([]float64, need+need/4)
 	}
 	s.best = greedySplit(l.View(), 0, n-1, s.f, s.best[:0])
 	return s.best
@@ -81,45 +83,136 @@ func sweepSlack(v record.View, lo, hi int) float64 {
 	return math.Inf(1)
 }
 
-// greedySplit appends the bucket end indices for the sorted range [lo, hi]
-// to out and returns the extended slice. The candidate sweep makes two
-// passes: the first computes the division-free f of every candidate (see
-// sweepSlack) into buf (len ≥ hi-lo) and its minimum; the second evaluates
-// greedyCost, in ascending order, on the candidates whose f is within the
-// slack of that minimum. The break chosen is the one a sweep of greedyCost
-// over every candidate would choose.
-func greedySplit(v record.View, lo, hi int, buf []float64, out []int) []int {
-	if lo == hi {
-		return append(out, hi)
-	}
-	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
-	t, rep2 := sigHi-sigLo, v.Sorted[hi].Value
+// sweepBlock is the number of consecutive candidates greedySplit's first
+// pass bounds f over at once (8 and 32 measured slower).
+const sweepBlock = 16
 
+// rangeSweep holds what the first pass reads of one range [lo, hi]; its
+// candidate k (0 ≤ k < hi-lo) is the break after lo+k.
+type rangeSweep struct {
+	sigs                  []float64       // PrefixSig[lo+1 : hi+1]: significance through each candidate
+	recs                  []record.Record // Sorted[lo:hi]: each candidate's rep1
+	sigLo, sigHi, t, rep2 float64
+}
+
+func newRangeSweep(v record.View, lo, hi int) rangeSweep {
+	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
+	return rangeSweep{
+		sigs:  v.PrefixSig[lo+1 : hi+1],
+		recs:  v.Sorted[lo:hi],
+		sigLo: sigLo,
+		sigHi: sigHi,
+		t:     sigHi - sigLo,
+		rep2:  v.Sorted[hi].Value,
+	}
+}
+
+// fill computes the division-free f (see sweepSlack) of block b's candidates
+// into f[b·sweepBlock:] and returns the smallest (+Inf when every f is NaN).
+func (s *rangeSweep) fill(f []float64, b int) float64 {
+	a := b * sweepBlock
+	dst := f[a:min(a+sweepBlock, len(f))]
 	// Resliced so the compiler drops the per-candidate bounds checks.
-	f := buf[:hi-lo]
-	sigs, recs := v.PrefixSig[lo+1 : hi+1][:len(f)], v.Sorted[lo:hi][:len(f)]
+	sigs, recs := s.sigs[a:][:len(dst)], s.recs[a:][:len(dst)]
+	sigLo, sigHi, t, rep2 := s.sigLo, s.sigHi, s.t, s.rep2
 	fmin := math.Inf(1)
-	for k := range f {
+	for k := range dst {
 		s1 := sigs[k] - sigLo
 		s2 := sigHi - sigs[k]
 		fi := t*(s1*recs[k].Value) + rep2*(s2*(t+s1))
-		f[k] = fi
+		dst[k] = fi
 		if fi < fmin {
 			fmin = fi
 		}
 	}
+	return fmin
+}
+
+// bounds writes the bound of each block into lbs (one per sweepBlock
+// candidates, the last block possibly shorter) and returns the index of the
+// smallest.
+func (s *rangeSweep) bounds(lbs []float64) (smallest int) {
+	m, lbMin := len(s.sigs), math.Inf(1)
+	for b := range lbs {
+		a := b * sweepBlock
+		lb := s.bound(a, min(a+sweepBlock, m)-1)
+		lbs[b] = lb
+		if lb < lbMin {
+			lbMin, smallest = lb, b
+		}
+	}
+	return smallest
+}
+
+// bound returns f's expression evaluated with s1 and rep1 at candidate a and
+// s2 at candidate e. Where sweepSlack is finite, values are ≥ 0 and the
+// prefix sums are monotone, so s1, rep1 and T+s1 are non-decreasing over
+// [a, e], s2 is non-increasing, and every operand is ≥ 0; rounded + and × are
+// monotone in non-negative operands, so the computed bound is ≤ every
+// computed f in [a, e] — exactly, with no margin.
+func (s *rangeSweep) bound(a, e int) float64 {
+	s1 := s.sigs[a] - s.sigLo
+	s2 := s.sigHi - s.sigs[e]
+	return s.t*(s1*s.recs[a].Value) + s.rep2*(s2*(s.t+s1))
+}
+
+// greedySplit appends the bucket end indices for the sorted range [lo, hi]
+// to out and returns the extended slice. The candidate sweep makes two
+// passes over blocks of sweepBlock candidates, with buf (len ≥ hi-lo plus one
+// per block) holding each candidate's f and each block's bound. The first
+// computes f on the block with the smallest bound, which sets limit0 =
+// min f + sweepSlack, and then on every block whose bound is ≤ limit0; a
+// skipped block's every f exceeds limit0, which is ≥ the final min f +
+// sweepSlack, so the minimum and the set of candidates within the slack of it
+// are those of a sweep over every candidate. The second evaluates greedyCost,
+// in ascending order, on those candidates. The break chosen is the one a
+// sweep of greedyCost over every candidate would choose. Where the slack is
+// +Inf or the range has at most two blocks, limit0 is +Inf and nothing is
+// skipped.
+func greedySplit(v record.View, lo, hi int, buf []float64, out []int) []int {
+	if lo == hi {
+		return append(out, hi)
+	}
+	sw := newRangeSweep(v, lo, hi)
+	slack := sweepSlack(v, lo, hi)
+	f := buf[:hi-lo]
+	lbs := buf[len(f) : len(f)+(len(f)+sweepBlock-1)/sweepBlock]
+	seed := sw.bounds(lbs)
+
+	fmin, limit0 := math.Inf(1), math.Inf(1)
+	if len(lbs) > 2 && !math.IsInf(slack, 1) {
+		fmin = sw.fill(f, seed)
+		limit0 = fmin + slack
+	} else {
+		seed = -1
+	}
+	for b, lb := range lbs {
+		// A NaN bound (only where the slack is +Inf) compares false.
+		if b == seed || lb > limit0 {
+			continue
+		}
+		if bmin := sw.fill(f, b); bmin < fmin {
+			fmin = bmin
+		}
+	}
 	// A NaN limit (fmin not finite) compares false and keeps everything.
-	limit := fmin + sweepSlack(v, lo, hi)
+	limit := fmin + slack
 
 	minCost := math.Inf(1)
 	breakIdx := hi
-	for k, fi := range f {
-		if fi > limit {
+	for b, lb := range lbs {
+		if lb > limit0 {
 			continue
 		}
-		if cost := greedyCost(v, lo, lo+k, hi); cost < minCost {
-			minCost = cost
-			breakIdx = lo + k
+		a := b * sweepBlock
+		for k, fi := range f[a:min(a+sweepBlock, len(f))] {
+			if fi > limit {
+				continue
+			}
+			if cost := greedyCost(v, lo, lo+a+k, hi); cost < minCost {
+				minCost = cost
+				breakIdx = lo + a + k
+			}
 		}
 	}
 	// i == hi evaluates the single-bucket configuration last: a strict <

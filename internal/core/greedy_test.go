@@ -146,8 +146,9 @@ func TestGreedyName(t *testing.T) {
 	}
 }
 
-// Property: greedy's chosen split at the top level is at least as good as
-// any single alternative split under the same two-bucket cost model.
+// Property: the production sweep partitions a random list exactly as the
+// reference recursion does, so at the top level its break is the cheapest of
+// every two-bucket configuration and the single bucket under greedyCost.
 func TestGreedyTopLevelOptimality(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%40) + 2
@@ -156,24 +157,8 @@ func TestGreedyTopLevelOptimality(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l.Add(record.Record{TaskID: i + 1, Value: r.Float64() * 100, Sig: float64(i + 1)})
 		}
-		best := math.Inf(1)
-		bestIdx := -1
-		for i := 0; i < n; i++ {
-			c := greedyCost(l.View(), 0, i, n-1)
-			if c < best {
-				best, bestIdx = c, i
-			}
-		}
-		// Re-run the scan as greedySplit would and confirm the same argmin.
-		minCost := math.Inf(1)
-		breakIdx := n - 1
-		for i := 0; i < n; i++ {
-			cost := greedyCost(l.View(), 0, i, n-1)
-			if cost < minCost {
-				minCost, breakIdx = cost, i
-			}
-		}
-		return breakIdx == bestIdx && minCost == best
+		checkMatchesReference(t, l)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -201,21 +186,42 @@ func TestGreedyHandlesLargeNormalSample(t *testing.T) {
 	}
 }
 
-// referenceSplit is greedySplit without the filter: every break of every
-// range is costed with greedyCost, the first strict minimum wins, and the
+// referenceBreak is greedySplit's choice without the filter: every break of
+// [lo, hi] is costed with greedyCost, the first strict minimum wins, and the
 // single-bucket configuration (i == hi) is tried last.
-func referenceSplit(v record.View, lo, hi int, out []int) []int {
+func referenceBreak(v record.View, lo, hi int) int {
 	minCost, breakIdx := math.Inf(1), hi
 	for i := lo; i <= hi; i++ {
 		if c := greedyCost(v, lo, i, hi); c < minCost {
 			minCost, breakIdx = c, i
 		}
 	}
+	return breakIdx
+}
+
+// referenceSplit is greedySplit's recursion on referenceBreak.
+func referenceSplit(v record.View, lo, hi int, out []int) []int {
+	breakIdx := referenceBreak(v, lo, hi)
 	if breakIdx == hi {
 		return append(out, hi)
 	}
 	out = referenceSplit(v, lo, breakIdx, out)
 	return referenceSplit(v, breakIdx+1, hi, out)
+}
+
+// visitRanges calls fn on every range of more than one record that the
+// reference recursion over [lo, hi] visits, with the break it chooses there
+// (hi for a single bucket).
+func visitRanges(v record.View, lo, hi int, fn func(lo, hi, breakIdx int)) {
+	if lo == hi {
+		return
+	}
+	breakIdx := referenceBreak(v, lo, hi)
+	fn(lo, hi, breakIdx)
+	if breakIdx < hi {
+		visitRanges(v, lo, breakIdx, fn)
+		visitRanges(v, breakIdx+1, hi, fn)
+	}
 }
 
 // checkMatchesReference fails unless the production sweep partitions l
@@ -365,6 +371,126 @@ func TestSweepSlackPreconditions(t *testing.T) {
 	} {
 		if s := sweepSlack(c.v, c.lo, c.v.Len()-1); !math.IsInf(s, 1) {
 			t.Errorf("%s: sweepSlack = %v, want +Inf", name, s)
+		}
+	}
+}
+
+// shapedRecords builds an n-record list of one of the paper's synthetic
+// shapes with the task-ID significance weighting.
+func shapedRecords(shape string, n int, seed uint64) *record.List {
+	r := rand.New(rand.NewPCG(seed, 0x5A))
+	l := &record.List{}
+	for i := 0; i < n; i++ {
+		var v float64
+		switch shape {
+		case "normal":
+			v = 8 + 2*r.NormFloat64()
+		case "uniform":
+			v = 1 + 15*r.Float64()
+		case "exponential":
+			v = 4 * r.ExpFloat64()
+		case "trimodal":
+			v = float64(2+6*r.IntN(3)) + 0.5*r.NormFloat64()
+		}
+		l.Add(record.Record{TaskID: i + 1, Value: math.Max(v, 0.1), Sig: float64(i + 1)})
+	}
+	return l
+}
+
+// TestGreedyBlockBoundMatchesReference holds the block-pruned sweep to the
+// full-costing reference at the sizes it prunes most on: bimodal benchmark
+// lists and the synthetic shapes at 1k, 6k and 10k records, partitioned
+// through one reused Scratch (growing, then shrinking). A bimodal list with
+// one outlier on top breaks its full range in the last block, so a minimum
+// at a range's end is covered.
+func TestGreedyBlockBoundMatchesReference(t *testing.T) {
+	var s Scratch
+	atEnds := 0
+	for _, n := range []int{1000, 6000, 10000, 1000} {
+		peak := benchRecords(n-1, 3)
+		peak.Add(record.Record{TaskID: n, Value: 40, Sig: float64(n)})
+		lists := map[string]*record.List{
+			"bimodal/42":   benchRecords(n, 42),
+			"bimodal/7":    benchRecords(n, 7),
+			"bimodal+peak": peak,
+		}
+		for _, shape := range []string{"normal", "uniform", "exponential", "trimodal"} {
+			lists[shape] = shapedRecords(shape, n, uint64(n))
+		}
+		for name, l := range lists {
+			v := l.View()
+			want := referenceSplit(v, 0, n-1, nil)
+			if got := (GreedyBucketing{}).Partition(l, &s); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: greedy ends = %v, reference ends = %v", name, n, got, want)
+			}
+			visitRanges(v, 0, n-1, func(lo, hi, breakIdx int) {
+				m, k := hi-lo, breakIdx-lo
+				if m > 2*sweepBlock && breakIdx < hi && (k < sweepBlock || k >= (m-1)/sweepBlock*sweepBlock) {
+					atEnds++
+				}
+			})
+		}
+	}
+	if atEnds == 0 {
+		t.Error("no visited range of more than two blocks broke in its first or last block")
+	}
+}
+
+// TestGreedyBlockLowerBound checks the bound's claim directly: on every
+// range the recursion visits, and on random sub-ranges, where the slack is
+// finite, each block's computed bound is ≤ every computed f in the block. The
+// lists mix the bimodal benchmark shape with fuzzRecord's finite-slack
+// classes: values 1e-13 apart, 1e12 weights, and the sevenths × thirds ties.
+func TestGreedyBlockLowerBound(t *testing.T) {
+	r := rand.New(rand.NewPCG(27, 16))
+	classList := func(n int, vLo, vHi, sLo, sHi byte) *record.List {
+		l := &record.List{}
+		for i := 0; i < n; i++ {
+			l.Add(fuzzRecord(i+1, vLo+byte(r.IntN(int(vHi-vLo)+1)), sLo+byte(r.IntN(int(sHi-sLo)+1))))
+		}
+		return l
+	}
+	lists := map[string]*record.List{
+		"bimodal":          benchRecords(3000, 42),
+		"1e-13 apart":      classList(1500, 0x40, 0x5f, 0x00, 0x3f),
+		"1e12 weights":     classList(1500, 0x00, 0x1f, 0x80, 0xbf),
+		"1e12 on 1e-13":    classList(1500, 0x40, 0x5f, 0x80, 0xbf),
+		"sevenths, thirds": classList(1500, 0xc0, 0xc7, 0xc1, 0xff),
+		"two clusters":     classList(1500, 0xe0, 0xff, 0x00, 0x3f),
+	}
+	for name, l := range lists {
+		v := l.View()
+		checked, reseeded := 0, 0
+		check := func(lo, hi, _ int) {
+			if math.IsInf(sweepSlack(v, lo, hi), 1) {
+				return
+			}
+			checked++
+			sw := newRangeSweep(v, lo, hi)
+			f := make([]float64, hi-lo)
+			lbs := make([]float64, (hi-lo+sweepBlock-1)/sweepBlock)
+			seed, fBlock, fmin := sw.bounds(lbs), 0, math.Inf(1)
+			for b, lb := range lbs {
+				if bmin := sw.fill(f, b); bmin < fmin {
+					fBlock, fmin = b, bmin
+				}
+				for k, fi := range f[b*sweepBlock : min((b+1)*sweepBlock, len(f))] {
+					if !(lb <= fi) {
+						t.Fatalf("%s [%d,%d] block %d: bound %v > f %v at candidate %d", name, lo, hi, b, lb, fi, b*sweepBlock+k)
+					}
+				}
+			}
+			if fBlock != seed {
+				reseeded++
+			}
+		}
+		visitRanges(v, 0, l.Len()-1, check)
+		for range 200 {
+			lo := r.IntN(l.Len() - 1)
+			check(lo, lo+1+r.IntN(l.Len()-1-lo), 0)
+		}
+		if checked == 0 || reseeded == 0 {
+			t.Errorf("%s: %d ranges with a finite slack, %d of them with min f outside the smallest-bound block; want both > 0", name, checked, reseeded)
 		}
 	}
 }

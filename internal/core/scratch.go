@@ -26,7 +26,7 @@ type Scratch struct {
 	cand []int // candidate configuration under evaluation
 	best []int // best configuration seen; Partition's return value
 
-	f []float64 // greedy sweep: division-free cost proxy per candidate
+	f []float64 // greedy sweep: division-free cost proxy per candidate, then a lower bound per block
 }
 
 // floats resizes the four per-bucket float buffers to hold nB buckets and
