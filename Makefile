@@ -94,10 +94,12 @@ race:
 # over, since the drainer's early Observe shares task state with evictions on
 # other goroutines and the yielding flushers share their stages with every
 # stager, and with them the bad-frame tests, whose evictions race the results
-# staged just ahead of them, and internal/wire's frame-reader tests.
+# staged just ahead of them, and internal/wire's frame-reader and
+# group-commit tests (not TestWriterDeadline, which waits out the 5 s write
+# deadline).
 test-live:
 	$(GO) test -race ./internal/wq/... ./internal/sched/... -count=1
-	$(GO) test -race ./internal/wq ./internal/wire -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
+	$(GO) test -race ./internal/wq ./internal/wire -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
 
 vet:
 	$(GO) vet ./...

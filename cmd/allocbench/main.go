@@ -11,10 +11,12 @@
 //	allocbench -tenants 1 -conns 1 -batch 32 -tasks 100000    # batched allocates
 //
 // -pipeline N drives each connection with N concurrent task streams, so up
-// to N calls are in flight on one socket and the client's flush coalescing
+// to N calls are in flight on one socket and the client's group commit
 // collapses them into few syscalls. -batch N requests predictions in
 // AllocateBatch chunks of N, the cheapest way to saturate the wire from a
-// single goroutine.
+// single goroutine. An observe does not flush: it leaves with the next call,
+// batch flush or Close on its connection, and each connection's final Stats
+// call is the barrier that has every observe applied.
 package main
 
 import (

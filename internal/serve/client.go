@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynalloc/internal/resources"
 	"dynalloc/internal/wire"
@@ -18,12 +16,8 @@ import (
 // will be answered on this connection.
 var ErrDraining = errors.New("serve: server draining")
 
-// Client defaults; see the corresponding ClientOptions.
-const (
-	defaultPipelineWindow = 128
-	defaultFlushInterval  = time.Millisecond
-	defaultObserveBurst   = 32
-)
+// defaultPipelineWindow is WithPipelineWindow's default.
+const defaultPipelineWindow = 128
 
 // Client is a connection to an allocator service, registered to one tenant.
 // It is safe for concurrent use: calls carry sequence numbers and a reader
@@ -33,26 +27,14 @@ const (
 // The wire path is built for pipelining. Waiting callers park on a
 // fixed-size ring of reusable slots (the response sequence number encodes
 // the slot index, so routing is an array lookup and a call allocates
-// nothing), and writes are flush-coalesced: concurrent requests buffer into
-// one net.Conn write, and one-way observe frames ride along with the next
-// request or a short background flush instead of paying their own syscall.
+// nothing), and writes are group-committed (wire.Writer.FlushAfterYield):
+// concurrent calls buffer into one net.Conn write, and an observe leaves with
+// the next call, AllocateBatch flush or Close on its connection instead of
+// paying its own syscall.
 type Client struct {
-	conn net.Conn
-
-	// Write side. The writer's lock guards it and the bookkeeping below.
-	// Frames accumulate in out and are flushed by whichever comes first: an
-	// inline flush (lockstep calls with nothing else in flight), the flusher
-	// goroutine (pipelined bursts), or the flush timer (idle one-way frames).
-	out        *wire.Writer
-	needFlush  bool // a reply-bearing frame is buffered unflushed
-	unflushed  int  // one-way frames buffered since the last flush
-	flushArmed bool
-	flushTimer *time.Timer
-	flushWake  chan struct{} // signals the flusher goroutine; buffered(1)
-	armed      atomic.Int64  // calls currently in flight (armed slots)
-
-	flushInterval time.Duration
-	observeBurst  int
+	conn  net.Conn
+	out   *wire.Writer
+	armed atomic.Int64 // calls in flight (armed slots); 1 means lockstep
 
 	// Call routing. mu guards the slot ring and the terminal error.
 	mu    sync.Mutex
@@ -95,28 +77,6 @@ func WithPipelineWindow(n int) ClientOption {
 	}
 }
 
-// WithFlushInterval bounds how long a buffered one-way observe frame may
-// wait for a request to ride along with before a background flush pushes it
-// out. The default is 1ms; it never delays request/response calls, which
-// flush inline.
-func WithFlushInterval(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.flushInterval = d
-		}
-	}
-}
-
-// WithObserveBurst sets how many one-way frames may accumulate before a
-// flush is forced regardless of the flush interval. The default is 32.
-func WithObserveBurst(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.observeBurst = n
-		}
-	}
-}
-
 // Dial connects to an allocator service at addr and registers tenant with
 // the given algorithm (empty = the service default) and seed. If the tenant
 // already exists on the server, the connection attaches to its live state
@@ -128,13 +88,10 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 		return nil, err
 	}
 	c := &Client{
-		conn:          conn,
-		out:           wire.NewWriter(conn),
-		done:          make(chan struct{}),
-		mask:          defaultPipelineWindow - 1,
-		flushInterval: defaultFlushInterval,
-		observeBurst:  defaultObserveBurst,
-		flushWake:     make(chan struct{}, 1),
+		conn: conn,
+		out:  wire.NewWriter(conn),
+		done: make(chan struct{}),
+		mask: defaultPipelineWindow - 1,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -149,14 +106,12 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 		c.slots[i].seq = uint64(i)
 		c.free <- uint32(i)
 	}
-	c.flushTimer = time.AfterFunc(time.Hour, c.backgroundFlush)
-	c.flushTimer.Stop()
 
 	// Register synchronously before the reader goroutine exists: the ack is
 	// the first frame the server sends, so a plain read is race-free here.
 	fr := newFrameReader(conn)
 	reg := Frame{Type: TypeRegister, Seq: 0, Tenant: tenant, Algorithm: algorithm, Seed: seed}
-	if err := c.send(&reg, sendCall); err != nil {
+	if err := c.send(&reg, true); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("serve: register: %w", err)
 	}
@@ -183,7 +138,6 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 		return nil, fmt.Errorf("serve: register: %w: answered with a type %d frame", wire.ErrProtocolMismatch, ack.Type)
 	}
 	go c.readLoop(fr)
-	go c.flushLoop()
 	return c, nil
 }
 
@@ -219,7 +173,6 @@ func (c *Client) fail(err error) {
 		close(c.done)
 	}
 	c.mu.Unlock()
-	c.flushTimer.Stop()
 	c.conn.Close()
 }
 
@@ -236,58 +189,27 @@ func (c *Client) terminal(err error) error {
 	return err
 }
 
-// Write-path modes: calls flush as soon as the last concurrent sender has
-// written (so a response is never stuck in the buffer), one-way frames wait
-// for company, and batch frames leave flushing to their caller entirely.
-type sendMode uint8
-
-const (
-	sendCall sendMode = iota
-	sendOneWay
-	sendBatch
-)
-
-// send encodes f into the write buffer and applies the coalescing flush
-// policy. A frame the wire cannot carry is refused before anything is
+// send encodes f into the write buffer. A frame that expects a reply is
+// group-committed: the first sender to yield flushes for every one that
+// queued behind it. The one exception is a call that is the only one in
+// flight: nothing can ride with it, so it flushes at once and skips the
+// yield, which measurably costs a lockstep client (DESIGN.md §15). A one-way
+// observe or a batch frame only queues; it leaves with the next flush on the
+// connection. A frame the wire cannot carry is refused before anything is
 // written; on a write error the client is failed so all callers agree on the
 // terminal error.
-func (c *Client) send(f *Frame, mode sendMode) error {
+func (c *Client) send(f *Frame, reply bool) error {
 	c.out.Lock()
 	frame, err := appendFrame(c.out.Buf(), f)
 	if err != nil {
 		c.out.Unlock()
 		return err
 	}
-	if err = c.out.Queue(frame); err == nil {
-		switch mode {
-		case sendCall:
-			c.needFlush = true
-		case sendOneWay:
-			c.unflushed++
-			if c.unflushed >= c.observeBurst {
-				c.needFlush = true
-			}
-		}
-		switch {
-		case c.needFlush && mode != sendBatch:
-			if mode == sendCall && c.armed.Load() <= 1 {
-				// Lockstep: ours is the only call in flight, so nothing else
-				// will ride along — flush inline and skip a scheduler hop.
-				err = c.flushLocked()
-			} else {
-				// Pipelined: let the flusher goroutine collapse this frame
-				// and everything concurrent senders buffer behind it into
-				// one write.
-				select {
-				case c.flushWake <- struct{}{}:
-				default:
-				}
-			}
-		case mode == sendOneWay && !c.flushArmed:
-			// Nothing forced a flush; make sure the observe still leaves
-			// within the latency bound.
-			c.flushArmed = true
-			c.flushTimer.Reset(c.flushInterval)
+	if err = c.out.Queue(frame); err == nil && reply {
+		if c.armed.Load() <= 1 {
+			err = c.out.Flush()
+		} else {
+			err = c.out.FlushAfterYield()
 		}
 	}
 	c.out.Unlock()
@@ -298,66 +220,16 @@ func (c *Client) send(f *Frame, mode sendMode) error {
 	return nil
 }
 
-// flushLoop is the micro-batching flusher: woken when a reply-bearing frame
-// is buffered, it yields once so every runnable sender can append its frame,
-// then flushes the whole batch in one write. Under a deep pipeline this
-// collapses N frames into one syscall; when the client is idle it parks on
-// the wake channel and costs nothing.
-func (c *Client) flushLoop() {
-	for {
-		select {
-		case <-c.flushWake:
-		case <-c.done:
-			return
-		}
-		runtime.Gosched() // let runnable senders buffer their frames first
-		c.out.Lock()
-		var err error
-		if c.out.Buffered() > 0 {
-			err = c.flushLocked()
-		}
-		c.out.Unlock()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-	}
-}
-
-func (c *Client) flushLocked() error {
-	c.needFlush = false
-	c.unflushed = 0
-	return c.out.Flush()
-}
-
-// flushNow forces buffered frames onto the wire; used by batch senders.
-func (c *Client) flushNow() error {
+// flush forces buffered frames onto the wire; used by batch senders and Close.
+func (c *Client) flush() error {
 	c.out.Lock()
-	var err error
-	if c.out.Buffered() > 0 {
-		err = c.flushLocked()
-	}
+	err := c.out.Flush()
 	c.out.Unlock()
 	if err != nil {
 		c.fail(err)
 		return c.terminal(err)
 	}
 	return nil
-}
-
-// backgroundFlush runs on the flush timer: it pushes out one-way frames
-// that no later call flushed within the latency bound.
-func (c *Client) backgroundFlush() {
-	c.out.Lock()
-	c.flushArmed = false
-	var err error
-	if c.out.Buffered() > 0 {
-		err = c.flushLocked()
-	}
-	c.out.Unlock()
-	if err != nil {
-		c.fail(err)
-	}
 }
 
 // acquireSlot blocks until an in-flight slot is free, or the client dies.
@@ -437,7 +309,7 @@ func (c *Client) call(f Frame) (Frame, error) {
 		return Frame{}, err
 	}
 	f.Seq = c.armSlot(idx)
-	if err := c.send(&f, sendCall); err != nil {
+	if err := c.send(&f, true); err != nil {
 		c.releaseSlot(idx)
 		return Frame{}, err
 	}
@@ -488,7 +360,7 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 				// blocking on other callers' slots (two pipelining callers
 				// waiting on each other would deadlock).
 				if len(pending) > 0 {
-					if err := c.flushNow(); err != nil {
+					if err := c.flush(); err != nil {
 						firstErr = err
 						break
 					}
@@ -510,7 +382,7 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 			break
 		}
 		f := Frame{Type: TypeRequest, Category: category, TaskID: id, Seq: c.armSlot(idx)}
-		if err := c.send(&f, sendBatch); err != nil {
+		if err := c.send(&f, false); err != nil {
 			c.releaseSlot(idx)
 			firstErr = err
 			break
@@ -518,7 +390,7 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 		pending = append(pending, idx)
 	}
 	if len(pending) > 0 {
-		if err := c.flushNow(); err != nil && firstErr == nil {
+		if err := c.flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		for len(pending) > 0 {
@@ -544,10 +416,10 @@ func (c *Client) Retry(category string, taskID int, prev resources.Vector, excee
 
 // Observe reports a completed task's peak usage and runtime. It is one-way:
 // the server applies observations in connection order, so a later Allocate
-// on this client is guaranteed to see it. Observes are flush-coalesced —
-// they ride along with the next request, an accumulated burst, or the flush
-// interval, whichever comes first. After the connection has failed, Observe
-// returns the same terminal error as every other method.
+// on this client is guaranteed to see it. An observe does not flush: it
+// leaves with the next call, AllocateBatch flush or Close on this
+// connection. After the connection has failed, Observe returns the same
+// terminal error as every other method.
 func (c *Client) Observe(category string, taskID int, peak resources.Vector, runtime float64) error {
 	c.mu.Lock()
 	if c.err != nil {
@@ -557,7 +429,7 @@ func (c *Client) Observe(category string, taskID int, peak resources.Vector, run
 	}
 	c.mu.Unlock()
 	f := Frame{Type: TypeObserve, Category: category, TaskID: taskID, Peak: peak, Runtime: runtime}
-	return c.send(&f, sendOneWay)
+	return c.send(&f, false)
 }
 
 // Ping round-trips a liveness frame.
@@ -577,8 +449,12 @@ func (c *Client) Stats() (TenantStats, error) {
 	return resp.Stats, nil
 }
 
-// Close hangs up. Pending calls fail with a connection-lost error.
+// Close flushes whatever is queued, observes included, and hangs up.
+// Pending calls fail with a connection-lost error.
 func (c *Client) Close() error {
-	c.flushTimer.Stop()
-	return c.conn.Close()
+	err := c.flush()
+	if cerr := c.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

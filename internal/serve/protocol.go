@@ -26,11 +26,14 @@
 // drain frame, and give in-flight connections a bounded grace period to
 // finish.
 //
-// Writes flush on a coalescing policy rather than per frame. The Client
-// pipelines — many goroutines can have calls in flight on one connection,
-// bounded by WithPipelineWindow, with AllocateBatch for bulk request streams
-// — and a steady-state round trip allocates nothing on either side. See
-// DESIGN.md §15 for the wire and its performance model.
+// Writes are coalesced rather than made per frame: the Client's calls
+// group-commit (wire.Writer.FlushAfterYield) and its observes leave with the
+// next call, batch flush or Close; the server flushes its replies when its
+// reader is about to block. The Client pipelines — many goroutines can have
+// calls in flight on one connection, bounded by WithPipelineWindow, with
+// AllocateBatch for bulk request streams — and a steady-state round trip
+// allocates nothing on either side. See DESIGN.md §15 for the wire and its
+// performance model.
 package serve
 
 import (

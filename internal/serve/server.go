@@ -60,8 +60,8 @@ type serverConn struct {
 
 // send encodes f into the connection's write buffer. Replies are coalesced:
 // the buffer is flushed by serveConn only when the read side is about to
-// block (or when flush is forced, e.g. for drain and pre-hangup error
-// frames), so N pipelined requests cost one write syscall.
+// block, so N pipelined requests cost one write syscall. flush is forced only
+// for a frame followed by a hangup: a drain, or an error before the hangup.
 func (c *serverConn) send(f *Frame, flush bool) error {
 	c.out.Lock()
 	defer c.out.Unlock()
@@ -298,7 +298,7 @@ func (s *Server) serveConn(c *serverConn) {
 			}
 			c.tenant = t
 			c.reply = Frame{Type: TypeAck, Seq: f.Seq, Tenant: t.name, Algorithm: string(t.alg)}
-			if err := c.send(&c.reply, true); err != nil {
+			if err := c.send(&c.reply, false); err != nil {
 				return
 			}
 			continue

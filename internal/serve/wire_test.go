@@ -360,7 +360,7 @@ func TestObserveReturnsTerminalError(t *testing.T) {
 		conn.Close()
 	}()
 
-	c, err := Dial(ln.Addr().String(), "t", "", 1, WithFlushInterval(100*time.Microsecond))
+	c, err := Dial(ln.Addr().String(), "t", "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +498,7 @@ func TestServePipelinedStress(t *testing.T) {
 	)
 	var wantAllocs, wantObserves int64
 	for round := 0; round < rounds; round++ {
-		c, err := Dial(addr, "pipe", "", 1,
-			WithPipelineWindow(32), WithFlushInterval(200*time.Microsecond))
+		c, err := Dial(addr, "pipe", "", 1, WithPipelineWindow(32))
 		if err != nil {
 			t.Fatal(err)
 		}

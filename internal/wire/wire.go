@@ -8,8 +8,9 @@
 // Integers are little-endian and floats their IEEE 754 bits throughout. The
 // package knows nothing of a payload beyond its length: internal/wq and
 // internal/serve each define their layouts on top, build frames with the
-// helpers here and validate every payload they send or receive. When to
-// flush is theirs to decide too; Writer supplies the mechanics.
+// helpers here and validate every payload they send or receive. Writer holds
+// the one flush rule for a sender of single frames, FlushAfterYield; a sender
+// that builds a batch flushes it once with Flush.
 package wire
 
 import (
@@ -240,8 +241,9 @@ func (d deadlineWriter) Write(p []byte) (int, error) {
 // Writer puts frames on a connection through a 16 KiB buffered writer, every
 // write armed with WriteTimeout, and a reused encode buffer. It is safe for
 // concurrent use under its lock: a sender takes Lock, appends one frame to
-// Buf, hands it to Queue, flushes by whatever policy its protocol keeps, and
-// calls Unlock. Every method but Lock and Unlock requires the lock.
+// Buf, hands it to Queue, calls FlushAfterYield (or leaves the frame for a
+// later flush), and calls Unlock. Every method but Lock and Unlock requires
+// the lock.
 type Writer struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -195,4 +197,97 @@ func TestWriterDeadline(t *testing.T) {
 	}
 	w.Lock() // released with the failed write
 	w.Unlock()
+}
+
+// countingWriter records every write it is handed, as one slice each.
+type countingWriter struct{ writes [][]byte }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// sendOne is a single-frame sender: queue frame, then group-commit it.
+func sendOne(w *Writer, frame []byte) error {
+	w.Lock()
+	defer w.Unlock()
+	if err := w.Queue(frame); err != nil {
+		return err
+	}
+	return w.FlushAfterYield()
+}
+
+// TestWriterFlushAfterYield pins the group commit on one P, where a yield
+// runs every runnable goroutine before the yielder resumes. One exception
+// remains: every 61st scheduling decision looks first at the global queue,
+// where the yielder waits, so a burst may split once.
+func TestWriterFlushAfterYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	t.Run("lone sender", func(t *testing.T) {
+		cw := &countingWriter{}
+		w := NewWriter(cw)
+		if err := sendOne(w, frame(1, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if len(cw.writes) != 1 || !bytes.Equal(cw.writes[0], frame(1, 8)) {
+			t.Fatalf("writes = %x, want the frame written once by the time the call returns", cw.writes)
+		}
+	})
+
+	t.Run("burst", func(t *testing.T) {
+		const k = 16
+		cw := &countingWriter{}
+		w := NewWriter(cw)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan error, k)
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs <- sendOne(w, frame(byte(i), 8))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total := len(bytes.Join(cw.writes, nil)); len(cw.writes) > 2 || total != k*len(frame(0, 8)) {
+			t.Fatalf("%d senders runnable together: %d writes of %d bytes, want all %d frames in one write (two at most)",
+				k, len(cw.writes), total, k)
+		}
+	})
+
+	t.Run("rides the yielder's flush", func(t *testing.T) {
+		cw := &countingWriter{}
+		w := NewWriter(cw)
+		// A sender that finds a yielder stepped aside returns with its frame
+		// queued and nothing written.
+		w.Lock()
+		w.yielded = true
+		if err := w.Queue(frame(1, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.FlushAfterYield(); err != nil {
+			t.Fatal(err)
+		}
+		if len(cw.writes) != 0 || w.Buffered() != len(frame(1, 8)) {
+			t.Fatalf("%d writes, %d bytes buffered; want the frame queued and nothing written", len(cw.writes), w.Buffered())
+		}
+		w.yielded = false
+		w.Unlock()
+		// The yielder's own flush carries it.
+		if err := sendOne(w, frame(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if want := append(frame(1, 8), frame(2, 8)...); len(cw.writes) != 1 || !bytes.Equal(cw.writes[0], want) {
+			t.Fatalf("writes = %x, want both frames in one write %x", cw.writes, want)
+		}
+	})
 }

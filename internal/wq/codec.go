@@ -149,8 +149,8 @@ func (mr msgReader) decode(typ byte, p []byte, m *Message) error {
 
 // frameWriter writes Message frames through the shared wire.Writer. queue
 // stages a frame without flushing (the manager's coalesced dispatch delivery
-// flushes once per batch); send is queue+flush, at once for lockstep frames
-// (register, pong, pings, shutdown) and after one yield for results.
+// flushes once per batch); send is queue plus the group commit, for every
+// single frame: register, pong, ping, shutdown and results alike.
 type frameWriter struct{ *wire.Writer }
 
 func newFrameWriter(w io.Writer) frameWriter { return frameWriter{wire.NewWriter(w)} }
@@ -177,16 +177,12 @@ func (fw frameWriter) flush() error {
 	return fw.Flush()
 }
 
-// send encodes m and flushes it: at once, or as a group commit after one
-// yield (wire.Writer.FlushAfterYield).
-func (fw frameWriter) send(m *Message, yield bool) error {
+// send encodes m and group-commits it (wire.Writer.FlushAfterYield).
+func (fw frameWriter) send(m *Message) error {
 	fw.Lock()
 	defer fw.Unlock()
 	if err := fw.queueLocked(m); err != nil {
 		return err
 	}
-	if yield {
-		return fw.FlushAfterYield()
-	}
-	return fw.Flush()
+	return fw.FlushAfterYield()
 }

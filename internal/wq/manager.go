@@ -112,7 +112,7 @@ type managedWorker struct {
 }
 
 func (w *managedWorker) send(m Message) error {
-	return w.out.send(&m, false)
+	return w.out.send(&m)
 }
 
 // pendingSend is one outbound frame staged by dispatchLocked for delivery
