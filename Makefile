@@ -82,10 +82,11 @@ test:
 # slots/handles (harness workers run simulations concurrently), the scheduler
 # core under it, the runlog package whose Writer is shared across engine and
 # tracer goroutines, the flow layer whose LocalExecutor is documented safe
-# for concurrent submissions, and the allocator service with the wire layer
-# its connections rest on.
+# for concurrent submissions, the allocator service with the wire layer
+# its connections rest on, and the allocator, whose stable memo is read
+# without its lock.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/serve/... ./internal/wire/... ./internal/runlog/... ./internal/flow/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/sched/... ./internal/allocator/... ./internal/serve/... ./internal/wire/... ./internal/runlog/... ./internal/flow/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress

@@ -3,6 +3,7 @@ package allocator
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"dynalloc/internal/core"
 	"dynalloc/internal/dist"
@@ -77,8 +78,10 @@ type Policy interface {
 // result and effects of Allocate; stable reports that every further Allocate
 // for this category returns this vector, for any task, and consumes no
 // randomness, until the policy's next Observe or reset. The dispatch pass
-// (internal/sched) finds it by type assertion on the Policy it was given: a
-// wrapper that embeds the Policy interface hides it and sees every call, one
+// (internal/sched) finds it by type assertion on the Policy it was given and
+// then asks a stable category once per pass. A wrapper that embeds the Policy
+// interface hides it and sees every call; against *Allocator each hidden call
+// is one lock-free load of the published memo, not a policy computation. One
 // that embeds the concrete *Allocator and overrides Allocate has
 // AllocateStable promoted past its override and is bypassed. Embed the
 // interface.
@@ -166,26 +169,42 @@ func (c Config) kinds() []resources.Kind {
 // an independent estimator instance per task category and per resource kind,
 // wraps each in the exploratory mode, and serves multi-resource allocations
 // clamped to worker capacity. It is safe for concurrent use.
+//
+// A stable algorithm's first-attempt vector is memoised per category and the
+// memo last served is published through an atomic pointer, so an Allocate for
+// that category returns without taking the lock. Observe and ResetCategory
+// withdraw the publication under the lock before they touch any estimator: a
+// reader that still loaded the old memo is ordered before them, as the
+// StablePolicy contract allows.
 type Allocator struct {
 	alg    Name
 	cfg    Config
 	kinds  []resources.Kind // cfg.kinds(), computed once at construction
 	stable bool             // the algorithm's Predict draws no randomness
+	// served is the memo AllocateStable last served, nil after an Observe or
+	// a reset; only stable algorithms publish. Read without mu, written
+	// under it.
+	served atomic.Pointer[firstMemo]
 	mu     sync.Mutex
 	rng    *rand.Rand
 	cats   map[string]*categoryState
-	// last is the state of lastCat, the previous call's category: a dispatch
-	// pass asks for one category many times in a row.
-	lastCat string
-	last    *categoryState
 }
 
 type categoryState struct {
 	est [resources.NumKinds]Estimator // nil for kinds not under allocation
-	// first memoises a stable algorithm's clamped first-attempt vector while
-	// hasFirst; Observe drops it, ResetCategory drops the whole state.
-	first    resources.Vector
+	// first is a stable algorithm's clamped first-attempt vector as last
+	// computed, served while hasFirst; Observe clears hasFirst, ResetCategory
+	// drops the whole state. Observe keeps first itself, so a recomputation
+	// that lands on the same vector republishes it without allocating.
+	first    *firstMemo
 	hasFirst bool
+}
+
+// firstMemo is one category's memoised first-attempt vector. It is immutable
+// once built, so a lock-free reader of Allocator.served sees it whole.
+type firstMemo struct {
+	category string // after IgnoreCategories normalisation
+	alloc    resources.Vector
 }
 
 // New builds an allocator running the named algorithm.
@@ -219,13 +238,17 @@ func (a *Allocator) Name() string { return string(a.alg) }
 // Algorithm returns the algorithm name.
 func (a *Allocator) Algorithm() Name { return a.alg }
 
-func (a *Allocator) category(cat string) *categoryState {
+// key is the category's estimator-state key: every category is one under
+// IgnoreCategories.
+func (a *Allocator) key(cat string) string {
 	if a.cfg.IgnoreCategories {
-		cat = ""
+		return ""
 	}
-	if a.last != nil && cat == a.lastCat {
-		return a.last
-	}
+	return cat
+}
+
+func (a *Allocator) category(cat string) *categoryState {
+	cat = a.key(cat)
 	cs, ok := a.cats[cat]
 	if !ok {
 		cs = &categoryState{}
@@ -234,7 +257,6 @@ func (a *Allocator) category(cat string) *categoryState {
 		}
 		a.cats[cat] = cs
 	}
-	a.lastCat, a.last = cat, cs
 	return cs
 }
 
@@ -277,14 +299,20 @@ func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
 
 // AllocateStable implements StablePolicy. The algorithms that draw no
 // randomness compute a category's first-attempt vector once per Observe and
-// serve the memo in between; the sampling ones draw per call, in exploratory
-// mode too, so their RNG streams do not depend on who asks.
+// serve the memo in between, lock-free while it is the one last served; the
+// sampling ones draw per call, in exploratory mode too, so their RNG streams
+// do not depend on who asks.
 func (a *Allocator) AllocateStable(category string, taskID int) (resources.Vector, bool) {
+	key := a.key(category)
+	if m := a.served.Load(); m != nil && m.category == key {
+		return m.alloc, true
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cs := a.category(category)
+	cs := a.category(key)
 	if cs.hasFirst {
-		return cs.first, true
+		a.served.Store(cs.first)
+		return cs.first.alloc, true
 	}
 	alloc := resources.New(0, 0, 0, resources.Unlimited)
 	// Iterate kinds in canonical order so the shared RNG stream, and hence
@@ -294,7 +322,11 @@ func (a *Allocator) AllocateStable(category string, taskID int) (resources.Vecto
 		alloc = alloc.With(k, a.clamp(k, v))
 	}
 	if a.stable {
-		cs.first, cs.hasFirst = alloc, true
+		if cs.first == nil || cs.first.alloc != alloc {
+			cs.first = &firstMemo{category: key, alloc: alloc}
+		}
+		cs.hasFirst = true
+		a.served.Store(cs.first)
 	}
 	return alloc, a.stable
 }
@@ -325,6 +357,7 @@ func (a *Allocator) Retry(category string, taskID int, prev resources.Vector, ex
 func (a *Allocator) Observe(category string, taskID int, peak resources.Vector, runtime float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.served.Store(nil)
 	cs := a.category(category)
 	cs.hasFirst = false
 	sig := float64(taskID)
@@ -363,11 +396,8 @@ func (a *Allocator) clamp(k resources.Kind, v float64) float64 {
 func (a *Allocator) ResetCategory(category string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.IgnoreCategories {
-		category = ""
-	}
-	delete(a.cats, category)
-	a.last = nil
+	a.served.Store(nil)
+	delete(a.cats, a.key(category))
 }
 
 // Records returns the number of records observed for a category. Every kind
@@ -376,10 +406,7 @@ func (a *Allocator) ResetCategory(category string) {
 func (a *Allocator) Records(category string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.IgnoreCategories {
-		category = ""
-	}
-	cs, ok := a.cats[category]
+	cs, ok := a.cats[a.key(category)]
 	if !ok {
 		return 0
 	}

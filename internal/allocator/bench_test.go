@@ -55,3 +55,38 @@ func BenchmarkAllocCycle(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAllocateStableHit measures the call a dispatch pass makes for
+// every queued first attempt when a wrapper hides StablePolicy: an Allocate
+// of a stable category whose memo is the one published, served by one atomic
+// load without the lock. The parallel sub-run has every goroutine read the
+// same memo. Either way it must not allocate.
+func BenchmarkAllocateStableHit(b *testing.B) {
+	a := MustNew(MaxSeen, Config{Seed: 7})
+	for task := 1; task <= 20; task++ {
+		a.Observe("fit", task, resources.New(2, 1000, 300, 30), 30)
+	}
+	want := a.Allocate("fit", 0)
+	if allocs := testing.AllocsPerRun(100, func() { a.Allocate("fit", 0) }); allocs != 0 {
+		b.Fatalf("a memo hit allocates %v times, want 0", allocs)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if a.Allocate("fit", i) != want {
+				b.Fatal("memo moved without an Observe")
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if a.Allocate("fit", i) != want {
+					b.Error("memo moved without an Observe")
+					return
+				}
+			}
+		})
+	})
+}

@@ -3,6 +3,7 @@ package allocator
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"dynalloc/internal/resources"
@@ -12,17 +13,14 @@ var stableNames = []Name{WholeMachine, MaxSeen, MinWaste, MaxThroughput, Percent
 
 // recompute is the memo-free reference: the clamped first-attempt vector
 // straight from the category's estimators, as Allocate computed it on every
-// call before the memo existed. It reads the category table itself, not the
-// lookup Allocate shares with its shortcut, and gives a category the table
-// does not hold fresh estimators. Only meaningful for the algorithms that
-// draw no randomness.
+// call before the memo existed. It reads the category table itself, not
+// through Allocate's lookup, and gives a category the table does not hold
+// fresh estimators. Only meaningful for the algorithms that draw no
+// randomness.
 func (a *Allocator) recompute(category string) resources.Vector {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.IgnoreCategories {
-		category = ""
-	}
-	cs := a.cats[category]
+	cs := a.cats[a.key(category)]
 	if cs == nil {
 		cs = &categoryState{}
 		for _, k := range a.kinds {
@@ -39,7 +37,9 @@ func (a *Allocator) recompute(category string) resources.Vector {
 // TestFirstAttemptMemoTracksReference drives every stable algorithm through
 // a random interleaving of Observe and ResetCategory on two categories, with
 // categories kept apart and pooled, and checks after every step that both
-// the computing call and the memoised call return what the estimators would.
+// the computing call and the memoised call return what the estimators would,
+// that a step leaves nothing published, and that what a call publishes is
+// what the lock-free read then serves.
 func TestFirstAttemptMemoTracksReference(t *testing.T) {
 	cats := [2]string{"a", "b"}
 	for _, alg := range stableNames {
@@ -49,6 +49,9 @@ func TestFirstAttemptMemoTracksReference(t *testing.T) {
 				drive := rand.New(rand.NewPCG(5, 0xA11))
 				check := func(step int) {
 					t.Helper()
+					if m := a.served.Load(); step > 0 && m != nil {
+						t.Fatalf("step %d: memo of %q still published", step, m.category)
+					}
 					for _, c := range cats {
 						want := a.recompute(c)
 						for call := 0; call < 2; call++ {
@@ -58,6 +61,9 @@ func TestFirstAttemptMemoTracksReference(t *testing.T) {
 							}
 							if got != want {
 								t.Fatalf("step %d call %d category %s: memo %v, estimators %v", step, call, c, got, want)
+							}
+							if m := a.served.Load(); m == nil || m.category != a.key(c) || m.alloc != want {
+								t.Fatalf("step %d call %d category %s: published %+v, estimators %v", step, call, c, m, want)
 							}
 						}
 						if got := a.Allocate(c, step); got != want {
@@ -99,5 +105,91 @@ func TestSamplingAllocatorsAreNeverStable(t *testing.T) {
 			a.Observe("c", task, peak, 30)
 			twin.Observe("c", task, peak, 30)
 		}
+	}
+}
+
+// TestStableMemoConcurrentReaders runs Allocate on several goroutines while
+// one goroutine Observes rising peaks and resets, on two categories, kept
+// apart and pooled. Every vector a reader gets must be one the estimators
+// produced for that category at some point of the run (a torn or invented
+// read is not), and the writer's own Allocate after each of its Observes must
+// already see the new estimators, never the memo that Observe retired.
+// Run it under -race: the readers take the lock-free path.
+func TestStableMemoConcurrentReaders(t *testing.T) {
+	const readers, steps = 4, 200
+	cats := [2]string{"a", "b"}
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			a := MustNew(MaxSeen, Config{Seed: 3, ExploreCount: 1, IgnoreCategories: pooled})
+			// held[c] is every vector c's estimators produced: the writer
+			// records it after every change, and the readers' vectors are
+			// checked against it once they have all stopped.
+			var mu sync.Mutex
+			held := map[string]map[resources.Vector]bool{}
+			record := func() {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, c := range cats {
+					if held[c] == nil {
+						held[c] = map[resources.Vector]bool{}
+					}
+					held[c][a.recompute(c)] = true
+				}
+			}
+			record()
+			seen := make([]map[string]map[resources.Vector]bool, readers)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := range seen {
+				seen[r] = map[string]map[resources.Vector]bool{"a": {}, "b": {}}
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c := cats[(i+r)%2]
+						seen[r][c][a.Allocate(c, i)] = true
+					}
+				}(r)
+			}
+			drive := rand.New(rand.NewPCG(3, 0xC0C))
+			for step := 1; step <= steps; step++ {
+				c := cats[drive.IntN(2)]
+				if drive.IntN(30) == 0 {
+					a.ResetCategory(c)
+					record()
+					continue
+				}
+				before := a.Allocate(c, step)
+				// Rising peaks: 250 MB more every step lifts max-seen's
+				// memory bucket, below capacity, so every Observe changes
+				// the vector.
+				peak := resources.New(1+drive.Float64(), float64(250*step), 100, 30)
+				a.Observe(c, step, peak, 30)
+				record()
+				after := a.Allocate(c, step)
+				if after == before {
+					t.Fatalf("step %d category %s: Allocate after Observe still serves %v", step, c, before)
+				}
+				if want := a.recompute(c); after != want {
+					t.Fatalf("step %d category %s: Allocate after Observe %v, estimators %v", step, c, after, want)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			for r := range seen {
+				for c, vs := range seen[r] {
+					for v := range vs {
+						if !held[c][v] {
+							t.Fatalf("reader %d got %v for %s, which its estimators never produced", r, v, c)
+						}
+					}
+				}
+			}
+		})
 	}
 }

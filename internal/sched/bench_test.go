@@ -76,9 +76,9 @@ type deepQueue struct {
 	scanned int   // queued keys the passes resolved
 }
 
-func newDeepQueue() *deepQueue {
+func newDeepQueue(policy allocator.Policy) *deepQueue {
 	const slots, queued = 16, 256
-	d := &deepQueue{policy: oneCore{}, tasks: make([]Task, slots+queued)}
+	d := &deepQueue{policy: policy, tasks: make([]Task, slots+queued)}
 	d.c = New(FirstFit, 0, Driver{
 		Lookup: func(key int) *Task {
 			d.scanned++
@@ -105,35 +105,54 @@ func (d *deepQueue) step() {
 }
 
 // BenchmarkDispatchDeepQueue measures one dispatch pass over a deep queue of
-// one stable category with one slot free. scanned/pass is how many queued
-// keys a pass resolves: it places the head and stops at the next entry's
-// miss, so it reads 2 (held + placed + categories, with nothing held) however
-// deep the queue.
+// one stable category with one slot free, against the policy as is and behind
+// a wrapper that embeds the Policy interface and so hides its StablePolicy
+// capability, the shape of sim-maxseen-churn's pass. scanned/pass is how many
+// queued keys a pass resolves. Seen stable, the pass places the head and
+// stops at the next entry's miss: 2 however deep the queue (held + placed +
+// categories, with nothing held). Wrapped, it cannot know the category is
+// stable, so it walks the whole queue with a policy call and a probe per
+// entry: 257.
 func BenchmarkDispatchDeepQueue(b *testing.B) {
-	d := newDeepQueue()
-	d.scanned = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.step()
+	for _, bc := range []struct {
+		name   string
+		policy allocator.Policy
+	}{{"stable", oneCore{}}, {"wrapped", plainPolicy{oneCore{}}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := newDeepQueue(bc.policy)
+			d.scanned = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.step()
+			}
+			b.ReportMetric(float64(d.scanned)/float64(b.N), "scanned/pass")
+		})
 	}
-	b.ReportMetric(float64(d.scanned)/float64(b.N), "scanned/pass")
 }
 
 // TestDispatchDeepQueueSteadyState pins what BenchmarkDispatchDeepQueue
 // measures: each pass places exactly the freed slot's worth, resolves two
-// queued keys, leaves the queue as deep as it found it, and allocates nothing.
+// queued keys seen stable and the whole queue wrapped, leaves the queue as deep
+// as it found it, and allocates nothing.
 func TestDispatchDeepQueueSteadyState(t *testing.T) {
-	d := newDeepQueue()
-	d.scanned = 0
-	allocs := testing.AllocsPerRun(100, d.step)
-	if allocs != 0 {
-		t.Errorf("a steady-state pass allocates %v times, want 0", allocs)
-	}
-	if passes := 101; d.scanned != 2*passes { // AllocsPerRun warms up once
-		t.Errorf("%d passes resolved %d queued keys, want 2 each", passes, d.scanned)
-	}
-	if d.c.Ready.Len() != 256 || d.c.InFlight() != 16 {
-		t.Errorf("after the passes: %d queued, %d in flight; want 256, 16", d.c.Ready.Len(), d.c.InFlight())
+	for _, tc := range []struct {
+		name        string
+		policy      allocator.Policy
+		wantScanned int // per pass
+	}{{"stable", oneCore{}, 2}, {"wrapped", plainPolicy{oneCore{}}, 257}} {
+		d := newDeepQueue(tc.policy)
+		d.scanned = 0
+		allocs := testing.AllocsPerRun(100, d.step)
+		if allocs != 0 {
+			t.Errorf("%s: a steady-state pass allocates %v times, want 0", tc.name, allocs)
+		}
+		const passes = 101 // AllocsPerRun warms up once
+		if d.scanned != tc.wantScanned*passes {
+			t.Errorf("%s: %d passes resolved %d queued keys, want %d each", tc.name, passes, d.scanned, tc.wantScanned)
+		}
+		if d.c.Ready.Len() != 256 || d.c.InFlight() != 16 {
+			t.Errorf("%s: after the passes: %d queued, %d in flight; want 256, 16", tc.name, d.c.Ready.Len(), d.c.InFlight())
+		}
 	}
 }
