@@ -10,26 +10,38 @@ import (
 // The allocator benchmark suite: one full scheduler interaction per
 // iteration — Allocate, escalate through Retry until the task's peak fits,
 // Observe — for every algorithm of the evaluation. This is the per-task
-// overhead the paper's Table I argues is negligible; `make bench-alloc`
-// tracks it (with the bucketing-core scenarios) in BENCH_alloc.json.
+// overhead the paper's Table I argues is negligible.
+
+// cycleTasks is how many tasks BenchmarkAllocCycle runs through one
+// allocator: every cycleTasks it starts over, with the timer stopped, from a
+// fresh allocator and the same task stream. Each category's record list so
+// grows from 20 to 520 and back, whatever b.N is, and ns/op compares across
+// -benchtime settings and commits.
+const cycleTasks = 1000
 
 // BenchmarkAllocCycle measures the full Predict/Retry/Observe cycle per
 // algorithm on a two-category bimodal workload.
 func BenchmarkAllocCycle(b *testing.B) {
 	for _, alg := range ExtendedNames() {
 		b.Run(string(alg), func(b *testing.B) {
-			a := MustNew(alg, Config{Seed: 7})
-			drive := rand.New(rand.NewPCG(7, 0xA11))
+			var a *Allocator
+			var drive *rand.Rand
 			cats := [2]string{"preproc", "fit"}
-			// Warm both categories out of exploratory mode so the steady
-			// state, not the fixed exploration constant, is measured.
-			for task := 1; task <= 40; task++ {
-				a.Observe(cats[task%2], task, resources.New(2, 1000, 300, 30), 30)
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				task := 40 + i + 1
+				if i%cycleTasks == 0 {
+					b.StopTimer()
+					a = MustNew(alg, Config{Seed: 7})
+					drive = rand.New(rand.NewPCG(7, 0xA11))
+					// Warm both categories out of exploratory mode so the
+					// steady state, not the fixed exploration constant, is
+					// measured.
+					for task := 1; task <= 40; task++ {
+						a.Observe(cats[task%2], task, resources.New(2, 1000, 300, 30), 30)
+					}
+					b.StartTimer()
+				}
+				task := 40 + i%cycleTasks + 1
 				cat := cats[task%2]
 				peak := resources.New(
 					1+3*drive.Float64(),

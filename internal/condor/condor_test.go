@@ -151,3 +151,14 @@ func TestName(t *testing.T) {
 		t.Error("empty name")
 	}
 }
+
+// BenchmarkCondorSchedule generates a day of batch-system activity for a
+// 125-slot cluster.
+func BenchmarkCondorSchedule(b *testing.B) {
+	c := DefaultCluster()
+	for i := 0; i < b.N; i++ {
+		if len(c.Schedule(uint64(i))) == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}

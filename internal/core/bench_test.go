@@ -8,13 +8,11 @@ import (
 	"dynalloc/internal/record"
 )
 
-// The bucketing-core benchmark suite: `make bench-alloc` runs these and
-// records the allocs/op and ns/op trajectory in BENCH_alloc.json. Cold
-// scenarios measure one full partition of a settled record list — the unit
-// of work a completion batch triggers (Section V-C) — and incremental
-// scenarios measure the State lazy path end to end: one record lands, the
-// next prediction pays one rebuild merge, one partition, and one bucket
-// materialization.
+// The bucketing-core benchmark suite. Cold scenarios measure one full
+// partition of a settled record list — the unit of work a completion batch
+// triggers (Section V-C) — and incremental scenarios measure the State lazy
+// path end to end: one record lands, the next prediction pays one rebuild
+// merge, one partition, and one bucket materialization.
 
 // benchRecords builds an n-record bimodal list (the Figure 3b shape) with
 // the paper's task-ID significance weighting.
@@ -31,17 +29,39 @@ func benchRecords(n int, seed uint64) *record.List {
 	return l
 }
 
+// settledRecords is benchRecords(n, 42) with its sorted view settled, so a
+// partition pays for nothing else.
+func settledRecords(n int) *record.List {
+	l := benchRecords(n, 42)
+	l.Sorted()
+	return l
+}
+
 // benchPartitionCold measures repeated partitions of a settled list.
 func benchPartitionCold(b *testing.B, alg Algorithm, n int) {
 	b.Helper()
-	l := benchRecords(n, 42)
-	l.Sorted() // settle the sorted view outside the timed region
+	l := settledRecords(n)
 	var s Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ends := alg.Partition(l, &s); len(ends) == 0 {
 			b.Fatal("empty partition")
+		}
+	}
+}
+
+// TestColdPartitionAllocatesNothing pins what the cold benchmarks measure:
+// once the Scratch has grown, a partition of a settled list allocates
+// nothing.
+func TestColdPartitionAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1000, 10000} {
+		l := settledRecords(n)
+		for _, alg := range []Algorithm{GreedyBucketing{}, ExhaustiveBucketing{}} {
+			var s Scratch
+			if got := testing.AllocsPerRun(10, func() { alg.Partition(l, &s) }); got != 0 {
+				t.Errorf("%T at %d records: a partition allocates %v times, want 0", alg, n, got)
+			}
 		}
 	}
 }

@@ -5,9 +5,8 @@ import "testing"
 // The event-engine micro-benchmarks isolate the three costs the simulator
 // pays per event: steady-state schedule/fire churn through the 4-ary heap,
 // cancellation via the maintained heap index, and the O(n) heapify
-// bulk-load of an up-front schedule. `make bench` runs these alongside the
-// simulator scenarios and records them in BENCH_sim.json; the typed paths
-// must stay at 0 allocs/op.
+// bulk-load of an up-front schedule. The typed paths must stay at 0
+// allocs/op, which TestTypedPathsAllocateNothing holds them to.
 
 // lcg is a tiny deterministic generator so benchmark schedules are varied
 // but reproducible without math/rand in the timed loop.
@@ -18,41 +17,68 @@ func (r *lcg) next() float64 {
 	return float64(*r>>40) / float64(1<<24)
 }
 
-// BenchmarkDeventScheduleFireChurn holds a 1024-event future list and, per
-// op, schedules one typed event at a pseudo-random offset and fires the
-// earliest — the simulator's steady-state pattern.
-func BenchmarkDeventScheduleFireChurn(b *testing.B) {
-	var e Engine
+// loadedEngine returns an engine holding a 1024-event future list drawn
+// from seed, and the generator positioned after it.
+func loadedEngine(seed lcg) (*Engine, *lcg) {
+	e := new(Engine)
 	e.SetHandler(func(Kind, Payload) {})
-	r := lcg(1)
+	r := &seed
 	for i := 0; i < 1024; i++ {
 		e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
 	}
+	return e, r
+}
+
+// scheduleFireStep schedules one typed event at a pseudo-random offset and
+// fires the earliest — the simulator's steady-state pattern.
+func scheduleFireStep(e *Engine, r *lcg, i int) {
+	e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
+	e.Step()
+}
+
+// cancelStep mirrors an eviction-heavy run: it schedules two events,
+// cancels one through its handle (an indexed heap removal), and fires the
+// other.
+func cancelStep(e *Engine, r *lcg, i int) {
+	h := e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
+	e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
+	e.Cancel(h)
+	e.Step()
+}
+
+// BenchmarkDeventScheduleFireChurn is scheduleFireStep on a 1024-event
+// future list.
+func BenchmarkDeventScheduleFireChurn(b *testing.B) {
+	e, r := loadedEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
-		e.Step()
+		scheduleFireStep(e, r, i)
 	}
 }
 
-// BenchmarkDeventCancelHeavy mirrors an eviction-heavy run: per op it
-// schedules two events, cancels one through its handle (an indexed heap
-// removal), and fires the other.
+// BenchmarkDeventCancelHeavy is cancelStep on a 1024-event future list.
 func BenchmarkDeventCancelHeavy(b *testing.B) {
-	var e Engine
-	e.SetHandler(func(Kind, Payload) {})
-	r := lcg(2)
-	for i := 0; i < 1024; i++ {
-		e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
-	}
+	e, r := loadedEngine(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
-		e.ScheduleAfter(r.next()*100, 0, Payload{A: i})
-		e.Cancel(h)
-		e.Step()
+		cancelStep(e, r, i)
+	}
+}
+
+// TestTypedPathsAllocateNothing pins what the two benchmarks above measure:
+// once the pool has grown to the list's size, neither step allocates.
+func TestTypedPathsAllocateNothing(t *testing.T) {
+	for name, step := range map[string]func(*Engine, *lcg, int){
+		"schedule/fire": scheduleFireStep,
+		"cancel":        cancelStep,
+	} {
+		e, r := loadedEngine(1)
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() { step(e, r, i); i++ }); n != 0 {
+			t.Errorf("%s: a step allocates %v times, want 0", name, n)
+		}
 	}
 }
 

@@ -185,3 +185,18 @@ func TestFlowOverLiveManager(t *testing.T) {
 }
 
 var _ Executor = (*wq.Manager)(nil)
+
+// BenchmarkFlow_LocalExecutor is the application layer's dispatch overhead:
+// one task at a time through the flow layer and a local executor.
+func BenchmarkFlow_LocalExecutor(b *testing.B) {
+	pol := allocator.MustNew(allocator.Exhaustive, allocator.Config{Seed: 1})
+	f := New(&LocalExecutor{Policy: pol})
+	task := workflow.Task{
+		Category:    "bench",
+		Consumption: resources.New(1, 400, 100, 10),
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Submit("bench", task).Wait()
+	}
+}

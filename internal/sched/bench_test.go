@@ -14,25 +14,14 @@ import (
 // O(log W); best-fit is exact branch-and-bound — its score lower bound
 // keeps pointing into subtrees of too-full workers, so under mixed loads
 // it degenerates toward the cost of the linear scan it replaced. The
-// sub-runs keep those costs separately visible in the trajectory.
+// sub-runs keep those costs separately visible.
 func BenchmarkPlacementIndex100k(b *testing.B) {
-	const n = 100_000
+	ci, workers := loadedIndex()
 	shape := resources.PaperWorker()
-	var p Pool
-	ci := &p.idx
-	r := dist.NewRand(7)
-	workers := make([]*Worker, n)
-	for i := range workers {
-		w := p.Add(i, shape)
-		w.used = shape.Scale(r.Float64() * 0.95)
-		workers[i] = w
-		ci.update(w)
-	}
-	alloc := resources.New(3, 12000, 6000, 0)
 	b.Run("update", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w := workers[int(uint64(i)*2654435761%n)]
+			w := workers[int(uint64(i)*2654435761%uint64(len(workers)))]
 			w.used = shape.Scale(float64(i%97) / 100)
 			ci.update(w)
 		}
@@ -41,7 +30,7 @@ func BenchmarkPlacementIndex100k(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if fit(alloc) == nil {
+				if fit(probeAlloc) == nil {
 					b.Fatal("index lost every worker")
 				}
 			}
@@ -50,6 +39,41 @@ func BenchmarkPlacementIndex100k(b *testing.B) {
 	b.Run("first-fit", probe(ci.firstFit))
 	b.Run("worst-fit", probe(ci.worstFit))
 	b.Run("best-fit", probe(ci.bestFit))
+}
+
+// loadedIndex is the capacity index of a pool of 100k paper workers, each
+// filled to a uniform random share of up to 95 %, and the workers.
+func loadedIndex() (*capIndex, []*Worker) {
+	shape := resources.PaperWorker()
+	p := new(Pool)
+	r := dist.NewRand(7)
+	workers := make([]*Worker, 100_000)
+	for i := range workers {
+		w := p.Add(i, shape)
+		w.used = shape.Scale(r.Float64() * 0.95)
+		workers[i] = w
+		p.idx.update(w)
+	}
+	return &p.idx, workers
+}
+
+// probeAlloc is the allocation BenchmarkPlacementIndex100k places.
+var probeAlloc = resources.New(3, 12000, 6000, 0)
+
+// TestPlacementIndexAllocatesNothing pins what BenchmarkPlacementIndex100k
+// measures: an update and every probe allocate nothing.
+func TestPlacementIndexAllocatesNothing(t *testing.T) {
+	ci, workers := loadedIndex()
+	for name, op := range map[string]func(){
+		"update":    func() { ci.update(workers[len(workers)/2]) },
+		"first-fit": func() { ci.firstFit(probeAlloc) },
+		"worst-fit": func() { ci.worstFit(probeAlloc) },
+		"best-fit":  func() { ci.bestFit(probeAlloc) },
+	} {
+		if n := testing.AllocsPerRun(10, op); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
+	}
 }
 
 // oneCore is a stable policy that gives every task one core.

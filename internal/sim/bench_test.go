@@ -5,14 +5,15 @@ import (
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/opportunistic"
+	"dynalloc/internal/resources"
+	"dynalloc/internal/vine"
 	"dynalloc/internal/workflow"
 )
 
 // The dispatch-path benchmark suite: every scenario is chosen to stress a
 // different part of the simulator hot path (the ready queue, the worker
 // scan, the eviction requeue) rather than the allocator, so regressions in
-// the engine itself are visible. `make bench` runs these and records the
-// ns/op and allocs/op trajectory in BENCH_sim.json.
+// the engine itself are visible.
 
 // benchRun executes one simulation per iteration and fails the benchmark on
 // any simulator error.
@@ -116,4 +117,29 @@ func BenchmarkSimPlacementPolicies(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkDataAwareSimulation runs the locality-aware data layer end to
+// end: ColmenaXTB on 20 static workers, placed by cached input.
+func BenchmarkDataAwareSimulation(b *testing.B) {
+	w := benchWorkflow(b, "colmena", 0, 42)
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		layer := vine.NewLayer()
+		vine.Attach(layer, w, uint64(i))
+		pol := allocator.MustNew(allocator.Greedy, allocator.Config{Seed: uint64(i + 1)})
+		var err error
+		res, err = Run(Config{
+			Workflow: w,
+			Policy:   pol,
+			Pool:     opportunistic.Static{N: 20},
+			Place:    Locality,
+			Data:     layer,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(100*res.Acc.AWE(resources.Memory), "mem-AWE%")
+	b.ReportMetric(res.Makespan, "makespan-s")
 }

@@ -145,3 +145,19 @@ func TestAttachShape(t *testing.T) {
 		t.Error("Attach not deterministic")
 	}
 }
+
+// BenchmarkDataLayer_Staging is the staging cost of a full TopEFT run's
+// worth of tasks spread over 30 workers.
+func BenchmarkDataLayer_Staging(b *testing.B) {
+	w, err := workflow.ByName("topeft", 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		layer := NewLayer()
+		Attach(layer, w, uint64(i))
+		for _, t := range w.Tasks {
+			layer.Stage(t.ID%30, t.ID)
+		}
+	}
+}

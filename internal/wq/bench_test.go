@@ -117,17 +117,20 @@ func (p benchPolicy) Name() string                                   { return "b
 
 // benchEngine wires `workers` loopback workers into a fresh manager around
 // the fixed-allocation policy and waits until they are all registered.
-func benchEngine(b *testing.B, workers int) (*Manager, context.CancelFunc) {
-	b.Helper()
-	return benchEngineWith(b, benchPolicy{alloc: resources.New(1, 100, 100, 3600)},
+func benchEngine(tb testing.TB, workers int) *Manager {
+	tb.Helper()
+	return benchEngineWith(tb, benchPolicy{alloc: resources.New(1, 100, 100, 3600)},
 		resources.New(64, 1<<20, 1<<20, 3600), workers)
 }
 
-// benchEngineWith is benchEngine for a given policy and worker shape.
-func benchEngineWith(b *testing.B, policy allocator.Policy, capacity resources.Vector, workers int) (*Manager, context.CancelFunc) {
-	b.Helper()
+// benchEngineWith is benchEngine for a given policy and worker shape. The
+// manager closes, and its workers stop, when tb's test or benchmark ends.
+func benchEngineWith(tb testing.TB, policy allocator.Policy, capacity resources.Vector, workers int) *Manager {
+	tb.Helper()
 	m := NewManager(policy)
 	ctx, cancel := context.WithCancel(context.Background())
+	tb.Cleanup(cancel)
+	tb.Cleanup(m.Close)
 	cfg := WorkerConfig{Capacity: capacity, TimeScale: 1e-12}
 	for i := 0; i < workers; i++ {
 		mgrSide, wkrSide := loopPipe()
@@ -137,11 +140,11 @@ func benchEngineWith(b *testing.B, policy allocator.Policy, capacity resources.V
 	deadline := time.Now().Add(5 * time.Second)
 	for m.Workers() < workers {
 		if time.Now().After(deadline) {
-			b.Fatalf("only %d of %d workers registered", m.Workers(), workers)
+			tb.Fatalf("only %d of %d workers registered", m.Workers(), workers)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	return m, cancel
+	return m
 }
 
 var benchTask = workflow.Task{
@@ -149,55 +152,80 @@ var benchTask = workflow.Task{
 	Consumption: resources.New(0.5, 50, 50, 1),
 }
 
-// benchWQDispatch measures sustained dispatch/result round trips: `depth`
-// driver goroutines keep that many tasks in flight through Submit, every
-// task fits its first allocation, and the workers' virtual execution sleeps
-// zero wall time — so the per-op cost is one full manager->worker->manager
-// protocol round trip including dispatch-time allocation and bookkeeping.
-func benchWQDispatch(b *testing.B, workers int) {
-	m, cancel := benchEngine(b, workers)
-	defer cancel()
-	defer m.Close()
-	benchDrive(b, m, 8*workers)
-}
+// Each load below sets up one benchmark's engine and returns drive: drive(n)
+// runs n round trips to completion. The benchmark times drive(b.N), and
+// TestRoundTripAllocCeilings counts what drive(2000) allocates.
 
-// benchDrive keeps `depth` copies of benchTask in flight through Submit until
-// b.N have completed, and reports the throughput.
-func benchDrive(b *testing.B, m *Manager, depth int) {
-	benchDriveTasks(b, m, depth, func(int64) workflow.Task { return benchTask })
-}
-
-// benchDriveTasks is benchDrive over task(n), n counting down from b.N-1.
-func benchDriveTasks(b *testing.B, m *Manager, depth int, task func(n int64) workflow.Task) {
-	var remaining atomic.Int64
+// benchLoad times drive(b.N) and reports the throughput.
+func benchLoad(b *testing.B, drive func(n int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	remaining.Store(int64(b.N))
+	drive(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/sec")
+}
+
+// driveTasks keeps `depth` tasks in flight through Submit until n have
+// completed; task(k) is submitted with k counting down from n-1.
+func driveTasks(m *Manager, depth, n int, task func(k int64) workflow.Task) {
+	var remaining atomic.Int64
+	remaining.Store(int64(n))
 	var wg sync.WaitGroup
 	for g := 0; g < depth; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := remaining.Add(-1); n >= 0; n = remaining.Add(-1) {
-				<-m.Submit(task(n))
+			for k := remaining.Add(-1); k >= 0; k = remaining.Add(-1) {
+				<-m.Submit(task(k))
 			}
 		}()
 	}
 	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/sec")
+}
+
+// dispatchLoad is sustained dispatch/result round trips: 8 driver goroutines
+// per worker keep that many tasks in flight through Submit, every task fits
+// its first allocation, and the workers' virtual execution sleeps zero wall
+// time — so the per-op cost is one full manager->worker->manager protocol
+// round trip including dispatch-time allocation and bookkeeping.
+func dispatchLoad(tb testing.TB, workers int) func(n int) {
+	m := benchEngine(tb, workers)
+	return func(n int) {
+		driveTasks(m, 8*workers, n, func(int64) workflow.Task { return benchTask })
+	}
 }
 
 // BenchmarkWQDispatch1Workers is the single-worker protocol floor.
-func BenchmarkWQDispatch1Workers(b *testing.B) { benchWQDispatch(b, 1) }
+func BenchmarkWQDispatch1Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 1)) }
 
-// BenchmarkWQDispatch8Workers is the headline live-engine number recorded in
-// BENCH_wq.json: 8 concurrent workers, 64 tasks in flight.
-func BenchmarkWQDispatch8Workers(b *testing.B) { benchWQDispatch(b, 8) }
+// BenchmarkWQDispatch8Workers is the headline live-engine number: 8
+// concurrent workers, 64 tasks in flight.
+func BenchmarkWQDispatch8Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 8)) }
 
 // BenchmarkWQDispatch64Workers stresses the dispatch scan and the result
 // intake under a wide worker fleet.
-func BenchmarkWQDispatch64Workers(b *testing.B) { benchWQDispatch(b, 64) }
+func BenchmarkWQDispatch64Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 64)) }
+
+// deepQueueLoad is BenchmarkWQDeepQueue256's load; each driver adds to
+// queued the ready-queue length it finds as it submits.
+func deepQueueLoad(tb testing.TB, queued *atomic.Int64) func(n int) {
+	capacity := resources.New(4, 1000, 1000, 3600)
+	pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})
+	// Leave exploratory mode before the clock starts: max-seen explores
+	// with a whole worker, one task at a time.
+	for task := 1; task <= 10; task++ {
+		pol.Observe(benchTask.Category, task, benchTask.Consumption, benchTask.Runtime())
+	}
+	m := benchEngineWith(tb, pol, capacity, 2)
+	return func(n int) {
+		driveTasks(m, 256, n, func(int64) workflow.Task {
+			m.mu.Lock()
+			queued.Add(int64(m.sched.Ready.Len()))
+			m.mu.Unlock()
+			return benchTask
+		})
+	}
+}
 
 // BenchmarkWQDeepQueue256 is the queue-depth scenario the dispatch benchmarks
 // above never reach: a real max-seen allocator, 256 tasks in flight on two
@@ -212,24 +240,24 @@ func BenchmarkWQDispatch64Workers(b *testing.B) { benchWQDispatch(b, 64) }
 // starved behind manager<->worker hand-offs on one P and the queue held ~3
 // entries (DESIGN.md §16).
 func BenchmarkWQDeepQueue256(b *testing.B) {
-	capacity := resources.New(4, 1000, 1000, 3600)
-	pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})
-	// Leave exploratory mode before the clock starts: max-seen explores
-	// with a whole worker, one task at a time.
-	for task := 1; task <= 10; task++ {
-		pol.Observe(benchTask.Category, task, benchTask.Consumption, benchTask.Runtime())
-	}
-	m, cancel := benchEngineWith(b, pol, capacity, 2)
-	defer cancel()
-	defer m.Close()
 	var queued atomic.Int64
-	benchDriveTasks(b, m, 256, func(int64) workflow.Task {
-		m.mu.Lock()
-		queued.Add(int64(m.sched.Ready.Len()))
-		m.mu.Unlock()
-		return benchTask
-	})
+	benchLoad(b, deepQueueLoad(b, &queued))
 	b.ReportMetric(float64(queued.Load())/float64(b.N), "queued/pass")
+}
+
+// greedyBurstLoad is BenchmarkWQGreedyBurst's load, with the allocator it
+// drives.
+func greedyBurstLoad(tb testing.TB) (func(n int), *allocator.Allocator) {
+	wf, err := workflow.Synthetic("bimodal", 4096, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	capacity := resources.PaperWorker()
+	pol := allocator.MustNew(allocator.Greedy, allocator.Config{Capacity: capacity, Seed: 1})
+	m := benchEngineWith(tb, pol, capacity, 2)
+	return func(n int) {
+		driveTasks(m, 32, n, func(k int64) workflow.Task { return wf.Tasks[k%int64(len(wf.Tasks))] })
+	}, pol
 }
 
 // BenchmarkWQGreedyBurst is the recompute-bound scenario: a real
@@ -242,16 +270,8 @@ func BenchmarkWQDeepQueue256(b *testing.B) {
 // are the worker's doing: executors that finish together share one write
 // (frameWriter.send), which the manager's reader takes in as one read.
 func BenchmarkWQGreedyBurst(b *testing.B) {
-	wf, err := workflow.Synthetic("bimodal", 4096, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	capacity := resources.PaperWorker()
-	pol := allocator.MustNew(allocator.Greedy, allocator.Config{Capacity: capacity, Seed: 1})
-	m, cancel := benchEngineWith(b, pol, capacity, 2)
-	defer cancel()
-	defer m.Close()
-	benchDriveTasks(b, m, 32, func(n int64) workflow.Task { return wf.Tasks[n%int64(len(wf.Tasks))] })
+	drive, pol := greedyBurstLoad(b)
+	benchLoad(b, drive)
 	recomputes := 0
 	for _, kinds := range pol.BucketStats() {
 		for _, s := range kinds {
@@ -261,23 +281,20 @@ func BenchmarkWQGreedyBurst(b *testing.B) {
 	b.ReportMetric(float64(recomputes)/float64(b.N), "recomputes/op")
 }
 
-// BenchmarkWQChurn8Workers overlays worker churn on the dispatch stream: one
-// of the 8 workers is killed (and replaced) every churnEvery completed
-// tasks, so the run continuously exercises the eviction/requeue path and the
-// alive-chain maintenance alongside steady-state dispatch.
-func BenchmarkWQChurn8Workers(b *testing.B) {
+// churnLoad overlays worker churn on dispatchLoad's stream at 8 workers: the
+// driver whose submission is a multiple of churnEvery first kills one worker
+// and spawns a replacement, so the run continuously exercises the
+// eviction/requeue path and the alive-chain maintenance alongside
+// steady-state dispatch.
+func churnLoad(tb testing.TB) func(n int) {
 	const workers = 8
 	const churnEvery = 2048
-	m, cancel := benchEngine(b, workers)
-	defer cancel()
-	defer m.Close()
+	m := benchEngine(tb, workers)
 	ctx, stopSpawns := context.WithCancel(context.Background())
-	defer stopSpawns()
+	tb.Cleanup(stopSpawns)
 
-	// victims holds one evictable loopback worker at a time; the driver that
-	// crosses a churn boundary kills it and spawns a replacement.
-	capacity := resources.New(64, 1<<20, 1<<20, 3600)
-	cfg := WorkerConfig{Capacity: capacity, TimeScale: 1e-12}
+	// victim is the one evictable loopback worker of the moment.
+	cfg := WorkerConfig{Capacity: resources.New(64, 1<<20, 1<<20, 3600), TimeScale: 1e-12}
 	var victimMu sync.Mutex
 	var victim net.Conn
 	spawnVictim := func() {
@@ -290,30 +307,58 @@ func BenchmarkWQChurn8Workers(b *testing.B) {
 	}
 	spawnVictim()
 
-	depth := 8 * workers
-	var completed atomic.Int64
-	var remaining atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	remaining.Store(int64(b.N))
-	var wg sync.WaitGroup
-	for g := 0; g < depth; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for remaining.Add(-1) >= 0 {
-				<-m.Submit(benchTask)
-				if n := completed.Add(1); n%churnEvery == 0 {
-					victimMu.Lock()
-					old := victim
-					victimMu.Unlock()
-					old.Close()
-					spawnVictim()
-				}
+	var submitted atomic.Int64
+	return func(n int) {
+		driveTasks(m, 8*workers, n, func(int64) workflow.Task {
+			if submitted.Add(1)%churnEvery == 0 {
+				victimMu.Lock()
+				old := victim
+				victimMu.Unlock()
+				old.Close()
+				spawnVictim()
 			}
-		}()
+			return benchTask
+		})
 	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/sec")
+}
+
+// BenchmarkWQChurn8Workers is dispatch at 8 workers with one of them killed
+// and replaced every 2048 tasks.
+func BenchmarkWQChurn8Workers(b *testing.B) { benchLoad(b, churnLoad(b)) }
+
+// TestRoundTripAllocCeilings holds every BenchmarkWQ* load to a ceiling on
+// the allocations of one round trip, counted over 2000 of them after as many
+// to warm up. A steady-state round trip costs 3 (outcome channel, task
+// state, and reader/executor handoff); up to 0.45 more is driver goroutine
+// spin-up, most of it at 64 workers. Past the ceiling the frame hot path
+// started allocating again.
+func TestRoundTripAllocCeilings(t *testing.T) {
+	const trips = 2000
+	for _, tc := range []struct {
+		name    string
+		load    func(testing.TB) func(n int)
+		ceiling float64
+	}{
+		{"Dispatch1Workers", func(tb testing.TB) func(int) { return dispatchLoad(tb, 1) }, 4},
+		{"Dispatch8Workers", func(tb testing.TB) func(int) { return dispatchLoad(tb, 8) }, 4},
+		{"Dispatch64Workers", func(tb testing.TB) func(int) { return dispatchLoad(tb, 64) }, 4},
+		{"DeepQueue256", func(tb testing.TB) func(int) { return deepQueueLoad(tb, new(atomic.Int64)) }, 4},
+		{"Churn8Workers", churnLoad, 4},
+		// GreedyBurst's bimodal tasks exhaust ~1.3 attempts each, and every
+		// exhaustion pays the retry path's allocations on top of the round
+		// trip's (the exceeded-kind slice handed to Retry, the attempt ledger
+		// outgrowing its inline slot): 10.5-11 measured, ~12 under -race.
+		// Its ceiling catches per-dispatch-pass or per-recompute allocation,
+		// which would add tens.
+		{"GreedyBurst", func(tb testing.TB) func(int) { drive, _ := greedyBurstLoad(tb); return drive }, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drive := tc.load(t)
+			got := testing.AllocsPerRun(1, func() { drive(trips) }) / trips
+			t.Logf("%.3f allocs per round trip", got)
+			if got > tc.ceiling {
+				t.Errorf("%.3f allocs per round trip, over the ceiling of %v", got, tc.ceiling)
+			}
+		})
+	}
 }
