@@ -39,6 +39,18 @@ func PredictiveNames() []Name {
 	return []Name{MaxSeen, MinWaste, MaxThroughput, Quantized, Greedy, Exhaustive}
 }
 
+// Stable reports whether the named algorithm draws no randomness when it
+// predicts: between two Observes of a category, every Allocate for it returns
+// the same vector, for any task, and leaves the RNG where it was. Any other
+// name, a sampling algorithm's or one that names no algorithm, is not.
+func (n Name) Stable() bool {
+	switch n {
+	case WholeMachine, MaxSeen, MinWaste, MaxThroughput, Percentile:
+		return true
+	}
+	return false
+}
+
 // ErrUnknownAlgorithm is returned (wrapped) when an algorithm name does not
 // match any known algorithm. Match it with errors.Is.
 var ErrUnknownAlgorithm = errors.New("allocator: unknown algorithm")
@@ -70,23 +82,12 @@ type Policy interface {
 	Retry(category string, taskID int, prev resources.Vector, exceeded []resources.Kind) resources.Vector
 	// Observe reports the peak consumption and runtime of a completed task.
 	Observe(category string, taskID int, peak resources.Vector, runtime float64)
-	// Name identifies the algorithm.
+	// Name identifies the algorithm whose vectors Allocate returns. The
+	// dispatch pass (internal/sched) reads it once: a policy named by a stable
+	// algorithm (Name.Stable) is asked once per category per pass. A wrapper
+	// that only watches the calls forwards it; one that changes what Allocate
+	// returns must report a name of its own.
 	Name() string
-}
-
-// StablePolicy is an optional capability of a Policy. AllocateStable has the
-// result and effects of Allocate; stable reports that every further Allocate
-// for this category returns this vector, for any task, and consumes no
-// randomness, until the policy's next Observe or reset. The dispatch pass
-// (internal/sched) finds it by type assertion on the Policy it was given and
-// then asks a stable category once per pass. A wrapper that embeds the Policy
-// interface hides it and sees every call; against *Allocator each hidden call
-// is one lock-free load of the published memo, not a policy computation. One
-// that embeds the concrete *Allocator and overrides Allocate has
-// AllocateStable promoted past its override and is bypassed. Embed the
-// interface.
-type StablePolicy interface {
-	AllocateStable(category string, taskID int) (alloc resources.Vector, stable bool)
 }
 
 // Config tunes an Allocator. The zero value plus Capacity is usable;
@@ -174,14 +175,14 @@ func (c Config) kinds() []resources.Kind {
 // memo last served is published through an atomic pointer, so an Allocate for
 // that category returns without taking the lock. Observe and ResetCategory
 // withdraw the publication under the lock before they touch any estimator: a
-// reader that still loaded the old memo is ordered before them, as the
-// StablePolicy contract allows.
+// reader that still loaded the old memo is ordered before them, as Name.Stable
+// allows.
 type Allocator struct {
 	alg    Name
 	cfg    Config
 	kinds  []resources.Kind // cfg.kinds(), computed once at construction
-	stable bool             // the algorithm's Predict draws no randomness
-	// served is the memo AllocateStable last served, nil after an Observe or
+	stable bool             // alg.Stable(): its Predict draws no randomness
+	// served is the memo Allocate last served, nil after an Observe or
 	// a reset; only stable algorithms publish. Read without mu, written
 	// under it.
 	served atomic.Pointer[firstMemo]
@@ -217,7 +218,7 @@ func New(alg Name, cfg Config) (*Allocator, error) {
 		alg:    alg,
 		cfg:    cfg,
 		kinds:  cfg.kinds(),
-		stable: alg == WholeMachine || alg == MaxSeen || alg == MinWaste || alg == MaxThroughput || alg == Percentile,
+		stable: alg.Stable(),
 		rng:    dist.NewRand(cfg.Seed),
 		cats:   make(map[string]*categoryState),
 	}, nil
@@ -291,28 +292,21 @@ func (a *Allocator) newEstimator(k resources.Kind) Estimator {
 	}
 }
 
-// Allocate implements Policy.
+// Allocate implements Policy. The stable algorithms compute a category's
+// first-attempt vector once per Observe and serve the memo in between,
+// lock-free while it is the one last served; the sampling ones draw per call,
+// in exploratory mode too, so their RNG streams do not depend on who asks.
 func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
-	alloc, _ := a.AllocateStable(category, taskID)
-	return alloc
-}
-
-// AllocateStable implements StablePolicy. The algorithms that draw no
-// randomness compute a category's first-attempt vector once per Observe and
-// serve the memo in between, lock-free while it is the one last served; the
-// sampling ones draw per call, in exploratory mode too, so their RNG streams
-// do not depend on who asks.
-func (a *Allocator) AllocateStable(category string, taskID int) (resources.Vector, bool) {
 	key := a.key(category)
 	if m := a.served.Load(); m != nil && m.category == key {
-		return m.alloc, true
+		return m.alloc
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cs := a.category(key)
 	if cs.hasFirst {
 		a.served.Store(cs.first)
-		return cs.first.alloc, true
+		return cs.first.alloc
 	}
 	alloc := resources.New(0, 0, 0, resources.Unlimited)
 	// Iterate kinds in canonical order so the shared RNG stream, and hence
@@ -328,7 +322,7 @@ func (a *Allocator) AllocateStable(category string, taskID int) (resources.Vecto
 		cs.hasFirst = true
 		a.served.Store(cs.first)
 	}
-	return alloc, a.stable
+	return alloc
 }
 
 // Retry implements Policy: exhausted kinds escalate through the kind's

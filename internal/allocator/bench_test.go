@@ -68,12 +68,13 @@ func BenchmarkAllocCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocateStableHit measures the call a dispatch pass makes for
-// every queued first attempt when a wrapper hides StablePolicy: an Allocate
-// of a stable category whose memo is the one published, served by one atomic
-// load without the lock. The parallel sub-run has every goroutine read the
-// same memo. Either way it must not allocate.
-func BenchmarkAllocateStableHit(b *testing.B) {
+// BenchmarkAllocateMemoHit measures the call a dispatch pass makes once per
+// category per pass under a stable algorithm, and for every queued first
+// attempt behind a wrapper that reports a name of its own: an Allocate of a
+// stable category whose memo is the one published, served by one atomic load
+// without the lock. The parallel sub-run has every goroutine read the same
+// memo. Either way it must not allocate.
+func BenchmarkAllocateMemoHit(b *testing.B) {
 	a := MustNew(MaxSeen, Config{Seed: 7})
 	for task := 1; task <= 20; task++ {
 		a.Observe("fit", task, resources.New(2, 1000, 300, 30), 30)

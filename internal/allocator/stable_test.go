@@ -9,7 +9,15 @@ import (
 	"dynalloc/internal/resources"
 )
 
-var stableNames = []Name{WholeMachine, MaxSeen, MinWaste, MaxThroughput, Percentile}
+// stableNames is every algorithm Name.Stable lists.
+var stableNames = func() (out []Name) {
+	for _, n := range ExtendedNames() {
+		if n.Stable() {
+			out = append(out, n)
+		}
+	}
+	return out
+}()
 
 // recompute is the memo-free reference: the clamped first-attempt vector
 // straight from the category's estimators, as Allocate computed it on every
@@ -34,6 +42,34 @@ func (a *Allocator) recompute(category string) resources.Vector {
 	return alloc
 }
 
+// TestStableNamesKeepTheirPromise checks, for every algorithm, the property
+// Name.Stable promises: with records in place and no Observe between them,
+// two Allocates for different tasks of a category return the same vector and
+// leave the RNG exactly where it was. Both must hold if and only if Stable
+// lists the name.
+func TestStableNamesKeepTheirPromise(t *testing.T) {
+	cats := [2]string{"a", "b"}
+	for _, alg := range ExtendedNames() {
+		a, twin := MustNew(alg, Config{Seed: 11}), MustNew(alg, Config{Seed: 11})
+		drive := rand.New(rand.NewPCG(11, 0x57AB1E))
+		for task := 1; task <= 40; task++ {
+			// Two memory modes per category, so the sampling algorithms
+			// hold more than one bucket to choose from.
+			peak := resources.New(1+7*drive.Float64(), float64(500+7000*(task/2%2))+300*drive.Float64(), 100+900*drive.Float64(), 30)
+			a.Observe(cats[task%2], task, peak, 30)
+			twin.Observe(cats[task%2], task, peak, 30)
+		}
+		kept := true
+		for _, c := range cats {
+			first, second := a.Allocate(c, 100), a.Allocate(c, 101)
+			kept = kept && first == second && a.rng.Uint64() == twin.rng.Uint64()
+		}
+		if kept != alg.Stable() {
+			t.Errorf("%s: same vector with the RNG untouched %v, Stable() %v", alg, kept, alg.Stable())
+		}
+	}
+}
+
 // TestFirstAttemptMemoTracksReference drives every stable algorithm through
 // a random interleaving of Observe and ResetCategory on two categories, with
 // categories kept apart and pooled, and checks after every step that both
@@ -55,19 +91,12 @@ func TestFirstAttemptMemoTracksReference(t *testing.T) {
 					for _, c := range cats {
 						want := a.recompute(c)
 						for call := 0; call < 2; call++ {
-							got, stable := a.AllocateStable(c, step)
-							if !stable {
-								t.Fatalf("step %d: %s reported unstable", step, alg)
-							}
-							if got != want {
+							if got := a.Allocate(c, step); got != want {
 								t.Fatalf("step %d call %d category %s: memo %v, estimators %v", step, call, c, got, want)
 							}
 							if m := a.served.Load(); m == nil || m.category != a.key(c) || m.alloc != want {
 								t.Fatalf("step %d call %d category %s: published %+v, estimators %v", step, call, c, m, want)
 							}
-						}
-						if got := a.Allocate(c, step); got != want {
-							t.Fatalf("step %d category %s: Allocate %v, estimators %v", step, c, got, want)
 						}
 					}
 				}
@@ -87,23 +116,22 @@ func TestFirstAttemptMemoTracksReference(t *testing.T) {
 	}
 }
 
-// TestSamplingAllocatorsAreNeverStable pins the other half of the contract:
-// a sampling algorithm draws per call, in exploratory mode too, so it never
-// reports stable and AllocateStable advances the same stream Allocate does.
+// TestSamplingAllocatorsAreNeverStable pins the other half of the memo: a
+// sampling algorithm draws per call, in exploratory mode too, so it never
+// publishes a memo, whatever it has observed.
 func TestSamplingAllocatorsAreNeverStable(t *testing.T) {
-	for _, alg := range []Name{Quantized, Greedy, Exhaustive, KMeans} {
-		a, twin := MustNew(alg, Config{Seed: 9}), MustNew(alg, Config{Seed: 9})
+	for _, alg := range ExtendedNames() {
+		if alg.Stable() {
+			continue
+		}
+		a := MustNew(alg, Config{Seed: 9})
 		for task := 1; task <= 60; task++ {
-			got, stable := a.AllocateStable("c", task)
-			if stable {
-				t.Fatalf("%s reported stable with %d records", alg, task-1)
-			}
-			if want := twin.Allocate("c", task); got != want {
-				t.Fatalf("%s task %d: AllocateStable %v, Allocate %v", alg, task, got, want)
+			a.Allocate("c", task)
+			if m := a.served.Load(); m != nil {
+				t.Fatalf("%s published a memo with %d records", alg, task-1)
 			}
 			peak := resources.New(float64(1+task%3), float64(300+task*37%2000), float64(100+task*13%500), 30)
 			a.Observe("c", task, peak, 30)
-			twin.Observe("c", task, peak, 30)
 		}
 	}
 }

@@ -15,8 +15,7 @@ import (
 // The ablation suite quantifies the design choices DESIGN.md calls out:
 // the task consumption profile, the exploratory-mode threshold, the bucket
 // cap, per-category isolation, significance weighting, and placement
-// robustness. Each returns a rendered table; cmd/ablate prints them and
-// bench_test.go exposes the same sweeps as benchmarks.
+// robustness. Each returns a rendered table, which cmd/ablate prints.
 
 func ablationRow(ctx context.Context, w *workflow.Workflow, pol allocator.Policy, model sim.ConsumptionModel) (awe float64, retries int, err error) {
 	res, err := sim.RunSequentialContext(ctx, w, pol, model, 0)

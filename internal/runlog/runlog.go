@@ -23,6 +23,7 @@ package runlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -378,16 +379,26 @@ type Log struct {
 	// but whose header declared a newer format than FormatVersion — skipped
 	// rather than fatal, so future format growth degrades gracefully.
 	UnknownKinds int
+	// TornLines is 1 when the log's last line was cut short, as a kill
+	// mid-write leaves it: malformed and without the newline the writer ends
+	// every line with. That line is dropped; everything before it is kept.
+	TornLines int
 }
 
-// Read parses a log. A missing footer is tolerated (truncated logs can
-// still be analyzed); a malformed line is an error. Unknown record kinds
-// are an error when the log's declared format is one this reader fully
+// Read parses a log. A log cut short can still be analyzed: a missing footer
+// is tolerated, and so is a malformed last line without its newline (counted
+// in Log.TornLines). Any other malformed line is an error. Unknown record
+// kinds are an error when the log's declared format is one this reader fully
 // knows (they can only be corruption) and are skipped and counted in
 // Log.UnknownKinds when the header declares a newer format.
 func Read(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
+	unterminated := false // the line just scanned ran to the end without a newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		unterminated = atEOF && bytes.IndexByte(data, '\n') < 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	var log Log
 	sawHeader := false
 	line := 0
@@ -397,6 +408,10 @@ func Read(r io.Reader) (*Log, error) {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
+			if unterminated {
+				log.TornLines++
+				break
+			}
 			return nil, fmt.Errorf("runlog: line %d: %w", line, err)
 		}
 		switch probe.Kind {

@@ -86,6 +86,33 @@ func TestReadTruncatedLog(t *testing.T) {
 	}
 }
 
+// TestReadTornTail reads a log whose last line a kill cut short: that line is
+// dropped and counted, and everything before it is kept. The same cut line
+// with its newline is corruption, not a torn write, and stays an error.
+func TestReadTornTail(t *testing.T) {
+	res, hdr := sampleRun(t)
+	var buf bytes.Buffer
+	if err := Write(&buf, hdr, res); err != nil {
+		t.Fatal(err)
+	}
+	if log, err := Read(bytes.NewReader(buf.Bytes())); err != nil || log.TornLines != 0 {
+		t.Fatalf("whole log: %v, torn lines %d", err, log.TornLines)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	footer := lines[len(lines)-1]
+	torn := strings.Join(lines[:len(lines)-1], "\n") + "\n" + footer[:len(footer)/2]
+	log, err := Read(strings.NewReader(torn))
+	if err != nil {
+		t.Fatalf("torn tail: %v", err)
+	}
+	if log.TornLines != 1 || log.Footer != nil || len(log.Outcomes) != 80 {
+		t.Errorf("torn tail: %d torn lines, footer %v, %d outcomes; want 1, nil, 80", log.TornLines, log.Footer, len(log.Outcomes))
+	}
+	if _, err := Read(strings.NewReader(torn + "\n")); err == nil {
+		t.Error("a malformed last line with its newline was accepted")
+	}
+}
+
 func TestReadErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":        "",

@@ -76,25 +76,22 @@ func TestPlacementIndexAllocatesNothing(t *testing.T) {
 	}
 }
 
-// oneCore is a stable policy that gives every task one core.
+// oneCore gives every task one core under a stable algorithm's name.
 type oneCore struct{ allocator.Policy }
 
 func (oneCore) Allocate(string, int) resources.Vector {
 	return resources.New(1, 100, 100, resources.Unlimited)
 }
 
-func (p oneCore) AllocateStable(cat string, id int) (resources.Vector, bool) {
-	return p.Allocate(cat, id), true
-}
+func (oneCore) Name() string { return string(allocator.MaxSeen) }
 
 // deepQueue is wq-maxseen-deepq-churn's steady state in miniature: one
-// 16-core worker kept full and 256 first attempts of one stable category
-// queued behind it. Each step ends the oldest attempt, which frees one slot,
+// 16-core worker kept full and 256 first attempts of one category queued
+// behind it. Each step ends the oldest attempt, which frees one slot,
 // resubmits its task as a fresh first attempt at the back, and runs a pass.
 type deepQueue struct {
 	c       *Core
 	w       *Worker
-	policy  allocator.Policy
 	tasks   []Task
 	running Queue // keys on the worker, oldest first
 	scanned int   // queued keys the passes resolved
@@ -102,8 +99,8 @@ type deepQueue struct {
 
 func newDeepQueue(policy allocator.Policy) *deepQueue {
 	const slots, queued = 16, 256
-	d := &deepQueue{policy: policy, tasks: make([]Task, slots+queued)}
-	d.c = New(FirstFit, 0, Driver{
+	d := &deepQueue{tasks: make([]Task, slots+queued)}
+	d.c = New(FirstFit, 0, policy, Driver{
 		Lookup: func(key int) *Task {
 			d.scanned++
 			return &d.tasks[key]
@@ -115,7 +112,7 @@ func newDeepQueue(policy allocator.Policy) *deepQueue {
 		d.tasks[key] = Task{ID: key, Category: "deep"}
 		d.c.Submit(key, &d.tasks[key])
 	}
-	d.c.Dispatch(d.policy)
+	d.c.Dispatch()
 	return d
 }
 
@@ -125,23 +122,28 @@ func (d *deepQueue) step() {
 	d.c.Release(d.w, key)
 	d.tasks[key] = Task{ID: key, Category: "deep"}
 	d.c.Submit(key, &d.tasks[key])
-	d.c.Dispatch(d.policy)
+	d.c.Dispatch()
 }
 
+// deepQueuePolicies are the policies BenchmarkDispatchDeepQueue runs, with the
+// queued keys a pass resolves under each: the stable policy as is; behind a
+// wrapper that embeds the Policy interface and so forwards its name, the
+// shape of the benchmark's sim-maxseen-churn pass; and behind one that reports
+// a name of its own. Seen stable, the pass places the head and stops at the
+// next entry's miss: 2 however deep the queue (held + placed + categories,
+// with nothing held). Renamed, it cannot know the category is stable, so it
+// walks the whole queue with a policy call and a probe per entry: 257.
+var deepQueuePolicies = []struct {
+	name    string
+	policy  allocator.Policy
+	scanned int // per pass
+}{{"stable", oneCore{}, 2}, {"wrapped", plainPolicy{oneCore{}}, 2}, {"renamed", renamedPolicy{oneCore{}}, 257}}
+
 // BenchmarkDispatchDeepQueue measures one dispatch pass over a deep queue of
-// one stable category with one slot free, against the policy as is and behind
-// a wrapper that embeds the Policy interface and so hides its StablePolicy
-// capability, the shape of sim-maxseen-churn's pass. scanned/pass is how many
-// queued keys a pass resolves. Seen stable, the pass places the head and
-// stops at the next entry's miss: 2 however deep the queue (held + placed +
-// categories, with nothing held). Wrapped, it cannot know the category is
-// stable, so it walks the whole queue with a policy call and a probe per
-// entry: 257.
+// one category with one slot free, under each of deepQueuePolicies.
+// scanned/pass is how many queued keys a pass resolves.
 func BenchmarkDispatchDeepQueue(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		policy allocator.Policy
-	}{{"stable", oneCore{}}, {"wrapped", plainPolicy{oneCore{}}}} {
+	for _, bc := range deepQueuePolicies {
 		b.Run(bc.name, func(b *testing.B) {
 			d := newDeepQueue(bc.policy)
 			d.scanned = 0
@@ -156,15 +158,11 @@ func BenchmarkDispatchDeepQueue(b *testing.B) {
 }
 
 // TestDispatchDeepQueueSteadyState pins what BenchmarkDispatchDeepQueue
-// measures: each pass places exactly the freed slot's worth, resolves two
-// queued keys seen stable and the whole queue wrapped, leaves the queue as deep
-// as it found it, and allocates nothing.
+// measures: each pass places exactly the freed slot's worth, resolves the
+// queued keys deepQueuePolicies lists, leaves the queue as deep as it found
+// it, and allocates nothing.
 func TestDispatchDeepQueueSteadyState(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		policy      allocator.Policy
-		wantScanned int // per pass
-	}{{"stable", oneCore{}, 2}, {"wrapped", plainPolicy{oneCore{}}, 257}} {
+	for _, tc := range deepQueuePolicies {
 		d := newDeepQueue(tc.policy)
 		d.scanned = 0
 		allocs := testing.AllocsPerRun(100, d.step)
@@ -172,8 +170,8 @@ func TestDispatchDeepQueueSteadyState(t *testing.T) {
 			t.Errorf("%s: a steady-state pass allocates %v times, want 0", tc.name, allocs)
 		}
 		const passes = 101 // AllocsPerRun warms up once
-		if d.scanned != tc.wantScanned*passes {
-			t.Errorf("%s: %d passes resolved %d queued keys, want %d each", tc.name, passes, d.scanned, tc.wantScanned)
+		if d.scanned != tc.scanned*passes {
+			t.Errorf("%s: %d passes resolved %d queued keys, want %d each", tc.name, passes, d.scanned, tc.scanned)
 		}
 		if d.c.Ready.Len() != 256 || d.c.InFlight() != 16 {
 			t.Errorf("%s: after the passes: %d queued, %d in flight; want 256, 16", tc.name, d.c.Ready.Len(), d.c.InFlight())

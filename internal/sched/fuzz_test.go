@@ -11,10 +11,10 @@ import (
 // fullScanDispatch is the dispatch pass without its early end: it walks the
 // ready queue to the end or the miss bound and slides the unscanned tail down
 // entry by entry. FuzzDispatchMatchesFullScan holds Core.Dispatch to it.
-func fullScanDispatch(c *Core, policy allocator.Policy) {
+func fullScanDispatch(c *Core) {
 	n := c.Ready.Len()
 	kept, scanned, misses := 0, 0, 0
-	c.firsts.begin(policy)
+	c.firsts.begin()
 	for ; scanned < n; scanned++ {
 		if c.maxMisses > 0 && misses >= c.maxMisses {
 			break
@@ -50,33 +50,25 @@ func fullScanDispatch(c *Core, policy allocator.Policy) {
 	c.Ready.Cut(kept, n)
 }
 
-// fuzzPolicy serves categories a and b a stable vector that moves with every
-// Observe of the category, and draws c's from a deterministic stream; Allocate
-// (what a pass calls when the capability is hidden) draws every category from
-// that stream, like a sampling allocator. Every call is logged.
+// fuzzPolicy is stable or sampling by its name. Under a stable algorithm's
+// name it serves each of a, b and c a vector that moves with every Observe of
+// the category; under a sampling one it draws every vector from a
+// deterministic stream. Every call is logged.
 type fuzzPolicy struct {
+	name  allocator.Name
 	gen   map[string]int
 	draws int
 	log   []string
 }
 
-func (p *fuzzPolicy) draw(id int) resources.Vector {
-	p.draws++
-	return resources.New(float64(1+(7*p.draws+id)%12), 100, 100, resources.Unlimited)
-}
-
 func (p *fuzzPolicy) Allocate(cat string, id int) resources.Vector {
 	p.log = append(p.log, "allocate:"+cat)
-	return p.draw(id)
-}
-
-func (p *fuzzPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
-	p.log = append(p.log, "stable:"+cat)
-	if cat == "c" {
-		return p.draw(id), false
+	if !p.name.Stable() {
+		p.draws++
+		return resources.New(float64(1+(7*p.draws+id)%12), 100, 100, resources.Unlimited)
 	}
-	base := map[string]int{"a": 1, "b": 5}[cat]
-	return resources.New(float64(base+3*(p.gen[cat]%3)), 100, 100, resources.Unlimited), true
+	base := map[string]int{"a": 1, "b": 5, "c": 9}[cat]
+	return resources.New(float64(base+3*(p.gen[cat]%3)), 100, 100, resources.Unlimited)
 }
 
 func (p *fuzzPolicy) Retry(cat string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {
@@ -89,13 +81,12 @@ func (p *fuzzPolicy) Observe(cat string, _ int, _ resources.Vector, _ float64) {
 	p.gen[cat]++
 }
 
-func (p *fuzzPolicy) Name() string { return "fuzz" }
+func (p *fuzzPolicy) Name() string { return string(p.name) }
 
 // fuzzWorld is one core and the driver around it, fed one op at a time.
 type fuzzWorld struct {
 	c          *Core
 	pol        *fuzzPolicy
-	policy     allocator.Policy // pol, or pol with its capability hidden
 	tasks      map[int]*Task
 	dispatches map[int]int
 	owner      map[int]*Worker
@@ -106,18 +97,17 @@ type fuzzWorld struct {
 	nextWorker int
 }
 
-func newFuzzWorld(maxMisses int, sampling bool) *fuzzWorld {
+func newFuzzWorld(maxMisses int, sampled bool) *fuzzWorld {
 	w := &fuzzWorld{
-		pol:        &fuzzPolicy{gen: map[string]int{}},
+		pol:        &fuzzPolicy{name: allocator.MaxSeen, gen: map[string]int{}},
 		tasks:      map[int]*Task{},
 		dispatches: map[int]int{},
 		owner:      map[int]*Worker{},
 	}
-	w.policy = w.pol
-	if sampling {
-		w.policy = plainPolicy{w.pol}
+	if sampled {
+		w.pol.name = allocator.Greedy
 	}
-	w.c = New(FirstFit, maxMisses, Driver{
+	w.c = New(FirstFit, maxMisses, w.pol, Driver{
 		Lookup: func(key int) *Task {
 			if t := w.tasks[key]; t != nil && !t.Terminal() {
 				return t
@@ -146,7 +136,7 @@ func without(keys []int, key int) []int {
 
 // step applies op, with arg choosing among the candidates, and reports
 // whether it was a dispatch pass (run by pass).
-func (w *fuzzWorld) step(op, arg byte, pass func(*Core, allocator.Policy)) bool {
+func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 	switch op % 6 {
 	case 0: // submit a first attempt of a, b or c
 		w.nextKey++
@@ -194,7 +184,7 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core, allocator.Policy)) bool 
 		w.c.Retried(key, w.pol.Retry(t.Category, t.ID, t.Alloc, nil))
 	case 5:
 		w.started = w.started[:0]
-		pass(w.c, w.policy)
+		pass(w.c)
 		return true
 	}
 	return false
@@ -202,10 +192,12 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core, allocator.Policy)) bool 
 
 // FuzzDispatchMatchesFullScan drives two cores through the same byte-coded
 // stream of submits, joins, evictions, settles, retries and passes — one
-// dispatching with Core.Dispatch, one with fullScanDispatch — under a stable
-// and a sampling policy, each with and without a miss bound. After every pass
-// the started (key, worker) pairs, the ready queue in order and the policy-call
-// log must be identical, and the early-ending core must satisfy
+// dispatching with Core.Dispatch, one with fullScanDispatch — each with and
+// without a miss bound. The input chooses the policy by its length: an input
+// of even length runs under a stable algorithm's name, one of odd length under
+// a sampling algorithm's, and its last byte is read for nothing else. After
+// every pass the started (key, worker) pairs, the ready queue in order and the
+// policy-call log must be identical, and the early-ending core must satisfy
 // checkInvariants.
 func FuzzDispatchMatchesFullScan(f *testing.F) {
 	for _, seed := range []string{
@@ -215,32 +207,32 @@ func FuzzDispatchMatchesFullScan(f *testing.F) {
 		"\x01\x00\x00\x01\x00\x00\x00\x00\x05\x00\x03\x03\x03\x02\x04\x00\x04\x00\x00\x01\x05\x00\x02\x00\x05\x00\x01\x01\x05\x00",
 	} {
 		f.Add([]byte(seed))
+		f.Add([]byte(seed + "\x00"))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		sampled := len(ops)%2 == 1
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		for _, sampling := range []bool{false, true} {
-			for _, maxMisses := range []int{0, 3} {
-				got, want := newFuzzWorld(maxMisses, sampling), newFuzzWorld(maxMisses, sampling)
-				for i := 0; i+1 < len(ops); i += 2 {
-					passed := got.step(ops[i], ops[i+1], (*Core).Dispatch)
-					want.step(ops[i], ops[i+1], fullScanDispatch)
-					if err := checkInvariants(got.c, got.tasks, got.dispatches); err != nil {
-						t.Fatalf("sampling %v, maxMisses %d, op %d: %v", sampling, maxMisses, i/2, err)
-					}
-					if !passed {
-						continue
-					}
-					for _, cmp := range [][2]string{
-						{fmt.Sprint(got.started), fmt.Sprint(want.started)},
-						{fmt.Sprint(queueContents(&got.c.Ready)), fmt.Sprint(queueContents(&want.c.Ready))},
-						{fmt.Sprint(got.pol.log), fmt.Sprint(want.pol.log)},
-					} {
-						if cmp[0] != cmp[1] {
-							t.Fatalf("sampling %v, maxMisses %d, pass at op %d: early end %s, full scan %s",
-								sampling, maxMisses, i/2, cmp[0], cmp[1])
-						}
+		for _, maxMisses := range []int{0, 3} {
+			got, want := newFuzzWorld(maxMisses, sampled), newFuzzWorld(maxMisses, sampled)
+			for i := 0; i+1 < len(ops); i += 2 {
+				passed := got.step(ops[i], ops[i+1], (*Core).Dispatch)
+				want.step(ops[i], ops[i+1], fullScanDispatch)
+				if err := checkInvariants(got.c, got.tasks, got.dispatches); err != nil {
+					t.Fatalf("sampled %v, maxMisses %d, op %d: %v", sampled, maxMisses, i/2, err)
+				}
+				if !passed {
+					continue
+				}
+				for _, cmp := range [][2]string{
+					{fmt.Sprint(got.started), fmt.Sprint(want.started)},
+					{fmt.Sprint(queueContents(&got.c.Ready)), fmt.Sprint(queueContents(&want.c.Ready))},
+					{fmt.Sprint(got.pol.log), fmt.Sprint(want.pol.log)},
+				} {
+					if cmp[0] != cmp[1] {
+						t.Fatalf("sampled %v, maxMisses %d, pass at op %d: early end %s, full scan %s",
+							sampled, maxMisses, i/2, cmp[0], cmp[1])
 					}
 				}
 			}

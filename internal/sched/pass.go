@@ -81,11 +81,17 @@ type Core struct {
 	requeue   []int       // Evicted's scratch: the survivors of one eviction
 }
 
-// New builds a scheduler core. maxMisses bounds the backfilling depth of a
-// pass: after that many consecutive placement failures the rest of the queue
-// waits for the next pass; zero scans the whole queue every time.
-func New(place Placement, maxMisses int, d Driver) *Core {
-	return &Core{place: place, maxMisses: maxMisses, driver: d}
+// New builds a scheduler core that dispatches for policy. maxMisses bounds the
+// backfilling depth of a pass: after that many consecutive placement failures
+// the rest of the queue waits for the next pass; zero scans the whole queue
+// every time. Whether policy is stable is read here, once, from its name
+// (allocator.Name.Stable); a nil policy, for a core that never dispatches, is
+// not.
+func New(place Placement, maxMisses int, policy allocator.Policy, d Driver) *Core {
+	c := &Core{place: place, maxMisses: maxMisses, driver: d}
+	c.firsts.policy = policy
+	c.firsts.stable = policy != nil && allocator.Name(policy.Name()).Stable()
+	return c
 }
 
 // Submit queues key's first attempt behind everything waiting; t is the task
@@ -101,22 +107,22 @@ func (c *Core) Submit(key int, t *Task) {
 // Dispatch runs one pass: it walks the ready queue in order, placing every
 // task that fits some worker and skipping those that fit none right now (Work
 // Queue-style backfilling avoids head-of-line blocking). Nothing is observed
-// during a pass, so a stable category is predicted once per pass, and once its
-// vector fits no worker every later first attempt of it is a miss without a
-// policy call or a probe: capacity only shrinks within a pass and Pick returns
-// a worker iff one fits. A sampled category draws afresh for every first
-// attempt on every pass.
+// during a pass, so a stable policy predicts each category once per pass, and
+// once a category's vector fits no worker every later first attempt of it is
+// a miss without a policy call or a probe: capacity only shrinks within a pass
+// and Pick returns a worker iff one fits. Any other policy draws afresh for
+// every first attempt on every pass.
 //
 // The pass ends as soon as nothing unscanned can place: every held entry has
 // been scanned (they lead the queue) and every category with a first attempt
 // queued has missed. What it leaves unscanned would all have been such misses,
 // so the early end changes no placement, policy call or queue order.
-func (c *Core) Dispatch(policy allocator.Policy) {
+func (c *Core) Dispatch() {
 	// The scan compacts the ring in place: unplaced keys slide down to
 	// position `kept` as the read cursor advances, preserving queue order.
 	n, held := c.Ready.Len(), c.held
 	kept, scanned, misses := 0, 0, 0
-	c.firsts.begin(policy)
+	c.firsts.begin()
 	for ; scanned < n; scanned++ {
 		if c.maxMisses > 0 && misses >= c.maxMisses ||
 			scanned >= held && c.queued.overflow == 0 && c.firsts.misses == c.queued.live {
@@ -159,14 +165,14 @@ func (c *Core) Dispatch(policy allocator.Policy) {
 
 // passMemo serves the first-attempt allocations of one dispatch pass. A pass
 // places queued tasks in order against capacity that only shrinks, so a
-// stable category needs one policy call per pass, and once its vector has fit
-// no worker no later first attempt of the category can be placed either. The
-// memo is a handful of per-category entries searched linearly, emptied by
-// begin; categories past its capacity get one policy call per task, as do
-// unstable ones.
+// stable policy needs one call per category per pass, and once a category's
+// vector has fit no worker no later first attempt of it can be placed either.
+// The memo is a handful of per-category entries searched linearly, emptied by
+// begin; categories past its capacity get one policy call per task, as does
+// every category of a policy that is not stable.
 type passMemo struct {
 	policy  allocator.Policy
-	stable  allocator.StablePolicy // nil when policy lacks the capability
+	stable  bool // policy names a stable algorithm; set once, by New
 	entries [memoSize]passEntry
 	n       int // entries in use
 	misses  int // entries marked missed
@@ -181,12 +187,8 @@ type passEntry struct {
 	missed   bool
 }
 
-// begin starts a new pass over the policy the engine dispatches with.
-func (m *passMemo) begin(p allocator.Policy) {
-	m.policy = p
-	m.stable, _ = p.(allocator.StablePolicy)
-	m.n, m.misses = 0, 0
-}
+// begin starts a new pass.
+func (m *passMemo) begin() { m.n, m.misses = 0, 0 }
 
 func (m *passMemo) find(category string) *passEntry {
 	for i := range m.entries[:m.n] {
@@ -198,17 +200,17 @@ func (m *passMemo) find(category string) *passEntry {
 }
 
 // allocate returns the first-attempt allocation for a task. ok is false when
-// the category is stable and its vector already failed to place in this pass:
-// the task stays queued without a policy call or a placement probe.
+// the policy is stable and the category's vector already failed to place in
+// this pass: the task stays queued without a policy call or a placement probe.
 func (m *passMemo) allocate(category string, taskID int) (alloc resources.Vector, ok bool) {
-	if m.stable == nil {
+	if !m.stable {
 		return m.policy.Allocate(category, taskID), true
 	}
 	if e := m.find(category); e != nil {
 		return e.alloc, !e.missed
 	}
-	alloc, stable := m.stable.AllocateStable(category, taskID)
-	if stable && m.n < len(m.entries) {
+	alloc = m.policy.Allocate(category, taskID)
+	if m.n < len(m.entries) {
 		m.entries[m.n] = passEntry{category: category, alloc: alloc}
 		m.n++
 	}
@@ -216,7 +218,7 @@ func (m *passMemo) allocate(category string, taskID int) (alloc resources.Vector
 }
 
 // missed records that the vector allocate returned for category fit no
-// worker; it does nothing for a category that is not stable.
+// worker; it does nothing for a category the memo does not hold.
 func (m *passMemo) missed(category string) {
 	if e := m.find(category); e != nil && !e.missed {
 		e.missed = true

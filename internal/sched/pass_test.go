@@ -8,18 +8,20 @@ import (
 	"dynalloc/internal/resources"
 )
 
-// scriptedPolicy is a StablePolicy whose vectors and stability the test sets
-// per category; it logs which entry point served which category. A category
-// with a seq hands out those vectors in turn before falling back to alloc.
+// scriptedPolicy serves the vectors the test sets per category under the
+// algorithm name the test gives it, and logs which category each call asked
+// for. A category with a seq hands out those vectors in turn before falling
+// back to alloc.
 type scriptedPolicy struct {
-	allocator.Policy // nil: only the two allocation entry points are called
+	allocator.Policy // nil: only Allocate and Name are called
+	name             allocator.Name
 	alloc            map[string]resources.Vector
 	seq              map[string][]resources.Vector
-	stable           map[string]bool
 	log              []string
 }
 
-func (p *scriptedPolicy) next(cat string) resources.Vector {
+func (p *scriptedPolicy) Allocate(cat string, id int) resources.Vector {
+	p.log = append(p.log, "allocate:"+cat)
 	if s := p.seq[cat]; len(s) > 0 {
 		p.seq[cat] = s[1:]
 		return s[0]
@@ -27,26 +29,21 @@ func (p *scriptedPolicy) next(cat string) resources.Vector {
 	return p.alloc[cat]
 }
 
-func (p *scriptedPolicy) Allocate(cat string, id int) resources.Vector {
-	p.log = append(p.log, "allocate:"+cat)
-	return p.next(cat)
-}
+func (p *scriptedPolicy) Name() string { return string(p.name) }
 
-func (p *scriptedPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
-	p.log = append(p.log, "stable:"+cat)
-	return p.next(cat), p.stable[cat]
-}
-
-// plainPolicy hides scriptedPolicy's capability.
+// plainPolicy forwards the four methods of the policy it embeds, its name
+// included.
 type plainPolicy struct{ allocator.Policy }
+
+// renamedPolicy reports a name of its own, which names no algorithm.
+type renamedPolicy struct{ allocator.Policy }
+
+func (renamedPolicy) Name() string { return "renamed" }
 
 func TestPassMemo(t *testing.T) {
 	small, big := resources.New(1, 100, 100, 0), resources.New(8, 8000, 800, 0)
-	p := &scriptedPolicy{
-		alloc:  map[string]resources.Vector{"s": small, "b": big, "u": small},
-		stable: map[string]bool{"s": true, "b": true},
-	}
-	var m passMemo
+	p := &scriptedPolicy{name: allocator.MaxSeen, alloc: map[string]resources.Vector{"s": small, "b": big}}
+	var m *passMemo
 	ask := func(cat string, wantAlloc resources.Vector, wantOK bool) {
 		t.Helper()
 		got, ok := m.allocate(cat, 0)
@@ -61,10 +58,15 @@ func TestPassMemo(t *testing.T) {
 		}
 		p.log = p.log[:0]
 	}
+	memo := func(pol allocator.Policy) *passMemo {
+		m := &New(FirstFit, 0, pol, Driver{}).firsts
+		m.begin()
+		return m
+	}
 
 	// Stable categories interleaved: one policy call each, however many
 	// tasks ask; a miss on one does not touch the other.
-	m.begin(p)
+	m = memo(p)
 	ask("s", small, true)
 	ask("b", big, true)
 	ask("s", small, true)
@@ -72,25 +74,19 @@ func TestPassMemo(t *testing.T) {
 	ask("b", big, false)
 	ask("s", small, true)
 	ask("b", big, false)
-	wantLog("stable:s", "stable:b")
-
-	// An unstable category is asked every time and a miss does not stick.
-	ask("u", small, true)
-	m.missed("u")
-	ask("u", small, true)
-	wantLog("stable:u", "stable:u")
+	wantLog("allocate:s", "allocate:b")
 
 	// Nothing survives begin.
-	m.begin(p)
+	m.begin()
 	ask("b", big, true)
-	wantLog("stable:b")
+	wantLog("allocate:b")
 
-	// A category past the memo's capacity is asked every time, like an
-	// unstable one.
-	m.begin(p)
+	// A category past the memo's capacity is asked every time, as under a
+	// policy that is not stable.
+	m.begin()
 	for i := range m.entries {
 		c := fmt.Sprint("c", i)
-		p.alloc[c], p.stable[c] = small, true
+		p.alloc[c] = small
 		ask(c, small, true)
 	}
 	p.log = p.log[:0]
@@ -98,10 +94,26 @@ func TestPassMemo(t *testing.T) {
 	m.missed("b")
 	ask("b", big, true)
 	ask("c0", small, true)
-	wantLog("stable:b", "stable:b")
+	wantLog("allocate:b", "allocate:b")
 
-	// Without the capability every call goes to Allocate.
-	m.begin(plainPolicy{p})
+	// Stability is read from the name: a wrapper that forwards it keeps the
+	// memo; a name of its own, a sampling algorithm's name or no policy at all
+	// is not stable, and then every call goes to the policy.
+	for _, tc := range []struct {
+		name   string
+		policy allocator.Policy
+		stable bool
+	}{
+		{"forwarded", plainPolicy{p}, true},
+		{"renamed", renamedPolicy{p}, false},
+		{"sampled", &scriptedPolicy{name: allocator.Greedy}, false},
+		{"nil", nil, false},
+	} {
+		if got := memo(tc.policy).stable; got != tc.stable {
+			t.Errorf("%s: stable %v, want %v", tc.name, got, tc.stable)
+		}
+	}
+	m = memo(renamedPolicy{p})
 	ask("s", small, true)
 	m.missed("s")
 	ask("s", small, true)
@@ -109,10 +121,10 @@ func TestPassMemo(t *testing.T) {
 }
 
 // TestDispatchPass drives whole passes over a scripted queue and pool and
-// checks, per scenario, which policy entry point was asked for which category
-// in what order, which (key, worker) pairs were started in what order, and
-// what stayed queued. Every started task must have been charged to its worker
-// under its key with the vector its header now holds.
+// checks, per scenario, which category the policy was asked for in what
+// order, which (key, worker) pairs were started in what order, and what
+// stayed queued. Every started task must have been charged to its worker under
+// its key with the vector its header now holds.
 func TestDispatchPass(t *testing.T) {
 	wide := resources.New(8, 1000, 1000, resources.Unlimited)
 	narrow := resources.New(3, 1000, 1000, resources.Unlimited)
@@ -138,12 +150,12 @@ func TestDispatchPass(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		maxMisses int
-		hide      bool // wrap the policy so its capability is invisible
-		passes    int  // default 1
+		sampled   bool   // the policy carries a sampling algorithm's name
+		wrap      string // "plain" forwards the policy's name, "renamed" reports its own
+		passes    int    // default 1
 		workers   []resources.Vector
 		queue     []queued
 		seq       map[string][]resources.Vector
-		unstable  []string
 		wantLog   string
 		wantStart string // (key, worker) pairs
 		wantQueue string
@@ -157,13 +169,22 @@ func TestDispatchPass(t *testing.T) {
 			name:      "one policy call per stable category per pass",
 			workers:   []resources.Vector{paper},
 			queue:     first("wide", "narrow", "wide", "narrow", "wide", "narrow", "wide", "narrow"),
-			wantLog:   "[stable:wide stable:narrow]",
+			wantLog:   "[allocate:wide allocate:narrow]",
+			wantStart: "[[1 0] [2 0] [4 0]]",
+			wantQueue: "[3 5 6 7 8]",
+		},
+		{
+			name:      "a wrapper that forwards the name keeps one call per category",
+			wrap:      "plain",
+			workers:   []resources.Vector{paper},
+			queue:     first("wide", "narrow", "wide", "narrow", "wide", "narrow", "wide", "narrow"),
+			wantLog:   "[allocate:wide allocate:narrow]",
 			wantStart: "[[1 0] [2 0] [4 0]]",
 			wantQueue: "[3 5 6 7 8]",
 		},
 		{
 			name:      "capability hidden: one call per queued first attempt, same placements",
-			hide:      true,
+			wrap:      "renamed",
 			workers:   []resources.Vector{paper},
 			queue:     first("wide", "narrow", "wide", "narrow", "wide", "narrow", "wide", "narrow"),
 			wantLog:   "[allocate:wide allocate:narrow allocate:wide allocate:narrow allocate:wide allocate:narrow allocate:wide allocate:narrow]",
@@ -175,17 +196,17 @@ func TestDispatchPass(t *testing.T) {
 			passes:    2,
 			workers:   []resources.Vector{paper},
 			queue:     first("wide", "wide", "wide"),
-			wantLog:   "[stable:wide stable:wide]",
+			wantLog:   "[allocate:wide allocate:wide]",
 			wantStart: "[[1 0] [2 0]]",
 			wantQueue: "[3]",
 		},
 		{
 			name:      "an unstable category draws per task and a miss does not stick",
+			sampled:   true,
 			workers:   []resources.Vector{paper},
 			queue:     first("u", "u", "u"),
-			unstable:  []string{"u"},
 			seq:       map[string][]resources.Vector{"u": {paper.Scale(2), narrow, paper.Scale(2)}},
-			wantLog:   "[stable:u stable:u stable:u]",
+			wantLog:   "[allocate:u allocate:u allocate:u]",
 			wantStart: "[[2 0]]",
 			wantQueue: "[1 3]",
 		},
@@ -196,7 +217,7 @@ func TestDispatchPass(t *testing.T) {
 			name:      "a ninth category falls back to one call per task",
 			workers:   []resources.Vector{paper},
 			queue:     memoFull,
-			wantLog:   "[stable:c0 stable:c1 stable:c2 stable:c3 stable:c4 stable:c5 stable:c6 stable:c7 stable:huge stable:huge stable:huge]",
+			wantLog:   "[allocate:c0 allocate:c1 allocate:c2 allocate:c3 allocate:c4 allocate:c5 allocate:c6 allocate:c7 allocate:huge allocate:huge allocate:huge]",
 			wantStart: "[[100 0] [101 0] [102 0] [103 0] [104 0] [105 0] [106 0] [107 0] [3 0]]",
 			wantQueue: "[1 2 4]",
 		},
@@ -206,7 +227,7 @@ func TestDispatchPass(t *testing.T) {
 			name:      "a held allocation is placed as is",
 			workers:   []resources.Vector{narrow, paper},
 			queue:     []queued{{key: 7, cat: "narrow", held: &wide}, {key: 8, cat: "narrow", held: ptr(paper.Scale(2))}, {key: 9, cat: "narrow"}},
-			wantLog:   "[stable:narrow]",
+			wantLog:   "[allocate:narrow]",
 			wantStart: "[[7 1] [9 0]]",
 			wantQueue: "[8]",
 		},
@@ -217,7 +238,7 @@ func TestDispatchPass(t *testing.T) {
 			workers:   []resources.Vector{paper},
 			queue:     []queued{{key: 1, cat: "wide"}, {key: 2, cat: ""}, {key: 3, cat: "huge"}},
 			wantPanic: true,
-			wantLog:   "[stable:wide]",
+			wantLog:   "[allocate:wide]",
 			wantStart: "[[1 0]]",
 		},
 		{
@@ -225,7 +246,7 @@ func TestDispatchPass(t *testing.T) {
 			maxMisses: 2,
 			workers:   []resources.Vector{paper},
 			queue:     []queued{{key: 1, cat: "huge"}, {key: 2, cat: "wide"}, {key: 3, cat: "huge"}, {key: 4, cat: "huge"}, {key: 5, cat: "wide"}, {key: 6, cat: "huge"}},
-			wantLog:   "[stable:huge stable:wide]",
+			wantLog:   "[allocate:huge allocate:wide]",
 			wantStart: "[[2 0]]",
 			wantQueue: "[1 3 4 5 6]",
 		},
@@ -233,14 +254,14 @@ func TestDispatchPass(t *testing.T) {
 			name:      "without a bound the whole queue is scanned",
 			workers:   []resources.Vector{paper},
 			queue:     []queued{{key: 1, cat: "huge"}, {key: 2, cat: "wide"}, {key: 3, cat: "huge"}, {key: 4, cat: "huge"}, {key: 5, cat: "wide"}, {key: 6, cat: "huge"}},
-			wantLog:   "[stable:huge stable:wide]",
+			wantLog:   "[allocate:huge allocate:wide]",
 			wantStart: "[[2 0] [5 0]]",
 			wantQueue: "[1 3 4 6]",
 		},
 		{
 			name:      "no workers: everything waits",
 			queue:     first("wide", "narrow"),
-			wantLog:   "[stable:wide stable:narrow]",
+			wantLog:   "[allocate:wide allocate:narrow]",
 			wantQueue: "[1 2]",
 		},
 		{
@@ -249,7 +270,7 @@ func TestDispatchPass(t *testing.T) {
 			name:        "one stable category: the pass stops at its first miss",
 			workers:     []resources.Vector{paper},
 			queue:       first("wide", "wide", "wide", "wide", "wide", "wide"),
-			wantLog:     "[stable:wide]",
+			wantLog:     "[allocate:wide]",
 			wantStart:   "[[1 0] [2 0]]",
 			wantQueue:   "[3 4 5 6]",
 			wantScanned: 3,
@@ -259,7 +280,7 @@ func TestDispatchPass(t *testing.T) {
 			maxMisses:   1,
 			workers:     []resources.Vector{paper},
 			queue:       first("wide", "wide", "wide", "wide", "wide", "wide"),
-			wantLog:     "[stable:wide]",
+			wantLog:     "[allocate:wide]",
 			wantStart:   "[[1 0] [2 0]]",
 			wantQueue:   "[3 4 5 6]",
 			wantScanned: 3,
@@ -271,7 +292,7 @@ func TestDispatchPass(t *testing.T) {
 			name:        "two categories: no early end while one has not missed",
 			workers:     []resources.Vector{paper, narrow},
 			queue:       first("wide", "wide", "wide", "narrow", "wide"),
-			wantLog:     "[stable:wide stable:narrow]",
+			wantLog:     "[allocate:wide allocate:narrow]",
 			wantStart:   "[[1 0] [2 0] [4 1]]",
 			wantQueue:   "[3 5]",
 			wantScanned: 4,
@@ -281,7 +302,7 @@ func TestDispatchPass(t *testing.T) {
 			// know that every category has missed and walks the queue.
 			name:        "a ninth category: no early end",
 			queue:       append(append([]queued{{key: 1, cat: "huge"}}, memoFull[:8]...), queued{key: 2, cat: "huge"}, queued{key: 3, cat: "huge"}),
-			wantLog:     "[stable:huge stable:c0 stable:c1 stable:c2 stable:c3 stable:c4 stable:c5 stable:c6 stable:c7]",
+			wantLog:     "[allocate:huge allocate:c0 allocate:c1 allocate:c2 allocate:c3 allocate:c4 allocate:c5 allocate:c6 allocate:c7]",
 			wantQueue:   "[1 100 101 102 103 104 105 106 107 2 3]",
 			wantScanned: 11,
 		},
@@ -299,21 +320,27 @@ func TestDispatchPass(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pol := &scriptedPolicy{
-				alloc:  map[string]resources.Vector{"wide": wide, "narrow": narrow, "huge": paper.Scale(2)},
-				seq:    tc.seq,
-				stable: map[string]bool{"wide": true, "narrow": true, "huge": true},
+				name:  allocator.MaxSeen,
+				alloc: map[string]resources.Vector{"wide": wide, "narrow": narrow, "huge": paper.Scale(2)},
+				seq:   tc.seq,
+			}
+			if tc.sampled {
+				pol.name = allocator.Greedy
 			}
 			for i := 0; i < 8; i++ {
-				c := fmt.Sprint("c", i)
-				pol.alloc[c], pol.stable[c] = tiny, true
+				pol.alloc[fmt.Sprint("c", i)] = tiny
 			}
-			for _, c := range tc.unstable {
-				pol.stable[c] = false
+			var policy allocator.Policy = pol
+			switch tc.wrap {
+			case "plain":
+				policy = plainPolicy{pol}
+			case "renamed":
+				policy = renamedPolicy{pol}
 			}
 			tasks := map[int]*Task{}
 			var started [][2]int
 			scanned := 0
-			c := New(FirstFit, tc.maxMisses, Driver{
+			c := New(FirstFit, tc.maxMisses, policy, Driver{
 				Lookup: func(key int) *Task {
 					scanned++
 					return tasks[key]
@@ -335,14 +362,10 @@ func TestDispatchPass(t *testing.T) {
 				}
 				enqueue(c, q.key, task, q.held)
 			}
-			var policy allocator.Policy = pol
-			if tc.hide {
-				policy = plainPolicy{pol}
-			}
 			panicked := func() (panicked bool) {
 				defer func() { panicked = recover() != nil }()
 				for pass := 0; pass < max(tc.passes, 1); pass++ {
-					c.Dispatch(policy)
+					c.Dispatch()
 				}
 				return false
 			}()
@@ -399,7 +422,7 @@ func enqueue(c *Core, key int, t *Task, held *resources.Vector) {
 // one at a time, which would leave the queue front in descending order.
 func TestEvictedTasksRequeueAsAscendingBlock(t *testing.T) {
 	for trial := 0; trial < 20; trial++ { // map iteration order varies per run
-		c := New(FirstFit, 0, Driver{})
+		c := New(FirstFit, 0, nil, Driver{})
 		w, other := c.Add(0, resources.PaperWorker()), c.Add(1, resources.PaperWorker())
 		for _, key := range []int{7, 3, 5, 11, 2} { // deliberately unsorted
 			c.Place(w, key, resources.New(1, 100, 100, 60))

@@ -187,7 +187,7 @@ type world struct {
 // that order.
 func newWorld(t *testing.T, limit int, cores []float64, keys ...int) *world {
 	w := &world{t: t, tasks: map[int]*Task{}, dispatches: map[int]int{}}
-	w.c = New(FirstFit, 0, Driver{
+	w.c = New(FirstFit, 0, &w.pol, Driver{
 		Lookup: func(key int) *Task {
 			if task := w.tasks[key]; task != nil && !task.Terminal() {
 				return task
@@ -221,7 +221,7 @@ func (w *world) check(step string) {
 
 func (w *world) dispatch() {
 	w.t.Helper()
-	w.c.Dispatch(&w.pol)
+	w.c.Dispatch()
 	w.check("dispatch")
 }
 

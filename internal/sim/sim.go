@@ -232,7 +232,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Data != nil {
 		driver.Score = cfg.Data.CachedMB
 	}
-	s.sched = sched.New(cfg.Place, maxConsecutiveMisses, driver)
+	s.sched = sched.New(cfg.Place, maxConsecutiveMisses, cfg.Policy, driver)
 	s.sched.RetryLimit = cfg.MaxAttempts
 	s.futureArrivals = len(arrivals)
 	s.engine.SetHandler(s.handleEvent)
@@ -402,7 +402,7 @@ func (s *simulator) dispatch() {
 		return
 	}
 	s.generate()
-	s.sched.Dispatch(s.cfg.Policy)
+	s.sched.Dispatch()
 	if s.sched.Alive() == 0 && s.futureArrivals == 0 && (s.sched.Ready.Len() > 0 || !s.drained) {
 		s.fail(fmt.Errorf("sim: %d tasks stranded with no workers left", s.sched.Ready.Len()))
 	}

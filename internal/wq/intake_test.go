@@ -414,8 +414,8 @@ func TestEvictionBetweenEarlyObserveAndSettle(t *testing.T) {
 	}
 }
 
-// sizedPolicy allocates a fixed vector per category, reports every category
-// stable, and counts first-attempt calls per category on either entry point.
+// sizedPolicy allocates a fixed vector per category and counts first-attempt
+// calls per category.
 type sizedPolicy struct {
 	sizes map[string]resources.Vector
 	calls map[string]int
@@ -424,10 +424,6 @@ type sizedPolicy struct {
 func (p *sizedPolicy) Allocate(cat string, _ int) resources.Vector {
 	p.calls[cat]++
 	return p.sizes[cat]
-}
-
-func (p *sizedPolicy) AllocateStable(cat string, id int) (resources.Vector, bool) {
-	return p.Allocate(cat, id), true
 }
 
 func (p *sizedPolicy) Retry(_ string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {

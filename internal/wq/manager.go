@@ -191,7 +191,7 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 	m.cond = sync.NewCond(&m.mu)
 	// The live engine scans the whole queue on every pass; the simulator
 	// stops after 256 consecutive misses (DESIGN.md §8).
-	m.sched = sched.New(sched.FirstFit, 0, sched.Driver{Lookup: m.lookupLocked, Start: m.startLocked})
+	m.sched = sched.New(sched.FirstFit, 0, policy, sched.Driver{Lookup: m.lookupLocked, Start: m.startLocked})
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -561,7 +561,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 // first of its passes (DESIGN.md §9, §16). Callers hold m.mu.
 func (m *Manager) dispatchLocked() {
 	if !m.closed {
-		m.sched.Dispatch(m.policy)
+		m.sched.Dispatch()
 	}
 }
 
