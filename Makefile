@@ -38,15 +38,20 @@ race:
 # over, since the drainer's early Observe shares task state with evictions on
 # other goroutines and the yielding flushers share their stages with every
 # stager, and with them the bad-frame tests, whose evictions race the results
-# staged just ahead of them, and internal/wire's frame-reader and
-# group-commit tests (not TestWriterDeadline, which waits out the 5 s write
-# deadline).
+# staged just ahead of them, internal/wire's frame-reader and group-commit
+# tests (not TestWriterDeadline, which waits out the 5 s write deadline), and
+# the server lifecycle's own tests with the wq and serve accept and
+# close-time tests built on it.
 test-live:
 	$(GO) test -race ./internal/wq/... ./internal/sched/... -count=1
-	$(GO) test -race ./internal/wq ./internal/wire -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch' -count=10
+	$(GO) test -race ./internal/wq ./internal/wire ./internal/serve -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose' -count=10
 
+# go vet, then gofmt: a file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that are not gofmt-formatted:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Non-test, non-blank Go lines per internal package and in total: the size
 # side of a refactor's before/after, one command on either commit.

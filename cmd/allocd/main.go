@@ -11,9 +11,9 @@
 // Record decay (-max-records) keeps every long-lived tenant's per-category
 // memory bounded: a category is reset at the ceiling and rebuilt from its
 // most recent observations. -tenant-ttl evicts tenants that have been
-// disconnected and idle, bounding memory across tenant churn too. Ctrl-C
-// drains gracefully: connected clients get a drain frame and a grace period
-// to finish.
+// disconnected and idle, bounding memory across tenant churn too. Ctrl-C or
+// SIGTERM drains gracefully: connected clients get a drain frame and a grace
+// period to finish, and allocd exits 0.
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"dynalloc/internal/serve"
@@ -53,6 +54,11 @@ func main() {
 		fmt.Printf("allocd: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
+	// Installed before the listening line, so a signal sent as soon as it
+	// is printed already drains.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	s := serve.NewServer(
 		serve.WithMaxRecords(*maxRecords),
 		serve.WithDecayWindow(*window),
@@ -65,9 +71,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("allocd listening on %s (max-records=%d tenant-ttl=%s)\n", bound, *maxRecords, *tenantTTL)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	if *statsEvery > 0 {
 		go func() {

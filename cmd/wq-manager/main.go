@@ -12,7 +12,8 @@
 //
 // With -log the run is traced into a run log (header, lifecycle event
 // lines, task outcomes, footer) that cmd/analyze replays exactly like a
-// simulator log.
+// simulator log. SIGINT or SIGTERM ends the run early: the manager drains
+// and shuts its workers down before exiting non-zero.
 package main
 
 import (
@@ -20,7 +21,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"dynalloc/internal/allocator"
@@ -79,24 +82,33 @@ func main() {
 	}
 
 	m := wq.NewManager(policy, opts...)
-	bound, err := m.Listen(*addr)
-	fatalIf(err)
-	defer m.Close()
-	fmt.Printf("manager listening on %s; waiting for %d worker(s)\n", bound, *minW)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	// From here on a failure exits through Close, which drains the workers
+	// and tells them to leave: os.Exit skips deferred calls.
+	fail := func(err error) {
+		if err != nil {
+			m.Close()
+			fatalIf(err)
+		}
+	}
+	// SIGINT or SIGTERM ends the run the way the deadline does.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
+	bound, err := m.Listen(*addr)
+	fail(err)
+	fmt.Printf("manager listening on %s; waiting for %d worker(s)\n", bound, *minW)
 	for m.Workers() < *minW {
 		select {
 		case <-ctx.Done():
-			fatalIf(fmt.Errorf("timed out waiting for workers"))
+			fail(fmt.Errorf("waiting for workers: %w", ctx.Err()))
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
 
 	start := time.Now()
 	res, err := m.RunWorkflow(ctx, w)
-	fatalIf(err)
+	fail(err)
 	m.Close() // drain now so the drain events land before the log footer
 
 	s := res.Summary()

@@ -5,6 +5,8 @@
 // manager restart, or being declared lost by the heartbeat sweeper during a
 // stall), which is how an opportunistic node rejoins the pool. A manager that
 // speaks another wire protocol is not worth a second dial: the worker exits.
+// SIGINT or SIGTERM stops it, abandoning the tasks it runs to the manager's
+// requeue.
 //
 //	wq-worker -addr 127.0.0.1:9123 -cores 16 -memory 65536 -disk 65536 -reconnect 5
 package main
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"dynalloc/internal/resources"
@@ -35,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	cfg := wq.WorkerConfig{

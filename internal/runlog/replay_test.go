@@ -149,7 +149,7 @@ func TestReplayTruncatedLog(t *testing.T) {
 // windowed/barriered workloads.
 func TestTraceSourceShape(t *testing.T) {
 	log := &Log{
-		Header: Header{Workload: "shaped", Window: 4, Barriers: []int{2, 5}},
+		Header:   Header{Workload: "shaped", Window: 4, Barriers: []int{2, 5}},
 		Outcomes: someOutcomes(6),
 	}
 	src, err := TraceSource(log)

@@ -173,15 +173,17 @@ type frameReader struct{ fr *wire.Reader }
 
 func newFrameReader(r io.Reader) frameReader { return frameReader{wire.NewReader(r)} }
 
-// buffered reports whether next can return without touching the connection.
-func (r frameReader) buffered() bool { return r.fr.Buffered() }
-
 // next reads the next frame into f, resetting f first.
 func (r frameReader) next(f *Frame) error {
 	typ, p, err := r.fr.Next()
 	if err != nil {
 		return err
 	}
+	return r.decode(typ, p, f)
+}
+
+// decode parses one payload into f, resetting f first.
+func (r frameReader) decode(typ byte, p []byte, f *Frame) error {
 	*f = Frame{Type: FrameType(typ)}
 	if err := checkPayload(f.Type, p); err != nil {
 		return err

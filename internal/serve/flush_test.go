@@ -32,10 +32,7 @@ func TestCloseDeliversBufferedObserves(t *testing.T) {
 	}
 	// The server reads a connection to its end before dropping it.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		open := len(s.conns)
-		s.mu.Unlock()
-		if open == 0 {
+		if st := s.Stats(); len(st) == 1 && st[0].Connections == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -21,10 +21,10 @@
 // guarantees they are applied before any later request on the same
 // connection. Both ends ship from this tree: a peer on another protocol is
 // refused with wire.ErrProtocolMismatch, and a malformed frame is counted
-// (Server.DecodeErrors) and costs its sender the connection. The server's
-// Close mirrors wq.Manager.Close: stop accepting, notify every client with a
-// drain frame, and give in-flight connections a bounded grace period to
-// finish.
+// (Server.DecodeErrors) and costs its sender the connection. The server runs
+// on wire.Server, the lifecycle wq.Manager runs on too: Close stops
+// accepting, sends every client a drain frame, and closes the connections
+// still open after a bounded grace.
 //
 // Writes are coalesced rather than made per frame: the Client's calls
 // group-commit (wire.Writer.FlushAfterYield) and its observes leave with the

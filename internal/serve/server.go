@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,10 +22,11 @@ var ErrServerClosed = errors.New("serve: server closed")
 // use; every connection is served by its own goroutine and tenants share no
 // state with each other.
 type Server struct {
+	// srv is the connection lifecycle: listener, readers, sweep tick, drain.
+	srv *wire.Server
+
 	mu      sync.Mutex
-	ln      net.Listener
 	tenants map[string]*tenant
-	conns   map[*serverConn]struct{}
 	closed  bool
 
 	// options
@@ -35,50 +35,39 @@ type Server struct {
 	tenantTTL    time.Duration
 	drainTimeout time.Duration
 
-	sweepDone chan struct{}
-	sweepWG   sync.WaitGroup
-	connWG    sync.WaitGroup
-
 	tenantsEvicted int64
 	decodeErrors   atomic.Int64
 }
 
-// serverConn is one client connection. All of its frame scratch (the decoded
-// request, the reply under construction, the writer's encode buffer, the
-// expanded exceeded-kind list) is connection-owned and reused across frames,
-// so the steady-state request path performs no per-frame allocation.
+// serverConn is one registered client connection, served as a wire.Session
+// by its reader goroutine. All of its frame scratch (the decoded request, the
+// reply under construction, the writer's encode buffer, the expanded
+// exceeded-kind list) is connection-owned and reused across frames, so the
+// steady-state request path performs no per-frame allocation.
 type serverConn struct {
-	conn   net.Conn
-	out    *wire.Writer // locked per frame: drain frames arrive off-goroutine
-	tenant *tenant
+	*wire.Conn // Out is locked per frame: drain frames arrive off-goroutine
+	tenant     *tenant
 
-	// Scratch owned by the serveConn goroutine.
+	// Scratch owned by the reader goroutine.
 	req      Frame
 	reply    Frame
 	exceeded []resources.Kind
 }
 
-// send encodes f into the connection's write buffer. Replies are coalesced:
-// the buffer is flushed by serveConn only when the read side is about to
-// block, so N pipelined requests cost one write syscall. flush is forced only
-// for a frame followed by a hangup: a drain, or an error before the hangup.
-func (c *serverConn) send(f *Frame, flush bool) error {
-	c.out.Lock()
-	defer c.out.Unlock()
-	frame, err := appendFrame(c.out.Buf(), f)
+// send encodes f into out's write buffer. Replies are flushed when the
+// reader is about to block (Idle), so N pipelined requests cost one write;
+// flush forces it for an error frame followed by the hangup.
+func send(out *wire.Writer, f *Frame, flush bool) error {
+	out.Lock()
+	defer out.Unlock()
+	frame, err := appendFrame(out.Buf(), f)
 	if err == nil {
-		err = c.out.Queue(frame)
+		err = out.Queue(frame)
 	}
 	if err == nil && flush {
-		err = c.out.Flush()
+		err = out.Flush()
 	}
 	return err
-}
-
-func (c *serverConn) flush() error {
-	c.out.Lock()
-	defer c.out.Unlock()
-	return c.out.Flush()
 }
 
 // ServerOption configures a Server.
@@ -116,9 +105,7 @@ func WithServerDrainTimeout(d time.Duration) ServerOption {
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
 		tenants:      make(map[string]*tenant),
-		conns:        make(map[*serverConn]struct{}),
 		drainTimeout: 5 * time.Second,
-		sweepDone:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -131,6 +118,8 @@ func NewServer(opts ...ServerOption) *Server {
 		// a decay would immediately re-trigger on the next observation.
 		s.decayWindow = s.maxRecords - 1
 	}
+	drain := wire.AppendHeader(nil, byte(TypeDrain)) // a whole frame: empty payload, length 0
+	s.srv = wire.NewServer(protocol{s}, s.tenantTTL/2, s.drainTimeout, drain)
 	return s
 }
 
@@ -138,77 +127,102 @@ func NewServer(opts ...ServerOption) *Server {
 // the bound address. When a tenant TTL is configured the eviction sweeper
 // starts alongside the accept loop.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := s.srv.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("serve: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	if s.tenantTTL > 0 {
-		s.sweepWG.Add(1)
-		go s.sweepLoop()
-	}
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c := &serverConn{conn: conn, out: wire.NewWriter(conn)}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			// Answer the registration with the drain it would have got a
-			// moment earlier: a hangup alone reads as another protocol.
-			_ = c.send(&Frame{Type: TypeDrain}, true)
-			conn.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(c)
+// protocol is the server's side of the client connections (wire.Handler).
+type protocol struct{ *Server }
+
+// Open registers the tenant the first frame names; a refusal is answered
+// with an error frame before the hangup.
+func (s protocol) Open(c *wire.Conn, typ byte, payload []byte) (wire.Session, error) {
+	sc := &serverConn{Conn: c}
+	f := &sc.req
+	if err := (frameReader{c.In}).decode(typ, payload, f); err != nil {
+		return nil, err
+	}
+	t, err := s.register(f)
+	if err != nil {
+		_ = send(c.Out, &Frame{Type: TypeError, Seq: f.Seq, Error: err.Error()}, true)
+		return nil, err
+	}
+	// A failed write sticks to the writer: the first Idle's flush fails.
+	sc.tenant, sc.reply = t, Frame{Type: TypeAck, Seq: f.Seq, Tenant: t.name, Algorithm: string(t.alg)}
+	_ = send(c.Out, &sc.reply, false)
+	return sc, nil
+}
+
+// Frame serves one post-registration frame.
+func (c *serverConn) Frame(typ byte, payload []byte) error {
+	if err := (frameReader{c.In}).decode(typ, payload, &c.req); err != nil {
+		return err
+	}
+	return c.handleFrame(&c.req)
+}
+
+// Idle flushes coalesced replies exactly when the reader is about to block:
+// while a pipelining client keeps complete frames buffered, replies
+// accumulate and go out in one write.
+func (c *serverConn) Idle() error {
+	c.Out.Lock()
+	defer c.Out.Unlock()
+	return c.Out.Flush()
+}
+
+// Closed counts a malformed frame, which poisons the stream, and tells the
+// client why before the hangup; a registered connection lets go of its
+// tenant, whose idle time starts now.
+func (s protocol) Closed(c *wire.Conn, sess wire.Session, cause error) {
+	var ferr *wire.FrameError
+	if errors.As(cause, &ferr) {
+		s.decodeErrors.Add(1)
+		_ = send(c.Out, &Frame{Type: TypeError, Error: ferr.Error()}, true)
+	}
+	if sc, ok := sess.(*serverConn); ok {
+		sc.tenant.mu.Lock()
+		sc.tenant.refs--
+		sc.tenant.lastActive = time.Now()
+		sc.tenant.mu.Unlock()
 	}
 }
 
-// sweepLoop evicts tenants that have been idle (no connections, no frames)
-// past the TTL, bounding total memory across tenant churn the way the decay
+// Sweep evicts tenants that have been idle (no connections, no frames) past
+// the TTL, bounding total memory across tenant churn the way the decay
 // window bounds it within a tenant.
-func (s *Server) sweepLoop() {
-	defer s.sweepWG.Done()
-	ticker := time.NewTicker(s.tenantTTL / 2)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.sweepDone:
-			return
-		case <-ticker.C:
+func (s protocol) Sweep(now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, t := range s.tenants {
+		t.mu.Lock()
+		idle := t.refs == 0 && now.Sub(t.lastActive) > s.tenantTTL
+		t.mu.Unlock()
+		if idle {
+			delete(s.tenants, name)
+			s.tenantsEvicted++
 		}
-		now := time.Now()
-		s.mu.Lock()
-		for name, t := range s.tenants {
-			t.mu.Lock()
-			idle := t.refs == 0 && now.Sub(t.lastActive) > s.tenantTTL
-			t.mu.Unlock()
-			if idle {
-				delete(s.tenants, name)
-				s.tenantsEvicted++
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
-// register resolves or creates the tenant for a connection's first frame.
+// Drain refuses registrations from here on; every connection gets the drain
+// frame next.
+func (s protocol) Drain() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+}
+
+// register resolves or creates the tenant a connection's first frame names.
 // Re-registering an existing tenant attaches to its live state (algorithm
 // and seed of the first registration win), so reconnecting clients continue
 // the learned stream.
 func (s *Server) register(f *Frame) (*tenant, error) {
+	if f.Type != TypeRegister {
+		return nil, fmt.Errorf("first frame must be a register frame, got type %d", f.Type)
+	}
 	if f.Tenant == "" {
 		return nil, fmt.Errorf("serve: register frame without tenant name")
 	}
@@ -240,105 +254,31 @@ func (s *Server) register(f *Frame) (*tenant, error) {
 	return t, nil
 }
 
-func (s *Server) serveConn(c *serverConn) {
-	defer s.connWG.Done()
-	defer c.conn.Close()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		if c.tenant != nil {
-			c.tenant.mu.Lock()
-			c.tenant.refs--
-			c.tenant.lastActive = time.Now()
-			c.tenant.mu.Unlock()
-		}
-	}()
-
-	fr := newFrameReader(c.conn)
-	for {
-		// Flush coalesced replies exactly when the reader is about to block:
-		// while a pipelining client keeps complete frames buffered, replies
-		// accumulate and go out in one write.
-		if !fr.buffered() {
-			if err := c.flush(); err != nil {
-				return
-			}
-		}
-		if err := fr.next(&c.req); err != nil {
-			if c.tenant == nil {
-				err = wire.AsMismatch(err)
-			}
-			var ferr *wire.FrameError
-			if errors.As(err, &ferr) {
-				// A malformed frame poisons the stream (framing can no
-				// longer be trusted): count it, tell the client why, and
-				// hang up.
-				s.decodeErrors.Add(1)
-				c.reply = Frame{Type: TypeError, Error: ferr.Error()}
-				_ = c.send(&c.reply, true)
-			}
-			return
-		}
-		f := &c.req
-		if c.tenant == nil {
-			// The first frame must register a tenant; anything else is a
-			// protocol error the client can read before we hang up.
-			if f.Type != TypeRegister {
-				c.reply = Frame{Type: TypeError, Seq: f.Seq,
-					Error: fmt.Sprintf("first frame must be a register frame, got type %d", f.Type)}
-				_ = c.send(&c.reply, true)
-				return
-			}
-			t, err := s.register(f)
-			if err != nil {
-				c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: err.Error()}
-				_ = c.send(&c.reply, true)
-				return
-			}
-			c.tenant = t
-			c.reply = Frame{Type: TypeAck, Seq: f.Seq, Tenant: t.name, Algorithm: string(t.alg)}
-			if err := c.send(&c.reply, false); err != nil {
-				return
-			}
-			continue
-		}
-		if err := s.handleFrame(c, f); err != nil {
-			return
-		}
-	}
-}
-
 // handleFrame serves one post-registration frame, reusing the connection's
 // reply and exceeded scratch. A returned error means the connection is
 // beyond saving (write failed); protocol-level problems are reported to the
 // client as error frames instead.
-func (s *Server) handleFrame(c *serverConn, f *Frame) error {
+func (c *serverConn) handleFrame(f *Frame) error {
 	t := c.tenant
 	switch f.Type {
 	case TypeRequest:
 		c.reply = Frame{Type: TypeAlloc, Seq: f.Seq, Alloc: t.allocate(f.Category, f.TaskID)}
-		return c.send(&c.reply, false)
 	case TypeRetry:
 		c.exceeded = f.Exceeded.AppendKinds(c.exceeded[:0])
 		c.reply = Frame{Type: TypeAlloc, Seq: f.Seq, Alloc: t.retry(f.Category, f.TaskID, f.Prev, c.exceeded)}
-		return c.send(&c.reply, false)
 	case TypeObserve:
 		t.observe(f.Category, f.TaskID, f.Peak, f.Runtime)
 		return nil
 	case TypePing:
 		c.reply = Frame{Type: TypePong, Seq: f.Seq}
-		return c.send(&c.reply, false)
 	case TypeStats:
 		c.reply = Frame{Type: TypeStats, Seq: f.Seq, Stats: t.snapshot()}
-		return c.send(&c.reply, false)
 	case TypeRegister:
 		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: "connection already registered"}
-		return c.send(&c.reply, false)
 	default:
 		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: fmt.Sprintf("unexpected frame type %d", f.Type)}
-		return c.send(&c.reply, false)
 	}
+	return send(c.Out, &c.reply, false)
 }
 
 // Tenants returns the number of live tenants.
@@ -381,50 +321,8 @@ func (s *Server) Stats() []TenantStats {
 	return out
 }
 
-// Close gracefully drains the service, mirroring wq.Manager.Close: stop
-// accepting, tell every connected client to finish with a drain frame, wait
-// for connections to hang up within the drain timeout, then force-close the
-// stragglers. Close is idempotent.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]*serverConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	close(s.sweepDone)
-	s.sweepWG.Wait()
-
-	for _, c := range conns {
-		// A failed drain write means the client is already gone; its
-		// connection goroutine is unwinding on its own.
-		drain := Frame{Type: TypeDrain}
-		_ = c.send(&drain, true)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(s.drainTimeout):
-		s.mu.Lock()
-		for c := range s.conns {
-			c.conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
-}
+// Close gracefully drains the service, by the same code path as
+// wq.Manager.Close: stop accepting, tell every connected client to finish
+// with a drain frame, wait for connections to hang up within the drain
+// timeout, then force-close the stragglers. Close is idempotent.
+func (s *Server) Close() { s.srv.Close() }

@@ -1,7 +1,9 @@
 // Package wire is the one connection layer under both of the repo's sockets,
 // the wq manager/worker protocol and the allocd service: length-prefixed
-// binary frames, a bounded frame reader and a deadline-armed, coalescing
-// frame writer.
+// binary frames, a bounded frame reader, a deadline-armed, coalescing frame
+// writer, and Server, the one server lifecycle both run (accept, one reader
+// per connection, first-frame dispatch, the sweep tick, drain and forced
+// close), into which each protocol plugs as a Handler.
 //
 //	frame  u32 payload length | u8 type | payload
 //
@@ -276,9 +278,6 @@ func (w *Writer) Queue(frame []byte) error {
 	_, err := w.bw.Write(frame)
 	return err
 }
-
-// Buffered returns how many queued bytes await a flush.
-func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // Flush writes every queued frame to the connection.
 func (w *Writer) Flush() error { return w.bw.Flush() }

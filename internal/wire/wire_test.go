@@ -277,8 +277,8 @@ func TestWriterFlushAfterYield(t *testing.T) {
 		if err := w.FlushAfterYield(); err != nil {
 			t.Fatal(err)
 		}
-		if len(cw.writes) != 0 || w.Buffered() != len(frame(1, 8)) {
-			t.Fatalf("%d writes, %d bytes buffered; want the frame queued and nothing written", len(cw.writes), w.Buffered())
+		if len(cw.writes) != 0 || w.bw.Buffered() != len(frame(1, 8)) {
+			t.Fatalf("%d writes, %d bytes buffered; want the frame queued and nothing written", len(cw.writes), w.bw.Buffered())
 		}
 		w.yielded = false
 		w.Unlock()

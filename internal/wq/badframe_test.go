@@ -131,7 +131,7 @@ func TestProtocolMismatchRejectsPeer(t *testing.T) {
 			mgrSide, peer := net.Pipe()
 			defer peer.Close()
 			served := make(chan struct{})
-			go func() { m.serveWorker(mgrSide); close(served) }()
+			go func() { m.srv.ServeConn(mgrSide); close(served) }()
 			if _, err := peer.Write(opening); err != nil {
 				t.Fatal(err)
 			}

@@ -134,7 +134,7 @@ func benchEngineWith(tb testing.TB, policy allocator.Policy, capacity resources.
 	cfg := WorkerConfig{Capacity: capacity, TimeScale: 1e-12}
 	for i := 0; i < workers; i++ {
 		mgrSide, wkrSide := loopPipe()
-		go m.serveWorker(mgrSide)
+		go m.srv.ServeConn(mgrSide)
 		go func() { _ = runWorkerConn(ctx, wkrSide, cfg) }()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -268,7 +268,7 @@ func greedyBurstLoad(tb testing.TB) (func(n int), *allocator.Allocator) {
 // completed task: 3 when every Observe is followed by a pass, 3/k when the
 // manager observes a burst of k before the first of its passes. The bursts
 // are the worker's doing: executors that finish together share one write
-// (frameWriter.send), which the manager's reader takes in as one read.
+// (send's group commit), which the manager's reader takes in as one read.
 func BenchmarkWQGreedyBurst(b *testing.B) {
 	drive, pol := greedyBurstLoad(b)
 	benchLoad(b, drive)
@@ -299,7 +299,7 @@ func churnLoad(tb testing.TB) func(n int) {
 	var victim net.Conn
 	spawnVictim := func() {
 		mgrSide, wkrSide := loopPipe()
-		go m.serveWorker(mgrSide)
+		go m.srv.ServeConn(mgrSide)
 		go func() { _ = runWorkerConn(ctx, wkrSide, cfg) }()
 		victimMu.Lock()
 		victim = wkrSide

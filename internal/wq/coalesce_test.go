@@ -97,7 +97,7 @@ func joinLoggedWorker(t *testing.T, m *Manager, log *writeLog) {
 	t.Cleanup(func() { wkrSide.Close() })
 	log.Conn = mgrSide
 	before := m.Workers()
-	go m.serveWorker(log)
+	go m.srv.ServeConn(log)
 	writeFrames(t, wkrSide, &Message{Type: MsgRegister, Capacity: resources.New(64, 1e6, 1e6, resources.Unlimited)})
 	waitFor(t, "worker registration", func() bool { return m.Workers() == before+1 })
 }
@@ -283,7 +283,7 @@ func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 	m := NewManager(fixedPolicy{alloc: one})
 	mgrSide, wedged := net.Pipe()
 	t.Cleanup(func() { wedged.Close() })
-	go m.serveWorker(mgrSide)
+	go m.srv.ServeConn(mgrSide)
 	writeFrames(t, wedged, &Message{Type: MsgRegister, Capacity: one})
 	waitFor(t, "the wedged worker's registration", func() bool { return m.Workers() == 1 })
 	healthy := joinPipeWorker(t, m, one)

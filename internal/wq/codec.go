@@ -84,9 +84,6 @@ func (mr msgReader) next(m *Message) error {
 	return mr.decode(typ, payload, m)
 }
 
-// buffered reports whether next can return without touching the connection.
-func (mr msgReader) buffered() bool { return mr.fr.Buffered() }
-
 // checkPayload is every check a payload must pass, for the decoder before it
 // reads the fields out and for the encoder on what it just wrote: the exact
 // length its type's layout says, the magic, a task ID that fits int, a UTF-8
@@ -147,42 +144,18 @@ func (mr msgReader) decode(typ byte, p []byte, m *Message) error {
 	return nil
 }
 
-// frameWriter writes Message frames through the shared wire.Writer. queue
-// stages a frame without flushing (the manager's coalesced dispatch delivery
-// flushes once per batch); send is queue plus the group commit, for every
-// single frame: register, pong, ping, shutdown and results alike.
-type frameWriter struct{ *wire.Writer }
-
-func newFrameWriter(w io.Writer) frameWriter { return frameWriter{wire.NewWriter(w)} }
-
-// queue encodes m into the write buffer without flushing.
-func (fw frameWriter) queue(m *Message) error {
-	fw.Lock()
-	defer fw.Unlock()
-	return fw.queueLocked(m)
-}
-
-func (fw frameWriter) queueLocked(m *Message) error {
-	frame, err := appendMessage(fw.Buf(), m)
-	if err != nil {
-		return err
+// send encodes m into out's write buffer and, with commit, group-commits it
+// (wire.Writer.FlushAfterYield), as every single frame is; the manager's
+// dispatch delivery queues a batch and flushes each worker once.
+func send(out *wire.Writer, m *Message, commit bool) error {
+	out.Lock()
+	defer out.Unlock()
+	frame, err := appendMessage(out.Buf(), m)
+	if err == nil {
+		err = out.Queue(frame)
 	}
-	return fw.Queue(frame)
-}
-
-// flush pushes every queued frame to the connection.
-func (fw frameWriter) flush() error {
-	fw.Lock()
-	defer fw.Unlock()
-	return fw.Flush()
-}
-
-// send encodes m and group-commits it (wire.Writer.FlushAfterYield).
-func (fw frameWriter) send(m *Message) error {
-	fw.Lock()
-	defer fw.Unlock()
-	if err := fw.queueLocked(m); err != nil {
-		return err
+	if err == nil && commit {
+		err = out.FlushAfterYield()
 	}
-	return fw.FlushAfterYield()
+	return err
 }

@@ -194,7 +194,7 @@ func TestDecodeMessageRejects(t *testing.T) {
 }
 
 // TestMsgReaderLargeFrame carries the largest legal frame — sixteen times the
-// reader's standing buffer — through frameWriter and msgReader on one-byte and
+// reader's standing buffer — through send and msgReader on one-byte and
 // single reads, with small frames around it. (How the buffer grows for it and
 // shrinks back is wire's TestReaderLargeFrameShrinksBack.)
 func TestMsgReaderLargeFrame(t *testing.T) {
@@ -206,13 +206,13 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 		{Type: MsgPong},
 	}
 	var stream bytes.Buffer
-	fw := newFrameWriter(&stream)
+	fw := wire.NewWriter(&stream)
 	for i := range msgs {
-		if err := fw.queue(&msgs[i]); err != nil {
+		if err := send(fw, &msgs[i], false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fw.flush(); err != nil {
+	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]io.Reader{

@@ -16,7 +16,7 @@ import (
 )
 
 // pipeWorker is the worker end of a net.Pipe whose other end a real
-// serveWorker goroutine reads: the test decides which result frames share one
+// wire.Server.ServeConn goroutine reads: the test decides which result frames share one
 // Write — and therefore one socket read of the manager's reader — and sees
 // every task frame the manager sends.
 type pipeWorker struct {
@@ -33,7 +33,7 @@ func joinPipeWorker(t *testing.T, m *Manager, capacity resources.Vector) *pipeWo
 	pw := &pipeWorker{t: t, conn: wkrSide, tasks: make(chan Message, 64)}
 	t.Cleanup(func() { wkrSide.Close() })
 	before := m.Workers()
-	go m.serveWorker(mgrSide)
+	go m.srv.ServeConn(mgrSide)
 	go func() {
 		mr := newMsgReader(wkrSide)
 		for {

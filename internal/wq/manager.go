@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +42,11 @@ type Manager struct {
 	// simulators' virtual clock.
 	start time.Time
 
+	// srv is the connection lifecycle: listener, readers, sweep tick, drain.
+	srv *wire.Server
+
 	mu      sync.Mutex
 	cond    *sync.Cond
-	ln      net.Listener
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
 	// sched owns the ready queue (task IDs awaiting placement), the capacity
@@ -93,26 +94,21 @@ type Manager struct {
 	hbTimeout    time.Duration
 	drainTimeout time.Duration
 	tracer       Tracer
-
-	sweepDone chan struct{}
-	sweepWG   sync.WaitGroup
 }
 
 // managedWorker is a connected worker: its row in the scheduler's capacity
-// ledger and its counters (both guarded by Manager.mu), and its connection.
+// ledger and its counters (both guarded by Manager.mu), and its connection,
+// whose reader goroutine serves it as a wire.Session.
 type managedWorker struct {
 	*sched.Worker
+	m     *Manager
 	stats *WorkerStats
-	conn  net.Conn
-	out   frameWriter
+	c     *wire.Conn
+	res   Message // the reader's decode scratch
 	// lastSeen is the UnixNano of the last socket read that brought a frame
 	// from this worker. Atomic so the reader goroutine refreshes it without
 	// touching any lock.
 	lastSeen atomic.Int64
-}
-
-func (w *managedWorker) send(m Message) error {
-	return w.out.send(&m)
 }
 
 // pendingSend is one outbound frame staged by dispatchLocked for delivery
@@ -186,7 +182,6 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 		workers:      make(map[int]*managedWorker),
 		tasks:        make(map[int]*taskState),
 		drainTimeout: 5 * time.Second,
-		sweepDone:    make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	// The live engine scans the whole queue on every pass; the simulator
@@ -198,6 +193,8 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 	if m.hbInterval > 0 && m.hbTimeout <= 0 {
 		m.hbTimeout = 4 * m.hbInterval
 	}
+	bye := wire.AppendHeader(nil, byte(MsgShutdown)) // a whole frame: empty payload, length 0
+	m.srv = wire.NewServer(protocol{m}, m.hbInterval, m.drainTimeout, bye)
 	return m
 }
 
@@ -205,104 +202,90 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 // the bound address. When heartbeats are configured the liveness sweeper
 // starts alongside the accept loop.
 func (m *Manager) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := m.srv.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("wq: manager listen: %w", err)
 	}
-	m.mu.Lock()
-	m.ln = ln
-	m.mu.Unlock()
-	go m.acceptLoop(ln)
-	if m.hbInterval > 0 {
-		m.sweepWG.Add(1)
-		go m.sweepLoop()
-	}
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
-func (m *Manager) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go m.serveWorker(conn)
-	}
-}
+// protocol is the manager's side of the worker connections (wire.Handler).
+type protocol struct{ *Manager }
 
-func (m *Manager) serveWorker(conn net.Conn) {
-	defer conn.Close()
-	mr := newMsgReader(conn)
+// Open registers a worker and runs a dispatch pass for its capacity.
+func (m protocol) Open(c *wire.Conn, typ byte, payload []byte) (wire.Session, error) {
 	var reg Message
-	err := mr.next(&reg)
-	if err == nil && reg.Type != MsgRegister {
-		err = wire.Malformed("connection opened with a type %d frame", reg.Type)
+	if err := (msgReader{c.In}).decode(typ, payload, &reg); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		m.noteDecodeError(-1, wire.AsMismatch(err))
-		return
+	if reg.Type != MsgRegister {
+		return nil, wire.Malformed("connection opened with a type %d frame", reg.Type)
 	}
-	capacity := reg.Capacity
-	if capacity.IsZero() {
-		capacity = resources.PaperWorker()
+	if reg.Capacity.IsZero() {
+		reg.Capacity = resources.PaperWorker()
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return
+		return nil, ErrManagerClosed
 	}
-	w := m.addWorkerLocked(conn, conn, capacity)
+	w := m.addWorkerLocked(c, reg.Capacity)
 	m.dispatchLocked()
 	m.mu.Unlock()
 	m.flushPending()
-
-	var res Message
-	for {
-		// Stage every result frame the last socket read brought in and hand
-		// the burst over exactly when the reader is about to block, so the
-		// drainer can observe all of it before the first re-prediction.
-		// Liveness is stamped there too: every frame decoded since the last
-		// stamp, result or pong, arrived in that one read.
-		if !mr.buffered() {
-			w.lastSeen.Store(time.Now().UnixNano())
-			m.kickIntake()
-		}
-		if err := mr.next(&res); err != nil {
-			m.noteDecodeError(w.ID(), err)
-			break
-		}
-		if res.Type == MsgResult {
-			m.enqueueResult(w, res)
-		}
-	}
-	// Results staged ahead of a malformed frame are settled before the
-	// eviction would make them stale.
-	m.kickIntake()
-	m.evict(w)
+	return w, nil
 }
 
-// noteDecodeError records a malformed frame from a worker connection in the
-// stats and the trace before the connection is dropped; transport errors
-// (including clean EOFs) pass through silently.
-func (m *Manager) noteDecodeError(workerID int, err error) {
-	var ferr *wire.FrameError
-	if !errors.As(err, &ferr) {
-		return
+// Frame stages a result for the intake drainer under intakeMu, never m.mu,
+// and Idle kicks the intake; a pong only proves liveness.
+func (w *managedWorker) Frame(typ byte, payload []byte) error {
+	err := (msgReader{w.c.In}).decode(typ, payload, &w.res)
+	if m := w.m; err == nil && w.res.Type == MsgResult {
+		m.intakeMu.Lock()
+		m.intake = append(m.intake, stagedResult{w: w, res: w.res})
+		m.intakeMu.Unlock()
 	}
-	m.mu.Lock()
-	m.stats.DecodeErrors++
-	m.traceLocked(Event{Type: EventDecodeError, TaskID: -1, WorkerID: workerID, Detail: ferr.Error()})
-	m.mu.Unlock()
+	return err
+}
+
+// Idle hands over the results of one socket read together, so the drainer
+// observes all of them before the first re-prediction, and stamps liveness:
+// every frame since the last stamp, result or pong, arrived in that read.
+func (w *managedWorker) Idle() error {
+	w.lastSeen.Store(time.Now().UnixNano())
+	w.m.kickIntake()
+	return nil
+}
+
+// Closed counts and traces a malformed frame (transport errors pass
+// silently), settles the results staged ahead of it before the eviction
+// would make them stale, and evicts the worker.
+func (m protocol) Closed(_ *wire.Conn, s wire.Session, cause error) {
+	w, _ := s.(*managedWorker)
+	if ferr := (*wire.FrameError)(nil); errors.As(cause, &ferr) {
+		id := -1
+		if w != nil {
+			id = w.ID()
+		}
+		m.mu.Lock()
+		m.stats.DecodeErrors++
+		m.traceLocked(Event{Type: EventDecodeError, TaskID: -1, WorkerID: id, Detail: ferr.Error()})
+		m.mu.Unlock()
+	}
+	if w != nil {
+		m.kickIntake()
+		m.evict(w)
+	}
 }
 
 // addWorkerLocked registers a connected worker under the next worker ID (IDs
 // are monotonic, which is the join order the ledger wants). Callers hold m.mu.
-func (m *Manager) addWorkerLocked(conn net.Conn, out io.Writer, capacity resources.Vector) *managedWorker {
+func (m *Manager) addWorkerLocked(c *wire.Conn, capacity resources.Vector) *managedWorker {
 	w := &managedWorker{
 		Worker: m.sched.Add(m.nextWID, capacity),
+		m:      m,
 		stats:  &WorkerStats{ID: m.nextWID, Connected: true},
-		conn:   conn,
-		out:    newFrameWriter(out),
+		c:      c,
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	m.nextWID++
@@ -315,47 +298,23 @@ func (m *Manager) addWorkerLocked(conn net.Conn, out io.Writer, capacity resourc
 	return w
 }
 
-// sweepLoop is the manager-side half of the heartbeat protocol: each tick it
-// declares silent workers lost and pings the rest. It replaces the old
-// per-dispatch time.AfterFunc watchdogs, which leaked a timer per dispatch
-// and could kill a healthy worker when a result raced the reap.
-func (m *Manager) sweepLoop() {
-	defer m.sweepWG.Done()
-	ticker := time.NewTicker(m.hbInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.sweepDone:
-			return
-		case <-ticker.C:
-		}
-		m.sweep(time.Now())
-	}
-}
-
-func (m *Manager) sweep(now time.Time) {
+// Sweep is the manager-side half of the heartbeat protocol, run every
+// heartbeat interval: it declares silent workers lost and pings the rest.
+// Closing a lost worker's connection funnels it through the normal
+// disconnect path: its reader fails and Closed requeues its in-flight tasks.
+func (m protocol) Sweep(now time.Time) {
 	m.mu.Lock()
-	var lost, live []*managedWorker
+	defer m.mu.Unlock()
 	for _, w := range m.workers {
 		if now.UnixNano()-w.lastSeen.Load() > int64(m.hbTimeout) {
-			lost = append(lost, w)
 			m.stats.HeartbeatTimeouts++
 			m.traceLocked(Event{Type: EventHeartbeatTimeout, TaskID: -1, WorkerID: w.ID()})
-		} else {
-			live = append(live, w)
+			w.c.Close()
+			continue
 		}
-	}
-	m.mu.Unlock()
-	for _, w := range lost {
-		// Closing the connection funnels the worker through the normal
-		// disconnect path: serveWorker's decode fails and evict requeues
-		// its in-flight tasks.
-		w.conn.Close()
-	}
-	for _, w := range live {
 		go func(w *managedWorker) {
-			if err := w.send(Message{Type: MsgPing}); err != nil {
-				w.conn.Close()
+			if err := send(w.c.Out, &Message{Type: MsgPing}, true); err != nil {
+				w.c.Close()
 			}
 		}(w)
 	}
@@ -415,17 +374,6 @@ func (m *Manager) abandonLocked(st *taskState) {
 	if notify := m.retireLocked(st); notify != nil {
 		notify <- st.Outcome // buffered; at most one terminal send per task
 	}
-}
-
-// enqueueResult stages a completed-task frame from a worker reader goroutine
-// for the intake drainer, under intakeMu and never the manager lock: hot-path
-// readers do not contend on m.mu for result ingestion — the old design's
-// worst contention point, where every reader serialized against dispatch.
-// Nothing is processed until the reader's next kickIntake.
-func (m *Manager) enqueueResult(w *managedWorker, res Message) {
-	m.intakeMu.Lock()
-	m.intake = append(m.intake, stagedResult{w: w, res: res})
-	m.intakeMu.Unlock()
 }
 
 // kickIntake makes the caller the drainer of the whole backlog unless one is
@@ -634,32 +582,20 @@ func (m *Manager) deliver(batch []pendingSend) {
 	touched := touchedArr[:0]
 	for i := range batch {
 		s := &batch[i]
-		if s.w.out.Writer == nil {
-			continue
-		}
-		if err := s.w.out.queue(&s.msg); err != nil {
-			if s.w.conn != nil {
-				s.w.conn.Close()
-			}
-			continue
-		}
-		seen := false
-		for _, t := range touched {
-			if t == s.w {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if err := send(s.w.c.Out, &s.msg, false); err != nil {
+			s.w.c.Close()
+		} else if !slices.Contains(touched, s.w) {
 			touched = append(touched, s.w)
 		}
 	}
 	m.framesSent.Add(int64(len(batch)))
 	m.flushBatches.Add(int64(len(touched)))
 	for _, w := range touched {
-		if err := w.out.flush(); err != nil && w.conn != nil {
-			w.conn.Close()
+		w.c.Out.Lock()
+		if err := w.c.Out.Flush(); err != nil {
+			w.c.Close()
 		}
+		w.c.Out.Unlock()
 	}
 }
 
@@ -846,28 +782,20 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Close gracefully drains the manager: it stops dispatching, waits for
-// in-flight results up to the drain timeout, asks every worker to exit, and
-// finally broadcasts so blocked RunWorkflow callers return ErrManagerClosed.
-// Workers close their own connections after processing the shutdown frame,
-// so an in-flight result is never cut off mid-write. Close is idempotent.
-func (m *Manager) Close() {
+// Close gracefully drains the manager: it stops accepting and dispatching,
+// waits for in-flight results up to the drain timeout, wakes blocked
+// RunWorkflow callers with ErrManagerClosed, and asks every worker to exit.
+// Workers hang up after the shutdown frame; one still connected a drain
+// timeout later is hung up on. Close is idempotent.
+func (m *Manager) Close() { m.srv.Close() }
+
+// Drain stops dispatching and waits up to the drain timeout for in-flight
+// results; every worker gets MsgShutdown next.
+func (m protocol) Drain() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
+	defer m.mu.Unlock()
 	m.closed = true
-	ln := m.ln
 	m.traceLocked(Event{Type: EventDrainStart, TaskID: -1, WorkerID: -1})
-	m.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	close(m.sweepDone)
-	m.sweepWG.Wait()
-
 	expired := false
 	timer := time.AfterFunc(m.drainTimeout, func() {
 		m.mu.Lock()
@@ -875,24 +803,11 @@ func (m *Manager) Close() {
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	})
-	m.mu.Lock()
+	defer timer.Stop()
 	for m.sched.InFlight() > 0 && !expired {
 		m.cond.Wait()
 	}
 	m.traceLocked(Event{Type: EventDrainEnd, TaskID: -1, WorkerID: -1,
 		Detail: fmt.Sprintf("in_flight=%d", m.sched.InFlight())})
-	workers := make([]*managedWorker, 0, len(m.workers))
-	for w := m.sched.First(); w != nil; w = w.Next() {
-		workers = append(workers, m.workers[w.ID()])
-	}
-	m.mu.Unlock()
-	timer.Stop()
-
-	for _, w := range workers {
-		_ = w.send(Message{Type: MsgShutdown})
-	}
-
-	m.mu.Lock()
 	m.cond.Broadcast()
-	m.mu.Unlock()
 }

@@ -2,11 +2,13 @@ package wq
 
 import (
 	"io"
+	"net"
 	"testing"
 
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sched"
+	"dynalloc/internal/wire"
 	"dynalloc/internal/workflow"
 )
 
@@ -30,7 +32,8 @@ func (p *countingPolicy) Name() string                                   { retur
 // stageWorker registers a fake connected worker whose frames go nowhere, so
 // a test can drive dispatch/evict/handleResult interleavings by hand.
 func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
-	return m.addWorkerLocked(nil, io.Discard, capacity)
+	conn, _ := net.Pipe() // never read: it is only ever closed
+	return m.addWorkerLocked(&wire.Conn{Conn: conn, Out: wire.NewWriter(io.Discard)}, capacity)
 }
 
 // handleResult ingests one result synchronously, outside the intake: settle

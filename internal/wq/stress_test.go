@@ -175,7 +175,7 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrSide, wkrSide := loopPipe()
-	go m.serveWorker(mgrSide)
+	go m.srv.ServeConn(mgrSide)
 	cfg := WorkerConfig{Capacity: resources.New(8, 1000, 1000, 3600), TimeScale: 1e-9}
 	go func() { _ = runWorkerConn(ctx, wkrSide, cfg) }()
 	deadline := time.Now().Add(5 * time.Second)

@@ -60,7 +60,7 @@ type workerConn struct {
 	ctx    context.Context
 	cfg    WorkerConfig
 	conn   net.Conn
-	out    frameWriter
+	out    *wire.Writer
 	taskCh chan Message
 	wg     sync.WaitGroup
 }
@@ -74,9 +74,9 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 
 	wc := &workerConn{
 		ctx: ctx, cfg: cfg.withDefaults(), conn: conn,
-		out: newFrameWriter(conn), taskCh: make(chan Message),
+		out: wire.NewWriter(conn), taskCh: make(chan Message),
 	}
-	if err := wc.out.send(&Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}); err != nil {
+	if err := send(wc.out, &Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}, true); err != nil {
 		return fmt.Errorf("wq: worker register: %w", err)
 	}
 
@@ -116,7 +116,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 		case MsgPing:
 			// Liveness probe: answer immediately so the manager's sweeper
 			// keeps counting this worker as alive even while long tasks run.
-			if err := wc.out.send(&Message{Type: MsgPong}); err != nil && ctx.Err() == nil {
+			if err := send(wc.out, &Message{Type: MsgPong}, true); err != nil && ctx.Err() == nil {
 				return fmt.Errorf("wq: worker pong: %w", err)
 			}
 		case MsgShutdown:
@@ -132,7 +132,7 @@ func (wc *workerConn) executor() {
 	defer wc.wg.Done()
 	for task := range wc.taskCh {
 		res := executeTask(wc.ctx, wc.cfg, task)
-		if err := wc.out.send(&res); err != nil && wc.ctx.Err() == nil {
+		if err := send(wc.out, &res, true); err != nil && wc.ctx.Err() == nil {
 			// The connection is gone; the manager will requeue.
 			wc.conn.Close()
 		}
