@@ -68,19 +68,28 @@ func TestColdPartitionAllocatesNothing(t *testing.T) {
 
 // benchIncremental measures the allocator-visible cycle on a warm state:
 // one observed record followed by one prediction (which pays the lazy
-// recompute for the batch of one).
+// recompute for the batch of one). The state is rebuilt from the same n
+// records, untimed, every steadyPeriod iterations, so it never holds more
+// than n+steadyPeriod records and ns/op does not depend on b.N.
 func benchIncremental(b *testing.B, alg Algorithm, n int) {
 	b.Helper()
-	s := NewState(alg)
+	const steadyPeriod = 64
+	base := benchRecords(n, 42).Sorted()
 	r := rand.New(rand.NewPCG(42, 0xBE))
-	for _, rec := range benchRecords(n, 42).All() {
-		s.Add(rec)
-	}
-	s.Buckets()
+	var s *State
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := n + i + 1
+		if i%steadyPeriod == 0 {
+			b.StopTimer()
+			s = NewState(alg)
+			for _, rec := range base {
+				s.Add(rec)
+			}
+			s.Buckets()
+			b.StartTimer()
+		}
+		id := n + i%steadyPeriod + 1
 		s.Add(record.Record{TaskID: id, Value: 3 + 7*r.Float64(), Sig: float64(id), Time: 1})
 		if s.Predict(r) <= 0 {
 			b.Fatal("no prediction")

@@ -325,7 +325,7 @@ func TestGreedySweepKeepsRealTies(t *testing.T) {
 // the scaled list is partitioned with every candidate costed.
 func TestGreedyFallbackAgreesWithFilteredSweep(t *testing.T) {
 	filtered, fallback := &record.List{}, &record.List{}
-	for _, r := range benchRecords(2000, 7).All() {
+	for _, r := range benchRecords(2000, 7).Sorted() {
 		filtered.Add(r)
 		r.Sig = math.Ldexp(r.Sig, -400)
 		fallback.Add(r)

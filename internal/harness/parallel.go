@@ -47,10 +47,6 @@ func WithPool(p opportunistic.Model) Option { return func(o *Options) { o.Pool =
 // WithWorkloads restricts the workload set (default: all seven).
 func WithWorkloads(names ...string) Option { return func(o *Options) { o.Workloads = names } }
 
-// WithTraces adds recorded run-log files as extra grid rows (the trace
-// axis); each appears as workload TraceWorkloadName(path).
-func WithTraces(paths ...string) Option { return func(o *Options) { o.Traces = paths } }
-
 // WithAlgorithms restricts the algorithm set (default: all seven).
 func WithAlgorithms(algs ...allocator.Name) Option {
 	return func(o *Options) { o.Algorithms = algs }

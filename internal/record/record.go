@@ -33,7 +33,6 @@ type Record struct {
 // instead of re-sorting the whole list, which matters when a long workflow
 // recomputes its bucketing state after every completed task.
 type List struct {
-	recs    []Record
 	sorted  []Record
 	pending []Record
 	dirty   bool
@@ -55,17 +54,12 @@ func (l *List) Add(r Record) {
 	if r.Sig <= 0 {
 		r.Sig = 1e-9
 	}
-	l.recs = append(l.recs, r)
 	l.pending = append(l.pending, r)
 	l.dirty = true
 }
 
 // Len returns the number of records.
-func (l *List) Len() int { return len(l.recs) }
-
-// All returns the records in insertion order. The returned slice must not be
-// modified.
-func (l *List) All() []Record { return l.recs }
+func (l *List) Len() int { return len(l.sorted) + len(l.pending) }
 
 func (l *List) rebuild() {
 	if !l.dirty && l.prefixSig != nil {

@@ -257,16 +257,29 @@ func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 
 func BenchmarkRebuild5000(b *testing.B) {
 	// Steady-state cost: one new record arrives, the sorted view and
-	// prefix sums are rebuilt.
+	// prefix sums are rebuilt. The list is restored to its 5000 base
+	// records, untimed, every steadyPeriod iterations, so it never holds
+	// more than 5000+steadyPeriod records and ns/op does not depend on b.N.
+	const n, steadyPeriod = 5000, 64
 	r := rand.New(rand.NewPCG(1, 2))
-	base := &List{}
-	for i := 0; i < 5000; i++ {
-		base.Add(Record{TaskID: i, Value: r.NormFloat64()*2 + 8, Sig: float64(i + 1), Time: 60})
+	base := make([]Record, n)
+	for i := range base {
+		base[i] = Record{TaskID: i, Value: r.NormFloat64()*2 + 8, Sig: float64(i + 1), Time: 60}
 	}
-	base.rebuild()
+	var l *List
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base.Add(Record{TaskID: 5000 + i, Value: r.NormFloat64()*2 + 8, Sig: float64(5000 + i), Time: 60})
-		base.rebuild()
+		if i%steadyPeriod == 0 {
+			b.StopTimer()
+			l = &List{}
+			for _, rec := range base {
+				l.Add(rec)
+			}
+			l.rebuild()
+			b.StartTimer()
+		}
+		id := n + i%steadyPeriod
+		l.Add(Record{TaskID: id, Value: r.NormFloat64()*2 + 8, Sig: float64(id), Time: 60})
+		l.rebuild()
 	}
 }

@@ -81,7 +81,16 @@ func ReadWorkflow(r io.Reader) (*workflow.Workflow, error) {
 	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("trace: decoding workflow: %w", err)
 	}
+	return file.workflow(), nil
+}
+
+// workflow converts a decoded file, numbering tasks without an ID by
+// position. The task slice is allocated once, at the decoded length.
+func (file *File) workflow() *workflow.Workflow {
 	wf := &workflow.Workflow{Name: file.Name, Barriers: file.Barriers, SubmitWindow: file.SubmitWindow}
+	if len(file.Tasks) > 0 {
+		wf.Tasks = make([]workflow.Task, 0, len(file.Tasks))
+	}
 	for i, p := range file.Tasks {
 		if p.ID == 0 {
 			p.ID = i + 1
@@ -92,5 +101,5 @@ func ReadWorkflow(r io.Reader) (*workflow.Workflow, error) {
 			Consumption: resources.New(p.Cores, p.MemoryMB, p.DiskMB, p.TimeS),
 		})
 	}
-	return wf, nil
+	return wf
 }

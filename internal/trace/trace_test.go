@@ -102,3 +102,21 @@ func TestReadWorkflowBadJSON(t *testing.T) {
 		t.Error("bad JSON should error")
 	}
 }
+
+// TestReadWorkflowAllocatesOnce pins that ReadWorkflow sizes its task slice
+// from the decoded length: converting a decoded file 100x larger costs no
+// more allocations. (The JSON decoding before it allocates per task and is
+// not measured.)
+func TestReadWorkflowAllocatesOnce(t *testing.T) {
+	allocs := func(n int) float64 {
+		w, err := workflow.Synthetic("uniform", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := File{Name: w.Name, Tasks: Points(w)}
+		return testing.AllocsPerRun(2, func() { file.workflow() })
+	}
+	if small, large := allocs(1000), allocs(100000); small != large {
+		t.Errorf("ReadWorkflow's conversion allocates %v times at 1 000 tasks, %v at 100 000; want equal", small, large)
+	}
+}

@@ -105,11 +105,18 @@ func (c *Cursor) Next() (Task, bool) {
 // Materialize drains a source into a fully built Workflow. The eager
 // generators (ByName, Synthetic, ColmenaXTB, TopEFT) are Materialize over
 // the corresponding streaming source, which is what guarantees the lazy and
-// eager paths emit bit-identical task streams.
+// eager paths emit bit-identical task streams. When the source is one of
+// those generators and knows its length, the task slice is allocated once
+// at that length instead of regrown task by task.
 func Materialize(s Source) *Workflow {
 	w := &Workflow{Name: s.Name(), SubmitWindow: s.SubmitWindow()}
 	for b := s.NextBarrier(0); b > 0; b = s.NextBarrier(b) {
 		w.Barriers = append(w.Barriers, b)
+	}
+	if g, ok := s.(*stream); ok && g.n > g.i {
+		// A generator's count is an upper bound (gen may end the stream
+		// early), so this can only over-size.
+		w.Tasks = make([]Task, 0, g.n-g.i)
 	}
 	for {
 		t, ok := s.Next()

@@ -285,3 +285,32 @@ func TestLargeWorkflowGeneration(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkSynthetic100k measures eager generation of one large workflow:
+// the sampling plus the one task-slice allocation.
+func BenchmarkSynthetic100k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Synthetic("uniform", 100000, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSyntheticAllocatesOnce pins that eager generation sizes its task
+// slice from the length the stream knows: a 100x larger workflow costs no
+// more allocations, where appending task by task adds one per regrowth.
+func TestSyntheticAllocatesOnce(t *testing.T) {
+	allocs := func(name string, n int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Synthetic(name, n, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, name := range []string{"uniform", "trimodal"} {
+		if small, large := allocs(name, 1000), allocs(name, 100000); small != large {
+			t.Errorf("Synthetic(%q): %v allocations at 1 000 tasks, %v at 100 000; want equal", name, small, large)
+		}
+	}
+}
