@@ -2,13 +2,14 @@ GO ?= go
 
 # The wire fuzz targets of both protocols, the run-log reader, the scheduler
 # core's early-ending dispatch pass against a full walk, the block-pruned
-# greedy sweep against the recursion that costs every break, the record
-# list's in-place merge against a full re-sort, the workflow trace reader,
+# greedy sweep against the recursion that costs every break, the exhaustive
+# sweep's warm search brackets against a cold search, the record list's
+# in-place merge against a full re-sort, the workflow trace reader,
 # and the pooled event engine against its reference queue, as
 # package:target, each run for FUZZ_TIME by fuzz-smoke. New inputs go to the go
 # command's own cache, not the tree; the minimizer's default budget (60s an
 # input) would eat a run this short on the 64 KiB-string seeds.
-FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode runlog:FuzzRead sched:FuzzDispatchMatchesFullScan core:FuzzGreedySplitMatchesReference record:FuzzRecordListMergeMatchesResort trace:FuzzReadWorkflow devent:FuzzEngineMatchesOracle
+FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode runlog:FuzzRead sched:FuzzDispatchMatchesFullScan core:FuzzGreedySplitMatchesReference core:FuzzExhaustiveWarmScratchMatchesCold record:FuzzRecordListMergeMatchesResort trace:FuzzReadWorkflow devent:FuzzEngineMatchesOracle
 FUZZ_TIME = 5s
 
 .PHONY: all build test race test-live vet loc bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean

@@ -19,52 +19,88 @@ import (
 // -benchtime settings and commits.
 const cycleTasks = 1000
 
+// allocCycle drives one allocator through the benchmark's task stream.
+type allocCycle struct {
+	a        *Allocator
+	drive    *rand.Rand
+	i        int
+	exceeded []resources.Kind // reused, so the driver itself allocates nothing
+}
+
+var cycleCategories = [2]string{"preproc", "fit"}
+
+// newAllocCycle returns a fresh allocator, with both categories warmed out
+// of exploratory mode so the steady state, not the fixed exploration
+// constant, is measured.
+func newAllocCycle(alg Name) *allocCycle {
+	c := &allocCycle{a: MustNew(alg, Config{Seed: 7}), drive: rand.New(rand.NewPCG(7, 0xA11))}
+	for task := 1; task <= 40; task++ {
+		c.a.Observe(cycleCategories[task%2], task, resources.New(2, 1000, 300, 30), 30)
+	}
+	return c
+}
+
+// step runs the next task: Allocate, Retry until its peak fits, Observe.
+func (c *allocCycle) step() {
+	c.i++
+	task := 40 + c.i
+	cat := cycleCategories[task%2]
+	peak := resources.New(
+		1+3*c.drive.Float64(),
+		200+3000*c.drive.Float64(),
+		100+800*c.drive.Float64(),
+		10+50*c.drive.Float64(),
+	)
+	alloc := c.a.Allocate(cat, task)
+	for hop := 0; hop < 64; hop++ {
+		c.exceeded = c.exceeded[:0]
+		for _, k := range resources.AllocatedKinds() {
+			if peak.Get(k) > alloc.Get(k) {
+				c.exceeded = append(c.exceeded, k)
+			}
+		}
+		if len(c.exceeded) == 0 {
+			break
+		}
+		alloc = c.a.Retry(cat, task, alloc, c.exceeded)
+	}
+	c.a.Observe(cat, task, peak, 30)
+}
+
 // BenchmarkAllocCycle measures the full Predict/Retry/Observe cycle per
 // algorithm on a two-category bimodal workload.
 func BenchmarkAllocCycle(b *testing.B) {
 	for _, alg := range ExtendedNames() {
 		b.Run(string(alg), func(b *testing.B) {
-			var a *Allocator
-			var drive *rand.Rand
-			cats := [2]string{"preproc", "fit"}
+			var c *allocCycle
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%cycleTasks == 0 {
 					b.StopTimer()
-					a = MustNew(alg, Config{Seed: 7})
-					drive = rand.New(rand.NewPCG(7, 0xA11))
-					// Warm both categories out of exploratory mode so the
-					// steady state, not the fixed exploration constant, is
-					// measured.
-					for task := 1; task <= 40; task++ {
-						a.Observe(cats[task%2], task, resources.New(2, 1000, 300, 30), 30)
-					}
+					c = newAllocCycle(alg)
 					b.StartTimer()
 				}
-				task := 40 + i%cycleTasks + 1
-				cat := cats[task%2]
-				peak := resources.New(
-					1+3*drive.Float64(),
-					200+3000*drive.Float64(),
-					100+800*drive.Float64(),
-					10+50*drive.Float64(),
-				)
-				alloc := a.Allocate(cat, task)
-				for hop := 0; hop < 64; hop++ {
-					var exceeded []resources.Kind
-					for _, k := range resources.AllocatedKinds() {
-						if peak.Get(k) > alloc.Get(k) {
-							exceeded = append(exceeded, k)
-						}
-					}
-					if len(exceeded) == 0 {
-						break
-					}
-					alloc = a.Retry(cat, task, alloc, exceeded)
-				}
-				a.Observe(cat, task, peak, 30)
+				c.step()
 			}
 		})
+	}
+}
+
+// TestAllocCycleAllocatesNothing pins what BenchmarkAllocCycle measures for
+// the algorithms that recompute from a record list on every Allocate after an
+// Observe: once the lists have grown, a task's whole cycle allocates nothing.
+// The record columns still grow now and then; AllocsPerRun's average over
+// the runs rounds that amortized growth down, as the benchmark's allocs/op
+// does.
+func TestAllocCycleAllocatesNothing(t *testing.T) {
+	for _, alg := range []Name{Greedy, Exhaustive, Percentile} {
+		c := newAllocCycle(alg)
+		for range 200 {
+			c.step()
+		}
+		if got := testing.AllocsPerRun(100, c.step); got != 0 {
+			t.Errorf("%s: a task's cycle allocates %v times, want 0", alg, got)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	defer func() {
 		km.cachedAt, km.cachedReps, km.cachedWeights = n, reps, weights
 	}()
-	sorted := km.recs.Sorted()
+	values := km.recs.Values()
 	k := km.k
 	if k > n {
 		k = n
@@ -73,18 +73,18 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	// no k-means++ randomness so allocations are reproducible).
 	centroids := make([]float64, k)
 	for i := range centroids {
-		centroids[i] = sorted[(2*i+1)*(n-1)/(2*k)].Value
+		centroids[i] = values[(2*i+1)*(n-1)/(2*k)]
 	}
 	assign := make([]int, n)
 	for iter := 0; iter < 32; iter++ {
 		changed := false
 		// Assignment: records are sorted, centroids are sorted, so the
 		// boundary between cluster c and c+1 is the midpoint.
-		for i, r := range sorted {
+		for i, v := range values {
 			best := 0
-			bestD := math.Abs(r.Value - centroids[0])
+			bestD := math.Abs(v - centroids[0])
 			for c := 1; c < k; c++ {
-				if d := math.Abs(r.Value - centroids[c]); d < bestD {
+				if d := math.Abs(v - centroids[c]); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -96,8 +96,8 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 		// Update.
 		sum := make([]float64, k)
 		cnt := make([]float64, k)
-		for i, r := range sorted {
-			sum[assign[i]] += r.Value
+		for i, v := range values {
+			sum[assign[i]] += v
 			cnt[assign[i]]++
 		}
 		for c := 0; c < k; c++ {
@@ -114,11 +114,11 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	// sorted order because centroids are sorted).
 	maxV := make([]float64, k)
 	cnt := make([]float64, k)
-	for i, r := range sorted {
+	for i, v := range values {
 		c := assign[i]
 		cnt[c]++
-		if r.Value > maxV[c] {
-			maxV[c] = r.Value
+		if v > maxV[c] {
+			maxV[c] = v
 		}
 	}
 	for c := 0; c < k; c++ {

@@ -148,7 +148,7 @@ func TestPartitionInvariants(t *testing.T) {
 			probSum := 0.0
 			covered := 0
 			prevRep := math.Inf(-1)
-			sorted := l.Sorted()
+			values := l.Values()
 			for _, b := range bs {
 				probSum += b.Prob
 				covered += b.Count
@@ -158,7 +158,7 @@ func TestPartitionInvariants(t *testing.T) {
 				prevRep = b.Rep
 				maxInBucket := math.Inf(-1)
 				for i := b.Lo; i <= b.Hi; i++ {
-					maxInBucket = math.Max(maxInBucket, sorted[i].Value)
+					maxInBucket = math.Max(maxInBucket, values[i])
 				}
 				if b.Rep != maxInBucket {
 					return false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"dynalloc/internal/record"
 )
@@ -30,6 +31,8 @@ func (ExhaustiveBucketing) Name() string { return "exhaustive" }
 
 // Partition implements Algorithm. The candidate and winner configurations
 // double-buffer through the scratch, so a warm Partition is allocation-free.
+// The scratch also keeps every break's search result, which the next
+// Partition of the same, grown, list starts its search from (evenEnds).
 func (e ExhaustiveBucketing) Partition(l *record.List, s *Scratch) []int {
 	n := l.Len()
 	if n == 0 {
@@ -46,10 +49,15 @@ func (e ExhaustiveBucketing) Partition(l *record.List, s *Scratch) []int {
 	if maxB > n {
 		maxB = n
 	}
+	// One bracket per break of every nb in 2..maxB, nb-1 of them per nb, in
+	// the order evenEnds runs its searches.
+	marks := s.marksFor(maxB * (maxB - 1) / 2)
+	added := n - s.markedLen
 	s.best = append(s.best[:0], n-1)
 	bestCost := computeExhaustCost(v, s.best, s)
 	for nb := 2; nb <= maxB; nb++ {
-		ends := evenEnds(v, nb, s.cand[:0])
+		ends := evenEnds(v, nb, s.cand[:0], marks[:nb-1], added)
+		marks = marks[nb-1:]
 		s.cand = ends
 		if len(ends) < 2 {
 			continue // configuration degenerated to a single bucket
@@ -60,18 +68,26 @@ func (e ExhaustiveBucketing) Partition(l *record.List, s *Scratch) []int {
 			s.best, s.cand = ends, s.best
 		}
 	}
+	s.markedLen = n
 	return s.best
 }
 
 // evenEnds appends to ends the candidate bucket end indices for a target of
 // nb buckets: break values at v_max·i/nb for i = 1..nb-1, each mapped to the
 // closest record strictly below it, deduplicated, plus the final index.
-func evenEnds(v record.View, nb int, ends []int) []int {
+//
+// marks[i-1] holds where break i's search ended the last time (the first
+// record at or above the break value, or -1 for none), and added how many
+// records the list has gained since; each search starts from that bracket
+// and leaves its own answer in marks[i-1].
+func evenEnds(v record.View, nb int, ends, marks []int, added int) []int {
 	n := v.Len()
 	vmax := v.MaxValue()
 	prev := -1
 	for i := 1; i < nb; i++ {
-		idx := v.SearchValue(vmax * float64(i) / float64(nb))
+		p := searchBracket(v, vmax*float64(i)/float64(nb), marks[i-1], added)
+		marks[i-1] = p
+		idx := p - 1 // the last record strictly below the break value
 		if idx < 0 || idx == prev || idx >= n-1 {
 			continue // empty or duplicate mapping, or collides with the last bucket
 		}
@@ -79,6 +95,26 @@ func evenEnds(v record.View, nb int, ends []int) []int {
 		prev = idx
 	}
 	return append(ends, n-1)
+}
+
+// searchBracket returns v.SearchValue(x)+1, the first record whose value is
+// at least x (v.Len() for none). p is where the same break's search ended on
+// the list before it gained added records. An insert moves a record up by at
+// most the number of records inserted below it, and most breaks keep their
+// value, so the answer usually lies in [p, p+added]. That bracket is only
+// trusted once the values at its edges confirm it holds the answer — the
+// record below it is < x and the one at its top is ≥ x — and is then
+// binary-searched. Any other hint, stale or from another list, costs the
+// full search and nothing else, so the result is SearchValue's by
+// construction.
+func searchBracket(v record.View, x float64, p, added int) int {
+	vals := v.Values
+	n := len(vals)
+	hi := min(p+added, n)
+	if p < 0 || p > hi || (p > 0 && !(vals[p-1] < x)) || (hi < n && !(vals[hi] >= x)) {
+		return v.SearchValue(x) + 1
+	}
+	return p + sort.Search(hi-p, func(k int) bool { return vals[p+k] >= x })
 }
 
 // computeExhaustCost is compute_exhaust_cost of Algorithm 2: the expected
@@ -94,28 +130,40 @@ func evenEnds(v record.View, nb int, ends []int) []int {
 // and returns W = Σ_{i,j} p_i · p_j · T[i][j].
 //
 // The retry-chain sum is evaluated in O(nB²) rather than the textbook
-// O(nB³): within each row i, a running accumulator acc = Σ_{k>j} p_k·T[i][k]
-// is carried from the last column toward the first, so T[i][j] for a failure
-// entry is rep_j + acc/tail_{j+1} in O(1), and the same accumulator ends the
-// row as Σ_j p_j·T[i][j] — the row's full contribution to W. No nB×nB table
-// is materialized at all; the only working memory is the four per-bucket
-// slices from the scratch.
+// O(nB³): each row i carries an accumulator acc[i] = Σ_{k>j} p_k·T[i][k]
+// from the last column toward the first, so T[i][j] for a failure entry is
+// rep_j + acc[i]/tail_{j+1} in O(1), and the same accumulator ends as
+// Σ_j p_j·T[i][j] — the row's full contribution to W. The table is walked
+// column-major: every row's accumulator advances one column at a time, so
+// the rows' division chains are independent and run side by side, while
+// each row sees the operations a row-at-a-time walk would make, in the same
+// order. W is then summed in row order. No nB×nB table is materialized; the
+// working memory is the five per-bucket slices from the scratch.
 func computeExhaustCost(v record.View, ends []int, s *Scratch) float64 {
 	if s == nil {
 		s = &Scratch{}
 	}
 	nB := len(ends)
-	rep, prob, mean, tail := s.floats(nB)
+	rep, prob, mean, tail, acc := s.floats(nB)
 	total := v.TotalSig()
-	lo := 0
+	// Each bucket's statistics are SigSum, WeightedMean and Value of View,
+	// spelled out so that a bucket's lower prefix entries are the previous
+	// bucket's upper ones, read once.
+	sigLo, valSigLo := v.PrefixSig[0], v.PrefixValSig[0]
 	for j, hi := range ends {
-		rep[j] = v.Value(hi)
+		sigHi, valSigHi := v.PrefixSig[hi+1], v.PrefixValSig[hi+1]
+		sig := sigHi - sigLo
+		rep[j] = v.Values[hi]
 		prob[j] = 0
 		if total > 0 {
-			prob[j] = v.SigSum(lo, hi) / total
+			prob[j] = sig / total
 		}
-		mean[j] = v.WeightedMean(lo, hi)
-		lo = hi + 1
+		mean[j] = 0
+		if sig != 0 {
+			mean[j] = (valSigHi - valSigLo) / sig
+		}
+		acc[j] = 0
+		sigLo, valSigLo = sigHi, valSigHi
 	}
 
 	// tail[j] = Σ_{m >= j} prob_m, so the renormalizer for buckets above j
@@ -125,22 +173,27 @@ func computeExhaustCost(v record.View, ends []int, s *Scratch) float64 {
 		tail[j] = tail[j+1] + prob[j]
 	}
 
-	w := 0.0
-	for i := 0; i < nB; i++ {
-		acc := 0.0 // Σ over the columns visited so far of p_k·T[i][k]
-		for j := nB - 1; j >= 0; j-- {
-			var tij float64
-			if i <= j {
-				tij = rep[j] - mean[i]
-			} else {
-				tij = rep[j]
-				if t := tail[j+1]; t > 0 {
-					tij += acc / t
-				}
-			}
-			acc += prob[j] * tij
+	for j := nB - 1; j >= 0; j-- {
+		rj, pj := rep[j], prob[j]
+		for i := range acc[:j+1] { // i <= j: the allocation suffices
+			tij := rj - mean[i]
+			acc[i] += pj * tij
 		}
-		w += prob[i] * acc
+		failed := acc[j+1:]
+		if t := tail[j+1]; t > 0 {
+			for i := range failed {
+				tij := rj + failed[i]/t
+				failed[i] += pj * tij
+			}
+		} else {
+			for i := range failed {
+				failed[i] += pj * rj
+			}
+		}
+	}
+	w := 0.0
+	for i := range acc {
+		w += prob[i] * acc[i]
 	}
 	if math.IsNaN(w) {
 		return math.Inf(1)

@@ -3,22 +3,222 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dynalloc/internal/record"
 )
 
+// coldEnds is evenEnds with no search mark to start from: every break is
+// searched over the whole list.
+func coldEnds(v record.View, nb int) []int {
+	marks := make([]int, nb-1)
+	for i := range marks {
+		marks[i] = -1
+	}
+	return evenEnds(v, nb, nil, marks, 0)
+}
+
+// rowMajorExhaustCost is computeExhaustCost as a row-at-a-time walk of the
+// waste table: each row's accumulator runs from the last column to the
+// first before the next row starts. computeExhaustCost walks the table
+// column-major; per row, the two make the same operations in the same order
+// and with the same expression shape, so the costs must agree bit for bit.
+func rowMajorExhaustCost(v record.View, ends []int) float64 {
+	nB := len(ends)
+	rep, prob, mean := make([]float64, nB), make([]float64, nB), make([]float64, nB)
+	tail := make([]float64, nB+1)
+	total := v.TotalSig()
+	lo := 0
+	for j, hi := range ends {
+		rep[j] = v.Value(hi)
+		prob[j] = 0
+		if total > 0 {
+			prob[j] = v.SigSum(lo, hi) / total
+		}
+		mean[j] = v.WeightedMean(lo, hi)
+		lo = hi + 1
+	}
+	tail[nB] = 0
+	for j := nB - 1; j >= 0; j-- {
+		tail[j] = tail[j+1] + prob[j]
+	}
+
+	w := 0.0
+	for i := 0; i < nB; i++ {
+		acc := 0.0 // Σ over the columns visited so far of p_k·T[i][k]
+		for j := nB - 1; j >= 0; j-- {
+			var tij float64
+			if i <= j {
+				tij = rep[j] - mean[i]
+			} else {
+				tij = rep[j]
+				if t := tail[j+1]; t > 0 {
+					tij += acc / t
+				}
+			}
+			acc += prob[j] * tij
+		}
+		w += prob[i] * acc
+	}
+	if math.IsNaN(w) {
+		return math.Inf(1)
+	}
+	return w
+}
+
+// checkCostsMatchRowMajor scores every configuration the exhaustive sweep
+// considers on l — one bucket, then evenEnds for nb = 2..maxB — plus extra,
+// with both walks of the waste table, and fails unless they agree bit for
+// bit. It returns how many of the configurations had a bucket of zero
+// probability and how many a zero probability tail above some bucket.
+func checkCostsMatchRowMajor(t *testing.T, l *record.List, maxB int, extra ...[]int) (zeroProb, zeroTail int) {
+	t.Helper()
+	v := l.View()
+	n := v.Len()
+	configs := append([][]int{{n - 1}}, extra...)
+	for nb := 2; nb <= min(maxB, n); nb++ {
+		configs = append(configs, coldEnds(v, nb))
+	}
+	var s Scratch
+	for _, ends := range configs {
+		got, want := computeExhaustCost(v, ends, &s), rowMajorExhaustCost(v, ends)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ends %v: column-major cost %v (%#x), row-major %v (%#x)",
+				ends, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		lo, hasZeroProb, hasZeroTail := 0, false, false
+		for j, hi := range ends {
+			hasZeroProb = hasZeroProb || v.SigSum(lo, hi) == 0
+			// Nothing from bucket j up: bucket j-1's tail is 0.
+			hasZeroTail = hasZeroTail || j > 0 && v.SigSum(lo, n-1) == 0
+			lo = hi + 1
+		}
+		if hasZeroProb {
+			zeroProb++
+		}
+		if hasZeroTail {
+			zeroTail++
+		}
+	}
+	return zeroProb, zeroTail
+}
+
+// TestExhaustCostColumnMajorMatchesRowMajor pins the column-major waste
+// table to the row-major walk, bit for bit, on random lists of the paper's
+// shapes, on fuzzRecord's adversarial classes, and on lists whose top
+// buckets hold zero probability: records of clamped significance above a
+// 1e20 prefix are absorbed, so SigSum over them is exactly 0, those buckets
+// get probability 0 and the buckets below them a probability tail of 0.
+func TestExhaustCostColumnMajorMatchesRowMajor(t *testing.T) {
+	r := rand.New(rand.NewPCG(34, 34))
+	zeroProb, zeroTail := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(300)
+		l := &record.List{}
+		switch trial % 4 {
+		case 0: // task-ID significance, continuous values
+			for i := 0; i < n; i++ {
+				l.Add(record.Record{TaskID: i + 1, Value: 100 * r.ExpFloat64(), Sig: float64(i + 1)})
+			}
+		case 1: // adversarial classes
+			for i := 0; i < n; i++ {
+				l.Add(fuzzRecord(i+1, byte(r.IntN(256)), byte(r.IntN(256))))
+			}
+		case 2, 3: // a heavy base with absorbed records on top, some tied
+			base := 1 + r.IntN(n)
+			for i := 0; i < n; i++ {
+				if i < base {
+					l.Add(record.Record{TaskID: i + 1, Value: float64(r.IntN(50)), Sig: 1e20})
+				} else {
+					l.Add(record.Record{TaskID: i + 1, Value: float64(50 + r.IntN(50)), Sig: 0})
+				}
+			}
+		}
+		// A random configuration beside the even-spaced ones.
+		var random []int
+		for i := 0; i < n-1; i++ {
+			if r.IntN(8) == 0 {
+				random = append(random, i)
+			}
+		}
+		zp, zt := checkCostsMatchRowMajor(t, l, 1+r.IntN(12), append(random, n-1))
+		zeroProb += zp
+		zeroTail += zt
+	}
+	if zeroProb == 0 || zeroTail == 0 {
+		t.Errorf("%d configurations with a zero-probability bucket, %d with a zero tail; want both > 0", zeroProb, zeroTail)
+	}
+}
+
+// FuzzExhaustiveWarmScratchMatchesCold pins the exhaustive sweep's search
+// brackets: a Partition that starts its searches from the marks a Scratch
+// kept must equal one that searches cold (a nil Scratch). Two lists grow from
+// byte-coded batches. Each has a Scratch of its own, which always sees the
+// same list grown (the State's case), and one shared Scratch alternates
+// between them whenever consecutive batches go to different lists, so its
+// marks are foreign or stale. After every batch the grown list is
+// partitioned all three ways, and every configuration the sweep scores is
+// also held to the row-major cost, bit for bit.
+//
+// The input is a sequence of batches: a control byte — bit 7 picks the list,
+// bits 0-2 the number of records, less one — then two bytes per record,
+// decoded by fuzzRecord. maxB sets MaxBuckets (0: the default).
+func FuzzExhaustiveWarmScratchMatchesCold(f *testing.F) {
+	f.Add([]byte{0x02, 0x03, 0x00, 0x05, 0x00, 0x01, 0x00, 0x01, 0x09, 0x00, 0x00, 0x01, 0x1f, 0x00}, uint8(0))
+	f.Add([]byte{0x07, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x00, 0x05, 0x00, 0x06, 0x00, 0x07, 0x00, 0x08, 0x00,
+		0x80, 0x1f, 0x00, 0x00, 0x10, 0x00, 0x80, 0x02, 0x00, 0x00, 0x1e, 0x00}, uint8(12)) // ascending, then a new max
+	f.Add([]byte{0x03, 0xe0, 0x00, 0xe8, 0x00, 0xff, 0x00, 0xe3, 0x00, 0x83, 0xc1, 0xc1, 0xc2, 0xc1, 0xc3, 0xc1, 0xc7, 0xc1,
+		0x01, 0xe1, 0x00, 0xfe, 0x00, 0x81, 0x60, 0x80, 0x61, 0x80}, uint8(5)) // clusters and exact ties
+	f.Add([]byte{0x07, 0x00, 0x80, 0x01, 0x80, 0x02, 0x80, 0x03, 0x80, 0x1d, 0x40, 0x1e, 0x40, 0x1f, 0x40, 0x1f, 0x40,
+		0x00, 0x1e, 0x40, 0x00, 0x05, 0x80}, uint8(0)) // absorbed tops: zero-probability buckets
+	f.Add([]byte{0x01, 0x60, 0x00, 0x61, 0x00, 0x81, 0x40, 0x00, 0xa0, 0x00, 0x01, 0x7f, 0x00, 0x20, 0x00}, uint8(3)) // huge, negative values
+	f.Fuzz(func(t *testing.T, data []byte, maxB uint8) {
+		e := ExhaustiveBucketing{MaxBuckets: int(maxB % 13)}
+		var lists [2]record.List
+		var own [2]Scratch
+		var shared Scratch
+		id := 0
+		for len(data) > 0 {
+			ctl := data[0]
+			data = data[1:]
+			which := int(ctl >> 7)
+			l := &lists[which]
+			for k := int(ctl&7) + 1; k > 0 && len(data) >= 2; k-- {
+				id++
+				l.Add(fuzzRecord(id, data[0], data[1]))
+				data = data[2:]
+			}
+			if l.Len() == 0 {
+				continue
+			}
+			cold := slices.Clone(e.Partition(l, nil))
+			if got := e.Partition(l, &own[which]); !slices.Equal(got, cold) {
+				t.Fatalf("list %d, %d records: warm ends %v, cold ends %v", which, l.Len(), got, cold)
+			}
+			if got := e.Partition(l, &shared); !slices.Equal(got, cold) {
+				t.Fatalf("list %d, %d records: shared-scratch ends %v, cold ends %v", which, l.Len(), got, cold)
+			}
+			maxBuckets := e.MaxBuckets
+			if maxBuckets <= 0 {
+				maxBuckets = DefaultMaxBuckets
+			}
+			checkCostsMatchRowMajor(t, l, maxBuckets, cold)
+		}
+	})
+}
+
 func TestEvenEndsBasic(t *testing.T) {
 	l := uniformSigList(10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 	// nb = 2: break value at 50 -> closest record strictly below 50 is 40
 	// (index 3); ends = [3, 9].
-	ends := evenEnds(l.View(), 2, nil)
+	ends := coldEnds(l.View(), 2)
 	if len(ends) != 2 || ends[0] != 3 || ends[1] != 9 {
 		t.Errorf("evenEnds(2) = %v, want [3 9]", ends)
 	}
 	// nb = 4: break values 25, 50, 75 -> indices of 20, 40, 70 = 1, 3, 6.
-	ends = evenEnds(l.View(), 4, nil)
+	ends = coldEnds(l.View(), 4)
 	want := []int{1, 3, 6, 9}
 	if len(ends) != len(want) {
 		t.Fatalf("evenEnds(4) = %v, want %v", ends, want)
@@ -35,7 +235,7 @@ func TestEvenEndsDropsEmptyAndDuplicateMappings(t *testing.T) {
 	// and must be dropped; close break values map to the same record and
 	// must be deduplicated.
 	l := uniformSigList(90, 91, 92, 93, 100)
-	ends := evenEnds(l.View(), 10, nil) // break values 10,20,...,90
+	ends := coldEnds(l.View(), 10) // break values 10,20,...,90
 	for i := 1; i < len(ends); i++ {
 		if ends[i] <= ends[i-1] {
 			t.Fatalf("evenEnds produced non-ascending ends %v", ends)
@@ -49,7 +249,7 @@ func TestEvenEndsDropsEmptyAndDuplicateMappings(t *testing.T) {
 func TestEvenEndsNeverCollidesWithFinalBucket(t *testing.T) {
 	l := uniformSigList(1, 2, 3)
 	for nb := 2; nb <= 10; nb++ {
-		ends := evenEnds(l.View(), nb, nil)
+		ends := coldEnds(l.View(), nb)
 		for i := 0; i < len(ends)-1; i++ {
 			if ends[i] >= 2 {
 				t.Fatalf("nb=%d: interior end %d collides with final bucket", nb, ends[i])

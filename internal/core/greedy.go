@@ -75,8 +75,8 @@ func sweepSlack(v record.View, lo, hi int) float64 {
 		sweepMax = 1e100
 	)
 	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
-	t, r, mean := sigHi-sigLo, v.Sorted[hi].Value, v.WeightedMean(lo, hi)
-	if v.Sorted[lo].Value >= 0 && v.PrefixSig[lo+1] > sigLo && sigHi > v.PrefixSig[hi] &&
+	t, r, mean := sigHi-sigLo, v.Values[hi], v.WeightedMean(lo, hi)
+	if v.Values[lo] >= 0 && v.PrefixSig[lo+1] > sigLo && sigHi > v.PrefixSig[hi] &&
 		t >= sweepMin && t <= sweepMax && r >= sweepMin && r <= sweepMax && mean <= sweepMax {
 		return sweepEps * t * t * (r + mean)
 	}
@@ -90,8 +90,8 @@ const sweepBlock = 16
 // rangeSweep holds what the first pass reads of one range [lo, hi]; its
 // candidate k (0 ≤ k < hi-lo) is the break after lo+k.
 type rangeSweep struct {
-	sigs                  []float64       // PrefixSig[lo+1 : hi+1]: significance through each candidate
-	recs                  []record.Record // Sorted[lo:hi]: each candidate's rep1
+	sigs                  []float64 // PrefixSig[lo+1 : hi+1]: significance through each candidate
+	vals                  []float64 // Values[lo:hi]: each candidate's rep1
 	sigLo, sigHi, t, rep2 float64
 }
 
@@ -99,11 +99,11 @@ func newRangeSweep(v record.View, lo, hi int) rangeSweep {
 	sigLo, sigHi := v.PrefixSig[lo], v.PrefixSig[hi+1]
 	return rangeSweep{
 		sigs:  v.PrefixSig[lo+1 : hi+1],
-		recs:  v.Sorted[lo:hi],
+		vals:  v.Values[lo:hi],
 		sigLo: sigLo,
 		sigHi: sigHi,
 		t:     sigHi - sigLo,
-		rep2:  v.Sorted[hi].Value,
+		rep2:  v.Values[hi],
 	}
 }
 
@@ -113,13 +113,13 @@ func (s *rangeSweep) fill(f []float64, b int) float64 {
 	a := b * sweepBlock
 	dst := f[a:min(a+sweepBlock, len(f))]
 	// Resliced so the compiler drops the per-candidate bounds checks.
-	sigs, recs := s.sigs[a:][:len(dst)], s.recs[a:][:len(dst)]
+	sigs, vals := s.sigs[a:][:len(dst)], s.vals[a:][:len(dst)]
 	sigLo, sigHi, t, rep2 := s.sigLo, s.sigHi, s.t, s.rep2
 	fmin := math.Inf(1)
 	for k := range dst {
 		s1 := sigs[k] - sigLo
 		s2 := sigHi - sigs[k]
-		fi := t*(s1*recs[k].Value) + rep2*(s2*(t+s1))
+		fi := t*(s1*vals[k]) + rep2*(s2*(t+s1))
 		dst[k] = fi
 		if fi < fmin {
 			fmin = fi
@@ -153,7 +153,7 @@ func (s *rangeSweep) bounds(lbs []float64) (smallest int) {
 func (s *rangeSweep) bound(a, e int) float64 {
 	s1 := s.sigs[a] - s.sigLo
 	s2 := s.sigHi - s.sigs[e]
-	return s.t*(s1*s.recs[a].Value) + s.rep2*(s2*(s.t+s1))
+	return s.t*(s1*s.vals[a]) + s.rep2*(s2*(s.t+s1))
 }
 
 // greedySplit appends the bucket end indices for the sorted range [lo, hi]

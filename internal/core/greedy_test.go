@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -11,9 +12,8 @@ import (
 )
 
 // naiveGreedyCost re-derives the four-case expected-waste formula of
-// Section IV-B directly from the sorted records, without prefix sums.
-func naiveGreedyCost(l *record.List, lo, i, hi int) float64 {
-	s := l.Sorted()
+// Section IV-B directly from records sorted by value, without prefix sums.
+func naiveGreedyCost(s []record.Record, lo, i, hi int) float64 {
 	if i == hi {
 		var sig, valSig float64
 		rep := s[hi].Value
@@ -46,12 +46,15 @@ func TestGreedyCostMatchesNaive(t *testing.T) {
 		n := int(nRaw%30) + 2
 		r := rand.New(rand.NewPCG(seed, 5))
 		l := &record.List{}
-		for i := 0; i < n; i++ {
-			l.Add(record.Record{TaskID: i + 1, Value: r.Float64() * 50, Sig: float64(i + 1)})
+		recs := make([]record.Record, n)
+		for i := range recs {
+			recs[i] = record.Record{TaskID: i + 1, Value: r.Float64() * 50, Sig: float64(i + 1)}
+			l.Add(recs[i])
 		}
+		slices.SortStableFunc(recs, func(a, b record.Record) int { return cmp.Compare(a.Value, b.Value) })
 		for i := 0; i < n; i++ {
 			got := greedyCost(l.View(), 0, i, n-1)
-			want := naiveGreedyCost(l, 0, i, n-1)
+			want := naiveGreedyCost(recs, 0, i, n-1)
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				return false
 			}
@@ -234,7 +237,7 @@ func checkMatchesReference(t *testing.T, l *record.List) {
 	got := GreedyBucketing{}.Partition(l, nil)
 	want := referenceSplit(l.View(), 0, l.Len()-1, nil)
 	if !slices.Equal(got, want) {
-		t.Fatalf("greedy ends = %v, reference ends = %v\nsorted records: %+v", got, want, l.Sorted())
+		t.Fatalf("greedy ends = %v, reference ends = %v\nsorted values: %v", got, want, l.Values())
 	}
 }
 
@@ -325,7 +328,7 @@ func TestGreedySweepKeepsRealTies(t *testing.T) {
 // the scaled list is partitioned with every candidate costed.
 func TestGreedyFallbackAgreesWithFilteredSweep(t *testing.T) {
 	filtered, fallback := &record.List{}, &record.List{}
-	for _, r := range benchRecords(2000, 7).Sorted() {
+	for _, r := range benchRecordSlice(2000, 7) {
 		filtered.Add(r)
 		r.Sig = math.Ldexp(r.Sig, -400)
 		fallback.Add(r)

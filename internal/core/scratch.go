@@ -22,22 +22,39 @@ type Scratch struct {
 	prob []float64 // normalized significance share per bucket
 	mean []float64 // significance-weighted mean value per bucket
 	tail []float64 // tail[j] = Σ_{m >= j} prob[m]
+	acc  []float64 // per-row retry-chain accumulator of the waste table
 
 	cand []int // candidate configuration under evaluation
 	best []int // best configuration seen; Partition's return value
 
+	// The exhaustive sweep's search results, one per break it maps, and the
+	// list length they were found at: the next Partition's searches start
+	// from them.
+	marks     []int
+	markedLen int
+
 	f []float64 // greedy sweep: division-free cost proxy per candidate, then a lower bound per block
 }
 
-// floats resizes the four per-bucket float buffers to hold nB buckets and
+// floats resizes the five per-bucket float buffers to hold nB buckets and
 // returns them.
-func (s *Scratch) floats(nB int) (rep, prob, mean, tail []float64) {
+func (s *Scratch) floats(nB int) (rep, prob, mean, tail, acc []float64) {
 	if cap(s.tail) < nB+1 {
 		c := nB + 1 + 8
 		s.rep = make([]float64, 0, c)
 		s.prob = make([]float64, 0, c)
 		s.mean = make([]float64, 0, c)
 		s.tail = make([]float64, 0, c)
+		s.acc = make([]float64, 0, c)
 	}
-	return s.rep[:nB], s.prob[:nB], s.mean[:nB], s.tail[:nB+1]
+	return s.rep[:nB], s.prob[:nB], s.mean[:nB], s.tail[:nB+1], s.acc[:nB]
+}
+
+// marksFor returns the first k search marks, extending them with -1 (no
+// mark) as needed.
+func (s *Scratch) marksFor(k int) []int {
+	for len(s.marks) < k {
+		s.marks = append(s.marks, -1)
+	}
+	return s.marks[:k]
 }

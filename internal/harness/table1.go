@@ -59,7 +59,7 @@ func Table1Context(ctx context.Context, seed uint64, reps int) ([]Table1Row, err
 			// Warm the sorted view once so the measurement isolates the
 			// worst-case per-allocation work the paper times: partitioning
 			// the list, materializing buckets, and sampling an allocation.
-			l.Sorted()
+			l.Values()
 			var buckets []core.Bucket
 			start := time.Now()
 			for rep := 0; rep < reps; rep++ {

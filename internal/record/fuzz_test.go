@@ -7,10 +7,12 @@ import (
 )
 
 // FuzzRecordListMergeMatchesResort pins the incremental rebuild machinery —
-// the in-place batch insert, the partial prefix-sum recompute and the lazily
-// extended time prefixes — against the obvious oracle: a stable sort of all
-// records from scratch plus prefixes summed left to right from zero, which
-// the list's own sums must equal bit for bit. The fuzzer drives random
+// the in-place batch insert into the three sorted columns, the partial
+// prefix-sum recompute and the lazily extended time prefixes — against the
+// obvious oracle: a stable sort of all records from scratch plus prefixes
+// summed left to right from zero. Every column and both significance prefix
+// arrays must equal the oracle's bit for bit; each record's significance is
+// distinct, so the significance column also witnesses the order of ties. The fuzzer drives random
 // Add/query interleavings with batches of up to eight records between
 // queries, duplicate values (stability), ascending runs (nothing moves) and
 // descending runs (every record of the batch moves a block of its own).
@@ -53,9 +55,13 @@ func FuzzRecordListMergeMatchesResort(f *testing.F) {
 				t.Fatalf("view holds %d records, %d/%d prefix entries, want %d and %d",
 					v.Len(), len(v.PrefixSig), len(v.PrefixValSig), n, n+1)
 			}
+			if len(l.sigs) != n || len(l.times) != n {
+				t.Fatalf("columns hold %d values, %d sigs, %d times, want %d each", v.Len(), len(l.sigs), len(l.times), n)
+			}
 			for i, w := range want {
-				if v.Sorted[i] != w {
-					t.Fatalf("sorted[%d] = %+v, want %+v (stability or insert order broken)", i, v.Sorted[i], w)
+				if !sameBits(v.Values[i], w.Value) || !sameBits(l.sigs[i], w.Sig) || !sameBits(l.times[i], w.Time) {
+					t.Fatalf("sorted[%d] = (%v, %v, %v), want (%v, %v, %v) bit for bit (stability or insert order broken)",
+						i, v.Values[i], l.sigs[i], l.times[i], w.Value, w.Sig, w.Time)
 				}
 			}
 			for i := 0; i <= n; i++ {

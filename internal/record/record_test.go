@@ -3,6 +3,7 @@ package record
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,8 +25,8 @@ func TestEmptyList(t *testing.T) {
 	if l.MaxValue() != 0 || l.MinValue() != 0 {
 		t.Error("empty list extrema should be 0")
 	}
-	if got := l.Sorted(); len(got) != 0 {
-		t.Errorf("empty list Sorted() = %v", got)
+	if got := l.Values(); len(got) != 0 {
+		t.Errorf("empty list Values() = %v", got)
 	}
 }
 
@@ -35,16 +36,17 @@ func TestSortedOrderStable(t *testing.T) {
 	l.Add(Record{TaskID: 2, Value: 3, Sig: 2})
 	l.Add(Record{TaskID: 3, Value: 5, Sig: 3})
 	l.Add(Record{TaskID: 4, Value: 1, Sig: 4})
-	s := l.Sorted()
+	s := l.Values()
 	wantValues := []float64{1, 3, 5, 5}
-	for i, r := range s {
-		if r.Value != wantValues[i] {
-			t.Fatalf("sorted[%d].Value = %v, want %v", i, r.Value, wantValues[i])
+	for i, v := range s {
+		if v != wantValues[i] {
+			t.Fatalf("sorted[%d] value = %v, want %v", i, v, wantValues[i])
 		}
 	}
-	// Stable: the two 5s keep insertion order (task 1 before task 3).
-	if s[2].TaskID != 1 || s[3].TaskID != 3 {
-		t.Errorf("sort not stable: %+v", s)
+	// Stable: the two 5s keep insertion order (task 1, of significance 1,
+	// before task 3, of significance 3).
+	if l.sigs[2] != 1 || l.sigs[3] != 3 {
+		t.Errorf("sort not stable: significances %v", l.sigs)
 	}
 }
 
@@ -159,9 +161,8 @@ func TestPrefixSumsMatchNaive(t *testing.T) {
 				Time:   r.Float64() * 100,
 			})
 		}
-		s := l.Sorted()
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Value < s[j].Value }) &&
-			!sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Value <= s[j].Value }) {
+		s := l.Values()
+		if !sort.Float64sAreSorted(s) {
 			return false
 		}
 		// Pick a few random ranges and compare to naive sums.
@@ -170,10 +171,10 @@ func TestPrefixSumsMatchNaive(t *testing.T) {
 			hi := lo + r.IntN(n-lo)
 			var sig, valSig, tm, valT float64
 			for i := lo; i <= hi; i++ {
-				sig += s[i].Sig
-				valSig += s[i].Value * s[i].Sig
-				tm += s[i].Time
-				valT += s[i].Value * s[i].Time
+				sig += l.sigs[i]
+				valSig += s[i] * l.sigs[i]
+				tm += l.times[i]
+				valT += s[i] * l.times[i]
 			}
 			if math.Abs(l.SigSum(lo, hi)-sig) > 1e-6 ||
 				math.Abs(l.TimeSum(lo, hi)-tm) > 1e-6 ||
@@ -201,12 +202,12 @@ func TestSearchValueProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l.Add(Record{TaskID: i, Value: float64(r.IntN(20)), Sig: 1})
 		}
-		s := l.Sorted()
+		s := l.Values()
 		for v := -1.0; v <= 21; v++ {
 			got := l.SearchValue(v)
 			want := -1
 			for i := range s {
-				if s[i].Value < v {
+				if s[i] < v {
 					want = i
 				}
 			}
@@ -222,8 +223,9 @@ func TestSearchValueProperty(t *testing.T) {
 }
 
 // Property: interleaving Add calls with queries (which trigger incremental
-// merge rebuilds) yields exactly the same sorted view as adding everything
-// up front (one big sort).
+// merge rebuilds) yields exactly the same sorted columns as adding everything
+// up front (one big sort). Significances are distinct, so the significance
+// column witnesses the order of tied values.
 func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 2
@@ -239,14 +241,12 @@ func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 			inc.Add(rec)
 			all.Add(rec)
 			if r.IntN(3) == 0 || i == len(recs)-1 {
-				inc.Sorted() // force an incremental merge mid-stream
+				inc.Values() // force an incremental merge mid-stream
 			}
 		}
-		a, b := inc.Sorted(), all.Sorted()
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
+		if !slices.Equal(inc.Values(), all.Values()) || !slices.Equal(inc.sigs, all.sigs) ||
+			!slices.Equal(inc.times, all.times) {
+			return false
 		}
 		return math.Abs(inc.TotalSig()-all.TotalSig()) < 1e-9
 	}
