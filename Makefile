@@ -12,7 +12,7 @@ GO ?= go
 FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode runlog:FuzzRead sched:FuzzDispatchMatchesFullScan core:FuzzGreedySplitMatchesReference core:FuzzExhaustiveWarmScratchMatchesCold record:FuzzRecordListMergeMatchesResort trace:FuzzReadWorkflow devent:FuzzEngineMatchesOracle
 FUZZ_TIME = 5s
 
-.PHONY: all build test race test-live vet loc bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean
+.PHONY: all build test race test-live vet loc surface bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean
 
 all: build
 
@@ -64,6 +64,12 @@ loc:
 		total=$$((total + n)); \
 		printf '%-14s %5d\n' "$$(basename $$d)" "$$n"; \
 	done; printf '%-14s %5d\n' total "$$total"
+
+# The public surface: the facade's exported declarations and every command's
+# flags, parsed offline and held to testdata/surface.golden (`test` runs it
+# too). After an intended change: go test . -run TestSurface -update
+surface:
+	$(GO) test . -run '^TestSurface$$' -count=1
 
 short:
 	$(GO) test ./... -short -count=1

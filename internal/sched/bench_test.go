@@ -93,19 +93,14 @@ type deepQueue struct {
 	c       *Core
 	w       *Worker
 	tasks   []Task
-	running Queue // keys on the worker, oldest first
-	scanned int   // queued keys the passes resolved
+	running Queue // the tasks on the worker, oldest first
 }
 
 func newDeepQueue(policy allocator.Policy) *deepQueue {
 	const slots, queued = 16, 256
 	d := &deepQueue{tasks: make([]Task, slots+queued)}
 	d.c = New(FirstFit, 0, policy, Driver{
-		Lookup: func(key int) *Task {
-			d.scanned++
-			return &d.tasks[key]
-		},
-		Start: func(key int, _ *Task, _ *Worker) { d.running.PushBack(key) },
+		Start: func(t *Task, _ *Worker) { d.running.PushBack(t) },
 	})
 	d.w = d.c.Add(0, resources.New(slots, 1e6, 1e6, resources.Unlimited))
 	for key := range d.tasks {
@@ -117,16 +112,17 @@ func newDeepQueue(policy allocator.Policy) *deepQueue {
 }
 
 func (d *deepQueue) step() {
-	key := d.running.At(0)
+	t := d.running.At(0)
 	d.running.Cut(0, 1)
-	d.c.Release(d.w, key)
-	d.tasks[key] = Task{ID: key, Category: "deep"}
-	d.c.Submit(key, &d.tasks[key])
+	d.c.Release(d.w, t)
+	key := t.Key()
+	*t = Task{ID: key, Category: "deep"}
+	d.c.Submit(key, t)
 	d.c.Dispatch()
 }
 
 // deepQueuePolicies are the policies BenchmarkDispatchDeepQueue runs, with the
-// queued keys a pass resolves under each: the stable policy as is; behind a
+// queue entries a pass reads under each: the stable policy as is; behind a
 // wrapper that embeds the Policy interface and so forwards its name, the
 // shape of the benchmark's sim-maxseen-churn pass; and behind one that reports
 // a name of its own. Seen stable, the pass places the head and stops at the
@@ -141,37 +137,37 @@ var deepQueuePolicies = []struct {
 
 // BenchmarkDispatchDeepQueue measures one dispatch pass over a deep queue of
 // one category with one slot free, under each of deepQueuePolicies.
-// scanned/pass is how many queued keys a pass resolves.
+// scanned/pass is how many queue entries a pass reads.
 func BenchmarkDispatchDeepQueue(b *testing.B) {
 	for _, bc := range deepQueuePolicies {
 		b.Run(bc.name, func(b *testing.B) {
 			d := newDeepQueue(bc.policy)
-			d.scanned = 0
+			d.c.scanned = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.step()
 			}
-			b.ReportMetric(float64(d.scanned)/float64(b.N), "scanned/pass")
+			b.ReportMetric(float64(d.c.scanned)/float64(b.N), "scanned/pass")
 		})
 	}
 }
 
 // TestDispatchDeepQueueSteadyState pins what BenchmarkDispatchDeepQueue
-// measures: each pass places exactly the freed slot's worth, resolves the
-// queued keys deepQueuePolicies lists, leaves the queue as deep as it found
+// measures: each pass places exactly the freed slot's worth, reads the queue
+// entries deepQueuePolicies lists, leaves the queue as deep as it found
 // it, and allocates nothing.
 func TestDispatchDeepQueueSteadyState(t *testing.T) {
 	for _, tc := range deepQueuePolicies {
 		d := newDeepQueue(tc.policy)
-		d.scanned = 0
+		d.c.scanned = 0
 		allocs := testing.AllocsPerRun(100, d.step)
 		if allocs != 0 {
 			t.Errorf("%s: a steady-state pass allocates %v times, want 0", tc.name, allocs)
 		}
 		const passes = 101 // AllocsPerRun warms up once
-		if d.scanned != tc.scanned*passes {
-			t.Errorf("%s: %d passes resolved %d queued keys, want %d each", tc.name, passes, d.scanned, tc.scanned)
+		if d.c.scanned != tc.scanned*passes {
+			t.Errorf("%s: %d passes read %d queue entries, want %d each", tc.name, passes, d.c.scanned, tc.scanned)
 		}
 		if d.c.Ready.Len() != 256 || d.c.InFlight() != 16 {
 			t.Errorf("%s: after the passes: %d queued, %d in flight; want 256, 16", tc.name, d.c.Ready.Len(), d.c.InFlight())

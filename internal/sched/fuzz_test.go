@@ -19,8 +19,7 @@ func fullScanDispatch(c *Core) {
 		if c.maxMisses > 0 && misses >= c.maxMisses {
 			break
 		}
-		key := c.Ready.At(scanned)
-		t := c.driver.Lookup(key)
+		t := c.Ready.At(scanned)
 		alloc, ok := t.Alloc, true
 		if !t.HasAlloc {
 			alloc, ok = c.firsts.allocate(t.Category, t.ID)
@@ -33,14 +32,14 @@ func fullScanDispatch(c *Core) {
 			if ok && !t.HasAlloc {
 				c.firsts.missed(t.Category)
 			}
-			c.Ready.Set(kept, key)
+			c.Ready.Set(kept, t)
 			kept++
 			misses++
 			continue
 		}
 		t.Alloc, t.HasAlloc = alloc, true
-		c.Place(w, key, alloc)
-		c.driver.Start(key, t, w)
+		c.Place(w, t)
+		c.driver.Start(t, w)
 		misses = 0
 	}
 	for ; scanned < n; scanned++ {
@@ -108,13 +107,8 @@ func newFuzzWorld(maxMisses int, sampled bool) *fuzzWorld {
 		w.pol.name = allocator.Greedy
 	}
 	w.c = New(FirstFit, maxMisses, w.pol, Driver{
-		Lookup: func(key int) *Task {
-			if t := w.tasks[key]; t != nil && !t.Terminal() {
-				return t
-			}
-			return nil
-		},
-		Start: func(key int, _ *Task, worker *Worker) {
+		Start: func(t *Task, worker *Worker) {
+			key := t.Key()
 			w.dispatches[key]++
 			w.owner[key] = worker
 			w.running = append(w.running, key)
@@ -158,8 +152,8 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 		for i := 0; i < int(arg)%alive; i++ {
 			v = v.Next()
 		}
-		for _, key := range w.c.Evicted(v, 0, nil) {
-			w.running = without(w.running, key)
+		for _, t := range w.c.Evicted(v, 0, nil) {
+			w.running = without(w.running, t.Key())
 		}
 	case 3: // a running attempt ends: success, or an overrun owing a retry
 		if len(w.running) == 0 {
@@ -167,7 +161,8 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 		}
 		key := w.running[int(arg>>1)%len(w.running)]
 		w.running = without(w.running, key)
-		t, owed := w.c.Settle(w.owner[key], key, 1, arg&1 == 1)
+		t := w.tasks[key]
+		_, owed := w.c.Settle(w.owner[key], t, 1, arg&1 == 1)
 		switch {
 		case arg&1 == 1 && owed:
 			w.escalating = append(w.escalating, key)
@@ -181,7 +176,7 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 		key := w.escalating[int(arg)%len(w.escalating)]
 		w.escalating = without(w.escalating, key)
 		t := w.tasks[key]
-		w.c.Retried(key, w.pol.Retry(t.Category, t.ID, t.Alloc, nil))
+		w.c.Retried(t, w.pol.Retry(t.Category, t.ID, t.Alloc, nil))
 	case 5:
 		w.started = w.started[:0]
 		pass(w.c)

@@ -8,8 +8,9 @@ import (
 
 // Task is the scheduler's record of one task, embedded in the driver's own
 // per-task state: the header the dispatch pass reads and writes and the ledger
-// the settle transitions (settle.go) append to. A task is queued under a
-// driver-chosen key (window index, task ID); the policy sees ID and Category.
+// the settle transitions (settle.go) append to. The core holds it by address
+// from Submit until it is terminal, under the driver's key (window index, task
+// ID), which orders eviction victims; the policy sees ID and Category.
 type Task struct {
 	ID       int
 	Category string
@@ -18,6 +19,8 @@ type Task struct {
 	// placement: allocation happens at dispatch time (PAPER.md §II-A), so a
 	// task that waits in the queue benefits from everything the allocator
 	// learns meanwhile, while evictions and retries keep what they hold.
+	// Only the pass (before Place) and Retried (after Settle's release) write
+	// it, so Release gives back exactly what Place charged.
 	Alloc    resources.Vector
 	HasAlloc bool
 	// Started is when the attempt in progress began, on the driver's clock;
@@ -32,7 +35,14 @@ type Task struct {
 	failed     bool // terminal because the retry limit ran out
 	observed   bool // the success record has been claimed for policy.Observe
 	escalating bool // exhausted within the limit: the driver owes Retried
+
+	key    int     // the driver's key, set by Submit
+	worker *Worker // the worker holding the task, nil when none does
+	at     int     // the task's index in worker.held
 }
+
+// Key returns the key the task was submitted under.
+func (t *Task) Key() int { return t.key }
 
 // NewTask returns a task submitted at time now with an empty ledger.
 func NewTask(id int, category string, peak resources.Vector, runtime, now float64) Task {
@@ -47,14 +57,9 @@ func NewTask(id int, category string, peak resources.Vector, runtime, now float6
 
 // Driver is how a pass reaches the engine that owns the tasks.
 type Driver struct {
-	// Lookup resolves a key to its live task, nil when it is terminal or
-	// unknown. A key the core holds, queued or on a worker, always resolves:
-	// a task goes terminal only from a running attempt, so Dispatch panics on
-	// a queued key that does not.
-	Lookup func(key int) *Task
 	// Start runs after t has been charged to w: the driver starts the
 	// attempt. It must not touch the ready queue.
-	Start func(key int, t *Task, w *Worker)
+	Start func(t *Task, w *Worker)
 	// Score ranks workers for the Locality placement; see Pool.Pick.
 	Score func(workerID, taskID int) float64
 }
@@ -63,7 +68,7 @@ type Driver struct {
 // ready queue, and the dispatch pass and settle transitions over both.
 type Core struct {
 	Pool
-	// Ready holds the keys of tasks awaiting placement, in dispatch priority
+	// Ready holds the tasks awaiting placement, in dispatch priority
 	// order, as two blocks: the entries that hold an allocation (retries and
 	// eviction victims, pushed at the front by Retried and Evicted), then the
 	// first attempts (pushed at the back by Submit). Drivers only read it.
@@ -78,7 +83,8 @@ type Core struct {
 	firsts    passMemo
 	held      int         // entries of Ready that hold an allocation: its front block
 	queued    firstCounts // the first attempts in Ready, per category
-	requeue   []int       // Evicted's scratch: the survivors of one eviction
+	requeue   []*Task     // Evicted's scratch: the survivors of one eviction
+	scanned   int         // queue entries the passes have read, over the core's life
 }
 
 // New builds a scheduler core that dispatches for policy. maxMisses bounds the
@@ -94,14 +100,15 @@ func New(place Placement, maxMisses int, policy allocator.Policy, d Driver) *Cor
 	return c
 }
 
-// Submit queues key's first attempt behind everything waiting; t is the task
-// key resolves to, and holds no allocation yet.
+// Submit queues t's first attempt, under the driver's key, behind everything
+// waiting; t holds no allocation yet.
 func (c *Core) Submit(key int, t *Task) {
 	if t.HasAlloc {
 		panic("sched: Submit of a task that holds an allocation")
 	}
+	t.key = key
 	c.queued.add(t.Category)
-	c.Ready.PushBack(key)
+	c.Ready.PushBack(t)
 }
 
 // Dispatch runs one pass: it walks the ready queue in order, placing every
@@ -118,7 +125,7 @@ func (c *Core) Submit(key int, t *Task) {
 // queued has missed. What it leaves unscanned would all have been such misses,
 // so the early end changes no placement, policy call or queue order.
 func (c *Core) Dispatch() {
-	// The scan compacts the ring in place: unplaced keys slide down to
+	// The scan compacts the ring in place: unplaced tasks slide down to
 	// position `kept` as the read cursor advances, preserving queue order.
 	n, held := c.Ready.Len(), c.held
 	kept, scanned, misses := 0, 0, 0
@@ -128,11 +135,7 @@ func (c *Core) Dispatch() {
 			scanned >= held && c.queued.overflow == 0 && c.firsts.misses == c.queued.live {
 			break
 		}
-		key := c.Ready.At(scanned)
-		t := c.driver.Lookup(key)
-		if t == nil {
-			panic("sched: a queued key has no live task")
-		}
+		t := c.Ready.At(scanned)
 		alloc, ok := t.Alloc, true
 		if !t.HasAlloc {
 			alloc, ok = c.firsts.allocate(t.Category, t.ID)
@@ -145,7 +148,7 @@ func (c *Core) Dispatch() {
 			if ok && !t.HasAlloc {
 				c.firsts.missed(t.Category)
 			}
-			c.Ready.Set(kept, key)
+			c.Ready.Set(kept, t)
 			kept++
 			misses++
 			continue
@@ -156,10 +159,11 @@ func (c *Core) Dispatch() {
 			c.queued.remove(t.Category)
 		}
 		t.Alloc, t.HasAlloc = alloc, true
-		c.Place(w, key, alloc)
-		c.driver.Start(key, t, w)
+		c.Place(w, t)
+		c.driver.Start(t, w)
 		misses = 0
 	}
+	c.scanned += scanned
 	c.Ready.Cut(kept, scanned)
 }
 

@@ -123,8 +123,7 @@ func TestPassMemo(t *testing.T) {
 // TestDispatchPass drives whole passes over a scripted queue and pool and
 // checks, per scenario, which category the policy was asked for in what
 // order, which (key, worker) pairs were started in what order, and what
-// stayed queued. Every started task must have been charged to its worker under
-// its key with the vector its header now holds.
+// stayed queued. Every started task must be held by the worker it started on.
 func TestDispatchPass(t *testing.T) {
 	wide := resources.New(8, 1000, 1000, resources.Unlimited)
 	narrow := resources.New(3, 1000, 1000, resources.Unlimited)
@@ -159,8 +158,7 @@ func TestDispatchPass(t *testing.T) {
 		wantLog   string
 		wantStart string // (key, worker) pairs
 		wantQueue string
-		wantPanic bool // the pass panics; the log and the starts before it are checked
-		// wantScanned, when set, is how many queued keys the pass resolved.
+		// wantScanned, when set, is how many queue entries the pass read.
 		wantScanned int
 	}{
 		{
@@ -230,16 +228,6 @@ func TestDispatchPass(t *testing.T) {
 			wantLog:   "[allocate:narrow]",
 			wantStart: "[[7 1] [9 0]]",
 			wantQueue: "[8]",
-		},
-		{
-			// Only a bug reaches it: a task goes terminal from a running
-			// attempt, never from the queue.
-			name:      "a queued key the driver cannot resolve panics",
-			workers:   []resources.Vector{paper},
-			queue:     []queued{{key: 1, cat: "wide"}, {key: 2, cat: ""}, {key: 3, cat: "huge"}},
-			wantPanic: true,
-			wantLog:   "[allocate:wide]",
-			wantStart: "[[1 0]]",
 		},
 		{
 			name:      "the miss bound ends the pass and keeps the unscanned tail in order",
@@ -339,17 +327,12 @@ func TestDispatchPass(t *testing.T) {
 			}
 			tasks := map[int]*Task{}
 			var started [][2]int
-			scanned := 0
 			c := New(FirstFit, tc.maxMisses, policy, Driver{
-				Lookup: func(key int) *Task {
-					scanned++
-					return tasks[key]
-				},
-				Start: func(key int, task *Task, w *Worker) {
-					if held, ok := w.running[key]; !ok || !task.HasAlloc || held != task.Alloc || task != tasks[key] {
-						t.Errorf("key %d started on worker %d holding %v %v, header %+v", key, w.ID(), held, ok, task)
+				Start: func(task *Task, w *Worker) {
+					if !w.Holds(task) || !task.HasAlloc || task != tasks[task.Key()] {
+						t.Errorf("key %d started on worker %d, which does not hold it: header %+v", task.Key(), w.ID(), task)
 					}
-					started = append(started, [2]int{key, w.ID()})
+					started = append(started, [2]int{task.Key(), w.ID()})
 				},
 			})
 			for id, shape := range tc.workers {
@@ -357,23 +340,14 @@ func TestDispatchPass(t *testing.T) {
 			}
 			for _, q := range tc.queue {
 				task := &Task{ID: q.key, Category: q.cat}
-				if q.cat != "" { // an empty category is a key the driver cannot resolve
-					tasks[q.key] = task
-				}
+				tasks[q.key] = task
 				enqueue(c, q.key, task, q.held)
 			}
-			panicked := func() (panicked bool) {
-				defer func() { panicked = recover() != nil }()
-				for pass := 0; pass < max(tc.passes, 1); pass++ {
-					c.Dispatch()
-				}
-				return false
-			}()
-			if panicked != tc.wantPanic {
-				t.Fatalf("pass panicked %v, want %v", panicked, tc.wantPanic)
+			for pass := 0; pass < max(tc.passes, 1); pass++ {
+				c.Dispatch()
 			}
-			if tc.wantScanned != 0 && scanned != tc.wantScanned {
-				t.Errorf("the pass resolved %d queued keys, want %d", scanned, tc.wantScanned)
+			if tc.wantScanned != 0 && c.scanned != tc.wantScanned {
+				t.Errorf("the pass read %d queue entries, want %d", c.scanned, tc.wantScanned)
 			}
 			if got := fmt.Sprint(pol.log); got != tc.wantLog {
 				t.Errorf("policy calls %s, want %s", got, tc.wantLog)
@@ -384,10 +358,7 @@ func TestDispatchPass(t *testing.T) {
 			if got := fmt.Sprint(started); got != tc.wantStart {
 				t.Errorf("started %s, want %s", got, tc.wantStart)
 			}
-			if tc.wantPanic {
-				return
-			}
-			if err := checkQueueCounts(c, tasks); err != nil {
+			if err := checkQueueCounts(c); err != nil {
 				t.Error(err)
 			}
 			if got := fmt.Sprint(queueContents(&c.Ready)); got != tc.wantQueue {
@@ -402,39 +373,43 @@ func TestDispatchPass(t *testing.T) {
 
 func ptr[T any](v T) *T { return &v }
 
-// enqueue puts key on c's ready queue the way the settle transitions and
-// Submit do: with held set the task keeps that allocation and joins the held
-// block (the table lists those first); otherwise it is a first attempt.
+// enqueue puts t on c's ready queue under key the way the settle transitions
+// and Submit do: with held set the task keeps that allocation and joins the
+// held block (the table lists those first); otherwise it is a first attempt.
 func enqueue(c *Core, key int, t *Task, held *resources.Vector) {
 	if held == nil {
 		c.Submit(key, t)
 		return
 	}
-	t.Alloc, t.HasAlloc = *held, true
-	c.Ready.PushBack(key)
+	t.key, t.Alloc, t.HasAlloc = key, *held, true
+	c.Ready.PushBack(t)
 	c.held++
 }
 
 // TestEvictedTasksRequeueAsAscendingBlock pins the recovery order both
 // engines get from the core: the tasks an evicted worker held come back in
-// ascending key order whatever order they were placed in, and PushFrontAll
-// puts them ahead of what was already waiting as one block — not prepended
-// one at a time, which would leave the queue front in descending order.
+// ascending key order whatever order they were placed and released in, and
+// PushFrontAll puts them ahead of what was already waiting as one block — not
+// prepended one at a time, which would leave the queue front in descending
+// order.
 func TestEvictedTasksRequeueAsAscendingBlock(t *testing.T) {
-	for trial := 0; trial < 20; trial++ { // map iteration order varies per run
-		c := New(FirstFit, 0, nil, Driver{})
-		w, other := c.Add(0, resources.PaperWorker()), c.Add(1, resources.PaperWorker())
-		for _, key := range []int{7, 3, 5, 11, 2} { // deliberately unsorted
-			c.Place(w, key, resources.New(1, 100, 100, 60))
+	c := New(FirstFit, 0, nil, Driver{})
+	w, other := c.Add(0, resources.PaperWorker()), c.Add(1, resources.PaperWorker())
+	for _, task := range keyedAll(7, 3, 13, 5, 11, 2, 4) { // deliberately unsorted
+		task.Alloc = resources.New(1, 100, 100, 60)
+		if task.key == 4 {
+			c.Place(other, task)
+		} else {
+			c.Place(w, task)
 		}
-		c.Place(other, 4, resources.New(1, 100, 100, 60))
-		c.Ready.PushBack(9) // already waiting before the eviction
-		c.Ready.PushFrontAll(c.Evict(w, nil))
-		if got, want := queueContents(&c.Ready), []int{2, 3, 5, 7, 11, 9}; !equalInts(got, want) {
-			t.Fatalf("trial %d: ready queue after eviction = %v, want %v", trial, got, want)
-		}
-		if c.Alive() != 1 || c.First() != other || other.Next() != nil || c.InFlight() != 1 {
-			t.Fatalf("trial %d: evicted worker still in the alive chain (%d workers, %d in flight)", trial, c.Alive(), c.InFlight())
-		}
+	}
+	c.Release(w, w.held[2])    // 13, mid-row: the swap-remove moves 2 into its place
+	c.Ready.PushBack(keyed(9)) // already waiting before the eviction
+	c.Ready.PushFrontAll(c.Evict(w, nil))
+	if got, want := queueContents(&c.Ready), []int{2, 3, 5, 7, 11, 9}; !equalInts(got, want) {
+		t.Fatalf("ready queue after eviction = %v, want %v", got, want)
+	}
+	if c.Alive() != 1 || c.First() != other || other.Next() != nil || c.InFlight() != 1 {
+		t.Fatalf("evicted worker still in the alive chain (%d workers, %d in flight)", c.Alive(), c.InFlight())
 	}
 }

@@ -3,15 +3,17 @@
 // allocates at dispatch time and places what fits, and the settle transitions
 // that end an attempt and keep each task's attempt ledger. It is deterministic
 // and does no I/O: for the same sequence of calls it makes the same decisions.
-// The drivers own time, transport, task storage and the policy calls a
-// transition owes — internal/sim calls it from discrete events, internal/wq
-// under the manager lock from decoded frames, the sequential drivers through
-// Task.RunAlone.
+// It holds tasks, not keys, so nothing is ever looked up: the drivers own
+// time, transport, task storage (a submitted task stays at its address until
+// it is terminal) and the policy calls a transition owes — internal/sim calls
+// it from discrete events, internal/wq under the manager lock from decoded
+// frames, the sequential drivers through Task.RunAlone.
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynalloc/internal/resources"
 )
@@ -27,9 +29,12 @@ type Worker struct {
 	// limit is capacity scaled by (1 + capacitySlack), precomputed once at
 	// Add so admission is three comparisons instead of re-deriving the slack
 	// product per kind on every Fits probe.
-	limit   resources.Vector
-	used    resources.Vector
-	running map[int]resources.Vector // task key -> allocation held
+	limit resources.Vector
+	used  resources.Vector
+	// held is the tasks the worker holds, in no order (t.at indexes it); it
+	// starts on inline, so up to eight cost no allocation of their own.
+	held   []*Task
+	inline [8]*Task
 	// slot is the worker's leaf in the placement index, -1 once evicted.
 	slot int
 	// prev/next link the alive chain in ascending-ID (= join) order;
@@ -47,26 +52,11 @@ func (w *Worker) Alive() bool { return w.slot >= 0 }
 func (w *Worker) Next() *Worker { return w.next }
 
 // Running returns the number of tasks the worker holds.
-func (w *Worker) Running() int { return len(w.running) }
+func (w *Worker) Running() int { return len(w.held) }
 
-// Holds reports whether the worker holds an allocation for key: whether a
-// result it sends for key would be honoured rather than dropped as stale.
-func (w *Worker) Holds(key int) bool {
-	_, ok := w.running[key]
-	return ok
-}
-
-// Keys appends the keys of the tasks the worker holds to buf in ascending
-// order: map iteration order would make the requeue order after an eviction —
-// and hence a whole simulated run — nondeterministic.
-func (w *Worker) Keys(buf []int) []int {
-	n := len(buf)
-	for key := range w.running {
-		buf = append(buf, key)
-	}
-	sort.Ints(buf[n:])
-	return buf
-}
+// Holds reports whether the worker holds t: whether a result it sends for t
+// would be honoured rather than dropped as stale.
+func (w *Worker) Holds(t *Task) bool { return t.worker == w }
 
 // Fits reports whether alloc fits into the worker's free capacity. The
 // comparisons are bit-identical to `used+alloc > capacity*(1+capacitySlack)`
@@ -107,7 +97,8 @@ func (p *Pool) First() *Worker { return p.head }
 // the next (both drivers issue them in join order), so appending keeps the
 // chain and the index slots sorted by ID without an insertion search.
 func (p *Pool) Add(id int, capacity resources.Vector) *Worker {
-	w := &Worker{id: id, capacity: capacity, running: make(map[int]resources.Vector)}
+	w := &Worker{id: id, capacity: capacity}
+	w.held = w.inline[:0]
 	for k := range capacity {
 		w.limit[k] = capacity[k] * (1 + capacitySlack)
 	}
@@ -122,28 +113,32 @@ func (p *Pool) Add(id int, capacity resources.Vector) *Worker {
 	return w
 }
 
-// Place charges alloc to w under key. The caller has established that it
-// fits (Pick returns only workers that do); over-packing a worker is a bug.
-func (p *Pool) Place(w *Worker, key int, alloc resources.Vector) {
-	if !w.Fits(alloc) {
-		panic(fmt.Sprintf("sched: worker %d over-packed: used %v + alloc %v > capacity %v", w.id, w.used, alloc, w.capacity))
+// Place charges t.Alloc to w and enters t, held by no worker, in w's row. The
+// caller has established that it fits (Pick returns only workers that do);
+// over-packing a worker is a bug.
+func (p *Pool) Place(w *Worker, t *Task) {
+	if !w.Fits(t.Alloc) {
+		panic(fmt.Sprintf("sched: worker %d over-packed: used %v + alloc %v > capacity %v", w.id, w.used, t.Alloc, w.capacity))
 	}
-	w.used = w.used.Add(alloc.With(resources.Time, 0))
-	w.running[key] = alloc
+	w.used = w.used.Add(t.Alloc.With(resources.Time, 0))
+	t.worker, t.at = w, len(w.held)
+	w.held = append(w.held, t)
 	p.inFlight++
 	p.idx.update(w)
 }
 
-// Release frees what w holds for key; it reports false when w holds nothing
-// for key (a duplicate result, or a worker already evicted).
-func (p *Pool) Release(w *Worker, key int) bool {
-	alloc, ok := w.running[key]
-	if !ok {
+// Release frees what w holds for t; it reports false when w does not hold t
+// (a duplicate result, or a worker already evicted).
+func (p *Pool) Release(w *Worker, t *Task) bool {
+	if t.worker != w {
 		return false
 	}
-	delete(w.running, key)
+	last := w.held[len(w.held)-1]
+	w.held[t.at], last.at = last, t.at
+	w.held = w.held[:len(w.held)-1]
+	t.worker = nil
 	p.inFlight--
-	w.used = w.used.Sub(alloc.With(resources.Time, 0))
+	w.used = w.used.Sub(t.Alloc.With(resources.Time, 0))
 	// Guard against float drift accumulating below zero.
 	for k := range w.used {
 		if w.used[k] < 0 && w.used[k] > -1e-6 {
@@ -154,11 +149,11 @@ func (p *Pool) Release(w *Worker, key int) bool {
 	return true
 }
 
-// Evict removes w from the ledger and appends the keys of the tasks it held
-// to buf in ascending order. Unlinking shrinks the scan set instead of
-// accumulating tombstones that every placement probe would skip. Evicting a
-// worker twice is a no-op returning buf unchanged.
-func (p *Pool) Evict(w *Worker, buf []int) []int {
+// Evict removes w from the ledger and appends the tasks it held to buf in
+// ascending key order, so the requeue is the same whatever order they were
+// placed in. Unlinking shrinks the scan set instead of accumulating tombstones
+// that every placement probe would skip. Evicting twice is a no-op.
+func (p *Pool) Evict(w *Worker, buf []*Task) []*Task {
 	if !w.Alive() {
 		return buf
 	}
@@ -175,9 +170,15 @@ func (p *Pool) Evict(w *Worker, buf []int) []int {
 	w.prev, w.next = nil, nil
 	p.alive--
 	p.idx.remove(w)
-	buf = w.Keys(buf)
-	p.inFlight -= len(w.running)
-	w.running = nil // the worker is gone; release its map
+	n := len(buf)
+	buf = append(buf, w.held...)
+	slices.SortFunc(buf[n:], func(a, b *Task) int { return cmp.Compare(a.key, b.key) })
+	for _, t := range buf[n:] {
+		t.worker = nil
+	}
+	p.inFlight -= len(w.held)
+	clear(w.held)
+	w.held = nil // the worker is gone; it keeps no task alive
 	w.used = resources.Vector{}
 	return buf
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dynalloc/internal/resources"
@@ -105,8 +106,9 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			}
 		case op < 5 && len(alive) > 0: // eviction
 			i := r.IntN(len(alive))
-			held := alive[i].Keys(nil)
-			if got := p.Evict(alive[i], nil); !equalInts(got, held) {
+			held := keysOf(alive[i].held)
+			slices.Sort(held)
+			if got := keysOf(p.Evict(alive[i], nil)); !equalInts(got, held) {
 				t.Fatalf("step %d: Evict returned %v, worker held %v", step, got, held)
 			}
 			alive = append(alive[:i], alive[i+1:]...)
@@ -114,11 +116,13 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			w := alive[r.IntN(len(alive))]
 			alloc := randAlloc(w.capacity)
 			if r.IntN(2) == 0 && w.Fits(alloc) {
-				p.Place(w, nextKey, alloc)
+				t := keyed(nextKey)
+				t.Alloc = alloc
+				p.Place(w, t)
 				nextKey++
 			} else {
-				for _, key := range w.Keys(nil) { // drain the worker
-					p.Release(w, key)
+				for w.Running() > 0 { // drain the worker, front first
+					p.Release(w, w.held[0])
 				}
 			}
 		}
@@ -178,7 +182,9 @@ func TestPickPolicies(t *testing.T) {
 	var ws []*Worker
 	for id, usedMem := range []float64{30000, 60000, 1000} {
 		w := p.Add(id, shape)
-		p.Place(w, id, resources.New(0, usedMem, 0, 0))
+		t := keyed(id)
+		t.Alloc = resources.New(0, usedMem, 0, 0)
+		p.Place(w, t)
 		ws = append(ws, w)
 	}
 	alloc := resources.New(1, 2000, 100, resources.Unlimited)
@@ -212,35 +218,48 @@ func TestPickPolicies(t *testing.T) {
 	}
 }
 
-// TestLedgerReleaseAndEvict pins the ledger's edge cases: a release of
-// something not held is refused, used capacity that drifts a hair below zero
-// is clamped, and an evicted worker holds nothing and cannot be evicted again.
+// TestLedgerReleaseAndEvict pins the ledger's edge cases: a release removes
+// the task from anywhere in the worker's row and keeps the back-pointers of
+// the rest, a release of something not held is refused, used capacity that
+// drifts a hair below zero is clamped, and an evicted worker holds nothing and
+// cannot be evicted again.
 func TestLedgerReleaseAndEvict(t *testing.T) {
 	var p Pool
 	w := p.Add(3, resources.PaperWorker())
 	a := resources.New(0.1, 100, 100, 60)
-	p.Place(w, 1, a)
-	p.Place(w, 2, a.Scale(2))
-	if held, ok := w.running[2]; !ok || held != a.Scale(2) || p.InFlight() != 2 || w.Running() != 2 {
-		t.Fatalf("after two placements: holds %v %v, in flight %d", held, ok, p.InFlight())
+	ts := keyedAll(1, 2, 3)
+	for i, task := range ts {
+		task.Alloc = a.Scale(float64(i + 1))
+		p.Place(w, task)
 	}
-	if p.Release(w, 9) {
-		t.Error("released a key the worker does not hold")
+	if !w.Holds(ts[1]) || p.InFlight() != 3 || w.Running() != 3 {
+		t.Fatalf("after three placements: holds %v, in flight %d, running %d", w.Holds(ts[1]), p.InFlight(), w.Running())
+	}
+	if !p.Release(w, ts[0]) || w.Holds(ts[0]) {
+		t.Fatal("the first placement was not released")
+	}
+	if got := keysOf(w.held); !equalInts(got, []int{3, 2}) || ts[2].at != 0 || ts[1].at != 1 {
+		t.Fatalf("after releasing the front: row %v, at %d %d; want [3 2], 0 1", got, ts[2].at, ts[1].at)
+	}
+	if p.Release(w, keyed(9)) || p.Release(w, ts[0]) {
+		t.Error("released a task the worker does not hold")
 	}
 	w.used[resources.Cores] -= 1e-9 // as if earlier float sums had drifted
-	p.Release(w, 1)
-	p.Release(w, 2)
+	p.Release(w, ts[1])
+	p.Release(w, ts[2])
 	if w.used != (resources.Vector{}) {
 		t.Errorf("used after releasing everything = %v, want zero (drift clamped)", w.used)
 	}
-	p.Place(w, 5, a)
-	if got := p.Evict(w, []int{42}); !equalInts(got, []int{42, 5}) {
+	five := keyed(5)
+	five.Alloc = a
+	p.Place(w, five)
+	if got := keysOf(p.Evict(w, keyedAll(42))); !equalInts(got, []int{42, 5}) {
 		t.Errorf("Evict appended %v, want [42 5]", got)
 	}
-	if w.Alive() || p.Alive() != 0 || p.InFlight() != 0 || p.First() != nil {
+	if w.Alive() || p.Alive() != 0 || p.InFlight() != 0 || p.First() != nil || w.Holds(five) {
 		t.Error("evicted worker still in the ledger")
 	}
-	if p.Release(w, 5) {
+	if p.Release(w, five) {
 		t.Error("released from an evicted worker")
 	}
 	if got := p.Evict(w, nil); got != nil {

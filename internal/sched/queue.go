@@ -1,6 +1,6 @@
 package sched
 
-// Queue is the ready queue: a growable ring buffer of task keys with O(1)
+// Queue is the ready queue: a growable ring buffer of tasks with O(1)
 // push at either end. The eviction and retry paths push blocks onto the front
 // (retries jump the queue), which on a plain slice cost a full copy per
 // requeued task; Dispatch compacts the part it scanned in place through
@@ -10,29 +10,29 @@ package sched
 //
 // The zero value is an empty queue ready for use.
 type Queue struct {
-	buf  []int // ring storage; len(buf) is a power of two (or zero)
-	head int   // index of element 0 within buf
-	n    int   // number of live elements
+	buf  []*Task // ring storage; len(buf) is a power of two (or zero)
+	head int     // index of element 0 within buf
+	n    int     // number of live elements
 }
 
-// Len returns the number of queued indices.
+// Len returns the number of queued tasks.
 func (q *Queue) Len() int { return q.n }
 
-// At returns the i-th queued index (0 = front). i must be in [0, Len()).
-func (q *Queue) At(i int) int { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+// At returns the i-th queued task (0 = front). i must be in [0, Len()).
+func (q *Queue) At(i int) *Task { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// Set overwrites the i-th queued index. i must be in [0, Len()).
-func (q *Queue) Set(i, v int) { q.buf[(q.head+i)&(len(q.buf)-1)] = v }
+// Set overwrites the i-th queued task. i must be in [0, Len()).
+func (q *Queue) Set(i int, v *Task) { q.buf[(q.head+i)&(len(q.buf)-1)] = v }
 
 // PushBack appends v to the back of the queue.
-func (q *Queue) PushBack(v int) {
+func (q *Queue) PushBack(v *Task) {
 	q.grow(1)
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
 // PushFront prepends v to the front of the queue.
-func (q *Queue) PushFront(v int) {
+func (q *Queue) PushFront(v *Task) {
 	q.grow(1)
 	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = v
@@ -42,8 +42,8 @@ func (q *Queue) PushFront(v int) {
 // PushFrontAll prepends vs as a block: after the call the queue reads
 // vs[0], vs[1], ..., then the previous contents. This is the multi-victim
 // eviction requeue — the whole block jumps the queue while its internal
-// (ascending task ID) order is preserved.
-func (q *Queue) PushFrontAll(vs []int) {
+// (ascending key) order is preserved.
+func (q *Queue) PushFrontAll(vs []*Task) {
 	q.grow(len(vs))
 	for i := len(vs) - 1; i >= 0; i-- {
 		q.head = (q.head - 1) & (len(q.buf) - 1)
@@ -87,7 +87,7 @@ func (q *Queue) grow(k int) {
 	for size < need {
 		size *= 2
 	}
-	buf := make([]int, size)
+	buf := make([]*Task, size)
 	for i := 0; i < q.n; i++ {
 		buf[i] = q.At(i)
 	}

@@ -5,10 +5,33 @@ import (
 	"testing"
 )
 
+// keyed returns a task submitted under key, for the tests that drive the
+// queue or the ledger without a core.
+func keyed(key int) *Task { return &Task{ID: key, key: key} }
+
+// keyedAll returns a task for each key, in order.
+func keyedAll(keys ...int) []*Task {
+	out := make([]*Task, len(keys))
+	for i, key := range keys {
+		out[i] = keyed(key)
+	}
+	return out
+}
+
+// keysOf returns the keys of ts, in order.
+func keysOf(ts []*Task) []int {
+	out := make([]int, len(ts))
+	for i, t := range ts {
+		out[i] = t.key
+	}
+	return out
+}
+
+// queueContents returns the keys of the queued tasks, front first.
 func queueContents(q *Queue) []int {
 	out := make([]int, 0, q.Len())
 	for i := 0; i < q.Len(); i++ {
-		out = append(out, q.At(i))
+		out = append(out, q.At(i).key)
 	}
 	return out
 }
@@ -31,9 +54,9 @@ func TestQueueBasics(t *testing.T) {
 		t.Fatal("zero value not empty")
 	}
 	for i := 0; i < 40; i++ { // crosses the initial capacity twice
-		q.PushBack(i)
+		q.PushBack(keyed(i))
 	}
-	q.PushFront(-1)
+	q.PushFront(keyed(-1))
 	want := []int{-1}
 	for i := 0; i < 40; i++ {
 		want = append(want, i)
@@ -41,8 +64,8 @@ func TestQueueBasics(t *testing.T) {
 	if got := queueContents(&q); !equalInts(got, want) {
 		t.Fatalf("contents = %v, want %v", got, want)
 	}
-	q.Set(0, 99)
-	if q.At(0) != 99 {
+	q.Set(0, keyed(99))
+	if q.At(0).key != 99 {
 		t.Fatal("Set/At disagree")
 	}
 	q.Cut(3, q.Len())
@@ -53,16 +76,16 @@ func TestQueueBasics(t *testing.T) {
 
 func TestQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
 	var q Queue
-	q.PushBack(10)
-	q.PushBack(11)
-	q.PushFrontAll([]int{1, 2, 3})
+	q.PushBack(keyed(10))
+	q.PushBack(keyed(11))
+	q.PushFrontAll(keyedAll(1, 2, 3))
 	if got := queueContents(&q); !equalInts(got, []int{1, 2, 3, 10, 11}) {
 		t.Fatalf("contents = %v, want [1 2 3 10 11]", got)
 	}
 	// A block larger than the remaining capacity must still land in order.
-	big := make([]int, 100)
+	big := make([]*Task, 100)
 	for i := range big {
-		big[i] = 100 + i
+		big[i] = keyed(100 + i)
 	}
 	q.PushFrontAll(big)
 	got := queueContents(&q)
@@ -80,10 +103,10 @@ func TestQueueCut(t *testing.T) {
 	for offset := 0; offset < 16; offset++ {
 		for from := 0; from <= n; from++ {
 			for to := from; to <= n; to++ {
-				q := Queue{buf: make([]int, 16), head: offset}
+				q := Queue{buf: make([]*Task, 16), head: offset}
 				var want []int
 				for i := 0; i < n; i++ {
-					q.PushBack(i)
+					q.PushBack(keyed(i))
 					if i < from || i >= to {
 						want = append(want, i)
 					}
@@ -131,23 +154,23 @@ func TestQueueMatchesSlice(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch op := r.IntN(4); {
 		case op == 0: // push back
-			q.PushBack(next)
+			q.PushBack(keyed(next))
 			model = append(model, next)
 			next++
 		case op == 1: // push front
-			q.PushFront(next)
+			q.PushFront(keyed(next))
 			model = append([]int{next}, model...)
 			next++
 		case op == 2: // block prepend, eviction-style
 			block := []int{next, next + 1, next + 2}
 			next += 3
-			q.PushFrontAll(block)
+			q.PushFrontAll(keyedAll(block...))
 			model = append(append([]int{}, block...), model...)
 		case op == 3 && len(model) > 0: // dispatch-style compaction
 			kept := 0
 			var keptModel []int
 			for i := 0; i < q.Len(); i++ {
-				if q.At(i)%3 == 0 { // drop every third value
+				if q.At(i).key%3 == 0 { // drop every third key
 					continue
 				}
 				q.Set(kept, q.At(i))

@@ -115,47 +115,44 @@ func (t *Task) RunAlone(p allocator.Policy, limit int, attempt func(alloc resour
 	}
 }
 
-// Settle ends the attempt w reports for key: a success (Task.Succeeded; owed
+// Settle ends the attempt w reports for t: a success (Task.Succeeded; owed
 // says the Observe is) or, with exceeded, an overrun (Task.Exhausted; owed says
-// a Retry is, and the task is in no queue until Retried). A nil task means the
-// result is stale and changed nothing: the ledger says w holds nothing for key
-// — w was evicted, or reported this attempt before.
-func (c *Core) Settle(w *Worker, key int, duration float64, exceeded bool) (t *Task, owed bool) {
-	if !c.Release(w, key) {
-		return nil, false
+// a Retry is, and the task is in no queue until Retried). settled is false when
+// the result is stale and changed nothing: w does not hold t — w was evicted,
+// or reported this attempt before.
+func (c *Core) Settle(w *Worker, t *Task, duration float64, exceeded bool) (settled, owed bool) {
+	if !c.Release(w, t) {
+		return false, false
 	}
-	t = c.driver.Lookup(key) // held, hence live
 	if exceeded {
-		return t, t.Exhausted(duration, c.RetryLimit)
+		return true, t.Exhausted(duration, c.RetryLimit)
 	}
-	return t, t.Succeeded(duration)
+	return true, t.Succeeded(duration)
 }
 
-// Retried installs the escalated vector for key (Task.Retried) and puts the
-// task at the front of the ready queue; it does neither when none is owed.
-func (c *Core) Retried(key int, next resources.Vector) bool {
-	t := c.driver.Lookup(key)
-	if t == nil || !t.Retried(next) {
+// Retried installs the escalated vector for t (Task.Retried) and puts it at
+// the front of the ready queue; it does neither when none is owed.
+func (c *Core) Retried(t *Task, next resources.Vector) bool {
+	if !t.Retried(next) {
 		return false
 	}
-	c.Ready.PushFront(key)
+	c.Ready.PushFront(t)
 	c.held++
 	return true
 }
 
 // Evicted removes w from the ledger at time now and settles every attempt it
 // held (Task.Evicted). The survivors go back to the front of the ready queue
-// as one ascending block, so multi-task evictions replay deterministically;
-// the abandoned do not. It appends the victims' keys to buf in ascending order
-// — the abandoned among them are Terminal.
-func (c *Core) Evicted(w *Worker, now float64, buf []int) []int {
+// as one block in ascending key order, so multi-task evictions replay
+// deterministically; the abandoned do not. It appends the victims to buf in
+// ascending key order — the abandoned among them are Terminal.
+func (c *Core) Evicted(w *Worker, now float64, buf []*Task) []*Task {
 	base := len(buf)
 	buf = c.Evict(w, buf)
 	c.requeue = c.requeue[:0]
-	for _, key := range buf[base:] {
-		t := c.driver.Lookup(key) // held, hence live
+	for _, t := range buf[base:] {
 		if t.Evicted(now-t.Started, c.RetryLimit) {
-			c.requeue = append(c.requeue, key)
+			c.requeue = append(c.requeue, t)
 		}
 	}
 	c.Ready.PushFrontAll(c.requeue)

@@ -16,11 +16,13 @@ import (
 //
 //   - every live task is in exactly one place: once in the ready queue, held
 //     by exactly one worker, escalating, or terminal;
-//   - the queue and the workers hold no key of a terminal or unknown task;
+//   - the queue and the workers hold only registered tasks, none terminal;
+//   - the back-pointers agree with the rows: a task in w's row at index i has
+//     worker w and at i, and a task with no worker is in no row;
 //   - the queue is its two blocks, held entries first, and the core's counts
 //     of both match it (checkQueueCounts);
-//   - each worker's used capacity is the sum of the allocations it holds, and
-//     the in-flight count is the number of held keys;
+//   - each worker's used capacity is the sum of the allocations of the tasks
+//     it holds, and the in-flight count is the number of held tasks;
 //   - a task's ledger has one record per dispatch that has ended, plus the
 //     Failed marker of an abandoned task, and is closed (Success or Failed)
 //     iff the task is terminal.
@@ -29,16 +31,29 @@ import (
 func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error {
 	queued, held := map[int]int{}, map[int]int{}
 	for i := 0; i < c.Ready.Len(); i++ {
-		queued[c.Ready.At(i)]++
+		t := c.Ready.At(i)
+		if tasks[t.key] != t {
+			return fmt.Errorf("queue position %d holds key %d, not the task registered under it", i, t.key)
+		}
+		if t.worker != nil {
+			return fmt.Errorf("queued task %d points at worker %d", t.key, t.worker.ID())
+		}
+		queued[t.key]++
 	}
 	inFlight := 0
 	for w := c.First(); w != nil; w = w.Next() {
 		var used resources.Vector
-		for key, alloc := range w.running {
-			held[key]++
-			used = used.Add(alloc.With(resources.Time, 0))
+		for i, t := range w.held {
+			if tasks[t.key] != t {
+				return fmt.Errorf("worker %d holds key %d, not the task registered under it", w.ID(), t.key)
+			}
+			if t.worker != w || t.at != i {
+				return fmt.Errorf("worker %d holds task %d at %d; the task points at worker %p, index %d", w.ID(), t.key, i, t.worker, t.at)
+			}
+			held[t.key]++
+			used = used.Add(t.Alloc.With(resources.Time, 0))
 		}
-		inFlight += len(w.running)
+		inFlight += len(w.held)
 		for k := range used {
 			if math.Abs(used[k]-w.used[k]) > 1e-6 {
 				return fmt.Errorf("worker %d: used %v, holds allocations summing to %v", w.ID(), w.used, used)
@@ -46,22 +61,15 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 		}
 	}
 	if inFlight != c.InFlight() {
-		return fmt.Errorf("InFlight() = %d, workers hold %d keys", c.InFlight(), inFlight)
+		return fmt.Errorf("InFlight() = %d, workers hold %d tasks", c.InFlight(), inFlight)
 	}
-	for key := range queued {
-		if tasks[key] == nil {
-			return fmt.Errorf("unknown key %d queued", key)
-		}
-	}
-	if err := checkQueueCounts(c, tasks); err != nil {
+	if err := checkQueueCounts(c); err != nil {
 		return err
 	}
-	for key := range held {
-		if tasks[key] == nil {
-			return fmt.Errorf("unknown key %d held", key)
-		}
-	}
 	for key, t := range tasks {
+		if (t.worker != nil) != (held[key] == 1) {
+			return fmt.Errorf("task %d points at a worker %v, is in %d rows", key, t.worker != nil, held[key])
+		}
 		places := queued[key] + held[key]
 		if t.escalating {
 			places++
@@ -101,10 +109,10 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 // first attempt, held is the number of the former, and the per-category table
 // plus its overflow count exactly the latter — each category in at most one
 // live slot, and in its slot with its full count when nothing overflowed.
-func checkQueueCounts(c *Core, tasks map[int]*Task) error {
+func checkQueueCounts(c *Core) error {
 	held, firsts, perCat := 0, 0, map[string]int{}
 	for i := 0; i < c.Ready.Len(); i++ {
-		t := tasks[c.Ready.At(i)]
+		t := c.Ready.At(i)
 		if t.HasAlloc {
 			if firsts > 0 {
 				return fmt.Errorf("queue position %d holds an allocation behind %d first attempts", i, firsts)
@@ -188,14 +196,8 @@ type world struct {
 func newWorld(t *testing.T, limit int, cores []float64, keys ...int) *world {
 	w := &world{t: t, tasks: map[int]*Task{}, dispatches: map[int]int{}}
 	w.c = New(FirstFit, 0, &w.pol, Driver{
-		Lookup: func(key int) *Task {
-			if task := w.tasks[key]; task != nil && !task.Terminal() {
-				return task
-			}
-			return nil
-		},
-		Start: func(key int, task *Task, _ *Worker) {
-			w.dispatches[key]++
+		Start: func(task *Task, _ *Worker) {
+			w.dispatches[task.Key()]++
 			task.Started = w.clock
 		},
 	})
@@ -230,13 +232,11 @@ func (w *world) dispatch() {
 // with no Observe owed), "retry" or "abandoned".
 func (w *world) settle(id, key int, exceeded bool, want string) {
 	w.t.Helper()
-	task, owed := w.c.Settle(w.workers[id], key, 1, exceeded)
+	settled, owed := w.c.Settle(w.workers[id], w.tasks[key], 1, exceeded)
 	var got string
 	switch {
-	case task == nil:
+	case !settled:
 		got = "stale"
-	case task != w.tasks[key]:
-		w.t.Fatalf("Settle(%d, %d) returned another task", id, key)
 	case exceeded && owed:
 		got = "retry"
 	case exceeded:
@@ -257,7 +257,7 @@ func (w *world) escalate(key int, want bool) {
 	w.t.Helper()
 	task := w.tasks[key]
 	next := w.pol.Retry(task.Category, task.ID, task.Alloc, nil)
-	if got := w.c.Retried(key, next); got != want {
+	if got := w.c.Retried(task, next); got != want {
 		w.t.Fatalf("Retried(%d) = %v, want %v", key, got, want)
 	}
 	if want && task.Alloc != next {
@@ -268,7 +268,7 @@ func (w *world) escalate(key int, want bool) {
 
 func (w *world) evict(id int, wantVictims ...int) {
 	w.t.Helper()
-	if got := w.c.Evicted(w.workers[id], w.clock, nil); !equalInts(got, wantVictims) {
+	if got := keysOf(w.c.Evicted(w.workers[id], w.clock, nil)); !equalInts(got, wantVictims) {
 		w.t.Fatalf("Evicted(worker %d) = %v, want %v", id, got, wantVictims)
 	}
 	w.check(fmt.Sprintf("evict(%d)", id))
@@ -316,8 +316,8 @@ func TestSettleTransitions(t *testing.T) {
 				}
 				w.escalate(1, false) // nothing is owed twice
 				w.dispatch()
-				if got := w.workers[0].running[1].Get(resources.Memory); got != 200 {
-					w.t.Fatalf("retry placed with %v MB, want the escalated 200", got)
+				if task := w.tasks[1]; !w.workers[0].Holds(task) || task.Alloc.Get(resources.Memory) != 200 {
+					w.t.Fatalf("retry placed with %v MB, want the escalated 200", task.Alloc.Get(resources.Memory))
 				}
 				w.settle(0, 1, false, "observe")
 			},
@@ -349,12 +349,12 @@ func TestSettleTransitions(t *testing.T) {
 				w.dispatch()
 				w.evict(0, 1)
 				w.dispatch()
-				if !w.workers[1].Holds(1) || w.workers[0].Holds(1) {
+				if task := w.tasks[1]; !w.workers[1].Holds(task) || w.workers[0].Holds(task) {
 					w.t.Fatal("task not re-dispatched to worker 1 alone")
 				}
 				w.settle(0, 1, true, "stale")
 				w.settle(0, 1, false, "stale")
-				if !w.workers[1].Holds(1) || ledger(w.tasks[1]) != "E" {
+				if !w.workers[1].Holds(w.tasks[1]) || ledger(w.tasks[1]) != "E" {
 					w.t.Fatalf("stale results changed the task: ledger %s", ledger(w.tasks[1]))
 				}
 				w.settle(1, 1, false, "observe")

@@ -127,8 +127,8 @@ type Result struct {
 func (r *Result) Summary() metrics.Summary { return r.Acc.Summarize() }
 
 // simTask is one task's state in the in-flight window. The embedded task is
-// the scheduler core's record (dispatch header and attempt ledger); exceeded
-// and endEv describe the attempt in progress, if any.
+// the scheduler core's record (dispatch header and attempt ledger), keyed by
+// task index; exceeded and endEv describe the attempt in progress, if any.
 type simTask struct {
 	sched.Task
 	exceeded []resources.Kind
@@ -168,7 +168,7 @@ type simulator struct {
 	// byID resolves the worker id carried in event payloads; evicted slots
 	// are nilled so the worker can be collected.
 	byID    []*sched.Worker
-	victims []int // eviction scratch, reused across onEviction calls
+	victims []*sched.Task // eviction scratch, reused across onEviction calls
 
 	window            int  // submit window (0 = everything released at once)
 	generated         int  // tasks pulled from the source so far
@@ -228,7 +228,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	s.arrivals = arrivals
 	s.byID = make([]*sched.Worker, len(arrivals))
-	driver := sched.Driver{Lookup: s.lookup, Start: s.start}
+	driver := sched.Driver{Start: s.start}
 	if cfg.Data != nil {
 		driver.Score = cfg.Data.CachedMB
 	}
@@ -324,10 +324,10 @@ func (s *simulator) onEviction(id int) {
 		s.cfg.Data.DropWorker(id)
 	}
 	s.victims = s.sched.Evicted(w, s.engine.Now(), s.victims[:0])
-	for _, idx := range s.victims {
-		st := s.store.get(idx)
+	for _, t := range s.victims {
+		st := s.store.get(t.Key())
 		s.engine.Cancel(st.endEv)
-		if st.Terminal() {
+		if t.Terminal() {
 			s.failAbandoned(st)
 		}
 	}
@@ -408,11 +408,9 @@ func (s *simulator) dispatch() {
 	}
 }
 
-// lookup is the pass's view of a queued task index.
-func (s *simulator) lookup(idx int) *sched.Task { return &s.store.get(idx).Task }
-
 // start begins the attempt the pass just placed on w and schedules its end.
-func (s *simulator) start(idx int, t *sched.Task, w *sched.Worker) {
+func (s *simulator) start(t *sched.Task, w *sched.Worker) {
+	idx := t.Key()
 	st := s.store.get(idx)
 	duration, exceeded := EvaluateAttempt(s.cfg.Model, t.Outcome.Peak, t.Outcome.Runtime, t.Alloc)
 	if s.cfg.Data != nil {
@@ -432,7 +430,7 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 	// (and registered) and still holds the task when it fires.
 	st := s.store.get(idx)
 	exceeded := len(st.exceeded) > 0
-	_, owed := s.sched.Settle(s.byID[workerID], idx, duration, exceeded)
+	_, owed := s.sched.Settle(s.byID[workerID], &st.Task, duration, exceeded)
 	switch {
 	case !exceeded:
 		st.Outcome.DoneTime = s.engine.Now()
@@ -444,7 +442,7 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 		s.advanceBarrier(idx)
 		s.emit()
 	case owed:
-		s.sched.Retried(idx, s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, st.exceeded))
+		s.sched.Retried(&st.Task, s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, st.exceeded))
 	default:
 		s.failAbandoned(st)
 	}

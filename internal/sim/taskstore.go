@@ -6,13 +6,14 @@ package sim
 // they (and every lower-indexed task) complete and their outcome is
 // emitted, so the store holds only the in-flight window — the structure
 // that makes peak memory independent of total task count on streaming
-// runs. The zero value is an empty store ready for use.
+// runs. Entries never move (sched.Task's contract) and each slot's entry is
+// reused by its next occupant. The zero value is an empty store ready for use.
 type taskStore struct {
-	buf  []simTask // ring storage; len(buf) is a power of two (or zero)
-	base int       // absolute task index of the logical front
-	head int       // position of the front within buf
-	n    int       // live entries: task indices [base, base+n)
-	peak int       // high-water mark of n (the realized window size)
+	buf  []*simTask // ring of entries; len(buf) is a power of two (or zero)
+	base int        // absolute task index of the logical front
+	head int        // position of the front within buf
+	n    int        // live entries: task indices [base, base+n)
+	peak int        // high-water mark of n (the realized window size)
 }
 
 // len returns the number of live entries.
@@ -25,15 +26,15 @@ func (ts *taskStore) lo() int { return ts.base }
 func (ts *taskStore) hi() int { return ts.base + ts.n }
 
 // get returns the entry for absolute task index idx, which must be live
-// (in [lo(), hi())). The pointer is valid until the next pushBack.
+// (in [lo(), hi())). The entry stays at its address until it is popped.
 func (ts *taskStore) get(idx int) *simTask {
-	return &ts.buf[(ts.head+(idx-ts.base))&(len(ts.buf)-1)]
+	return ts.buf[(ts.head+(idx-ts.base))&(len(ts.buf)-1)]
 }
 
 // front returns the entry at the logical front. The store must not be
 // empty.
 func (ts *taskStore) front() *simTask {
-	return &ts.buf[ts.head]
+	return ts.buf[ts.head]
 }
 
 // pushBack extends the window by one entry (absolute index hi()) and
@@ -42,7 +43,7 @@ func (ts *taskStore) front() *simTask {
 // capacity.
 func (ts *taskStore) pushBack() *simTask {
 	ts.grow(1)
-	e := &ts.buf[(ts.head+ts.n)&(len(ts.buf)-1)]
+	e := ts.buf[(ts.head+ts.n)&(len(ts.buf)-1)]
 	ts.n++
 	if ts.n > ts.peak {
 		ts.peak = ts.n
@@ -62,7 +63,8 @@ func (ts *taskStore) popFront() {
 }
 
 // grow ensures capacity for k more entries, doubling and re-linearizing
-// the ring as needed.
+// the ring as needed. Entries keep their addresses; the new slots get theirs
+// from one block.
 func (ts *taskStore) grow(k int) {
 	need := ts.n + k
 	if need <= len(ts.buf) {
@@ -75,9 +77,13 @@ func (ts *taskStore) grow(k int) {
 	for size < need {
 		size *= 2
 	}
-	buf := make([]simTask, size)
-	for i := 0; i < ts.n; i++ {
+	buf := make([]*simTask, size)
+	for i := range ts.buf {
 		buf[i] = ts.buf[(ts.head+i)&(len(ts.buf)-1)]
+	}
+	block := make([]simTask, size-len(ts.buf))
+	for i := range block {
+		buf[len(ts.buf)+i] = &block[i]
 	}
 	ts.buf = buf
 	ts.head = 0

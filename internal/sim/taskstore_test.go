@@ -41,6 +41,10 @@ func TestTaskStoreWindowSemantics(t *testing.T) {
 	}
 }
 
+// TestTaskStoreGrowPreservesOrder grows the ring across its wrap point and
+// checks that every live entry keeps both its index and its address through
+// each doubling — the scheduler core holds them by address — and that a
+// popped slot's entry is reused by the slot's next occupant.
 func TestTaskStoreGrowPreservesOrder(t *testing.T) {
 	var ts taskStore
 	// Interleave pushes and pops so the ring wraps before growing.
@@ -50,8 +54,28 @@ func TestTaskStoreGrowPreservesOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ts.popFront()
 	}
+	addrs := map[int]*simTask{}
+	for i := ts.lo(); i < ts.hi(); i++ {
+		addrs[i] = ts.get(i)
+	}
+	doublings := 0
 	for i := 12; i < 200; i++ { // forces several doublings across the wrap
-		ts.pushBack().ID = i + 1
+		size := len(ts.buf)
+		e := ts.pushBack()
+		e.ID = i + 1
+		addrs[i] = e
+		if len(ts.buf) == size {
+			continue
+		}
+		doublings++
+		for j := ts.lo(); j < ts.hi(); j++ {
+			if ts.get(j) != addrs[j] {
+				t.Fatalf("doubling to %d slots moved the entry of task %d", len(ts.buf), j)
+			}
+		}
+	}
+	if doublings < 3 {
+		t.Fatalf("%d doublings, want at least 3", doublings)
 	}
 	for i := ts.lo(); i < ts.hi(); i++ {
 		if got := ts.get(i).ID; got != i+1 {
@@ -60,6 +84,14 @@ func TestTaskStoreGrowPreservesOrder(t *testing.T) {
 	}
 	if ts.lo() != 10 || ts.hi() != 200 {
 		t.Errorf("window = [%d, %d), want [10, 200)", ts.lo(), ts.hi())
+	}
+	front := ts.front()
+	ts.popFront()
+	for ts.hi() < ts.lo()+len(ts.buf) { // fill every slot: the last takes the popped one
+		ts.pushBack()
+	}
+	if last := ts.get(ts.hi() - 1); last != front {
+		t.Error("the popped slot's entry was not reused by its next occupant")
 	}
 }
 

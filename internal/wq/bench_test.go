@@ -2,6 +2,7 @@ package wq
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -325,6 +326,30 @@ func churnLoad(tb testing.TB) func(n int) {
 // BenchmarkWQChurn8Workers is dispatch at 8 workers with one of them killed
 // and replaced every 2048 tasks.
 func BenchmarkWQChurn8Workers(b *testing.B) { benchLoad(b, churnLoad(b)) }
+
+// BenchmarkWQRunWorkflow runs one whole workflow of quickWorkflow tasks per op
+// through RunWorkflow, under max-seen on two loopback paper workers. ns/task
+// is the wall time per task; it stays flat as the workflow grows only while a
+// wake of the waiting caller costs the tasks that finished since the last
+// one, not a rescan of every finished task.
+func BenchmarkWQRunWorkflow(b *testing.B) {
+	for _, n := range []int{2000, 16000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			wf := quickWorkflow(n, 1)
+			capacity := resources.PaperWorker()
+			pol := allocator.MustNew(allocator.MaxSeen, allocator.Config{Capacity: capacity, Seed: 1})
+			m := benchEngineWith(b, pol, capacity, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.RunWorkflow(context.Background(), wf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/task")
+		})
+	}
+}
 
 // TestRoundTripAllocCeilings holds every BenchmarkWQ* load to a ceiling on
 // the allocations of one round trip, counted over 2000 of them after as many

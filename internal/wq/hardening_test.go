@@ -14,7 +14,6 @@ import (
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/runlog"
-	"dynalloc/internal/sched"
 	"dynalloc/internal/sim"
 	"dynalloc/internal/workflow"
 )
@@ -95,30 +94,21 @@ func TestSubmitRunWorkflowIDCollision(t *testing.T) {
 }
 
 // TestEvictionRequeueDeterministic: multi-task evictions requeue in
-// ascending task-ID order regardless of map iteration order.
+// ascending task-ID order, whatever order the tasks were placed in.
 func TestEvictionRequeueDeterministic(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		m := NewManager(fixedPolicy{}) // asked for task 9 once the fleet is gone
-		m.mu.Lock()
-		w := stageWorker(m, resources.PaperWorker())
-		for _, id := range []int{7, 3, 5, 11, 2, 9} {
-			m.tasks[id] = &taskState{Task: sched.Task{
-				ID:       id,
-				HasAlloc: id != 9,
-				Outcome:  metrics.TaskOutcome{TaskID: id},
-			}}
-			if id != 9 {
-				m.sched.Place(w.Worker, id, resources.Vector{})
-			}
-		}
-		m.nextTID = 11
-		m.sched.Submit(9, &m.tasks[9].Task) // already waiting before the eviction
-		m.mu.Unlock()
-		m.evict(w)
-		want := []int{2, 3, 5, 7, 11, 9}
-		if got := queued(m); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: queue = %v, want %v", trial, got, want)
-		}
+	m := NewManager(fixedPolicy{}) // every task fits: the zero vector
+	m.mu.Lock()
+	w := stageWorker(m, resources.PaperWorker())
+	for _, id := range []int{7, 3, 5, 11, 2} {
+		m.registerTaskLocked(workflow.Task{ID: id}, nil, false)
+	}
+	m.dispatchLocked()
+	m.registerTaskLocked(workflow.Task{ID: 9}, nil, false) // already waiting before the eviction
+	m.mu.Unlock()
+	m.evict(w)
+	want := []int{2, 3, 5, 7, 11, 9}
+	if got := queued(m); !slices.Equal(got, want) {
+		t.Fatalf("queue = %v, want %v", got, want)
 	}
 }
 

@@ -303,7 +303,7 @@ func TestBurstDispatchesLikeSingleResults(t *testing.T) {
 		var round [2][]int
 		for wi, w := range staged {
 			ms.mu.Lock()
-			ids := w.Keys(nil)
+			ids := heldIDs(ms, w)
 			ms.mu.Unlock()
 			for _, res := range successes(ids...) {
 				ms.handleResult(w, *res)

@@ -49,8 +49,9 @@ type Manager struct {
 	cond    *sync.Cond
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
-	// sched owns the ready queue (task IDs awaiting placement), the capacity
-	// ledger, the dispatch pass and the settle transitions; driven under mu.
+	// sched owns the ready queue (tasks awaiting placement, keyed by task ID),
+	// the capacity ledger, the dispatch pass and the settle transitions;
+	// driven under mu.
 	sched   *sched.Core
 	nextWID int
 	nextTID int // highest task ID ever registered, on any path
@@ -186,7 +187,7 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 	m.cond = sync.NewCond(&m.mu)
 	// The live engine scans the whole queue on every pass; the simulator
 	// stops after 256 consecutive misses (DESIGN.md §8).
-	m.sched = sched.New(sched.FirstFit, 0, policy, sched.Driver{Lookup: m.lookupLocked, Start: m.startLocked})
+	m.sched = sched.New(sched.FirstFit, 0, policy, sched.Driver{Start: m.startLocked})
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -338,16 +339,16 @@ func (m *Manager) evict(w *managedWorker) {
 			Detail: fmt.Sprintf("in_flight=%d", w.Running())})
 	}
 	// The live engine does not time lost attempts: Started and now stay zero.
-	for _, id := range m.sched.Evicted(w.Worker, 0, nil) {
+	for _, t := range m.sched.Evicted(w.Worker, 0, nil) {
 		m.stats.Evictions++
 		w.stats.Evictions++
-		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.ID()})
-		if st := m.tasks[id]; st.Terminal() {
-			m.abandonLocked(st)
+		m.traceLocked(Event{Type: EventEviction, TaskID: t.ID, WorkerID: w.ID()})
+		if t.Terminal() {
+			m.abandonLocked(m.tasks[t.ID])
 			continue
 		}
 		m.stats.Requeues++
-		m.traceLocked(Event{Type: EventRequeue, TaskID: id, WorkerID: -1})
+		m.traceLocked(Event{Type: EventRequeue, TaskID: t.ID, WorkerID: -1})
 	}
 	m.notePeakQueueLocked()
 	m.dispatchLocked()
@@ -430,9 +431,9 @@ func (m *Manager) observeBatch(batch []stagedResult) {
 	m.mu.Lock()
 	for i := range batch {
 		r := &batch[i]
-		if r.res.Status == StatusSuccess && r.w.Holds(r.res.TaskID) {
-			if t := &m.tasks[r.res.TaskID].Task; t.ClaimObserve() {
-				early = append(early, t)
+		if st := m.tasks[r.res.TaskID]; r.res.Status == StatusSuccess && st != nil && r.w.Holds(&st.Task) {
+			if st.ClaimObserve() {
+				early = append(early, &st.Task)
 			}
 		}
 	}
@@ -450,8 +451,12 @@ func (m *Manager) observeBatch(batch []stagedResult) {
 func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Lock()
 	success := res.Status == StatusSuccess
-	t, owed := m.sched.Settle(w.Worker, res.TaskID, res.Duration, !success)
-	if t == nil {
+	st := m.tasks[res.TaskID]
+	settled, owed := false, false
+	if st != nil {
+		settled, owed = m.sched.Settle(w.Worker, &st.Task, res.Duration, !success)
+	}
+	if !settled {
 		// Stale, and dropped: honouring it would append a phantom attempt and
 		// requeue a task that may already be running elsewhere.
 		m.stats.StaleResults++
@@ -459,7 +464,6 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		m.mu.Unlock()
 		return
 	}
-	st := m.tasks[res.TaskID]
 	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status.String()})
 	w.stats.BusySeconds += res.Duration
 	if !success {
@@ -476,18 +480,18 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		// Observe outside the lock: the policy has its own lock and the
 		// bucketing recomputation can be slow.
 		if owed {
-			m.policy.Observe(t.Category, t.ID, outcome.Peak, outcome.Runtime)
+			m.policy.Observe(st.Category, st.ID, outcome.Peak, outcome.Runtime)
 		}
 		if notify != nil {
 			notify <- outcome
 		}
 		m.mu.Lock()
 	case owed:
-		prev := t.Alloc
+		prev := st.Alloc
 		m.mu.Unlock()
-		next := m.policy.Retry(t.Category, t.ID, prev, res.Exceeded.AppendKinds(nil))
+		next := m.policy.Retry(st.Category, st.ID, prev, res.Exceeded.AppendKinds(nil))
 		m.mu.Lock()
-		if m.sched.Retried(res.TaskID, next) {
+		if m.sched.Retried(&st.Task, next) {
 			m.notePeakQueueLocked()
 			m.stats.Requeues++
 			m.traceLocked(Event{Type: EventRequeue, TaskID: res.TaskID, WorkerID: -1})
@@ -513,28 +517,19 @@ func (m *Manager) dispatchLocked() {
 	}
 }
 
-// lookupLocked is the scheduler core's view of a task ID: the task while it is
-// live, nil once it is terminal or dropped.
-func (m *Manager) lookupLocked(id int) *sched.Task {
-	if st := m.tasks[id]; st != nil && !st.Terminal() {
-		return &st.Task
-	}
-	return nil
-}
-
 // startLocked records the placement the pass just made and stages the task
 // frame; encoding and I/O happen in flushPending after the caller releases
 // m.mu, so the lock guards only state transitions. Every path that can stage
 // (Submit, results, evictions, registration, RunWorkflow) flushes on the way
 // out.
-func (m *Manager) startLocked(id int, t *sched.Task, sw *sched.Worker) {
+func (m *Manager) startLocked(t *sched.Task, sw *sched.Worker) {
 	w := m.workers[sw.ID()]
 	m.stats.Dispatches++
 	w.stats.Dispatched++
-	m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.ID()})
+	m.traceLocked(Event{Type: EventDispatch, TaskID: t.ID, WorkerID: w.ID()})
 	m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
 		Type:     MsgTask,
-		TaskID:   id,
+		TaskID:   t.ID,
 		Category: t.Category,
 		Alloc:    t.Alloc,
 		Peak:     t.Outcome.Peak,
@@ -667,9 +662,11 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 		}
 	}
 	start := time.Now()
-	ids := make([]int, len(w.Tasks)) // workflow position -> engine task ID
+	sts := make([]*taskState, len(w.Tasks)) // by workflow position
 	phases := append(append([]int{}, w.Barriers...), len(w.Tasks))
-	from := 0
+	// done is the first position not yet terminal; terminal is permanent, so
+	// a wake costs what finished since the last one, not the whole prefix.
+	from, done := 0, 0
 	for _, until := range phases {
 		m.mu.Lock()
 		if m.closed {
@@ -677,20 +674,24 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 			return nil, ErrManagerClosed
 		}
 		for i, t := range w.Tasks[from:until] {
-			st := m.registerTaskLocked(t, nil, false)
-			ids[from+i] = st.ID
+			sts[from+i] = m.registerTaskLocked(t, nil, false)
 		}
 		m.dispatchLocked()
 		m.mu.Unlock()
 		m.flushPending()
 		m.mu.Lock()
-		for !m.tasksDoneLocked(ids[:until]) && ctx.Err() == nil && !m.closed {
+		for {
+			for done < until && sts[done].Terminal() {
+				done++
+			}
+			if done == until || ctx.Err() != nil || m.closed {
+				break
+			}
 			m.cond.Wait()
 		}
-		done := m.tasksDoneLocked(ids[:until])
 		closed := m.closed
 		m.mu.Unlock()
-		if !done {
+		if done < until {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("wq: workflow cancelled: %w", ctx.Err())
 			}
@@ -708,22 +709,12 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 		PeakWorkers: m.stats.PeakWorkers,
 		Evictions:   m.stats.WorkersLost,
 	}
-	for _, id := range ids {
-		st := m.tasks[id]
+	for _, st := range sts {
 		res.Outcomes = append(res.Outcomes, st.Outcome)
 		res.Acc.Add(st.Outcome)
 	}
 	res.Failed = res.Acc.Failures()
 	return res, nil
-}
-
-func (m *Manager) tasksDoneLocked(ids []int) bool {
-	for _, id := range ids {
-		if m.lookupLocked(id) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Submit enqueues a single dynamically generated task and returns a channel

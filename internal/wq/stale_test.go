@@ -3,6 +3,7 @@ package wq
 import (
 	"io"
 	"net"
+	"slices"
 	"testing"
 
 	"dynalloc/internal/metrics"
@@ -49,9 +50,21 @@ func queued(m *Manager) []int {
 	defer m.mu.Unlock()
 	out := make([]int, 0, m.sched.Ready.Len())
 	for i := 0; i < m.sched.Ready.Len(); i++ {
-		out = append(out, m.sched.Ready.At(i))
+		out = append(out, m.sched.Ready.At(i).ID)
 	}
 	return out
+}
+
+// heldIDs returns the IDs of the tasks w holds, ascending. Callers hold m.mu.
+func heldIDs(m *Manager, w *managedWorker) []int {
+	var ids []int
+	for id, st := range m.tasks {
+		if w.Holds(&st.Task) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // TestStaleResultFromEvictedWorkerDropped is the regression for the
@@ -77,17 +90,17 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	m.dispatchLocked()
 	m.mu.Unlock()
 
-	if !slow.Holds(id) || other.Holds(id) {
+	if !slow.Holds(&st.Task) || other.Holds(&st.Task) {
 		t.Fatalf("task not dispatched to worker %d alone", slow.ID())
 	}
 
 	// The slow worker goes silent and is evicted; the task requeues and
 	// re-dispatches onto the other worker.
 	m.evict(slow)
-	if !other.Holds(id) || slow.Holds(id) {
+	if !other.Holds(&st.Task) || slow.Holds(&st.Task) {
 		t.Fatalf("after eviction, task not re-dispatched to worker %d alone", other.ID())
 	}
-	if keys := other.Keys(nil); len(keys) != 1 || keys[0] != id {
+	if ids := heldIDs(m, other); len(ids) != 1 || ids[0] != id {
 		t.Fatal("task not running on the surviving worker after requeue")
 	}
 	if got := len(st.Outcome.Attempts); got != 1 || st.Outcome.Attempts[0].Status != metrics.Evicted {
