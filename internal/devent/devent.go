@@ -15,7 +15,10 @@
 // registered with SetHandler, so scheduling allocates nothing per event.
 package devent
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind tags a typed event. The meaning of each value is owned by the engine
 // user; the engine only stores and returns it.
@@ -136,6 +139,11 @@ func (e *Engine) Preload(items []Scheduled) {
 	}
 	if cap(e.heap) < len(items) {
 		e.heap = make([]heapEntry, 0, len(items))
+	}
+	// Size the slot pool for the batch up front rather than regrowing it
+	// by append as the slots are taken.
+	if fresh := len(items) - len(e.free); fresh > 0 {
+		e.events = slices.Grow(e.events, fresh)
 	}
 	sorted := true
 	for _, it := range items {

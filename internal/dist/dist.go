@@ -115,10 +115,21 @@ type Mixture struct {
 
 // Sample implements Sampler.
 func (m Mixture) Sample(r *rand.Rand) float64 {
+	return m.sample(r, m.weightTotal())
+}
+
+// weightTotal sums the component weights in component order.
+func (m Mixture) weightTotal() float64 {
 	total := 0.0
 	for _, c := range m.Components {
 		total += c.Weight
 	}
+	return total
+}
+
+// sample selects a component by one uniform draw scaled to total, the
+// mixture's weight sum, and samples from it.
+func (m Mixture) sample(r *rand.Rand, total float64) float64 {
 	if total <= 0 || len(m.Components) == 0 {
 		return 0
 	}
@@ -131,6 +142,15 @@ func (m Mixture) Sample(r *rand.Rand) float64 {
 	}
 	return m.Components[len(m.Components)-1].Sampler.Sample(r)
 }
+
+// resolvedMixture is a Mixture whose weight total is summed once.
+type resolvedMixture struct {
+	Mixture
+	total float64
+}
+
+// Sample implements Sampler.
+func (m *resolvedMixture) Sample(r *rand.Rand) float64 { return m.sample(r, m.total) }
 
 // Name implements Sampler.
 func (m Mixture) Name() string {
@@ -186,13 +206,33 @@ type Phased struct {
 	Boundaries []int // len(Boundaries) == len(Phases)-1, ascending
 }
 
-// SampleAt returns a draw for the task with the given submission index.
+// SampleAt returns a draw for the task with the given submission index, or
+// 0 when there are no phases.
 func (p Phased) SampleAt(index int, r *rand.Rand) float64 {
+	s, _ := p.PhaseAt(index)
+	if s == nil {
+		return 0
+	}
+	return s.Sample(r)
+}
+
+// PhaseAt returns the sampler of the phase that holds the given submission
+// index, and end, the first index past that phase (math.MaxInt in the last
+// phase), so a batch generator can draw a whole index range from one
+// phase. s is nil when there are no phases.
+func (p Phased) PhaseAt(index int) (s Sampler, end int) {
+	if len(p.Phases) == 0 {
+		return nil, math.MaxInt
+	}
 	phase := 0
 	for phase < len(p.Boundaries) && index >= p.Boundaries[phase] {
 		phase++
 	}
-	return p.Phases[phase].Sample(r)
+	end = math.MaxInt
+	if phase < len(p.Boundaries) {
+		end = p.Boundaries[phase]
+	}
+	return p.Phases[phase], end
 }
 
 // Sample implements Sampler by drawing from the first phase; prefer SampleAt
@@ -206,3 +246,15 @@ func (p Phased) Sample(r *rand.Rand) float64 {
 
 // Name implements Sampler.
 func (p Phased) Name() string { return fmt.Sprintf("phased(%d phases)", len(p.Phases)) }
+
+// Resolve returns a sampler that draws exactly what s draws — the same
+// formulas, the same random draws in the same order, bit for bit — with the
+// invariants s would recompute on every draw computed once: a Mixture's
+// weight total. A generator that draws many values from one sampler
+// resolves it once and draws from the result; s must not change afterwards.
+func Resolve(s Sampler) Sampler {
+	if m, ok := s.(Mixture); ok {
+		return &resolvedMixture{Mixture: m, total: m.weightTotal()}
+	}
+	return s
+}

@@ -217,6 +217,14 @@ func TestPhasedBoundaries(t *testing.T) {
 	if (Phased{}).Sample(r) != 0 {
 		t.Error("empty Phased should sample 0")
 	}
+	if (Phased{}).SampleAt(5, r) != 0 {
+		t.Error("empty Phased should sample 0 at any index")
+	}
+	for idx, want := range map[int]int{0: 100, 99: 100, 100: 200, 199: 200, 200: math.MaxInt} {
+		if _, end := p.PhaseAt(idx); end != want {
+			t.Errorf("PhaseAt(%d) ends at %d, want %d", idx, end, want)
+		}
+	}
 }
 
 func TestSamplerNames(t *testing.T) {
@@ -234,6 +242,36 @@ func TestSamplerNames(t *testing.T) {
 	for _, s := range samplers {
 		if s.Name() == "" {
 			t.Errorf("%T has empty name", s)
+		}
+	}
+}
+
+// TestResolveDrawsIdentically pins dist.Resolve's contract: the resolved
+// sampler returns the same values, bit for bit, from the same random
+// stream.
+func TestResolveDrawsIdentically(t *testing.T) {
+	for _, s := range []Sampler{
+		Uniform{Lo: 1, Hi: 5},
+		Mixture{Components: []Component{
+			{Weight: 0.45, Sampler: Normal{Mean: 450, Stddev: 15, Min: 200}},
+			{Weight: 0.55, Sampler: Normal{Mean: 580, Stddev: 15, Min: 200}},
+		}},
+		Mixture{Components: []Component{
+			{Weight: 0.1, Sampler: Constant{V: 2}},
+			{Weight: 0.2, Sampler: Exponential{Mean: 1}},
+			{Weight: 0.3, Sampler: LogNormal{Mu: 1, Sigma: 0.5}},
+		}},
+		Mixture{},
+	} {
+		resolved := Resolve(s)
+		if resolved.Name() != s.Name() {
+			t.Errorf("Resolve(%s) is named %s", s.Name(), resolved.Name())
+		}
+		a, b := NewRand(3), NewRand(3)
+		for i := 0; i < 1000; i++ {
+			if x, y := s.Sample(a), resolved.Sample(b); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%s: draw %d is %v resolved, %v not", s.Name(), i, y, x)
+			}
 		}
 	}
 }

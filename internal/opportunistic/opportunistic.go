@@ -12,7 +12,7 @@ package opportunistic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dynalloc/internal/dist"
 )
@@ -88,7 +88,10 @@ type Churn struct {
 	KeepLastAlive bool    // grant the final arrival an unbounded lease so work always drains
 }
 
-// Schedule implements Model.
+// Schedule implements Model. The arrivals come out in time order by
+// construction: the Initial ones at 0, then replacements at times that
+// advance by exponential draws (always > 0), then the KeepLastAlive arrival
+// at Horizon, which no earlier replacement exceeds.
 func (c Churn) Schedule(seed uint64) []Arrival {
 	r := dist.NewRand(seed)
 	minLease := c.MinimumLease
@@ -98,7 +101,7 @@ func (c Churn) Schedule(seed uint64) []Arrival {
 	lease := func() float64 {
 		return math.Max(r.ExpFloat64()*c.MeanLifetime, minLease)
 	}
-	var out []Arrival
+	out := make([]Arrival, 0, c.expectedArrivals())
 	for i := 0; i < c.Initial; i++ {
 		out = append(out, Arrival{At: 0, Lifetime: lease()})
 	}
@@ -111,10 +114,27 @@ func (c Churn) Schedule(seed uint64) []Arrival {
 		out = append(out, Arrival{At: at, Lifetime: lease()})
 	}
 	if c.KeepLastAlive {
-		out = append(out, Arrival{At: c.Horizon, Lifetime: 0})
+		last := Arrival{At: c.Horizon, Lifetime: 0}
+		if c.Horizon < 0 {
+			// A horizon before time zero orders the last arrival first.
+			out = slices.Insert(out, 0, last)
+		} else {
+			out = append(out, last)
+		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
+}
+
+// expectedArrivals sizes a schedule: Initial, the Horizon/MeanInterval
+// replacements a Poisson process expects plus four standard deviations of
+// slack, and the KeepLastAlive arrival.
+func (c Churn) expectedArrivals() int {
+	n := max(c.Initial, 0) + 1
+	if c.MeanInterval > 0 && c.Horizon > 0 {
+		mean := min(c.Horizon/c.MeanInterval, 1<<20)
+		n += int(mean + 4*math.Sqrt(mean))
+	}
+	return n
 }
 
 // Name implements Model.

@@ -1,6 +1,10 @@
 package opportunistic
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"sort"
 	"testing"
 )
@@ -112,5 +116,70 @@ func TestPaperPool(t *testing.T) {
 	}
 	if immediate != 20 {
 		t.Errorf("paper pool starts with %d workers, want 20", immediate)
+	}
+}
+
+// scheduleFingerprint hashes every arrival's time and lease, bit-exact.
+func scheduleFingerprint(arr []Arrival) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, a := range arr {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.At))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.Lifetime))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestChurnScheduleFingerprints pins Churn.Schedule bit for bit at the
+// end-to-end benchmark's churn parameters (its full and short sizes), so a
+// change to how the schedule is built cannot move one arrival or lease.
+func TestChurnScheduleFingerprints(t *testing.T) {
+	full := Churn{Initial: 256, MeanLifetime: 260, MeanInterval: 1, Horizon: 12000, KeepLastAlive: true}
+	short := Churn{Initial: 16, MeanLifetime: 260, MeanInterval: 20, Horizon: 4000, KeepLastAlive: true}
+	for _, tc := range []struct {
+		c    Churn
+		seed uint64
+		n    int
+		want string
+	}{
+		{full, 1, 12323, "19c086dbab0c2d16a17708cec8305a114b87f97b96f86d0ad85b53a318a55b70"},
+		{full, 7, 12169, "3970638a76662c4a9e524707ce9e88a7807947ccc88489be117b04194f7b22a1"},
+		{full, 42, 12257, "c3321c1291eb670284ccf339983bc1d5adf7a1cdca393a5c82ce609396f4e5b7"},
+		{short, 1, 220, "de46cfa450bfc7628d440215c5e5a6066e3663ccdc58e44446e59dea1c7f4614"},
+		{short, 7, 193, "0aeb69f3b3dab3c03130601e5fd6e1f9b5031245d0dd179359ac9f79eb20054f"},
+		{short, 42, 209, "3f05c97a2b44ab117d5c1d11d6d2876f7336af67b92cdb92bbf96e9ee5ab68be"},
+	} {
+		arr := tc.c.Schedule(tc.seed)
+		if got := scheduleFingerprint(arr); len(arr) != tc.n || got != tc.want {
+			t.Errorf("%+v seed %d: %d arrivals, fingerprint %s; want %d, %s", tc.c, tc.seed, len(arr), got, tc.n, tc.want)
+		}
+	}
+}
+
+// TestChurnScheduleInTimeOrder checks that Churn.Schedule, which builds its
+// arrivals in time order instead of sorting them, does so for every shape
+// of pool: with and without initial workers and a kept-alive last arrival,
+// dense and sparse replacements, and a horizon before time zero.
+func TestChurnScheduleInTimeOrder(t *testing.T) {
+	for _, c := range []Churn{
+		{Initial: 256, MeanLifetime: 260, MeanInterval: 1, Horizon: 12000, KeepLastAlive: true},
+		{Initial: 16, MeanLifetime: 260, MeanInterval: 20, Horizon: 4000, KeepLastAlive: true},
+		{Initial: 0, MeanLifetime: 600, MeanInterval: 600, Horizon: 3600},
+		{Initial: 3, MeanLifetime: 10, MeanInterval: 1e-3, Horizon: 5, KeepLastAlive: true},
+		{Initial: 5, MeanLifetime: 100, MeanInterval: 1e6, Horizon: 10, KeepLastAlive: true},
+		{Initial: 4, MeanLifetime: 100, MeanInterval: 10, Horizon: 0, KeepLastAlive: true},
+		{Initial: 4, MeanLifetime: 100, MeanInterval: 10, Horizon: -5, KeepLastAlive: true},
+	} {
+		for seed := uint64(0); seed < 50; seed++ {
+			arr := c.Schedule(seed)
+			if !sorted(arr) {
+				t.Fatalf("%+v seed %d: arrivals not in time order", c, seed)
+			}
+			if c.KeepLastAlive && c.Horizon < 0 && arr[0].At != c.Horizon {
+				t.Fatalf("%+v seed %d: first arrival at %v, want the kept-alive one at %v", c, seed, arr[0].At, c.Horizon)
+			}
+		}
 	}
 }

@@ -7,14 +7,22 @@ package sim
 // emitted, so the store holds only the in-flight window — the structure
 // that makes peak memory independent of total task count on streaming
 // runs. Entries never move (sched.Task's contract) and each slot's entry is
-// reused by its next occupant. The zero value is an empty store ready for use.
+// reused by its next occupant. A slot gets its entry on first use, from
+// blocks of at most entryBlock entries, so the entries allocated track the
+// slots the window reaches rather than the ring's power-of-two size. The
+// zero value is an empty store ready for use.
 type taskStore struct {
-	buf  []*simTask // ring of entries; len(buf) is a power of two (or zero)
-	base int        // absolute task index of the logical front
-	head int        // position of the front within buf
-	n    int        // live entries: task indices [base, base+n)
-	peak int        // high-water mark of n (the realized window size)
+	buf      []*simTask // ring of entries; len(buf) is a power of two (or zero); nil until a slot's first use
+	spare    []simTask  // allocated entries not yet given to a slot
+	assigned int        // slots of buf holding an entry
+	base     int        // absolute task index of the logical front
+	head     int        // position of the front within buf
+	n        int        // live entries: task indices [base, base+n)
+	peak     int        // high-water mark of n (the realized window size)
 }
+
+// entryBlock caps how many entries one allocation hands out.
+const entryBlock = 1024
 
 // len returns the number of live entries.
 func (ts *taskStore) len() int { return ts.n }
@@ -43,12 +51,20 @@ func (ts *taskStore) front() *simTask {
 // capacity.
 func (ts *taskStore) pushBack() *simTask {
 	ts.grow(1)
-	e := ts.buf[(ts.head+ts.n)&(len(ts.buf)-1)]
+	slot := &ts.buf[(ts.head+ts.n)&(len(ts.buf)-1)]
+	if *slot == nil {
+		if len(ts.spare) == 0 {
+			ts.spare = make([]simTask, min(entryBlock, len(ts.buf)-ts.assigned))
+		}
+		*slot = &ts.spare[0]
+		ts.spare = ts.spare[1:]
+		ts.assigned++
+	}
 	ts.n++
 	if ts.n > ts.peak {
 		ts.peak = ts.n
 	}
-	return e
+	return *slot
 }
 
 // popFront releases the front entry, advancing the window. The store must
@@ -63,8 +79,8 @@ func (ts *taskStore) popFront() {
 }
 
 // grow ensures capacity for k more entries, doubling and re-linearizing
-// the ring as needed. Entries keep their addresses; the new slots get theirs
-// from one block.
+// the ring as needed. Entries keep their addresses; the new slots are empty
+// until their first use.
 func (ts *taskStore) grow(k int) {
 	need := ts.n + k
 	if need <= len(ts.buf) {
@@ -80,10 +96,6 @@ func (ts *taskStore) grow(k int) {
 	buf := make([]*simTask, size)
 	for i := range ts.buf {
 		buf[i] = ts.buf[(ts.head+i)&(len(ts.buf)-1)]
-	}
-	block := make([]simTask, size-len(ts.buf))
-	for i := range block {
-		buf[len(ts.buf)+i] = &block[i]
 	}
 	ts.buf = buf
 	ts.head = 0

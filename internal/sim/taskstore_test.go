@@ -104,3 +104,18 @@ func TestTaskStorePopEmptyPanics(t *testing.T) {
 	var ts taskStore
 	ts.popFront()
 }
+
+// TestTaskStoreAllocatesReachedSlots pins that entries are allocated for
+// the slots the window reaches, in blocks of at most entryBlock, not for
+// every slot of the power-of-two ring.
+func TestTaskStoreAllocatesReachedSlots(t *testing.T) {
+	var ts taskStore
+	for i := 0; i < 3000; i++ {
+		ts.pushBack().ID = i + 1
+	}
+	allocated := ts.assigned + len(ts.spare)
+	if ts.assigned != 3000 || allocated-ts.assigned >= entryBlock || allocated >= len(ts.buf) {
+		t.Errorf("a 3000-task window in a %d-slot ring gave %d slots entries and allocated %d",
+			len(ts.buf), ts.assigned, allocated)
+	}
+}

@@ -29,16 +29,32 @@ type categorySampler struct {
 	time   dist.Sampler
 }
 
-func (cs categorySampler) task(id int, r *rand.Rand) Task {
-	return Task{
-		ID:       id,
-		Category: cs.name,
-		Consumption: resources.New(
+// resolved returns cs with every sampler resolved once (dist.Resolve), for
+// a stream to draw all its tasks of the category from.
+func (cs categorySampler) resolved() *categorySampler {
+	return &categorySampler{
+		name:   cs.name,
+		cores:  dist.Resolve(cs.cores),
+		memory: dist.Resolve(cs.memory),
+		disk:   dist.Resolve(cs.disk),
+		time:   dist.Resolve(cs.time),
+	}
+}
+
+// fill generates tasks of the category with IDs first+1, first+2, ... into
+// dst, drawing each task's cores, memory, disk and time in that order. The
+// fields are stored one by one, as in fillSynthetic.
+func (cs *categorySampler) fill(dst []Task, first int, r *rand.Rand) {
+	for j := range dst {
+		task := &dst[j]
+		task.ID = first + j + 1
+		task.Category = cs.name
+		task.Consumption = resources.New(
 			cs.cores.Sample(r),
 			cs.memory.Sample(r),
 			cs.disk.Sample(r),
 			cs.time.Sample(r),
-		),
+		)
 	}
 }
 
@@ -75,16 +91,19 @@ func colmenaStream(seed uint64) *stream {
 	// Colmena's steering loop submits new work in response to returned
 	// results rather than all at once; the window models that runtime task
 	// generation.
+	ev, co := evaluate.resolved(), compute.resolved()
 	return &stream{
 		name:     "colmena",
 		barriers: []int{ColmenaEvaluateTasks},
 		window:   50,
 		n:        ColmenaEvaluateTasks + ColmenaComputeTasks,
-		gen: func(i int) (Task, bool) {
-			if i < ColmenaEvaluateTasks {
-				return evaluate.task(i+1, r), true
+		fill: func(dst []Task, first int) {
+			if first < ColmenaEvaluateTasks {
+				k := min(len(dst), ColmenaEvaluateTasks-first)
+				ev.fill(dst[:k], first, r)
+				dst, first = dst[k:], first+k
 			}
-			return compute.task(i+1, r), true
+			co.fill(dst, first, r)
 		},
 	}
 }
@@ -141,33 +160,36 @@ func topeftStream(seed uint64) *stream {
 		time:   dist.LogNormal{Mu: ln(60), Sigma: 0.4, Cap: 1200},
 	}
 
+	pre, proc, acc := preprocess.resolved(), process.resolved(), accumulate.resolved()
 	processed, accumulated := 0, 0
 	accumulateNext := false
 	return &stream{
 		name:     "topeft",
 		barriers: []int{TopEFTPreprocessTasks},
 		n:        TopEFTPreprocessTasks + TopEFTProcessTasks + TopEFTAccumulateTasks,
-		gen: func(i int) (Task, bool) {
-			id := i + 1
-			switch {
-			case i < TopEFTPreprocessTasks:
-				return preprocess.task(id, r), true
-			case accumulateNext:
-				accumulateNext = false
-				accumulated++
-				return accumulate.task(id, r), true
-			case processed < TopEFTProcessTasks:
-				processed++
-				if processed%topEFTAccumulateSpacing == 0 && accumulated < TopEFTAccumulateTasks {
-					accumulateNext = true
+		fill: func(dst []Task, first int) {
+			if first < TopEFTPreprocessTasks {
+				k := min(len(dst), TopEFTPreprocessTasks-first)
+				pre.fill(dst[:k], first, r)
+				dst, first = dst[k:], first+k
+			}
+			for j := range dst {
+				cs := acc
+				switch {
+				case accumulateNext:
+					accumulateNext = false
+					accumulated++
+				case processed < TopEFTProcessTasks:
+					processed++
+					if processed%topEFTAccumulateSpacing == 0 && accumulated < TopEFTAccumulateTasks {
+						accumulateNext = true
+					}
+					cs = proc
+				default:
+					// Trailing accumulates, when the spacing leaves some over.
+					accumulated++
 				}
-				return process.task(id, r), true
-			case accumulated < TopEFTAccumulateTasks:
-				// Trailing accumulates, when the spacing leaves some over.
-				accumulated++
-				return accumulate.task(id, r), true
-			default:
-				return Task{}, false
+				cs.fill(dst[j:j+1], first+j, r)
 			}
 		},
 	}

@@ -30,16 +30,33 @@ type Source interface {
 }
 
 // stream is the concrete Source behind every workload generator: barrier
-// and window metadata known up front, plus a gen function that samples the
-// i-th task. gen is called with strictly increasing i, so generators are
-// free to keep sequential state (counters, a shared random stream).
+// and window metadata known up front, the exact task count, and a fill
+// function that generates tasks in batches. fill(dst, first) writes tasks
+// first, first+1, ... into dst; it is called with contiguous, ascending
+// ranges, so generators are free to keep sequential state (counters, a
+// shared random stream). Next serves from a small refill buffer and
+// Materialize fills its task slice in one call, so both read the same
+// stream: the draws a batch makes depend only on which tasks it covers.
 type stream struct {
 	name     string
 	window   int
 	barriers []int // ascending
-	n        int   // total tasks; < 0 when unknown up front
-	i        int
-	gen      func(i int) (Task, bool)
+	n        int   // total tasks
+	next     int   // index of the next task fill generates
+	fill     func(dst []Task, first int)
+	ahead    *readAhead // Next's refill buffer, allocated on its first call
+}
+
+// streamBatch is how many tasks Next generates per refill: enough to make
+// the per-batch work (resolving a phase, a closure call) vanish per task,
+// small enough that a windowed consumer's read-ahead is a few KB.
+const streamBatch = 256
+
+// readAhead holds the tasks a stream has generated for Next but not yet
+// returned: tasks[pos:end].
+type readAhead struct {
+	tasks    [streamBatch]Task
+	pos, end int
 }
 
 func (s *stream) Name() string      { return s.name }
@@ -50,15 +67,42 @@ func (s *stream) NextBarrier(after int) int {
 }
 
 func (s *stream) Next() (Task, bool) {
-	if s.n >= 0 && s.i >= s.n {
-		return Task{}, false
+	b := s.ahead
+	if b == nil {
+		b = new(readAhead)
+		s.ahead = b
 	}
-	t, ok := s.gen(s.i)
-	if !ok {
-		return Task{}, false
+	if b.pos == b.end {
+		k := min(s.n-s.next, streamBatch)
+		if k <= 0 {
+			return Task{}, false
+		}
+		s.take(b.tasks[:k])
+		b.pos, b.end = 0, k
 	}
-	s.i++
+	t := b.tasks[b.pos]
+	b.pos++
 	return t, true
+}
+
+// take generates the next len(dst) tasks into dst.
+func (s *stream) take(dst []Task) {
+	s.fill(dst, s.next)
+	s.next += len(dst)
+}
+
+// rest returns every task Next has not yet returned, in one allocation:
+// the read-ahead tail, then the rest filled in place.
+func (s *stream) rest() []Task {
+	var ahead []Task
+	if b := s.ahead; b != nil {
+		ahead = b.tasks[b.pos:b.end]
+		b.pos = b.end
+	}
+	out := make([]Task, len(ahead)+s.n-s.next)
+	copy(out, ahead)
+	s.take(out[len(ahead):])
+	return out
 }
 
 // nextBarrier returns the smallest barrier strictly greater than after, or
@@ -106,17 +150,16 @@ func (c *Cursor) Next() (Task, bool) {
 // generators (ByName, Synthetic, ColmenaXTB, TopEFT) are Materialize over
 // the corresponding streaming source, which is what guarantees the lazy and
 // eager paths emit bit-identical task streams. When the source is one of
-// those generators and knows its length, the task slice is allocated once
-// at that length instead of regrown task by task.
+// those generators, the task slice is allocated once at its length and
+// filled in one call instead of task by task.
 func Materialize(s Source) *Workflow {
 	w := &Workflow{Name: s.Name(), SubmitWindow: s.SubmitWindow()}
 	for b := s.NextBarrier(0); b > 0; b = s.NextBarrier(b) {
 		w.Barriers = append(w.Barriers, b)
 	}
-	if g, ok := s.(*stream); ok && g.n > g.i {
-		// A generator's count is an upper bound (gen may end the stream
-		// early), so this can only over-size.
-		w.Tasks = make([]Task, 0, g.n-g.i)
+	if g, ok := s.(*stream); ok {
+		w.Tasks = g.rest()
+		return w
 	}
 	for {
 		t, ok := s.Next()

@@ -115,3 +115,23 @@ func TestWithSubmitWindow(t *testing.T) {
 		t.Errorf("materialized: window=%d tasks=%d", got.SubmitWindow, len(got.Tasks))
 	}
 }
+
+// TestSourceNextAllocatesNothing pins that streaming costs no allocation
+// per task: once a source has its refill buffer, Next reuses it for every
+// batch.
+func TestSourceNextAllocatesNothing(t *testing.T) {
+	for _, name := range Names() {
+		src, err := SourceByName(name, 1000000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Next()
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := src.Next(); !ok {
+				t.Fatal("stream ended early")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Next allocates %v times per call", name, allocs)
+		}
+	}
+}

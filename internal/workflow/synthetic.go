@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"dynalloc/internal/dist"
 	"dynalloc/internal/resources"
@@ -62,6 +63,9 @@ func syntheticStream(name string, n int, seed uint64) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	for i, s := range mem.Phases {
+		mem.Phases[i] = dist.Resolve(s)
+	}
 	r := dist.NewRand(seed)
 	timeSampler := dist.LogNormal{Mu: ln(120), Sigma: 0.4, Cap: 3600}
 	var barriers []int
@@ -72,20 +76,42 @@ func syntheticStream(name string, n int, seed uint64) (*stream, error) {
 		name:     name,
 		barriers: barriers,
 		n:        n,
-		gen: func(i int) (Task, bool) {
-			m := mem.SampleAt(i, r)
-			// Disk follows the memory distribution at half magnitude; cores
-			// follow it scaled into a realistic 0.5-12 core range.
-			d := mem.SampleAt(i, r) * 0.5
-			c := clampCores(mem.SampleAt(i, r) / 4000)
-			t := timeSampler.Sample(r)
-			return Task{
-				ID:          i + 1,
-				Category:    name,
-				Consumption: resources.New(c, m, d, t),
-			}, true
+		fill: func(dst []Task, first int) {
+			// One phase's index range at a time, each through a fill
+			// instantiated for its concrete memory sampler.
+			for len(dst) > 0 {
+				phase, end := mem.PhaseAt(first)
+				seg := dst[:min(len(dst), end-first)]
+				switch m := phase.(type) {
+				case dist.Uniform:
+					fillSynthetic(seg, first, name, m, timeSampler, r)
+				case dist.Normal:
+					fillSynthetic(seg, first, name, m, timeSampler, r)
+				case dist.Exponential:
+					fillSynthetic(seg, first, name, m, timeSampler, r)
+				default:
+					fillSynthetic(seg, first, name, m, timeSampler, r)
+				}
+				dst, first = dst[len(seg):], first+len(seg)
+			}
 		},
 	}, nil
+}
+
+// fillSynthetic generates tasks first, first+1, ... into dst, all within one
+// memory phase. Each task draws its memory, then disk and cores from the
+// same memory distribution, then its runtime. The fields are stored one by
+// one: assigning a whole Task copies it through the runtime's typed move.
+func fillSynthetic[S dist.Sampler](dst []Task, first int, name string, mem S, timeSampler dist.LogNormal, r *rand.Rand) {
+	for j := range dst {
+		m, d, c, t := mem.Sample(r), mem.Sample(r), mem.Sample(r), timeSampler.Sample(r)
+		task := &dst[j]
+		task.ID = first + j + 1
+		task.Category = name
+		// Disk follows the memory distribution at half magnitude; cores
+		// follow it scaled into a realistic 0.5-12 core range.
+		task.Consumption = resources.New(clampCores(c/4000), m, d*0.5, t)
+	}
 }
 
 // Synthetic generates one of the five synthetic workflows with n tasks of a

@@ -297,6 +297,36 @@ func BenchmarkSynthetic100k(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate measures eager generation of every family — the five
+// synthetic ones at 100 000 tasks, ColmenaXTB and TopEFT at their fixed
+// counts — plus the lazy path: draining the uniform source through Next.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range Names() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ByName(name, 100000, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("uniform-next", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src, err := SourceByName("uniform", 100000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				if _, ok := src.Next(); !ok {
+					break
+				}
+			}
+		}
+	})
+}
+
 // TestSyntheticAllocatesOnce pins that eager generation sizes its task
 // slice from the length the stream knows: a 100x larger workflow costs no
 // more allocations, where appending task by task adds one per regrowth.
