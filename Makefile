@@ -37,17 +37,26 @@ race:
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
 # suite) under the race detector, with the scheduler core the manager drives
-# under its lock; then the result-intake and write-coalescing tests ten times
-# over, since the drainer's early Observe shares task state with evictions on
-# other goroutines and the yielding flushers share their stages with every
-# stager, and with them the bad-frame tests, whose evictions race the results
-# staged just ahead of them, internal/wire's frame-reader and group-commit
-# tests (not TestWriterDeadline, which waits out the 5 s write deadline), and
-# the server lifecycle's own tests with the wq and serve accept and
-# close-time tests built on it.
+# under its lock; then TEST_LIVE_RUN ten times over: the result-intake and
+# write-coalescing tests, since readers stage results for the drainer while
+# evictions run on other goroutines and the yielding flushers share their
+# stages with every stager, and with them the bad-frame tests, whose evictions
+# race the results staged just ahead of them, internal/wire's frame-reader and
+# group-commit tests (not TestWriterDeadline, which waits out the 5 s write
+# deadline), and the server lifecycle's own tests with the wq and serve accept
+# and close-time tests built on it. Every name in the list must match a test
+# the three packages define, so a renamed test fails here instead of dropping
+# out of the repeated run.
+TEST_LIVE_RUN = TestBurst|TestStagedSuccessEvictedBeforeKick|TestCoalesce|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose
+TEST_LIVE_PKGS = ./internal/wq ./internal/wire ./internal/serve
+
 test-live:
 	$(GO) test -race ./internal/wq/... ./internal/sched/... -count=1
-	$(GO) test -race ./internal/wq ./internal/wire ./internal/serve -run 'TestBurst|TestEvictionBetweenEarlyObserveAndSettle|TestCoalesce|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose' -count=10
+	@listed=$$($(GO) test -list . $(TEST_LIVE_PKGS)) || { echo "$$listed"; exit 1; }; \
+	for name in $$(echo '$(TEST_LIVE_RUN)' | tr '|' ' '); do \
+		echo "$$listed" | grep -q -- "$$name" || { echo "test-live: no test in $(TEST_LIVE_PKGS) matches $$name"; exit 1; }; \
+	done
+	$(GO) test -race $(TEST_LIVE_PKGS) -run '$(TEST_LIVE_RUN)' -count=10
 
 # go vet, then gofmt: a file gofmt would rewrite fails the target.
 vet:
@@ -95,7 +104,7 @@ whatif-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/vinesim -workflow normal -tasks 120 -algorithm greedy-bucketing \
 		-des -pool churn:8:600:120:2000 -log "$$tmp/rec.jsonl" >/dev/null 2>&1 && \
-	$(GO) run ./cmd/whatif -fidelity -algorithms greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
+	$(GO) run ./cmd/whatif -fidelity -algorithm greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a Go module of its
 # own, so build, vet and test at the root never compile it: a change to

@@ -7,7 +7,7 @@
 //
 //	vinesim -workflow topeft -algorithm greedy-bucketing -des -log run.jsonl
 //	whatif run.jsonl
-//	whatif -algorithms greedy-bucketing,max-seen -j 2 run.jsonl
+//	whatif -algorithm greedy-bucketing,max-seen -j 2 run.jsonl
 //
 // With -fidelity the tool additionally replays under the recorded allocator
 // and verifies the replayed summary is bit-identical to the recorded
@@ -30,13 +30,13 @@ import (
 )
 
 func main() {
-	algorithms := flag.String("algorithms", "", "comma-separated allocator subset (default: all nine)")
+	algorithms := flag.String("algorithm", "", "comma-separated allocator subset (default: all nine)")
 	jobs := flag.Int("j", 0, "replays to run concurrently (0 = GOMAXPROCS)")
 	fidelity := flag.Bool("fidelity", false, "verify the recorded allocator's replay reproduces the recorded footer bit-identically")
 	csv := flag.Bool("csv", false, "emit the ranking as CSV instead of a table")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: whatif [-algorithms a,b,...] [-j N] [-fidelity] [-csv] <runlog.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: whatif [-algorithm a,b,...] [-j N] [-fidelity] [-csv] <runlog.jsonl>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)

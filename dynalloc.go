@@ -297,10 +297,8 @@ func PerturbWorkflow(w *Workflow, p Perturbation, seed uint64) *Workflow {
 type (
 	// ExperimentOptions configure a figure/table reproduction run.
 	ExperimentOptions = harness.Options
-	// ExperimentOption is the functional-option form of ExperimentOptions.
-	ExperimentOption = harness.Option
-	// ExperimentProgress reports one completed grid cell to a WithProgress
-	// callback.
+	// ExperimentProgress reports one completed grid cell to the
+	// ExperimentOptions.Progress callback.
 	ExperimentProgress = harness.Progress
 	// ExperimentCell is one (workload, algorithm) result.
 	ExperimentCell = harness.Cell
@@ -308,62 +306,18 @@ type (
 	ReportTable = report.Table
 )
 
-// Experiment options for ReproduceGridContext. Options compose left to
-// right over the ExperimentOptions base value.
-
-// WithSeed sets the base random seed of the sweep.
-func WithSeed(seed uint64) ExperimentOption { return harness.WithSeed(seed) }
-
-// WithTasks sets the synthetic workload task count (0 = the paper's 1000).
-func WithTasks(n int) ExperimentOption { return harness.WithTasks(n) }
-
-// WithModel sets the task consumption profile.
-func WithModel(m ConsumptionModel) ExperimentOption { return harness.WithModel(m) }
-
-// WithDES selects the full discrete-event pool simulation over the fast
-// sequential driver.
-func WithDES(use bool) ExperimentOption { return harness.WithDES(use) }
-
-// WithPool sets the worker pool model for DES runs.
-func WithPool(p PoolModel) ExperimentOption { return harness.WithPool(p) }
-
-// WithWorkloads restricts the workload set (default: all seven).
-func WithWorkloads(names ...string) ExperimentOption { return harness.WithWorkloads(names...) }
-
-// WithAlgorithms restricts the algorithm set (default: all seven).
-func WithAlgorithms(algs ...AlgorithmName) ExperimentOption {
-	return harness.WithAlgorithms(algs...)
-}
-
-// WithAllocatorConfig overrides allocator settings (Seed stays managed by
-// the harness).
-func WithAllocatorConfig(cfg AllocatorConfig) ExperimentOption {
-	return harness.WithAllocatorConfig(cfg)
-}
-
-// WithParallelism bounds how many grid cells run concurrently
-// (0 = GOMAXPROCS, 1 = sequential). Cell results are identical at any
-// parallelism.
-func WithParallelism(n int) ExperimentOption { return harness.WithParallelism(n) }
-
-// WithProgress installs a per-cell completion callback; calls are
-// serialized with monotone Done counts.
-func WithProgress(fn func(ExperimentProgress)) ExperimentOption {
-	return harness.WithProgress(fn)
-}
-
 // ReproduceGrid runs the (workload x algorithm) grid behind Figures 5 and 6.
 func ReproduceGrid(opts ExperimentOptions) ([]ExperimentCell, error) {
 	return harness.RunGrid(opts)
 }
 
-// ReproduceGridContext runs the grid across WithParallelism worker
+// ReproduceGridContext runs the grid across opts.Parallelism worker
 // goroutines under a context. Cells are returned in workload-major order
 // and are byte-for-byte identical to a sequential run at any parallelism;
 // cancellation aborts in-flight simulations promptly with an error
 // wrapping ErrCanceled.
-func ReproduceGridContext(ctx context.Context, opts ExperimentOptions, extra ...ExperimentOption) ([]ExperimentCell, error) {
-	return harness.RunGridContext(ctx, opts, extra...)
+func ReproduceGridContext(ctx context.Context, opts ExperimentOptions) ([]ExperimentCell, error) {
+	return harness.RunGridContext(ctx, opts)
 }
 
 // Figure5 renders the Absolute Workflow Efficiency tables from grid cells.

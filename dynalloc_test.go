@@ -175,7 +175,8 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPIContextAndOptions(t *testing.T) {
-	// The option-based entry point must agree with the struct-based one.
+	// The context entry point, in parallel with a progress callback, must
+	// agree with the sequential one.
 	opts := dynalloc.ExperimentOptions{
 		Seed:       9,
 		Tasks:      40,
@@ -187,17 +188,16 @@ func TestPublicAPIContextAndOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var progressed int
-	got, err := dynalloc.ReproduceGridContext(context.Background(), dynalloc.ExperimentOptions{},
-		dynalloc.WithSeed(9), dynalloc.WithTasks(40),
-		dynalloc.WithWorkloads("uniform"), dynalloc.WithAlgorithms(dynalloc.MaxSeen),
-		dynalloc.WithParallelism(2),
-		dynalloc.WithProgress(func(dynalloc.ExperimentProgress) { progressed++ }))
+	parallel := opts
+	parallel.Parallelism = 2
+	parallel.Progress = func(dynalloc.ExperimentProgress) { progressed++ }
+	got, err := dynalloc.ReproduceGridContext(context.Background(), parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) || got[0].Makespan != want[0].Makespan ||
 		fmt.Sprintf("%#v", got[0].Summary) != fmt.Sprintf("%#v", want[0].Summary) {
-		t.Error("option-based grid diverged from struct-based grid")
+		t.Error("the context grid diverged from the sequential grid")
 	}
 	if progressed != len(got) {
 		t.Errorf("progress fired %d times for %d cells", progressed, len(got))

@@ -96,23 +96,12 @@ type Config struct {
 	// Capacity is the worker shape; predictions are clamped to it. Zero
 	// means the paper worker (16 cores / 64 GB / 64 GB).
 	Capacity resources.Vector
-	// Exploration is the first-attempt allocation used while fewer than
-	// ExploreCount records have been observed. Zero means the algorithm's
-	// default: 1 core / 1 GB / 1 GB for the bucketing family, a whole
-	// machine for the alternatives (Section V-C).
-	Exploration resources.Vector
 	// ExploreCount is the number of records required to leave exploratory
 	// mode. Zero means 10 (Section V-A).
 	ExploreCount int
 	// AllocateTime, when true, also predicts and enforces the wall-time
 	// dimension. The paper's evaluation leaves time unconstrained.
 	AllocateTime bool
-	// MaxSeenQuantum overrides the Max Seen histogram bucket size per kind.
-	// Zero entries default to 1 core / 250 MB / 250 MB / 60 s.
-	MaxSeenQuantum resources.Vector
-	// QuantizedQuantiles overrides the quantile split points of Quantized
-	// Bucketing. Empty means {0.5} (Section V-B).
-	QuantizedQuantiles []float64
 	// MaxBuckets caps Exhaustive Bucketing's configurations. Zero means 10.
 	MaxBuckets int
 	// IgnoreCategories pools every task category into a single estimator
@@ -125,37 +114,29 @@ type Config struct {
 	// bucketing approach's bias toward recent records. The knob exists to
 	// ablate the recency weighting's contribution on phasing workloads.
 	FlatSignificance bool
-	// KMeansK is the cluster count of the KMeans extension. Zero means 3.
-	KMeansK int
-	// PercentileQ is the quantile of the Percentile extension, in (0, 1).
-	// Zero means 0.95.
-	PercentileQ float64
 	// Seed drives the allocator's probabilistic bucket choices.
 	Seed uint64
 }
 
-func (c Config) withDefaults(alg Name) Config {
+func (c Config) withDefaults() Config {
 	if c.Capacity.IsZero() {
 		c.Capacity = resources.PaperWorker()
 	}
 	if c.ExploreCount == 0 {
 		c.ExploreCount = 10
 	}
-	if c.Exploration.IsZero() {
-		switch alg {
-		case Greedy, Exhaustive, Quantized:
-			c.Exploration = resources.PaperExploration()
-		default:
-			c.Exploration = c.Capacity
-		}
-	}
-	if c.MaxSeenQuantum.IsZero() {
-		c.MaxSeenQuantum = resources.New(1, 250, 250, 60)
-	}
-	if len(c.QuantizedQuantiles) == 0 {
-		c.QuantizedQuantiles = []float64{0.5}
-	}
 	return c
+}
+
+// exploration is the first-attempt allocation of alg while fewer than
+// ExploreCount records have been observed: 1 core / 1 GB / 1 GB for the
+// bucketing family, a whole machine for the alternatives (Section V-C).
+func exploration(alg Name, capacity resources.Vector) resources.Vector {
+	switch alg {
+	case Greedy, Exhaustive, Quantized:
+		return resources.PaperExploration()
+	}
+	return capacity
 }
 
 // kinds returns the resource kinds this configuration allocates.
@@ -178,10 +159,11 @@ func (c Config) kinds() []resources.Kind {
 // reader that still loaded the old memo is ordered before them, as Name.Stable
 // allows.
 type Allocator struct {
-	alg    Name
-	cfg    Config
-	kinds  []resources.Kind // cfg.kinds(), computed once at construction
-	stable bool             // alg.Stable(): its Predict draws no randomness
+	alg     Name
+	cfg     Config
+	explore resources.Vector // the exploratory-mode allocation (exploration)
+	kinds   []resources.Kind // cfg.kinds(), computed once at construction
+	stable  bool             // alg.Stable(): its Predict draws no randomness
 	// served is the memo Allocate last served, nil after an Observe or
 	// a reset; only stable algorithms publish. Read without mu, written
 	// under it.
@@ -213,14 +195,15 @@ func New(alg Name, cfg Config) (*Allocator, error) {
 	if _, err := ParseName(string(alg)); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(alg)
+	cfg = cfg.withDefaults()
 	return &Allocator{
-		alg:    alg,
-		cfg:    cfg,
-		kinds:  cfg.kinds(),
-		stable: alg.Stable(),
-		rng:    dist.NewRand(cfg.Seed),
-		cats:   make(map[string]*categoryState),
+		alg:     alg,
+		cfg:     cfg,
+		explore: exploration(alg, cfg.Capacity),
+		kinds:   cfg.kinds(),
+		stable:  alg.Stable(),
+		rng:     dist.NewRand(cfg.Seed),
+		cats:    make(map[string]*categoryState),
 	}, nil
 }
 
@@ -267,28 +250,28 @@ func (a *Allocator) newEstimator(k resources.Kind) Estimator {
 	case WholeMachine:
 		return &wholeMachine{capacity: a.cfg.Capacity.Get(k)}
 	case MaxSeen:
-		inner = &maxSeen{quantum: a.cfg.MaxSeenQuantum.Get(k)}
+		inner = &maxSeen{quantum: maxSeenQuantum.Get(k)}
 	case MinWaste:
 		inner = &minWaste{}
 	case MaxThroughput:
 		inner = &maxThroughput{}
 	case Quantized:
-		inner = newQuantized(a.cfg.QuantizedQuantiles)
+		inner = newQuantized(quantizedQuantiles)
 	case Greedy:
 		inner = newBucketing(core.GreedyBucketing{})
 	case Exhaustive:
 		inner = newBucketing(core.ExhaustiveBucketing{MaxBuckets: a.cfg.MaxBuckets})
 	case KMeans:
-		inner = newKMeans(a.cfg.KMeansK)
+		inner = newKMeans(kmeansK)
 	case Percentile:
-		inner = newPercentile(a.cfg.PercentileQ)
+		inner = newPercentile(percentileQ)
 	default:
 		panic("allocator: unreachable algorithm " + a.alg)
 	}
 	return &explorer{
 		inner:     inner,
 		threshold: a.cfg.ExploreCount,
-		initial:   a.cfg.Exploration.Get(k),
+		initial:   a.explore.Get(k),
 	}
 }
 
@@ -375,7 +358,7 @@ func (a *Allocator) clamp(k resources.Kind, v float64) float64 {
 		return cap
 	}
 	if v <= 0 {
-		return a.cfg.Exploration.Get(k)
+		return a.explore.Get(k)
 	}
 	return v
 }

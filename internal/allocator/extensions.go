@@ -45,10 +45,10 @@ type kmeans struct {
 	cachedWeights []float64
 }
 
+// kmeansK is the cluster count of the KMeans extension.
+const kmeansK = 3
+
 func newKMeans(k int) *kmeans {
-	if k <= 0 {
-		k = 3
-	}
 	return &kmeans{k: k}
 }
 
@@ -191,10 +191,11 @@ type percentile struct {
 	q    float64
 }
 
+// percentileQ is the quantile of the Percentile extension.
+const percentileQ = 0.95
+
+// newPercentile allocates the q-quantile, q in (0, 1).
 func newPercentile(q float64) *percentile {
-	if q <= 0 || q >= 1 {
-		q = 0.95
-	}
 	return &percentile{q: q}
 }
 

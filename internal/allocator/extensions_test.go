@@ -76,7 +76,7 @@ func TestKMeansPredictAndRetry(t *testing.T) {
 }
 
 func TestKMeansEmptyAndDegenerate(t *testing.T) {
-	km := newKMeans(0) // defaults to 3
+	km := innerEstimator(KMeans).(*kmeans)
 	if km.k != 3 {
 		t.Errorf("default k = %d", km.k)
 	}
@@ -116,7 +116,7 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestPercentileDefaults(t *testing.T) {
-	if newPercentile(0).q != 0.95 || newPercentile(2).q != 0.95 {
+	if innerEstimator(Percentile).(*percentile).q != 0.95 {
 		t.Error("default quantile should be 0.95")
 	}
 	r := rand.New(rand.NewPCG(4, 4))
@@ -143,4 +143,10 @@ func TestExtensionsEndToEnd(t *testing.T) {
 			t.Errorf("%s: steady-state memory %v did not adapt below exploration", n, alloc.Get(resources.Memory))
 		}
 	}
+}
+
+// innerEstimator is the memory estimator a default-configured allocator of
+// alg builds, inside its exploratory-mode wrapper.
+func innerEstimator(alg Name) Estimator {
+	return MustNew(alg, Config{Seed: 1}).category("c").est[resources.Memory].(*explorer).inner
 }

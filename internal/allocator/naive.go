@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"dynalloc/internal/record"
+	"dynalloc/internal/resources"
 )
 
 // wholeMachine is the paper's baseline: every task is allocated a full
@@ -38,6 +39,9 @@ type maxSeen struct {
 	n       int
 	quantum float64
 }
+
+// maxSeenQuantum is Max Seen's histogram bucket size per kind.
+var maxSeenQuantum = resources.New(1, 250, 250, 60)
 
 func (m *maxSeen) Predict(*rand.Rand) float64 {
 	if m.n == 0 {

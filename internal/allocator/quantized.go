@@ -17,10 +17,11 @@ type quantized struct {
 	quantiles []float64 // ascending, exclusive of 0 and 1
 }
 
+// quantizedQuantiles is the paper's configuration: one split, at the median
+// (Section V-B). Estimators share it and only read it.
+var quantizedQuantiles = []float64{0.5}
+
 func newQuantized(quantiles []float64) *quantized {
-	if len(quantiles) == 0 {
-		quantiles = []float64{0.5}
-	}
 	return &quantized{quantiles: quantiles}
 }
 

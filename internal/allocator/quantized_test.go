@@ -9,7 +9,7 @@ import (
 )
 
 func TestQuantizedDefaultSplit(t *testing.T) {
-	q := newQuantized(nil)
+	q := innerEstimator(Quantized).(*quantized)
 	if len(q.quantiles) != 1 || q.quantiles[0] != 0.5 {
 		t.Fatalf("default quantiles = %v, want [0.5]", q.quantiles)
 	}
@@ -82,7 +82,7 @@ func TestQuantizedSingleRecord(t *testing.T) {
 }
 
 func TestQuantizedEmpty(t *testing.T) {
-	q := newQuantized(nil)
+	q := newQuantized(quantizedQuantiles)
 	r := rand.New(rand.NewPCG(4, 4))
 	if got := q.Predict(r); got != 0 {
 		t.Errorf("empty Predict = %v, want 0", got)

@@ -50,9 +50,6 @@ type Options struct {
 	Traces []string
 	// Algorithms restricts the algorithm set (nil = all seven).
 	Algorithms []allocator.Name
-	// AllocatorConfig overrides allocator settings (Seed is managed by the
-	// harness).
-	AllocatorConfig allocator.Config
 	// Parallelism bounds how many grid cells run concurrently
 	// (0 = GOMAXPROCS, 1 = sequential). Results are identical at any
 	// parallelism: each cell's seed derives from its grid position rather
@@ -144,10 +141,7 @@ func RunGrid(opts Options) ([]Cell, error) {
 // next event-loop boundary, no further cells start, and the error wraps
 // sim.ErrCanceled. The first cell failure likewise cancels the rest of the
 // grid.
-func RunGridContext(ctx context.Context, opts Options, extra ...Option) ([]Cell, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+func RunGridContext(ctx context.Context, opts Options) ([]Cell, error) {
 	opts = opts.withDefaults()
 
 	// Workloads are generated up front and shared read-only by the cells
@@ -195,9 +189,7 @@ func RunGridContext(ctx context.Context, opts Options, extra ...Option) ([]Cell,
 // runCell executes one grid cell. index is the cell's workload-major grid
 // position; it determines the allocator seed.
 func runCell(ctx context.Context, opts Options, w *workflow.Workflow, alg allocator.Name, index int) (Cell, error) {
-	cfg := opts.AllocatorConfig
-	cfg.Seed = opts.Seed ^ uint64(index+1)
-	pol, err := allocator.New(alg, cfg)
+	pol, err := allocator.New(alg, allocator.Config{Seed: opts.Seed ^ uint64(index+1)})
 	if err != nil {
 		return Cell{}, err
 	}

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dynalloc/internal/allocator"
-	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/sim"
 )
 
@@ -23,47 +21,6 @@ type Progress struct {
 	// nondeterministic under parallelism; only the counts are monotonic.
 	Cell Cell
 }
-
-// Option mutates experiment Options; it is the functional-option form of
-// the Options struct for the context-aware entry points.
-type Option func(*Options)
-
-// WithSeed sets the base random seed of the sweep.
-func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithTasks sets the synthetic workload task count (0 = the paper's 1000).
-func WithTasks(n int) Option { return func(o *Options) { o.Tasks = n } }
-
-// WithModel sets the task consumption profile.
-func WithModel(m sim.ConsumptionModel) Option { return func(o *Options) { o.Model = m } }
-
-// WithDES selects the full discrete-event pool simulation over the fast
-// sequential driver.
-func WithDES(use bool) Option { return func(o *Options) { o.UseDES = use } }
-
-// WithPool sets the worker pool model for DES runs.
-func WithPool(p opportunistic.Model) Option { return func(o *Options) { o.Pool = p } }
-
-// WithWorkloads restricts the workload set (default: all seven).
-func WithWorkloads(names ...string) Option { return func(o *Options) { o.Workloads = names } }
-
-// WithAlgorithms restricts the algorithm set (default: all seven).
-func WithAlgorithms(algs ...allocator.Name) Option {
-	return func(o *Options) { o.Algorithms = algs }
-}
-
-// WithAllocatorConfig overrides allocator settings (Seed stays managed by
-// the harness).
-func WithAllocatorConfig(cfg allocator.Config) Option {
-	return func(o *Options) { o.AllocatorConfig = cfg }
-}
-
-// WithParallelism bounds how many cells run concurrently (0 = GOMAXPROCS,
-// 1 = sequential).
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// WithProgress installs a per-cell completion callback.
-func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progress = fn } }
 
 // newProgressFunnel serializes progress callbacks from concurrent workers
 // into monotone Done counts; it returns a no-op when fn is nil.

@@ -73,9 +73,7 @@ func TestRunGridMatchesHistoricalSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, alg := range o.Algorithms {
-				cfg := o.AllocatorConfig
-				cfg.Seed = o.Seed ^ uint64(len(cells)+1)
-				pol, err := allocator.New(alg, cfg)
+				pol, err := allocator.New(alg, allocator.Config{Seed: o.Seed ^ uint64(len(cells)+1)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,25 +147,6 @@ func TestRunGridFirstErrorPropagates(t *testing.T) {
 	}
 	if errors.Is(err, sim.ErrCanceled) {
 		t.Errorf("real failure reported as cancellation: %v", err)
-	}
-}
-
-func TestRunGridFunctionalOptions(t *testing.T) {
-	base, err := RunGrid(Options{Seed: 3, Tasks: 30,
-		Workloads:  []string{"uniform"},
-		Algorithms: []allocator.Name{allocator.Greedy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunGridContext(context.Background(), Options{},
-		WithSeed(3), WithTasks(30),
-		WithWorkloads("uniform"), WithAlgorithms(allocator.Greedy),
-		WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(got) != fingerprint(base) {
-		t.Error("functional options diverged from struct options")
 	}
 }
 

@@ -20,14 +20,8 @@ type CellStats struct {
 	Retries   stats.Summary
 }
 
-// RunGridReplicated runs the (workload x algorithm) grid once per seed
-// (opts.Seed, opts.Seed+1, ...) and aggregates per-cell statistics. It is
-// RunGridReplicatedContext without cancellation.
-func RunGridReplicated(opts Options, seeds int) ([]CellStats, error) {
-	return RunGridReplicatedContext(context.Background(), opts, seeds)
-}
-
-// RunGridReplicatedContext is RunGridReplicated under a context: each
+// RunGridReplicatedContext runs the (workload x algorithm) grid once per seed
+// (opts.Seed, opts.Seed+1, ...) and aggregates per-cell statistics. Each
 // replica's grid fans its cells across opts.Parallelism workers, and
 // cancellation aborts the sweep with an error wrapping sim.ErrCanceled.
 // Aggregation is replica-ordered, so the statistics are identical at any

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestRunGridReplicated(t *testing.T) {
 		Workloads:  []string{"normal"},
 		Algorithms: []allocator.Name{allocator.MaxSeen, allocator.Greedy},
 	}
-	cells, err := RunGridReplicated(opts, 3)
+	cells, err := RunGridReplicatedContext(context.Background(), opts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunGridReplicated(t *testing.T) {
 func TestRunGridReplicatedDefaultsToOneSeed(t *testing.T) {
 	opts := Options{Seed: 2, Tasks: 20, Workloads: []string{"uniform"},
 		Algorithms: []allocator.Name{allocator.WholeMachine}}
-	cells, err := RunGridReplicated(opts, 0)
+	cells, err := RunGridReplicatedContext(context.Background(), opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunGridReplicatedDefaultsToOneSeed(t *testing.T) {
 }
 
 func TestRunGridReplicatedPropagatesErrors(t *testing.T) {
-	if _, err := RunGridReplicated(Options{Workloads: []string{"bogus"}}, 2); err == nil {
+	if _, err := RunGridReplicatedContext(context.Background(), Options{Workloads: []string{"bogus"}}, 2); err == nil {
 		t.Error("bad workload should fail")
 	}
 }

@@ -35,15 +35,9 @@ type WhatIfCell struct {
 	Err error
 }
 
-// WhatIf replays a recorded run under each allocator and returns one cell
-// per allocator, in the given order. It is WhatIfContext without
-// cancellation.
-func WhatIf(log *runlog.Log, algs []allocator.Name, parallelism int) ([]WhatIfCell, error) {
-	return WhatIfContext(context.Background(), log, algs, parallelism)
-}
-
 // WhatIfContext replays a recorded run under every allocator in algs (nil =
-// all nine registered allocators) across up to parallelism goroutines,
+// all nine registered allocators), one cell per allocator in the given order,
+// across up to parallelism goroutines,
 // reusing the grid worker pool. Every allocator sees the identical recorded
 // environment: the trace's task stream, submit window, barriers, and — for
 // pool runs — the realized worker arrival/eviction schedule as a scripted

@@ -184,10 +184,8 @@ func (o *TaskOutcome) EvictedTime() float64 {
 // By default, time held by evicted attempts is excluded from the allocation
 // totals: an eviction is a property of the opportunistic infrastructure, not
 // of the allocation decision, and the paper's AWE metric is defined to be
-// independent of the worker pool. Set IncludeEvictions to charge it anyway.
+// independent of the worker pool.
 type Accumulator struct {
-	IncludeEvictions bool
-
 	consumption [resources.NumKinds]float64
 	allocation  [resources.NumKinds]float64
 	internal    [resources.NumKinds]float64
@@ -225,13 +223,6 @@ func (acc *Accumulator) Add(o TaskOutcome) {
 		acc.allocation[k] += o.Allocation(k)
 		acc.internal[k] += o.InternalFragmentation(k)
 		acc.failed[k] += o.FailedAllocation(k)
-		if acc.IncludeEvictions {
-			for _, at := range o.Attempts {
-				if at.Status == Evicted {
-					acc.allocation[k] += at.Alloc.Get(k) * at.Duration
-				}
-			}
-		}
 	}
 }
 

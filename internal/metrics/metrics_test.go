@@ -164,14 +164,6 @@ func TestEvictionsExcludedByDefault(t *testing.T) {
 	if got := o.EvictedTime(); got != 6 {
 		t.Errorf("EvictedTime = %v, want 6", got)
 	}
-
-	var inc Accumulator
-	inc.IncludeEvictions = true
-	inc.Add(o)
-	// Allocation = 100*10 + 100*6 = 1600; consumption = 1000.
-	if got := inc.AWE(resources.Memory); math.Abs(got-0.625) > 1e-12 {
-		t.Errorf("AWE with included eviction = %v, want 0.625", got)
-	}
 }
 
 func TestStagingTimeChargedToFragmentation(t *testing.T) {

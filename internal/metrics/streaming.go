@@ -131,10 +131,6 @@ type CategoryStats struct {
 // The zero value is not usable; construct with NewByCategory. Not safe for
 // concurrent use.
 type ByCategory struct {
-	// IncludeEvictions mirrors Accumulator.IncludeEvictions for every
-	// per-category accumulator created after it is set.
-	IncludeEvictions bool
-
 	reservoirCap int
 	seed         uint64
 	order        []string
@@ -169,7 +165,6 @@ func (bc *ByCategory) Add(o *TaskOutcome) {
 			Memory:   NewReservoir(bc.reservoirCap, bc.seed^h),
 			Runtime:  NewReservoir(bc.reservoirCap, bc.seed^h^0xa5a5a5a5a5a5a5a5),
 		}
-		cs.Acc.IncludeEvictions = bc.IncludeEvictions
 		bc.stats[o.Category] = cs
 		bc.order = append(bc.order, o.Category)
 	}

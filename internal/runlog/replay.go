@@ -195,14 +195,13 @@ func Resimulate(ctx context.Context, log *Log, policy allocator.Policy) (*sim.Re
 			}
 		}
 		cfg := sim.Config{
-			Source:           src,
-			Policy:           policy,
-			Pool:             pool,
-			WorkerShape:      hdr.workerShape(),
-			Model:            model,
-			Place:            place,
-			MaxAttempts:      hdr.MaxAttempts,
-			IncludeEvictions: hdr.IncludeEvictions,
+			Source:      src,
+			Policy:      policy,
+			Pool:        pool,
+			WorkerShape: hdr.workerShape(),
+			Model:       model,
+			Place:       place,
+			MaxAttempts: hdr.MaxAttempts,
 		}
 		return sim.RunContext(ctx, cfg)
 	default:

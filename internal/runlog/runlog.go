@@ -93,9 +93,6 @@ type Header struct {
 	Barriers []int `json:"barriers,omitempty"`
 	// MaxAttempts is the run's retry limit, sched.Core.RetryLimit (0 = engine default).
 	MaxAttempts int `json:"max_attempts,omitempty"`
-	// IncludeEvictions records whether eviction-lost allocations were
-	// charged to the waste metrics.
-	IncludeEvictions bool `json:"include_evictions,omitempty"`
 	// DataLayer marks runs under the TaskVine-style data layer, whose
 	// staging times are not recorded and hence not replayable.
 	DataLayer bool `json:"data_layer,omitempty"`
@@ -123,16 +120,15 @@ func (h Header) workerShape() resources.Vector {
 // the sequential driver has none.
 func SimHeader(driver, workload, algorithm string, seed uint64, cfg sim.Config, window int, barriers []int) Header {
 	h := Header{
-		Workload:         workload,
-		Algorithm:        algorithm,
-		Seed:             seed,
-		Driver:           driver,
-		Model:            cfg.Model.String(),
-		Window:           window,
-		Barriers:         barriers,
-		MaxAttempts:      cfg.MaxAttempts,
-		IncludeEvictions: cfg.IncludeEvictions,
-		DataLayer:        cfg.Data != nil,
+		Workload:    workload,
+		Algorithm:   algorithm,
+		Seed:        seed,
+		Driver:      driver,
+		Model:       cfg.Model.String(),
+		Window:      window,
+		Barriers:    barriers,
+		MaxAttempts: cfg.MaxAttempts,
+		DataLayer:   cfg.Data != nil,
 	}
 	if driver == DriverDES {
 		h.Placement = cfg.Place.String()
@@ -493,11 +489,9 @@ func (tr TaskRecord) outcome() metrics.TaskOutcome {
 }
 
 // Replay folds a parsed log into a fresh accumulator, recomputing every
-// metric from the raw attempts (rather than trusting the footer). The
-// accumulator honors the recorded IncludeEvictions setting so the replayed
-// totals match the footer's.
+// metric from the raw attempts (rather than trusting the footer).
 func Replay(log *Log) *metrics.Accumulator {
-	acc := metrics.Accumulator{IncludeEvictions: log.Header.IncludeEvictions}
+	var acc metrics.Accumulator
 	for _, o := range log.Outcomes {
 		acc.Add(o)
 	}
@@ -511,7 +505,7 @@ func ReplayByCategory(log *Log) map[string]*metrics.Accumulator {
 	for _, o := range log.Outcomes {
 		acc, ok := out[o.Category]
 		if !ok {
-			acc = &metrics.Accumulator{IncludeEvictions: log.Header.IncludeEvictions}
+			acc = &metrics.Accumulator{}
 			out[o.Category] = acc
 		}
 		acc.Add(o)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dynalloc/internal/allocator"
@@ -22,7 +23,7 @@ func fullScanDispatch(c *Core) {
 		t := c.Ready.At(scanned)
 		alloc, ok := t.Alloc, true
 		if !t.HasAlloc {
-			alloc, ok = c.firsts.allocate(t.Category, t.ID)
+			alloc, ok = c.firsts.allocate(c.policy, t.Category, t.ID)
 		}
 		var w *Worker
 		if ok {
@@ -52,12 +53,15 @@ func fullScanDispatch(c *Core) {
 // fuzzPolicy is stable or sampling by its name. Under a stable algorithm's
 // name it serves each of a, b and c a vector that moves with every Observe of
 // the category; under a sampling one it draws every vector from a
-// deterministic stream. Every call is logged.
+// deterministic stream. Every call is logged, and the Observes and Retries
+// are counted per task ID.
 type fuzzPolicy struct {
-	name  allocator.Name
-	gen   map[string]int
-	draws int
-	log   []string
+	name     allocator.Name
+	gen      map[string]int
+	draws    int
+	log      []string
+	observes map[int]int
+	retries  map[int]int
 }
 
 func (p *fuzzPolicy) Allocate(cat string, id int) resources.Vector {
@@ -70,13 +74,15 @@ func (p *fuzzPolicy) Allocate(cat string, id int) resources.Vector {
 	return resources.New(float64(base+3*(p.gen[cat]%3)), 100, 100, resources.Unlimited)
 }
 
-func (p *fuzzPolicy) Retry(cat string, _ int, prev resources.Vector, _ []resources.Kind) resources.Vector {
+func (p *fuzzPolicy) Retry(cat string, id int, prev resources.Vector, _ []resources.Kind) resources.Vector {
 	p.log = append(p.log, "retry:"+cat)
+	p.retries[id]++
 	return prev.With(resources.Cores, 2*prev.Get(resources.Cores))
 }
 
-func (p *fuzzPolicy) Observe(cat string, _ int, _ resources.Vector, _ float64) {
+func (p *fuzzPolicy) Observe(cat string, id int, _ resources.Vector, _ float64) {
 	p.log = append(p.log, "observe:"+cat)
+	p.observes[id]++
 	p.gen[cat]++
 }
 
@@ -88,17 +94,18 @@ type fuzzWorld struct {
 	pol        *fuzzPolicy
 	tasks      map[int]*Task
 	dispatches map[int]int
-	owner      map[int]*Worker
-	running    []int // keys on workers, in start order
-	escalating []int // keys owed a Retried, in settle order
+	owner      map[int]*Worker // the worker of each key's latest dispatch
+	running    []int           // keys on workers, in start order
 	started    [][2]int
 	nextKey    int
 	nextWorker int
+	err        error // the first settle that did not do what its op says
 }
 
 func newFuzzWorld(maxMisses int, sampled bool) *fuzzWorld {
 	w := &fuzzWorld{
-		pol:        &fuzzPolicy{name: allocator.MaxSeen, gen: map[string]int{}},
+		pol: &fuzzPolicy{name: allocator.MaxSeen, gen: map[string]int{},
+			observes: map[int]int{}, retries: map[int]int{}},
 		tasks:      map[int]*Task{},
 		dispatches: map[int]int{},
 		owner:      map[int]*Worker{},
@@ -155,28 +162,31 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 		for _, t := range w.c.Evicted(v, 0, nil) {
 			w.running = without(w.running, t.Key())
 		}
-	case 3: // a running attempt ends: success, or an overrun owing a retry
+	case 3: // a running attempt ends: success, or an overrun
 		if len(w.running) == 0 {
 			return false
 		}
 		key := w.running[int(arg>>1)%len(w.running)]
 		w.running = without(w.running, key)
-		t := w.tasks[key]
-		_, owed := w.c.Settle(w.owner[key], t, 1, arg&1 == 1)
-		switch {
-		case arg&1 == 1 && owed:
-			w.escalating = append(w.escalating, key)
-		case owed:
-			w.pol.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
+		if got := w.c.Settle(w.owner[key], w.tasks[key], 1, arg&1 == 1, nil); got == Stale && w.err == nil {
+			w.err = fmt.Errorf("the result of running task %d was stale", key)
 		}
-	case 4: // the policy answers an owed retry with a doubled vector
-		if len(w.escalating) == 0 {
+	case 4: // a stale result: a worker that no longer holds a task reports it
+		var stale []int
+		for key := 1; key <= w.nextKey; key++ {
+			if v := w.owner[key]; v != nil && !v.Holds(w.tasks[key]) {
+				stale = append(stale, key)
+			}
+		}
+		if len(stale) == 0 {
 			return false
 		}
-		key := w.escalating[int(arg)%len(w.escalating)]
-		w.escalating = without(w.escalating, key)
-		t := w.tasks[key]
-		w.c.Retried(t, w.pol.Retry(t.Category, t.ID, t.Alloc, nil))
+		key := stale[int(arg>>1)%len(stale)]
+		t, calls := w.tasks[key], len(w.pol.log)
+		ended := len(t.Outcome.Attempts)
+		if got := w.c.Settle(w.owner[key], t, 1, arg&1 == 1, nil); (got != Stale || len(t.Outcome.Attempts) != ended || len(w.pol.log) != calls) && w.err == nil {
+			w.err = fmt.Errorf("a stale result for task %d settled as %d", key, got)
+		}
 	case 5:
 		w.started = w.started[:0]
 		pass(w.c)
@@ -185,15 +195,35 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 	return false
 }
 
+// checkCalls verifies the policy calls each task's ledger owes: one Observe
+// per success, and one Retry per overrun the task survived — every one but an
+// overrun that abandoned it.
+func (w *fuzzWorld) checkCalls() error {
+	for key, t := range w.tasks {
+		l := ledger(t)
+		observes := strings.Count(l, "S")
+		retries := strings.Count(l, "X")
+		if strings.HasSuffix(l, "XF") {
+			retries--
+		}
+		if w.pol.observes[key] != observes || w.pol.retries[key] != retries {
+			return fmt.Errorf("task %d: ledger %s, observed %d times and retried %d, want %d and %d",
+				key, l, w.pol.observes[key], w.pol.retries[key], observes, retries)
+		}
+	}
+	return nil
+}
+
 // FuzzDispatchMatchesFullScan drives two cores through the same byte-coded
-// stream of submits, joins, evictions, settles, retries and passes — one
+// stream of submits, joins, evictions, settles, stale results and passes — one
 // dispatching with Core.Dispatch, one with fullScanDispatch — each with and
 // without a miss bound. The input chooses the policy by its length: an input
 // of even length runs under a stable algorithm's name, one of odd length under
 // a sampling algorithm's, and its last byte is read for nothing else. After
 // every pass the started (key, worker) pairs, the ready queue in order and the
-// policy-call log must be identical, and the early-ending core must satisfy
-// checkInvariants.
+// policy-call log must be identical; after every op the early-ending core must
+// satisfy checkInvariants, every settle must have done what its op says, and
+// every task's ledger must match the Observes and Retries made for it.
 func FuzzDispatchMatchesFullScan(f *testing.F) {
 	for _, seed := range []string{
 		"\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x05\x00\x03\x00\x05\x00",
@@ -214,7 +244,14 @@ func FuzzDispatchMatchesFullScan(f *testing.F) {
 			for i := 0; i+1 < len(ops); i += 2 {
 				passed := got.step(ops[i], ops[i+1], (*Core).Dispatch)
 				want.step(ops[i], ops[i+1], fullScanDispatch)
-				if err := checkInvariants(got.c, got.tasks, got.dispatches); err != nil {
+				err := checkInvariants(got.c, got.tasks, got.dispatches)
+				if err == nil {
+					err = got.err
+				}
+				if err == nil {
+					err = got.checkCalls()
+				}
+				if err != nil {
 					t.Fatalf("sampled %v, maxMisses %d, op %d: %v", sampled, maxMisses, i/2, err)
 				}
 				if !passed {

@@ -19,8 +19,8 @@ type Task struct {
 	// placement: allocation happens at dispatch time (PAPER.md §II-A), so a
 	// task that waits in the queue benefits from everything the allocator
 	// learns meanwhile, while evictions and retries keep what they hold.
-	// Only the pass (before Place) and Retried (after Settle's release) write
-	// it, so Release gives back exactly what Place charged.
+	// Only the pass (before Place) and Settle (after its release) write it,
+	// so Release gives back exactly what Place charged.
 	Alloc    resources.Vector
 	HasAlloc bool
 	// Started is when the attempt in progress began, on the driver's clock;
@@ -31,10 +31,9 @@ type Task struct {
 	// Peak and Runtime are the task's consumption; DoneTime is the driver's.
 	Outcome metrics.TaskOutcome
 
-	terminal   bool // succeeded or abandoned: no attempt will follow
-	failed     bool // terminal because the retry limit ran out
-	observed   bool // the success record has been claimed for policy.Observe
-	escalating bool // exhausted within the limit: the driver owes Retried
+	terminal bool // succeeded or abandoned: no attempt will follow
+	failed   bool // terminal because the retry limit ran out
+	observed bool // the success record has reached policy.Observe
 
 	key    int     // the driver's key, set by Submit
 	worker *Worker // the worker holding the task, nil when none does
@@ -70,13 +69,14 @@ type Core struct {
 	Pool
 	// Ready holds the tasks awaiting placement, in dispatch priority
 	// order, as two blocks: the entries that hold an allocation (retries and
-	// eviction victims, pushed at the front by Retried and Evicted), then the
+	// eviction victims, pushed at the front by Settle and Evicted), then the
 	// first attempts (pushed at the back by Submit). Drivers only read it.
 	Ready Queue
-	// RetryLimit is the retry limit (Task.Exhausted) of every task this core
+	// RetryLimit is the retry limit (Task.setback) of every task this core
 	// settles; zero retries without bound.
 	RetryLimit int
 
+	policy    allocator.Policy
 	place     Placement
 	maxMisses int
 	driver    Driver
@@ -91,11 +91,10 @@ type Core struct {
 // backfilling depth of a pass: after that many consecutive placement failures
 // the rest of the queue waits for the next pass; zero scans the whole queue
 // every time. Whether policy is stable is read here, once, from its name
-// (allocator.Name.Stable); a nil policy, for a core that never dispatches, is
-// not.
+// (allocator.Name.Stable); a nil policy, for a core that never dispatches or
+// settles, is not.
 func New(place Placement, maxMisses int, policy allocator.Policy, d Driver) *Core {
-	c := &Core{place: place, maxMisses: maxMisses, driver: d}
-	c.firsts.policy = policy
+	c := &Core{policy: policy, place: place, maxMisses: maxMisses, driver: d}
 	c.firsts.stable = policy != nil && allocator.Name(policy.Name()).Stable()
 	return c
 }
@@ -138,7 +137,7 @@ func (c *Core) Dispatch() {
 		t := c.Ready.At(scanned)
 		alloc, ok := t.Alloc, true
 		if !t.HasAlloc {
-			alloc, ok = c.firsts.allocate(t.Category, t.ID)
+			alloc, ok = c.firsts.allocate(c.policy, t.Category, t.ID)
 		}
 		var w *Worker
 		if ok {
@@ -175,7 +174,6 @@ func (c *Core) Dispatch() {
 // begin; categories past its capacity get one policy call per task, as does
 // every category of a policy that is not stable.
 type passMemo struct {
-	policy  allocator.Policy
 	stable  bool // policy names a stable algorithm; set once, by New
 	entries [memoSize]passEntry
 	n       int // entries in use
@@ -206,14 +204,14 @@ func (m *passMemo) find(category string) *passEntry {
 // allocate returns the first-attempt allocation for a task. ok is false when
 // the policy is stable and the category's vector already failed to place in
 // this pass: the task stays queued without a policy call or a placement probe.
-func (m *passMemo) allocate(category string, taskID int) (alloc resources.Vector, ok bool) {
+func (m *passMemo) allocate(policy allocator.Policy, category string, taskID int) (alloc resources.Vector, ok bool) {
 	if !m.stable {
-		return m.policy.Allocate(category, taskID), true
+		return policy.Allocate(category, taskID), true
 	}
 	if e := m.find(category); e != nil {
 		return e.alloc, !e.missed
 	}
-	alloc = m.policy.Allocate(category, taskID)
+	alloc = policy.Allocate(category, taskID)
 	if m.n < len(m.entries) {
 		m.entries[m.n] = passEntry{category: category, alloc: alloc}
 		m.n++

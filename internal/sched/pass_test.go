@@ -44,9 +44,10 @@ func TestPassMemo(t *testing.T) {
 	small, big := resources.New(1, 100, 100, 0), resources.New(8, 8000, 800, 0)
 	p := &scriptedPolicy{name: allocator.MaxSeen, alloc: map[string]resources.Vector{"s": small, "b": big}}
 	var m *passMemo
+	var mp allocator.Policy // the policy m was made for
 	ask := func(cat string, wantAlloc resources.Vector, wantOK bool) {
 		t.Helper()
-		got, ok := m.allocate(cat, 0)
+		got, ok := m.allocate(mp, cat, 0)
 		if ok != wantOK || (ok && got != wantAlloc) {
 			t.Fatalf("allocate(%s) = %v, %v; want %v, %v", cat, got, ok, wantAlloc, wantOK)
 		}
@@ -61,6 +62,7 @@ func TestPassMemo(t *testing.T) {
 	memo := func(pol allocator.Policy) *passMemo {
 		m := &New(FirstFit, 0, pol, Driver{}).firsts
 		m.begin()
+		mp = pol
 		return m
 	}
 

@@ -1,13 +1,14 @@
 // Package sched is the scheduler core every engine drives: the worker capacity
 // ledger, the placement index over it, the ready queue, the dispatch pass that
 // allocates at dispatch time and places what fits, and the settle transitions
-// that end an attempt and keep each task's attempt ledger. It is deterministic
-// and does no I/O: for the same sequence of calls it makes the same decisions.
-// It holds tasks, not keys, so nothing is ever looked up: the drivers own
-// time, transport, task storage (a submitted task stays at its address until
-// it is terminal) and the policy calls a transition owes — internal/sim calls
-// it from discrete events, internal/wq under the manager lock from decoded
-// frames, the sequential drivers through Task.RunAlone.
+// that end an attempt, keep each task's attempt ledger and make the Observe or
+// Retry the ending owes. It is deterministic and does no I/O: for the same
+// sequence of calls it makes the same decisions, and it is the only caller of
+// the policy. It holds tasks, not keys, so nothing is ever looked up: the
+// drivers own time, transport and task storage (a submitted task stays at its
+// address until it is terminal) — internal/sim calls it from discrete events,
+// internal/wq under the manager lock from decoded frames, the sequential
+// drivers through Task.RunAlone.
 package sched
 
 import (

@@ -7,11 +7,26 @@ import (
 )
 
 // The settle side of the allocation contract (PAPER.md §II-A): every way an
-// attempt can end is one transition here, returning what the driver must do
-// next. At every step a task is in exactly one of four places: queued, held by
-// one worker, escalating (the driver out asking the policy for a bigger
-// vector), or terminal. The Task methods are the whole lifecycle for a driver
+// attempt can end is one transition here, and the transition makes the policy
+// call it owes — Observe for a success, Retry for an overrun within the limit.
+// At every step a task is in exactly one of three places: queued, held by one
+// worker, or terminal. The Task methods are the whole lifecycle for a driver
 // with no pool and no queue; the Core methods add the release and queue move.
+
+// Settled is what Settle did with a reported attempt.
+type Settled uint8
+
+const (
+	// Stale: the worker did not hold the task, and nothing changed.
+	Stale Settled = iota
+	// Done: the task succeeded and its record has reached policy.Observe.
+	Done
+	// Requeued: the task overran its allocation and holds the escalated
+	// vector policy.Retry returned; Core.Settle put it at the queue's front.
+	Requeued
+	// Abandoned: the retry limit gave up on the task (Task.Failed).
+	Abandoned
+)
 
 // Terminal reports whether the task has succeeded or been abandoned.
 func (t *Task) Terminal() bool { return t.terminal }
@@ -25,37 +40,32 @@ func (t *Task) end(duration float64, status metrics.AttemptStatus) {
 	t.Outcome.Attempts = append(t.Outcome.Attempts, metrics.Attempt{Alloc: t.Alloc, Duration: duration, Status: status})
 }
 
-// Succeeded records the successful attempt and makes the task terminal. It
-// reports whether the driver still owes the policy the task's Observe.
-func (t *Task) Succeeded(duration float64) (observe bool) {
-	t.end(duration, metrics.Success)
-	t.terminal = true
-	return t.ClaimObserve()
+// observe hands the task's record to p.Observe unless it has been already:
+// whoever sees the success first observes it, once. The mark survives a
+// requeue, so a success observed ahead of its settling and then lost to an
+// eviction is not observed again on the re-run.
+func (t *Task) observe(p allocator.Policy) {
+	if !t.observed {
+		t.observed = true
+		p.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
+	}
 }
 
-// ClaimObserve reports whether the task's record has yet to reach
-// policy.Observe and marks it claimed: whoever sees the success first observes
-// it, once. The claim survives a requeue, so a success observed ahead of its
-// settling and then lost to an eviction is not observed again on the re-run.
-func (t *Task) ClaimObserve() bool {
-	owed := !t.observed
-	t.observed = true
-	return owed
-}
-
-// Exhausted records an attempt killed for exceeding its allocation. True
-// means retry: the driver calls policy.Retry with t.Alloc and hands the
-// escalated vector to Retried. False means the retry limit abandoned the task.
-func (t *Task) Exhausted(duration float64, limit int) (retry bool) {
-	t.escalating = t.setback(duration, metrics.Exhausted, limit)
-	return t.escalating
-}
-
-// Evicted records an attempt lost with its worker. The task keeps its
-// allocation — an eviction says nothing about its adequacy — and is to be
-// requeued, unless the retry limit abandoned it (false).
-func (t *Task) Evicted(duration float64, limit int) (requeue bool) {
-	return t.setback(duration, metrics.Evicted, limit)
+// settle ends the attempt in progress: a success closes the ledger and is
+// observed; an overrun (overrun, with the kinds in exceeded) counts against
+// limit and, within it, installs the vector p.Retry escalates t.Alloc to.
+func (t *Task) settle(p allocator.Policy, limit int, duration float64, overrun bool, exceeded []resources.Kind) Settled {
+	if !overrun {
+		t.end(duration, metrics.Success)
+		t.terminal = true
+		t.observe(p)
+		return Done
+	}
+	if !t.setback(duration, metrics.Exhausted, limit) {
+		return Abandoned
+	}
+	t.Alloc = p.Retry(t.Category, t.ID, t.Alloc, exceeded)
+	return Requeued
 }
 
 // setback records an exhausted or evicted attempt and applies the one
@@ -82,17 +92,6 @@ func (t *Task) setback(duration float64, status metrics.AttemptStatus, limit int
 	return false
 }
 
-// Retried installs the escalated vector the policy returned. It reports false
-// and changes nothing when no escalation is owed: the task went terminal while
-// the driver was out calling the policy, or was never exhausted.
-func (t *Task) Retried(next resources.Vector) bool {
-	if !t.escalating || t.terminal {
-		return false
-	}
-	t.escalating, t.Alloc = false, next
-	return true
-}
-
 // RunAlone drives t through its whole lifecycle with no pool and no queue:
 // allocate, attempt, escalate and attempt again on an overrun, until the task
 // succeeds (and is observed) or the limit abandons it. attempt runs one attempt
@@ -102,56 +101,54 @@ func (t *Task) RunAlone(p allocator.Policy, limit int, attempt func(alloc resour
 	t.Alloc, t.HasAlloc = p.Allocate(t.Category, t.ID), true
 	for {
 		duration, exceeded := attempt(t.Alloc)
-		if len(exceeded) == 0 {
-			if t.Succeeded(duration) {
-				p.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
-			}
+		if t.settle(p, limit, duration, len(exceeded) > 0, exceeded) != Requeued {
 			return
 		}
-		if !t.Exhausted(duration, limit) {
-			return
-		}
-		t.Retried(p.Retry(t.Category, t.ID, t.Alloc, exceeded))
 	}
 }
 
-// Settle ends the attempt w reports for t: a success (Task.Succeeded; owed
-// says the Observe is) or, with exceeded, an overrun (Task.Exhausted; owed says
-// a Retry is, and the task is in no queue until Retried). settled is false when
-// the result is stale and changed nothing: w does not hold t — w was evicted,
-// or reported this attempt before.
-func (c *Core) Settle(w *Worker, t *Task, duration float64, exceeded bool) (settled, owed bool) {
+// Settle ends the attempt w reports for t, a success or, with overrun, an
+// overrun of the kinds in exceeded (which may be empty), and makes the policy
+// call the ending owes (Task.settle). A requeued task goes to the front of the
+// ready queue, ahead of what was already waiting. The result is Stale, and
+// nothing changes, when w does not hold t: w was evicted, or reported this
+// attempt before.
+func (c *Core) Settle(w *Worker, t *Task, duration float64, overrun bool, exceeded []resources.Kind) Settled {
 	if !c.Release(w, t) {
-		return false, false
+		return Stale
 	}
-	if exceeded {
-		return true, t.Exhausted(duration, c.RetryLimit)
+	s := t.settle(c.policy, c.RetryLimit, duration, overrun, exceeded)
+	if s == Requeued {
+		c.Ready.PushFront(t)
+		c.held++
 	}
-	return true, t.Succeeded(duration)
+	return s
 }
 
-// Retried installs the escalated vector for t (Task.Retried) and puts it at
-// the front of the ready queue; it does neither when none is owed.
-func (c *Core) Retried(t *Task, next resources.Vector) bool {
-	if !t.Retried(next) {
-		return false
+// ObserveAhead hands the record of a success w reports for t to
+// policy.Observe before the result is settled, so a driver can observe a
+// burst's successes together ahead of the dispatch passes that settling them
+// runs. It does nothing when w does not hold t — the result is stale — or the
+// record has been observed; Settle then observes nothing more.
+func (c *Core) ObserveAhead(w *Worker, t *Task) {
+	if w.Holds(t) {
+		t.observe(c.policy)
 	}
-	c.Ready.PushFront(t)
-	c.held++
-	return true
 }
 
 // Evicted removes w from the ledger at time now and settles every attempt it
-// held (Task.Evicted). The survivors go back to the front of the ready queue
-// as one block in ascending key order, so multi-task evictions replay
-// deterministically; the abandoned do not. It appends the victims to buf in
-// ascending key order — the abandoned among them are Terminal.
+// held as lost (metrics.Evicted). The task keeps its allocation — an eviction
+// says nothing about its adequacy — and the survivors go back to the front of
+// the ready queue as one block in ascending key order, so multi-task evictions
+// replay deterministically; the tasks the retry limit abandons do not. It
+// appends the victims to buf in ascending key order — the abandoned among
+// them are Terminal.
 func (c *Core) Evicted(w *Worker, now float64, buf []*Task) []*Task {
 	base := len(buf)
 	buf = c.Evict(w, buf)
 	c.requeue = c.requeue[:0]
 	for _, t := range buf[base:] {
-		if t.Evicted(now-t.Started, c.RetryLimit) {
+		if t.setback(now-t.Started, metrics.Evicted, c.RetryLimit) {
 			c.requeue = append(c.requeue, t)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // for the tasks a driver has registered with it (key -> task) and the number
 // of times the pass has started each:
 //
-//   - every live task is in exactly one place: once in the ready queue, held
-//     by exactly one worker, escalating, or terminal;
+//   - every task is in exactly one place: once in the ready queue, held by
+//     exactly one worker, or terminal;
 //   - the queue and the workers hold only registered tasks, none terminal;
 //   - the back-pointers agree with the rows: a task in w's row at index i has
 //     worker w and at i, and a task with no worker is in no row;
@@ -71,15 +71,12 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 			return fmt.Errorf("task %d points at a worker %v, is in %d rows", key, t.worker != nil, held[key])
 		}
 		places := queued[key] + held[key]
-		if t.escalating {
-			places++
-		}
 		if t.terminal {
 			places++
 		}
 		if places != 1 {
-			return fmt.Errorf("task %d is in %d places (queued %d, held by %d, escalating %v, terminal %v), want exactly one",
-				key, places, queued[key], held[key], t.escalating, t.terminal)
+			return fmt.Errorf("task %d is in %d places (queued %d, held by %d, terminal %v), want exactly one",
+				key, places, queued[key], held[key], t.terminal)
 		}
 		ended, closed := len(t.Outcome.Attempts), false
 		if n := len(t.Outcome.Attempts); n > 0 {
@@ -227,43 +224,17 @@ func (w *world) dispatch() {
 	w.check("dispatch")
 }
 
+// settledNames spells a Settled for test messages.
+var settledNames = [...]string{Stale: "stale", Done: "done", Requeued: "requeued", Abandoned: "abandoned"}
+
 // settle reports the end of key's attempt on worker id and checks what the
-// transition says the driver owes: "stale", "observe", "observed" (a success
-// with no Observe owed), "retry" or "abandoned".
-func (w *world) settle(id, key int, exceeded bool, want string) {
+// transition did: "stale", "done", "requeued" or "abandoned".
+func (w *world) settle(id, key int, overrun bool, want string) {
 	w.t.Helper()
-	settled, owed := w.c.Settle(w.workers[id], w.tasks[key], 1, exceeded)
-	var got string
-	switch {
-	case !settled:
-		got = "stale"
-	case exceeded && owed:
-		got = "retry"
-	case exceeded:
-		got = "abandoned"
-	case owed:
-		got = "observe"
-	default:
-		got = "observed"
-	}
-	if got != want {
-		w.t.Fatalf("Settle(worker %d, key %d, exceeded %v) says %s, want %s", id, key, exceeded, got, want)
+	if got := settledNames[w.c.Settle(w.workers[id], w.tasks[key], 1, overrun, nil)]; got != want {
+		w.t.Fatalf("Settle(worker %d, key %d, overrun %v) = %s, want %s", id, key, overrun, got, want)
 	}
 	w.check(fmt.Sprintf("settle(%d, %d)", id, key))
-}
-
-// escalate plays the driver's half of a retry: ask the policy, report back.
-func (w *world) escalate(key int, want bool) {
-	w.t.Helper()
-	task := w.tasks[key]
-	next := w.pol.Retry(task.Category, task.ID, task.Alloc, nil)
-	if got := w.c.Retried(task, next); got != want {
-		w.t.Fatalf("Retried(%d) = %v, want %v", key, got, want)
-	}
-	if want && task.Alloc != next {
-		w.t.Fatalf("Retried(%d) left alloc %v, want %v", key, task.Alloc, next)
-	}
-	w.check(fmt.Sprintf("retried(%d)", key))
 }
 
 func (w *world) evict(id int, wantVictims ...int) {
@@ -275,55 +246,50 @@ func (w *world) evict(id int, wantVictims ...int) {
 }
 
 // TestSettleTransitions drives every way an attempt can end through the core
-// and checks, per scenario, what each transition told the driver, the final
-// ledgers, the ready queue and the policy calls; checkInvariants runs after
-// every step.
+// and checks, per scenario, what each transition did, the final ledgers, the
+// ready queue and the policy calls; checkInvariants runs after every step.
 func TestSettleTransitions(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		limit   int
-		cores   []float64
-		keys    []int
-		run     func(w *world)
-		ledgers map[int]string
-		queue   string
-		retries int
+		name     string
+		limit    int
+		cores    []float64
+		keys     []int
+		run      func(w *world)
+		ledgers  map[int]string
+		queue    string
+		retries  int
+		observes int
 	}{
 		{
 			name:  "a success closes the ledger and owes one Observe",
 			cores: []float64{1}, keys: []int{1},
 			run: func(w *world) {
 				w.dispatch()
-				w.settle(0, 1, false, "observe")
+				w.settle(0, 1, false, "done")
 			},
-			ledgers: map[int]string{1: "S"},
-			queue:   "[]",
+			ledgers:  map[int]string{1: "S"},
+			queue:    "[]",
+			observes: 1,
 		},
 		{
-			// Between Settle and Retried the task is in no queue and on no
-			// worker; Retried puts it ahead of what was already waiting.
 			name:  "an overrun within the limit escalates and jumps the queue",
 			cores: []float64{1}, keys: []int{1, 2},
 			run: func(w *world) {
 				w.dispatch()
-				w.settle(0, 1, true, "retry")
-				if got := fmt.Sprint(queueContents(&w.c.Ready)); got != "[2]" {
-					w.t.Fatalf("queue while escalating = %s, want [2]", got)
-				}
-				w.escalate(1, true)
+				w.settle(0, 1, true, "requeued")
 				if got := fmt.Sprint(queueContents(&w.c.Ready)); got != "[1 2]" {
-					w.t.Fatalf("queue after Retried = %s, want [1 2]", got)
+					w.t.Fatalf("queue after the overrun = %s, want [1 2]", got)
 				}
-				w.escalate(1, false) // nothing is owed twice
 				w.dispatch()
 				if task := w.tasks[1]; !w.workers[0].Holds(task) || task.Alloc.Get(resources.Memory) != 200 {
 					w.t.Fatalf("retry placed with %v MB, want the escalated 200", task.Alloc.Get(resources.Memory))
 				}
-				w.settle(0, 1, false, "observe")
+				w.settle(0, 1, false, "done")
 			},
-			ledgers: map[int]string{1: "XS", 2: ""},
-			queue:   "[2]",
-			retries: 2,
+			ledgers:  map[int]string{1: "XS", 2: ""},
+			queue:    "[2]",
+			retries:  1,
+			observes: 1,
 		},
 		{
 			name:  "more setbacks than the limit abandon the task",
@@ -331,16 +297,14 @@ func TestSettleTransitions(t *testing.T) {
 			run: func(w *world) {
 				for i := 0; i < 2; i++ {
 					w.dispatch()
-					w.settle(0, 1, true, "retry")
-					w.escalate(1, true)
+					w.settle(0, 1, true, "requeued")
 				}
 				w.dispatch()
 				w.settle(0, 1, true, "abandoned")
-				w.escalate(1, false) // the policy answered too late: a no-op
 			},
 			ledgers: map[int]string{1: "XXXF"},
 			queue:   "[]",
-			retries: 3,
+			retries: 2,
 		},
 		{
 			name:  "a stale result from a former owner releases nothing and appends nothing",
@@ -354,29 +318,34 @@ func TestSettleTransitions(t *testing.T) {
 				}
 				w.settle(0, 1, true, "stale")
 				w.settle(0, 1, false, "stale")
-				if !w.workers[1].Holds(w.tasks[1]) || ledger(w.tasks[1]) != "E" {
-					w.t.Fatalf("stale results changed the task: ledger %s", ledger(w.tasks[1]))
+				w.c.ObserveAhead(w.workers[0], w.tasks[1])
+				if !w.workers[1].Holds(w.tasks[1]) || ledger(w.tasks[1]) != "E" || w.pol.observes != 0 {
+					w.t.Fatalf("stale results changed the task: ledger %s, %d observes", ledger(w.tasks[1]), w.pol.observes)
 				}
-				w.settle(1, 1, false, "observe")
+				w.settle(1, 1, false, "done")
 				w.settle(1, 1, false, "stale") // a duplicate from the owner
 			},
-			ledgers: map[int]string{1: "ES"},
-			queue:   "[]",
+			ledgers:  map[int]string{1: "ES"},
+			queue:    "[]",
+			observes: 1,
 		},
 		{
 			name:  "a success observed early and lost to an eviction owes no second Observe",
 			cores: []float64{1, 1}, keys: []int{1},
 			run: func(w *world) {
 				w.dispatch()
-				if !w.tasks[1].ClaimObserve() {
-					w.t.Fatal("the first claim must be owed")
+				w.c.ObserveAhead(w.workers[0], w.tasks[1])
+				w.c.ObserveAhead(w.workers[0], w.tasks[1])
+				if w.pol.observes != 1 {
+					w.t.Fatalf("%d observes ahead, want 1", w.pol.observes)
 				}
 				w.evict(0, 1)
 				w.dispatch()
-				w.settle(1, 1, false, "observed")
+				w.settle(1, 1, false, "done")
 			},
-			ledgers: map[int]string{1: "ES"},
-			queue:   "[]",
+			ledgers:  map[int]string{1: "ES"},
+			queue:    "[]",
+			observes: 1,
 		},
 		{
 			// Keys are placed unsorted; 3 and 11 already lost an attempt, so
@@ -415,44 +384,34 @@ func TestSettleTransitions(t *testing.T) {
 			if got := fmt.Sprint(queueContents(&w.c.Ready)); got != tc.queue {
 				t.Errorf("ready queue %s, want %s", got, tc.queue)
 			}
-			if w.pol.retries != tc.retries {
-				t.Errorf("policy.Retry called %d times, want %d", w.pol.retries, tc.retries)
+			if w.pol.retries != tc.retries || w.pol.observes != tc.observes {
+				t.Errorf("policy.Retry called %d times and Observe %d, want %d and %d",
+					w.pol.retries, w.pol.observes, tc.retries, tc.observes)
 			}
 		})
 	}
 }
 
 // TestTaskTransitions covers the task-level lifecycle a driver with no pool
-// and no queue uses: the limit rule's count, Retried's guards, and RunAlone.
+// and no queue uses: the limit rule's count and RunAlone.
 func TestTaskTransitions(t *testing.T) {
 	t.Run("setbacks are exhausted plus evicted attempts; zero is unbounded", func(t *testing.T) {
+		var pol lifecyclePolicy
 		task := NewTask(1, "c", resources.Vector{}, 0, 0)
 		for i := 0; i < 100; i++ {
-			if !task.Exhausted(1, 0) || !task.Retried(task.Alloc) || !task.Evicted(1, 0) {
+			if task.settle(&pol, 0, 1, true, nil) != Requeued || !task.setback(1, metrics.Evicted, 0) {
 				t.Fatalf("unbounded task abandoned after %s", ledger(&task))
 			}
 		}
 		task = NewTask(2, "c", resources.Vector{}, 0, 0)
-		if !task.Evicted(1, 3) || !task.Exhausted(1, 3) || !task.Retried(task.Alloc) || !task.Evicted(1, 3) {
+		if !task.setback(1, metrics.Evicted, 3) || task.settle(&pol, 3, 1, true, nil) != Requeued || !task.setback(1, metrics.Evicted, 3) {
 			t.Fatalf("abandoned within the limit: %s", ledger(&task))
 		}
-		if task.Exhausted(1, 3) || !task.Terminal() || !task.Failed() || ledger(&task) != "EXEXF" {
+		if task.settle(&pol, 3, 1, true, nil) != Abandoned || !task.Terminal() || !task.Failed() || ledger(&task) != "EXEXF" {
 			t.Fatalf("fourth setback under limit 3: terminal %v, failed %v, ledger %s", task.Terminal(), task.Failed(), ledger(&task))
 		}
-	})
-	t.Run("Retried is a no-op unless an escalation is owed", func(t *testing.T) {
-		bigger := resources.New(2, 2, 2, 2)
-		task := NewTask(1, "c", resources.Vector{}, 0, 0)
-		if task.Retried(bigger) {
-			t.Error("a task never exhausted accepted an escalation")
-		}
-		// Exhausted, then abandoned (here: by an eviction) before the policy
-		// call returned.
-		if !task.Exhausted(1, 1) || task.Evicted(1, 1) {
-			t.Fatalf("setup: ledger %s", ledger(&task))
-		}
-		if task.Retried(bigger) || !task.Alloc.IsZero() {
-			t.Errorf("a terminal task accepted an escalation: alloc %v", task.Alloc)
+		if pol.retries != 101 || pol.observes != 0 {
+			t.Errorf("%d retries and %d observes, want 101 and 0", pol.retries, pol.observes)
 		}
 	})
 	t.Run("RunAlone", func(t *testing.T) {

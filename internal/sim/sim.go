@@ -66,8 +66,6 @@ type Config struct {
 	// MaxAttempts is the retry limit: a task evicted or exhausted more than
 	// MaxAttempts times fails the run. Zero means DefaultMaxAttempts.
 	MaxAttempts int
-	// IncludeEvictions charges eviction-lost allocations to the AWE metric.
-	IncludeEvictions bool
 	// OnOutcome, when non-nil, streams each finalized task outcome (in task
 	// index order) instead of retaining it: Result.Outcomes stays nil. The
 	// pointed-to outcome is owned by the simulator and recycled after the
@@ -216,7 +214,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	s := &simulator{cfg: cfg, src: src}
 	s.window = src.SubmitWindow()
 	s.retain = cfg.OnOutcome == nil && !cfg.DiscardOutcomes
-	s.acc.IncludeEvictions = cfg.IncludeEvictions
 	s.released = unreleased
 	if b := src.NextBarrier(0); b >= 0 {
 		s.released = b
@@ -429,21 +426,14 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 	// The end event is cancelled on eviction, so the worker is always alive
 	// (and registered) and still holds the task when it fires.
 	st := s.store.get(idx)
-	exceeded := len(st.exceeded) > 0
-	_, owed := s.sched.Settle(s.byID[workerID], &st.Task, duration, exceeded)
-	switch {
-	case !exceeded:
+	switch s.sched.Settle(s.byID[workerID], &st.Task, duration, len(st.exceeded) > 0, st.exceeded) {
+	case sched.Done:
 		st.Outcome.DoneTime = s.engine.Now()
 		s.completed++
 		s.makespan = s.engine.Now()
-		if owed {
-			s.cfg.Policy.Observe(st.Category, st.ID, st.Outcome.Peak, st.Outcome.Runtime)
-		}
 		s.advanceBarrier(idx)
 		s.emit()
-	case owed:
-		s.sched.Retried(&st.Task, s.cfg.Policy.Retry(st.Category, st.ID, st.Alloc, st.exceeded))
-	default:
+	case sched.Abandoned:
 		s.failAbandoned(st)
 	}
 	s.dispatch()

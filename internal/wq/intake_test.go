@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -137,17 +138,12 @@ func waitIntake(t *testing.T, m *Manager, staged int64) {
 }
 
 // eventPolicy is a fixed-allocation policy that logs every lifecycle call in
-// order. When gate is set, Observe announces itself on entered and then waits
-// for gate to close, which lets a test act between the drainer's early
-// Observe and its settle loop.
+// order.
 type eventPolicy struct {
 	alloc resources.Vector
 
 	mu     sync.Mutex
 	events []string // "O<id>", "A<id>", "R<id>"
-
-	gate    chan struct{}
-	entered chan int
 }
 
 func (p *eventPolicy) log(kind string, id int) {
@@ -174,10 +170,6 @@ func (p *eventPolicy) Retry(_ string, id int, _ resources.Vector, _ []resources.
 
 func (p *eventPolicy) Observe(_ string, id int, _ resources.Vector, _ float64) {
 	p.log("O", id)
-	if p.gate != nil {
-		p.entered <- id
-		<-p.gate
-	}
 }
 
 func (p *eventPolicy) Name() string { return "event" }
@@ -350,52 +342,53 @@ func TestBurstDispatchesLikeSingleResults(t *testing.T) {
 	}
 }
 
-// TestEvictionBetweenEarlyObserveAndSettle holds the drainer inside its early
-// Observe, evicts the worker whose success it has just admitted, and lets go:
-// the settle loop must drop the now-stale success, the task must re-run on
-// the other worker, and its record must reach the policy exactly once.
-func TestEvictionBetweenEarlyObserveAndSettle(t *testing.T) {
-	pol := &eventPolicy{
-		alloc:   resources.New(1, 1000, 1000, resources.Unlimited),
-		gate:    make(chan struct{}),
-		entered: make(chan int, 1),
-	}
+// TestStagedSuccessEvictedBeforeKick stages a success through the worker's
+// session as its reader would, evicts the worker before any kick takes the
+// intake in, and then kicks: the drainer must drop the now-stale success, the
+// task must re-run on the other worker, and its record must reach the policy
+// exactly once, from the re-run.
+func TestStagedSuccessEvictedBeforeKick(t *testing.T) {
+	pol := &eventPolicy{alloc: resources.New(1, 1000, 1000, resources.Unlimited)}
 	m := NewManager(pol)
 	one := resources.New(1, 1000, 1000, resources.Unlimited)
-	first := joinPipeWorker(t, m, one)
-	second := joinPipeWorker(t, m, one)
-	outcome := m.Submit(burstTask)
-	task := first.take(1)[0]
-
-	// net.Pipe's Write returns once the manager's reader has the bytes; the
-	// reader then becomes the drainer and blocks in Observe.
-	first.write(successes(task.TaskID)...)
-	if id := <-pol.entered; id != task.TaskID {
-		t.Fatalf("early Observe of task %d, want %d", id, task.TaskID)
-	}
 	m.mu.Lock()
-	doomed := m.workers[0]
+	first, second := stageWorker(m, one), stageWorker(m, one)
 	m.mu.Unlock()
-	m.evict(doomed)
-	rerun := second.take(1)[0]
-	if rerun.TaskID != task.TaskID {
-		t.Fatalf("task %d re-dispatched, want %d", rerun.TaskID, task.TaskID)
+	outcome := m.Submit(burstTask)
+	m.mu.Lock()
+	ids := heldIDs(m, first)
+	m.mu.Unlock()
+	if len(ids) != 1 {
+		t.Fatalf("worker 0 holds %v, want the one task", ids)
 	}
-	close(pol.gate)
-	waitIntake(t, m, 1)
-	if s := m.Stats(); s.StaleResults != 1 || s.Successes != 0 {
-		t.Fatalf("after the eviction: stale=%d successes=%d, want 1 and 0", s.StaleResults, s.Successes)
+	id := ids[0]
+
+	frame := encodeFrames(t, successes(id)...) // u32 payload length | u8 type | payload
+	if err := first.Frame(frame[4], frame[5:]); err != nil {
+		t.Fatal(err)
+	}
+	m.evict(first)
+	m.mu.Lock()
+	rerun := heldIDs(m, second)
+	m.mu.Unlock()
+	if !slices.Equal(rerun, []int{id}) {
+		t.Fatalf("worker 1 holds %v after the eviction, want [%d]", rerun, id)
+	}
+	m.kickIntake()
+	if s := m.Stats(); s.StaleResults != 1 || s.Successes != 0 || s.ResultsStaged != 1 {
+		t.Fatalf("after the kick: stale=%d successes=%d staged=%d, want 1, 0, 1", s.StaleResults, s.Successes, s.ResultsStaged)
+	}
+	if got := pol.snapshot(); slices.Contains(got, fmt.Sprintf("O%d", id)) {
+		t.Fatalf("the stale success was observed: %v", got)
 	}
 
-	second.write(successes(rerun.TaskID)...)
+	m.handleResult(second, *successes(id)[0])
 	var got metrics.TaskOutcome
 	select {
 	case got = <-outcome:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the re-run never completed")
+	default:
+		t.Fatal("the re-run's success delivered no outcome")
 	}
-	waitIntake(t, m, 2)
-
 	if len(got.Attempts) != 2 || got.Attempts[0].Status != metrics.Evicted || got.Attempts[1].Status != metrics.Success {
 		t.Errorf("attempts = %+v, want Evicted then Success", got.Attempts)
 	}

@@ -36,7 +36,6 @@ var ErrManagerClosed = errors.New("wq: manager closed")
 // WithRetryLimit); and Close drains in-flight work before waking blocked
 // RunWorkflow callers with ErrManagerClosed.
 type Manager struct {
-	policy allocator.Policy
 	// start anchors the manager's trace clock: task submit/done times are
 	// recorded as wall-clock seconds since it, the live analogue of the
 	// simulators' virtual clock.
@@ -79,9 +78,10 @@ type Manager struct {
 	// (guarded by intakeMu, deliberately separate from mu): readers never
 	// contend on the manager lock just to hand a result over. A reader stages
 	// every result frame of one socket read and then kicks; whichever kick
-	// finds the intake idle drains the whole backlog in batches — the batch's
-	// successes observed first, then one settle and dispatch pass per result,
-	// one flushPending per batch — while later readers stage and move on.
+	// finds the intake idle drains the whole backlog in batches — under one
+	// hold of mu, the batch's successes observed first, then one settle and
+	// dispatch pass per result; one flushPending per batch — while later
+	// readers stage and move on.
 	intakeMu    sync.Mutex
 	intake      []stagedResult
 	intakeSpare []stagedResult
@@ -178,7 +178,6 @@ func WithTracer(t Tracer) Option {
 // NewManager creates a manager around an allocation policy.
 func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 	m := &Manager{
-		policy:       policy,
 		start:        time.Now(),
 		workers:      make(map[int]*managedWorker),
 		tasks:        make(map[int]*taskState),
@@ -358,7 +357,7 @@ func (m *Manager) evict(w *managedWorker) {
 }
 
 // retireLocked closes the books on a task that just went terminal and returns
-// the channel its outcome is owed to, if any. A Submit-ted task's state is
+// the channel its outcome is delivered on, if any. A Submit-ted task's state is
 // dropped, so the task map stays bounded by live work.
 func (m *Manager) retireLocked(st *taskState) chan metrics.TaskOutcome {
 	st.Outcome.DoneTime = m.sinceStart()
@@ -395,6 +394,15 @@ func (m *Manager) kickIntake() {
 // delivering the dispatches each batch produced with one coalesced flush.
 // Exactly one drainer runs at a time (the caller has set intakeBusy), so the
 // two staging slices can ping-pong without copying.
+//
+// Each batch is taken in under one hold of m.mu. Its successes reach
+// policy.Observe first (sched.Core.ObserveAhead), so the lazy bucketing state
+// sees the k records of a burst in a row and the dispatch passes that follow
+// pay one recompute per resource kind, not k (the paper's §V-C batching rule).
+// Only the records move forward: each result then frees its own capacity right
+// before its own pass, in arrival order, so placement sees what it saw before.
+// Nothing else takes m.mu meanwhile, so no eviction can land between a
+// success's early Observe and its settle.
 func (m *Manager) drainIntake() {
 	for {
 		m.intakeMu.Lock()
@@ -409,99 +417,61 @@ func (m *Manager) drainIntake() {
 		m.intakeMu.Unlock()
 		m.resultBatches.Add(1)
 		m.resultsStaged.Add(int64(len(batch)))
-		m.observeBatch(batch)
+		m.mu.Lock()
 		for i := range batch {
-			m.processResult(batch[i].w, batch[i].res)
+			r := &batch[i]
+			if st := m.tasks[r.res.TaskID]; r.res.Status == StatusSuccess && st != nil {
+				m.sched.ObserveAhead(r.w.Worker, &st.Task)
+			}
 		}
+		for i := range batch {
+			m.settleLocked(batch[i].w, batch[i].res)
+		}
+		m.mu.Unlock()
 		m.flushPending()
 	}
 }
 
-// observeBatch hands every success of the batch that processResult will
-// honour to policy.Observe before the first result is settled, so the lazy
-// bucketing state sees the k records of a burst in a row and the dispatch
-// passes that follow pay one recompute per resource kind, not k (the paper's
-// §V-C batching rule). Only the records move forward: each result still
-// frees its own capacity right before its own pass, so placement sees what
-// it saw before. The admission test is Settle's own (the worker holds the
-// task), under m.mu; the Observe calls run outside the lock, as they always have.
-func (m *Manager) observeBatch(batch []stagedResult) {
-	var buf [32]*sched.Task // a larger burst spills to the heap
-	early := buf[:0]
-	m.mu.Lock()
-	for i := range batch {
-		r := &batch[i]
-		if st := m.tasks[r.res.TaskID]; r.res.Status == StatusSuccess && st != nil && r.w.Holds(&st.Task) {
-			if st.ClaimObserve() {
-				early = append(early, &st.Task)
-			}
-		}
-	}
-	m.mu.Unlock()
-	for _, t := range early {
-		m.policy.Observe(t.Category, t.ID, t.Outcome.Peak, t.Outcome.Runtime)
-	}
-}
-
-// processResult applies one result frame: the scheduler core settles it
-// (sched.Core.Settle) and the manager does what the transition says is owed —
-// Observe a success unless the drainer's early loop already has, ask the policy
-// for the escalated vector, or deliver the outcome — and stages follow-on
-// dispatches (delivered later by the caller's flushPending).
-func (m *Manager) processResult(w *managedWorker, res Message) {
-	m.mu.Lock()
-	success := res.Status == StatusSuccess
+// settleLocked applies one result frame: the scheduler core settles it
+// (sched.Core.Settle), which observes a success or escalates an overrun, and
+// the manager counts, traces and delivers what the transition did, then runs
+// a dispatch pass whose frames the caller's flushPending delivers. Callers
+// hold m.mu.
+func (m *Manager) settleLocked(w *managedWorker, res Message) {
+	settled := sched.Stale
 	st := m.tasks[res.TaskID]
-	settled, owed := false, false
 	if st != nil {
-		settled, owed = m.sched.Settle(w.Worker, &st.Task, res.Duration, !success)
+		settled = m.sched.Settle(w.Worker, &st.Task, res.Duration, res.Status != StatusSuccess, res.Exceeded.AppendKinds(nil))
 	}
-	if !settled {
-		// Stale, and dropped: honouring it would append a phantom attempt and
-		// requeue a task that may already be running elsewhere.
+	if settled == sched.Stale {
+		// Dropped: honouring it would append a phantom attempt and requeue a
+		// task that may already be running elsewhere.
 		m.stats.StaleResults++
 		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status.String()})
-		m.mu.Unlock()
 		return
 	}
 	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID(), Status: res.Status.String()})
 	w.stats.BusySeconds += res.Duration
-	if !success {
+	if settled != sched.Done {
 		m.stats.Exhaustions++
 		w.stats.Exhaustions++
 	}
-	switch {
-	case success:
+	switch settled {
+	case sched.Done:
 		m.stats.Successes++
 		w.stats.Successes++
-		notify := m.retireLocked(st)
-		outcome := st.Outcome
-		m.mu.Unlock()
-		// Observe outside the lock: the policy has its own lock and the
-		// bucketing recomputation can be slow.
-		if owed {
-			m.policy.Observe(st.Category, st.ID, outcome.Peak, outcome.Runtime)
+		if notify := m.retireLocked(st); notify != nil {
+			notify <- st.Outcome // buffered; at most one terminal send per task
 		}
-		if notify != nil {
-			notify <- outcome
-		}
-		m.mu.Lock()
-	case owed:
-		prev := st.Alloc
-		m.mu.Unlock()
-		next := m.policy.Retry(st.Category, st.ID, prev, res.Exceeded.AppendKinds(nil))
-		m.mu.Lock()
-		if m.sched.Retried(&st.Task, next) {
-			m.notePeakQueueLocked()
-			m.stats.Requeues++
-			m.traceLocked(Event{Type: EventRequeue, TaskID: res.TaskID, WorkerID: -1})
-		}
-	default:
+	case sched.Requeued:
+		m.notePeakQueueLocked()
+		m.stats.Requeues++
+		m.traceLocked(Event{Type: EventRequeue, TaskID: res.TaskID, WorkerID: -1})
+	case sched.Abandoned:
 		m.abandonLocked(st)
 	}
 	m.dispatchLocked()
 	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // dispatchLocked runs one scheduler pass: queued tasks are allocated and

@@ -40,7 +40,9 @@ func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
 // handleResult ingests one result synchronously, outside the intake: settle
 // it, then deliver any dispatches it unlocked.
 func (m *Manager) handleResult(w *managedWorker, res Message) {
-	m.processResult(w, res)
+	m.mu.Lock()
+	m.settleLocked(w, res)
+	m.mu.Unlock()
 	m.flushPending()
 }
 
