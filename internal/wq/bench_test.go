@@ -268,8 +268,8 @@ func greedyBurstLoad(tb testing.TB) (func(n int), *allocator.Allocator) {
 // standing queue. recomputes/op is the bucketing recomputes (all kinds) per
 // completed task: 3 when every Observe is followed by a pass, 3/k when the
 // manager observes a burst of k before the first of its passes. The bursts
-// are the worker's doing: executors that finish together share one write
-// (send's group commit), which the manager's reader takes in as one read.
+// are the worker's doing: it answers the tasks one read brought in with one
+// write of their results, which the manager's reader takes in as one read.
 func BenchmarkWQGreedyBurst(b *testing.B) {
 	drive, pol := greedyBurstLoad(b)
 	benchLoad(b, drive)
@@ -353,8 +353,10 @@ func BenchmarkWQRunWorkflow(b *testing.B) {
 
 // TestRoundTripAllocCeilings holds every BenchmarkWQ* load to a ceiling on
 // the allocations of one round trip, counted over 2000 of them after as many
-// to warm up. A steady-state round trip costs 3 (outcome channel, task
-// state, and reader/executor handoff); up to 0.45 more is driver goroutine
+// to warm up. A steady-state round trip costs 3: the outcome channel,
+// make(chan metrics.TaskOutcome, 1), is two (the channel and its buffer,
+// since the element holds pointers), and the task state is the third; the
+// worker side allocates nothing. Up to 0.45 more is driver goroutine
 // spin-up, most of it at 64 workers. Past the ceiling the frame hot path
 // started allocating again.
 func TestRoundTripAllocCeilings(t *testing.T) {

@@ -160,47 +160,30 @@ func TestCoalesceFramesStagedDuringWriteGoOut(t *testing.T) {
 }
 
 // TestCoalesceResultsOfOneReadShareWrites plays the manager to a real worker:
-// k task frames arrive in one write, the executors that run them finish in
-// the same scheduling round, and their results come back in fewer writes
-// than frames — carrying the task ID and the verdict, not the task.
+// k task frames arrive in one write, and the reader settles all k attempts,
+// which take no wall time, before it goes back to the socket, which is when
+// it wakes the connection's writer. So on any number of Ps the k results come
+// back in one write, carrying the task ID and the verdict, not the task.
 func TestCoalesceResultsOfOneReadShareWrites(t *testing.T) {
-	onOneP(t)
 	const k = 16
-	mgrSide, wkrSide := loopPipe()
-	log := &writeLog{Conn: wkrSide}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- runWorkerConn(ctx, log, WorkerConfig{TimeScale: 1e-12}) }()
-
-	mr := newMsgReader(mgrSide)
-	var msg Message
-	if err := mr.next(&msg); err != nil || msg.Type != MsgRegister {
-		t.Fatalf("first frame = %+v, %v; want the registration", msg, err)
-	}
-	burst := make([]*Message, k)
-	for i := range burst {
-		burst[i] = &Message{Type: MsgTask, TaskID: i + 1, Category: "burst",
-			Alloc: resources.New(1, 1000, 1000, 100), Peak: resources.New(1, 500, 500, 10), Runtime: 10}
-	}
-	writeFrames(t, mgrSide, burst...)
-	seen := map[int]bool{}
-	for i := 0; i < k; i++ {
-		if err := mr.next(&msg); err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		want := Message{Type: MsgResult, TaskID: msg.TaskID, Status: StatusSuccess, Duration: 10}
-		if msg != want || seen[msg.TaskID] {
-			t.Errorf("result %d = %+v, want %+v once", i, msg, want)
-		}
-		seen[msg.TaskID] = true
-	}
-	writeFrames(t, mgrSide, &Message{Type: MsgShutdown})
-	if err := <-done; err != nil {
-		t.Fatalf("worker exit: %v", err)
-	}
-	if writes := log.frames(t, MsgResult); sum(writes) != k || len(writes) >= k/2 {
-		t.Errorf("result frames per write = %v, want %d results in far fewer writes", writes, k)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			mgrSide, wkrSide := loopPipe()
+			log := &writeLog{Conn: wkrSide}
+			mr, done := startWorker(t, context.Background(), log, mgrSide, WorkerConfig{TimeScale: 1e-12})
+			writeFrames(t, mgrSide, taskFrames(k)...)
+			readReplies(t, mr, k, 0)
+			writeFrames(t, mgrSide, &Message{Type: MsgShutdown})
+			if err := <-done; err != nil {
+				t.Fatalf("worker exit: %v", err)
+			}
+			writes := log.frames(t, MsgResult)
+			if sum(writes) != k || len(writes) != 1 {
+				t.Errorf("result frames per write = %v, want all %d in one write", writes, k)
+			}
+		})
 	}
 }
 

@@ -145,7 +145,7 @@ func (mr msgReader) decode(typ byte, p []byte, m *Message) error {
 }
 
 // send encodes m into out's write buffer and, with commit, group-commits it
-// (wire.Writer.FlushAfterYield), as every single frame is; the manager's
+// (wire.Writer.FlushAfterYield), as the manager's ping is; the manager's
 // dispatch delivery queues a batch and flushes each worker once.
 func send(out *wire.Writer, m *Message, commit bool) error {
 	out.Lock()

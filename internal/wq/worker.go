@@ -39,9 +39,11 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // RunWorker connects to the manager at addr, registers, and executes tasks
 // until the manager shuts it down, the connection drops, or ctx is
 // cancelled. A manager whose first bytes are not a frame of this protocol
-// gets wire.ErrProtocolMismatch. Tasks run concurrently; the manager is
+// gets wire.ErrProtocolMismatch. Attempts run concurrently; the manager is
 // responsible for not over-committing the advertised capacity (as in Work
-// Queue).
+// Queue). When the manager shuts it down, the results of the instant attempts
+// its last frames started are written before the worker hangs up; attempts
+// still sleeping are abandoned to the manager's requeue.
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -51,18 +53,25 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	return runWorkerConn(ctx, conn, cfg)
 }
 
-// workerConn is one worker-side connection: its reused frame writer and the
-// pool of executor goroutines running its tasks. Executors are spawned on
-// demand (when a task arrives and none is idle) and reused for the life of
-// the connection, so steady-state task spawning costs a channel handoff
-// rather than a goroutine launch.
+// workerConn is one worker-side connection. Its reader goroutine decodes the
+// manager's frames and settles every attempt whose scaled wall time is zero
+// where it stands; a timed attempt sleeps on a goroutine of its own. None of
+// them writes to the socket: results and pongs are encoded onto the stage,
+// and the connection's one writer goroutine puts the stage on the wire, each
+// write armed with wire.WriteTimeout. The reader wakes the writer when it is
+// about to block on the socket, so the results of every frame one read
+// brought in share one write; a timed result or a pong wakes it at once. A
+// write stuck on a peer that stopped reading never stops the reader.
 type workerConn struct {
-	ctx    context.Context
-	cfg    WorkerConfig
-	conn   net.Conn
-	out    *wire.Writer
-	taskCh chan Message
-	wg     sync.WaitGroup
+	ctx   context.Context
+	cfg   WorkerConfig
+	conn  net.Conn
+	wake  chan struct{}  // capacity 1: the stage has frames for the writer
+	timed sync.WaitGroup // timed attempts not yet reported
+
+	mu    sync.Mutex
+	stage []byte // encoded frames the writer has yet to take
+	werr  error  // the failed write that closed conn
 }
 
 // runWorkerConn speaks the worker side of the protocol over an established
@@ -72,24 +81,41 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	wc := &workerConn{
-		ctx: ctx, cfg: cfg.withDefaults(), conn: conn,
-		out: wire.NewWriter(conn), taskCh: make(chan Message),
-	}
-	if err := send(wc.out, &Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}, true); err != nil {
+	wc := &workerConn{cfg: cfg.withDefaults(), conn: conn, wake: make(chan struct{}, 1)}
+	if err := wc.put(&Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}, true); err != nil {
 		return fmt.Errorf("wq: worker register: %w", err)
 	}
+	var endAttempts context.CancelFunc
+	wc.ctx, endAttempts = context.WithCancel(ctx)
+	written := make(chan struct{})
+	go wc.writer(written)
+	// On return (shutdown, hangup, error or cancel) the timed attempts end
+	// unreported, then the writer writes what is staged, then the
+	// connection closes.
+	defer func() {
+		endAttempts()
+		wc.timed.Wait()
+		close(wc.wake)
+		<-written
+	}()
 
-	// On return: stop the executors, then wait for in-flight tasks to report
-	// (the connection stays open until the outermost defer).
-	defer wc.wg.Wait()
-	defer close(wc.taskCh)
 	mr := newMsgReader(conn)
 	var m Message
+	staged := false // results staged since the writer was last woken
 	for first := true; ; first = false {
+		if staged && !mr.fr.Buffered() {
+			wc.kick()
+			staged = false
+		}
 		if err := mr.next(&m); err != nil {
-			if ctx.Err() != nil || err == io.EOF {
-				// Cancelled, or the manager hung up cleanly.
+			if ctx.Err() != nil {
+				return nil
+			}
+			if werr := wc.writeErr(); werr != nil {
+				return fmt.Errorf("wq: worker write: %w", werr)
+			}
+			if err == io.EOF {
+				// The manager hung up cleanly.
 				return nil
 			}
 			if first {
@@ -103,22 +129,20 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 		}
 		switch m.Type {
 		case MsgTask:
-			// Hand the task to an idle executor; grow the pool only when all
-			// are busy. The channel is unbuffered so a task is never parked
-			// behind a long-running one while another executor sits idle.
-			select {
-			case wc.taskCh <- m:
-			default:
-				wc.wg.Add(1)
-				go wc.executor()
-				wc.taskCh <- m
+			res, wall := executeTask(wc.cfg, &m)
+			if wall > 0 {
+				wc.timed.Add(1)
+				go wc.sleepThenReport(res, wall)
+				continue
 			}
+			if err := wc.put(&res, false); err != nil {
+				return fmt.Errorf("wq: worker result: %w", err)
+			}
+			staged = true
 		case MsgPing:
-			// Liveness probe: answer immediately so the manager's sweeper
-			// keeps counting this worker as alive even while long tasks run.
-			if err := send(wc.out, &Message{Type: MsgPong}, true); err != nil && ctx.Err() == nil {
-				return fmt.Errorf("wq: worker pong: %w", err)
-			}
+			// Liveness probe: answer at once, so the manager's sweeper keeps
+			// counting this worker as alive even while long tasks run.
+			_ = wc.put(&Message{Type: MsgPong}, true)
 		case MsgShutdown:
 			return nil
 		default:
@@ -127,30 +151,90 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	}
 }
 
-// executor runs task attempts from the connection's channel until it closes.
-func (wc *workerConn) executor() {
-	defer wc.wg.Done()
-	for task := range wc.taskCh {
-		res := executeTask(wc.ctx, wc.cfg, task)
-		if err := send(wc.out, &res, true); err != nil && wc.ctx.Err() == nil {
-			// The connection is gone; the manager will requeue.
+// put encodes m onto the stage and, with now, wakes the writer.
+func (wc *workerConn) put(m *Message, now bool) error {
+	wc.mu.Lock()
+	stage, err := appendMessage(wc.stage, m)
+	wc.stage = stage
+	wc.mu.Unlock()
+	if err == nil && now {
+		wc.kick()
+	}
+	return err
+}
+
+// kick wakes the writer, or leaves it the wake it has not yet taken.
+func (wc *workerConn) kick() {
+	select {
+	case wc.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (wc *workerConn) writeErr() error {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return wc.werr
+}
+
+// writer writes the stage each time it is woken until wake is closed, then
+// once more. The stage and the buffer being written swap places, so the
+// writer holds the lock only for the swap.
+func (wc *workerConn) writer(done chan<- struct{}) {
+	defer close(done)
+	var buf []byte
+	for range wc.wake {
+		buf = wc.write(buf)
+	}
+	wc.write(buf)
+}
+
+// write swaps spare, emptied, for the stage and writes what the stage held,
+// which it returns as the next spare. A failed write closes the connection,
+// which ends the reader; the frames staged after it are dropped.
+func (wc *workerConn) write(spare []byte) []byte {
+	wc.mu.Lock()
+	buf := wc.stage
+	wc.stage = spare[:0]
+	failed := wc.werr != nil
+	wc.mu.Unlock()
+	if len(buf) == 0 || failed {
+		return buf
+	}
+	err := wc.conn.SetWriteDeadline(time.Now().Add(wire.WriteTimeout))
+	if err == nil {
+		_, err = wc.conn.Write(buf)
+	}
+	if err != nil {
+		wc.mu.Lock()
+		wc.werr = err
+		wc.mu.Unlock()
+		wc.conn.Close()
+	}
+	return buf
+}
+
+// sleepThenReport sleeps out a timed attempt's wall time, then stages its
+// result and wakes the writer. A cancelled ctx ends it at once with nothing
+// to report: the attempt did not run its course.
+func (wc *workerConn) sleepThenReport(res Message, wall time.Duration) {
+	defer wc.timed.Done()
+	timer := time.NewTimer(wall)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		if err := wc.put(&res, true); err != nil {
 			wc.conn.Close()
 		}
+	case <-wc.ctx.Done():
 	}
 }
 
 // executeTask virtually executes one task attempt: the resource monitor
-// decides when (and whether) the attempt is killed, and the worker sleeps
-// the scaled duration to model the elapsed run.
-func executeTask(ctx context.Context, cfg WorkerConfig, m Message) Message {
+// decides when (and whether) the attempt is killed, and the result reports
+// it once the scaled duration has passed, the wall time returned.
+func executeTask(cfg WorkerConfig, m *Message) (Message, time.Duration) {
 	duration, exceeded := sim.EvaluateAttempt(cfg.Model, m.Peak, m.Runtime, m.Alloc)
-	wall := time.Duration(duration * cfg.TimeScale * float64(time.Second))
-	if wall > 0 {
-		select {
-		case <-time.After(wall):
-		case <-ctx.Done():
-		}
-	}
 	// The result names the task and says how the attempt ended; the manager
 	// holds the category, allocation and consumption it dispatched.
 	out := Message{
@@ -163,5 +247,5 @@ func executeTask(ctx context.Context, cfg WorkerConfig, m Message) Message {
 	if out.Exceeded != 0 {
 		out.Status = StatusExhausted
 	}
-	return out
+	return out, time.Duration(duration * cfg.TimeScale * float64(time.Second))
 }
