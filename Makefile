@@ -39,17 +39,20 @@ race:
 # suite) under the race detector, with the scheduler core the manager drives
 # under its lock; then TEST_LIVE_RUN ten times over: the result-intake and
 # write-coalescing tests, since readers stage results for the drainer while
-# evictions run on other goroutines and the yielding flushers share their
-# stages with every stager, the worker's reader/writer tests, whose reader
-# stages results and pongs for its connection's writer goroutine while timed
-# attempts stage theirs, and with them the bad-frame tests, whose evictions
-# race the results staged just ahead of them, internal/wire's frame-reader and
-# group-commit tests (not TestWriterDeadline, which waits out the 5 s write
-# deadline), and the server lifecycle's own tests with the wq and serve accept
-# and close-time tests built on it. Every name in the list must match a test
-# the three packages define, so a renamed test fails here instead of dropping
-# out of the repeated run.
-TEST_LIVE_RUN = TestBurst|TestStagedSuccessEvictedBeforeKick|TestCoalesce|TestWorkerKeepsReadingWhileWritesBlock|TestWorkerWritesResultsBeforeHangup|TestWorkerCancelStopsTimedAttempts|TestLeanResult|TestFrameReader|TestWriterFlushAfterYield|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose
+# evictions run on other goroutines and every sender stages onto an outbox
+# whose writer goroutine takes the stage from under them, the worker's
+# reader/writer tests, whose reader stages results and pongs on its
+# connection's outbox while timed attempts stage theirs, and with them the
+# bad-frame tests, whose evictions race the results staged just ahead of
+# them, internal/wire's frame-reader tests, its outbox's group-commit and
+# close tests (not TestOutboxBound, which waits out the 5 s write deadline)
+# and the test that no outbox writer outlives its connection on any end, the
+# serve reader that keeps reading while its client stops, and the server
+# lifecycle's own tests with the wq and serve accept and close-time tests
+# built on it. Every name in the list must match a test the three packages
+# define, so a renamed test fails here instead of dropping out of the
+# repeated run.
+TEST_LIVE_RUN = TestBurst|TestStagedSuccessEvictedBeforeKick|TestCoalesce|TestWorkerKeepsReadingWhileWritesBlock|TestWorkerWritesResultsBeforeHangup|TestWorkerCancelStopsTimedAttempts|TestLeanResult|TestFrameReader|TestOutboxGroupCommit|TestOutboxCloseWritesTheStage|TestNoWriterOutlivesItsConnection|TestServeReaderKeepsReadingWhileClientStopsReading|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose
 TEST_LIVE_PKGS = ./internal/wq ./internal/wire ./internal/serve
 
 test-live:

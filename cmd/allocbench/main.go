@@ -11,12 +11,13 @@
 //	allocbench -tenants 1 -conns 1 -batch 32 -tasks 100000    # batched allocates
 //
 // -pipeline N drives each connection with N concurrent task streams, so up
-// to N calls are in flight on one socket and the client's group commit
-// collapses them into few syscalls. -batch N requests predictions in
-// AllocateBatch chunks of N, the cheapest way to saturate the wire from a
-// single goroutine. An observe does not flush: it leaves with the next call,
-// batch flush or Close on its connection, and each connection's final Stats
-// call is the barrier that has every observe applied.
+// to N calls are in flight on one socket and the group commit on the
+// connection's outbox collapses them into few syscalls. -batch N requests
+// predictions in AllocateBatch chunks of N, the cheapest way to saturate the
+// wire from a single goroutine. An observe wakes no writer: it leaves with
+// the next call, batch kick or Close on its connection, and each
+// connection's final Stats call is the barrier that has every observe
+// applied.
 package main
 
 import (
@@ -95,7 +96,7 @@ func main() {
 				defer c.Close()
 				// -pipeline splits this connection's task budget across
 				// concurrent streams; every stream's calls interleave on the
-				// one socket and flush-coalesce into shared syscalls.
+				// one socket and group-commit into shared syscalls.
 				var pwg sync.WaitGroup
 				per := (*tasks + *pipeline - 1) / *pipeline
 				for p := 0; p < *pipeline; p++ {

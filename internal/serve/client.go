@@ -27,13 +27,13 @@ const defaultPipelineWindow = 128
 // The wire path is built for pipelining. Waiting callers park on a
 // fixed-size ring of reusable slots (the response sequence number encodes
 // the slot index, so routing is an array lookup and a call allocates
-// nothing), and writes are group-committed (wire.Writer.FlushAfterYield):
-// concurrent calls buffer into one net.Conn write, and an observe leaves with
-// the next call, AllocateBatch flush or Close on its connection instead of
-// paying its own syscall.
+// nothing), and frames are staged on the connection's wire.Outbox, whose
+// writer goroutine does every write: concurrent calls group-commit into one
+// net.Conn write, and an observe leaves with the next call, AllocateBatch
+// kick or Close on its connection instead of paying its own syscall.
 type Client struct {
 	conn  net.Conn
-	out   *wire.Writer
+	out   *wire.Outbox
 	armed atomic.Int64 // calls in flight (armed slots); 1 means lockstep
 
 	// Call routing. mu guards the slot ring and the terminal error.
@@ -89,7 +89,7 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 	}
 	c := &Client{
 		conn: conn,
-		out:  wire.NewWriter(conn),
+		out:  wire.NewOutbox(conn),
 		done: make(chan struct{}),
 		mask: defaultPipelineWindow - 1,
 	}
@@ -112,30 +112,25 @@ func Dial(addr, tenant, algorithm string, seed uint64, opts ...ClientOption) (*C
 	fr := newFrameReader(conn)
 	reg := Frame{Type: TypeRegister, Seq: 0, Tenant: tenant, Algorithm: algorithm, Seed: seed}
 	if err := c.send(&reg, true); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("serve: register: %w", err)
+		return nil, c.refused(fmt.Errorf("serve: register: %w", err))
 	}
 	var ack Frame
 	if err := fr.next(&ack); err != nil {
-		conn.Close()
 		if err == io.EOF {
 			// An allocator service answers every registration, with an ack,
 			// an error or a drain; a wq manager hangs up instead.
 			err = fmt.Errorf("%w: the peer hung up on the registration", wire.ErrProtocolMismatch)
 		}
-		return nil, fmt.Errorf("serve: register: %w", wire.AsMismatch(err))
+		return nil, c.refused(fmt.Errorf("serve: register: %w", wire.AsMismatch(err)))
 	}
 	switch ack.Type {
 	case TypeAck:
 	case TypeError:
-		conn.Close()
-		return nil, fmt.Errorf("serve: register rejected: %s", ack.Error)
+		return nil, c.refused(fmt.Errorf("serve: register rejected: %s", ack.Error))
 	case TypeDrain:
-		conn.Close()
-		return nil, ErrDraining
+		return nil, c.refused(ErrDraining)
 	default:
-		conn.Close()
-		return nil, fmt.Errorf("serve: register: %w: answered with a type %d frame", wire.ErrProtocolMismatch, ack.Type)
+		return nil, c.refused(fmt.Errorf("serve: register: %w: answered with a type %d frame", wire.ErrProtocolMismatch, ack.Type))
 	}
 	go c.readLoop(fr)
 	return c, nil
@@ -165,7 +160,8 @@ func (c *Client) readLoop(fr frameReader) {
 	}
 }
 
-// fail marks the client dead and wakes every pending caller.
+// fail marks the client dead, wakes every pending caller and hangs up; the
+// outbox's writer ends with the connection.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -174,6 +170,13 @@ func (c *Client) fail(err error) {
 	}
 	c.mu.Unlock()
 	c.conn.Close()
+	c.out.Close()
+}
+
+// refused fails a connection Dial gives up on and returns err.
+func (c *Client) refused(err error) error {
+	c.fail(err)
+	return err
 }
 
 // terminal reports the error a failed operation should surface: the
@@ -189,45 +192,28 @@ func (c *Client) terminal(err error) error {
 	return err
 }
 
-// send encodes f into the write buffer. A frame that expects a reply is
-// group-committed: the first sender to yield flushes for every one that
-// queued behind it. The one exception is a call that is the only one in
-// flight: nothing can ride with it, so it flushes at once and skips the
-// yield, which measurably costs a lockstep client (DESIGN.md §15). A one-way
-// observe or a batch frame only queues; it leaves with the next flush on the
-// connection. A frame the wire cannot carry is refused before anything is
-// written; on a write error the client is failed so all callers agree on the
+// send stages f on the outbox. A frame that expects a reply wakes the
+// writer: a call that is the only one in flight kicks it, since nothing can
+// ride with it and the yield measurably costs a lockstep client (DESIGN.md
+// §15); one that has others in flight commits, so the writer yields first and
+// every call already runnable shares its write. A one-way observe or a batch
+// frame wakes nobody; it leaves with the next write on the connection. A
+// frame the wire cannot carry is refused before anything is staged; once the
+// outbox has failed, the client is failed so all callers agree on the
 // terminal error.
 func (c *Client) send(f *Frame, reply bool) error {
-	c.out.Lock()
-	frame, err := appendFrame(c.out.Buf(), f)
-	if err != nil {
-		c.out.Unlock()
+	stage, err := appendFrame(c.out.Stage(), f)
+	if werr := c.out.Put(stage); werr != nil {
+		c.fail(werr)
+		return c.terminal(werr)
+	}
+	if err != nil || !reply {
 		return err
 	}
-	if err = c.out.Queue(frame); err == nil && reply {
-		if c.armed.Load() <= 1 {
-			err = c.out.Flush()
-		} else {
-			err = c.out.FlushAfterYield()
-		}
-	}
-	c.out.Unlock()
-	if err != nil {
-		c.fail(err)
-		return c.terminal(err)
-	}
-	return nil
-}
-
-// flush forces buffered frames onto the wire; used by batch senders and Close.
-func (c *Client) flush() error {
-	c.out.Lock()
-	err := c.out.Flush()
-	c.out.Unlock()
-	if err != nil {
-		c.fail(err)
-		return c.terminal(err)
+	if c.armed.Load() <= 1 {
+		c.out.Kick()
+	} else {
+		c.out.Commit()
 	}
 	return nil
 }
@@ -356,14 +342,11 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 			case idx = <-c.free:
 			default:
 				// No slot free. Drain one of our own outstanding requests —
-				// flushing first so its response can exist — rather than
-				// blocking on other callers' slots (two pipelining callers
-				// waiting on each other would deadlock).
+				// kicking the writer first so its response can exist —
+				// rather than blocking on other callers' slots (two
+				// pipelining callers waiting on each other would deadlock).
 				if len(pending) > 0 {
-					if err := c.flush(); err != nil {
-						firstErr = err
-						break
-					}
+					c.out.Kick()
 					if err := collect(); err != nil {
 						firstErr = err
 						break
@@ -390,9 +373,7 @@ func (c *Client) AllocateBatch(category string, taskIDs []int, out []resources.V
 		pending = append(pending, idx)
 	}
 	if len(pending) > 0 {
-		if err := c.flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		c.out.Kick()
 		for len(pending) > 0 {
 			if err := collect(); err != nil && firstErr == nil {
 				firstErr = err
@@ -416,8 +397,8 @@ func (c *Client) Retry(category string, taskID int, prev resources.Vector, excee
 
 // Observe reports a completed task's peak usage and runtime. It is one-way:
 // the server applies observations in connection order, so a later Allocate
-// on this client is guaranteed to see it. An observe does not flush: it
-// leaves with the next call, AllocateBatch flush or Close on this
+// on this client is guaranteed to see it. An observe wakes no writer: it
+// leaves with the next call, AllocateBatch kick or Close on this
 // connection. After the connection has failed, Observe returns the same
 // terminal error as every other method.
 func (c *Client) Observe(category string, taskID int, peak resources.Vector, runtime float64) error {
@@ -449,10 +430,10 @@ func (c *Client) Stats() (TenantStats, error) {
 	return resp.Stats, nil
 }
 
-// Close flushes whatever is queued, observes included, and hangs up.
+// Close writes whatever is staged, observes included, and hangs up.
 // Pending calls fail with a connection-lost error.
 func (c *Client) Close() error {
-	err := c.flush()
+	err := c.out.Close()
 	if cerr := c.conn.Close(); err == nil {
 		err = cerr
 	}

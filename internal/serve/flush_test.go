@@ -12,8 +12,8 @@ import (
 	"dynalloc/internal/wire"
 )
 
-// TestCloseDeliversBufferedObserves: an observe does not flush, so Close
-// must. The server counts every observe sent before Close once the
+// TestCloseDeliversBufferedObserves: an observe wakes no writer, so Close
+// must write it. The server counts every observe sent before Close once the
 // connection has been served to its end.
 func TestCloseDeliversBufferedObserves(t *testing.T) {
 	s, addr := startServer(t)
@@ -61,11 +61,15 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // countWrites dials a client whose socket writes after registration are
-// counted.
+// counted: its outbox is swapped for one over a counting connection while
+// nothing is staged (Dial has returned).
 func countWrites(t *testing.T, addr, tenant string) (*Client, *countingConn) {
 	c := dial(t, addr, tenant, "", 1)
 	cc := &countingConn{Conn: c.conn}
-	c.out = wire.NewWriter(cc) // nothing is being sent: Dial has returned
+	if err := c.out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.out = wire.NewOutbox(cc)
 	return c, cc
 }
 
@@ -77,9 +81,11 @@ func frameLen(t *testing.T, f Frame) int64 {
 	return int64(len(b))
 }
 
-// TestClientWritesCoalesce pins the one flush rule from the client's socket:
-// a lockstep call costs exactly one write, observes queued before it ride in
-// that write, and calls made together share writes.
+// TestClientWritesCoalesce pins the two wake verbs from the client's socket:
+// a lockstep call kicks and costs exactly one write, observes staged before
+// it ride in that write, and calls made together commit and share writes. A
+// call's write is in by the time its answer is, so the counts are final when
+// a call returns.
 func TestClientWritesCoalesce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, addr := startServer(t)

@@ -13,8 +13,8 @@
 //
 // The wire is internal/wire's, the one the wq engine runs on too:
 // length-prefixed binary frames, each carrying the fixed payload layout of
-// codec.go, read through a bounded reader and written through a buffered
-// writer whose every write carries a deadline. A connection registers a
+// codec.go, read through a bounded reader and staged on each connection's
+// outbox, whose one writer goroutine makes every write, under a deadline. A connection registers a
 // tenant first, then streams request/retry/observe/ping/stats frames;
 // request, retry, ping, and stats carry a client-chosen Seq echoed in the
 // response. Observations are one-way — the per-connection ordering
@@ -27,9 +27,9 @@
 // still open after a bounded grace.
 //
 // Writes are coalesced rather than made per frame: the Client's calls
-// group-commit (wire.Writer.FlushAfterYield) and its observes leave with the
-// next call, batch flush or Close; the server flushes its replies when its
-// reader is about to block. The Client pipelines — many goroutines can have
+// group-commit on its outbox (wire.Outbox.Commit; a lone call kicks) and its
+// observes leave with the next call, batch kick or Close; the server kicks
+// its replies' writer when its reader is about to block. The Client pipelines — many goroutines can have
 // calls in flight on one connection, bounded by WithPipelineWindow, with
 // AllocateBatch for bulk request streams — and a steady-state round trip
 // allocates nothing on either side. See DESIGN.md §15 for the wire and its

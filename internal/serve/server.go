@@ -41,12 +41,13 @@ type Server struct {
 
 // serverConn is one registered client connection, served as a wire.Session
 // by its reader goroutine. All of its frame scratch (the decoded request, the
-// reply under construction, the writer's encode buffer, the expanded
-// exceeded-kind list) is connection-owned and reused across frames, so the
-// steady-state request path performs no per-frame allocation.
+// reply under construction, the expanded exceeded-kind list) is
+// connection-owned and reused across frames, and replies are encoded onto the
+// outbox's reused stage, so the steady-state request path performs no
+// per-frame allocation.
 type serverConn struct {
-	*wire.Conn // Out is locked per frame: drain frames arrive off-goroutine
-	tenant     *tenant
+	*wire.Conn
+	tenant *tenant
 
 	// Scratch owned by the reader goroutine.
 	req      Frame
@@ -54,18 +55,14 @@ type serverConn struct {
 	exceeded []resources.Kind
 }
 
-// send encodes f into out's write buffer. Replies are flushed when the
-// reader is about to block (Idle), so N pipelined requests cost one write;
-// flush forces it for an error frame followed by the hangup.
-func send(out *wire.Writer, f *Frame, flush bool) error {
-	out.Lock()
-	defer out.Unlock()
-	frame, err := appendFrame(out.Buf(), f)
-	if err == nil {
-		err = out.Queue(frame)
-	}
-	if err == nil && flush {
-		err = out.Flush()
+// post encodes f onto out's stage. Replies are written when the reader is
+// about to block (Idle kicks the writer), so N pipelined requests cost one
+// write; an error frame followed by the hangup leaves with the outbox's
+// final write. A failed outbox's error comes before an encoding error.
+func post(out *wire.Outbox, f *Frame) error {
+	stage, err := appendFrame(out.Stage(), f)
+	if perr := out.Put(stage); perr != nil {
+		return perr
 	}
 	return err
 }
@@ -147,12 +144,12 @@ func (s protocol) Open(c *wire.Conn, typ byte, payload []byte) (wire.Session, er
 	}
 	t, err := s.register(f)
 	if err != nil {
-		_ = send(c.Out, &Frame{Type: TypeError, Seq: f.Seq, Error: err.Error()}, true)
+		_ = post(c.Out, &Frame{Type: TypeError, Seq: f.Seq, Error: err.Error()})
 		return nil, err
 	}
-	// A failed write sticks to the writer: the first Idle's flush fails.
+	// The ack leaves when the reader is first about to block.
 	sc.tenant, sc.reply = t, Frame{Type: TypeAck, Seq: f.Seq, Tenant: t.name, Algorithm: string(t.alg)}
-	_ = send(c.Out, &sc.reply, false)
+	_ = post(c.Out, &sc.reply)
 	return sc, nil
 }
 
@@ -164,13 +161,13 @@ func (c *serverConn) Frame(typ byte, payload []byte) error {
 	return c.handleFrame(&c.req)
 }
 
-// Idle flushes coalesced replies exactly when the reader is about to block:
+// Idle kicks the outbox's writer exactly when the reader is about to block:
 // while a pipelining client keeps complete frames buffered, replies
-// accumulate and go out in one write.
+// accumulate and go out in one write. The write is the writer's, so a client
+// that stopped reading holds the writer, never the reader.
 func (c *serverConn) Idle() error {
-	c.Out.Lock()
-	defer c.Out.Unlock()
-	return c.Out.Flush()
+	c.Out.Kick()
+	return nil
 }
 
 // Closed counts a malformed frame, which poisons the stream, and tells the
@@ -180,7 +177,7 @@ func (s protocol) Closed(c *wire.Conn, sess wire.Session, cause error) {
 	var ferr *wire.FrameError
 	if errors.As(cause, &ferr) {
 		s.decodeErrors.Add(1)
-		_ = send(c.Out, &Frame{Type: TypeError, Error: ferr.Error()}, true)
+		_ = post(c.Out, &Frame{Type: TypeError, Error: ferr.Error()})
 	}
 	if sc, ok := sess.(*serverConn); ok {
 		sc.tenant.mu.Lock()
@@ -256,8 +253,8 @@ func (s *Server) register(f *Frame) (*tenant, error) {
 
 // handleFrame serves one post-registration frame, reusing the connection's
 // reply and exceeded scratch. A returned error means the connection is
-// beyond saving (write failed); protocol-level problems are reported to the
-// client as error frames instead.
+// beyond saving (its outbox's write failed); protocol-level problems are
+// reported to the client as error frames instead.
 func (c *serverConn) handleFrame(f *Frame) error {
 	t := c.tenant
 	switch f.Type {
@@ -278,7 +275,7 @@ func (c *serverConn) handleFrame(f *Frame) error {
 	default:
 		c.reply = Frame{Type: TypeError, Seq: f.Seq, Error: fmt.Sprintf("unexpected frame type %d", f.Type)}
 	}
-	return send(c.Out, &c.reply, false)
+	return post(c.Out, &c.reply)
 }
 
 // Tenants returns the number of live tenants.

@@ -245,7 +245,7 @@ func TestClientRefusesUnsendable(t *testing.T) {
 
 // TestServeBlankLineAfterFrameStillReplies is the binary twin of the
 // blank-line liveness bug it is named for (PR 15): the server defers its
-// flush while the reader says a frame is buffered, so a reader that counted
+// replies while the reader says a frame is buffered, so a reader that counted
 // the bytes behind a frame as a frame of their own withheld the reply and
 // blocked on the socket. A ping and the first bytes of the next frame in one
 // write must still get their pong.
@@ -301,9 +301,10 @@ func TestServeInteropWithRawFrames(t *testing.T) {
 
 // TestServeCloseWithAPeerThatStoppedReading: a client that registers, streams
 // pings and never reads a pong fills both socket buffers until the server's
-// write blocks — with the connection's writer locked, where Close must take
-// it to send the drain frame. The write deadline ends that write, so Close
-// returns within it; without one Close waited for good.
+// write blocks, and then the connection's stage up to wire.MaxStage, where
+// the reader and Close, staging the drain frame, wait for the writer. The
+// write deadline ends that write, so Close returns within it; without one
+// Close waited for good.
 func TestServeCloseWithAPeerThatStoppedReading(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out wire.WriteTimeout")
@@ -332,6 +333,43 @@ func TestServeCloseWithAPeerThatStoppedReading(t *testing.T) {
 	case <-closed:
 	case <-time.After(wire.WriteTimeout + 5*time.Second):
 		t.Fatal("Close still blocked on a peer that stopped reading")
+	}
+}
+
+// TestServeReaderKeepsReadingWhileClientStopsReading: a client that
+// registers, sends 8 requests and never reads a reply holds the connection's
+// writer in its write, not its reader. The 8 observes it sends next are
+// applied, which a second client on the tenant sees through Stats within a
+// second; a reader that wrote its own replies would wait on the write.
+func TestServeReaderKeepsReadingWhileClientStopsReading(t *testing.T) {
+	s, addr := startServer(t)
+	mine, peer := net.Pipe()
+	t.Cleanup(func() { peer.Close() })
+	go s.srv.ServeConn(mine)
+	cat := []byte("c")
+	requests := [][]byte{rawRegister("stopped-reading")}
+	var observes [][]byte
+	for i := uint64(1); i <= 8; i++ {
+		requests = append(requests, raw(TypeRequest, u64(i), u64(i), u16(len(cat)), cat))
+		observes = append(observes, raw(TypeObserve, u64(i), f64s(resources.New(1, 100, 10, 5)), f64s(resources.Vector{5})[:8], u16(len(cat)), cat))
+	}
+	if _, err := peer.Write(bytes.Join(requests, nil)); err != nil {
+		t.Fatal(err)
+	}
+	go peer.Write(bytes.Join(observes, nil)) // returns once the server has read it all, or at the cleanup's close
+
+	other := dial(t, addr, "stopped-reading", "", 1)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := other.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Observes == 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the 8 observes applied a second after they were sent, want all", st.Observes)
+		}
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // Conn is one connection a Server serves: the socket, the frame reader its
-// reader goroutine owns, and the frame writer every sender on it shares.
+// reader goroutine owns, and the outbox every sender on it stages onto.
 type Conn struct {
 	net.Conn
 	In  *Reader
-	Out *Writer
+	Out *Outbox
 }
 
 // Handler is one protocol on a Server. Open, Closed and the Session's
@@ -116,11 +116,12 @@ func (s *Server) Serve(ln net.Listener) {
 	}()
 }
 
-// ServeConn serves one connection until it ends, then closes it. One that
-// arrives after Close gets the drain frame once its first frame is in (or
-// the grace is over), then the hangup.
+// ServeConn serves one connection until it ends, then closes its outbox,
+// which writes what is staged (an error frame, the drain frame), and then
+// the connection. One that arrives after Close gets the drain frame once its
+// first frame is in (or the grace is over), then the hangup.
 func (s *Server) ServeConn(nc net.Conn) {
-	c := &Conn{Conn: nc, In: NewReader(nc), Out: NewWriter(nc)}
+	c := &Conn{Conn: nc, In: NewReader(nc), Out: NewOutbox(nc)}
 	s.mu.Lock()
 	closed := s.closed
 	if !closed {
@@ -132,11 +133,13 @@ func (s *Server) ServeConn(nc net.Conn) {
 		_ = nc.SetReadDeadline(time.Now().Add(s.grace))
 		_, _, _ = c.In.Next()
 		s.sayBye(c)
+		c.Out.Close()
 		nc.Close()
 		return
 	}
 	defer func() {
-		nc.Close() // before Close's wait ends
+		c.Out.Close()
+		nc.Close() // both before Close's wait ends
 		s.mu.Lock()
 		delete(s.live, c)
 		s.mu.Unlock()
@@ -167,10 +170,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 
 // sayBye writes the drain frame; a peer already gone is past caring.
 func (s *Server) sayBye(c *Conn) {
-	c.Out.Lock()
-	defer c.Out.Unlock()
-	if c.Out.Queue(append(c.Out.Buf(), s.bye...)) == nil {
-		_ = c.Out.Flush()
+	if c.Out.Put(append(c.Out.Stage(), s.bye...)) == nil {
+		c.Out.Kick()
 	}
 }
 

@@ -1,30 +1,27 @@
 // Package wire is the one connection layer under both of the repo's sockets,
 // the wq manager/worker protocol and the allocd service: length-prefixed
-// binary frames, a bounded frame reader, a deadline-armed, coalescing frame
-// writer, and Server, the one server lifecycle both run (accept, one reader
-// per connection, first-frame dispatch, the sweep tick, drain and forced
-// close), into which each protocol plugs as a Handler.
+// binary frames, a bounded frame reader, Outbox, the one outbound path of
+// every connection, and Server, the one server lifecycle both run (accept,
+// one reader per connection, first-frame dispatch, the sweep tick, drain and
+// forced close), into which each protocol plugs as a Handler.
 //
 //	frame  u32 payload length | u8 type | payload
 //
 // Integers are little-endian and floats their IEEE 754 bits throughout. The
 // package knows nothing of a payload beyond its length: internal/wq and
 // internal/serve each define their layouts on top, build frames with the
-// helpers here and validate every payload they send or receive. Writer holds
-// the one flush rule for a sender of single frames, FlushAfterYield; a sender
-// that builds a batch flushes it once with Flush.
+// helpers here and validate every payload they send or receive. A sender
+// encodes its frames onto its connection's Outbox and wakes the outbox's
+// writer goroutine with one of two verbs, Kick (write now) or Commit (the
+// group commit); no sender writes to a socket.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"runtime"
-	"sync"
 	"time"
 
 	"dynalloc/internal/resources"
@@ -41,8 +38,11 @@ const (
 	VectorSize = 8 * int(resources.NumKinds)
 	// WriteTimeout bounds every write to a peer: one that stopped reading
 	// gets its connection closed when its socket buffer is full, instead of
-	// blocking the writer, and whoever waits on its lock, for good.
+	// blocking its outbox's writer, and whoever waits on it, for good.
 	WriteTimeout = 5 * time.Second
+	// MaxStage bounds what an Outbox holds unwritten: a sender whose frame
+	// brings the stage to it waits until the writer has taken the stage.
+	MaxStage = 64 << 10
 
 	// readWindow is a Reader's standing buffer: ~40 wq task or ~170 wq
 	// result frames per socket read.
@@ -178,8 +178,8 @@ func (fr *Reader) Next() (byte, []byte, error) {
 
 // Buffered reports whether Next can return without touching the connection:
 // a complete frame is in memory, or a header Next will refuse. (Saying false
-// for the latter would have a caller that flushes before it blocks hold back
-// its flush while it waits for a frame that can never become valid.)
+// for the latter would have a caller that writes before it blocks hold back
+// its write while it waits for a frame that can never become valid.)
 func (fr *Reader) Buffered() bool {
 	win := fr.buf[fr.start:fr.end]
 	if len(win) < Header {
@@ -227,74 +227,4 @@ func (fr *Reader) Intern(b []byte) string {
 		fr.interned[s] = s
 	}
 	return s
-}
-
-// deadlineWriter arms the write deadline before each write to the
-// connection, flushes and the buffered writer's own overflow writes alike.
-type deadlineWriter struct{ conn net.Conn }
-
-func (d deadlineWriter) Write(p []byte) (int, error) {
-	if err := d.conn.SetWriteDeadline(time.Now().Add(WriteTimeout)); err != nil {
-		return 0, err
-	}
-	return d.conn.Write(p)
-}
-
-// Writer puts frames on a connection through a 16 KiB buffered writer, every
-// write armed with WriteTimeout, and a reused encode buffer. It is safe for
-// concurrent use under its lock: a sender takes Lock, appends one frame to
-// Buf, hands it to Queue, calls FlushAfterYield (or leaves the frame for a
-// later flush), and calls Unlock. Every method but Lock and Unlock requires
-// the lock.
-type Writer struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc []byte
-	// yielded marks a FlushAfterYield that has stepped aside before
-	// flushing; senders that queue meanwhile leave the flush to it.
-	yielded bool
-}
-
-// NewWriter returns a Writer of w; a net.Conn gets the write deadline.
-func NewWriter(w io.Writer) *Writer {
-	if conn, ok := w.(net.Conn); ok {
-		w = deadlineWriter{conn}
-	}
-	return &Writer{bw: bufio.NewWriterSize(w, 16*1024)}
-}
-
-// Lock takes the writer.
-func (w *Writer) Lock() { w.mu.Lock() }
-
-// Unlock releases the writer.
-func (w *Writer) Unlock() { w.mu.Unlock() }
-
-// Buf returns the encode buffer, empty, to append one frame to.
-func (w *Writer) Buf() []byte { return w.enc[:0] }
-
-// Queue buffers frame without flushing and keeps its storage as the next Buf.
-func (w *Writer) Queue(frame []byte) error {
-	w.enc = frame
-	_, err := w.bw.Write(frame)
-	return err
-}
-
-// Flush writes every queued frame to the connection.
-func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// FlushAfterYield is the group commit: it flushes after every goroutine
-// already runnable has had its turn to queue behind the caller's frame. The
-// first yielding sender flushes for all, the others return as soon as they
-// have queued, and a burst costs one write. With nothing else runnable the
-// yield returns at once. The lock is released during the yield.
-func (w *Writer) FlushAfterYield() error {
-	if w.yielded {
-		return nil
-	}
-	w.yielded = true
-	w.mu.Unlock()
-	runtime.Gosched()
-	w.mu.Lock()
-	w.yielded = false
-	return w.bw.Flush()
 }

@@ -6,13 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 	"testing/iotest"
-	"time"
 )
 
 // frame builds one frame by hand: the length prefix, the type byte, and a
@@ -161,133 +156,4 @@ func TestInternBound(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { fr.Intern([]byte("c00")) }); n != 0 {
 		t.Errorf("interned lookup allocates %v times", n)
 	}
-}
-
-// TestWriterDeadline: a write to a peer that stopped reading fails at the
-// write deadline, with the lock released, instead of blocking for good.
-func TestWriterDeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out WriteTimeout")
-	}
-	mine, peer := net.Pipe()
-	defer peer.Close()
-	defer mine.Close()
-	w := NewWriter(mine)
-	done := make(chan error, 1)
-	began := time.Now()
-	go func() {
-		w.Lock()
-		defer w.Unlock()
-		err := w.Queue(frame(1, 8))
-		if err == nil {
-			err = w.Flush()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Errorf("flush to a peer that never reads: %v, want a deadline error", err)
-		}
-		if waited := time.Since(began); waited < WriteTimeout-time.Second {
-			t.Errorf("flush failed after %v, before the %v deadline", waited, WriteTimeout)
-		}
-	case <-time.After(WriteTimeout + 5*time.Second):
-		t.Fatal("flush to a peer that never reads still blocked past the write deadline")
-	}
-	w.Lock() // released with the failed write
-	w.Unlock()
-}
-
-// countingWriter records every write it is handed, as one slice each.
-type countingWriter struct{ writes [][]byte }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.writes = append(c.writes, bytes.Clone(p))
-	return len(p), nil
-}
-
-// sendOne is a single-frame sender: queue frame, then group-commit it.
-func sendOne(w *Writer, frame []byte) error {
-	w.Lock()
-	defer w.Unlock()
-	if err := w.Queue(frame); err != nil {
-		return err
-	}
-	return w.FlushAfterYield()
-}
-
-// TestWriterFlushAfterYield pins the group commit on one P, where a yield
-// runs every runnable goroutine before the yielder resumes. One exception
-// remains: every 61st scheduling decision looks first at the global queue,
-// where the yielder waits, so a burst may split once.
-func TestWriterFlushAfterYield(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	t.Run("lone sender", func(t *testing.T) {
-		cw := &countingWriter{}
-		w := NewWriter(cw)
-		if err := sendOne(w, frame(1, 8)); err != nil {
-			t.Fatal(err)
-		}
-		if len(cw.writes) != 1 || !bytes.Equal(cw.writes[0], frame(1, 8)) {
-			t.Fatalf("writes = %x, want the frame written once by the time the call returns", cw.writes)
-		}
-	})
-
-	t.Run("burst", func(t *testing.T) {
-		const k = 16
-		cw := &countingWriter{}
-		w := NewWriter(cw)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		errs := make(chan error, k)
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				errs <- sendOne(w, frame(byte(i), 8))
-			}()
-		}
-		close(start)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if total := len(bytes.Join(cw.writes, nil)); len(cw.writes) > 2 || total != k*len(frame(0, 8)) {
-			t.Fatalf("%d senders runnable together: %d writes of %d bytes, want all %d frames in one write (two at most)",
-				k, len(cw.writes), total, k)
-		}
-	})
-
-	t.Run("rides the yielder's flush", func(t *testing.T) {
-		cw := &countingWriter{}
-		w := NewWriter(cw)
-		// A sender that finds a yielder stepped aside returns with its frame
-		// queued and nothing written.
-		w.Lock()
-		w.yielded = true
-		if err := w.Queue(frame(1, 8)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.FlushAfterYield(); err != nil {
-			t.Fatal(err)
-		}
-		if len(cw.writes) != 0 || w.bw.Buffered() != len(frame(1, 8)) {
-			t.Fatalf("%d writes, %d bytes buffered; want the frame queued and nothing written", len(cw.writes), w.bw.Buffered())
-		}
-		w.yielded = false
-		w.Unlock()
-		// The yielder's own flush carries it.
-		if err := sendOne(w, frame(2, 8)); err != nil {
-			t.Fatal(err)
-		}
-		if want := append(frame(1, 8), frame(2, 8)...); len(cw.writes) != 1 || !bytes.Equal(cw.writes[0], want) {
-			t.Fatalf("writes = %x, want both frames in one write %x", cw.writes, want)
-		}
-	})
 }

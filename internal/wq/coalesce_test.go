@@ -20,7 +20,7 @@ import (
 // writeLog is a connection that records what every Write carried, so a test
 // can count the writes a burst cost and see which frames shared one. With
 // hold set, the first Write announces itself on held and parks until hold is
-// closed — the flusher caught inside its write.
+// closed — the outbox's writer caught inside its write.
 type writeLog struct {
 	net.Conn
 	mu         sync.Mutex
@@ -103,10 +103,11 @@ func joinLoggedWorker(t *testing.T, m *Manager, log *writeLog) {
 }
 
 // TestCoalesceSubmitsWokenTogetherShareOneWrite makes k submitters runnable
-// at once. The first to stage becomes the flusher and yields; the others
-// stage behind it and return at the busy check; the worker's socket sees one
-// write holding all k task frames where it used to see k. A lone Submit, with
-// nothing to wait for, is written just the same.
+// at once. Each stages its task frame on the worker's outbox and commits;
+// the first commit wakes the outbox's writer, which yields before it takes
+// the stage, so the others stage behind it first and the worker's socket sees
+// one write holding all k task frames where it used to see k. A lone Submit,
+// with nothing to wait for, is written just the same.
 func TestCoalesceSubmitsWokenTogetherShareOneWrite(t *testing.T) {
 	onOneP(t)
 	for _, k := range []int{1, 16} {
@@ -124,7 +125,8 @@ func TestCoalesceSubmitsWokenTogetherShareOneWrite(t *testing.T) {
 			}()
 		}
 		close(start)
-		wg.Wait() // every Submit has returned, the flusher's included
+		wg.Wait() // every Submit has returned; the writer writes on its own
+		waitFor(t, "the task frames", func() bool { return sum(log.frames(t, MsgTask)) == k })
 		writes := log.frames(t, MsgTask)
 		if sum(writes) != k || len(writes) > 2 {
 			t.Errorf("%d submitters: task frames per write = %v, want all %d in one write (two at most)", k, writes, k)
@@ -136,26 +138,57 @@ func TestCoalesceSubmitsWokenTogetherShareOneWrite(t *testing.T) {
 	}
 }
 
-// TestCoalesceFramesStagedDuringWriteGoOut catches the flusher inside its
-// write, stages two more frames behind it, and makes no further call after
-// letting it go: the flusher's own re-check must deliver them, in one write.
+// TestCoalesceFramesStagedDuringWriteGoOut catches the outbox's writer inside
+// its write, stages two more frames behind it, and makes no further call
+// after letting it go: the wake they left must deliver them, in one write.
 func TestCoalesceFramesStagedDuringWriteGoOut(t *testing.T) {
 	m := NewManager(fixedPolicy{alloc: resources.New(1, 100, 100, resources.Unlimited)})
 	log := &writeLog{hold: make(chan struct{}), held: make(chan struct{})}
 	joinLoggedWorker(t, m, log)
-	flusherDone := make(chan struct{})
-	go func() {
-		m.Submit(burstTask)
-		close(flusherDone)
-	}()
+	m.Submit(burstTask)
 	<-log.held
-	// These return without I/O: the busy flusher owns the delivery.
+	// These return without I/O, as every Submit does: the writer writes.
 	m.Submit(burstTask)
 	m.Submit(burstTask)
 	close(log.hold)
-	<-flusherDone
+	waitFor(t, "the task frames", func() bool { return sum(log.frames(t, MsgTask)) == 3 })
 	if writes := log.frames(t, MsgTask); !reflect.DeepEqual(writes, []int{1, 2}) {
 		t.Errorf("task frames per write = %v, want [1 2]", writes)
+	}
+}
+
+// slowPolicy is a fixed allocation that takes a millisecond to compute.
+type slowPolicy struct{ fixedPolicy }
+
+func (p slowPolicy) Allocate(cat string, id int) resources.Vector {
+	time.Sleep(time.Millisecond)
+	return p.fixedPolicy.Allocate(cat, id)
+}
+
+// TestCoalesceDispatchesOfOneBurstShareOneWrite answers the four tasks a
+// worker runs with one write of four results while four more wait in the
+// queue. The drainer settles the burst under the manager lock, one dispatch
+// pass per result, and every pass takes a millisecond to allocate: a writer
+// woken by the first task frame would have run meanwhile and written it
+// alone. The batch's commits wait for its end, so the four frames it
+// dispatched leave in one write.
+func TestCoalesceDispatchesOfOneBurstShareOneWrite(t *testing.T) {
+	m := NewManager(slowPolicy{fixedPolicy{alloc: resources.New(16, 100, 100, resources.Unlimited)}})
+	mgrSide, wkrSide := loopPipe()
+	t.Cleanup(func() { wkrSide.Close() })
+	log := &writeLog{Conn: mgrSide}
+	go m.srv.ServeConn(log)
+	writeFrames(t, wkrSide, &Message{Type: MsgRegister, Capacity: resources.New(64, 1e6, 1e6, resources.Unlimited)})
+	waitFor(t, "worker registration", func() bool { return m.Workers() == 1 })
+	for i := 0; i < 8; i++ {
+		m.Submit(burstTask) // IDs 1 to 8; the first four fit
+	}
+	waitFor(t, "the first four task frames", func() bool { return sum(log.frames(t, MsgTask)) == 4 })
+	before := len(log.frames(t, MsgTask))
+	writeFrames(t, wkrSide, successes(1, 2, 3, 4)...)
+	waitFor(t, "the burst's four task frames", func() bool { return sum(log.frames(t, MsgTask)) == 8 })
+	if writes := log.frames(t, MsgTask)[before:]; !reflect.DeepEqual(writes, []int{4}) {
+		t.Errorf("task frames per write after the burst = %v, want all 4 in one write", writes)
 	}
 }
 
@@ -254,10 +287,10 @@ func TestLeanResultSettlesLikeLegacy(t *testing.T) {
 }
 
 // TestWedgedWorkerIsEvictedOnWriteTimeout joins a worker that registers and
-// then never reads again, with heartbeats off. The flusher's write to it must
-// fail at the write deadline instead of holding the delivery slot for good:
-// the other worker then gets its dispatch, the wedged one is evicted, and its
-// task requeues and completes elsewhere.
+// then never reads again, with heartbeats off. The write to it blocks only
+// its own outbox's writer: the other worker gets its dispatch at once, not
+// after the wedged write's deadline. That write fails at the deadline, the
+// wedged worker is evicted, and its task requeues and completes elsewhere.
 func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out wire.WriteTimeout")
@@ -271,12 +304,11 @@ func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 	waitFor(t, "the wedged worker's registration", func() bool { return m.Workers() == 1 })
 	healthy := joinPipeWorker(t, m, one)
 
-	// First fit puts the first task on the wedged worker (the lower ID); its
-	// Submit becomes the flusher and blocks in the write nobody reads.
-	stuck := make(chan (<-chan metrics.TaskOutcome), 1)
-	go func() { stuck <- m.Submit(burstTask) }()
-	waitFor(t, "the first dispatch", func() bool { return m.Stats().Dispatches == 1 })
-	second := m.Submit(burstTask) // staged for the healthy worker behind the stuck flusher
+	// First fit puts the first task on the wedged worker (the lower ID),
+	// whose writer blocks in the write nobody reads.
+	first := m.Submit(burstTask)
+	waitFor(t, "the wedged write", func() bool { return m.Stats().FlushBatches == 1 })
+	second := m.Submit(burstTask) // for the healthy worker, through its own outbox
 
 	next := func(what string) Message {
 		select {
@@ -291,9 +323,9 @@ func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 		}
 	}
 	began := time.Now()
-	b := next("the dispatch staged behind the wedged write")
-	if waited := time.Since(began); waited > wire.WriteTimeout+2*time.Second {
-		t.Errorf("healthy worker waited %v for its dispatch, write deadline is %v", waited, wire.WriteTimeout)
+	b := next("the dispatch made beside the wedged write")
+	if waited := time.Since(began); waited > time.Second {
+		t.Errorf("healthy worker waited %v for its dispatch beside the wedged write, want under 1 s", waited)
 	}
 	healthy.write(successes(b.TaskID)...)
 	if o := <-second; len(o.Attempts) != 1 || o.Attempts[0].Status != metrics.Success {
@@ -301,7 +333,7 @@ func TestWedgedWorkerIsEvictedOnWriteTimeout(t *testing.T) {
 	}
 	a := next("the wedged worker's task, requeued")
 	healthy.write(successes(a.TaskID)...)
-	o := <-<-stuck
+	o := <-first
 	if len(o.Attempts) != 2 || o.Attempts[0].Status != metrics.Evicted || o.Attempts[1].Status != metrics.Success {
 		t.Errorf("first task attempts = %+v, want Evicted then Success", o.Attempts)
 	}

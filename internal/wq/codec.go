@@ -144,18 +144,12 @@ func (mr msgReader) decode(typ byte, p []byte, m *Message) error {
 	return nil
 }
 
-// send encodes m into out's write buffer and, with commit, group-commits it
-// (wire.Writer.FlushAfterYield), as the manager's ping is; the manager's
-// dispatch delivery queues a batch and flushes each worker once.
-func send(out *wire.Writer, m *Message, commit bool) error {
-	out.Lock()
-	defer out.Unlock()
-	frame, err := appendMessage(out.Buf(), m)
-	if err == nil {
-		err = out.Queue(frame)
-	}
-	if err == nil && commit {
-		err = out.FlushAfterYield()
+// post encodes m onto out's stage; waking the writer is the caller's verb. A
+// failed outbox's error comes before an encoding error.
+func post(out *wire.Outbox, m *Message) error {
+	stage, err := appendMessage(out.Stage(), m)
+	if perr := out.Put(stage); perr != nil {
+		return perr
 	}
 	return err
 }

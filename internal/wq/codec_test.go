@@ -194,9 +194,10 @@ func TestDecodeMessageRejects(t *testing.T) {
 }
 
 // TestMsgReaderLargeFrame carries the largest legal frame — sixteen times the
-// reader's standing buffer — through send and msgReader on one-byte and
-// single reads, with small frames around it. (How the buffer grows for it and
-// shrinks back is wire's TestReaderLargeFrameShrinksBack.)
+// reader's standing buffer, and past wire.MaxStage — through an outbox and
+// msgReader on one-byte and single reads, with small frames around it. (How
+// the buffer grows for it and shrinks back is wire's
+// TestReaderLargeFrameShrinksBack.)
 func TestMsgReaderLargeFrame(t *testing.T) {
 	big := strings.Repeat("x", maxCategory)
 	msgs := []Message{
@@ -205,19 +206,24 @@ func TestMsgReaderLargeFrame(t *testing.T) {
 		{Type: MsgResult, TaskID: 1, Status: StatusSuccess, Duration: 5},
 		{Type: MsgPong},
 	}
-	var stream bytes.Buffer
-	fw := wire.NewWriter(&stream)
+	mine, peer := loopPipe()
+	out := wire.NewOutbox(mine)
 	for i := range msgs {
-		if err := send(fw, &msgs[i], false); err != nil {
+		if err := post(out, &msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fw.Flush(); err != nil {
+	if err := out.Close(); err != nil { // writes what is staged
+		t.Fatal(err)
+	}
+	mine.Close()
+	stream, err := io.ReadAll(peer)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]io.Reader{
-		"one-byte-reads": iotest.OneByteReader(bytes.NewReader(stream.Bytes())),
-		"single-read":    bytes.NewReader(stream.Bytes()),
+		"one-byte-reads": iotest.OneByteReader(bytes.NewReader(stream)),
+		"single-read":    bytes.NewReader(stream),
 	} {
 		mr := newMsgReader(r)
 		var got Message

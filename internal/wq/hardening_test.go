@@ -98,7 +98,7 @@ func TestSubmitRunWorkflowIDCollision(t *testing.T) {
 func TestEvictionRequeueDeterministic(t *testing.T) {
 	m := NewManager(fixedPolicy{}) // every task fits: the zero vector
 	m.mu.Lock()
-	w := stageWorker(m, resources.PaperWorker())
+	w := stageWorker(t, m, resources.PaperWorker())
 	for _, id := range []int{7, 3, 5, 11, 2} {
 		m.registerTaskLocked(workflow.Task{ID: id}, nil, false)
 	}

@@ -30,7 +30,7 @@ func joinPipeWorker(t *testing.T, m *Manager, capacity resources.Vector) *pipeWo
 	t.Helper()
 	mgrSide, wkrSide := net.Pipe()
 	// 64 is more task frames than any test here lets the manager send, so
-	// the reader goroutine below never blocks the manager's flush.
+	// the reader goroutine below never blocks the outbox's writer.
 	pw := &pipeWorker{t: t, conn: wkrSide, tasks: make(chan Message, 64)}
 	t.Cleanup(func() { wkrSide.Close() })
 	before := m.Workers()
@@ -287,7 +287,7 @@ func TestBurstDispatchesLikeSingleResults(t *testing.T) {
 	var single dispatchLog
 	ms := newManager(&single)
 	ms.mu.Lock()
-	staged := [2]*managedWorker{stageWorker(ms, resources.PaperWorker()), stageWorker(ms, resources.PaperWorker())}
+	staged := [2]*managedWorker{stageWorker(t, ms, resources.PaperWorker()), stageWorker(t, ms, resources.PaperWorker())}
 	ms.mu.Unlock()
 	submit(ms)
 	var rounds [][2][]int // per round, per worker: the task IDs reported
@@ -352,7 +352,7 @@ func TestStagedSuccessEvictedBeforeKick(t *testing.T) {
 	m := NewManager(pol)
 	one := resources.New(1, 1000, 1000, resources.Unlimited)
 	m.mu.Lock()
-	first, second := stageWorker(m, one), stageWorker(m, one)
+	first, second := stageWorker(t, m, one), stageWorker(t, m, one)
 	m.mu.Unlock()
 	outcome := m.Submit(burstTask)
 	m.mu.Lock()

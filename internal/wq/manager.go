@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -59,20 +58,12 @@ type Manager struct {
 	stats     Stats
 	perWorker []*WorkerStats // every worker that ever connected, indexed by ID
 
-	// pendingSends stages outbound task frames produced by dispatchLocked
-	// (guarded by mu, like flushBusy and sendSpare). Encoding and I/O happen
-	// after mu is released: flushPending swaps the staged batch out under mu,
-	// then deliver encodes and writes it with only per-worker writer locks
-	// held, flushing each touched worker once per batch instead of once per
-	// frame. At most one delivery runs at a time (flushBusy), so the two
-	// staging slices ping-pong without copying and concurrent stagers never
-	// block on I/O — the active flusher yields once before it swaps, then keeps
-	// delivering until nothing is staged (flushPending).
-	flushBusy    bool
-	pendingSends []pendingSend
-	sendSpare    []pendingSend
-	flushBatches atomic.Int64
-	framesSent   atomic.Int64
+	// settling is true while the drainer settles a batch under mu, and
+	// committing lists the workers it has staged task frames for: their
+	// commits wait for the batch's end, so a writer that another P runs at
+	// once still takes the batch's frames in one write.
+	settling   bool
+	committing []*managedWorker
 
 	// intake stages completed results decoded by worker reader goroutines
 	// (guarded by intakeMu, deliberately separate from mu): readers never
@@ -80,8 +71,7 @@ type Manager struct {
 	// every result frame of one socket read and then kicks; whichever kick
 	// finds the intake idle drains the whole backlog in batches — under one
 	// hold of mu, the batch's successes observed first, then one settle and
-	// dispatch pass per result; one flushPending per batch — while later
-	// readers stage and move on.
+	// dispatch pass per result — while later readers stage and move on.
 	intakeMu    sync.Mutex
 	intake      []stagedResult
 	intakeSpare []stagedResult
@@ -99,7 +89,8 @@ type Manager struct {
 
 // managedWorker is a connected worker: its row in the scheduler's capacity
 // ledger and its counters (both guarded by Manager.mu), and its connection,
-// whose reader goroutine serves it as a wire.Session.
+// whose reader goroutine serves it as a wire.Session and whose outbox carries
+// its task frames and pings.
 type managedWorker struct {
 	*sched.Worker
 	m     *Manager
@@ -110,13 +101,6 @@ type managedWorker struct {
 	// from this worker. Atomic so the reader goroutine refreshes it without
 	// touching any lock.
 	lastSeen atomic.Int64
-}
-
-// pendingSend is one outbound frame staged by dispatchLocked for delivery
-// outside the manager lock.
-type pendingSend struct {
-	w   *managedWorker
-	msg Message
 }
 
 // stagedResult is one completed-task frame staged by a worker reader
@@ -232,7 +216,6 @@ func (m protocol) Open(c *wire.Conn, typ byte, payload []byte) (wire.Session, er
 	w := m.addWorkerLocked(c, reg.Capacity)
 	m.dispatchLocked()
 	m.mu.Unlock()
-	m.flushPending()
 	return w, nil
 }
 
@@ -299,9 +282,10 @@ func (m *Manager) addWorkerLocked(c *wire.Conn, capacity resources.Vector) *mana
 }
 
 // Sweep is the manager-side half of the heartbeat protocol, run every
-// heartbeat interval: it declares silent workers lost and pings the rest.
-// Closing a lost worker's connection funnels it through the normal
-// disconnect path: its reader fails and Closed requeues its in-flight tasks.
+// heartbeat interval: it declares silent workers lost and pings the rest,
+// each ping group-committed with whatever its outbox stages next. Closing a
+// lost worker's connection funnels it through the normal disconnect path:
+// its reader fails and Closed requeues its in-flight tasks.
 func (m protocol) Sweep(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -312,11 +296,7 @@ func (m protocol) Sweep(now time.Time) {
 			w.c.Close()
 			continue
 		}
-		go func(w *managedWorker) {
-			if err := send(w.c.Out, &Message{Type: MsgPing}, true); err != nil {
-				w.c.Close()
-			}
-		}(w)
+		m.sendLocked(w, &Message{Type: MsgPing})
 	}
 }
 
@@ -332,6 +312,7 @@ func (m *Manager) evict(w *managedWorker) {
 	}
 	delete(m.workers, w.ID())
 	w.stats.Connected = false
+	m.stats.FlushBatches += w.c.Out.Writes()
 	if !m.closed {
 		m.stats.WorkersLost++
 		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.ID(),
@@ -353,7 +334,6 @@ func (m *Manager) evict(w *managedWorker) {
 	m.dispatchLocked()
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	m.flushPending()
 }
 
 // retireLocked closes the books on a task that just went terminal and returns
@@ -391,7 +371,7 @@ func (m *Manager) kickIntake() {
 }
 
 // drainIntake processes staged results in batches until the intake is empty,
-// delivering the dispatches each batch produced with one coalesced flush.
+// committing the task frames each batch dispatched once the batch is settled.
 // Exactly one drainer runs at a time (the caller has set intakeBusy), so the
 // two staging slices can ping-pong without copying.
 //
@@ -424,19 +404,22 @@ func (m *Manager) drainIntake() {
 				m.sched.ObserveAhead(r.w.Worker, &st.Task)
 			}
 		}
+		m.settling = true
 		for i := range batch {
 			m.settleLocked(batch[i].w, batch[i].res)
 		}
+		for _, w := range m.committing {
+			w.c.Out.Commit()
+		}
+		m.committing, m.settling = m.committing[:0], false
 		m.mu.Unlock()
-		m.flushPending()
 	}
 }
 
 // settleLocked applies one result frame: the scheduler core settles it
 // (sched.Core.Settle), which observes a success or escalates an overrun, and
 // the manager counts, traces and delivers what the transition did, then runs
-// a dispatch pass whose frames the caller's flushPending delivers. Callers
-// hold m.mu.
+// a dispatch pass. Callers hold m.mu.
 func (m *Manager) settleLocked(w *managedWorker, res Message) {
 	settled := sched.Stale
 	st := m.tasks[res.TaskID]
@@ -488,79 +471,39 @@ func (m *Manager) dispatchLocked() {
 }
 
 // startLocked records the placement the pass just made and stages the task
-// frame; encoding and I/O happen in flushPending after the caller releases
-// m.mu, so the lock guards only state transitions. Every path that can stage
-// (Submit, results, evictions, registration, RunWorkflow) flushes on the way
-// out.
+// frame on the worker's outbox.
 func (m *Manager) startLocked(t *sched.Task, sw *sched.Worker) {
 	w := m.workers[sw.ID()]
 	m.stats.Dispatches++
+	m.stats.FramesSent++
 	w.stats.Dispatched++
 	m.traceLocked(Event{Type: EventDispatch, TaskID: t.ID, WorkerID: w.ID()})
-	m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
+	m.sendLocked(w, &Message{
 		Type:     MsgTask,
 		TaskID:   t.ID,
 		Category: t.Category,
 		Alloc:    t.Alloc,
 		Peak:     t.Outcome.Peak,
 		Runtime:  t.Outcome.Runtime,
-	}})
+	})
 }
 
-// flushPending delivers every frame dispatchLocked has staged since the last
-// flush. Callers must NOT hold m.mu. A frame is written when nothing already
-// runnable has anything to add to it: the caller that finds no delivery in
-// flight becomes the flusher and yields once before it takes the stage, so
-// the submitters and drainers one result burst woke stage behind it and
-// return at the flushBusy check — one write per touched worker, not one each.
-// With nothing else runnable the yield returns at once. The flusher delivers
-// until the stage is empty, so frames staged while it wrote still go out.
-func (m *Manager) flushPending() {
-	m.mu.Lock()
-	if len(m.pendingSends) == 0 || m.flushBusy {
-		m.mu.Unlock()
+// sendLocked stages msg on w's outbox and group-commits it: the writer yields
+// before it takes the stage, so every frame the same result burst, submitter
+// wave or sweep stages for w shares one write. Inside a drain batch the
+// commit waits for the batch's end. A frame that cannot be staged closes the
+// connection, funneling the worker through the normal eviction path. The
+// encoding is the only work m.mu covers; the write is the writer's. Callers
+// hold m.mu.
+func (m *Manager) sendLocked(w *managedWorker, msg *Message) {
+	if err := post(w.c.Out, msg); err != nil {
+		w.c.Close()
 		return
 	}
-	m.flushBusy = true
-	m.mu.Unlock()
-	runtime.Gosched()
-	m.mu.Lock()
-	for len(m.pendingSends) > 0 {
-		batch := m.pendingSends
-		m.pendingSends = m.sendSpare[:0]
-		m.sendSpare = batch
-		m.mu.Unlock()
-		m.deliver(batch)
-		m.mu.Lock()
-	}
-	m.flushBusy = false
-	m.mu.Unlock()
-}
-
-// deliver encodes and writes one staged batch: frames are queued per worker
-// under only that worker's writer lock, then each touched worker is flushed
-// once — so a batch of k frames to one worker costs one syscall-equivalent
-// write, not k. A write failure closes the connection, funneling the worker
-// through the normal eviction path.
-func (m *Manager) deliver(batch []pendingSend) {
-	var touchedArr [8]*managedWorker
-	touched := touchedArr[:0]
-	for i := range batch {
-		s := &batch[i]
-		if err := send(s.w.c.Out, &s.msg, false); err != nil {
-			s.w.c.Close()
-		} else if !slices.Contains(touched, s.w) {
-			touched = append(touched, s.w)
-		}
-	}
-	m.framesSent.Add(int64(len(batch)))
-	m.flushBatches.Add(int64(len(touched)))
-	for _, w := range touched {
-		w.c.Out.Lock()
-		if err := w.c.Out.Flush(); err != nil {
-			w.c.Close()
-		}
-		w.c.Out.Unlock()
+	if !m.settling {
+		w.c.Out.Commit()
+	} else if !slices.Contains(m.committing, w) {
+		m.committing = append(m.committing, w)
 	}
 }
 
@@ -647,9 +590,6 @@ func (m *Manager) RunWorkflow(ctx context.Context, w *workflow.Workflow) (*sim.R
 			sts[from+i] = m.registerTaskLocked(t, nil, false)
 		}
 		m.dispatchLocked()
-		m.mu.Unlock()
-		m.flushPending()
-		m.mu.Lock()
 		for {
 			for done < until && sts[done].Terminal() {
 				done++
@@ -712,7 +652,6 @@ func (m *Manager) Submit(t workflow.Task) <-chan metrics.TaskOutcome {
 	m.registerTaskLocked(t, ch, true)
 	m.dispatchLocked()
 	m.mu.Unlock()
-	m.flushPending()
 	return ch
 }
 
@@ -732,8 +671,9 @@ func (m *Manager) Stats() Stats {
 	s.ConnectedWorkers = len(m.workers)
 	s.QueueDepth = m.sched.Ready.Len()
 	s.InFlight = m.sched.InFlight()
-	s.FlushBatches = m.flushBatches.Load()
-	s.FramesSent = m.framesSent.Load()
+	for _, w := range m.workers {
+		s.FlushBatches += w.c.Out.Writes()
+	}
 	s.ResultBatches = m.resultBatches.Load()
 	s.ResultsStaged = m.resultsStaged.Load()
 	s.Workers = make([]WorkerStats, len(m.perWorker))

@@ -1,7 +1,6 @@
 package wq
 
 import (
-	"io"
 	"net"
 	"slices"
 	"testing"
@@ -30,20 +29,27 @@ func (p *countingPolicy) Retry(_ string, _ int, _ resources.Vector, _ []resource
 func (p *countingPolicy) Observe(string, int, resources.Vector, float64) { p.observes++ }
 func (p *countingPolicy) Name() string                                   { return "counting" }
 
+// discardConn is a connection whose writes go nowhere and succeed.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
 // stageWorker registers a fake connected worker whose frames go nowhere, so
-// a test can drive dispatch/evict/handleResult interleavings by hand.
-func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
+// a test can drive dispatch/evict/handleResult interleavings by hand. Its
+// outbox's writer ends with the test.
+func stageWorker(t *testing.T, m *Manager, capacity resources.Vector) *managedWorker {
 	conn, _ := net.Pipe() // never read: it is only ever closed
-	return m.addWorkerLocked(&wire.Conn{Conn: conn, Out: wire.NewWriter(io.Discard)}, capacity)
+	out := wire.NewOutbox(discardConn{conn})
+	t.Cleanup(func() { out.Close() })
+	return m.addWorkerLocked(&wire.Conn{Conn: conn, Out: out}, capacity)
 }
 
-// handleResult ingests one result synchronously, outside the intake: settle
-// it, then deliver any dispatches it unlocked.
+// handleResult ingests one result synchronously, outside the intake; the
+// dispatches it unlocked are staged on their workers' outboxes.
 func (m *Manager) handleResult(w *managedWorker, res Message) {
 	m.mu.Lock()
 	m.settleLocked(w, res)
 	m.mu.Unlock()
-	m.flushPending()
 }
 
 // queued snapshots the ready queue, front first.
@@ -82,8 +88,8 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	m := NewManager(pol)
 
 	m.mu.Lock()
-	slow := stageWorker(m, resources.PaperWorker())
-	other := stageWorker(m, resources.PaperWorker())
+	slow := stageWorker(t, m, resources.PaperWorker())
+	other := stageWorker(t, m, resources.PaperWorker())
 	st := m.registerTaskLocked(workflow.Task{
 		Category:    "stale",
 		Consumption: resources.New(1, 100, 100, 10),
@@ -164,8 +170,8 @@ func TestStaleResultTracing(t *testing.T) {
 		WithTracer(FuncTracer(func(ev Event) { events = append(events, ev) })))
 
 	m.mu.Lock()
-	w := stageWorker(m, resources.PaperWorker())
-	stageWorker(m, resources.PaperWorker())
+	w := stageWorker(t, m, resources.PaperWorker())
+	stageWorker(t, m, resources.PaperWorker())
 	st := m.registerTaskLocked(workflow.Task{
 		Category:    "stale",
 		Consumption: resources.New(1, 50, 50, 5),
@@ -210,7 +216,7 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 	m.mu.Lock()
 	workers := make([]*managedWorker, 5)
 	for i := range workers {
-		workers[i] = stageWorker(m, oneCore) // room for exactly one task each
+		workers[i] = stageWorker(t, m, oneCore) // room for exactly one task each
 	}
 	for i := 0; i < 3; i++ {
 		m.registerTaskLocked(task, nil, true) // IDs 1..3
@@ -244,7 +250,7 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 
 	// A late joiner gets ID 5 and immediately receives the queue front.
 	m.mu.Lock()
-	stageWorker(m, oneCore)
+	stageWorker(t, m, oneCore)
 	m.dispatchLocked()
 	queueLen := m.sched.Ready.Len()
 	var alive []*sched.Worker

@@ -165,9 +165,10 @@ type Stats struct {
 	// (each drops its connection), the live engine's analogue of the
 	// allocator service's Server.DecodeErrors.
 	DecodeErrors int
-	// FramesSent counts task frames delivered to workers; FlushBatches counts
-	// the coalesced writer flushes that carried them. FramesSent/FlushBatches
-	// is the realized dispatch coalescing factor.
+	// FramesSent counts the task frames staged on workers' outboxes;
+	// FlushBatches counts the writes to worker connections, summed over their
+	// outboxes up to each worker's eviction (a ping rides in one or costs its
+	// own). FramesSent/FlushBatches is the realized dispatch coalescing factor.
 	FramesSent   int64
 	FlushBatches int64
 	// ResultsStaged counts result frames taken in from workers; ResultBatches

@@ -56,22 +56,18 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 // workerConn is one worker-side connection. Its reader goroutine decodes the
 // manager's frames and settles every attempt whose scaled wall time is zero
 // where it stands; a timed attempt sleeps on a goroutine of its own. None of
-// them writes to the socket: results and pongs are encoded onto the stage,
-// and the connection's one writer goroutine puts the stage on the wire, each
-// write armed with wire.WriteTimeout. The reader wakes the writer when it is
-// about to block on the socket, so the results of every frame one read
-// brought in share one write; a timed result or a pong wakes it at once. A
-// write stuck on a peer that stopped reading never stops the reader.
+// them writes to the socket: results and pongs are staged on the connection's
+// wire.Outbox, whose writer puts them on the wire. The reader kicks the
+// writer when it is about to block on the socket, so the results of every
+// frame one read brought in share one write; a timed result or a pong kicks
+// it at once. A write stuck on a peer that stopped reading never stops the
+// reader.
 type workerConn struct {
 	ctx   context.Context
 	cfg   WorkerConfig
 	conn  net.Conn
-	wake  chan struct{}  // capacity 1: the stage has frames for the writer
+	out   *wire.Outbox
 	timed sync.WaitGroup // timed attempts not yet reported
-
-	mu    sync.Mutex
-	stage []byte // encoded frames the writer has yet to take
-	werr  error  // the failed write that closed conn
 }
 
 // runWorkerConn speaks the worker side of the protocol over an established
@@ -81,37 +77,35 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	wc := &workerConn{cfg: cfg.withDefaults(), conn: conn, wake: make(chan struct{}, 1)}
-	if err := wc.put(&Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}, true); err != nil {
-		return fmt.Errorf("wq: worker register: %w", err)
-	}
+	wc := &workerConn{cfg: cfg.withDefaults(), conn: conn, out: wire.NewOutbox(conn)}
 	var endAttempts context.CancelFunc
 	wc.ctx, endAttempts = context.WithCancel(ctx)
-	written := make(chan struct{})
-	go wc.writer(written)
 	// On return (shutdown, hangup, error or cancel) the timed attempts end
-	// unreported, then the writer writes what is staged, then the
+	// unreported, then the outbox writes what is staged, then the
 	// connection closes.
 	defer func() {
 		endAttempts()
 		wc.timed.Wait()
-		close(wc.wake)
-		<-written
+		wc.out.Close()
 	}()
+	if err := post(wc.out, &Message{Type: MsgRegister, Capacity: wc.cfg.Capacity}); err != nil {
+		return fmt.Errorf("wq: worker register: %w", err)
+	}
+	wc.out.Kick()
 
 	mr := newMsgReader(conn)
 	var m Message
-	staged := false // results staged since the writer was last woken
+	staged := false // results staged since the writer was last kicked
 	for first := true; ; first = false {
 		if staged && !mr.fr.Buffered() {
-			wc.kick()
+			wc.out.Kick()
 			staged = false
 		}
 		if err := mr.next(&m); err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
-			if werr := wc.writeErr(); werr != nil {
+			if werr := wc.out.Err(); werr != nil {
 				return fmt.Errorf("wq: worker write: %w", werr)
 			}
 			if err == io.EOF {
@@ -135,14 +129,16 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 				go wc.sleepThenReport(res, wall)
 				continue
 			}
-			if err := wc.put(&res, false); err != nil {
+			if err := post(wc.out, &res); err != nil {
 				return fmt.Errorf("wq: worker result: %w", err)
 			}
 			staged = true
 		case MsgPing:
 			// Liveness probe: answer at once, so the manager's sweeper keeps
 			// counting this worker as alive even while long tasks run.
-			_ = wc.put(&Message{Type: MsgPong}, true)
+			if post(wc.out, &Message{Type: MsgPong}) == nil {
+				wc.out.Kick()
+			}
 		case MsgShutdown:
 			return nil
 		default:
@@ -151,71 +147,8 @@ func runWorkerConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	}
 }
 
-// put encodes m onto the stage and, with now, wakes the writer.
-func (wc *workerConn) put(m *Message, now bool) error {
-	wc.mu.Lock()
-	stage, err := appendMessage(wc.stage, m)
-	wc.stage = stage
-	wc.mu.Unlock()
-	if err == nil && now {
-		wc.kick()
-	}
-	return err
-}
-
-// kick wakes the writer, or leaves it the wake it has not yet taken.
-func (wc *workerConn) kick() {
-	select {
-	case wc.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (wc *workerConn) writeErr() error {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.werr
-}
-
-// writer writes the stage each time it is woken until wake is closed, then
-// once more. The stage and the buffer being written swap places, so the
-// writer holds the lock only for the swap.
-func (wc *workerConn) writer(done chan<- struct{}) {
-	defer close(done)
-	var buf []byte
-	for range wc.wake {
-		buf = wc.write(buf)
-	}
-	wc.write(buf)
-}
-
-// write swaps spare, emptied, for the stage and writes what the stage held,
-// which it returns as the next spare. A failed write closes the connection,
-// which ends the reader; the frames staged after it are dropped.
-func (wc *workerConn) write(spare []byte) []byte {
-	wc.mu.Lock()
-	buf := wc.stage
-	wc.stage = spare[:0]
-	failed := wc.werr != nil
-	wc.mu.Unlock()
-	if len(buf) == 0 || failed {
-		return buf
-	}
-	err := wc.conn.SetWriteDeadline(time.Now().Add(wire.WriteTimeout))
-	if err == nil {
-		_, err = wc.conn.Write(buf)
-	}
-	if err != nil {
-		wc.mu.Lock()
-		wc.werr = err
-		wc.mu.Unlock()
-		wc.conn.Close()
-	}
-	return buf
-}
-
 // sleepThenReport sleeps out a timed attempt's wall time, then stages its
-// result and wakes the writer. A cancelled ctx ends it at once with nothing
+// result and kicks the writer. A cancelled ctx ends it at once with nothing
 // to report: the attempt did not run its course.
 func (wc *workerConn) sleepThenReport(res Message, wall time.Duration) {
 	defer wc.timed.Done()
@@ -223,9 +156,11 @@ func (wc *workerConn) sleepThenReport(res Message, wall time.Duration) {
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-		if err := wc.put(&res, true); err != nil {
+		if err := post(wc.out, &res); err != nil {
 			wc.conn.Close()
+			return
 		}
+		wc.out.Kick()
 	case <-wc.ctx.Done():
 	}
 }

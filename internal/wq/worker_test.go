@@ -10,6 +10,7 @@ import (
 
 	"dynalloc/internal/resources"
 	"dynalloc/internal/sim"
+	"dynalloc/internal/wire"
 )
 
 func TestWorkerConfigDefaults(t *testing.T) {
@@ -97,7 +98,8 @@ func TestExecuteTaskCancelledContext(t *testing.T) {
 	if res.Status != StatusSuccess || wall != 300*time.Second {
 		t.Fatalf("result %+v after %v, want a success after 300 s", res, wall)
 	}
-	wc := &workerConn{ctx: ctx, cfg: cfg, wake: make(chan struct{}, 1)}
+	conn, _ := loopPipe()
+	wc := &workerConn{ctx: ctx, cfg: cfg, conn: conn, out: wire.NewOutbox(conn)}
 	wc.timed.Add(1)
 	ended := make(chan struct{})
 	go func() {
@@ -109,8 +111,9 @@ func TestExecuteTaskCancelledContext(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("a cancelled attempt still sleeps")
 	}
-	if len(wc.stage) != 0 || len(wc.wake) != 0 {
-		t.Errorf("a cancelled attempt staged %x and woke the writer %d times, want neither", wc.stage, len(wc.wake))
+	// Close writes whatever was staged: a cancelled attempt staged nothing.
+	if err := wc.out.Close(); err != nil || wc.out.Writes() != 0 {
+		t.Errorf("a cancelled attempt cost %d writes (%v), want none", wc.out.Writes(), err)
 	}
 }
 
