@@ -70,14 +70,16 @@ vet:
 		echo "gofmt -l lists files that are not gofmt-formatted:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Non-test, non-blank Go lines per internal package and in total: the size
-# side of a refactor's before/after, one command on either commit.
+# Non-test, non-blank Go lines per internal package and in total, then the
+# same count over every command under cmd/: the size side of a refactor's
+# before/after, one command on either commit.
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(cat $$(ls $$d*.go | grep -v _test.go) | grep -cv '^[[:space:]]*$$'); \
 		total=$$((total + n)); \
 		printf '%-14s %5d\n' "$$(basename $$d)" "$$n"; \
-	done; printf '%-14s %5d\n' total "$$total"
+	done; printf '%-14s %5d\n' total "$$total"; \
+	printf '%-14s %5d\n' cmd "$$(cat $$(ls cmd/*/*.go | grep -v _test.go) | grep -cv '^[[:space:]]*$$')"
 
 # The public surface: the facade's exported declarations and every command's
 # flags, parsed offline and held to testdata/surface.golden (`test` runs it
@@ -104,12 +106,12 @@ fuzz-smoke:
 # End-to-end smoke of the record -> replay -> what-if loop: record a small
 # DES run on a churny pool, verify the fidelity replay reproduces the
 # recorded footer bit-identically, and rank two counterfactual allocators
-# against it. Exercises the same path as `whatif <any saved run log>`.
+# against it. Exercises the same path as `dynalloc whatif <any saved run log>`.
 whatif-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/vinesim -workflow normal -tasks 120 -algorithm greedy-bucketing \
+	$(GO) run ./cmd/dynalloc run -workflow normal -tasks 120 -algorithm greedy-bucketing \
 		-des -pool churn:8:600:120:2000 -log "$$tmp/rec.jsonl" >/dev/null 2>&1 && \
-	$(GO) run ./cmd/whatif -fidelity -algorithm greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
+	$(GO) run ./cmd/dynalloc whatif -fidelity -algorithm greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a Go module of its
 # own, so build, vet and test at the root never compile it: a change to

@@ -1,6 +1,6 @@
 // Command wq-manager runs the live Work Queue-style manager: it listens for
 // workers, executes a workload with the chosen allocation algorithm, and
-// prints the same efficiency report as vinesim plus the engine's lifecycle
+// prints the same efficiency report as dynalloc run plus the engine's lifecycle
 // counters (dispatches, evictions, retries, failures, per-worker
 // utilization).
 //
@@ -11,7 +11,7 @@
 //	wq-worker  -addr 127.0.0.1:9123 &
 //
 // With -log the run is traced into a run log (header, lifecycle event
-// lines, task outcomes, footer) that cmd/analyze replays exactly like a
+// lines, task outcomes, footer) that dynalloc analyze replays exactly like a
 // simulator log. SIGINT or SIGTERM ends the run early: the manager drains
 // and shuts its workers down before exiting non-zero.
 package main
@@ -142,7 +142,7 @@ func main() {
 	if lw != nil {
 		fatalIf(lw.Finish(res))
 		fatalIf(logFile.Close())
-		fmt.Printf("\nrun log (%d events) written to %s; replay with: analyze %s\n",
+		fmt.Printf("\nrun log (%d events) written to %s; replay with: dynalloc analyze %s\n",
 			lw.Events(), *logPath, *logPath)
 	}
 }

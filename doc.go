@@ -13,7 +13,7 @@
 //   - measure efficiency and waste with the paper's metrics (Result,
 //     Summary),
 //   - and reproduce every figure and table of the evaluation (the
-//     harness-backed Reproduce* functions and cmd/figures).
+//     harness-backed Reproduce* functions and cmd/dynalloc figures).
 //
 // # Quick start
 //

@@ -15,7 +15,7 @@ import (
 // The ablation suite quantifies the design choices DESIGN.md calls out:
 // the task consumption profile, the exploratory-mode threshold, the bucket
 // cap, per-category isolation, significance weighting, and placement
-// robustness. Each returns a rendered table, which cmd/ablate prints.
+// robustness. Each returns a rendered table, which dynalloc ablate prints.
 
 func ablationRow(ctx context.Context, w *workflow.Workflow, pol allocator.Policy, model sim.ConsumptionModel) (awe float64, retries int, err error) {
 	res, err := sim.RunSequentialContext(ctx, w, pol, model, 0)
@@ -179,7 +179,7 @@ type Ablation struct {
 
 // AblationSuite returns the full suite in its canonical order, bound to a
 // seed and synthetic task count. The workload choices per ablation match
-// cmd/ablate and EXPERIMENTS.md.
+// dynalloc ablate and EXPERIMENTS.md.
 func AblationSuite(seed uint64, tasks int) []Ablation {
 	return []Ablation{
 		{"model", func(ctx context.Context) (*report.Table, error) {
@@ -209,7 +209,7 @@ func AblationSuite(seed uint64, tasks int) []Ablation {
 // cancels the remaining sweeps.
 func RunAblations(ctx context.Context, ablations []Ablation, parallelism int) ([]*report.Table, error) {
 	tables := make([]*report.Table, len(ablations))
-	err := runIndexed(ctx, len(ablations), parallelism, func(ctx context.Context, i int) error {
+	err := RunIndexed(ctx, len(ablations), parallelism, func(ctx context.Context, i int) error {
 		tab, err := ablations[i].Run(ctx)
 		if err != nil {
 			return fmt.Errorf("harness: ablation %s: %w", ablations[i].Name, err)

@@ -170,7 +170,7 @@ func RunGridContext(ctx context.Context, opts Options) ([]Cell, error) {
 	n := len(opts.Workloads) * len(opts.Algorithms)
 	cells := make([]Cell, n)
 	progress := newProgressFunnel(opts.Progress, n)
-	err := runIndexed(ctx, n, opts.Parallelism, func(ctx context.Context, i int) error {
+	err := RunIndexed(ctx, n, opts.Parallelism, func(ctx context.Context, i int) error {
 		wfIdx, algIdx := i/len(opts.Algorithms), i%len(opts.Algorithms)
 		c, err := runCell(ctx, opts, wfs[wfIdx], opts.Algorithms[algIdx], i)
 		if err != nil {

@@ -52,12 +52,12 @@ func effectiveParallelism(requested, n int) int {
 	return requested
 }
 
-// runIndexed runs fn(i) for every i in [0, n) on up to parallelism worker
+// RunIndexed runs fn(i) for every i in [0, n) on up to parallelism worker
 // goroutines. The first failure cancels the remaining work (in-flight
 // simulations abort at their next context check; unstarted units never
 // run) and is returned; pure cancellation errors never mask a real
 // failure. A nil ctx means context.Background().
-func runIndexed(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) error) error {
+func RunIndexed(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}

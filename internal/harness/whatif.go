@@ -56,7 +56,7 @@ func WhatIfContext(ctx context.Context, log *runlog.Log, algs []allocator.Name, 
 		algs = allocator.ExtendedNames()
 	}
 	cells := make([]WhatIfCell, len(algs))
-	err := runIndexed(ctx, len(algs), parallelism, func(ctx context.Context, i int) error {
+	err := RunIndexed(ctx, len(algs), parallelism, func(ctx context.Context, i int) error {
 		alg := algs[i]
 		cell := WhatIfCell{Algorithm: alg, Recorded: string(alg) == log.Header.Algorithm}
 		pol, err := allocator.New(alg, allocator.Config{Seed: log.Header.Seed})

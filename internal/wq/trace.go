@@ -80,7 +80,7 @@ const (
 )
 
 // RunlogTracer appends manager events to a run log as "event" lines, so a
-// live run's log replays through cmd/analyze exactly like a simulator log
+// live run's log replays through dynalloc analyze exactly like a simulator log
 // while also carrying the engine timeline. It flushes the log periodically
 // (see runlogFlushEvery / runlogFlushInterval) so a crashed run's trace
 // survives up to its last few events.
