@@ -37,10 +37,11 @@ race:
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions, the pipelined stress
 # suite) under the race detector, with the scheduler core the manager drives
-# under its lock; then TEST_LIVE_RUN ten times over: the result-intake and
-# write-coalescing tests, since readers stage results for the drainer while
-# evictions run on other goroutines and every sender stages onto an outbox
-# whose writer goroutine takes the stage from under them, the worker's
+# under its lock; then TEST_LIVE_RUN ten times over: the result-batching and
+# write-coalescing tests, since each reader settles its socket read's results
+# under the manager lock while evictions run on other goroutines and every
+# sender stages onto an outbox whose writer goroutine takes the stage from
+# under them, the worker's
 # reader/writer tests, whose reader stages results and pongs on its
 # connection's outbox while timed attempts stage theirs, and with them the
 # bad-frame tests, whose evictions race the results staged just ahead of
@@ -52,7 +53,7 @@ race:
 # built on it. Every name in the list must match a test the three packages
 # define, so a renamed test fails here instead of dropping out of the
 # repeated run.
-TEST_LIVE_RUN = TestBurst|TestStagedSuccessEvictedBeforeKick|TestCoalesce|TestWorkerKeepsReadingWhileWritesBlock|TestWorkerWritesResultsBeforeHangup|TestWorkerCancelStopsTimedAttempts|TestLeanResult|TestFrameReader|TestOutboxGroupCommit|TestOutboxCloseWritesTheStage|TestNoWriterOutlivesItsConnection|TestServeReaderKeepsReadingWhileClientStopsReading|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose
+TEST_LIVE_RUN = TestBurst|TestCoalesce|TestWorkerKeepsReadingWhileWritesBlock|TestWorkerWritesResultsBeforeHangup|TestWorkerCancelStopsTimedAttempts|TestLeanResult|TestFrameReader|TestOutboxGroupCommit|TestOutboxCloseWritesTheStage|TestNoWriterOutlivesItsConnection|TestServeReaderKeepsReadingWhileClientStopsReading|TestBadFrame|TestOversizeFrame|TestProtocolMismatch|TestWorkerProtocolMismatch|TestServerFirstFrameMismatch|TestServerIdleWhenReaderWouldBlock|TestServerCloseForceClosesAfterGrace|TestServerAcceptRetriesAfterError|TestCloseForceClosesWorkerThatStaysConnected|TestAcceptRetriesAndTurnsAwayAfterClose
 TEST_LIVE_PKGS = ./internal/wq ./internal/wire ./internal/serve
 
 test-live:

@@ -94,6 +94,36 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
+// TestRunRefusesFlagsItWouldIgnore: the pool, placement and data layer
+// take effect only under -des, and the window only under -stream, so a run
+// without them refuses the flag by name instead of ignoring it; with them
+// the same flags run.
+func TestRunRefusesFlagsItWouldIgnore(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-pool", []string{"-pool", "static:4"}},
+		{"-placement", []string{"-placement", "worst-fit"}},
+		{"-data", []string{"-data"}},
+		{"-window", []string{"-window", "8"}},
+		{"-window", []string{"-des", "-window", "8"}},
+	} {
+		args := append([]string{"run", "-tasks", "40"}, tc.args...)
+		code, out, errOut := dynalloc(args...)
+		if code != 2 || !strings.Contains(errOut, tc.flag+" requires") || out != "" {
+			t.Errorf("dynalloc %s: exit %d, stdout %q, want 2 naming %s; stderr:\n%s",
+				strings.Join(args, " "), code, out, tc.flag, errOut)
+		}
+	}
+	for _, args := range [][]string{
+		{"run", "-tasks", "40", "-des", "-pool", "static:4", "-placement", "worst-fit", "-data"},
+		{"run", "-tasks", "40", "-des", "-stream", "-window", "8"},
+	} {
+		mustRun(t, args...)
+	}
+}
+
 // TestRunListRefusesOneRunOutputs: a run log, a JSON summary and the oracle
 // each describe one run, so an algorithm list refuses them by name instead
 // of dropping them.

@@ -61,12 +61,20 @@ func simulate(c *cli) {
 			}
 		})
 	}
+	// The pool, placement, data layer and streaming are the event-driven
+	// run's, and the window is the stream's: a run without them would ignore
+	// the flag.
+	c.fs.Visit(func(f *flag.Flag) {
+		switch {
+		case !*useDES && (f.Name == "pool" || f.Name == "placement" || f.Name == "data" || f.Name == "stream"):
+			usagef("-%s requires -des", f.Name)
+		case !*stream && f.Name == "window":
+			usagef("-window requires -stream")
+		}
+	})
 	// Streaming keeps only the in-flight window of tasks alive, so every
 	// feature that needs the full task list up front is rejected rather than
 	// silently materializing a million-task slice.
-	if *stream && !*useDES {
-		usagef("-stream requires -des")
-	}
 	if *stream && (*wfFile != "" || *oracle || *withData) {
 		usagef("-stream generates tasks lazily; -workflow-file, -oracle and -data need the materialized task list")
 	}

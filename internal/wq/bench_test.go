@@ -203,8 +203,8 @@ func BenchmarkWQDispatch1Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 1)
 // concurrent workers, 64 tasks in flight.
 func BenchmarkWQDispatch8Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 8)) }
 
-// BenchmarkWQDispatch64Workers stresses the dispatch scan and the result
-// intake under a wide worker fleet.
+// BenchmarkWQDispatch64Workers stresses the dispatch scan and result
+// settling under a wide worker fleet.
 func BenchmarkWQDispatch64Workers(b *testing.B) { benchLoad(b, dispatchLoad(b, 64)) }
 
 // deepQueueLoad is BenchmarkWQDeepQueue256's load; each driver adds to

@@ -167,11 +167,11 @@ func (p slowPolicy) Allocate(cat string, id int) resources.Vector {
 
 // TestCoalesceDispatchesOfOneBurstShareOneWrite answers the four tasks a
 // worker runs with one write of four results while four more wait in the
-// queue. The drainer settles the burst under the manager lock, one dispatch
-// pass per result, and every pass takes a millisecond to allocate: a writer
-// woken by the first task frame would have run meanwhile and written it
-// alone. The batch's commits wait for its end, so the four frames it
-// dispatched leave in one write.
+// queue. The worker's reader settles the burst under the manager lock, one
+// dispatch pass per result, and every pass takes a millisecond to allocate:
+// a writer woken by the first task frame would have run meanwhile and
+// written it alone. The read's commits wait for its end, so the four frames
+// it dispatched leave in one write.
 func TestCoalesceDispatchesOfOneBurstShareOneWrite(t *testing.T) {
 	m := NewManager(slowPolicy{fixedPolicy{alloc: resources.New(16, 100, 100, resources.Unlimited)}})
 	mgrSide, wkrSide := loopPipe()

@@ -58,27 +58,12 @@ type Manager struct {
 	stats     Stats
 	perWorker []*WorkerStats // every worker that ever connected, indexed by ID
 
-	// settling is true while the drainer settles a batch under mu, and
-	// committing lists the workers it has staged task frames for: their
-	// commits wait for the batch's end, so a writer that another P runs at
-	// once still takes the batch's frames in one write.
+	// settling is true while a reader settles its read's results under mu,
+	// and committing lists the workers it has staged task frames for: their
+	// commits wait for the read's end, so a writer that another P runs at
+	// once still takes the read's frames in one write.
 	settling   bool
 	committing []*managedWorker
-
-	// intake stages completed results decoded by worker reader goroutines
-	// (guarded by intakeMu, deliberately separate from mu): readers never
-	// contend on the manager lock just to hand a result over. A reader stages
-	// every result frame of one socket read and then kicks; whichever kick
-	// finds the intake idle drains the whole backlog in batches — under one
-	// hold of mu, the batch's successes observed first, then one settle and
-	// dispatch pass per result — while later readers stage and move on.
-	intakeMu    sync.Mutex
-	intake      []stagedResult
-	intakeSpare []stagedResult
-	intakeBusy  bool
-
-	resultBatches atomic.Int64
-	resultsStaged atomic.Int64
 
 	// options
 	hbInterval   time.Duration
@@ -97,17 +82,13 @@ type managedWorker struct {
 	stats *WorkerStats
 	c     *wire.Conn
 	res   Message // the reader's decode scratch
+	// read holds the result frames of the current socket read until Idle (or
+	// Closed) settles them. Only the reader goroutine touches it.
+	read []Message
 	// lastSeen is the UnixNano of the last socket read that brought a frame
 	// from this worker. Atomic so the reader goroutine refreshes it without
 	// touching any lock.
 	lastSeen atomic.Int64
-}
-
-// stagedResult is one completed-task frame staged by a worker reader
-// goroutine for the intake drainer.
-type stagedResult struct {
-	w   *managedWorker
-	res Message
 }
 
 type taskState struct {
@@ -219,30 +200,29 @@ func (m protocol) Open(c *wire.Conn, typ byte, payload []byte) (wire.Session, er
 	return w, nil
 }
 
-// Frame stages a result for the intake drainer under intakeMu, never m.mu,
-// and Idle kicks the intake; a pong only proves liveness.
+// Frame keeps a result for Idle to settle with the rest of its socket read,
+// taking no lock; a pong only proves liveness.
 func (w *managedWorker) Frame(typ byte, payload []byte) error {
 	err := (msgReader{w.c.In}).decode(typ, payload, &w.res)
-	if m := w.m; err == nil && w.res.Type == MsgResult {
-		m.intakeMu.Lock()
-		m.intake = append(m.intake, stagedResult{w: w, res: w.res})
-		m.intakeMu.Unlock()
+	if err == nil && w.res.Type == MsgResult {
+		w.read = append(w.read, w.res)
 	}
 	return err
 }
 
-// Idle hands over the results of one socket read together, so the drainer
-// observes all of them before the first re-prediction, and stamps liveness:
-// every frame since the last stamp, result or pong, arrived in that read.
+// Idle settles the results of one socket read together, so all of them are
+// observed before the first re-prediction, and stamps liveness: every frame
+// since the last stamp, result or pong, arrived in that read. The reader
+// reads nothing more until they are settled.
 func (w *managedWorker) Idle() error {
 	w.lastSeen.Store(time.Now().UnixNano())
-	w.m.kickIntake()
+	w.m.settleRead(w)
 	return nil
 }
 
 // Closed counts and traces a malformed frame (transport errors pass
-// silently), settles the results staged ahead of it before the eviction
-// would make them stale, and evicts the worker.
+// silently), settles the results read ahead of it before the eviction would
+// make them stale, and evicts the worker.
 func (m protocol) Closed(_ *wire.Conn, s wire.Session, cause error) {
 	w, _ := s.(*managedWorker)
 	if ferr := (*wire.FrameError)(nil); errors.As(cause, &ferr) {
@@ -256,7 +236,7 @@ func (m protocol) Closed(_ *wire.Conn, s wire.Session, cause error) {
 		m.mu.Unlock()
 	}
 	if w != nil {
-		m.kickIntake()
+		m.settleRead(w)
 		m.evict(w)
 	}
 }
@@ -356,64 +336,40 @@ func (m *Manager) abandonLocked(st *taskState) {
 	}
 }
 
-// kickIntake makes the caller the drainer of the whole backlog unless one is
-// already running; the active drainer re-checks the intake before it stands
-// down, so nothing staged before a kick is left behind.
-func (m *Manager) kickIntake() {
-	m.intakeMu.Lock()
-	if m.intakeBusy {
-		m.intakeMu.Unlock()
+// settleRead settles the results of w's last socket read under one hold of
+// m.mu, committing the task frames they dispatched once all are settled. Only
+// w's reader calls it, so nothing else touches w.read meanwhile.
+//
+// The read's successes reach policy.Observe first (sched.Core.ObserveAhead),
+// so the lazy bucketing state sees the k records of a burst in a row and the
+// dispatch passes that follow pay one recompute per resource kind, not k (the
+// paper's §V-C batching rule). Only the records move forward: each result then
+// frees its own capacity right before its own pass, in arrival order, so
+// placement sees what it saw before. Nothing else takes m.mu meanwhile, so no
+// eviction can land between a success's early Observe and its settle.
+func (m *Manager) settleRead(w *managedWorker) {
+	if len(w.read) == 0 {
 		return
 	}
-	m.intakeBusy = true
-	m.intakeMu.Unlock()
-	m.drainIntake()
-}
-
-// drainIntake processes staged results in batches until the intake is empty,
-// committing the task frames each batch dispatched once the batch is settled.
-// Exactly one drainer runs at a time (the caller has set intakeBusy), so the
-// two staging slices can ping-pong without copying.
-//
-// Each batch is taken in under one hold of m.mu. Its successes reach
-// policy.Observe first (sched.Core.ObserveAhead), so the lazy bucketing state
-// sees the k records of a burst in a row and the dispatch passes that follow
-// pay one recompute per resource kind, not k (the paper's §V-C batching rule).
-// Only the records move forward: each result then frees its own capacity right
-// before its own pass, in arrival order, so placement sees what it saw before.
-// Nothing else takes m.mu meanwhile, so no eviction can land between a
-// success's early Observe and its settle.
-func (m *Manager) drainIntake() {
-	for {
-		m.intakeMu.Lock()
-		if len(m.intake) == 0 {
-			m.intakeBusy = false
-			m.intakeMu.Unlock()
-			return
+	m.mu.Lock()
+	m.stats.ResultBatches++
+	m.stats.ResultsStaged += int64(len(w.read))
+	for i := range w.read {
+		r := &w.read[i]
+		if st := m.tasks[r.TaskID]; r.Status == StatusSuccess && st != nil {
+			m.sched.ObserveAhead(w.Worker, &st.Task)
 		}
-		batch := m.intake
-		m.intake = m.intakeSpare[:0]
-		m.intakeSpare = batch
-		m.intakeMu.Unlock()
-		m.resultBatches.Add(1)
-		m.resultsStaged.Add(int64(len(batch)))
-		m.mu.Lock()
-		for i := range batch {
-			r := &batch[i]
-			if st := m.tasks[r.res.TaskID]; r.res.Status == StatusSuccess && st != nil {
-				m.sched.ObserveAhead(r.w.Worker, &st.Task)
-			}
-		}
-		m.settling = true
-		for i := range batch {
-			m.settleLocked(batch[i].w, batch[i].res)
-		}
-		for _, w := range m.committing {
-			w.c.Out.Commit()
-		}
-		m.committing, m.settling = m.committing[:0], false
-		m.mu.Unlock()
 	}
+	m.settling = true
+	for i := range w.read {
+		m.settleLocked(w, w.read[i])
+	}
+	for _, cw := range m.committing {
+		cw.c.Out.Commit()
+	}
+	m.committing, m.settling = m.committing[:0], false
+	m.mu.Unlock()
+	w.read = w.read[:0]
 }
 
 // settleLocked applies one result frame: the scheduler core settles it
@@ -462,8 +418,8 @@ func (m *Manager) settleLocked(w *managedWorker, res Message) {
 // each. A closed (draining) manager dispatches nothing. Allocate runs under
 // m.mu, so every worker waiting on a dispatch pays for it: a bucketing policy
 // recomputes its buckets on the first call after a run of Observes — once per
-// result batch, because the drainer observes a batch's successes before the
-// first of its passes (DESIGN.md §9, §16). Callers hold m.mu.
+// socket read of results, because settleRead observes a read's successes
+// before the first of its passes (DESIGN.md §9, §16). Callers hold m.mu.
 func (m *Manager) dispatchLocked() {
 	if !m.closed {
 		m.sched.Dispatch()
@@ -490,8 +446,8 @@ func (m *Manager) startLocked(t *sched.Task, sw *sched.Worker) {
 
 // sendLocked stages msg on w's outbox and group-commits it: the writer yields
 // before it takes the stage, so every frame the same result burst, submitter
-// wave or sweep stages for w shares one write. Inside a drain batch the
-// commit waits for the batch's end. A frame that cannot be staged closes the
+// wave or sweep stages for w shares one write. While a read's results settle
+// the commit waits for the read's end. A frame that cannot be staged closes the
 // connection, funneling the worker through the normal eviction path. The
 // encoding is the only work m.mu covers; the write is the writer's. Callers
 // hold m.mu.
@@ -674,8 +630,6 @@ func (m *Manager) Stats() Stats {
 	for _, w := range m.workers {
 		s.FlushBatches += w.c.Out.Writes()
 	}
-	s.ResultBatches = m.resultBatches.Load()
-	s.ResultsStaged = m.resultsStaged.Load()
 	s.Workers = make([]WorkerStats, len(m.perWorker))
 	for id, ws := range m.perWorker {
 		s.Workers[id] = *ws

@@ -44,7 +44,7 @@ func stageWorker(t *testing.T, m *Manager, capacity resources.Vector) *managedWo
 	return m.addWorkerLocked(&wire.Conn{Conn: conn, Out: out}, capacity)
 }
 
-// handleResult ingests one result synchronously, outside the intake; the
+// handleResult settles one result synchronously, outside any reader; the
 // dispatches it unlocked are staged on their workers' outboxes.
 func (m *Manager) handleResult(w *managedWorker, res Message) {
 	m.mu.Lock()
@@ -157,8 +157,11 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	if pol.observes != 1 {
 		t.Errorf("policy observed %d records, want 1", pol.observes)
 	}
-	if s := m.Stats(); s.Successes != 1 {
-		t.Errorf("successes = %d, want 1", s.Successes)
+	if got := st.Outcome.Attempts; len(got) != 2 || got[0].Status != metrics.Evicted || got[1].Status != metrics.Success {
+		t.Errorf("attempts = %+v, want Evicted then Success", got)
+	}
+	if s := m.Stats(); s.Successes != 1 || s.Dispatches != len(st.Outcome.Attempts) {
+		t.Errorf("successes = %d, dispatches = %d; want 1 and %d", s.Successes, s.Dispatches, len(st.Outcome.Attempts))
 	}
 }
 

@@ -171,11 +171,11 @@ type Stats struct {
 	// own). FramesSent/FlushBatches is the realized dispatch coalescing factor.
 	FramesSent   int64
 	FlushBatches int64
-	// ResultsStaged counts result frames taken in from workers; ResultBatches
-	// counts the intake batches that carried them, each observed as a whole
-	// before its first dispatch pass. ResultsStaged/ResultBatches is the
-	// realized result batching: the successes a bucketing policy sees between
-	// two recomputes.
+	// ResultsStaged counts the result frames taken in from workers;
+	// ResultBatches counts the socket reads that carried them, each read's
+	// results observed as a whole before its first dispatch pass.
+	// ResultsStaged/ResultBatches is the realized result batching: the
+	// successes a bucketing policy sees between two recomputes.
 	ResultsStaged int64
 	ResultBatches int64
 	Workers       []WorkerStats // sorted by worker ID
