@@ -204,6 +204,35 @@ func TestPublicAPIContextAndOptions(t *testing.T) {
 	}
 }
 
+// TestPublicAPIPlacements runs a small simulation under each capacity
+// placement and refuses one outside the four.
+func TestPublicAPIPlacements(t *testing.T) {
+	w, err := dynalloc.GenerateWorkflow("bimodal", 40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(place dynalloc.Placement) (*dynalloc.Result, error) {
+		return dynalloc.Simulate(dynalloc.SimConfig{
+			Workflow: w,
+			Policy:   dynalloc.NewOracle(w),
+			Pool:     dynalloc.StaticPool(3),
+			Place:    place,
+		})
+	}
+	for _, place := range []dynalloc.Placement{dynalloc.PlaceFirstFit, dynalloc.PlaceWorstFit, dynalloc.PlaceBestFit} {
+		res, err := run(place)
+		if err != nil {
+			t.Fatalf("%s: %v", place, err)
+		}
+		if len(res.Outcomes) != w.Len() {
+			t.Errorf("%s: completed %d of %d tasks", place, len(res.Outcomes), w.Len())
+		}
+	}
+	if _, err := run(dynalloc.Placement(99)); !errors.Is(err, dynalloc.ErrUnknownPlacement) {
+		t.Errorf("Simulate under Placement(99) err = %v, want ErrUnknownPlacement", err)
+	}
+}
+
 func TestPublicAPISentinelErrors(t *testing.T) {
 	if _, err := dynalloc.GenerateWorkflow("bogus", 10, 1); !errors.Is(err, dynalloc.ErrUnknownWorkflow) {
 		t.Errorf("GenerateWorkflow err = %v, want ErrUnknownWorkflow", err)

@@ -10,40 +10,32 @@ import (
 
 // BenchmarkPlacementIndex100k probes the capacity index at 100k worker
 // slots under a mixed load (uniform fill, so ~1 in 9 workers is too full
-// for the probe allocation). Updates and first-fit/worst-fit queries are
-// O(log W); best-fit is exact branch-and-bound — its score lower bound
-// keeps pointing into subtrees of too-full workers, so under mixed loads
-// it degenerates toward the cost of the linear scan it replaced. The
-// sub-runs keep those costs separately visible.
+// for the probe allocation): an update and a first-fit descent, both
+// O(log W).
 func BenchmarkPlacementIndex100k(b *testing.B) {
-	ci, workers := loadedIndex()
+	p, workers := loadedPool()
 	shape := resources.PaperWorker()
 	b.Run("update", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w := workers[int(uint64(i)*2654435761%uint64(len(workers)))]
 			w.used = shape.Scale(float64(i%97) / 100)
-			ci.update(w)
+			p.idx.update(w)
 		}
 	})
-	probe := func(fit func(resources.Vector) *Worker) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if fit(probeAlloc) == nil {
-					b.Fatal("index lost every worker")
-				}
+	b.Run("first-fit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if p.idx.firstFit(probeAlloc) == nil {
+				b.Fatal("index lost every worker")
 			}
 		}
-	}
-	b.Run("first-fit", probe(ci.firstFit))
-	b.Run("worst-fit", probe(ci.worstFit))
-	b.Run("best-fit", probe(ci.bestFit))
+	})
 }
 
-// loadedIndex is the capacity index of a pool of 100k paper workers, each
-// filled to a uniform random share of up to 95 %, and the workers.
-func loadedIndex() (*capIndex, []*Worker) {
+// loadedPool is a pool of 100k paper workers, each filled to a uniform
+// random share of up to 95 %, and its workers.
+func loadedPool() (*Pool, []*Worker) {
 	shape := resources.PaperWorker()
 	p := new(Pool)
 	r := dist.NewRand(7)
@@ -54,21 +46,31 @@ func loadedIndex() (*capIndex, []*Worker) {
 		workers[i] = w
 		p.idx.update(w)
 	}
-	return &p.idx, workers
+	return p, workers
 }
 
 // probeAlloc is the allocation BenchmarkPlacementIndex100k places.
 var probeAlloc = resources.New(3, 12000, 6000, 0)
 
 // TestPlacementIndexAllocatesNothing pins what BenchmarkPlacementIndex100k
-// measures: an update and every probe allocate nothing.
+// measures, an update and a first-fit probe, and the scan the scored
+// placements make over the same pool: none of them allocates.
 func TestPlacementIndexAllocatesNothing(t *testing.T) {
-	ci, workers := loadedIndex()
+	p, workers := loadedPool()
+	score := func(workerID, taskID int) float64 { return float64((workerID + taskID) % 7) }
+	pick := func(place Placement) func() {
+		return func() {
+			if p.Pick(place, probeAlloc, 3, score) == nil {
+				t.Fatalf("%s placed nothing", place)
+			}
+		}
+	}
 	for name, op := range map[string]func(){
-		"update":    func() { ci.update(workers[len(workers)/2]) },
-		"first-fit": func() { ci.firstFit(probeAlloc) },
-		"worst-fit": func() { ci.worstFit(probeAlloc) },
-		"best-fit":  func() { ci.bestFit(probeAlloc) },
+		"update":    func() { p.idx.update(workers[len(workers)/2]) },
+		"first-fit": func() { p.idx.firstFit(probeAlloc) },
+		"worst-fit": pick(WorstFit),
+		"best-fit":  pick(BestFit),
+		"locality":  pick(Locality),
 	} {
 		if n := testing.AllocsPerRun(10, op); n != 0 {
 			t.Errorf("%s allocates %v times, want 0", name, n)

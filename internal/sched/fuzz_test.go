@@ -148,18 +148,11 @@ func (w *fuzzWorld) step(op, arg byte, pass func(*Core)) bool {
 		w.c.Add(w.nextWorker, resources.New(float64(4+12*(arg%2)), 1e6, 1e6, resources.Unlimited))
 		w.nextWorker++
 	case 2: // the arg-th alive worker is evicted
-		alive := 0
-		for v := w.c.First(); v != nil; v = v.Next() {
-			alive++
-		}
-		if alive == 0 {
+		alive := w.c.AppendWorkers(nil)
+		if len(alive) == 0 {
 			return false
 		}
-		v := w.c.First()
-		for i := 0; i < int(arg)%alive; i++ {
-			v = v.Next()
-		}
-		for _, t := range w.c.Evicted(v, 0, nil) {
+		for _, t := range w.c.Evicted(alive[int(arg)%len(alive)], 0, nil) {
 			w.running = without(w.running, t.Key())
 		}
 	case 3: // a running attempt ends: success, or an overrun

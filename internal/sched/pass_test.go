@@ -411,7 +411,7 @@ func TestEvictedTasksRequeueAsAscendingBlock(t *testing.T) {
 	if got, want := queueContents(&c.Ready), []int{2, 3, 5, 7, 11, 9}; !equalInts(got, want) {
 		t.Fatalf("ready queue after eviction = %v, want %v", got, want)
 	}
-	if c.Alive() != 1 || c.First() != other || other.Next() != nil || c.InFlight() != 1 {
-		t.Fatalf("evicted worker still in the alive chain (%d workers, %d in flight)", c.Alive(), c.InFlight())
+	if alive := c.AppendWorkers(nil); c.Alive() != 1 || len(alive) != 1 || alive[0] != other || c.InFlight() != 1 {
+		t.Fatalf("evicted worker still in the alive set (%d workers, %d in flight)", c.Alive(), c.InFlight())
 	}
 }

@@ -46,38 +46,39 @@ func (p Placement) String() string {
 }
 
 // Pick returns the alive worker place chooses among those alloc fits, or nil
-// when it fits none. First, worst and best fit go to the capacity index
-// (O(log W)); Locality scans the alive chain in ID order, scoring each
-// fitting worker with score(workerID, taskID) — every worker scores zero when
-// score is nil. Every policy resolves ties to the lowest worker ID.
+// when it fits none, or when place is none of the four. FirstFit descends the
+// capacity index (O(log W)). The scored placements scan the alive workers in
+// ID order and keep the first that scores strictly highest: free memory for
+// WorstFit, negated free memory for BestFit, score(workerID, taskID) for
+// Locality, where every worker scores zero when score is nil. So every
+// policy resolves ties to the lowest worker ID.
 func (p *Pool) Pick(place Placement, alloc resources.Vector, taskID int, score func(workerID, taskID int) float64) *Worker {
-	if p.alive == 0 {
+	if p.alive == 0 || place < FirstFit || place > Locality {
 		return nil
 	}
-	switch place {
-	case FirstFit:
+	if place == FirstFit {
 		return p.idx.firstFit(alloc)
-	case WorstFit:
-		return p.idx.worstFit(alloc)
-	case BestFit:
-		return p.idx.bestFit(alloc)
-	case Locality:
-		var chosen *Worker
-		var chosenScore float64
-		for w := p.head; w != nil; w = w.next {
-			if !w.Fits(alloc) {
-				continue
-			}
-			s := 0.0
+	}
+	var chosen *Worker
+	var chosenScore float64
+	for _, w := range p.idx.ws[:p.idx.n] {
+		if w == nil || !w.Fits(alloc) {
+			continue
+		}
+		var s float64
+		switch place {
+		case WorstFit:
+			s = w.freeMemory()
+		case BestFit:
+			s = -w.freeMemory()
+		case Locality:
 			if score != nil {
 				s = score(w.id, taskID)
 			}
-			if chosen == nil || s > chosenScore {
-				chosen, chosenScore = w, s
-			}
 		}
-		return chosen
-	default:
-		return nil
+		if chosen == nil || s > chosenScore {
+			chosen, chosenScore = w, s
+		}
 	}
+	return chosen
 }

@@ -38,9 +38,6 @@ type Worker struct {
 	inline [8]*Task
 	// slot is the worker's leaf in the placement index, -1 once evicted.
 	slot int
-	// prev/next link the alive chain in ascending-ID (= join) order;
-	// eviction unlinks in O(1).
-	prev, next *Worker
 }
 
 // ID returns the worker's driver-assigned ID.
@@ -48,9 +45,6 @@ func (w *Worker) ID() int { return w.id }
 
 // Alive reports whether the worker is still in the ledger.
 func (w *Worker) Alive() bool { return w.slot >= 0 }
-
-// Next returns the next alive worker in ascending-ID order, or nil.
-func (w *Worker) Next() *Worker { return w.next }
 
 // Running returns the number of tasks the worker holds.
 func (w *Worker) Running() int { return len(w.held) }
@@ -74,14 +68,13 @@ func (w *Worker) freeMemory() float64 {
 	return w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
 }
 
-// Pool is the capacity ledger: the alive workers in ascending-ID order, what
-// each holds, and the placement index over their free capacity. The zero
-// value is an empty pool.
+// Pool is the capacity ledger: the alive workers in ascending-ID order (the
+// placement index's slots), what each holds, and the headroom tree over
+// their free capacity. The zero value is an empty pool.
 type Pool struct {
-	head, tail *Worker
-	alive      int
-	inFlight   int
-	idx        capIndex
+	alive    int
+	inFlight int
+	idx      capIndex
 }
 
 // Alive returns the number of workers in the ledger.
@@ -90,24 +83,24 @@ func (p *Pool) Alive() int { return p.alive }
 // InFlight returns the number of tasks held across all alive workers.
 func (p *Pool) InFlight() int { return p.inFlight }
 
-// First returns the lowest-ID alive worker, or nil; follow Worker.Next for
-// the rest of the chain.
-func (p *Pool) First() *Worker { return p.head }
+// AppendWorkers appends the alive workers to dst in ascending-ID order.
+func (p *Pool) AppendWorkers(dst []*Worker) []*Worker {
+	for _, w := range p.idx.ws[:p.idx.n] {
+		if w != nil {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
 
 // Add enters a worker of the given capacity. IDs must ascend from one Add to
 // the next (both drivers issue them in join order), so appending keeps the
-// chain and the index slots sorted by ID without an insertion search.
+// index slots sorted by ID without an insertion search.
 func (p *Pool) Add(id int, capacity resources.Vector) *Worker {
 	w := &Worker{id: id, capacity: capacity}
 	w.held = w.inline[:0]
 	for k := range capacity {
 		w.limit[k] = capacity[k] * (1 + capacitySlack)
-	}
-	if p.tail == nil {
-		p.head, p.tail = w, w
-	} else {
-		p.tail.next, w.prev = w, p.tail
-		p.tail = w
 	}
 	p.alive++
 	p.idx.insert(w)
@@ -152,23 +145,11 @@ func (p *Pool) Release(w *Worker, t *Task) bool {
 
 // Evict removes w from the ledger and appends the tasks it held to buf in
 // ascending key order, so the requeue is the same whatever order they were
-// placed in. Unlinking shrinks the scan set instead of accumulating tombstones
-// that every placement probe would skip. Evicting twice is a no-op.
+// placed in. Evicting twice is a no-op.
 func (p *Pool) Evict(w *Worker, buf []*Task) []*Task {
 	if !w.Alive() {
 		return buf
 	}
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else {
-		p.head = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else {
-		p.tail = w.prev
-	}
-	w.prev, w.next = nil, nil
 	p.alive--
 	p.idx.remove(w)
 	n := len(buf)

@@ -10,13 +10,13 @@ import (
 )
 
 // pickLinear returns the worker place chooses among those that fit, or nil,
-// by a linear scan over the pool's alive chain. It is the reference semantics
-// for the capacity-indexed Pool.Pick: the property tests assert that every
-// query returns exactly the worker this scan picks.
+// by a linear scan over the pool's alive workers. It is the reference
+// semantics for Pool.Pick: the property tests assert that every first-fit
+// descent of the capacity index returns exactly the worker this scan picks.
 func pickLinear(p *Pool, place Placement, alloc resources.Vector, taskID int, score func(workerID, taskID int) float64) *Worker {
 	var chosen *Worker
 	var chosenScore float64
-	for w := p.First(); w != nil; w = w.Next() {
+	for _, w := range p.AppendWorkers(nil) {
 		if !w.Fits(alloc) {
 			continue
 		}
@@ -47,23 +47,19 @@ func workerID(w *Worker) int {
 	return w.id
 }
 
-// checkPicks asserts index and linear scan agree for alloc under every
-// indexed placement — same pointer, including nil, including ties.
-func checkPicks(t *testing.T, p *Pool, alloc resources.Vector, when string) {
+// checkFirstFit asserts the index's first-fit descent and the linear scan
+// agree for alloc — same pointer, including nil.
+func checkFirstFit(t *testing.T, p *Pool, alloc resources.Vector, when string) {
 	t.Helper()
-	for _, place := range []Placement{FirstFit, WorstFit, BestFit} {
-		got, want := p.Pick(place, alloc, 0, nil), pickLinear(p, place, alloc, 0, nil)
-		if got != want {
-			t.Fatalf("%s: %s diverged for alloc %v: index=%d linear=%d",
-				when, place, alloc, workerID(got), workerID(want))
-		}
+	if got, want := p.Pick(FirstFit, alloc, 0, nil), pickLinear(p, FirstFit, alloc, 0, nil); got != want {
+		t.Fatalf("%s: first-fit diverged for alloc %v: index=%d linear=%d", when, alloc, workerID(got), workerID(want))
 	}
 }
 
 // TestIndexMatchesLinearScan is the equivalence property behind the O(log W)
 // placement path: under an arbitrary churn of joins, evictions, placements and
-// releases, every first/worst/best-fit query on the capacity index must return
-// exactly the worker the reference linear scan over the alive chain returns.
+// releases, every first-fit query on the capacity index must return exactly
+// the worker the reference linear scan over the alive workers returns.
 // The live engine adds two things the simulator's fixed schedule never had:
 // workers of different shapes in one pool, and worker IDs that keep growing
 // while the alive set stays small, so the index must renumber its slots —
@@ -129,14 +125,12 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		if p.Alive() != len(alive) {
 			t.Fatalf("step %d: Alive() = %d, want %d", step, p.Alive(), len(alive))
 		}
-		i := 0
-		for w := p.First(); w != nil; w = w.Next() {
+		for i, w := range p.AppendWorkers(nil) {
 			if w != alive[i] || w.slot < 0 || p.idx.ws[w.slot] != w || (i > 0 && w.slot <= alive[i-1].slot) {
-				t.Fatalf("step %d: chain position %d holds worker %d in slot %d", step, i, w.id, w.slot)
+				t.Fatalf("step %d: alive position %d holds worker %d in slot %d", step, i, w.id, w.slot)
 			}
-			i++
 		}
-		checkPicks(t, &p, randAlloc(shapes[r.IntN(len(shapes))]), fmt.Sprint("step ", step))
+		checkFirstFit(t, &p, randAlloc(shapes[r.IntN(len(shapes))]), fmt.Sprint("step ", step))
 	}
 	if compactions := rebuilds - grows; compactions < 2 || grows < 1 {
 		t.Fatalf("run crossed %d slot compactions and %d doublings; want at least 2 and 1", compactions, grows)
@@ -170,7 +164,7 @@ func TestIndexBoundaryAllocations(t *testing.T) {
 		resources.New(0.5, 2000, 2000, resources.Unlimited),
 		shape.With(resources.Time, resources.Unlimited),
 	} {
-		checkPicks(t, &p, alloc, "boundary")
+		checkFirstFit(t, &p, alloc, "boundary")
 	}
 }
 
@@ -216,6 +210,24 @@ func TestPickPolicies(t *testing.T) {
 	if Placement(99).String() == "" || p.Pick(Placement(99), alloc, 7, nil) != nil {
 		t.Error("an unknown placement should stringify and place nothing")
 	}
+
+	// Ties go to the lower ID: workers 1 and 2 have the most free memory,
+	// 3 and 4 the least, and 1 and 4 score alike and highest.
+	var tied Pool
+	for id, usedMem := range []float64{30000, 1000, 1000, 60000, 60000} {
+		t := keyed(10 + id)
+		t.Alloc = resources.New(0, usedMem, 0, 0)
+		tied.Place(tied.Add(id, shape), t)
+	}
+	both := func(workerID, taskID int) float64 { return map[int]float64{1: 400, 4: 400}[workerID] }
+	for _, tc := range []struct {
+		place Placement
+		want  int
+	}{{WorstFit, 1}, {BestFit, 3}, {Locality, 1}} {
+		if got := tied.Pick(tc.place, alloc, 7, both); workerID(got) != tc.want {
+			t.Errorf("%s broke a tie toward %d, want %d", tc.place, workerID(got), tc.want)
+		}
+	}
 }
 
 // TestLedgerReleaseAndEvict pins the ledger's edge cases: a release removes
@@ -256,7 +268,7 @@ func TestLedgerReleaseAndEvict(t *testing.T) {
 	if got := keysOf(p.Evict(w, keyedAll(42))); !equalInts(got, []int{42, 5}) {
 		t.Errorf("Evict appended %v, want [42 5]", got)
 	}
-	if w.Alive() || p.Alive() != 0 || p.InFlight() != 0 || p.First() != nil || w.Holds(five) {
+	if w.Alive() || p.Alive() != 0 || p.InFlight() != 0 || len(p.AppendWorkers(nil)) != 0 || w.Holds(five) {
 		t.Error("evicted worker still in the ledger")
 	}
 	if p.Release(w, five) {

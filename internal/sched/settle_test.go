@@ -41,7 +41,7 @@ func checkInvariants(c *Core, tasks map[int]*Task, dispatches map[int]int) error
 		queued[t.key]++
 	}
 	inFlight := 0
-	for w := c.First(); w != nil; w = w.Next() {
+	for _, w := range c.AppendWorkers(nil) {
 		var used resources.Vector
 		for i, t := range w.held {
 			if tasks[t.key] != t {

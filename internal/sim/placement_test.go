@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dynalloc/internal/allocator"
@@ -22,6 +24,24 @@ func TestPlacementParseRoundTrip(t *testing.T) {
 	}
 	if Placement(99).String() == "" {
 		t.Error("unknown placement should still stringify")
+	}
+}
+
+// A run under a placement outside Placements() is refused before it starts,
+// naming the placement rather than reporting the deadlock it would cause.
+func TestRunRefusesUnknownPlacement(t *testing.T) {
+	w, err := workflow.ByName("normal", 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{
+		Workflow: w,
+		Policy:   allocator.MustNew(allocator.MaxSeen, allocator.Config{}),
+		Pool:     opportunistic.Static{N: 4},
+		Place:    Placement(99),
+	})
+	if !errors.Is(err, ErrUnknownPlacement) || !strings.Contains(err.Error(), "Placement(99)") {
+		t.Fatalf("Run under Placement(99) = %v, want an error wrapping ErrUnknownPlacement that names it", err)
 	}
 }
 

@@ -211,6 +211,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if src == nil || cfg.Policy == nil {
 		return nil, fmt.Errorf("sim: Workflow (or Source) and Policy are required")
 	}
+	if _, err := ParsePlacement(cfg.Place.String()); err != nil {
+		return nil, err
+	}
 	s := &simulator{cfg: cfg, src: src}
 	s.window = src.SubmitWindow()
 	s.retain = cfg.OnOutcome == nil && !cfg.DiscardOutcomes

@@ -7,7 +7,6 @@ import (
 
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
-	"dynalloc/internal/sched"
 	"dynalloc/internal/wire"
 	"dynalloc/internal/workflow"
 )
@@ -256,10 +255,7 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 	stageWorker(t, m, oneCore)
 	m.dispatchLocked()
 	queueLen := m.sched.Ready.Len()
-	var alive []*sched.Worker
-	for w := m.sched.First(); w != nil; w = w.Next() {
-		alive = append(alive, w)
-	}
+	alive := m.sched.AppendWorkers(nil)
 	m.mu.Unlock()
 	want = append(want, [2]int{1, 5})
 	assertDispatches(t, "late joiner", dispatches, want)
