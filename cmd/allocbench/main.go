@@ -48,11 +48,17 @@ func main() {
 		batch      = flag.Int("batch", 1, "request allocations in AllocateBatch chunks of this size")
 	)
 	flag.Parse()
-	if *pipeline < 1 {
-		*pipeline = 1
-	}
-	if *batch < 1 {
-		*batch = 1
+	// A count below 1 would run nothing, or nothing per stream, and still
+	// print a rate; refuse it by name.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"tenants", *tenants}, {"conns", *conns}, {"tasks", *tasks}, {"pipeline", *pipeline}, {"batch", *batch}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "allocbench: -%s must be at least 1, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 
 	if _, err := allocator.ParseName(*algName); err != nil {

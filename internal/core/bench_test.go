@@ -148,3 +148,35 @@ func BenchmarkCoreIncrementalGreedy10k(b *testing.B) { benchIncremental(b, Greed
 func BenchmarkCoreIncrementalExhaustive10k(b *testing.B) {
 	benchIncremental(b, ExhaustiveBucketing{}, 10000)
 }
+
+// BenchmarkCorePartitionGreedyGrowing measures one greedy partition on the
+// shape a live recompute sees: a bimodal list that grows from 1 000 to 6 000
+// records in 4-record batches, each batch added and merged into the sorted
+// view untimed, then starts over. Only the partitions are timed.
+func BenchmarkCorePartitionGreedyGrowing(b *testing.B) {
+	const first, last, batch = 1000, 6000, 4
+	recs := benchRecordSlice(last, 42)
+	var (
+		l *record.List
+		s Scratch
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if l == nil || l.Len()+batch > last {
+			l = &record.List{}
+			for _, rec := range recs[:first] {
+				l.Add(rec)
+			}
+		}
+		for _, rec := range recs[l.Len():][:batch] {
+			l.Add(rec)
+		}
+		l.Values()
+		b.StartTimer()
+		if ends := (GreedyBucketing{}).Partition(l, &s); len(ends) == 0 {
+			b.Fatal("empty partition")
+		}
+	}
+}

@@ -281,7 +281,11 @@ func fuzzRecord(id int, vb, sb byte) record.Record {
 
 // FuzzGreedySplitMatchesReference pins the filtered sweep against the
 // reference recursion on adversarial lists: whatever the filter drops, the
-// partition must be the one a full greedyCost sweep produces.
+// partition must be the one a full greedyCost sweep produces. The input's
+// byte pairs are repeated, with rising task IDs, to at least 600 records, so
+// every non-empty list has more than two superblocks of candidates and one
+// can be skipped. Past 800 records the input is cut: the reference costs an
+// all-zero list's O(n²) breaks, ~30 ms at 800 records on a 2 vCPU Xeon.
 func FuzzGreedySplitMatchesReference(f *testing.F) {
 	f.Add([]byte{0x03, 0x00, 0x03, 0x01, 0x05, 0x02, 0x05, 0x03, 0x1f, 0x04})                                     // duplicates
 	f.Add([]byte{0x07, 0x00, 0x07, 0x00, 0x07, 0x00, 0x07, 0x00})                                                 // constant
@@ -293,12 +297,12 @@ func FuzzGreedySplitMatchesReference(f *testing.F) {
 	f.Add([]byte{0xe0, 0x00, 0xe1, 0x00, 0xe4, 0x00, 0xe5, 0x00, 0xe8, 0x00, 0xe9, 0x00, 0xec, 0x00, 0xed, 0x00}) // two clusters
 	f.Add([]byte{0xc0, 0xc3, 0xc1, 0xc2, 0xc6, 0xc3, 0xc6, 0xc2, 0xc6, 0xc3, 0xc6, 0xc3})                         // real ties
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 400 {
-			data = data[:400] // an all-zero list costs O(n²) evaluations
-		}
+		const minRecords, maxRecords = 600, 800
+		pairs := min(len(data)/2, maxRecords)
 		l := &record.List{}
-		for i := 0; i+1 < len(data); i += 2 {
-			l.Add(fuzzRecord(i/2+1, data[i], data[i+1]))
+		for i := 0; pairs > 0 && i < max(pairs, minRecords); i++ {
+			p := i % pairs
+			l.Add(fuzzRecord(i+1, data[2*p], data[2*p+1]))
 		}
 		checkMatchesReference(t, l)
 	})
@@ -441,10 +445,17 @@ func TestGreedyBlockBoundMatchesReference(t *testing.T) {
 
 // TestGreedyBlockLowerBound checks the bound's claim directly: on every
 // range the recursion visits, and on random sub-ranges, where the slack is
-// finite, each block's computed bound is ≤ every computed f in the block. The
-// lists mix the bimodal benchmark shape with fuzzRecord's finite-slack
-// classes: values 1e-13 apart, 1e12 weights, and the sevenths × thirds ties.
+// finite, each block's and each superblock's margin-adjusted bound is ≤ every
+// computed f inside it. The lists mix the bimodal benchmark shape with
+// fuzzRecord's finite-slack classes: values 1e-13 apart, 1e12 weights, and
+// the sevenths × thirds ties. On sevenths under weights of every class, a
+// bound without its margin exceeds a computed f by an ulp. Some range of
+// more than two blocks must have its smallest f outside the seed block, so
+// the fills after the seed's are exercised too; on near-constant values
+// (1e-13 apart) the bound is exact at the ends where f's minimum lies, so the
+// seed always holds it there.
 func TestGreedyBlockLowerBound(t *testing.T) {
+	const superLen = sweepSuper * sweepBlock
 	r := rand.New(rand.NewPCG(27, 16))
 	classList := func(n int, vLo, vHi, sLo, sHi byte) *record.List {
 		l := &record.List{}
@@ -453,37 +464,51 @@ func TestGreedyBlockLowerBound(t *testing.T) {
 		}
 		return l
 	}
-	lists := map[string]*record.List{
-		"bimodal":          benchRecords(3000, 42),
-		"1e-13 apart":      classList(1500, 0x40, 0x5f, 0x00, 0x3f),
-		"1e12 weights":     classList(1500, 0x00, 0x1f, 0x80, 0xbf),
-		"1e12 on 1e-13":    classList(1500, 0x40, 0x5f, 0x80, 0xbf),
-		"sevenths, thirds": classList(1500, 0xc0, 0xc7, 0xc1, 0xff),
-		"two clusters":     classList(1500, 0xe0, 0xff, 0x00, 0x3f),
+	// A slice, not a map: the random sub-ranges are drawn list by list, so
+	// the lists' order fixes which ones are checked.
+	lists := []struct {
+		name string
+		l    *record.List
+	}{
+		{"bimodal", benchRecords(3000, 42)},
+		{"1e-13 apart", classList(1500, 0x40, 0x5f, 0x00, 0x3f)},
+		{"1e12 weights", classList(1500, 0x00, 0x1f, 0x80, 0xbf)},
+		{"1e12 on 1e-13", classList(1500, 0x40, 0x5f, 0x80, 0xbf)},
+		{"sevenths, thirds", classList(1500, 0xc0, 0xc7, 0xc1, 0xff)},
+		{"two clusters", classList(1500, 0xe0, 0xff, 0x00, 0x3f)},
+		{"sevenths, mixed", classList(1500, 0xc0, 0xc7, 0x00, 0xff)},
 	}
-	for name, l := range lists {
+	reseeded := 0
+	for _, list := range lists {
+		name, l := list.name, list.l
 		v := l.View()
-		checked, reseeded := 0, 0
+		checked := 0
 		check := func(lo, hi, _ int) {
-			if math.IsInf(sweepSlack(v, lo, hi), 1) {
+			sw := newRangeSweep(v, lo, hi)
+			if math.IsInf(sw.slack, 1) {
 				return
 			}
 			checked++
-			sw := newRangeSweep(v, lo, hi)
-			f := make([]float64, hi-lo)
-			lbs := make([]float64, (hi-lo+sweepBlock-1)/sweepBlock)
-			seed, fBlock, fmin := sw.bounds(lbs), 0, math.Inf(1)
-			for b, lb := range lbs {
+			m := hi - lo
+			f := make([]float64, m)
+			nb := (m + sweepBlock - 1) / sweepBlock
+			fBlock, fmin := 0, math.Inf(1)
+			for b := range nb {
 				if bmin := sw.fill(f, b); bmin < fmin {
 					fBlock, fmin = b, bmin
 				}
-				for k, fi := range f[b*sweepBlock : min((b+1)*sweepBlock, len(f))] {
-					if !(lb <= fi) {
-						t.Fatalf("%s [%d,%d] block %d: bound %v > f %v at candidate %d", name, lo, hi, b, lb, fi, b*sweepBlock+k)
+			}
+			for _, size := range []int{sweepBlock, superLen} {
+				for a := 0; a < m; a += size {
+					lb := sw.bound(a, min(a+size, m)-1)
+					for k, fi := range f[a:min(a+size, m)] {
+						if !(lb <= fi) {
+							t.Fatalf("%s [%d,%d] %d candidates from %d: bound %v > f %v at candidate %d", name, lo, hi, size, a, lb, fi, a+k)
+						}
 					}
 				}
 			}
-			if fBlock != seed {
+			if nb > 2 && fBlock != sw.seed(make([]float64, (m+superLen-1)/superLen), new([sweepSuper]float64)) {
 				reseeded++
 			}
 		}
@@ -492,8 +517,47 @@ func TestGreedyBlockLowerBound(t *testing.T) {
 			lo := r.IntN(l.Len() - 1)
 			check(lo, lo+1+r.IntN(l.Len()-1-lo), 0)
 		}
-		if checked == 0 || reseeded == 0 {
-			t.Errorf("%s: %d ranges with a finite slack, %d of them with min f outside the smallest-bound block; want both > 0", name, checked, reseeded)
+		if checked == 0 {
+			t.Errorf("%s: no range with a finite slack", name)
+		}
+	}
+	if reseeded == 0 {
+		t.Error("no range of more than two blocks had its smallest f outside the seed block")
+	}
+}
+
+// TestGreedySweepSkipsSuperblocks pins how much the first pass prunes on
+// the top range of bimodal lists: at least one superblock is bounded above
+// the final limit, so none of its blocks is bounded or filled, and at most a
+// tenth of the blocks are filled at 10 000 records and a fiftieth at 6 000.
+// The sweep fills 37 and 8; a bound pairing s1 at a run's start with s2 at
+// its end, also valid, fills 42 of the 6 000-record list's 750. A looser
+// bound fails here, not only in a benchmark.
+func TestGreedySweepSkipsSuperblocks(t *testing.T) {
+	const superLen = sweepSuper * sweepBlock
+	for _, c := range []struct {
+		n        int
+		maxShare float64
+	}{{10000, 0.10}, {6000, 0.02}} {
+		l := benchRecords(c.n, 42)
+		sw := newRangeSweep(l.View(), 0, l.Len()-1)
+		m := l.Len() - 1
+		nb := (m + sweepBlock - 1) / sweepBlock
+		sbs := make([]float64, (m+superLen-1)/superLen)
+		fmin, blocks := sw.sweep(make([]float64, m), sbs, nil)
+		limit := fmin + sw.slack
+		skipped := 0
+		for _, lb := range sbs {
+			if lb > limit {
+				skipped++
+			}
+		}
+		if skipped == 0 || float64(len(blocks)) > c.maxShare*float64(nb) {
+			t.Errorf("n=%d: %d of %d superblocks bounded above the final limit, %d of %d blocks filled; want ≥ 1 and ≤ %v of them",
+				c.n, skipped, len(sbs), len(blocks), nb, c.maxShare)
+		}
+		if !slices.IsSorted(blocks) {
+			t.Errorf("n=%d: filled blocks %v are not in ascending order", c.n, blocks)
 		}
 	}
 }

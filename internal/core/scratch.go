@@ -33,7 +33,11 @@ type Scratch struct {
 	marks     []int
 	markedLen int
 
-	f []float64 // greedy sweep: division-free cost proxy per candidate, then a lower bound per block
+	// The greedy sweep's division-free cost proxy f per candidate, then a
+	// lower bound per superblock; and the blocks whose f it computed, in
+	// ascending order, which its second pass walks.
+	f      []float64
+	blocks []int
 }
 
 // floats resizes the five per-bucket float buffers to hold nB buckets and
