@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -244,13 +245,17 @@ func (a *Allocator) category(cat string) *categoryState {
 	return cs
 }
 
+// newEstimator builds the estimator of kind k. Estimators count in the
+// kind's observation units (observeScale), so every value the allocator
+// hands one is converted first.
 func (a *Allocator) newEstimator(k resources.Kind) Estimator {
 	var inner Estimator
+	scale := observeScale.Get(k)
 	switch a.alg {
 	case WholeMachine:
-		return &wholeMachine{capacity: a.cfg.Capacity.Get(k)}
+		return &wholeMachine{capacity: unitsAbove(a.cfg.Capacity.Get(k), scale)}
 	case MaxSeen:
-		inner = &maxSeen{quantum: maxSeenQuantum.Get(k)}
+		inner = &maxSeen{quantum: unitsAbove(maxSeenQuantum.Get(k), scale)}
 	case MinWaste:
 		inner = &minWaste{}
 	case MaxThroughput:
@@ -271,7 +276,7 @@ func (a *Allocator) newEstimator(k resources.Kind) Estimator {
 	return &explorer{
 		inner:     inner,
 		threshold: a.cfg.ExploreCount,
-		initial:   a.explore.Get(k),
+		initial:   unitsAbove(a.explore.Get(k), scale),
 	}
 }
 
@@ -295,8 +300,7 @@ func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
 	// Iterate kinds in canonical order so the shared RNG stream, and hence
 	// the whole run, is reproducible from the seed.
 	for _, k := range a.kinds {
-		v := cs.est[k].Predict(a.rng)
-		alloc = alloc.With(k, a.clamp(k, v))
+		alloc = alloc.With(k, a.predict(k, cs.est[k]))
 	}
 	if a.stable {
 		if cs.first == nil || cs.first.alloc != alloc {
@@ -319,7 +323,8 @@ func (a *Allocator) Retry(category string, taskID int, prev resources.Vector, ex
 		if k < 0 || k >= resources.NumKinds || cs.est[k] == nil {
 			continue // kind not under allocation (e.g. time when disabled)
 		}
-		v := cs.est[k].Retry(prev.Get(k), a.rng)
+		scale := observeScale.Get(k)
+		v := cs.est[k].Retry(unitsBelow(prev.Get(k), scale), a.rng) / scale
 		if v <= prev.Get(k) {
 			v = prev.Get(k) * 2 // defensive: keep escalation strictly increasing
 		}
@@ -329,26 +334,80 @@ func (a *Allocator) Retry(category string, taskID int, prev resources.Vector, ex
 }
 
 // Observe implements Policy. Each resource kind's record carries the task's
-// peak consumption for that kind, the task ID as its significance value
-// (Section V-A), and the runtime for the time-weighted baselines.
+// peak consumption for that kind rounded up to the kind's unit, the task ID
+// as its significance value (Section V-A), and the runtime in milliseconds,
+// rounded up, for the time-weighted baselines. The rounding happens here,
+// once, for every estimator.
+//
+// A record list refuses a record that would carry its sums past the int64
+// bound (internal/record); such an observation is dropped by the estimators
+// that keep lists. Task IDs, significance here, are capped at maxSig so that
+// a client's large IDs do not bring the bound near.
 func (a *Allocator) Observe(category string, taskID int, peak resources.Vector, runtime float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.served.Store(nil)
 	cs := a.category(category)
 	cs.hasFirst = false
-	sig := float64(taskID)
+	sig := float64(min(taskID, maxSig))
 	if a.cfg.FlatSignificance {
 		sig = 1
 	}
+	ms := unitsAbove(runtime, observeScale.Get(resources.Time))
 	for _, k := range a.kinds {
 		cs.est[k].Observe(record.Record{
 			TaskID: taskID,
-			Value:  peak.Get(k),
+			Value:  unitsAbove(peak.Get(k), observeScale.Get(k)),
 			Sig:    sig,
-			Time:   runtime,
+			Time:   ms,
 		})
 	}
+}
+
+// maxSig caps the significance of an observation: task IDs above it weigh
+// as much as it does.
+const maxSig = 1 << 31
+
+// unitsAbove returns the smallest whole number of units, at scale units per
+// physical unit, that covers x: the smallest integer q with q/scale ≥ x. It
+// is the rounding Observe applies, and q/scale, the value served back, is
+// never below x. At scale 1, and for values too large to count exactly, the
+// ceiling is the answer.
+func unitsAbove(x, scale float64) float64 {
+	q := math.Ceil(x * scale)
+	if scale == 1 || !(math.Abs(q) < 1<<53) {
+		return q
+	}
+	for q/scale < x {
+		q++
+	}
+	for (q-1)/scale >= x {
+		q--
+	}
+	return q
+}
+
+// unitsBelow returns the largest integer q with q/scale ≤ x: a value in
+// units exceeds q exactly when its physical value exceeds x, which is the
+// comparison Retry's escalation makes. At scale 1 it is the floor.
+func unitsBelow(x, scale float64) float64 {
+	q := math.Floor(x * scale)
+	if scale == 1 || !(math.Abs(q) < 1<<53) {
+		return q
+	}
+	for q/scale > x {
+		q--
+	}
+	for (q+1)/scale <= x {
+		q++
+	}
+	return q
+}
+
+// predict is kind k's first-attempt value from its estimator, converted from
+// observation units to the kind's unit and clamped to capacity.
+func (a *Allocator) predict(k resources.Kind, est Estimator) float64 {
+	return a.clamp(k, est.Predict(a.rng)/observeScale.Get(k))
 }
 
 // clamp bounds a predicted value to (0, capacity].

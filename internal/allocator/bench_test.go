@@ -1,6 +1,7 @@
 package allocator
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -68,21 +69,36 @@ func (c *allocCycle) step() {
 }
 
 // BenchmarkAllocCycle measures the full Predict/Retry/Observe cycle per
-// algorithm on a two-category bimodal workload.
+// algorithm on a two-category bimodal workload, cycleTasks tasks to an
+// allocator. The two bucketing algorithms also run 10 000 and 100 000 tasks
+// to an allocator (the n=… sub-benchmarks), where the record lists, and the
+// rebuild and partition they cost, grow 10 and 100 times longer; their ns/op
+// is the mean over a whole stream only with -benchtime a multiple of n, e.g.
+//
+//	go test ./internal/allocator -run '^$' -bench 'AllocCycle/greedy-bucketing-n100000' -benchtime 100000x
 func BenchmarkAllocCycle(b *testing.B) {
 	for _, alg := range ExtendedNames() {
-		b.Run(string(alg), func(b *testing.B) {
-			var c *allocCycle
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if i%cycleTasks == 0 {
-					b.StopTimer()
-					c = newAllocCycle(alg)
-					b.StartTimer()
-				}
-				c.step()
-			}
-		})
+		b.Run(string(alg), func(b *testing.B) { benchAllocCycle(b, alg, cycleTasks) })
+	}
+	for _, alg := range []Name{Greedy, Exhaustive} {
+		for _, n := range []int{10000, 100000} {
+			b.Run(fmt.Sprintf("%s-n%d", alg, n), func(b *testing.B) { benchAllocCycle(b, alg, n) })
+		}
+	}
+}
+
+// benchAllocCycle runs b.N tasks, starting over from a fresh allocator, with
+// the timer stopped, every n tasks.
+func benchAllocCycle(b *testing.B, alg Name, n int) {
+	var c *allocCycle
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			c = newAllocCycle(alg)
+			b.StartTimer()
+		}
+		c.step()
 	}
 }
 

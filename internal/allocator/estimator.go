@@ -14,8 +14,10 @@ import (
 )
 
 // Estimator predicts scalar allocations for one resource kind within one
-// task category. Implementations are not safe for concurrent use; the
-// Allocator serializes access.
+// task category, in the kind's observation units (observeScale): whole
+// millicores, MB or ms, which is what the record lists count in. The
+// Allocator converts at its boundary. Implementations are not safe for
+// concurrent use; the Allocator serializes access.
 type Estimator interface {
 	// Predict returns the first-attempt allocation for the next task, or 0
 	// when the estimator has no basis for a prediction yet (the exploration

@@ -64,7 +64,8 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	defer func() {
 		km.cachedAt, km.cachedReps, km.cachedWeights = n, reps, weights
 	}()
-	values := km.recs.Values()
+	v := km.recs.View()
+	values := v.Values
 	k := km.k
 	if k > n {
 		k = n
@@ -73,18 +74,20 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	// no k-means++ randomness so allocations are reproducible).
 	centroids := make([]float64, k)
 	for i := range centroids {
-		centroids[i] = values[(2*i+1)*(n-1)/(2*k)]
+		centroids[i] = km.recs.RankValue((2*i + 1) * (n - 1) / (2 * k))
 	}
-	assign := make([]int, n)
+	// Records of one value share an entry, and so a cluster: each entry is
+	// assigned once and weighs its record count.
+	assign := make([]int, len(values))
 	for iter := 0; iter < 32; iter++ {
 		changed := false
 		// Assignment: records are sorted, centroids are sorted, so the
 		// boundary between cluster c and c+1 is the midpoint.
-		for i, v := range values {
+		for i, x := range values {
 			best := 0
-			bestD := math.Abs(v - centroids[0])
+			bestD := math.Abs(x - centroids[0])
 			for c := 1; c < k; c++ {
-				if d := math.Abs(v - centroids[c]); d < bestD {
+				if d := math.Abs(x - centroids[c]); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -93,12 +96,14 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 				changed = true
 			}
 		}
-		// Update.
+		// Update. The values are integers, so the sums are exact below 2⁵³
+		// and equal a record-by-record sum.
 		sum := make([]float64, k)
 		cnt := make([]float64, k)
-		for i, v := range values {
-			sum[assign[i]] += v
-			cnt[assign[i]]++
+		for i, x := range values {
+			w := float64(km.recs.Count(i, i))
+			sum[assign[i]] += x * w
+			cnt[assign[i]] += w
 		}
 		for c := 0; c < k; c++ {
 			if cnt[c] > 0 {
@@ -114,11 +119,11 @@ func (km *kmeans) clusters() (reps, weights []float64) {
 	// sorted order because centroids are sorted).
 	maxV := make([]float64, k)
 	cnt := make([]float64, k)
-	for i, v := range values {
+	for i, x := range values {
 		c := assign[i]
-		cnt[c]++
-		if v > maxV[c] {
-			maxV[c] = v
+		cnt[c] += float64(km.recs.Count(i, i))
+		if x > maxV[c] {
+			maxV[c] = x
 		}
 	}
 	for c := 0; c < k; c++ {
@@ -211,7 +216,7 @@ func (p *percentile) Predict(*rand.Rand) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return p.recs.Value(idx)
+	return p.recs.RankValue(idx)
 }
 
 func (p *percentile) Retry(prev float64, _ *rand.Rand) float64 {

@@ -110,25 +110,25 @@ var goldenAllocationStreams = []uint64{
 	0xd1e4a4df78c4d51a, // max-seen/seed1
 	0x22b1f36f30e05ee3, // max-seen/seed2
 	0x23cc5142cdb07c9c, // max-seen/seed3
-	0x5d6a4102e93a0726, // min-waste/seed1
-	0x435cf868d9dcd95c, // min-waste/seed2
-	0x576bc0924b88109a, // min-waste/seed3
-	0x750289f66c793b6d, // max-throughput/seed1
-	0x20464442b5ae91b2, // max-throughput/seed2
-	0x6981381de11aa929, // max-throughput/seed3
-	0xc2f6d2b04fec447e, // quantized-bucketing/seed1
-	0x7166b6b725269212, // quantized-bucketing/seed2
-	0xa0161311be9c5e4,  // quantized-bucketing/seed3
-	0x1f17851dbb10db88, // greedy-bucketing/seed1
-	0xd186c21bd23f3255, // greedy-bucketing/seed2
-	0xea45997e794f59ac, // greedy-bucketing/seed3
-	0xdbab50d38a5b9910, // exhaustive-bucketing/seed1
-	0x2518dd29e53a9e3e, // exhaustive-bucketing/seed2
-	0x87db6b2db461059b, // exhaustive-bucketing/seed3
-	0x5ce64f86e8e3ad56, // kmeans-bucketing/seed1
-	0xdaea52aaa91dc610, // kmeans-bucketing/seed2
-	0xbaca5bfb7edb29a6, // kmeans-bucketing/seed3
-	0x9a10029c84568733, // percentile/seed1
-	0x5bc9abb88a047512, // percentile/seed2
-	0xf720b9d146275fda, // percentile/seed3
+	0xbbb00b7b785c780d, // min-waste/seed1
+	0xc28312fcce9a4998, // min-waste/seed2
+	0x7d22b76a4bed8165, // min-waste/seed3
+	0x7861a59f5d3dfeff, // max-throughput/seed1
+	0xc14f71298e5af001, // max-throughput/seed2
+	0x4df47795bc8c3fe5, // max-throughput/seed3
+	0x5fdc9961b61c368c, // quantized-bucketing/seed1
+	0x49d23b43eec47e26, // quantized-bucketing/seed2
+	0xcc37ed3a3ffb633c, // quantized-bucketing/seed3
+	0x80eb557dfc0eb3bb, // greedy-bucketing/seed1
+	0xd961e01020d8eebf, // greedy-bucketing/seed2
+	0x7deb287943783c91, // greedy-bucketing/seed3
+	0x319e5760a356533d, // exhaustive-bucketing/seed1
+	0xcf27445fb1853507, // exhaustive-bucketing/seed2
+	0x9ffc83e9a65b420e, // exhaustive-bucketing/seed3
+	0x4c8b3de5a558beba, // kmeans-bucketing/seed1
+	0xe4f3cc12c24525ce, // kmeans-bucketing/seed2
+	0x516a4fc2fb41ce71, // kmeans-bucketing/seed3
+	0x7775522e2416e1ca, // percentile/seed1
+	0x6c6b15b05b9f285c, // percentile/seed2
+	0x69e3de9e77a7c6de, // percentile/seed3
 }

@@ -40,8 +40,16 @@ type maxSeen struct {
 	quantum float64
 }
 
-// maxSeenQuantum is Max Seen's histogram bucket size per kind.
+// maxSeenQuantum is Max Seen's histogram bucket size per kind, in the kind's
+// physical unit (cores, MB, MB, s).
 var maxSeenQuantum = resources.New(1, 250, 250, 60)
+
+// observeScale is the number of observation units per physical unit, per
+// kind: the allocator rounds every observed peak up to 1 millicore, 1 MB,
+// 1 MB and 1 ms, and its estimators count in those units. Rounding up to
+// 1 MB and then to Max Seen's 250 MB (or to 1 millicore, then 1 core) moves
+// no quantized value.
+var observeScale = resources.New(1000, 1, 1, 1000)
 
 func (m *maxSeen) Predict(*rand.Rand) float64 {
 	if m.n == 0 {

@@ -26,7 +26,8 @@ func newQuantized(quantiles []float64) *quantized {
 }
 
 // reps returns the representative value and record-count weight of each
-// quantile bucket.
+// quantile bucket. The quantiles are record ranks, read through the list's
+// count prefix.
 func (q *quantized) reps() (reps []float64, weights []float64) {
 	n := q.recs.Len()
 	if n == 0 {
@@ -44,11 +45,11 @@ func (q *quantized) reps() (reps []float64, weights []float64) {
 		if idx <= prev {
 			continue
 		}
-		reps = append(reps, q.recs.Value(idx))
+		reps = append(reps, q.recs.RankValue(idx))
 		weights = append(weights, float64(idx-prev))
 		prev = idx
 	}
-	reps = append(reps, q.recs.Value(n-1))
+	reps = append(reps, q.recs.RankValue(n-1))
 	weights = append(weights, float64(n-1-prev))
 	return reps, weights
 }

@@ -37,7 +37,7 @@ func (a *Allocator) recompute(category string) resources.Vector {
 	}
 	alloc := resources.New(0, 0, 0, resources.Unlimited)
 	for _, k := range a.kinds {
-		alloc = alloc.With(k, a.clamp(k, cs.est[k].Predict(a.rng)))
+		alloc = alloc.With(k, a.predict(k, cs.est[k]))
 	}
 	return alloc
 }

@@ -20,8 +20,8 @@ import (
 //	E[waste](a) = Σ_{v<=a} t_v·(a-v) + Σ_{v>a} t_v·(a + m - v)
 //
 // over the observed records, where m is the maximum seen value. Candidates
-// are the observed values themselves; prefix sums make the sweep O(n) after
-// sorting. The Allocator memoises the result until the next Observe, so the
+// are the observed values themselves, one per entry of the record list;
+// prefix sums make the sweep O(entries) after sorting. The Allocator memoises the result until the next Observe, so the
 // sweep runs once per observation however often the scheduler asks.
 type minWaste struct {
 	recs record.List
@@ -33,20 +33,18 @@ func (mw *minWaste) Predict(*rand.Rand) float64 {
 		return 0
 	}
 	m := mw.recs.MaxValue()
-	tAll := mw.recs.TimeSum(0, n-1)
-	vtAll := mw.recs.ValueTimeSum(0, n-1)
+	e := mw.recs.Entries()
+	tAll := mw.recs.TimeSum(0, e-1)
+	vtAll := mw.recs.ValueTimeSum(0, e-1)
 	best := math.Inf(1)
 	bestA := m
-	for k := 0; k < n; k++ {
+	for k := 0; k < e; k++ {
 		a := mw.recs.Value(k)
-		if k+1 < n && mw.recs.Value(k+1) == a {
-			continue // identical candidate; evaluate once at the last duplicate
-		}
-		// Records (k+1..n-1) exceed a and pay a full failed allocation a·t
-		// plus the retry fragmentation (m - v)·t.
+		// Records of entries k+1..e-1 exceed a and pay a full failed
+		// allocation a·t plus the retry fragmentation (m - v)·t.
 		var tHi float64
-		if k+1 < n {
-			tHi = mw.recs.TimeSum(k+1, n-1)
+		if k+1 < e {
+			tHi = mw.recs.TimeSum(k+1, e-1)
 		}
 		waste := a*tAll - vtAll + m*tHi
 		if waste < best {
@@ -68,7 +66,7 @@ func (mw *minWaste) Len() int { return mw.recs.Len() }
 // maxThroughput chooses the first allocation maximizing the expected number
 // of task completions per unit of allocated resource: a smaller allocation
 // packs more concurrent tasks on a fixed pool, discounted by its success
-// probability. Candidates are the observed values; the score is
+// probability. Candidates are the observed values, one per entry; the score is
 // P(v <= a) / a, time-weighted to favour long-running successes.
 type maxThroughput struct {
 	recs record.List
@@ -79,14 +77,12 @@ func (mt *maxThroughput) Predict(*rand.Rand) float64 {
 	if n == 0 {
 		return 0
 	}
-	tAll := mt.recs.TimeSum(0, n-1)
+	e := mt.recs.Entries()
+	tAll := mt.recs.TimeSum(0, e-1)
 	best := math.Inf(-1)
 	bestA := mt.recs.MaxValue()
-	for k := 0; k < n; k++ {
+	for k := 0; k < e; k++ {
 		a := mt.recs.Value(k)
-		if k+1 < n && mt.recs.Value(k+1) == a {
-			continue
-		}
 		if a <= 0 {
 			continue
 		}

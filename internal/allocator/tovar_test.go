@@ -55,8 +55,8 @@ func TestMinWastePredictIsOptimalAmongCandidates(t *testing.T) {
 		mw := &minWaste{}
 		var vals, times []float64
 		for i := 0; i < n; i++ {
-			v := r.Float64()*100 + 1
-			tm := r.Float64()*10 + 0.1
+			v := float64(1 + r.IntN(100000))
+			tm := float64(1 + r.IntN(10000))
 			vals = append(vals, v)
 			times = append(times, tm)
 			mw.Observe(record.Record{TaskID: i + 1, Value: v, Time: tm})
@@ -119,8 +119,8 @@ func TestMaxThroughputPredictIsOptimalAmongCandidates(t *testing.T) {
 		mt := &maxThroughput{}
 		var vals, times []float64
 		for i := 0; i < n; i++ {
-			v := r.Float64()*100 + 1
-			tm := r.Float64()*10 + 0.1
+			v := float64(1 + r.IntN(100000))
+			tm := float64(1 + r.IntN(10000))
 			vals = append(vals, v)
 			times = append(times, tm)
 			mt.Observe(record.Record{TaskID: i + 1, Value: v, Time: tm})

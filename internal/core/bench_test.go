@@ -14,8 +14,9 @@ import (
 // path end to end: one record lands, the next prediction pays one rebuild
 // merge, one partition, and one bucket materialization.
 
-// benchRecordSlice draws n bimodal records (the Figure 3b shape) with the
-// paper's task-ID significance weighting, in submission order.
+// benchRecordSlice draws n bimodal records (the Figure 3b shape, in MB:
+// N(3000, 400) and N(9000, 700)) with the paper's task-ID significance
+// weighting, in submission order.
 func benchRecordSlice(n int, seed uint64) []record.Record {
 	r := rand.New(rand.NewPCG(seed, 0xBE))
 	recs := make([]record.Record, n)
@@ -24,7 +25,7 @@ func benchRecordSlice(n int, seed uint64) []record.Record {
 		if r.Float64() < 0.5 {
 			v = 3 + 0.4*r.NormFloat64()
 		}
-		recs[i] = record.Record{TaskID: i + 1, Value: math.Max(v, 0.1), Sig: float64(i + 1), Time: 1}
+		recs[i] = record.Record{TaskID: i + 1, Value: 1000 * math.Max(v, 0.1), Sig: float64(i + 1), Time: 1}
 	}
 	return recs
 }
@@ -38,7 +39,7 @@ func benchRecords(n int, seed uint64) *record.List {
 	return l
 }
 
-// settledRecords is benchRecords(n, 42) with its sorted view settled, so a
+// settledRecords is benchRecords(n, 42) with its entries settled, so a
 // partition pays for nothing else.
 func settledRecords(n int) *record.List {
 	l := benchRecords(n, 42)
@@ -99,7 +100,7 @@ func benchIncremental(b *testing.B, alg Algorithm, n int) {
 			b.StartTimer()
 		}
 		id := n + i%steadyPeriod + 1
-		s.Add(record.Record{TaskID: id, Value: 3 + 7*r.Float64(), Sig: float64(id), Time: 1})
+		s.Add(record.Record{TaskID: id, Value: 1000 * (3 + 7*r.Float64()), Sig: float64(id), Time: 1})
 		if s.Predict(r) <= 0 {
 			b.Fatal("no prediction")
 		}
@@ -122,7 +123,7 @@ func TestIncrementalAllocatesNothing(t *testing.T) {
 		id := s.Len()
 		got := testing.AllocsPerRun(100, func() {
 			id++
-			s.Add(record.Record{TaskID: id, Value: 3 + 7*r.Float64(), Sig: float64(id), Time: 1})
+			s.Add(record.Record{TaskID: id, Value: 1000 * (3 + 7*r.Float64()), Sig: float64(id), Time: 1})
 			s.Predict(r)
 		})
 		if got != 0 {
@@ -151,8 +152,8 @@ func BenchmarkCoreIncrementalExhaustive10k(b *testing.B) {
 
 // BenchmarkCorePartitionGreedyGrowing measures one greedy partition on the
 // shape a live recompute sees: a bimodal list that grows from 1 000 to 6 000
-// records in 4-record batches, each batch added and merged into the sorted
-// view untimed, then starts over. Only the partitions are timed.
+// records in 4-record batches, each batch added and merged into the entries
+// untimed, then starts over. Only the partitions are timed.
 func BenchmarkCorePartitionGreedyGrowing(b *testing.B) {
 	const first, last, batch = 1000, 6000, 4
 	recs := benchRecordSlice(last, 42)
@@ -179,4 +180,42 @@ func BenchmarkCorePartitionGreedyGrowing(b *testing.B) {
 			b.Fatal("empty partition")
 		}
 	}
+}
+
+// benchStateGrowing measures the recompute line of a live bucketing state:
+// four Adds, then Buckets, which rebuilds the record list's entries, then
+// partitions them and materializes the buckets, on a bimodal list that grows
+// from 1 000 to 6 000 records and then starts over (untimed). It is the work
+// Allocate pays under the allocator lock after a run of completions, so a
+// CPU profile of this benchmark shows the recompute's lines:
+//
+//	go test ./internal/core -run '^$' -bench StateRecomputeGrowing -cpuprofile cpu.out
+func benchStateGrowing(b *testing.B, alg Algorithm) {
+	const first, last, batch = 1000, 6000, 4
+	recs := benchRecordSlice(last, 42)
+	var s *State
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s == nil || s.Len()+batch > last {
+			b.StopTimer()
+			s = NewState(alg)
+			for _, rec := range recs[:first] {
+				s.Add(rec)
+			}
+			s.Buckets()
+			b.StartTimer()
+		}
+		for _, rec := range recs[s.Len():][:batch] {
+			s.Add(rec)
+		}
+		if len(s.Buckets()) == 0 {
+			b.Fatal("no buckets")
+		}
+	}
+}
+
+func BenchmarkStateRecomputeGrowing(b *testing.B) {
+	b.Run("greedy", func(b *testing.B) { benchStateGrowing(b, GreedyBucketing{}) })
+	b.Run("exhaustive", func(b *testing.B) { benchStateGrowing(b, ExhaustiveBucketing{}) })
 }

@@ -8,15 +8,15 @@ import (
 
 // BruteForce is the literal Algorithm 2 without the combinations
 // optimization of Section IV-D: it enumerates every possible bucket
-// configuration of the record list and scores each with
+// configuration of the record list's entries and scores each with
 // compute_exhaust_cost. Its cost grows exponentially (2^(n-1)
-// configurations), so it is only usable on small lists; it exists as the
+// configurations over n entries), so it is only usable on small lists; it exists as the
 // ground-truth reference the optimized ExhaustiveBucketing is validated
 // against, and as the exact solver for the worked examples.
 type BruteForce struct {
-	// MaxRecords guards against accidental exponential blow-ups; lists
-	// longer than this panic. Zero means 20.
-	MaxRecords int
+	// MaxEntries guards against accidental exponential blow-ups; lists of
+	// more entries than this panic. Zero means 20.
+	MaxEntries int
 }
 
 // Name implements Algorithm.
@@ -24,21 +24,21 @@ func (BruteForce) Name() string { return "brute-force" }
 
 // Partition implements Algorithm.
 func (b BruteForce) Partition(l *record.List, s *Scratch) []int {
-	n := l.Len()
+	v := l.View()
+	n := v.Len()
 	if n == 0 {
 		return nil
 	}
-	maxN := b.MaxRecords
+	maxN := b.MaxEntries
 	if maxN <= 0 {
 		maxN = 20
 	}
 	if n > maxN {
-		panic("core: BruteForce.Partition on a list larger than MaxRecords")
+		panic("core: BruteForce.Partition on a list of more than MaxEntries entries")
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	v := l.View()
 	best := []int{n - 1}
 	bestCost := computeExhaustCost(v, best, s)
 	// Every subset of {0..n-2} as interior bucket ends.
@@ -65,8 +65,8 @@ func (b BruteForce) Partition(l *record.List, s *Scratch) []int {
 // OptimalityGap returns how far a partition's expected waste is above the
 // brute-force optimum for the same records, as a ratio >= 1 (1 means the
 // partition is optimal). It is a testing/validation helper for small lists.
-func OptimalityGap(l *record.List, ends []int, maxRecords int) float64 {
-	bf := BruteForce{MaxRecords: maxRecords}
+func OptimalityGap(l *record.List, ends []int, maxEntries int) float64 {
+	bf := BruteForce{MaxEntries: maxEntries}
 	optimal := ExpectedWaste(l, bf.Partition(l, nil))
 	got := ExpectedWaste(l, ends)
 	if optimal <= 0 {

@@ -21,12 +21,12 @@ import (
 	"dynalloc/internal/record"
 )
 
-// Bucket is one interval of the sorted record list, reduced to the two
+// Bucket is one interval of the record list's entries, reduced to the two
 // values the predictor needs (Section IV-A): the representative value
 // (the maximum record value in the bucket) and the probability value
 // (the bucket's share of total significance).
 type Bucket struct {
-	Lo, Hi int     // inclusive index range into the sorted record list
+	Lo, Hi int     // inclusive index range into the list's entries
 	Rep    float64 // representative value: max record value in the bucket
 	Prob   float64 // normalized significance share of the bucket
 	Count  int     // number of records in the bucket
@@ -37,24 +37,25 @@ func (b Bucket) String() string {
 }
 
 // appendBucketsCum materializes buckets from the inclusive end indices of
-// each bucket over the sorted record list, appending to dst, and appends the
+// each bucket over the list's entries, appending to dst, and appends the
 // running cumulative probability (cum[i] = Σ prob[0..i], accumulated left to
 // right so it matches a sequential sum bit for bit) to cum. ends must be
-// strictly ascending and terminate at l.Len()-1. Passing the previous
+// strictly ascending and terminate at the last entry. Passing the previous
 // buffers re-sliced to length zero makes a recomputation allocation-free.
 func appendBucketsCum(dst []Bucket, cum []float64, l *record.List, ends []int) ([]Bucket, []float64) {
-	total := l.TotalSig()
+	v := l.View()
+	total := v.TotalSig()
 	running := 0.0
 	lo := 0
 	for _, hi := range ends {
 		b := Bucket{
 			Lo:    lo,
 			Hi:    hi,
-			Rep:   l.Value(hi),
-			Count: hi - lo + 1,
+			Rep:   v.Values[hi],
+			Count: l.Count(lo, hi),
 		}
 		if total > 0 {
-			b.Prob = l.SigSum(lo, hi) / total
+			b.Prob = v.SigSum(lo, hi) / total
 		}
 		running += b.Prob
 		dst = append(dst, b)
@@ -120,9 +121,10 @@ func pickBucket(buckets []Bucket, from int, total float64, r *rand.Rand) int {
 	return len(buckets) - 1
 }
 
-// Algorithm computes a bucket partition over a sorted record list. The
+// Algorithm computes a bucket partition over a record list's entries. The
 // returned slice holds the inclusive end index of every bucket, ascending,
-// with the final element equal to l.Len()-1. The scratch carries the
+// with the final element equal to l.Entries()-1: records of equal value share
+// an entry, so they always share a bucket. The scratch carries the
 // computation's reusable working memory between calls; it may be nil, in
 // which case the call allocates transient buffers. The returned slice may
 // alias the scratch and is valid only until the next Partition call using

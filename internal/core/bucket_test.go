@@ -118,8 +118,9 @@ func TestSampleBucketZeroMass(t *testing.T) {
 }
 
 // Property: for any record multiset and any algorithm, the computed buckets
-// form an exact partition with non-decreasing representatives summing to
-// probability 1, and each rep is the maximum value within its bucket.
+// form an exact partition of the entries with increasing representatives
+// summing to probability 1, each rep is the maximum value within its bucket,
+// and the buckets' counts add up to every record.
 func TestPartitionInvariants(t *testing.T) {
 	algs := []Algorithm{GreedyBucketing{}, ExhaustiveBucketing{}}
 	f := func(seed uint64, nRaw uint8) bool {
@@ -136,7 +137,7 @@ func TestPartitionInvariants(t *testing.T) {
 		}
 		for _, alg := range algs {
 			ends := alg.Partition(l, nil)
-			if len(ends) == 0 || ends[len(ends)-1] != n-1 {
+			if len(ends) == 0 || ends[len(ends)-1] != l.Entries()-1 {
 				return false
 			}
 			for i := 1; i < len(ends); i++ {
@@ -152,7 +153,7 @@ func TestPartitionInvariants(t *testing.T) {
 			for _, b := range bs {
 				probSum += b.Prob
 				covered += b.Count
-				if b.Rep < prevRep {
+				if b.Rep <= prevRep {
 					return false
 				}
 				prevRep = b.Rep

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"dynalloc/internal/record"
@@ -17,7 +16,7 @@ const DefaultMaxBuckets = 10
 // optimization of Section IV-D. Rather than enumerating all C(N, k) break
 // point sets, each bucket count nb considers a single candidate
 // configuration whose break values split the value space evenly
-// (v_max·i/nb), mapped to the closest records with lower values; duplicate
+// (v_max·i/nb), mapped to the closest entries with lower values; duplicate
 // and empty mappings are dropped. Each configuration is scored by
 // computeExhaustCost and the lowest expected waste wins.
 type ExhaustiveBucketing struct {
@@ -34,14 +33,14 @@ func (ExhaustiveBucketing) Name() string { return "exhaustive" }
 // The scratch also keeps every break's search result, which the next
 // Partition of the same, grown, list starts its search from (evenEnds).
 func (e ExhaustiveBucketing) Partition(l *record.List, s *Scratch) []int {
-	n := l.Len()
+	v := l.View()
+	n := v.Len()
 	if n == 0 {
 		return nil
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	v := l.View()
 	maxB := e.MaxBuckets
 	if maxB <= 0 {
 		maxB = DefaultMaxBuckets
@@ -74,11 +73,11 @@ func (e ExhaustiveBucketing) Partition(l *record.List, s *Scratch) []int {
 
 // evenEnds appends to ends the candidate bucket end indices for a target of
 // nb buckets: break values at v_max·i/nb for i = 1..nb-1, each mapped to the
-// closest record strictly below it, deduplicated, plus the final index.
+// closest entry strictly below it, deduplicated, plus the final index.
 //
 // marks[i-1] holds where break i's search ended the last time (the first
-// record at or above the break value, or -1 for none), and added how many
-// records the list has gained since; each search starts from that bracket
+// entry at or above the break value, or -1 for none), and added how many
+// entries the list has gained since; each search starts from that bracket
 // and leaves its own answer in marks[i-1].
 func evenEnds(v record.View, nb int, ends, marks []int, added int) []int {
 	n := v.Len()
@@ -87,7 +86,7 @@ func evenEnds(v record.View, nb int, ends, marks []int, added int) []int {
 	for i := 1; i < nb; i++ {
 		p := searchBracket(v, vmax*float64(i)/float64(nb), marks[i-1], added)
 		marks[i-1] = p
-		idx := p - 1 // the last record strictly below the break value
+		idx := p - 1 // the last entry strictly below the break value
 		if idx < 0 || idx == prev || idx >= n-1 {
 			continue // empty or duplicate mapping, or collides with the last bucket
 		}
@@ -97,13 +96,13 @@ func evenEnds(v record.View, nb int, ends, marks []int, added int) []int {
 	return append(ends, n-1)
 }
 
-// searchBracket returns v.SearchValue(x)+1, the first record whose value is
+// searchBracket returns v.SearchValue(x)+1, the first entry whose value is
 // at least x (v.Len() for none). p is where the same break's search ended on
-// the list before it gained added records. An insert moves a record up by at
-// most the number of records inserted below it, and most breaks keep their
+// the list before it gained added entries. A new entry moves an entry up by
+// at most the number of entries added below it, and most breaks keep their
 // value, so the answer usually lies in [p, p+added]. That bracket is only
 // trusted once the values at its edges confirm it holds the answer — the
-// record below it is < x and the one at its top is ≥ x — and is then
+// entry below it is < x and the one at its top is ≥ x — and is then
 // binary-searched. Any other hint, stale or from another list, costs the
 // full search and nothing else, so the result is SearchValue's by
 // construction.
@@ -152,16 +151,10 @@ func computeExhaustCost(v record.View, ends []int, s *Scratch) float64 {
 	sigLo, valSigLo := v.PrefixSig[0], v.PrefixValSig[0]
 	for j, hi := range ends {
 		sigHi, valSigHi := v.PrefixSig[hi+1], v.PrefixValSig[hi+1]
-		sig := sigHi - sigLo
+		sig := float64(sigHi - sigLo) // ≥ 1: every entry's significance is
 		rep[j] = v.Values[hi]
-		prob[j] = 0
-		if total > 0 {
-			prob[j] = sig / total
-		}
-		mean[j] = 0
-		if sig != 0 {
-			mean[j] = (valSigHi - valSigLo) / sig
-		}
+		prob[j] = sig / total
+		mean[j] = float64(valSigHi-valSigLo) / sig
 		acc[j] = 0
 		sigLo, valSigLo = sigHi, valSigHi
 	}
@@ -179,31 +172,24 @@ func computeExhaustCost(v record.View, ends []int, s *Scratch) float64 {
 			tij := rj - mean[i]
 			acc[i] += pj * tij
 		}
-		failed := acc[j+1:]
-		if t := tail[j+1]; t > 0 {
-			for i := range failed {
-				tij := rj + failed[i]/t
-				failed[i] += pj * tij
-			}
-		} else {
-			for i := range failed {
-				failed[i] += pj * rj
-			}
+		// Rows above j failed here; the buckets above j hold significance,
+		// so their tail is positive wherever such rows exist.
+		failed, t := acc[j+1:], tail[j+1]
+		for i := range failed {
+			tij := rj + failed[i]/t
+			failed[i] += pj * tij
 		}
 	}
 	w := 0.0
 	for i := range acc {
 		w += prob[i] * acc[i]
 	}
-	if math.IsNaN(w) {
-		return math.Inf(1)
-	}
 	return w
 }
 
 // ExpectedWaste exposes compute_exhaust_cost for tests, ablations, and the
 // worked-example tooling: it scores an arbitrary bucket configuration
-// (given by inclusive end indices over the sorted record list) by its
+// (given by inclusive end indices over the list's entries) by its
 // expected resource waste for the next task.
 func ExpectedWaste(l *record.List, ends []int) float64 {
 	return computeExhaustCost(l.View(), ends, nil)

@@ -51,9 +51,11 @@ func Fig3Example(seed uint64, records int) *report.Table {
 	}
 	r := dist.NewRand(seed)
 	sampler := dist.Normal{Mean: 8, Stddev: 2, Min: 0.1} // GB, as in the paper's example
+	// The list counts whole units, so it is fed MB and the table shows GB.
+	const mbPerGB = 1024
 	l := &record.List{}
 	for i := 0; i < records; i++ {
-		l.Add(record.Record{TaskID: i + 1, Value: sampler.Sample(r), Sig: float64(i + 1), Time: 60})
+		l.Add(record.Record{TaskID: i + 1, Value: mbPerGB * sampler.Sample(r), Sig: float64(i + 1), Time: 60})
 	}
 	tab := report.New(
 		fmt.Sprintf("Figure 3 — bucketing a %d-record N(8,2) GB sample", records),
@@ -61,10 +63,10 @@ func Fig3Example(seed uint64, records int) *report.Table {
 	for _, alg := range []core.Algorithm{core.GreedyBucketing{}, core.ExhaustiveBucketing{}} {
 		buckets := core.ComputeBuckets(l, alg)
 		for i, b := range buckets {
-			lo := l.Value(b.Lo)
+			lo, rep := l.Value(b.Lo)/mbPerGB, b.Rep/mbPerGB
 			tab.AddRow(alg.Name(), i+1,
-				fmt.Sprintf("(%.2f, %.2f]", lo, b.Rep),
-				fmt.Sprintf("%.2f", b.Rep),
+				fmt.Sprintf("(%.2f, %.2f]", lo, rep),
+				fmt.Sprintf("%.2f", rep),
 				fmt.Sprintf("%.3f", b.Prob),
 				b.Count)
 		}

@@ -30,28 +30,78 @@ func TestEmptyList(t *testing.T) {
 	}
 }
 
-func TestSortedOrderStable(t *testing.T) {
+func TestEqualValuesShareAnEntry(t *testing.T) {
 	l := &List{}
-	l.Add(Record{TaskID: 1, Value: 5, Sig: 1})
-	l.Add(Record{TaskID: 2, Value: 3, Sig: 2})
-	l.Add(Record{TaskID: 3, Value: 5, Sig: 3})
-	l.Add(Record{TaskID: 4, Value: 1, Sig: 4})
-	s := l.Values()
-	wantValues := []float64{1, 3, 5, 5}
-	for i, v := range s {
-		if v != wantValues[i] {
-			t.Fatalf("sorted[%d] value = %v, want %v", i, v, wantValues[i])
+	l.Add(Record{TaskID: 1, Value: 5, Sig: 1, Time: 10})
+	l.Add(Record{TaskID: 2, Value: 3, Sig: 2, Time: 20})
+	l.Add(Record{TaskID: 3, Value: 5, Sig: 3, Time: 30})
+	l.Add(Record{TaskID: 4, Value: 1, Sig: 4, Time: 40})
+	if !slices.Equal(l.Values(), []float64{1, 3, 5}) {
+		t.Fatalf("entries = %v, want [1 3 5]", l.Values())
+	}
+	if l.Len() != 4 || l.Entries() != 3 {
+		t.Fatalf("Len, Entries = %d, %d, want 4, 3", l.Len(), l.Entries())
+	}
+	// The two 5s: significance 1+3, time 10+30, two records.
+	if l.SigSum(2, 2) != 4 || l.TimeSum(2, 2) != 40 || l.Count(2, 2) != 2 {
+		t.Errorf("entry of 5: sig %v, time %v, count %d, want 4, 40, 2", l.SigSum(2, 2), l.TimeSum(2, 2), l.Count(2, 2))
+	}
+	for r, want := range []float64{1, 3, 5, 5} {
+		if got := l.RankValue(r); got != want {
+			t.Errorf("RankValue(%d) = %v, want %v", r, got, want)
 		}
 	}
-	// Stable: the two 5s keep insertion order (task 1, of significance 1,
-	// before task 3, of significance 3).
-	if l.sigs[2] != 1 || l.sigs[3] != 3 {
-		t.Errorf("sort not stable: significances %v", l.sigs)
+}
+
+func TestAddRoundsUp(t *testing.T) {
+	l := &List{}
+	l.Add(Record{Value: 2.1, Sig: 0.5, Time: 0.2})
+	l.Add(Record{Value: 3, Sig: 2, Time: -1})
+	l.Add(Record{Value: -4, Sig: 1, Time: math.NaN()})
+	l.Add(Record{Value: math.NaN(), Sig: 1})
+	if !slices.Equal(l.Values(), []float64{0, 3}) {
+		t.Fatalf("entries = %v, want [0 3]", l.Values())
+	}
+	// 2.1 and 3 share the entry 3: significance 1 (0.5 rounded up) + 2.
+	if l.SigSum(1, 1) != 3 || l.TimeSum(1, 1) != 1 || l.TimeSum(0, 0) != 0 {
+		t.Errorf("entry 3: sig %v, time %v; entry 0: time %v", l.SigSum(1, 1), l.TimeSum(1, 1), l.TimeSum(0, 0))
+	}
+}
+
+// TestInt64Bound fills the list's value·significance sum to exactly
+// 2⁶³−1, checks every sum is exact there, and that the next record, which
+// would carry the sum past the bound, is refused and changes nothing.
+func TestInt64Bound(t *testing.T) {
+	l := &List{}
+	// 2⁶³−1 = 7² · 73 · 127 · 337 · 92737 · 649657.
+	const v, s = 7 * 7 * 73 * 127, 337 * 92737 * 649657
+	if !l.Add(Record{Value: v, Sig: s, Time: 1}) {
+		t.Fatal("a record at the bound was refused")
+	}
+	v0 := l.View()
+	if v0.PrefixValSig[1] != math.MaxInt64 || v0.PrefixSig[1] != s {
+		t.Fatalf("sums %d, %d, want %d, %d", v0.PrefixValSig[1], v0.PrefixSig[1], int64(math.MaxInt64), s)
+	}
+	if l.Add(Record{Value: 1, Sig: 1}) {
+		t.Fatal("a record past the bound was accepted")
+	}
+	if l.Add(Record{Value: 1 << 63, Sig: 1}) || l.Add(Record{Value: 1, Sig: math.Inf(1)}) {
+		t.Fatal("a value or significance of 2⁶³ was accepted")
+	}
+	if l.Len() != 1 || l.Entries() != 1 || l.View().PrefixValSig[1] != math.MaxInt64 {
+		t.Fatalf("a refused record changed the list: %d records, %d entries", l.Len(), l.Entries())
+	}
+	// A zero-valued record still fits: it adds significance only.
+	if !l.Add(Record{Value: 0, Sig: 1, Time: 1}) || l.TotalSig() != s+1 {
+		t.Fatalf("zero-valued record: total significance %v, want %v", l.TotalSig(), float64(s+1))
 	}
 }
 
 func TestPrefixSums(t *testing.T) {
 	l := listOf(10, 20, 30, 40) // sigs 1..4 in the same order
+	if l.Count(0, 3) != 4 || l.Count(1, 2) != 2 {
+		t.Errorf("Count(0,3), Count(1,2) = %d, %d, want 4, 2", l.Count(0, 3), l.Count(1, 2))
+	}
 	if got := l.SigSum(0, 3); got != 10 {
 		t.Errorf("SigSum(0,3) = %v, want 10", got)
 	}
@@ -104,10 +154,10 @@ func TestSigClamping(t *testing.T) {
 	l := &List{}
 	l.Add(Record{TaskID: 1, Value: 5, Sig: 0})
 	l.Add(Record{TaskID: 2, Value: 5, Sig: -3})
-	if got := l.TotalSig(); got <= 0 {
-		t.Errorf("TotalSig = %v, want positive after clamping", got)
+	if got := l.TotalSig(); got != 2 {
+		t.Errorf("TotalSig = %v, want 2: a non-positive significance counts 1", got)
 	}
-	if got := l.WeightedMean(0, 1); math.Abs(got-5) > 1e-9 {
+	if got := l.WeightedMean(0, 0); got != 5 {
 		t.Errorf("WeightedMean = %v, want 5", got)
 	}
 }
@@ -147,42 +197,50 @@ func TestRangePanics(t *testing.T) {
 	}
 }
 
-// Property: prefix-sum statistics match a naive recomputation.
+// Property: every range statistic over entries equals the sum, exact, over
+// the records whose values fall in the range.
 func TestPrefixSumsMatchNaive(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		r := rand.New(rand.NewPCG(seed, 1))
 		l := &List{}
+		var recs []Record
 		for i := 0; i < n; i++ {
-			l.Add(Record{
+			rec := Record{
 				TaskID: i + 1,
-				Value:  r.Float64() * 1000,
-				Sig:    r.Float64()*10 + 0.1,
-				Time:   r.Float64() * 100,
-			})
+				Value:  float64(r.IntN(40)),
+				Sig:    float64(r.IntN(10) + 1),
+				Time:   float64(r.IntN(100)),
+			}
+			l.Add(rec)
+			recs = append(recs, rec)
 		}
 		s := l.Values()
-		if !sort.Float64sAreSorted(s) {
+		if !sort.Float64sAreSorted(s) || l.Entries() != len(s) {
 			return false
 		}
-		// Pick a few random ranges and compare to naive sums.
-		for trial := 0; trial < 5; trial++ {
-			lo := r.IntN(n)
-			hi := lo + r.IntN(n-lo)
-			var sig, valSig, tm, valT float64
-			for i := lo; i <= hi; i++ {
-				sig += l.sigs[i]
-				valSig += s[i] * l.sigs[i]
-				tm += l.times[i]
-				valT += s[i] * l.times[i]
-			}
-			if math.Abs(l.SigSum(lo, hi)-sig) > 1e-6 ||
-				math.Abs(l.TimeSum(lo, hi)-tm) > 1e-6 ||
-				math.Abs(l.ValueTimeSum(lo, hi)-valT) > 1e-6 {
+		for i := 1; i < len(s); i++ {
+			if s[i] == s[i-1] {
 				return false
 			}
-			wm := l.WeightedMean(lo, hi)
-			if sig > 0 && math.Abs(wm-valSig/sig) > 1e-6 {
+		}
+		for trial := 0; trial < 5; trial++ {
+			lo := r.IntN(len(s))
+			hi := lo + r.IntN(len(s)-lo)
+			var sig, valSig, tm, valT float64
+			cnt := 0
+			for _, rec := range recs {
+				if rec.Value >= s[lo] && rec.Value <= s[hi] {
+					sig += rec.Sig
+					valSig += rec.Value * rec.Sig
+					tm += rec.Time
+					valT += rec.Value * rec.Time
+					cnt++
+				}
+			}
+			if l.SigSum(lo, hi) != sig || l.TimeSum(lo, hi) != tm ||
+				l.ValueTimeSum(lo, hi) != valT || l.Count(lo, hi) != cnt ||
+				l.WeightedMean(lo, hi) != valSig/sig {
 				return false
 			}
 		}
@@ -223,9 +281,8 @@ func TestSearchValueProperty(t *testing.T) {
 }
 
 // Property: interleaving Add calls with queries (which trigger incremental
-// merge rebuilds) yields exactly the same sorted columns as adding everything
-// up front (one big sort). Significances are distinct, so the significance
-// column witnesses the order of tied values.
+// merge rebuilds) yields exactly the same entries and prefix columns as
+// adding everything up front.
 func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 2
@@ -234,7 +291,7 @@ func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 		all := &List{}
 		var recs []Record
 		for i := 0; i < n; i++ {
-			rec := Record{TaskID: i + 1, Value: float64(r.IntN(10)), Sig: float64(i + 1), Time: 1}
+			rec := Record{TaskID: i + 1, Value: float64(r.IntN(10)), Sig: float64(i + 1), Time: float64(r.IntN(5))}
 			recs = append(recs, rec)
 		}
 		for i, rec := range recs {
@@ -244,11 +301,10 @@ func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 				inc.Values() // force an incremental merge mid-stream
 			}
 		}
-		if !slices.Equal(inc.Values(), all.Values()) || !slices.Equal(inc.sigs, all.sigs) ||
-			!slices.Equal(inc.times, all.times) {
-			return false
-		}
-		return math.Abs(inc.TotalSig()-all.TotalSig()) < 1e-9
+		a, b := inc.View(), all.View()
+		return slices.Equal(a.Values, b.Values) && slices.Equal(a.PrefixSig, b.PrefixSig) &&
+			slices.Equal(a.PrefixValSig, b.PrefixValSig) && slices.Equal(inc.prefixCount, all.prefixCount) &&
+			slices.Equal(inc.times, all.times) && inc.TimeSum(0, inc.Entries()-1) == all.TimeSum(0, all.Entries()-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -256,15 +312,15 @@ func TestIncrementalMergeMatchesFullSort(t *testing.T) {
 }
 
 func BenchmarkRebuild5000(b *testing.B) {
-	// Steady-state cost: one new record arrives, the sorted view and
-	// prefix sums are rebuilt. The list is restored to its 5000 base
+	// Steady-state cost: one new record arrives, the entries and prefix
+	// sums are rebuilt. Values are N(8, 2) GB in MB. The list is restored to its 5000 base
 	// records, untimed, every steadyPeriod iterations, so it never holds
 	// more than 5000+steadyPeriod records and ns/op does not depend on b.N.
 	const n, steadyPeriod = 5000, 64
 	r := rand.New(rand.NewPCG(1, 2))
 	base := make([]Record, n)
 	for i := range base {
-		base[i] = Record{TaskID: i, Value: r.NormFloat64()*2 + 8, Sig: float64(i + 1), Time: 60}
+		base[i] = Record{TaskID: i, Value: (r.NormFloat64()*2 + 8) * 1024, Sig: float64(i + 1), Time: 60}
 	}
 	var l *List
 	b.ResetTimer()
@@ -279,7 +335,7 @@ func BenchmarkRebuild5000(b *testing.B) {
 			b.StartTimer()
 		}
 		id := n + i%steadyPeriod
-		l.Add(Record{TaskID: id, Value: r.NormFloat64()*2 + 8, Sig: float64(id), Time: 60})
+		l.Add(Record{TaskID: id, Value: (r.NormFloat64()*2 + 8) * 1024, Sig: float64(id), Time: 60})
 		l.rebuild()
 	}
 }

@@ -17,6 +17,38 @@ type observation struct {
 	runtime float64
 }
 
+// window is one category's decay ring: the most recent observations, at
+// most size of them. It grows to size by appending, then overwrites its
+// oldest observation in place, so keeping it costs O(1) per Observe.
+type window struct {
+	obs  []observation
+	next int // once obs is full, the oldest observation, the next overwritten
+}
+
+// add keeps o, dropping the oldest observation once size are kept.
+func (w *window) add(o observation, size int) {
+	switch {
+	case size <= 0:
+	case len(w.obs) < size:
+		w.obs = append(w.obs, o)
+	default:
+		w.obs[w.next] = o
+		if w.next++; w.next == len(w.obs) {
+			w.next = 0
+		}
+	}
+}
+
+// replay calls fn on the kept observations in arrival order.
+func (w *window) replay(fn func(observation)) {
+	for _, o := range w.obs[w.next:] {
+		fn(o)
+	}
+	for _, o := range w.obs[:w.next] {
+		fn(o)
+	}
+}
+
 // tenant is one workflow's isolated allocator state: its own
 // allocator.Allocator (and therefore its own record.List/bucketing state and
 // its own lock), service counters, and the decay bookkeeping that keeps a
@@ -46,7 +78,7 @@ type tenant struct {
 	// accumulated since its last reset, and the ring of the most recent
 	// window observations replayed after a reset.
 	counts map[string]int
-	recent map[string][]observation
+	recent map[string]*window
 
 	maxRecords  int // reset a category at this record count; 0 disables
 	decayWindow int // observations replayed after a reset
@@ -64,7 +96,7 @@ func newTenant(name string, alg allocator.Name, seed uint64, maxRecords, decayWi
 		lastActive:  time.Now(),
 		seen:        make(map[string]struct{}),
 		counts:      make(map[string]int),
-		recent:      make(map[string][]observation),
+		recent:      make(map[string]*window),
 		maxRecords:  maxRecords,
 		decayWindow: decayWindow,
 	}, nil
@@ -105,14 +137,12 @@ func (t *tenant) observe(category string, taskID int, peak resources.Vector, run
 	if t.maxRecords <= 0 {
 		return
 	}
-	ring := t.recent[category]
-	ring = append(ring, observation{taskID: taskID, peak: peak, runtime: runtime})
-	if len(ring) > t.decayWindow {
-		// Shift rather than reslice so the backing array doesn't creep.
-		copy(ring, ring[len(ring)-t.decayWindow:])
-		ring = ring[:t.decayWindow]
+	w := t.recent[category]
+	if w == nil {
+		w = &window{}
+		t.recent[category] = w
 	}
-	t.recent[category] = ring
+	w.add(observation{taskID: taskID, peak: peak, runtime: runtime}, t.decayWindow)
 	t.counts[category]++
 	if t.counts[category] < t.maxRecords {
 		return
@@ -122,10 +152,8 @@ func (t *tenant) observe(category string, taskID int, peak resources.Vector, run
 	// tail nearly weightless, so predictions move little while memory
 	// returns to the window size.
 	t.alloc.ResetCategory(category)
-	for _, o := range ring {
-		t.alloc.Observe(category, o.taskID, o.peak, o.runtime)
-	}
-	t.counts[category] = len(ring)
+	w.replay(func(o observation) { t.alloc.Observe(category, o.taskID, o.peak, o.runtime) })
+	t.counts[category] = len(w.obs)
 	t.decays++
 }
 

@@ -101,3 +101,63 @@ func TestTenantDecayTracksLiveRecords(t *testing.T) {
 		t.Errorf("only %d decays ran", d)
 	}
 }
+
+// TestDecayWindowReplaysTheLastObservationsInOrder holds the decay ring to
+// its contract: whatever the window size and however many observations went
+// by, a replay yields exactly the last size of them, oldest first.
+func TestDecayWindowReplaysTheLastObservationsInOrder(t *testing.T) {
+	for _, size := range []int{0, 1, 2, 5, 16} {
+		var w window
+		for n := 1; n <= 3*size+4; n++ {
+			w.add(observation{taskID: n}, size)
+			var got []int
+			w.replay(func(o observation) { got = append(got, o.taskID) })
+			kept := min(n, size)
+			if len(got) != kept {
+				t.Fatalf("size %d after %d: replayed %v, want the last %d", size, n, got, kept)
+			}
+			for i, id := range got {
+				if id != n-kept+1+i {
+					t.Fatalf("size %d after %d: replayed %v, want tasks %d..%d in arrival order", size, n, got, n-kept+1, n)
+				}
+			}
+		}
+		if len(w.obs) > size {
+			t.Errorf("size %d: the ring holds %d observations", size, len(w.obs))
+		}
+	}
+}
+
+// TestTenantDecayReplaysTheWindow checks a decay end to end: right after
+// one, the category holds exactly the window's records, and the tenant's
+// sampled allocations equal those of a fresh allocator, same seed, that
+// observed only the last window observations.
+func TestTenantDecayReplaysTheWindow(t *testing.T) {
+	const maxRecords, window = 40, 15
+	tn, err := newTenant("t", allocator.Greedy, 3, maxRecords, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []observation
+	for id := 1; id <= maxRecords; id++ {
+		o := observation{taskID: id, runtime: float64(10 + id%7),
+			peak: resources.New(0.5+float64(id%5)/3, float64(500+97*(id%13)), float64(200+31*(id%11)), 30)}
+		all = append(all, o)
+		tn.observe("c", o.taskID, o.peak, o.runtime)
+	}
+	if d := tn.snapshot().Decays; d != 1 {
+		t.Fatalf("%d decays after %d observations, want 1", d, maxRecords)
+	}
+	if n := tn.alloc.Records("c"); n != window {
+		t.Fatalf("%d records after the decay, want the window's %d", n, window)
+	}
+	ref := allocator.MustNew(allocator.Greedy, allocator.Config{Seed: 3})
+	for _, o := range all[maxRecords-window:] {
+		ref.Observe("c", o.taskID, o.peak, o.runtime)
+	}
+	for i := 0; i < 50; i++ {
+		if got, want := tn.allocate("c", i), ref.Allocate("c", i); got != want {
+			t.Fatalf("allocation %d: tenant %v, allocator over the window %v", i, got, want)
+		}
+	}
+}

@@ -155,13 +155,13 @@ func TestGoldenRunsAreReproducible(t *testing.T) {
 // locality+data cell. Locality without a data layer scores every worker 0
 // and degenerates to first-fit, so those rows match by construction.
 var goldenResults = []goldenWant{
-	{makespan: 1026.47597365074, evictions: 110, peakWorkers: 10, attempts: 1777, retries: 1475, fingerprint: 0xd0437ad83c964949},
-	{makespan: 1200.5077946536403, evictions: 110, peakWorkers: 10, attempts: 1759, retries: 1455, fingerprint: 0xc2bcd8dc31758d6f},
-	{makespan: 990.8977654409191, evictions: 110, peakWorkers: 10, attempts: 1732, retries: 1429, fingerprint: 0x3e51e09fa68170f},
-	{makespan: 1026.47597365074, evictions: 110, peakWorkers: 10, attempts: 1777, retries: 1475, fingerprint: 0xd0437ad83c964949},
-	{makespan: 1291.5866225283432, evictions: 119, peakWorkers: 11, attempts: 1727, retries: 1372, fingerprint: 0x82d33ad589d8ed36},
-	{makespan: 1271.8330728440658, evictions: 119, peakWorkers: 11, attempts: 1728, retries: 1374, fingerprint: 0x3f72202f7d85c84d},
-	{makespan: 1322.1446808664955, evictions: 119, peakWorkers: 11, attempts: 1737, retries: 1373, fingerprint: 0x3c6bcb8a5649e3bf},
-	{makespan: 1291.5866225283432, evictions: 119, peakWorkers: 11, attempts: 1727, retries: 1372, fingerprint: 0x82d33ad589d8ed36},
-	{makespan: 1229.8817306250423, evictions: 110, peakWorkers: 10, attempts: 1765, retries: 1457, fingerprint: 0xa89272b8858b3879},
+	{makespan: 1083.767952596239, evictions: 110, peakWorkers: 10, attempts: 1778, retries: 1477, fingerprint: 0x56cb247eb65a1390},
+	{makespan: 1271.2785360549142, evictions: 110, peakWorkers: 10, attempts: 1757, retries: 1453, fingerprint: 0x9fd9891612faf36f},
+	{makespan: 990.8999394714592, evictions: 110, peakWorkers: 10, attempts: 1732, retries: 1429, fingerprint: 0x97b29fae61df1d5c},
+	{makespan: 1083.767952596239, evictions: 110, peakWorkers: 10, attempts: 1778, retries: 1477, fingerprint: 0x56cb247eb65a1390},
+	{makespan: 1291.5866225283432, evictions: 119, peakWorkers: 11, attempts: 1727, retries: 1372, fingerprint: 0x386e25005d5f71e0},
+	{makespan: 1271.8330728440658, evictions: 119, peakWorkers: 11, attempts: 1728, retries: 1374, fingerprint: 0x2a98aa658b89cb99},
+	{makespan: 1318.3486643076585, evictions: 119, peakWorkers: 11, attempts: 1738, retries: 1374, fingerprint: 0x75fdd0e3613033d0},
+	{makespan: 1291.5866225283432, evictions: 119, peakWorkers: 11, attempts: 1727, retries: 1372, fingerprint: 0x386e25005d5f71e0},
+	{makespan: 1229.8817306250423, evictions: 110, peakWorkers: 10, attempts: 1765, retries: 1457, fingerprint: 0x10535b111dac552c},
 }
