@@ -1,6 +1,10 @@
 package condor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -143,6 +147,47 @@ func TestClusterDrivesWorkflowSimulation(t *testing.T) {
 	}
 	if res.PeakWorkers > c.PilotTarget {
 		t.Errorf("peak workers %d exceeded pilot target %d", res.PeakWorkers, c.PilotTarget)
+	}
+}
+
+// scheduleFingerprint hashes every arrival's time and lease, bit-exact.
+func scheduleFingerprint(arr []opportunistic.Arrival) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, a := range arr {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.At))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.Lifetime))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestScheduleFingerprints pins Cluster.Schedule bit for bit: the default
+// cluster at three seeds, a small saturated cluster whose pilots are
+// preempted and resubmitted all day, and an idle one with no primary jobs.
+func TestScheduleFingerprints(t *testing.T) {
+	busy := Cluster{Slots: 40, PrimaryLoad: 0.9, PrimaryMeanDuration: 1800,
+		PilotTarget: 20, SubmitDelay: 15, Horizon: 43200}
+	idle := Cluster{Slots: 60, PrimaryLoad: 0, PrimaryMeanDuration: 3600,
+		PilotTarget: 50, SubmitDelay: 30, Horizon: 86400}
+	for _, tc := range []struct {
+		c    Cluster
+		seed uint64
+		n    int
+		want string
+	}{
+		{DefaultCluster(), 1, 1073, "658e8f9d0075234423d64e2d3aff55d7c1154b1f8908545b847c27cddf19ae2e"},
+		{DefaultCluster(), 7, 860, "570410435115fb30596aa6c166b5c08bb04e16353431ceb042d7a484b558596e"},
+		{DefaultCluster(), 42, 822, "449e4c68513949925095e2ef5d507a7aa2d0af9aadc0cf76000c3f41e3842d6c"},
+		{busy, 1, 810, "6f3a28a2e6d0999033fd047d59f4d97420d8ccc4d4a90375706b49e49f6ae2e6"},
+		{busy, 3, 805, "3634237725c5e0203c0764c02608ce78e9fb6e6b438493f155fee8a69bab7f4d"},
+		{idle, 1, 50, "ef0947e7d77e17a79d5cab630e3ba90770bc107b9d17d745a1a38a08cedb01e1"},
+	} {
+		arr := tc.c.Schedule(tc.seed)
+		if got := scheduleFingerprint(arr); len(arr) != tc.n || got != tc.want {
+			t.Errorf("%+v seed %d: %d arrivals, fingerprint %s; want %d, %s", tc.c, tc.seed, len(arr), got, tc.n, tc.want)
+		}
 	}
 }
 
