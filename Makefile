@@ -12,7 +12,7 @@ GO ?= go
 FUZZ_TARGETS = wq:FuzzWQMessageCodec wq:FuzzWQMessageDecode serve:FuzzFrameCodec serve:FuzzFrameDecode runlog:FuzzRead sched:FuzzDispatchMatchesFullScan core:FuzzGreedySplitMatchesReference core:FuzzExhaustiveWarmScratchMatchesCold record:FuzzRecordListMergeMatchesResort trace:FuzzReadWorkflow devent:FuzzEngineMatchesOracle
 FUZZ_TIME = 5s
 
-.PHONY: all build test race test-live vet loc surface bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean
+.PHONY: all build test race test-live stress vet loc surface bench-smoke fuzz-smoke whatif-smoke bench-test short ci clean
 
 all: build
 
@@ -63,6 +63,16 @@ test-live:
 		echo "$$listed" | grep -q -- "$$name" || { echo "test-live: no test in $(TEST_LIVE_PKGS) matches $$name"; exit 1; }; \
 	done
 	$(GO) test -race $(TEST_LIVE_PKGS) -run '$(TEST_LIVE_RUN)' -count=10
+
+# The live packages' tests twenty times over at one and at two Ps, beside two
+# busy loops of the target's own that compete for the CPUs: a test that
+# asserts on state another goroutine has not reached yet fails here, not one
+# `make test` in a hundred. It takes ~7 minutes on 2 vCPUs, the wq package
+# alone ~5.5 (hence the timeout), so ci leaves it out.
+stress:
+	@sh -c 'while :; do :; done' & b1=$$!; sh -c 'while :; do :; done' & b2=$$!; \
+	trap 'kill $$b1 $$b2 2>/dev/null' EXIT INT TERM; \
+	$(GO) test -count=20 -cpu 1,2 -timeout 30m ./internal/wq ./internal/serve ./internal/wire
 
 # go vet, then gofmt: a file gofmt would rewrite fails the target.
 vet:

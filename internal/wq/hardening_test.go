@@ -52,7 +52,7 @@ func TestSubmitRunWorkflowIDCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -127,7 +127,7 @@ func TestRetryLimitFailsTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 1, WorkerConfig{Model: sim.RampLinear})
+	wg := startWorkers(t, ctx, m, addr, 1, WorkerConfig{Model: sim.RampLinear})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -227,7 +227,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{TimeScale: 1e-3}) // 0.2 s per task
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{TimeScale: 1e-3}) // 0.2 s per task
 	defer wg.Wait()
 
 	errc := make(chan error, 1)
@@ -285,7 +285,7 @@ func TestStatsReconcileWithResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 3, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 3, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -445,7 +445,7 @@ func TestRunlogReplayAtRetryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 1, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 1, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 

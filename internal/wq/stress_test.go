@@ -67,13 +67,7 @@ func TestPipelinedStress(t *testing.T) {
 	for i := 0; i < workers; i++ {
 		spawn(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Workers() < workers {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers registered", m.Workers(), workers)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d workers to register", workers), func() bool { return m.Workers() == workers })
 
 	// Churn: kill and replace one worker every few milliseconds for the whole
 	// run, so evictions, requeues, and re-registrations overlap the stream.
@@ -178,13 +172,7 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 	go m.srv.ServeConn(mgrSide)
 	cfg := WorkerConfig{Capacity: resources.New(8, 1000, 1000, 3600), TimeScale: 1e-9}
 	go func() { _ = runWorkerConn(ctx, wkrSide, cfg) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Workers() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "worker registration", func() bool { return m.Workers() == 1 })
 
 	big := make([]byte, maxCategory+1)
 	for i := range big {
@@ -237,27 +225,13 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFrames(t, post, &Message{Type: MsgRegister, Capacity: resources.New(1, 100, 100, 3600)})
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Workers() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "worker registration", func() bool { return m.Workers() == 1 })
 	if _, err := post.Write([]byte{0, 0, 0, 0, 0x7f}); err != nil { // a frame of no known type
 		t.Fatal(err)
 	}
 	defer post.Close()
 
-	for {
-		if m.Stats().DecodeErrors == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("DecodeErrors = %d, want 2", m.Stats().DecodeErrors)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "two decode errors", func() bool { return m.Stats().DecodeErrors == 2 })
 	var pref, postf bool
 	for _, ev := range events() {
 		if ev.Type == EventDecodeError {

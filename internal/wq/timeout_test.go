@@ -47,9 +47,7 @@ func TestTaskTimeoutReapsHungWorker(t *testing.T) {
 
 	// The black hole connects first and absorbs the initial dispatches.
 	go blackHoleWorker(t, ctx, addr)
-	for m.Workers() < 1 {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "the black hole's registration", func() bool { return m.Workers() == 1 })
 
 	// A healthy worker joins; after the sweeper declares the black hole
 	// lost, the stolen tasks must be requeued onto it and the workflow must
@@ -113,7 +111,7 @@ func TestCompletedTaskNeverReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{TimeScale: 1e-3})
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{TimeScale: 1e-3})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -147,16 +145,8 @@ func TestHeartbeatDisconnectsSilentWorker(t *testing.T) {
 	defer m.Close()
 
 	go blackHoleWorker(t, ctx, addr)
-	for m.Workers() < 1 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for m.Workers() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if m.Workers() != 0 {
-		t.Fatal("silent worker still connected after heartbeat timeout")
-	}
+	waitFor(t, "the silent worker's registration", func() bool { return m.Workers() == 1 })
+	waitFor(t, "the heartbeat timeout to drop the silent worker", func() bool { return m.Workers() == 0 })
 	if s := m.Stats(); s.HeartbeatTimeouts != 1 {
 		t.Errorf("heartbeat timeouts = %d, want 1", s.HeartbeatTimeouts)
 	}

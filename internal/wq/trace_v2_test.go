@@ -40,7 +40,8 @@ func TestWorkerLostEventAndTraceTimes(t *testing.T) {
 
 	doomedCtx, killWorker := context.WithCancel(ctx)
 	go RunWorker(doomedCtx, addr, WorkerConfig{TimeScale: 1e-3})
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{TimeScale: 1e-3})
+	waitFor(t, "the doomed worker's registration", func() bool { return m.Workers() == 1 })
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{TimeScale: 1e-3})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -128,7 +129,7 @@ func TestLiveTraceDerivesScriptedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{})
 	defer wg.Wait()
 
 	res, err := m.RunWorkflow(ctx, quickWorkflow(15, 13))

@@ -2,6 +2,7 @@ package wq
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -39,8 +40,11 @@ func quickWorkflow(n int, seed uint64) *workflow.Workflow {
 	return w
 }
 
-func startWorkers(t *testing.T, ctx context.Context, addr string, n int, cfg WorkerConfig) *sync.WaitGroup {
+// startWorkers connects n workers to m's listener at addr and returns once
+// all n have registered, so a run that follows sees every one of them.
+func startWorkers(t *testing.T, ctx context.Context, m *Manager, addr string, n int, cfg WorkerConfig) *sync.WaitGroup {
 	t.Helper()
+	want := m.Workers() + n
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -51,6 +55,7 @@ func startWorkers(t *testing.T, ctx context.Context, addr string, n int, cfg Wor
 			}
 		}()
 	}
+	waitFor(t, fmt.Sprintf("%d workers to register", want), func() bool { return m.Workers() == want })
 	return &wg
 }
 
@@ -64,7 +69,7 @@ func TestLiveWorkflowWithAllocator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 3, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 3, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -101,7 +106,7 @@ func TestLiveOracleIsPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -145,7 +150,7 @@ func TestLiveBarriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := startWorkers(t, ctx, addr, 4, WorkerConfig{})
+	wg := startWorkers(t, ctx, m, addr, 4, WorkerConfig{})
 	defer wg.Wait()
 	defer m.Close()
 
@@ -193,7 +198,8 @@ func TestLiveWorkerEvictionRequeues(t *testing.T) {
 
 	doomedCtx, killWorker := context.WithCancel(ctx)
 	go RunWorker(doomedCtx, addr, WorkerConfig{TimeScale: 1e-3}) // 0.2 s per task
-	wg := startWorkers(t, ctx, addr, 2, WorkerConfig{TimeScale: 1e-3})
+	waitFor(t, "the doomed worker's registration", func() bool { return m.Workers() == 1 })
+	wg := startWorkers(t, ctx, m, addr, 2, WorkerConfig{TimeScale: 1e-3})
 	defer wg.Wait()
 	defer m.Close()
 
