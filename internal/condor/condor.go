@@ -13,11 +13,11 @@
 package condor
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
 
+	"dynalloc/internal/devent"
 	"dynalloc/internal/dist"
 	"dynalloc/internal/opportunistic"
 )
@@ -92,34 +92,15 @@ func (c Cluster) validate() Cluster {
 
 // event kinds of the internal batch-system timeline.
 const (
-	evPrimaryArrive = iota
+	evPrimaryArrive devent.Kind = iota
 	evPrimaryFinish
 	evPilotStart
 )
 
-type event struct {
-	at   float64
-	kind int
-	seq  int
-}
-
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-
 // Schedule implements opportunistic.Model: it plays the batch-system
-// timeline and emits one Arrival per pilot placement, with the lifetime set
-// by the preemption that ended it (or 0 when the pilot survives to the
-// horizon).
+// timeline up to the horizon and emits one Arrival per pilot placement, with
+// the lifetime set by the preemption that ended it (or 0 when the pilot
+// survives to the horizon).
 func (c Cluster) Schedule(seed uint64) []opportunistic.Arrival {
 	c = c.validate()
 	r := dist.NewRand(seed)
@@ -134,12 +115,8 @@ func (c Cluster) Schedule(seed uint64) []opportunistic.Arrival {
 		return r.ExpFloat64() / arrivalRate
 	}
 
-	var q eventQueue
-	seq := 0
-	push := func(at float64, kind int) {
-		heap.Push(&q, event{at: at, kind: kind, seq: seq})
-		seq++
-	}
+	var eng devent.Engine
+	push := func(at float64, kind devent.Kind) { eng.Schedule(at, kind, devent.Payload{}) }
 
 	// State: slot accounting plus the start times of running pilots (the
 	// youngest pilot is preempted first, matching HTCondor's preference for
@@ -150,29 +127,9 @@ func (c Cluster) Schedule(seed uint64) []opportunistic.Arrival {
 	pilotIdx := map[int]int{} // index into pilotStarts -> index into out
 	free := func() int { return c.Slots - primaryRunning - len(pilotStarts) }
 
-	// Seed the timeline: the primary load is warmed up by starting
-	// load*Slots primary jobs at t=0 with residual lifetimes, then pilots
-	// are submitted.
-	warm := int(c.PrimaryLoad * float64(c.Slots))
-	for i := 0; i < warm; i++ {
-		primaryRunning++
-		push(r.ExpFloat64()*c.PrimaryMeanDuration, evPrimaryFinish)
-	}
-	if g := nextPrimaryGap(); !math.IsInf(g, 1) {
-		push(g, evPrimaryArrive)
-	}
-	for i := 0; i < c.PilotTarget; i++ {
-		push(c.SubmitDelay*(0.5+r.Float64()), evPilotStart)
-	}
-
-	now := 0.0
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(event)
-		now = e.at
-		if now > c.Horizon {
-			break
-		}
-		switch e.kind {
+	eng.SetHandler(func(kind devent.Kind, _ devent.Payload) {
+		now := eng.Now()
+		switch kind {
 		case evPrimaryArrive:
 			// Schedule the next arrival first.
 			push(now+nextPrimaryGap(), evPrimaryArrive)
@@ -206,7 +163,24 @@ func (c Cluster) Schedule(seed uint64) []opportunistic.Arrival {
 			pilotStarts = append(pilotStarts, now)
 			out = append(out, opportunistic.Arrival{At: now})
 		}
+	})
+
+	// Seed the timeline: the primary load is warmed up by starting
+	// load*Slots primary jobs at t=0 with residual lifetimes, then pilots
+	// are submitted.
+	warm := int(c.PrimaryLoad * float64(c.Slots))
+	for i := 0; i < warm; i++ {
+		primaryRunning++
+		push(r.ExpFloat64()*c.PrimaryMeanDuration, evPrimaryFinish)
 	}
+	if g := nextPrimaryGap(); !math.IsInf(g, 1) {
+		push(g, evPrimaryArrive)
+	}
+	for i := 0; i < c.PilotTarget; i++ {
+		push(c.SubmitDelay*(0.5+r.Float64()), evPilotStart)
+	}
+
+	eng.RunUntil(c.Horizon)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
