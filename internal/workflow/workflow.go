@@ -85,16 +85,6 @@ func (w *Workflow) CategoryCounts() map[string]int {
 	return out
 }
 
-// MaxConsumption returns the element-wise maximum consumption across tasks;
-// a workload is feasible on a worker shape iff this fits within it.
-func (w *Workflow) MaxConsumption() resources.Vector {
-	var m resources.Vector
-	for _, t := range w.Tasks {
-		m = m.Max(t.Consumption)
-	}
-	return m
-}
-
 // PhaseOf returns the phase index (0-based) the given task index belongs to,
 // according to the barrier list.
 func (w *Workflow) PhaseOf(index int) int {
