@@ -13,6 +13,7 @@ import (
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/harness"
+	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/plot"
 	"dynalloc/internal/report"
 	"dynalloc/internal/resources"
@@ -30,9 +31,9 @@ import (
 //	-table 1   bucketing-state computation cost
 //	-all       everything (CSV series written to -outdir)
 //
-// Figure 5/6 runs use the fast sequential driver by default; -des runs the
-// full discrete-event simulation on the paper's 20-to-50-worker
-// opportunistic pool.
+// Figure 5/6 runs use the sequential driver by default, the discrete-event
+// simulation on one unbounded worker with a submit window of 1; -des runs it
+// on the paper's 20-to-50-worker opportunistic pool.
 func figures(c *cli) {
 	var (
 		fig      = c.fs.Int("fig", 0, "figure to regenerate (2-6)")
@@ -55,7 +56,10 @@ func figures(c *cli) {
 
 	cm, err := sim.ParseConsumptionModel(*model)
 	fatalIf(err)
-	opts := harness.Options{Seed: *seed, Tasks: *tasks, UseDES: *useDES, Model: cm, Parallelism: *jobs}
+	opts := harness.Options{Seed: *seed, Tasks: *tasks, Model: cm, Parallelism: *jobs}
+	if *useDES {
+		opts.Pool = opportunistic.PaperPool()
+	}
 	if *extended {
 		opts.Algorithms = allocator.ExtendedNames()
 	}

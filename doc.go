@@ -9,7 +9,7 @@
 //   - build any of the paper's seven allocation algorithms (NewAllocator),
 //   - generate the seven evaluation workloads (GenerateWorkflow),
 //   - execute workloads against an allocator on a simulated opportunistic
-//     pool (Simulate) or a fast pool-free driver (SimulateSequential),
+//     pool (Simulate) or on one unbounded worker (SimulateSequential),
 //   - measure efficiency and waste with the paper's metrics (Result,
 //     Summary),
 //   - and reproduce every figure and table of the evaluation (the

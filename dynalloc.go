@@ -186,7 +186,8 @@ func SimulateContext(ctx context.Context, cfg SimConfig) (*Result, error) {
 	return sim.RunContext(ctx, cfg)
 }
 
-// SimulateSequential runs the fast pool-free driver: tasks execute in
+// SimulateSequential runs the sequential driver, the simulator on one
+// unbounded worker with a submit window of 1: tasks execute one at a time in
 // submission order with the same allocation semantics. AWE is
 // pool-independent, so this answers the paper's efficiency questions
 // quickly.
@@ -194,8 +195,7 @@ func SimulateSequential(w *Workflow, p Policy, model ConsumptionModel) (*Result,
 	return sim.RunSequential(w, p, model, 0)
 }
 
-// SimulateSequentialContext is SimulateSequential under a context, checked
-// between tasks.
+// SimulateSequentialContext is SimulateSequential under a context.
 func SimulateSequentialContext(ctx context.Context, w *Workflow, p Policy, model ConsumptionModel) (*Result, error) {
 	return sim.RunSequentialContext(ctx, w, p, model, 0)
 }

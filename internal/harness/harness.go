@@ -34,12 +34,12 @@ type Options struct {
 	Tasks int
 	// Model is the task consumption profile (zero value = RampEarly).
 	Model sim.ConsumptionModel
-	// UseDES runs the full discrete-event simulation on an opportunistic
-	// pool instead of the fast sequential driver. AWE is pool-independent,
-	// so both drivers answer the paper's questions; the DES additionally
-	// exercises placement, concurrency, and churn.
-	UseDES bool
-	// Pool is the worker pool model for DES runs (nil = the paper pool).
+	// Pool is the worker pool every cell runs on. Nil is the sequential
+	// configuration (sim.RunSequential): the DES on one unbounded worker
+	// with a submit window of 1. AWE is pool-independent (Section II-C), so
+	// both answer the paper's questions; an opportunistic pool such as
+	// opportunistic.PaperPool() additionally exercises placement,
+	// concurrency, and churn.
 	Pool opportunistic.Model
 	// Workloads restricts the workload set (nil = all seven).
 	Workloads []string
@@ -83,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Algorithms) == 0 {
 		o.Algorithms = allocator.Names()
-	}
-	if o.Pool == nil {
-		o.Pool = opportunistic.PaperPool()
 	}
 	return o
 }
@@ -195,7 +192,7 @@ func runCell(ctx context.Context, opts Options, w *workflow.Workflow, alg alloca
 	}
 	start := time.Now()
 	var res *sim.Result
-	if opts.UseDES {
+	if opts.Pool != nil {
 		res, err = sim.RunContext(ctx, sim.Config{
 			Workflow: w,
 			Policy:   pol,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynalloc/internal/allocator"
+	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
 )
@@ -42,7 +43,7 @@ func TestRunGridShape(t *testing.T) {
 
 func TestRunGridDES(t *testing.T) {
 	opts := smallOpts()
-	opts.UseDES = true
+	opts.Pool = opportunistic.PaperPool()
 	cells, err := RunGrid(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,8 @@ const FormatVersion = 2
 // Driver names recorded in Header.Driver: which engine produced the log,
 // and hence how Resimulate replays it.
 const (
-	// DriverSequential: the fast pool-free sequential driver.
+	// DriverSequential: the sequential driver, the DES on one unbounded
+	// worker with a submit window of 1; its logs carry no worker lines.
 	DriverSequential = "sequential"
 	// DriverDES: the discrete-event pool simulation.
 	DriverDES = "des"

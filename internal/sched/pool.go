@@ -7,8 +7,8 @@
 // the policy. It holds tasks, not keys, so nothing is ever looked up: the
 // drivers own time, transport and task storage (a submitted task stays at its
 // address until it is terminal) — internal/sim calls it from discrete events,
-// internal/wq under the manager lock from decoded frames, the sequential
-// drivers through Task.RunAlone.
+// internal/wq under the manager lock from decoded frames, internal/flow's
+// local executor through Task.RunAlone.
 package sched
 
 import (

@@ -5,10 +5,11 @@
 // are retried with escalated allocations, and completed tasks report their
 // resource records back to the allocator.
 //
-// Because the paper's AWE metric is independent of the worker pool, the
-// package offers two drivers with identical allocation semantics: Run, a
-// discrete-event simulation with worker placement, arrivals, and evictions;
-// and RunSequential, a fast pool-free driver for benchmarks and sweeps.
+// Run is the discrete-event simulation, with worker placement, arrivals, and
+// evictions. Because the paper's AWE metric is independent of the worker
+// pool, RunSequential answers the efficiency questions of the figures and
+// sweeps with the same engine in its cheapest configuration: the DES on one
+// unbounded worker with a submit window of 1.
 package sim
 
 import (
